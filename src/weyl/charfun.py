@@ -64,9 +64,16 @@ def factor_colligation(b: Matrix, rel_tol: float = 1e-12) -> Colligation:
 def char_function(spec: ExtensionSpec, z: complex) -> Matrix:
     """W(z) per the resolvent form when Im B is injective, else the reduced form."""
     m = evaluate(spec.model, complex(z))
-    col = factor_colligation(spec.B)
+    return char_function_from_m(factor_colligation(spec.B), m)
+
+
+def char_function_from_m(col: Colligation, m: Matrix) -> Matrix:
+    """W at a point where the Weyl function is m, for the extension factored in col.
+
+    col depends on B alone, so grid evaluations factor once and call this per point.
+    """
     if col.full_rank:
-        return _char_full(spec.B, m)
+        return _char_full(col.B, m)
     return char_function_colligation(col, m)
 
 

@@ -19,9 +19,7 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, charfun, extensions, models, triplets, verify
 from .errors import WeylError
@@ -108,33 +106,31 @@ def _matrix_grid_csv(points, mats, n: int, label: str = "M") -> str:
     return buf.getvalue()
 
 
-def _grid_map(fn, points, jobs: int):
-    if jobs <= 1:
-        return [fn(z) for z in points]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, points))
-
-
 def _boundary_or_fail(problem: ProblemFile) -> Matrix:
     if problem.boundary is None:
         raise WeylError("problem file has no 'boundary' operator, required for this subcommand")
     return problem.boundary
 
 
-def cmd_eval(args) -> int:
-    problem = parse_problem(args.problem)
+def _grid_or_fail(args, problem: ProblemFile) -> list:
     grid_text = args.grid or problem.task.get("grid")
     if not grid_text:
         raise WeylError("no grid: pass --grid or put one under task.grid")
-    points = parse_grid(grid_text)
+    return parse_grid(grid_text)
 
-    def one(z):
-        m = models.evaluate(problem.model, z)
-        if problem.transform is not None:
-            m = triplets.transform_weyl(problem.transform, m)
-        return m
 
-    mats = _grid_map(one, points, args.jobs)
+def _weyl(problem: ProblemFile, z: complex) -> Matrix:
+    """M(z) in the problem's boundary coordinates (transformed if a transform is given)."""
+    m = models.evaluate(problem.model, z)
+    if problem.transform is not None:
+        m = triplets.transform_weyl(problem.transform, m)
+    return m
+
+
+def cmd_eval(args) -> int:
+    problem = parse_problem(args.problem)
+    points = _grid_or_fail(args, problem)
+    mats = [_weyl(problem, z) for z in points]
     if args.format == "csv":
         _emit(_matrix_grid_csv(points, mats, problem.model.n), args.out)
     else:
@@ -219,25 +215,12 @@ def cmd_krein(args) -> int:
 
 def cmd_charfn(args) -> int:
     problem = parse_problem(args.problem)
-    grid_text = args.grid or problem.task.get("grid")
-    if not grid_text:
-        raise WeylError("no grid: pass --grid or put one under task.grid")
-    points = parse_grid(grid_text)
+    points = _grid_or_fail(args, problem)
     b = _boundary_or_fail(problem)
-    model = problem.model
-
-    def one(z):
-        m = models.evaluate(model, z)
-        bb = b
-        if problem.transform is not None:
-            m = triplets.transform_weyl(problem.transform, m)
-            bb = triplets.transform_boundary_operator(problem.transform, b)
-        col = charfun.factor_colligation(bb)
-        if col.full_rank:
-            return charfun._char_full(bb, m)
-        return charfun.char_function_colligation(col, m)
-
-    mats = _grid_map(one, points, args.jobs)
+    if problem.transform is not None:
+        b = triplets.transform_boundary_operator(problem.transform, b)
+    col = charfun.factor_colligation(b)
+    mats = [charfun.char_function_from_m(col, _weyl(problem, z)) for z in points]
     n = mats[0].rows
     if args.format == "csv":
         _emit(_matrix_grid_csv(points, mats, n, label="W"), args.out)
@@ -288,8 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--problem", required=True, help="JSON problem file")
         p.add_argument("--out", help="output file (default: stdout)")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-        p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallel workers for grid evaluation (default: logical cores)")
 
     p = sub.add_parser(
         "eval",
@@ -334,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run the verification suites")
     p.add_argument("--suite", default="all", help="suite name or 'all'")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", help="write the per-assertion JSON report here")
     p.set_defaults(fn=cmd_verify)
     return parser

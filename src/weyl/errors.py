@@ -104,7 +104,3 @@ class SchemaError(WeylError):
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
         self.path = path
-
-
-class VerificationFailure(WeylError):
-    """One or more verification suites failed."""

@@ -130,7 +130,7 @@ def model_pole_locations(model: WeylModel, lo: float, hi: float, grid_n: int = 1
             d = fs.Y0.at(0, 0) * fs.Y0.at(1, 1) - fs.Y0.at(0, 1) * fs.Y0.at(1, 0)
             return d.real
         return scan_sign_changes(det_y0, lo, hi, grid_n)
-    if kind in ("half_line", "radial_schrodinger"):
+    if kind == "half_line":
         def y_at_zero(x):
             L, _ = truncation_length(model.q, complex(x))
             y, _yp = _halfline_endpoint(model.q, complex(x), L, 1e-10)
@@ -240,7 +240,7 @@ def _oracle_operators(spec: ExtensionSpec):
     kind = model.kind
     if not spec.is_hermitian:
         return None
-    if kind in ("half_line", "radial_schrodinger") and model.h is None:
+    if kind == "half_line" and model.h is None:
         return [oracle_mod.halfline_operator(model.q, b.at(0, 0).real)]
     if kind == "finite_interval" and _is_diagonal(b):
         return [
@@ -364,7 +364,7 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect, max_samples: int = 2000
 
 def _check_reference_nonnegative(model: WeylModel):
     kind = model.kind
-    if kind in ("half_line", "radial_schrodinger"):
+    if kind == "half_line":
         if model.h is not None:
             raise ContractError("negative_count needs the (y(0), y'(0)) triplet")
         op = oracle_mod.halfline_dirichlet_operator(model.q)

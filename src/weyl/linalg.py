@@ -77,9 +77,6 @@ class Matrix:
     def row(self, i: int):
         return self.data[i * self.cols : (i + 1) * self.cols]
 
-    def to_rows(self):
-        return [list(self.row(i)) for i in range(self.rows)]
-
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
@@ -124,13 +121,6 @@ class Matrix:
             self.cols,
             self.rows,
             tuple(self.data[j * self.cols + i].conjugate() for i in range(self.cols) for j in range(self.rows)),
-        )
-
-    def transpose(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.data[j * self.cols + i] for i in range(self.cols) for j in range(self.rows)),
         )
 
     def conjugate(self) -> "Matrix":

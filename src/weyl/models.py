@@ -41,7 +41,6 @@ KINDS = (
     "corner",
     "sector",
     "multi_corner",
-    "radial_schrodinger",
 )
 
 
@@ -65,9 +64,9 @@ def half_line(q: PotentialSpec, h: float | None = None) -> WeylModel:
 
 
 def radial_schrodinger(q: PotentialSpec) -> WeylModel:
-    """3-D spherically symmetric problem; reduces to the half-line model with
-    the same potential and the (y(0), y'(0)) triplet."""
-    return WeylModel("radial_schrodinger", 1, q.tail, q=q, h=None)
+    """3-D spherically symmetric problem; it is the half-line model with the
+    same potential and the (y(0), y'(0)) triplet."""
+    return half_line(q)
 
 
 def finite_interval(q: PotentialSpec, b: float) -> WeylModel:
@@ -137,7 +136,7 @@ def evaluate(model: WeylModel, z: complex, rtol: float = 1e-10) -> Matrix:
 
 def _evaluate_any(model: WeylModel, z: complex, rtol: float = 1e-10) -> Matrix:
     kind = model.kind
-    if kind in ("half_line", "radial_schrodinger"):
+    if kind == "half_line":
         return Matrix.scalar(halfline_m(model.q, model.h, z, rtol=rtol))
     if kind == "finite_interval":
         return finite_interval_M(model.q, model.b, z, rtol=rtol)
@@ -273,7 +272,7 @@ def m_at_zero(model: WeylModel, rtol: float = 1e-11) -> MZeroResult:
         # the strip entries depend on kappa^2 only, hence are analytic at 0
         return MZeroResult(herm_part(_strip_matrix(model.a_diag, model.width, 0j)), "closed_form", 0.0)
 
-    if kind in ("half_line", "radial_schrodinger"):
+    if kind == "half_line":
         # sqrt branch point at the spectral floor: ladder in t = sqrt(floor - x).
         # Exactly-constant tails admit a tail-matched integration with no
         # truncation error, so their ladder can run deep; otherwise the

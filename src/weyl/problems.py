@@ -126,7 +126,7 @@ def model_from_json(data, path: str = "$.model") -> WeylModel:
     kind = _require(data, "kind", path)
     if kind in ("half_line", "radial_schrodinger"):
         q = potential_from_json(data.get("potential"), f"{path}.potential")
-        if kind == "radial_schrodinger":
+        if kind == "radial_schrodinger":  # an alias: the half-line model with h = None
             return models_mod.radial_schrodinger(q)
         h = data.get("h")
         if h is not None:
@@ -169,7 +169,7 @@ def model_from_json(data, path: str = "$.model") -> WeylModel:
 
 def model_to_json(m: WeylModel):
     out = {"kind": m.kind}
-    if m.kind in ("half_line", "radial_schrodinger", "finite_interval"):
+    if m.kind in ("half_line", "finite_interval"):
         out["potential"] = potential_to_json(m.q)
     if m.kind == "half_line" and m.h is not None:
         out["h"] = m.h

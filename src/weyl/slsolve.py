@@ -22,6 +22,11 @@ TRUNCATION_CAP = 200.0
 _TRUNC_TARGET = 1e-13
 _TRUNC_RAISE = 1e-11
 _RESCALE_NORM = 1e100
+# An expression potential's tail is q(1e6); it counts as settled only when q
+# at these smaller x agrees with it to _TAIL_SETTLE_TOL * max(1, |q(1e6)|).
+_TAIL_X = 1e6
+_TAIL_PROBES = (1e4, 1e5)
+_TAIL_SETTLE_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -127,7 +132,17 @@ class PotentialSpec:
             return 0.0
         if self.kind == "sampled_table":
             return self.values[-1]
-        return self.value(1e6)
+        cached = self.__dict__.get("_tail_cache")
+        if cached is None:
+            cached = self.value(_TAIL_X)
+            spread = max(abs(self.value(x) - cached) for x in _TAIL_PROBES)
+            if spread > _TAIL_SETTLE_TOL * max(1.0, abs(cached)):
+                raise EvalError(
+                    f"potential {self.source!r} has no settled limit at large x: "
+                    f"q varies by {spread:.3g} between x = {_TAIL_PROBES[0]:g} and {_TAIL_X:g}"
+                )
+            self.__dict__["_tail_cache"] = cached
+        return cached
 
 
 @dataclass(frozen=True)

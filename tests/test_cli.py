@@ -1,10 +1,13 @@
+import csv
 import json
 
 import pytest
 
-from weyl import verify
+from weyl import charfun, models, verify
 from weyl.cli import main, parse_grid, parse_rect, parse_window
-from weyl.errors import WeylError
+from weyl.errors import ContractError, WeylError
+from weyl.problems import problem_from_data
+from weyl.triplets import transform_boundary_operator, transform_weyl
 from weyl.verify import Assertion
 
 
@@ -67,7 +70,7 @@ def test_eval_csv_deterministic(sector_problem, tmp_path):
     out2 = tmp_path / "b.csv"
     for out in (out1, out2):
         rc = main(["eval", "--problem", sector_problem, "--grid=-2:2:5,0.5:2:3",
-                   "--format", "csv", "--out", str(out), "--jobs", "2"])
+                   "--format", "csv", "--out", str(out)])
         assert rc == 0
     assert out1.read_bytes() == out2.read_bytes()
     lines = out1.read_text().splitlines()
@@ -84,6 +87,31 @@ def test_charfn_csv(sector_problem, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "re_z,im_z,W_0_0_re,W_0_0_im"
     assert len(lines) == 7
+
+
+def test_charfn_transformed_rank_one_uses_reduced_space(tmp_path):
+    data = {
+        "model": {"kind": "operator_potential_halfline", "a_diag": [2, 5]},
+        "boundary": [[0.3, 0.1], [0.1, [0.5, 0.8]]],  # Im B = diag(0, 0.8): rank 1
+        "transform": {"U": [[0, 1], [1, 0]], "X11": [[1, 0], [0, 1]], "X12": [[1, 0.5], [0.5, -1]],
+                      "X21": [[0, 0], [0, 0]], "X22": [[1, 0], [0, 1]]},
+    }
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(data))
+    out = tmp_path / "w.csv"
+    rc = main(["charfn", "--problem", str(f), "--grid=-1:1:3,0.5:1.5:2",
+               "--format", "csv", "--out", str(out)])
+    assert rc == 0
+    rows = list(csv.reader(out.read_text().splitlines()))
+    assert rows[0] == ["re_z", "im_z", "W_0_0_re", "W_0_0_im"]  # reduced size r = 1
+    assert len(rows) == 7
+    p = problem_from_data(data)
+    col = charfun.factor_colligation(transform_boundary_operator(p.transform, p.boundary))
+    for row in rows[1:]:
+        z = complex(float(row[0]), float(row[1]))
+        m = transform_weyl(p.transform, models.evaluate(p.model, z))
+        w = charfun.char_function_colligation(col, m)
+        assert abs(complex(float(row[2]), float(row[3])) - w.at(0, 0)) <= 1e-12
 
 
 def test_krein_json(tmp_path):
@@ -134,6 +162,25 @@ def test_verify_failure_exit_code(monkeypatch, capsys):
     rc = main(["verify", "--suite", "synthetic_failure"])
     assert rc == 2
     assert "FAIL" in capsys.readouterr().out
+
+
+def test_verify_suite_that_raises_is_recorded(monkeypatch, tmp_path, capsys):
+    def raising(rng):
+        raise ContractError("synthetic")
+
+    suites = {"synthetic_raise": raising, "expression_parser": verify.SUITES["expression_parser"]}
+    monkeypatch.setattr(verify, "SUITES", suites)
+    out = tmp_path / "report.json"
+    rc = main(["verify", "--suite", "all", "--out", str(out)])
+    assert rc == 2
+    assert "[FAIL] synthetic_raise" in capsys.readouterr().out
+    report = json.loads(out.read_text())
+    raised, parser = report["suites"]
+    assert raised["passed"] is False
+    assert raised["assertions"] == [
+        {"label": "synthetic_raise: suite raised", "ok": False, "detail": "ContractError: synthetic"}
+    ]
+    assert parser["suite"] == "expression_parser" and parser["passed"] is True
 
 
 def test_task_defaults_used_when_flags_absent(tmp_path):

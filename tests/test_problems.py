@@ -38,6 +38,12 @@ def test_roundtrip_all_kinds():
         assert a == b, data
 
 
+def test_radial_schrodinger_is_half_line_alias():
+    p = problems.problem_from_data({"model": {"kind": "radial_schrodinger", "potential": {"kind": "zero"}}})
+    assert p.model.kind == "half_line"
+    assert p.model.h is None
+
+
 def test_roundtrip_strip_with_transform():
     data = {
         "model": {"kind": "strip", "a_diag": [2.0, 5.0], "width": 3.0},

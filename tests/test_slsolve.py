@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from weyl import models
 from weyl.errors import AccuracyError, EvalError, PoleError
 from weyl.slsolve import (
     PotentialSpec,
@@ -145,6 +146,15 @@ def test_potential_kinds():
         PotentialSpec.table([0.0, 0.0], [1.0, 1.0])
     with pytest.raises(EvalError):
         PotentialSpec.square_well(-1.0, 0.0)
+
+
+def test_expression_tail_must_settle():
+    for src in ("x", "sin(x)"):
+        with pytest.raises(EvalError):
+            models.half_line(PotentialSpec.expression(src))
+    for src in ("1/(1+x^2)", "-1.7*exp(-x/0.8)"):
+        q = PotentialSpec.expression(src)
+        assert models.half_line(q).ess_floor == q.value(1e6)
 
 
 def test_cell_average_square_well():
