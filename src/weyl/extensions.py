@@ -1,13 +1,15 @@
 """Spectral analysis of the extension A_B from the Weyl function alone.
 
-Eigenvalues below the essential spectrum are zeros of det(M(x) - B); the scan
-brackets sign changes of that (real) determinant and refines by bisection,
-with multiplicities read off the inertia of M(x*) - B.  Poles of M flip the
-determinant sign without an eigenvalue, so windows are split at pre-located
-poles.  For the finite-interval model the scan runs on the entire determinant
-det(Y1(x) - B Y0(x)) instead, which stays finite through pole-eigenvalue
-collisions (Dirichlet and, say, Neumann spectra overlap there) and resolves
-them exactly; other kinds flag such collisions as unresolved brackets.
+Eigenvalues below the essential spectrum are zeros of det(M(x) - B); between
+poles M increases, so the number of positive eigenvalues of M(x) - B rises by
+k where k eigenvalues are passed.  The scan brackets the jumps of that count
+and bisects them apart, with multiplicities read off the inertia of
+M(x*) - B.  Poles of M make the count fall without an eigenvalue, so windows
+are split at pre-located poles.  For the finite-interval model the scan runs
+on the entire determinant det(Y1(x) - B Y0(x)) instead, which stays finite
+through pole-eigenvalue collisions (Dirichlet and, say, Neumann spectra
+overlap there) and resolves them exactly; other kinds flag such collisions as
+unresolved brackets.
 
 The residual/continuous parts of the abstract correspondence have no finite
 dimensional counterpart (M(z) - B is a matrix), so only the point spectrum is
@@ -40,7 +42,7 @@ from .linalg import (
     numeric_rank,
 )
 from .models import WeylModel, evaluate, m_at_zero
-from .slsolve import _halfline_endpoint, fundamental_system, truncation_length
+from .slsolve import _decaying_solution, fundamental_system, tail_support
 
 ORACLE_ZERO_CUT = 1e-4  # oracle counts strictly below -cut: O(dx^2)-stable
 
@@ -85,33 +87,37 @@ class SpectrumReport:
 # -- scanning utilities -------------------------------------------------------
 
 
-def scan_sign_changes(f, lo: float, hi: float, grid_n: int, refine_tol=None):
-    """Bracket sign changes of f on [lo, hi] and bisect each to tolerance."""
-    if refine_tol is None:
-        refine_tol = lambda x: 1e-10 * (1.0 + abs(x))
-    xs = [lo + (hi - lo) * k / grid_n for k in range(grid_n + 1)]
-    vals = [f(x) for x in xs]
+def scan_count_jumps(count, lo: float, hi: float, grid_n: int):
+    """Bracket the jumps of an integer-valued count on [lo, hi] and bisect them.
+
+    A grid step where the count moves by k is bisected until each jump is
+    isolated, so k roots closer than the grid step are all found.  Returns
+    [(x, k), ...]; k > 1 only where a jump stays whole at the 1e-10 relative
+    tolerance (a multiple root).
+    """
     roots = []
-    for (xa, fa), (xb, fb) in zip(zip(xs, vals), zip(xs[1:], vals[1:])):
-        if fa == 0.0:
-            roots.append(xa)
-            continue
-        if fa * fb < 0.0:
-            a, b, va = xa, xb, fa
-            while b - a > refine_tol(0.5 * (a + b)):
-                mid = 0.5 * (a + b)
-                vm = f(mid)
-                if vm == 0.0:
-                    a = b = mid
-                    break
-                if va * vm < 0.0:
-                    b = mid
-                else:
-                    a, va = mid, vm
-            roots.append(0.5 * (a + b))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
+
+    def bisect(a, na, b, nb):
+        if na == nb:
+            return
+        mid = 0.5 * (a + b)
+        if b - a <= 1e-10 * (1.0 + abs(mid)):
+            roots.append((mid, abs(nb - na)))
+            return
+        nm = count(mid)
+        bisect(a, na, mid, nm)
+        bisect(mid, nm, b, nb)
+
+    xs = [lo + (hi - lo) * k / grid_n for k in range(grid_n + 1)]
+    ns = [count(x) for x in xs]
+    for xa, na, xb, nb in zip(xs, ns, xs[1:], ns[1:]):
+        bisect(xa, na, xb, nb)
     return roots
+
+
+def scan_sign_changes(f, lo: float, hi: float, grid_n: int):
+    """Bracket sign changes of f on [lo, hi] and bisect each to tolerance."""
+    return [x for x, _k in scan_count_jumps(lambda x: f(x) < 0.0, lo, hi, grid_n)]
 
 
 def _real_det_hermitian(m: Matrix) -> float:
@@ -132,9 +138,7 @@ def model_pole_locations(model: WeylModel, lo: float, hi: float, grid_n: int = 1
         return scan_sign_changes(det_y0, lo, hi, grid_n)
     if kind == "half_line":
         def y_at_zero(x):
-            L, _ = truncation_length(model.q, complex(x))
-            y, _yp = _halfline_endpoint(model.q, complex(x), L, 1e-10)
-            return y.real
+            return _decaying_solution(model.q, complex(x))[0].real
         return scan_sign_changes(y_at_zero, lo, hi, grid_n)
     # operator-potential / strip / corner / sector are analytic below the floor
     return []
@@ -201,17 +205,19 @@ def _generic_scan(spec: ExtensionSpec, lo: float, hi: float, grid_n: int):
             continue
         sub_grid = max(64, int(grid_n * (sub_hi - sub_lo) / (hi - lo)) + 8)
 
-        def f(x):
-            return _real_det_hermitian(evaluate(model, complex(x)) - b)
+        def count(x):
+            # positive eigenvalues of M(x) - B: M increases between poles, so
+            # this count rises by k where k eigenvalues of A_B are passed
+            return sum(1 for w in hermitian_eigen(evaluate(model, complex(x)) - b) if w > 0.0)
 
-        for x in scan_sign_changes(f, sub_lo, sub_hi, sub_grid):
+        for x, jump in scan_count_jumps(count, sub_lo, sub_hi, sub_grid):
             near_pole = any(abs(x - p) < 1e-6 * (1.0 + abs(x)) for p in poles)
             if near_pole:
                 unresolved.append((x - 1e-6 * (1 + abs(x)), x + 1e-6 * (1 + abs(x))))
                 continue
             pencil = evaluate(model, complex(x)) - b
             scale = max(1.0, pencil.norm_fro())
-            mult = max(1, inertia(herm_part(pencil), 1e-6 * scale).n_zero)
+            mult = max(jump, inertia(herm_part(pencil), 1e-6 * scale).n_zero)
             eigs.append((x, mult))
     return eigs, unresolved
 
@@ -368,7 +374,7 @@ def _check_reference_nonnegative(model: WeylModel):
         if model.h is not None:
             raise ContractError("negative_count needs the (y(0), y'(0)) triplet")
         op = oracle_mod.halfline_dirichlet_operator(model.q)
-        if oracle_mod.eigen_count_below(op, -ORACLE_ZERO_CUT) > 0:
+        if _dirichlet_sign_changes(model.q) or oracle_mod.eigen_count_below(op, -ORACLE_ZERO_CUT) > 0:
             raise ContractError("reference (Dirichlet) extension has negative spectrum")
     elif kind == "finite_interval":
         op = oracle_mod.discretize(
@@ -378,6 +384,25 @@ def _check_reference_nonnegative(model: WeylModel):
             raise ContractError("reference (Dirichlet) extension has negative spectrum")
     elif model.ess_floor < -1e-12:
         raise ContractError("model floor below zero: reference extension not nonnegative")
+
+
+def _dirichlet_sign_changes(q) -> list:
+    """Sign changes of y(0; lambda) on [min q - 1, 0], lambda = 0 included.
+
+    y is the tail-matched solution, so each sign change is a Dirichlet
+    eigenvalue below 0, also one whose decay length exceeds the oracle's box
+    (a threshold resonance).  Empty unless q has a constant tail >= 0.
+    """
+    support = tail_support(q)
+    if support is None or q.tail < 0.0:
+        return []
+    # past the support so that the tail piece counts; a table's nodes bound its linear segments
+    lowest = min([c for _lo, _hi, c in q.pieces(0.0, support + 1.0) if c is not None] + list(q.values))
+
+    def y_at_zero(lam):
+        return _decaying_solution(q, complex(lam))[0].real
+
+    return scan_sign_changes(y_at_zero, lowest - 1.0, 0.0, 128)
 
 
 def negative_count(spec: ExtensionSpec):

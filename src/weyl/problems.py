@@ -207,7 +207,7 @@ def transform_to_json(t: TripletTransform):
     }
 
 
-_TASK_KEYS = {"window", "grid", "rect", "zeta", "grid_n", "z", "h"}
+_TASK_KEYS = {"window", "grid", "rect", "grid_n"}
 
 
 def problem_from_data(data: dict, sha: str = "") -> ProblemFile:

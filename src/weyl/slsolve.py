@@ -1,27 +1,37 @@
 """Complex-parameter ODE machinery for Sturm-Liouville problems.
 
 Fundamental systems on a finite interval (for the 2x2 interval Weyl matrix)
-and truncated-domain m-functions on the half-line.  The half-line m-function
-uses Dirichlet truncation at x = L plus backward integration rather than a
-Riccati equation: no blow-through at solution zeros, and the truncation error
-is exponentially small and estimable (~ exp(-2 Im sqrt(z - q_inf) L)).
+and m-functions on the half-line.  integrate_ivp splits its span at the pieces
+of q (PotentialSpec.pieces): where q is exactly constant it steps with the
+exact transfer matrix [[cosh kh, sinh kh / k], [k sinh kh, cosh kh]],
+k^2 = q - z; adaptive RK5(4) runs only where q varies (the interior of a
+sampled table, an expression).  The half-line m-function integrates backward
+to 0 rather than solving a Riccati equation (no blow-through at solution
+zeros).  When q is exactly constant beyond some point the integration is
+seeded there with the decaying tail solution exp(-kappa x), with no
+truncation error; otherwise it starts from a Dirichlet truncation at x = L,
+whose error is exponentially small and estimable (~ exp(-2 Im sqrt(z - q_inf) L)).
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import expr
-from .errors import AccuracyError, EvalError, PoleError, StiffnessError
-from .linalg import Matrix, inverse
+from .errors import AccuracyError, EvalError, PoleError, RangeError, StiffnessError
+from .linalg import Matrix
 from .specfun import sqrt_upper
 
 TRUNCATION_CAP = 200.0
 _TRUNC_TARGET = 1e-13
 _TRUNC_RAISE = 1e-11
 _RESCALE_NORM = 1e100
+# exact steps on a constant piece are cut so that |Re k h| stays below this,
+# which keeps cosh(kh) far inside double range
+_EXACT_GROWTH = 40.0
 # An expression potential's tail is q(1e6); it counts as settled only when q
 # at these smaller x agrees with it to _TAIL_SETTLE_TOL * max(1, |q(1e6)|).
 _TAIL_X = 1e6
@@ -123,9 +133,40 @@ class PotentialSpec:
         mid = 0.5 * (a + b)
         return (self.value(a) + 4.0 * self.value(mid) + self.value(b)) / 6.0
 
+    def pieces(self, a: float, b: float) -> list:
+        """Split [a, b] (a < b) where q changes form.
+
+        Returns [(lo, hi, c), ...] in increasing order, with c the value of q
+        on [lo, hi] where q is exactly constant there and None where it
+        varies.  Neighbouring constant pieces with the same value are merged;
+        the linear segments of a table stay apart, so that no RK step of the
+        propagator straddles a kink of q.
+        """
+        if self.kind == "zero":
+            return [(a, b, 0.0)]
+        if self.kind == "square_well":
+            breaks, consts = (0.0, self.width), (0.0, self.depth, 0.0)
+        elif self.kind == "sampled_table":
+            v = self.values
+            breaks = self.nodes
+            consts = (v[0], *(lo if lo == hi else None for lo, hi in zip(v, v[1:])), v[-1])
+        else:
+            return [(a, b, None)]
+        edges = (-math.inf, *breaks, math.inf)
+        out = []
+        for lo, hi, c in zip(edges, edges[1:], consts):
+            lo, hi = max(lo, a), min(hi, b)
+            if lo >= hi:
+                continue
+            if out and c is not None and out[-1][2] == c:
+                out[-1] = (out[-1][0], hi, c)
+            else:
+                out.append((lo, hi, c))
+        return out
+
     @property
     def tail(self) -> float:
-        """Limit value of q used for truncation estimates."""
+        """Limit value of q at infinity."""
         if self.kind == "zero":
             return 0.0
         if self.kind == "square_well":
@@ -179,25 +220,64 @@ _DP_E = (  # b5 - b4
 
 def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10,
                   atol: float = 1e-10, record: bool = False):
-    """Integrate (y, y')' = (y', (q - z) y) over span = (a, b) with adaptive RK5(4).
+    """Integrate (y, y')' = (y', (q - z) y) over span = (a, b).
 
-    Returns (y(b), y'(b)) or, with record=True, ((y(b), y'(b)), samples) where
-    samples is the list of accepted (x, y, y').  The span may be decreasing.
+    Exact transfer matrices on the pieces where q is constant, adaptive
+    RK5(4) on the others.  Returns (y(b), y'(b)) or, with record=True,
+    ((y(b), y'(b)), samples) where samples is the list of accepted (x, y, y')
+    steps.  The span may be decreasing.
     """
     a, b = float(span[0]), float(span[1])
     y, yp = complex(y0[0]), complex(y0[1])
     z = complex(z)
+    samples = [(a, y, yp)] if record else None
+    if a != b:
+        pieces = q.pieces(min(a, b), max(a, b))
+        if b < a:
+            pieces = [(hi, lo, c) for lo, hi, c in reversed(pieces)]
+        for start, end, c in pieces:
+            if c is None:
+                y, yp = _rk45(q, z, y, yp, start, end, rtol, atol, samples)
+            else:
+                y, yp = _transfer(c - z, y, yp, start, end, samples)
+    return ((y, yp), samples) if record else (y, yp)
+
+
+def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float, samples):
+    """Exact steps of y'' = k2 y from a to b, cut so that |Re k h| <= _EXACT_GROWTH."""
+    k = cmath.sqrt(k2)
+    n = max(1, math.ceil(abs(k.real * (b - a)) / _EXACT_GROWTH))
+    h = (b - a) / n
+    u = k2 * h * h
+    if abs(u) < 1e-8:
+        # series of cosh(kh) and sinh(kh)/k; the next terms are O(u^3)
+        ch = 1.0 + u / 2.0 + u * u / 24.0
+        sk = h * (1.0 + u / 6.0 + u * u / 120.0)
+        ks = k2 * sk
+    else:
+        ch = cmath.cosh(k * h)
+        sh = cmath.sinh(k * h)
+        sk = sh / k
+        ks = k * sh
+    for i in range(1, n + 1):
+        y, yp = ch * y + sk * yp, ks * y + ch * yp
+        if samples is not None:
+            samples.append((a + i * h, y, yp))
+    if not (cmath.isfinite(y) and cmath.isfinite(yp)):
+        raise RangeError(f"solution overflows double range on [{a}, {b}]")
+    return y, yp
+
+
+def _rk45(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: float,
+          rtol: float, atol: float, samples):
+    """Adaptive Dormand-Prince RK5(4) from a to b; appends accepted steps to samples."""
     direction = 1.0 if b >= a else -1.0
     length = abs(b - a)
-    if length == 0.0:
-        return ((y, yp), [(a, y, yp)]) if record else (y, yp)
-
     qv = q.value
 
     def f(x, u, up):
         return up, (qv(x) - z) * u
 
-    samples = [(a, y, yp)] if record else None
     x = a
     h = direction * min(length / 50.0, 0.2)
     hmin = 1e-14 * max(length, 1.0)
@@ -244,7 +324,7 @@ def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10,
         if err <= 1.0:
             x += h
             y, yp = y_new, yp_new
-            if record:
+            if samples is not None:
                 samples.append((x, y, yp))
             grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
             h *= max(0.2, grow)
@@ -252,7 +332,7 @@ def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10,
             h *= 0.5 if rejected_nan else max(0.2, 0.9 * err ** -0.2)
         if abs(h) < hmin:
             raise StiffnessError("step size underflow", location=x)
-    return ((y, yp), samples) if record else (y, yp)
+    return y, yp
 
 
 @lru_cache(maxsize=100_000)
@@ -272,14 +352,19 @@ def fundamental_system(q: PotentialSpec, b: float, z: complex,
 
 def finite_interval_M(q: PotentialSpec, b: float, z: complex,
                       rtol: float = 1e-10) -> Matrix:
-    """2x2 Weyl matrix Y1 (Y0)^-1 of the interval triplet (y(0), y(b)) / (y'(0), -y'(b))."""
+    """2x2 Weyl matrix Y1 (Y0)^-1 of the interval triplet (y(0), y(b)) / (y'(0), -y'(b)).
+
+    Y0 = [[1, 0], [u1(b), u2(b)]], so with the Wronskian u1 u2' - u1' u2 = 1
+    this is [[-u1(b), 1], [1, -u2'(b)]] / u2(b): no inversion, and no
+    cancellation in the off-diagonal entry when the solutions grow large.
+    """
     fs = fundamental_system(q, b, z, rtol=rtol)
-    scale = max(fs.Y0.norm_max(), 1.0)
-    d = fs.Y0.at(0, 0) * fs.Y0.at(1, 1) - fs.Y0.at(0, 1) * fs.Y0.at(1, 0)
-    # the integrator cannot resolve the determinant below ~30x its tolerance
-    if abs(d) < 30.0 * rtol * scale * scale:
+    u1b, u2b, u2pb = fs.Y0.at(1, 0), fs.Y0.at(1, 1), -fs.Y1.at(1, 1)
+    # the integrator cannot resolve u2(b) = det Y0 below ~30x its tolerance
+    # relative to the size of the solutions
+    if abs(u2b) < 30.0 * rtol * max(fs.Y0.norm_max(), 1.0):
         raise PoleError(f"z={z} is a Dirichlet eigenvalue of the interval problem", location=z)
-    return fs.Y1 @ inverse(fs.Y0)
+    return Matrix.from_rows([[-u1b / u2b, 1.0 / u2b], [1.0 / u2b, -u2pb / u2b]])
 
 
 def truncation_length(q: PotentialSpec, z: complex):
@@ -293,16 +378,16 @@ def truncation_length(q: PotentialSpec, z: complex):
 
 
 @lru_cache(maxsize=200_000)
-def _halfline_endpoint(q: PotentialSpec, z: complex, L: float, rtol: float):
-    """Backward Dirichlet-truncated integration, rescaled in chunks.
+def _endpoint(q: PotentialSpec, z: complex, start: float, seed: tuple, rtol: float):
+    """(y(0), y'(0)) from seed = (y, y') at x = start, integrated back in rescaled chunks.
 
     Only the ray through (y(0), y'(0)) matters, so per-chunk rescaling is
     harmless and keeps magnitudes inside double range for large Im sqrt(z) L.
     """
     growth = sqrt_upper(z - q.tail).imag
-    nchunks = max(1, int(growth * L / 80.0) + 1)
-    xs = [L - i * (L / nchunks) for i in range(nchunks + 1)]
-    y, yp = 0.0 + 0j, 1.0 + 0j
+    nchunks = max(1, int(growth * start / 80.0) + 1)
+    xs = [start - i * (start / nchunks) for i in range(nchunks + 1)]
+    y, yp = seed
     for a, b in zip(xs, xs[1:]):
         y, yp = integrate_ivp(q, z, (y, yp), (a, b), rtol=rtol, atol=rtol)
         m = max(abs(y), abs(yp))
@@ -312,76 +397,69 @@ def _halfline_endpoint(q: PotentialSpec, z: complex, L: float, rtol: float):
 
 
 def tail_support(q: PotentialSpec) -> float | None:
-    """Point beyond which q is exactly constant, or None when it never is."""
-    if q.kind == "zero":
-        return 0.0
-    if q.kind == "square_well":
-        return q.width
-    if q.kind == "sampled_table":
-        return q.nodes[-1]
-    return None
+    """Point x >= 0 beyond which q is exactly constant, or None when it never is."""
+    lo, _hi, c = q.pieces(0.0, math.inf)[-1]
+    return None if c is None else lo
 
 
-@lru_cache(maxsize=50_000)
-def _tail_matched_endpoint(q: PotentialSpec, z: complex, L: float, rtol: float):
-    """Backward integration seeded with the exact decaying tail solution.
+def _decaying_solution(q: PotentialSpec, z: complex, L: float | None = None,
+                       rtol: float = 1e-10):
+    """(y(0), y'(0)) of the solution of l[y] = z y that decays at infinity.
 
-    Valid only when q is exactly constant beyond tail_support(q): the decaying
-    solution there is exp(-kappa x) with kappa the Re >= 0 root of (tail - z),
-    so there is no truncation error at all.  Used by the M(0) extrapolation,
-    where the Dirichlet cutoff would cap the ladder depth.
+    With L = None and q exactly constant beyond tail_support(q), it is seeded
+    there with the tail solution exp(-kappa x), kappa the Re >= 0 root of
+    (tail - z): no truncation error.  At z = tail that seed is the bounded
+    solution (1, 0).  Otherwise the seed is y(L) = 0, y'(L) = 1, a Dirichlet
+    truncation (L from truncation_length when None) whose error halfline_m
+    checks.
     """
-    kappa = -1j * sqrt_upper(z - q.tail)
-    y, yp = 1.0 + 0j, -kappa
-    nchunks = max(1, int(abs(kappa) * L / 80.0) + 1)
-    xs = [L - i * (L / nchunks) for i in range(nchunks + 1)]
-    for a, b in zip(xs, xs[1:]):
-        y, yp = integrate_ivp(q, z, (y, yp), (a, b), rtol=rtol, atol=rtol)
-        m = max(abs(y), abs(yp))
-        if m > _RESCALE_NORM or (0.0 < m < 1.0 / _RESCALE_NORM):
-            y, yp = y / m, yp / m
-    return y, yp
+    support = tail_support(q) if L is None else None
+    if support is not None:
+        kappa = -1j * sqrt_upper(z - q.tail)
+        return _endpoint(q, z, support, (1.0 + 0j, -kappa), float(rtol))
+    if L is None:
+        L, _estimate = truncation_length(q, z)
+    return _endpoint(q, z, float(L), (0.0 + 0j, 1.0 + 0j), float(rtol))
 
 
 def halfline_m_exact_tail(q: PotentialSpec, z: complex, rtol: float = 1e-11) -> complex:
     """m_inf(z) through the tail-matched route; requires a constant tail."""
-    support = tail_support(q)
-    if support is None:
+    if tail_support(q) is None:
         raise AccuracyError("potential has no exactly-constant tail", estimate=1.0)
-    if (-1j * sqrt_upper(complex(z) - q.tail)).real <= 0:
-        raise AccuracyError(f"no decaying tail solution at z={z}", estimate=1.0)
-    L = max(8.0, 1.5 * support + 4.0)
-    y, yp = _tail_matched_endpoint(q, complex(z), L, float(rtol))
-    if abs(y) < 1e-13 * max(abs(y), abs(yp)):
-        raise PoleError(f"z={z} is numerically a Dirichlet eigenvalue", location=z)
-    return yp / y
+    return halfline_m(q, None, z, rtol=rtol)
 
 
 def halfline_m(q: PotentialSpec, h, z: complex, L: float | None = None,
                rtol: float = 1e-10) -> complex:
-    """Half-line m-function for the triplet (y(0), y'(0)), truncated at L.
+    """Half-line m-function for the triplet (y(0), y'(0)).
 
-    h = None selects m_inf = y'(0)/y(0) itself; a finite real h applies the
+    m_inf = y'(0)/y(0) of the decaying solution: tail-matched when q has an
+    exactly constant tail and L is None, else Dirichlet-truncated at L.
+    h = None selects m_inf itself; a finite real h applies the
     one-parameter family m_h(z) = (1 - h m_inf(z)) / (m_inf(z) - h).  That
     relation is the convention anchor for the whole family; note it maps the
     upper half-plane to itself only for |h| > 1 (the |h| < 1 members arise
     from an orientation-reversing coordinate change).
     """
     z = complex(z)
-    if L is None:
-        L, estimate = truncation_length(q, z)
+    if L is None and tail_support(q) is not None:
+        if sqrt_upper(z - q.tail).imag <= 0.0:
+            raise AccuracyError(f"z={z} sits on the essential spectrum tail", estimate=1.0)
     else:
-        kappa = sqrt_upper(z - q.tail).imag
-        estimate = math.exp(-2.0 * kappa * L) if kappa > 0 else 1.0
-    if estimate > _TRUNC_RAISE:
-        raise AccuracyError(
-            f"truncation at L={L:.1f} insufficient for z={z}", estimate=estimate
-        )
-    y, yp = _halfline_endpoint(q, z, float(L), float(rtol))
+        if L is None:
+            L, estimate = truncation_length(q, z)
+        else:
+            kappa = sqrt_upper(z - q.tail).imag
+            estimate = math.exp(-2.0 * kappa * L) if kappa > 0 else 1.0
+        if estimate > _TRUNC_RAISE:
+            raise AccuracyError(
+                f"truncation at L={L:.1f} insufficient for z={z}", estimate=estimate
+            )
+    y, yp = _decaying_solution(q, z, L, rtol)
     scale = max(abs(y), abs(yp))
     if abs(y) < 1e-13 * scale:
         raise PoleError(
-            f"z={z} is numerically an eigenvalue of the truncated Dirichlet problem",
+            f"z={z} is numerically an eigenvalue of the reference Dirichlet problem",
             location=z,
         )
     m_inf = yp / y

@@ -214,3 +214,21 @@ def test_transform_in_problem_applies_to_eval(tmp_path):
     vt = json.loads(out_t.read_text())["rows"][0]["M"][0][0]
     vb = json.loads(out_b.read_text())["rows"][0]["M"][0][0]
     assert abs(vt[0] - (vb[0] + 1.0)) < 1e-12 and abs(vt[1] - vb[1]) < 1e-12
+
+
+def test_spectrum_finds_close_eigenvalue_pair(tmp_path):
+    # the two eigenvalues lie 0.012 apart, closer than the scan's grid step
+    prob = tmp_path / "pair.json"
+    prob.write_text(json.dumps({
+        "model": {"kind": "operator_potential_halfline", "a_diag": [2, 5]},
+        "boundary": [[0.4535, 0.0], [0.0, 0.4133]],
+    }))
+    out = tmp_path / "s.json"
+    rc = main(["spectrum", "--problem", str(prob), "--out", str(out), "--window=-5.0:0.9"])
+    assert rc == 0
+    data = json.loads(out.read_text())
+    # closed form: a - sqrt(a) sqrt(a - 1 - x) = b in each channel
+    want = sorted(a - 1.0 - ((a - b) / a ** 0.5) ** 2 for a, b in ((2.0, 0.4535), (5.0, 0.4133)))
+    got = [e["location"] for e in data["eigenvalues"]]
+    assert len(got) == 2 and all(abs(x - y) < 1e-8 for x, y in zip(got, want))
+    assert [e["multiplicity"] for e in data["eigenvalues"]] == [1, 1]

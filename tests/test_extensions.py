@@ -3,7 +3,7 @@ import math
 import pytest
 
 from weyl import extensions, models
-from weyl.errors import BoundaryZeroError, ContractError, SpectralPointError
+from weyl.errors import BoundaryZeroError, ContractError, SpectralPointError, WeylError
 from weyl.linalg import Matrix
 from weyl.slsolve import PotentialSpec
 from weyl.specfun import sqrt_upper
@@ -154,3 +154,49 @@ def test_spectrum_report_oracle_delta_shape():
         extensions.extension(hl, -2.0), (-6.0, -0.1), compare_oracle=True
     )
     assert rep.oracle_delta is not None and len(rep.oracle_delta) == len(rep.eigenvalues)
+
+
+def test_scan_count_jumps_splits_close_and_multiple_roots():
+    # two jumps 0.01 apart inside one grid step of 0.03, and a double jump
+    def count(x):
+        return (x > 0.505) + (x > 0.515) + 2 * (x > 1.3)
+
+    roots = extensions.scan_count_jumps(count, 0.0, 2.0, 64)
+    assert [k for _x, k in roots] == [1, 1, 2]
+    assert all(abs(x - r) < 1e-9 for (x, _k), r in zip(roots, (0.505, 0.515, 1.3)))
+
+
+def _op_potential_eig(a, b):
+    # a - sqrt(a) sqrt(a - 1 - x) = b
+    return a - 1.0 - ((a - b) / math.sqrt(a)) ** 2
+
+
+def test_point_spectrum_double_eigenvalue():
+    # equal channels: det(M - B) touches zero without a sign change
+    model = models.operator_potential_halfline([2.0, 2.0])
+    rep = extensions.point_spectrum_real(
+        extensions.extension(model, Matrix.diag([0.45, 0.45])), (-5.0, 0.9)
+    )
+    assert len(rep.eigenvalues) == 1
+    x, mult = rep.eigenvalues[0]
+    assert mult == 2 and abs(x - _op_potential_eig(2.0, 0.45)) < 1e-8
+
+
+def test_negative_count_threshold_resonant_well():
+    # the Dirichlet reference has an eigenvalue near -2.6e-4 whose decay
+    # length (~62) exceeds the oracle box: a count of 0 would be silently wrong
+    hl = models.half_line(PotentialSpec.square_well(-2.5, 1.0))
+    try:
+        k_m, _k_o = extensions.negative_count(extensions.extension(hl, -0.8))
+    except WeylError:
+        return
+    assert k_m == 1
+
+
+@pytest.mark.parametrize("depth,width", [(-2.0, 1.0), (-1.0, 1.2)])
+def test_negative_count_wells_without_dirichlet_states(depth, width):
+    hl = models.half_line(PotentialSpec.square_well(depth, width))
+    m0 = models.m_at_zero(hl).value.at(0, 0).real
+    for b in (m0 - 1.0, m0 + 1.0):
+        k_m, k_o = extensions.negative_count(extensions.extension(hl, b))
+        assert k_m == k_o == (1 if b < m0 else 0)

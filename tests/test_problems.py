@@ -93,6 +93,13 @@ def test_schema_error_paths():
     assert "$.task.bogus" in str(exc.value)
 
 
+@pytest.mark.parametrize("key", ["zeta", "z", "h"])
+def test_unread_task_keys_rejected(key):
+    with pytest.raises(SchemaError) as exc:
+        problems.problem_from_data({"model": {"kind": "half_line"}, "task": {key: 1.0}})
+    assert f"$.task.{key}" in str(exc.value)
+
+
 def test_boundary_dimension_mismatch():
     with pytest.raises(SchemaError):
         problems.problem_from_data(

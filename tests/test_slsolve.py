@@ -2,9 +2,11 @@ import cmath
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl import models
-from weyl.errors import AccuracyError, EvalError, PoleError
+from weyl.errors import AccuracyError, EvalError, PoleError, RangeError
 from weyl.slsolve import (
     PotentialSpec,
     finite_interval_M,
@@ -12,6 +14,7 @@ from weyl.slsolve import (
     halfline_m,
     halfline_m_exact_tail,
     integrate_ivp,
+    tail_support,
     truncation_length,
 )
 from weyl.specfun import sqrt_upper
@@ -162,3 +165,133 @@ def test_cell_average_square_well():
     assert q.cell_average(0.9, 1.1) == pytest.approx(-1.0)
     assert q.cell_average(0.0, 0.5) == pytest.approx(-2.0)
     assert q.cell_average(1.5, 2.0) == 0.0
+
+
+# -- exact transfer on the constant pieces of q ---------------------------------------
+
+
+def _rel(a, b):
+    return abs(a - b) / max(1.0, abs(b))
+
+
+def _m_h(m_inf, h):
+    return m_inf if h is None else (1.0 - h * m_inf) / (m_inf - h)
+
+
+def _well_m_closed_form(depth, width, z):
+    """m_inf of q = depth on [0, width), 0 beyond: match exp(-kappa x) at the edge."""
+    kappa = -1j * sqrt_upper(complex(z))
+    k = cmath.sqrt(depth - complex(z))
+    t_over_k = cmath.tanh(k * width) / k if k != 0 else width
+    return -(k * k * t_over_k + kappa) / (1.0 + kappa * t_over_k)
+
+
+EXACT_ZS = (1j, 5 + 1j, -20 + 0.3j, 3 + 0.2j, 0.5 + 0.05j, -2.5, 400j, -400.0)
+
+
+@pytest.mark.parametrize("h", [None, -1.5, 0.7, 3.0])
+def test_halfline_zero_matches_closed_form(h):
+    for z in EXACT_ZS:
+        want = _m_h(1j * sqrt_upper(z), h)
+        assert _rel(halfline_m(Q0, h, z), want) < 1e-11, z
+
+
+def test_halfline_zero_near_positive_axis():
+    # tail matching has no truncation, so no AccuracyError blind zone here
+    z = 3 + 0.2j
+    assert abs(halfline_m(Q0, None, z) - 1j * sqrt_upper(z)) < 1e-12
+
+
+@pytest.mark.parametrize("h", [None, -1.5, 0.7])
+@pytest.mark.parametrize("depth,width", [(-2.0, 1.0), (-1.0, 1.2), (-2.5, 1.0), (3.0, 0.7)])
+def test_halfline_square_well_matches_closed_form(depth, width, h):
+    q = PotentialSpec.square_well(depth, width)
+    for z in EXACT_ZS:
+        want = _m_h(_well_m_closed_form(depth, width, z), h)
+        got = halfline_m(q, h, z)
+        assert math.isfinite(abs(got))
+        assert _rel(got, want) < 1e-11, z
+
+
+def test_square_well_never_evaluates_q(monkeypatch):
+    # zero and square_well are constant piecewise: RK5(4), which samples q, never runs
+    def no_sampling(self, x):
+        raise AssertionError("q sampled on a constant piece")
+
+    monkeypatch.setattr(PotentialSpec, "value", no_sampling)
+    q = PotentialSpec.square_well(-2.0, 1.0)
+    halfline_m(q, None, 1 + 1j)
+    models.m_at_zero(models.half_line(q))
+    finite_interval_M(q, 2.0, -1 + 0.5j)
+    finite_interval_M(Q0, math.pi, 2 + 1j)
+
+
+@pytest.mark.parametrize("z", [-1.0, 2 + 1j, -3 + 0.5j, 0.3 + 4j, -400.0, 400j])
+def test_interval_zero_matches_coth_csch(z):
+    b = math.pi
+    k = -1j * sqrt_upper(complex(z))  # k^2 = -z, Re k >= 0
+    coth = cmath.cosh(k * b) / cmath.sinh(k * b)
+    csch = 1.0 / cmath.sinh(k * b)
+    m = finite_interval_M(Q0, b, z)
+    assert _rel(m.at(0, 0), -k * coth) < 1e-11
+    assert _rel(m.at(1, 1), -k * coth) < 1e-11
+    assert _rel(m.at(0, 1), k * csch) < 1e-11
+
+
+def test_potential_pieces():
+    well = PotentialSpec.square_well(-2.0, 1.0)
+    assert well.pieces(-1.0, 3.0) == [(-1.0, 0.0, 0.0), (0.0, 1.0, -2.0), (1.0, 3.0, 0.0)]
+    assert Q0.pieces(0.0, 5.0) == [(0.0, 5.0, 0.0)]
+    t = PotentialSpec.table([0.0, 1.0, 2.0, 3.0, 4.0], [-2.0, -2.0, 0.0, 0.5, 0.5])
+    assert t.pieces(-1.0, 6.0) == [
+        (-1.0, 1.0, -2.0), (1.0, 2.0, None), (2.0, 3.0, None), (3.0, 6.0, 0.5)
+    ]
+    assert PotentialSpec.expression("x^2").pieces(0.0, 1.0) == [(0.0, 1.0, None)]
+    assert tail_support(t) == 3.0
+    assert tail_support(well) == 1.0
+    assert tail_support(PotentialSpec.expression("exp(-x)")) is None
+
+
+def test_ivp_record_on_exact_pieces():
+    q = PotentialSpec.square_well(-2.0, 1.0)
+    (y, yp), samples = integrate_ivp(q, -0.5, (1.0, 0.0), (0.0, 3.0), record=True)
+    assert [s[0] for s in samples] == [0.0, 1.0, 3.0]
+    assert samples[-1][1:] == (y, yp)
+
+
+def test_table_with_constant_tail_matches_truncated_route():
+    # constant -2 on [0, 1], linear to 0 on [1, 2], 0 beyond: RK on [1, 2] only
+    q = PotentialSpec.table([0.0, 1.0, 2.0], [-2.0, -2.0, 0.0])
+    for z in (1j, -0.4 + 0.3j, -1.5, 2 + 0.5j):
+        exact = halfline_m_exact_tail(q, z)
+        truncated = halfline_m(q, None, z, L=100.0, rtol=1e-12)
+        assert _rel(exact, truncated) < 1e-9, z
+
+
+def test_constant_table_is_constant_potential():
+    q = PotentialSpec.table([0.0, 2.0], [0.75, 0.75])
+    assert tail_support(q) == 0.0
+    for z in (1j, -3.0, 2 + 0.1j):
+        assert _rel(halfline_m(q, None, z), 1j * sqrt_upper(z - 0.75)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    depth=st.floats(-6.0, 4.0),
+    width=st.floats(0.1, 3.0),
+    re=st.floats(-8.0, 8.0),
+    im=st.floats(0.05, 6.0),
+)
+def test_square_well_property_closed_form(depth, width, re, im):
+    # off the real axis m has no poles
+    z = complex(re, im)
+    q = PotentialSpec.square_well(depth, width)
+    assert _rel(halfline_m(q, None, z), _well_m_closed_form(depth, width, z)) < 1e-11
+
+
+def test_interval_overflow_is_an_error():
+    # cosh(20 * 50) is beyond double range: a typed error, never NaN entries
+    with pytest.raises(RangeError):
+        finite_interval_M(Q0, 50.0, -400.0)
+    m = finite_interval_M(Q0, 10.0, -400.0)  # e^200: large but representable
+    assert _rel(m.at(0, 0), -20.0) < 1e-12 and 0.0 < m.at(0, 1).real < 1e-80
