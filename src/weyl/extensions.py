@@ -229,7 +229,8 @@ def _oracle_deltas(spec: ExtensionSpec, eigs, window_top: float):
     found = []
     for op in ops:
         k = min(12, op.size)
-        found.extend(v for v in oracle_mod.lowest_eigenvalues(op, k) if v <= window_top)
+        lows = oracle_mod.lowest_eigenvalues(op, k, upper=window_top)
+        found.extend(v for v in lows if v <= window_top)
     deltas = []
     for x, _mult in eigs:
         deltas.append(min((abs(x - v) for v in found), default=math.inf))

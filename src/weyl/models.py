@@ -26,9 +26,9 @@ from .errors import DomainError, EvalError, RangeError, TransversalityError
 from .linalg import Matrix, herm_part, imag_part, lambda_min
 from .slsolve import (
     PotentialSpec,
+    _decaying_solution,
     finite_interval_M,
     halfline_m,
-    halfline_m_exact_tail,
     tail_support,
 )
 from .specfun import BESSEL_RANGE, bessel_j, cpow, gamma, sqrt_upper, upper_power
@@ -216,7 +216,7 @@ def _sector_scalar(beta: float, z: complex) -> complex:
 @dataclass(frozen=True)
 class MZeroResult:
     value: Matrix  # Hermitian
-    method: str  # "closed_form" | "extrapolated"
+    method: str  # "closed_form" | "tail_matched" | "extrapolated"
     est_error: float
 
 
@@ -254,13 +254,37 @@ def _extrapolate_entrywise(ts, grids, n: int):
     return Matrix(n, n, tuple(data)), est_max
 
 
+def _tail_matched_m_at_zero(model: WeylModel, rtol: float) -> MZeroResult:
+    """M(0) = y'(0)/y(0) of the solution matched to the constant tail at z = 0.
+
+    The tail is >= 0 here, so the seed exp(-sqrt(tail) x) is (1, 0) for a
+    zero tail: the bounded threshold solution, and no limit to take.  The
+    estimate carries the rtol of the propagation through the division by y(0).
+    """
+    y, yp = _decaying_solution(model.q, 0j, None, rtol)
+    scale = max(abs(y), abs(yp))
+    if abs(y) < 1e-13 * scale:
+        raise TransversalityError("y(0; 0) = 0: M(x) is unbounded as x -> 0-")
+    m = (yp / y).real
+    est = rtol * (1.0 + abs(m)) * scale / abs(y)
+    if model.h is not None:
+        denom = m - model.h
+        if abs(denom) < 1e-13 * (1.0 + abs(m)):
+            raise TransversalityError(f"M(0) = h = {model.h}: pole of the h-triplet family")
+        est *= abs(1.0 - model.h * model.h) / (denom * denom)
+        m = (1.0 - model.h * m) / denom
+    return MZeroResult(Matrix.scalar(m), "tail_matched", est)
+
+
 def m_at_zero(model: WeylModel, rtol: float = 1e-11) -> MZeroResult:
     """Boundary value M(0) = lim_{x -> 0-} M(x).
 
-    Closed form where the catalog provides one; otherwise Richardson
-    extrapolation along x_k -> 0-.  Models whose essential spectrum starts at
-    0 have a sqrt branch point there, so their ladder runs in t = sqrt(-x)
-    (plain x-ladders converge too slowly against the truncation cap).
+    Closed form where the catalog provides one; for half-line potentials with
+    an exactly constant tail, the tail-matched solution at z = 0 itself;
+    otherwise Richardson extrapolation along x_k -> 0-.  Models whose
+    essential spectrum starts at 0 have a sqrt branch point there, so their
+    ladder runs in t = sqrt(-x) (plain x-ladders converge too slowly against
+    the truncation cap).  A half-line whose floor is below 0 has no M(0).
     """
     kind = model.kind
     if kind == "sector":
@@ -273,20 +297,17 @@ def m_at_zero(model: WeylModel, rtol: float = 1e-11) -> MZeroResult:
         return MZeroResult(herm_part(_strip_matrix(model.a_diag, model.width, 0j)), "closed_form", 0.0)
 
     if kind == "half_line":
-        # sqrt branch point at the spectral floor: ladder in t = sqrt(floor - x).
-        # Exactly-constant tails admit a tail-matched integration with no
-        # truncation error, so their ladder can run deep; otherwise the
-        # Dirichlet truncation cap limits the depth (larger reported error).
-        floor = model.ess_floor
+        if model.ess_floor < 0.0:
+            raise DomainError(
+                f"0 lies in the essential spectrum [{model.ess_floor}, inf): M(0) does not exist"
+            )
         if tail_support(model.q) is not None:
-            ts = [0.32 * 0.5**k for k in range(8)]
-            samples = [
-                Matrix.scalar(halfline_m_exact_tail(model.q, complex(floor - t * t), rtol=rtol))
-                for t in ts
-            ]
-        else:
-            ts = [0.64 * 0.5**k for k in range(4)]
-            samples = [_evaluate_any(model, complex(floor - t * t), rtol=rtol) for t in ts]
+            return _tail_matched_m_at_zero(model, rtol)
+        # sqrt branch point at the spectral floor: ladder in t = sqrt(floor - x),
+        # limited in depth by the Dirichlet truncation cap (larger reported error)
+        floor = model.ess_floor
+        ts = [0.64 * 0.5**k for k in range(4)]
+        samples = [_evaluate_any(model, complex(floor - t * t), rtol=rtol) for t in ts]
         if model.h is not None:
             samples = [
                 Matrix.scalar((1.0 - model.h * s.at(0, 0)) / (s.at(0, 0) - model.h))

@@ -8,13 +8,26 @@ this module, never the other way around.
 
 Error model for the defaults (n=4000, L=40): err ~ C dx^2 + exp(-2 kappa L);
 tests pick n, L from it.
+
+Work is spent only on what callers read.  The cell averages of a grid depend
+on (q, L, n) alone and are computed once per grid, so the Dirichlet
+reference and A_B of one request share them.  The bisection for the j-th
+eigenvalue starts from the same Gershgorin bracket as the one for j - 1, so
+all of them share one table of Sturm counts; with `upper` given, bisection
+stops after the first eigenvalue above it.  The values up to the stop come
+out of the same bisections, bit for bit, and since the floating-point Sturm
+count is monotone in mu (Demmel, Dhillon & Ren, Parallel Computing 21, 1995)
+the ones past it lie above `upper` too: a caller that keeps the values
+<= upper loses nothing.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import ContractError, DimensionError, RangeError, SpectralPointError
 from .slsolve import PotentialSpec
@@ -62,6 +75,19 @@ class DiscretizedOperator:
         return len(self.diag)
 
 
+@lru_cache(maxsize=32)
+def _cell_averages(q: PotentialSpec, L: float, n: int) -> array:
+    """q averaged over the cell of each grid node, clipped to [0, L].
+
+    An array('d'), so that a cached grid costs 8 bytes a node.
+    """
+    dx = L / n
+    return array("d", (
+        q.cell_average(max(0.0, (i - 0.5) * dx), min(L, (i + 0.5) * dx))
+        for i in range(n + 1)
+    ))
+
+
 def discretize(q: PotentialSpec, L: float, n: int, left: Boundary, right: Boundary,
                shift: float = 0.0) -> DiscretizedOperator:
     if n < 100:
@@ -70,10 +96,7 @@ def discretize(q: PotentialSpec, L: float, n: int, left: Boundary, right: Bounda
         raise ContractError("L must be positive")
     dx = L / n
     # cell averages keep potential jumps second-order accurate
-    qs = [
-        q.cell_average(max(0.0, (i - 0.5) * dx), min(L, (i + 0.5) * dx))
-        for i in range(n + 1)
-    ]
+    qs = _cell_averages(q, L, n)
     # quadratic form: sum (y_{i+1}-y_i)^2/dx + sum w_i q_i y_i^2 + h_l y_0^2 + h_r y_n^2
     include_left = left.kind != "dirichlet"
     include_right = right.kind != "dirichlet"
@@ -100,17 +123,13 @@ def eigen_count_below(opd: DiscretizedOperator, mu: float) -> int:
     """Number of eigenvalues below mu, by Sturm sign agreements of the LDL pivots."""
     if not math.isfinite(mu):
         raise ContractError("mu must be finite")
-    count = 0
-    p = 1.0
-    d, e = opd.diag, opd.off
     tiny = 1e-300
-    prev = d[0] - mu
+    prev = opd.diag[0] - mu
     if prev == 0.0:
         prev = -tiny
-    if prev < 0:
-        count += 1
-    for i in range(1, len(d)):
-        prev = (d[i] - mu) - e[i - 1] * e[i - 1] / prev
+    count = 1 if prev < 0 else 0
+    for d, e in zip(opd.diag[1:], opd.off):
+        prev = (d - mu) - e * e / prev
         if prev == 0.0:
             prev = -tiny
         if prev < 0:
@@ -129,22 +148,33 @@ def gershgorin_bounds(opd: DiscretizedOperator):
     return lo, hi
 
 
-def lowest_eigenvalues(opd: DiscretizedOperator, k: int, tol: float = 1e-10) -> list:
-    """k smallest eigenvalues by bisection on the Sturm count function."""
+def lowest_eigenvalues(opd: DiscretizedOperator, k: int, tol: float = 1e-10,
+                       upper: float | None = None) -> list:
+    """k smallest eigenvalues by bisection on the Sturm count function.
+
+    With upper given, stops after the first eigenvalue above it; the result
+    is then a prefix, bit for bit, of the list without the stop.
+    """
     if k > 50:
         raise ContractError("k <= 50")
     k = min(k, opd.size)
     lo0, hi0 = gershgorin_bounds(opd)
+    counts = {}
     out = []
     for j in range(1, k + 1):
         lo, hi = lo0, hi0
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
-            if eigen_count_below(opd, mid) >= j:
+            c = counts.get(mid)
+            if c is None:
+                c = counts[mid] = eigen_count_below(opd, mid)
+            if c >= j:
                 hi = mid
             else:
                 lo = mid
         out.append(0.5 * (lo + hi))
+        if upper is not None and out[-1] > upper:
+            break
     return out
 
 

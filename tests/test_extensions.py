@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from weyl import extensions, models
 from weyl.errors import BoundaryZeroError, ContractError, SpectralPointError, WeylError
@@ -193,6 +195,15 @@ def test_negative_count_threshold_resonant_well():
     assert k_m == 1
 
 
+def test_negative_count_next_to_threshold_state():
+    # M(0) = k tan k = 282.09, so B - M(0) = -5 has one negative eigenvalue; the
+    # eigenvalue of A_B sits near -1.5e-8, above the oracle's cut, so only the
+    # M-route sees it
+    hl = models.half_line(PotentialSpec.square_well(-2.45, 1.0))
+    k_m, _k_o = extensions.negative_count(extensions.extension(hl, 277.09))
+    assert k_m == 1
+
+
 @pytest.mark.parametrize("depth,width", [(-2.0, 1.0), (-1.0, 1.2)])
 def test_negative_count_wells_without_dirichlet_states(depth, width):
     hl = models.half_line(PotentialSpec.square_well(depth, width))
@@ -200,3 +211,25 @@ def test_negative_count_wells_without_dirichlet_states(depth, width):
     for b in (m0 - 1.0, m0 + 1.0):
         k_m, k_o = extensions.negative_count(extensions.extension(hl, b))
         assert k_m == k_o == (1 if b < m0 else 0)
+
+
+@settings(max_examples=30, deadline=None)
+@given(depth=st.floats(-3.0, 1.0), width=st.floats(0.3, 2.0), h=st.floats(-3.0, 3.0))
+def test_negative_count_routes_agree(depth, width, h):
+    # three routes to one integer: the inertia of B - M(0), the eigenvalues the
+    # real scan finds below 0, and the oracle's Sturm count
+    # no Dirichlet state below 0, and the well kept off the threshold where one appears
+    assume(depth >= 0.0 or math.sqrt(-depth) * width < math.pi / 2 - 0.2)
+    hl = models.half_line(PotentialSpec.square_well(depth, width))
+    # m increases on (-inf, 0) with no pole there, so A_h has an eigenvalue in
+    # (-0.02, 0) exactly when m(-0.02) < h < M(0): keep h clear of that band
+    m0 = models.m_at_zero(hl).value.at(0, 0).real
+    m_edge = models.evaluate(hl, -0.02).at(0, 0).real
+    assume(not m_edge - 0.05 < h < m0 + 0.05)
+    spec = extensions.extension(hl, h)
+    k_m, k_o = extensions.negative_count(spec)
+    # the form bound A_h >= min q - h^2 puts every eigenvalue above lo
+    lo = min(depth, 0.0) - h * h - 1.0
+    rep = extensions.point_spectrum_real(spec, (lo, -0.01))
+    assert not rep.unresolved
+    assert k_m == sum(mult for _x, mult in rep.eigenvalues) == k_o

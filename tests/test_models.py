@@ -57,7 +57,8 @@ def test_m_at_zero_methods():
     assert models.m_at_zero(models.sector(0.6)).method == "closed_form"
     assert models.m_at_zero(models.operator_potential_halfline([2, 5])).method == "closed_form"
     assert models.m_at_zero(models.strip([2, 5])).method == "closed_form"
-    assert models.m_at_zero(models.half_line(Q0)).method == "extrapolated"
+    assert models.m_at_zero(models.half_line(Q0)).method == "tail_matched"
+    assert models.m_at_zero(models.half_line(PotentialSpec.expression("-exp(-x)"))).method == "extrapolated"
     assert models.m_at_zero(models.corner(0.8)).method == "extrapolated"
 
 
@@ -71,6 +72,28 @@ def test_m_at_zero_well_tan_formula():
     r = models.m_at_zero(models.half_line(PotentialSpec.square_well(-d, w)))
     ref = math.sqrt(d) * math.tan(math.sqrt(d) * w)
     assert abs(r.value.at(0, 0) - ref) < 1e-6
+
+
+def test_m_at_zero_constant_nonzero_tail():
+    # M at 0, not at the floor 0.5, where it is about 0
+    r = models.m_at_zero(models.half_line(PotentialSpec.table([0.0, 1.0], [0.5, 0.5])))
+    assert r.method == "tail_matched"
+    assert abs(r.value.at(0, 0) + math.sqrt(0.5)) < 1e-12
+
+
+def test_m_at_zero_refuses_floor_below_zero():
+    with pytest.raises(DomainError):
+        models.m_at_zero(models.half_line(PotentialSpec.table([0.0, 1.0], [-0.5, -0.5])))
+
+
+@pytest.mark.parametrize("depth", [2.45, 2.46])
+def test_m_at_zero_next_to_threshold_state(depth):
+    # next to a threshold state: M(0) = k tan k is large, and its error must stay small
+    r = models.m_at_zero(models.half_line(PotentialSpec.square_well(-depth, 1.0)))
+    k = math.sqrt(depth)
+    ref = k * math.tan(k)
+    assert abs(r.value.at(0, 0) - ref) < 1e-9 * ref
+    assert r.est_error < 1e-5 * ref
 
 
 def test_strip_reduces_to_operator_potential_for_large_width():

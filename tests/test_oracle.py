@@ -118,3 +118,79 @@ def test_square_well_cell_average_discretization():
     op2 = oracle.discretize(q, 30.0, 6000, Boundary.robin(-0.8), Boundary.dirichlet())
     low2 = oracle.lowest_eigenvalues(op2, 1)[0]
     assert abs(low - low2) < 5e-5
+
+
+# -- the rewritten bisection returns the same bits ------------------------------
+
+
+def _reference_count(opd, mu):
+    """The indexed Sturm loop the zip form replaced, kept as the reference."""
+    count = 0
+    d, e = opd.diag, opd.off
+    tiny = 1e-300
+    prev = d[0] - mu
+    if prev == 0.0:
+        prev = -tiny
+    if prev < 0:
+        count += 1
+    for i in range(1, len(d)):
+        prev = (d[i] - mu) - e[i - 1] * e[i - 1] / prev
+        if prev == 0.0:
+            prev = -tiny
+        if prev < 0:
+            count += 1
+    return count
+
+
+def _random_tridiagonal(rng, n):
+    # small integer entries and some zero couplings make exact zero pivots
+    # reachable when mu equals a diagonal entry
+    diag = tuple(float(rng.randint(-4, 4)) for _ in range(n))
+    off = tuple(0.0 if rng.random() < 0.3 else rng.choice([-2.0, -1.0, -0.5, 1.0, rng.gauss(0, 1)])
+                for _ in range(n - 1))
+    return oracle.DiscretizedOperator(diag, off, 1.0, float(n), Boundary.dirichlet(),
+                                      Boundary.dirichlet())
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_sturm_count_matches_indexed_loop(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 3, 7, 40):
+        op = _random_tridiagonal(rng, n)
+        for mu in {*op.diag, 0.0, -5.5, 5.5, rng.uniform(-6.0, 6.0)}:
+            assert oracle.eigen_count_below(op, mu) == _reference_count(op, mu)
+
+
+def test_lowest_eigenvalues_upper_is_a_prefix():
+    q = PotentialSpec.square_well(-3.0, 2.0)
+    op = oracle.halfline_operator(q, -0.5, L=20.0, n=1000)
+    full = oracle.lowest_eigenvalues(op, 8)
+    for u in (full[0] - 1.0, full[0], 0.5 * (full[1] + full[2]), full[4], full[-1] + 1.0):
+        cut = oracle.lowest_eigenvalues(op, 8, upper=u)
+        stop = next((j + 1 for j, v in enumerate(full) if v > u), len(full))
+        assert cut == full[:stop]
+
+
+def _packed(op):
+    from array import array
+
+    return array("d", op.diag).tobytes(), array("d", op.off).tobytes()
+
+
+@pytest.mark.parametrize("q", [
+    PotentialSpec.square_well(-2.5, 1.0),
+    PotentialSpec.table([0.0, 0.7, 1.5, 3.0], [-1.0, 0.4, 0.4, 0.25]),
+    PotentialSpec.expression("-exp(-x)"),
+])
+def test_discretize_cache_hit_is_bit_identical(q):
+    L, n = 12.0, 600
+    oracle._cell_averages.cache_clear()
+    miss = oracle.discretize(q, L, n, Boundary.robin(-0.3), Boundary.dirichlet())
+    hits = oracle._cell_averages.cache_info().hits
+    hit = oracle.discretize(q, L, n, Boundary.robin(-0.3), Boundary.dirichlet())
+    assert oracle._cell_averages.cache_info().hits == hits + 1
+    assert _packed(hit) == _packed(miss)
+    # the uncached grid: every cell average taken afresh, as discretize once did
+    dx = L / n
+    qs = [q.cell_average(max(0.0, (i - 0.5) * dx), min(L, (i + 0.5) * dx)) for i in range(n + 1)]
+    assert list(oracle._cell_averages(q, L, n)) == qs
