@@ -10,8 +10,19 @@ unary minus):
     atom   := NUMBER | 'x' | FUNC '(' expr ')' | '(' expr ')'
     FUNC   := exp | sin | cos | sqrt | abs
 
-Evaluation is over the reals and deterministic.  Parse errors carry
-line/column and the expected-token set.
+Evaluation is over the reals and deterministic: a power whose value leaves
+the real line (negative base, fractional exponent) is an EvalError, as is a
+domain or range failure.  Parse errors carry line/column and the
+expected-token set.  Nesting is capped at MAX_DEPTH levels, counting every
+operator, function call and parenthesis pair on a path of the tree, so that
+the recursive-descent parser (five frames a parenthesis level) and the
+recursive evaluator stay far inside the interpreter's recursion limit.
+
+evaluate walks the tree and is the reference; compile_potential turns a tree
+into one straight-line Python function with the same operations in the same
+order, so it returns the same float bits.  Callers run the compiled function
+and re-run evaluate for its error message whenever the compiled one raises or
+returns anything but a float.
 """
 
 from __future__ import annotations
@@ -26,8 +37,10 @@ FUNCTIONS = {
     "sin": math.sin,
     "cos": math.cos,
     "sqrt": math.sqrt,
-    "abs": abs,
+    "abs": math.fabs,  # abs() of a float, and a float for any real argument
 }
+
+MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -114,9 +127,17 @@ def tokenize(src: str):
 
 
 class _Parser:
+    """Recursive descent; every rule returns (node, depth).
+
+    depth counts the operators, calls and parenthesis pairs on the deepest
+    path of the subtree.  self.open counts the unary rules on the stack, one
+    per nesting level, so that runaway nesting fails before it recurses.
+    """
+
     def __init__(self, src: str):
         self.tokens = tokenize(src)
         self.pos = 0
+        self.open = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -131,57 +152,73 @@ class _Parser:
         what = tok.text or "end of input"
         raise ParseError(f"unexpected {what!r}", column=tok.column, expected=expected)
 
+    def capped(self, depth: int, tok: Token) -> int:
+        if depth > MAX_DEPTH:
+            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep",
+                             column=tok.column)
+        return depth
+
     def parse(self):
-        node = self.expr()
+        node, _depth = self.expr()
         if self.peek().kind != "EOF":
             self.fail({"operator", "end of input"})
         return node
 
     def expr(self):
-        node = self.term()
+        node, depth = self.term()
         while self.peek().kind == "OP" and self.peek().text in "+-":
-            op = self.advance().text
-            node = Bin(op, node, self.term())
-        return node
+            tok = self.advance()
+            right, rdepth = self.term()
+            node, depth = Bin(tok.text, node, right), self.capped(1 + max(depth, rdepth), tok)
+        return node, depth
 
     def term(self):
-        node = self.unary()
+        node, depth = self.unary()
         while self.peek().kind == "OP" and self.peek().text in "*/":
-            op = self.advance().text
-            node = Bin(op, node, self.unary())
-        return node
+            tok = self.advance()
+            right, rdepth = self.unary()
+            node, depth = Bin(tok.text, node, right), self.capped(1 + max(depth, rdepth), tok)
+        return node, depth
 
     def unary(self):
-        if self.peek().kind == "OP" and self.peek().text == "-":
+        tok = self.peek()
+        self.open += 1
+        self.capped(self.open, tok)
+        if tok.kind == "OP" and tok.text == "-":
             self.advance()
-            return Unary("-", self.unary())
-        return self.power()
+            arg, depth = self.unary()
+            out = Unary("-", arg), self.capped(1 + depth, tok)
+        else:
+            out = self.power()
+        self.open -= 1
+        return out
 
     def power(self):
-        base = self.atom()
+        base, depth = self.atom()
         if self.peek().kind == "OP" and self.peek().text == "^":
-            self.advance()
-            return Bin("^", base, self.unary())  # right-assoc, allows 2^-3
-        return base
+            tok = self.advance()
+            exponent, edepth = self.unary()  # right-assoc, allows 2^-3
+            return Bin("^", base, exponent), self.capped(1 + max(depth, edepth), tok)
+        return base, depth
 
     def atom(self):
         tok = self.peek()
         if tok.kind == "NUMBER":
             self.advance()
-            return Num(float(tok.text))
+            return Num(float(tok.text)), 1
         if tok.kind == "IDENT":
             self.advance()
             if tok.text == "x":
-                return Var()
+                return Var(), 1
             if tok.text in FUNCTIONS:
                 if self.peek().kind != "LPAREN":
                     self.fail({"("})
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.expr()
                 if self.peek().kind != "RPAREN":
                     self.fail({")"})
                 self.advance()
-                return Call(tok.text, arg)
+                return Call(tok.text, arg), self.capped(1 + depth, tok)
             raise ParseError(
                 f"unknown identifier {tok.text!r}",
                 column=tok.column,
@@ -189,17 +226,24 @@ class _Parser:
             )
         if tok.kind == "LPAREN":
             self.advance()
-            node = self.expr()
+            node, depth = self.expr()
             if self.peek().kind != "RPAREN":
                 self.fail({")"})
             self.advance()
-            return node
+            return node, self.capped(1 + depth, tok)
         self.fail({"number", "x", "function", "("})
 
 
 def parse_potential(src: str):
     """Parse an expression in the variable x; total on valid input."""
     return _Parser(src).parse()
+
+
+def _pow(a: float, b: float, x: float) -> float:
+    r = a**b
+    if isinstance(r, complex):
+        raise EvalError(f"({a})^{b} left the real line at x={x}")
+    return r
 
 
 def evaluate(node, x: float) -> float:
@@ -222,17 +266,56 @@ def evaluate(node, x: float) -> float:
             if node.op == "/":
                 return a / b
             if node.op == "^":
-                return a**b
+                return _pow(a, b, x)
         except (ZeroDivisionError, OverflowError, ValueError) as e:
             raise EvalError(f"evaluation failed at x={x}: {e}") from e
         raise EvalError(f"unknown operator {node.op!r}")
     if isinstance(node, Call):
         v = evaluate(node.arg, x)
         try:
-            r = FUNCTIONS[node.func](v)
+            return FUNCTIONS[node.func](v)
         except (ValueError, OverflowError) as e:
             raise EvalError(f"{node.func}({v}) failed at x={x}: {e}") from e
-        if isinstance(r, complex):
-            raise EvalError(f"{node.func}({v}) left the real line at x={x}")
-        return float(r)
     raise EvalError(f"unknown node {node!r}")
+
+
+def compile_potential(node):
+    """The function x -> evaluate(node, x) as straight-line Python, one local per node.
+
+    Operands are evaluated in evaluate's order and combined by the same
+    operators, so every float result has the same bits; errors surface as
+    the raw ZeroDivisionError, OverflowError, ValueError or the EvalError of
+    _pow, and a caller re-runs evaluate for the message.  Only node kinds,
+    fixed operator symbols and FUNCTIONS names reach the generated source;
+    constants are bound by name (repr would not round-trip 1e999 = inf).
+    """
+    scope = {"__builtins__": {}, "_pow": _pow, **FUNCTIONS}
+    lines = []
+
+    def emit(n) -> str:
+        if isinstance(n, Num):
+            name = f"c{len(scope)}"
+            scope[name] = n.value
+            return name
+        if isinstance(n, Var):
+            return "x"
+        if isinstance(n, Unary):
+            code = f"-{emit(n.arg)}"
+        elif isinstance(n, Bin):
+            a, b = emit(n.left), emit(n.right)
+            if n.op == "^":
+                code = f"_pow({a}, {b}, x)"
+            elif n.op in ("+", "-", "*", "/"):
+                code = f"{a} {n.op} {b}"
+            else:
+                raise EvalError(f"unknown operator {n.op!r}")
+        elif isinstance(n, Call) and n.func in FUNCTIONS:
+            code = f"{n.func}({emit(n.arg)})"
+        else:
+            raise EvalError(f"unknown node {n!r}")
+        lines.append(f"    t{len(lines)} = {code}\n")
+        return f"t{len(lines) - 1}"
+
+    result = emit(node)
+    exec(f"def q(x):\n{''.join(lines)}    return {result}\n", scope)
+    return scope["q"]

@@ -30,6 +30,7 @@ from .slsolve import (
     finite_interval_M,
     halfline_m,
     tail_support,
+    truncation_length,
 )
 from .specfun import BESSEL_RANGE, bessel_j, cpow, gamma, sqrt_upper, upper_power
 
@@ -254,37 +255,48 @@ def _extrapolate_entrywise(ts, grids, n: int):
     return Matrix(n, n, tuple(data)), est_max
 
 
-def _tail_matched_m_at_zero(model: WeylModel, rtol: float) -> MZeroResult:
-    """M(0) = y'(0)/y(0) of the solution matched to the constant tail at z = 0.
+def _direct_m_at_zero(model: WeylModel, rtol: float) -> MZeroResult:
+    """M(0) = y'(0)/y(0) of the decaying solution at z = 0 itself.
 
-    The tail is >= 0 here, so the seed exp(-sqrt(tail) x) is (1, 0) for a
-    zero tail: the bounded threshold solution, and no limit to take.  The
-    estimate carries the rtol of the propagation through the division by y(0).
+    The floor is >= 0 here.  With an exactly constant tail the solution is
+    matched to it: the seed exp(-sqrt(tail) x) is (1, 0) for a zero tail, the
+    bounded threshold solution, so there is no limit to take, and the
+    estimate carries the rtol of the propagation through the division by
+    y(0).  Otherwise the floor is above 0, M is analytic at 0 and halfline_m
+    gives it, Dirichlet-truncated; its estimate adds twice the truncation
+    estimate exp(-2 kappa L), the relative error of a truncated m.
     """
-    y, yp = _decaying_solution(model.q, 0j, None, rtol)
-    scale = max(abs(y), abs(yp))
-    if abs(y) < 1e-13 * scale:
-        raise TransversalityError("y(0; 0) = 0: M(x) is unbounded as x -> 0-")
-    m = (yp / y).real
-    est = rtol * (1.0 + abs(m)) * scale / abs(y)
+    q = model.q
+    if tail_support(q) is not None:
+        y, yp = _decaying_solution(q, 0j, None, rtol)
+        scale = max(abs(y), abs(yp))
+        if abs(y) < 1e-13 * scale:
+            raise TransversalityError("y(0; 0) = 0: M(x) is unbounded as x -> 0-")
+        m = (yp / y).real
+        est = rtol * (1.0 + abs(m)) * scale / abs(y)
+        method = "tail_matched"
+    else:
+        m = halfline_m(q, None, 0.0, rtol=rtol).real
+        est = (rtol + 2.0 * truncation_length(q, 0.0)[1]) * (1.0 + abs(m))
+        method = "truncated"
     if model.h is not None:
         denom = m - model.h
         if abs(denom) < 1e-13 * (1.0 + abs(m)):
             raise TransversalityError(f"M(0) = h = {model.h}: pole of the h-triplet family")
         est *= abs(1.0 - model.h * model.h) / (denom * denom)
         m = (1.0 - model.h * m) / denom
-    return MZeroResult(Matrix.scalar(m), "tail_matched", est)
+    return MZeroResult(Matrix.scalar(m), method, est)
 
 
 def m_at_zero(model: WeylModel, rtol: float = 1e-11) -> MZeroResult:
     """Boundary value M(0) = lim_{x -> 0-} M(x).
 
     Closed form where the catalog provides one; for half-line potentials with
-    an exactly constant tail, the tail-matched solution at z = 0 itself;
-    otherwise Richardson extrapolation along x_k -> 0-.  Models whose
-    essential spectrum starts at 0 have a sqrt branch point there, so their
-    ladder runs in t = sqrt(-x) (plain x-ladders converge too slowly against
-    the truncation cap).  A half-line whose floor is below 0 has no M(0).
+    an exactly constant tail or a floor above 0, the decaying solution at
+    z = 0 itself; otherwise Richardson extrapolation along x_k -> 0-.
+    Models whose essential spectrum starts at 0 have a sqrt branch point
+    there, so their ladder runs in t = sqrt(-x) (plain x-ladders converge
+    too slowly against the truncation cap).  A half-line whose floor is below 0 has no M(0).
     """
     kind = model.kind
     if kind == "sector":
@@ -301,8 +313,8 @@ def m_at_zero(model: WeylModel, rtol: float = 1e-11) -> MZeroResult:
             raise DomainError(
                 f"0 lies in the essential spectrum [{model.ess_floor}, inf): M(0) does not exist"
             )
-        if tail_support(model.q) is not None:
-            return _tail_matched_m_at_zero(model, rtol)
+        if model.ess_floor > 0.0 or tail_support(model.q) is not None:
+            return _direct_m_at_zero(model, rtol)
         # sqrt branch point at the spectral floor: ladder in t = sqrt(floor - x),
         # limited in depth by the Dirichlet truncation cap (larger reported error)
         floor = model.ess_floor

@@ -11,6 +11,13 @@ zeros).  When q is exactly constant beyond some point the integration is
 seeded there with the decaying tail solution exp(-kappa x), with no
 truncation error; otherwise it starts from a Dirichlet truncation at x = L,
 whose error is exponentially small and estimable (~ exp(-2 Im sqrt(z - q_inf) L)).
+
+An expression potential is compiled once per PotentialSpec
+(expr.compile_potential, cached with the parsed tree) and value() runs the
+compiled function; when it raises or returns anything but a float, value()
+re-runs the tree walker expr.evaluate, the reference, which raises the
+EvalError with its message.  Expressions nest at most expr.MAX_DEPTH levels.
+The RK5(4) stages are unrolled and call value() once each.
 """
 
 from __future__ import annotations
@@ -18,7 +25,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import expr
 from .errors import AccuracyError, EvalError, PoleError, RangeError, StiffnessError
@@ -76,15 +83,26 @@ class PotentialSpec:
         expr.parse_potential(source)  # validate now; AST is rebuilt lazily
         return PotentialSpec("expression", source=source)
 
-    @property
+    @cached_property
     def _ast(self):
-        cached = self.__dict__.get("_ast_cache")
-        if cached is None:
-            cached = expr.parse_potential(self.source)
-            self.__dict__["_ast_cache"] = cached
-        return cached
+        return expr.parse_potential(self.source)
+
+    @cached_property
+    def _compiled(self):
+        return expr.compile_potential(self._ast)
 
     def value(self, x: float) -> float:
+        # expression first: RK5(4) asks for it at every stage
+        if self.kind == "expression":
+            try:
+                v = self._compiled(x)
+            except (ZeroDivisionError, OverflowError, ValueError, TypeError):
+                v = None
+            if type(v) is not float:
+                v = expr.evaluate(self._ast, x)  # the reference raises the EvalError
+            if not math.isfinite(v):
+                raise EvalError(f"potential not finite at x={x}")
+            return v
         if self.kind == "zero":
             return 0.0
         if self.kind == "square_well":
@@ -104,11 +122,6 @@ class PotentialSpec:
                     hi = mid
             t = (x - nodes[lo]) / (nodes[hi] - nodes[lo])
             return vals[lo] * (1.0 - t) + vals[hi] * t
-        if self.kind == "expression":
-            v = expr.evaluate(self._ast, x)
-            if not math.isfinite(v):
-                raise EvalError(f"potential not finite at x={x}")
-            return v
         raise EvalError(f"unknown potential kind {self.kind!r}")
 
     def cell_average(self, a: float, b: float) -> float:
@@ -270,53 +283,57 @@ def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float, samples)
 
 def _rk45(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: float,
           rtol: float, atol: float, samples):
-    """Adaptive Dormand-Prince RK5(4) from a to b; appends accepted steps to samples."""
+    """Adaptive Dormand-Prince RK5(4) from a to b; appends accepted steps to samples.
+
+    The seven stages are written out with the tableau entries as locals.
+    Stage i evaluates q once, at x + c_i h; its slope is (p_i, k_i) with
+    k_i = (q - z) y_i at the stage values (y_i, p_i).  Each stage sum starts
+    at 0j, keeps its zero coefficients and is scaled by h last, as the loop
+    over the tableau rows that this replaces did, so the arithmetic is that
+    loop's, operation for operation.
+    """
     direction = 1.0 if b >= a else -1.0
     length = abs(b - a)
     qv = q.value
-
-    def f(x, u, up):
-        return up, (qv(x) - z) * u
+    _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
+        (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = _DP_A
+    _, c1, c2, c3, c4, c5, c6 = _DP_C
+    e0, e1, e2, e3, e4, e5, e6 = _DP_E
 
     x = a
     h = direction * min(length / 50.0, 0.2)
     hmin = 1e-14 * max(length, 1.0)
-    k = [None] * 7
     while (b - x) * direction > 0:
         if abs(h) > abs(b - x):
             h = b - x
-        k[0] = f(x, y, yp)
-        rejected_nan = False
-        for i in range(1, 7):
-            ai = _DP_A[i]
-            su = 0j
-            sp = 0j
-            for j in range(i):
-                su += ai[j] * k[j][0]
-                sp += ai[j] * k[j][1]
-            k[i] = f(x + _DP_C[i] * h, y + h * su, yp + h * sp)
+        k0 = (qv(x) - z) * y
+        y1 = y + h * (0j + a10 * yp)
+        p1 = yp + h * (0j + a10 * k0)
+        k1 = (qv(x + c1 * h) - z) * y1
+        y2 = y + h * (0j + a20 * yp + a21 * p1)
+        p2 = yp + h * (0j + a20 * k0 + a21 * k1)
+        k2 = (qv(x + c2 * h) - z) * y2
+        y3 = y + h * (0j + a30 * yp + a31 * p1 + a32 * p2)
+        p3 = yp + h * (0j + a30 * k0 + a31 * k1 + a32 * k2)
+        k3 = (qv(x + c3 * h) - z) * y3
+        y4 = y + h * (0j + a40 * yp + a41 * p1 + a42 * p2 + a43 * p3)
+        p4 = yp + h * (0j + a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3)
+        k4 = (qv(x + c4 * h) - z) * y4
+        y5 = y + h * (0j + a50 * yp + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
+        p5 = yp + h * (0j + a50 * k0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
+        k5 = (qv(x + c5 * h) - z) * y5
         # 5th-order solution: the b-weights equal the last tableau row (FSAL)
-        su = 0j
-        sp = 0j
-        for j in range(6):
-            su += _DP_A[6][j] * k[j][0]
-            sp += _DP_A[6][j] * k[j][1]
-        y_new = y + h * su
-        yp_new = yp + h * sp
-        eu = 0j
-        ep = 0j
-        for j in range(7):
-            eu += _DP_E[j] * k[j][0]
-            ep += _DP_E[j] * k[j][1]
-        eu *= h
-        ep *= h
-        bad = not (
+        y_new = y + h * (0j + a60 * yp + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
+        yp_new = yp + h * (0j + a60 * k0 + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
+        k6 = (qv(x + c6 * h) - z) * y_new
+        eu = (0j + e0 * yp + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * yp_new) * h
+        ep = (0j + e0 * k0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6) * h
+        rejected_nan = not (
             math.isfinite(y_new.real) and math.isfinite(y_new.imag)
             and math.isfinite(yp_new.real) and math.isfinite(yp_new.imag)
         )
-        if bad:
+        if rejected_nan:
             err = math.inf
-            rejected_nan = True
         else:
             sc_u = atol + rtol * max(abs(y), abs(y_new))
             sc_p = atol + rtol * max(abs(yp), abs(yp_new))

@@ -131,6 +131,19 @@ def test_missing_problem_file_is_input_error(tmp_path):
     assert rc == 1
 
 
+def test_complex_power_is_an_error_line(tmp_path, capsys):
+    # (x-2)^0.5 is complex on [0, 2): an error line and exit 1, not a traceback
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": {
+        "kind": "finite_interval", "b": 3.0,
+        "potential": {"kind": "expression", "source": "(x-2)^0.5"},
+    }}))
+    rc = main(["eval", "--problem", str(f), "--grid=0:1:2,1:2:2", "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "left the real line" in err[0]
+
+
 def test_schema_violation_is_input_error(tmp_path):
     f = tmp_path / "bad.json"
     f.write_text(json.dumps({"model": {"kind": "sector", "beta": 2.0}}))

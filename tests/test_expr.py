@@ -3,11 +3,13 @@
 import math
 import random
 import re
+import struct
 
 import pytest
 
 from weyl.errors import EvalError, ParseError
-from weyl.expr import evaluate, parse_potential
+from weyl.expr import compile_potential, evaluate, parse_potential
+from weyl.slsolve import PotentialSpec
 
 _TOKEN_RE = re.compile(r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|[A-Za-z_]\w*|\*|/|\+|-|\^|\(|\))")
 
@@ -168,13 +170,15 @@ def test_reference_evaluator_agreement_on_1000_random_expressions():
         src = _random_expr(rng, rng.randint(1, 4))
         x = rng.uniform(0.5, 2.5)
         try:
-            mine = evaluate(parse_potential(src), x)
+            ast = parse_potential(src)
+            mine = evaluate(ast, x)
+            compiled = compile_potential(ast)(x)
             ref = shunting_yard_eval(src, x)
         except (EvalError, OverflowError, ZeroDivisionError):
             continue
         if not (math.isfinite(mine) and math.isfinite(ref)):
             continue
-        assert mine == ref, f"{src} at x={x}: {mine} vs {ref}"
+        assert compiled == mine == ref, f"{src} at x={x}: {compiled} vs {mine} vs {ref}"
         checked += 1
 
 
@@ -189,9 +193,90 @@ def test_reference_evaluator_agreement_unparenthesized():
             src += rng.choice("+-*/") + fragments[rng.randrange(len(fragments))]
         x = rng.uniform(0.5, 2.5)
         try:
-            mine = evaluate(parse_potential(src), x)
+            ast = parse_potential(src)
+            mine = evaluate(ast, x)
+            compiled = compile_potential(ast)(x)
             ref = shunting_yard_eval(src, x)
         except (EvalError, OverflowError, ZeroDivisionError):
             continue
-        assert mine == ref, f"{src} at x={x}"
+        assert compiled == mine == ref, f"{src} at x={x}"
         checked += 1
+
+
+def _random_real_line_expr(rng, depth):
+    # like _random_expr, plus what fails on the reals: sqrt, fractional
+    # powers of signed bases, division by values that can be 0
+    if depth == 0 or rng.random() < 0.25:
+        return rng.choice(["x", "0", "1", "2", f"{rng.uniform(-3, 3):.2f}", "1e999"])
+    kind = rng.random()
+    if kind < 0.45:
+        op = rng.choice("+-*/")
+        return f"({_random_real_line_expr(rng, depth - 1)}{op}{_random_real_line_expr(rng, depth - 1)})"
+    if kind < 0.65:
+        exponent = rng.choice(["0.5", "2", "-1", "x", "1.5", "-0.5"])
+        return f"({_random_real_line_expr(rng, depth - 1)})^{exponent}"
+    if kind < 0.75:
+        return f"-{_random_real_line_expr(rng, depth - 1)}"
+    fn = rng.choice(["exp", "sin", "cos", "sqrt", "abs"])
+    return f"{fn}({_random_real_line_expr(rng, depth - 1)})"
+
+
+def _bits_or_message(f, x):
+    try:
+        return struct.pack("<d", f(x))
+    except EvalError as e:
+        return str(e)
+
+
+def test_compiled_matches_evaluate_bits_and_messages():
+    # PotentialSpec.value runs the compiled function and falls back to
+    # evaluate: on every input the two give the same float bits, or the same
+    # EvalError text
+    rng = random.Random(20261018)
+    outcomes = {"value": 0, "error": 0}
+    for _ in range(3000):
+        src = _random_real_line_expr(rng, rng.randint(1, 5))
+        x = rng.choice([rng.uniform(-3.0, 3.0), 0.0, -0.0, 2.0])
+        ast = parse_potential(src)
+        q = PotentialSpec.expression(src)
+
+        def reference(x):
+            v = evaluate(ast, x)
+            if not math.isfinite(v):
+                raise EvalError(f"potential not finite at x={x}")
+            return v
+
+        ref = _bits_or_message(reference, x)
+        assert _bits_or_message(q.value, x) == ref, f"{src} at x={x}"
+        if isinstance(ref, bytes):
+            assert struct.pack("<d", compile_potential(ast)(x)) == ref, f"{src} at x={x}"
+        outcomes["value" if isinstance(ref, bytes) else "error"] += 1
+    assert min(outcomes.values()) > 500, outcomes
+
+
+@pytest.mark.parametrize("src,x", [("(-x)^0.5", 1.0), ("abs((x-2)^0.5)", 0.0), ("exp((x-2)^0.5)", 0.0)])
+def test_complex_power_is_an_eval_error(src, x):
+    # Python's float ** returns a complex here; abs() of it used to hide that
+    # and exp() of it raised TypeError
+    with pytest.raises(EvalError, match=r"left the real line at x="):
+        evaluate(parse_potential(src), x)
+    with pytest.raises(EvalError, match=r"left the real line at x="):
+        PotentialSpec.expression(src).value(x)
+
+
+@pytest.mark.parametrize("src,column", [
+    ("(" * 250 + "x" + ")" * 250, 101),
+    ("+".join(["x"] * 3000), 200),
+    ("-" * 500 + "x", 101),
+])
+def test_deep_expression_is_a_parse_error(src, column):
+    with pytest.raises(ParseError, match="nested more than 100 levels") as exc:
+        PotentialSpec.expression(src)
+    assert exc.value.column == column
+
+
+def test_depth_cap_admits_100_levels():
+    src = "(" * 99 + "x" + ")" * 99
+    assert PotentialSpec.expression(src).value(2.5) == 2.5
+    src = "+".join(["x"] * 100)
+    assert evaluate(parse_potential(src), 1.0) == compile_potential(parse_potential(src))(1.0) == 100.0

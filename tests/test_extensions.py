@@ -213,6 +213,14 @@ def test_negative_count_wells_without_dirichlet_states(depth, width):
         assert k_m == k_o == (1 if b < m0 else 0)
 
 
+def test_negative_count_expression_tail_above_zero():
+    # M(0) = -0.2308: B = 0 gives no negative eigenvalue, B = -0.5 gives one
+    hl = models.half_line(PotentialSpec.expression("0.5 - exp(-x)"))
+    for b, count in ((0.0, 0), (-0.5, 1)):
+        k_m, k_o = extensions.negative_count(extensions.extension(hl, b))
+        assert k_m == k_o == count, b
+
+
 @settings(max_examples=30, deadline=None)
 @given(depth=st.floats(-3.0, 1.0), width=st.floats(0.3, 2.0), h=st.floats(-3.0, 3.0))
 def test_negative_count_routes_agree(depth, width, h):

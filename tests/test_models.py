@@ -4,9 +4,9 @@ import random
 import pytest
 
 from weyl import models
-from weyl.errors import DomainError, EvalError, RangeError
+from weyl.errors import AccuracyError, DomainError, EvalError, RangeError
 from weyl.linalg import Matrix, imag_part, lambda_min
-from weyl.slsolve import PotentialSpec
+from weyl.slsolve import PotentialSpec, halfline_m
 
 Q0 = PotentialSpec.zero()
 
@@ -79,6 +79,26 @@ def test_m_at_zero_constant_nonzero_tail():
     r = models.m_at_zero(models.half_line(PotentialSpec.table([0.0, 1.0], [0.5, 0.5])))
     assert r.method == "tail_matched"
     assert abs(r.value.at(0, 0) + math.sqrt(0.5)) < 1e-12
+
+
+@pytest.mark.parametrize("h", [None, 2.0])
+def test_m_at_zero_expression_tail_above_zero(h):
+    # 0 lies below the floor 0.5: M(0) is the truncated m at z = 0, not M(floor)
+    q = PotentialSpec.expression("0.5 - exp(-x)")
+    r = models.m_at_zero(models.half_line(q, h))
+    assert r.method == "truncated"
+    ref = halfline_m(q, h, 0.0, rtol=1e-12).real
+    assert abs(r.value.at(0, 0) - ref) < 1e-10 and r.est_error < 1e-10
+    m_inf = -0.2308023113
+    assert abs(halfline_m(q, None, 0.0).real - m_inf) < 1e-9
+    r = models.m_at_zero(models.half_line(PotentialSpec.expression("0.5 + 0*x")))
+    assert abs(r.value.at(0, 0) + math.sqrt(0.5)) < 1e-10
+
+
+def test_m_at_zero_expression_tail_too_small_to_truncate():
+    # a floor of 1e-6 needs L far beyond the cap: an error, not M(floor)
+    with pytest.raises(AccuracyError):
+        models.m_at_zero(models.half_line(PotentialSpec.expression("1e-6 - exp(-x)")))
 
 
 def test_m_at_zero_refuses_floor_below_zero():

@@ -1,14 +1,19 @@
 import cmath
 import math
+import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyl import models
-from weyl.errors import AccuracyError, EvalError, PoleError, RangeError
+from weyl.errors import AccuracyError, EvalError, PoleError, RangeError, StiffnessError
 from weyl.slsolve import (
+    _DP_A,
+    _DP_C,
+    _DP_E,
     PotentialSpec,
+    _rk45,
     finite_interval_M,
     fundamental_system,
     halfline_m,
@@ -295,3 +300,103 @@ def test_interval_overflow_is_an_error():
         finite_interval_M(Q0, 50.0, -400.0)
     m = finite_interval_M(Q0, 10.0, -400.0)  # e^200: large but representable
     assert _rel(m.at(0, 0), -20.0) < 1e-12 and 0.0 < m.at(0, 1).real < 1e-80
+
+
+def _rk45_loop(q, z, y, yp, a, b, rtol, atol, samples):
+    """The tableau-loop Dormand-Prince integrator that _rk45 unrolls, kept as its reference."""
+    direction = 1.0 if b >= a else -1.0
+    length = abs(b - a)
+    qv = q.value
+
+    def f(x, u, up):
+        return up, (qv(x) - z) * u
+
+    x = a
+    h = direction * min(length / 50.0, 0.2)
+    hmin = 1e-14 * max(length, 1.0)
+    k = [None] * 7
+    while (b - x) * direction > 0:
+        if abs(h) > abs(b - x):
+            h = b - x
+        k[0] = f(x, y, yp)
+        rejected_nan = False
+        for i in range(1, 7):
+            ai = _DP_A[i]
+            su = 0j
+            sp = 0j
+            for j in range(i):
+                su += ai[j] * k[j][0]
+                sp += ai[j] * k[j][1]
+            k[i] = f(x + _DP_C[i] * h, y + h * su, yp + h * sp)
+        su = 0j
+        sp = 0j
+        for j in range(6):
+            su += _DP_A[6][j] * k[j][0]
+            sp += _DP_A[6][j] * k[j][1]
+        y_new = y + h * su
+        yp_new = yp + h * sp
+        eu = 0j
+        ep = 0j
+        for j in range(7):
+            eu += _DP_E[j] * k[j][0]
+            ep += _DP_E[j] * k[j][1]
+        eu *= h
+        ep *= h
+        bad = not (
+            math.isfinite(y_new.real) and math.isfinite(y_new.imag)
+            and math.isfinite(yp_new.real) and math.isfinite(yp_new.imag)
+        )
+        if bad:
+            err = math.inf
+            rejected_nan = True
+        else:
+            sc_u = atol + rtol * max(abs(y), abs(y_new))
+            sc_p = atol + rtol * max(abs(yp), abs(yp_new))
+            err = math.sqrt(0.5 * ((abs(eu) / sc_u) ** 2 + (abs(ep) / sc_p) ** 2))
+        if err <= 1.0:
+            x += h
+            y, yp = y_new, yp_new
+            if samples is not None:
+                samples.append((x, y, yp))
+            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
+            h *= max(0.2, grow)
+        else:
+            h *= 0.5 if rejected_nan else max(0.2, 0.9 * err ** -0.2)
+        if abs(h) < hmin:
+            raise StiffnessError("step size underflow", location=x)
+    return y, yp
+
+
+def _bits(values):
+    out = []
+    for v in values:
+        v = complex(v)
+        out.append(struct.pack("<dd", v.real, v.imag))
+    return out
+
+
+@pytest.mark.parametrize("q,span", [
+    (PotentialSpec.expression("-2*exp(-x/1.5) + 0.3*sin(3*x)"), (0.0, 6.0)),
+    (PotentialSpec.expression("-2*exp(-x/1.5) + 0.3*sin(3*x)"), (6.0, 0.0)),
+    (PotentialSpec.table([0.0, 2.0], [-1.5, 0.5]), (0.0, 2.0)),
+    (PotentialSpec.table([0.0, 2.0], [-1.5, 0.5]), (2.0, 0.0)),
+])
+@pytest.mark.parametrize("z", [1j, -3.0 + 0.5j, 7.0 + 0.01j, 400j, -400.0, 240.0 + 320j])
+def test_unrolled_rk45_is_the_tableau_loop_to_the_bit(q, span, z):
+    a, b = span
+    y0 = (0.3 - 0.2j, 1.0 + 0j)
+    for rtol in (1e-10, 1e-6):
+        got_samples, ref_samples = [], []
+        got = _rk45(q, complex(z), *y0, a, b, rtol, rtol, got_samples)
+        ref = _rk45_loop(q, complex(z), *y0, a, b, rtol, rtol, ref_samples)
+        assert _bits(got) == _bits(ref)
+        assert len(got_samples) == len(ref_samples) > 5
+        for (xg, *g), (xr, *r) in zip(got_samples, ref_samples):
+            assert struct.pack("<d", xg) == struct.pack("<d", xr)
+            assert _bits(g) == _bits(r)
+    # the public propagator runs it for these pieces, and records the same steps
+    (y, yp), samples = integrate_ivp(q, z, y0, span, record=True)
+    ref_samples = [(a, *y0)]
+    ref = _rk45_loop(q, complex(z), *y0, a, b, 1e-10, 1e-10, ref_samples)
+    assert _bits((y, yp)) == _bits(ref)
+    assert [(s[0], *_bits(s[1:])) for s in samples] == [(s[0], *_bits(s[1:])) for s in ref_samples]
