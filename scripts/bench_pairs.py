@@ -3,7 +3,7 @@
 
 For each seed, runs
 
-    python3 weylbench/run.py --workload W --seed S --seconds 20 --trace 0
+    python3 weylbench/run.py --workload W --seed S --trace 0
 
 once in PARENT_DIR and once in CHANGE_DIR, one process at a time; pair i
 runs the parent first when i is even and the change first when it is odd.
@@ -32,9 +32,9 @@ def parse_seeds(text):
     return seeds
 
 
-def run_once(checkout, workload, seed, seconds):
+def run_once(checkout, workload, seed):
     cmd = [sys.executable, "weylbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"]
+           "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = [ln for ln in proc.stdout.splitlines() if ln.startswith("{")]
     if proc.returncode != 0 or not lines:
@@ -52,7 +52,6 @@ def main(argv=None):
     p.add_argument("change_dir")
     p.add_argument("--workload", required=True)
     p.add_argument("--seeds", required=True, help="e.g. 301-310 or 301,305-307")
-    p.add_argument("--seconds", type=int, default=20)
     p.add_argument("--out", help="raw runs as JSON (default bench_pairs_<workload>.json)")
     args = p.parse_args(argv)
 
@@ -64,7 +63,7 @@ def main(argv=None):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(sides[side], args.workload, seed, args.seconds)
+            pair[side] = run_once(sides[side], args.workload, seed)
         runs.append(pair)
         print(f"seed {seed} ({order[0]} first): " + ", ".join(
             f"{side} session_s {pair[side]['metrics']['session_s']['value']:.3f} "

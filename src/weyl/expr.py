@@ -13,10 +13,13 @@ unary minus):
 Evaluation is over the reals and deterministic: a power whose value leaves
 the real line (negative base, fractional exponent) is an EvalError, as is a
 domain or range failure.  Parse errors carry line/column and the
-expected-token set.  Nesting is capped at MAX_DEPTH levels, counting every
-operator, function call and parenthesis pair on a path of the tree, so that
-the recursive-descent parser (five frames a parenthesis level) and the
-recursive evaluator stay far inside the interpreter's recursion limit.
+expected-token set.  Two caps keep every recursion far inside the
+interpreter's default limit of 1000 frames: parentheses, function calls and
+exponents nest at most MAX_NESTING levels, since the recursive-descent
+parser spends up to five frames a level (sums, products and leading minus
+signs are loops and do not nest), and the tree is at most MAX_DEPTH levels
+deep, counting every operator, call and parenthesis pair on a path, since
+evaluate and compile_potential spend one frame a level.
 
 evaluate walks the tree and is the reference; compile_potential turns a tree
 into one straight-line Python function with the same operations in the same
@@ -40,7 +43,8 @@ FUNCTIONS = {
     "abs": math.fabs,  # abs() of a float, and a float for any real argument
 }
 
-MAX_DEPTH = 100
+MAX_NESTING = 100
+MAX_DEPTH = 500
 
 
 @dataclass(frozen=True)
@@ -131,7 +135,8 @@ class _Parser:
 
     depth counts the operators, calls and parenthesis pairs on the deepest
     path of the subtree.  self.open counts the unary rules on the stack, one
-    per nesting level, so that runaway nesting fails before it recurses.
+    per level of parentheses, calls and exponents, so that runaway nesting
+    fails before it recurses.
     """
 
     def __init__(self, src: str):
@@ -154,7 +159,7 @@ class _Parser:
 
     def capped(self, depth: int, tok: Token) -> int:
         if depth > MAX_DEPTH:
-            raise ParseError(f"expression nested more than {MAX_DEPTH} levels deep",
+            raise ParseError(f"expression more than {MAX_DEPTH} levels deep",
                              column=tok.column)
         return depth
 
@@ -181,17 +186,20 @@ class _Parser:
         return node, depth
 
     def unary(self):
-        tok = self.peek()
         self.open += 1
-        self.capped(self.open, tok)
-        if tok.kind == "OP" and tok.text == "-":
-            self.advance()
-            arg, depth = self.unary()
-            out = Unary("-", arg), self.capped(1 + depth, tok)
-        else:
-            out = self.power()
+        if self.open > MAX_NESTING:
+            raise ParseError(
+                f"parentheses, calls and powers nested more than {MAX_NESTING} levels deep",
+                column=self.peek().column,
+            )
+        signs = []
+        while self.peek().kind == "OP" and self.peek().text == "-":
+            signs.append(self.advance())
+        node, depth = self.power()
+        for tok in reversed(signs):
+            node, depth = Unary("-", node), self.capped(1 + depth, tok)
         self.open -= 1
-        return out
+        return node, depth
 
     def power(self):
         base, depth = self.atom()

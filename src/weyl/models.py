@@ -22,7 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from .errors import DomainError, EvalError, RangeError, TransversalityError
+from .errors import DomainError, EvalError, PoleError, RangeError, TransversalityError
 from .linalg import Matrix, herm_part, imag_part, lambda_min
 from .slsolve import (
     PotentialSpec,
@@ -276,7 +276,10 @@ def _direct_m_at_zero(model: WeylModel, rtol: float) -> MZeroResult:
         est = rtol * (1.0 + abs(m)) * scale / abs(y)
         method = "tail_matched"
     else:
-        m = halfline_m(q, None, 0.0, rtol=rtol).real
+        try:
+            m = halfline_m(q, None, 0.0, rtol=rtol).real
+        except PoleError as e:  # the same y(0; 0) = 0 test as above
+            raise TransversalityError("y(0; 0) = 0: M(x) is unbounded as x -> 0-") from e
         est = (rtol + 2.0 * truncation_length(q, 0.0)[1]) * (1.0 + abs(m))
         method = "truncated"
     if model.h is not None:

@@ -16,7 +16,8 @@ An expression potential is compiled once per PotentialSpec
 (expr.compile_potential, cached with the parsed tree) and value() runs the
 compiled function; when it raises or returns anything but a float, value()
 re-runs the tree walker expr.evaluate, the reference, which raises the
-EvalError with its message.  Expressions nest at most expr.MAX_DEPTH levels.
+EvalError with its message.  Parsing caps an expression's nesting at
+expr.MAX_NESTING and its depth at expr.MAX_DEPTH levels.
 The RK5(4) stages are unrolled and call value() once each.
 """
 

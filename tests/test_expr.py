@@ -264,19 +264,25 @@ def test_complex_power_is_an_eval_error(src, x):
         PotentialSpec.expression(src).value(x)
 
 
-@pytest.mark.parametrize("src,column", [
-    ("(" * 250 + "x" + ")" * 250, 101),
-    ("+".join(["x"] * 3000), 200),
-    ("-" * 500 + "x", 101),
+@pytest.mark.parametrize("src,column,message", [
+    ("(" * 250 + "x" + ")" * 250, 101, "nested more than 100 levels"),
+    ("sqrt(" * 150 + "x" + ")" * 150, 501, "nested more than 100 levels"),
+    ("+".join(["x"] * 3000), 1000, "more than 500 levels deep"),
+    ("-" * 500 + "x", 1, "more than 500 levels deep"),
 ])
-def test_deep_expression_is_a_parse_error(src, column):
-    with pytest.raises(ParseError, match="nested more than 100 levels") as exc:
+def test_deep_expression_is_a_parse_error(src, column, message):
+    with pytest.raises(ParseError, match=message) as exc:
         PotentialSpec.expression(src)
     assert exc.value.column == column
 
 
-def test_depth_cap_admits_100_levels():
-    src = "(" * 99 + "x" + ")" * 99
-    assert PotentialSpec.expression(src).value(2.5) == 2.5
-    src = "+".join(["x"] * 100)
-    assert evaluate(parse_potential(src), 1.0) == compile_potential(parse_potential(src))(1.0) == 100.0
+@pytest.mark.parametrize("src,x,expected", [
+    ("(" * 99 + "x" + ")" * 99, 2.5, 2.5),
+    ("+".join(["x"] * 500), 1.0, 500.0),
+    ("*".join(["x"] * 500), -1.0, 1.0),
+    ("-" * 499 + "x", 2.0, -2.0),
+])
+def test_depth_caps_admit_their_limits(src, x, expected):
+    # flat chains are loops in the parser, so only the tree depth bounds them
+    ast = parse_potential(src)
+    assert evaluate(ast, x) == compile_potential(ast)(x) == PotentialSpec.expression(src).value(x) == expected

@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from weyl import models
-from weyl.errors import AccuracyError, DomainError, EvalError, RangeError
+from weyl import models, slsolve
+from weyl.errors import AccuracyError, DomainError, EvalError, RangeError, TransversalityError
 from weyl.linalg import Matrix, imag_part, lambda_min
 from weyl.slsolve import PotentialSpec, halfline_m
 
@@ -93,6 +93,15 @@ def test_m_at_zero_expression_tail_above_zero(h):
     assert abs(halfline_m(q, None, 0.0).real - m_inf) < 1e-9
     r = models.m_at_zero(models.half_line(PotentialSpec.expression("0.5 + 0*x")))
     assert abs(r.value.at(0, 0) + math.sqrt(0.5)) < 1e-10
+
+
+@pytest.mark.parametrize("source", ["0.5 - exp(-x)", None])
+def test_m_at_zero_direct_zero_y0_is_transversality_error(monkeypatch, source):
+    # y(0; 0) = 0 is one condition whether the tail is truncated or matched
+    q = PotentialSpec.table([0.0, 1.0], [0.5, 0.5]) if source is None else PotentialSpec.expression(source)
+    monkeypatch.setattr(slsolve, "_endpoint", lambda *args: (0j, 1.0 + 0j))
+    with pytest.raises(TransversalityError, match="unbounded"):
+        models.m_at_zero(models.half_line(q))
 
 
 def test_m_at_zero_expression_tail_too_small_to_truncate():
