@@ -205,10 +205,8 @@ def cmd_krein(args) -> int:
         "method": m0.method,
         "est_error": m0.est_error,
     }
-    if problem.model.kind == "operator_potential_halfline":
-        payload["robin_matrix"] = matrix_to_json(
-            models.operator_potential_robin(problem.model, m0.value)
-        )
+    if problem.model.robin_matrix is not None:
+        payload["robin_matrix"] = matrix_to_json(problem.model.robin_matrix(m0.value))
     _emit(_json_dump(payload), args.out)
     return 0
 

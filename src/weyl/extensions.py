@@ -5,11 +5,11 @@ poles M increases, so the number of positive eigenvalues of M(x) - B rises by
 k where k eigenvalues are passed.  The scan brackets the jumps of that count
 and bisects them apart, with multiplicities read off the inertia of
 M(x*) - B.  Poles of M make the count fall without an eigenvalue, so windows
-are split at pre-located poles.  For the finite-interval model the scan runs
-on the entire determinant det(Y1(x) - B Y0(x)) instead, which stays finite
-through pole-eigenvalue collisions (Dirichlet and, say, Neumann spectra
-overlap there) and resolves them exactly; other kinds flag such collisions as
-unresolved brackets.
+are split at the sign changes of the model's pole indicator.  A model with an
+entire pencil (the finite interval's det(Y1(x) - B Y0(x))) is scanned on its
+determinant instead, which stays finite through pole-eigenvalue collisions
+(Dirichlet and, say, Neumann spectra overlap there) and resolves them
+exactly; other kinds flag such collisions as unresolved brackets.
 
 The residual/continuous parts of the abstract correspondence have no finite
 dimensional counterpart (M(z) - B is a matrix), so only the point spectrum is
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 from . import oracle as oracle_mod
 from .errors import (
+    AccuracyError,
     ArgumentPrincipleError,
     BoundaryZeroError,
     ContractError,
@@ -36,13 +37,11 @@ from .linalg import (
     det,
     herm_part,
     hermitian_eigen,
-    imag_part,
     inertia,
     inverse,
     numeric_rank,
 )
 from .models import WeylModel, evaluate, m_at_zero
-from .slsolve import _decaying_solution, fundamental_system, tail_support
 
 ORACLE_ZERO_CUT = 1e-4  # oracle counts strictly below -cut: O(dx^2)-stable
 
@@ -61,11 +60,6 @@ class ExtensionSpec:
     @property
     def is_hermitian(self) -> bool:
         return (self.B - self.B.adjoint()).norm_fro() <= 1e-10 * max(1.0, self.B.norm_fro())
-
-    @property
-    def is_dissipative(self) -> bool:
-        im = imag_part(self.B)
-        return hermitian_eigen(im)[0] >= -1e-10 * max(1.0, im.norm_fro())
 
 
 def extension(model: WeylModel, b) -> ExtensionSpec:
@@ -129,19 +123,9 @@ def _real_det_hermitian(m: Matrix) -> float:
 
 def model_pole_locations(model: WeylModel, lo: float, hi: float, grid_n: int = 128) -> list:
     """Poles of M on (lo, hi): Dirichlet eigenvalues of the reference extension."""
-    kind = model.kind
-    if kind == "finite_interval":
-        def det_y0(x):
-            fs = fundamental_system(model.q, model.b, complex(x))
-            d = fs.Y0.at(0, 0) * fs.Y0.at(1, 1) - fs.Y0.at(0, 1) * fs.Y0.at(1, 0)
-            return d.real
-        return scan_sign_changes(det_y0, lo, hi, grid_n)
-    if kind == "half_line":
-        def y_at_zero(x):
-            return _decaying_solution(model.q, complex(x))[0].real
-        return scan_sign_changes(y_at_zero, lo, hi, grid_n)
-    # operator-potential / strip / corner / sector are analytic below the floor
-    return []
+    if model.pole_indicator is None:  # M is analytic below the floor
+        return []
+    return scan_sign_changes(model.pole_indicator, lo, hi, grid_n)
 
 
 # -- point spectrum on the real axis -----------------------------------------
@@ -158,13 +142,13 @@ def point_spectrum_real(spec: ExtensionSpec, window, grid_n: int = 128,
     if not lo < hi:
         raise ContractError("window must be a nonempty interval")
     model = spec.model
-    if hi >= model.ess_floor and model.kind != "finite_interval":
+    if hi >= model.ess_floor:
         raise ContractError(
             f"window top {hi} reaches the essential-spectrum floor {model.ess_floor}"
         )
 
-    if model.kind == "finite_interval":
-        eigs, unresolved = _interval_scan(spec, lo, hi, grid_n)
+    if model.entire_pencil is not None:
+        eigs, unresolved = _entire_scan(spec, lo, hi, grid_n)
         method = "real_scan_entire_det"
     else:
         eigs, unresolved = _generic_scan(spec, lo, hi, grid_n)
@@ -174,18 +158,16 @@ def point_spectrum_real(spec: ExtensionSpec, window, grid_n: int = 128,
     return SpectrumReport((lo, hi), tuple(eigs), None, method, delta, tuple(unresolved))
 
 
-def _interval_scan(spec: ExtensionSpec, lo: float, hi: float, grid_n: int):
+def _entire_scan(spec: ExtensionSpec, lo: float, hi: float, grid_n: int):
     model, b = spec.model, spec.B
 
     def entire_det(x):
-        fs = fundamental_system(model.q, model.b, complex(x))
-        return det(fs.Y1 - b @ fs.Y0).real
+        return det(model.entire_pencil(b, x)).real
 
     roots = scan_sign_changes(entire_det, lo, hi, grid_n)
     eigs = []
     for x in roots:
-        fs = fundamental_system(model.q, model.b, complex(x))
-        pencil = fs.Y1 - b @ fs.Y0
+        pencil = model.entire_pencil(b, x)
         mult = max(1, pencil.rows - numeric_rank(pencil, 1e-7))
         eigs.append((x, mult))
     return eigs, []
@@ -243,45 +225,9 @@ def _oracle_operators(spec: ExtensionSpec):
     The tridiagonal oracle represents separated real Robin data only, so
     non-Hermitian or coupling boundary operators yield None.
     """
-    model, b = spec.model, spec.B
-    kind = model.kind
-    if not spec.is_hermitian:
+    if not spec.is_hermitian or spec.model.oracle_operators is None:
         return None
-    if kind == "half_line" and model.h is None:
-        return [oracle_mod.halfline_operator(model.q, b.at(0, 0).real)]
-    if kind == "finite_interval" and _is_diagonal(b):
-        return [
-            oracle_mod.interval_operator(
-                model.q, model.b, b.at(0, 0).real, b.at(1, 1).real, n=2000
-            )
-        ]
-    if kind == "operator_potential_halfline" and _is_diagonal(b):
-        ops = []
-        for i, a in enumerate(model.a_diag):
-            s = b.at(i, i).real / math.sqrt(a) - math.sqrt(a)
-            kappa2 = a - 1.0
-            L = 40.0 if kappa2 < 0.25 else max(16.0, 30.0 / math.sqrt(kappa2))
-            n = max(3000, int(L / 2.4e-3))
-            ops.append(
-                oracle_mod.discretize(
-                    oracle_mod.constant_potential(kappa2, L),
-                    L,
-                    n,
-                    oracle_mod.Boundary.robin(s),
-                    oracle_mod.Boundary.dirichlet(),
-                )
-            )
-        return ops
-    return None
-
-
-def _is_diagonal(b: Matrix) -> bool:
-    return all(
-        abs(b.at(i, j)) <= 1e-12 * max(1.0, b.norm_max())
-        for i in range(b.rows)
-        for j in range(b.cols)
-        if i != j
-    )
+    return spec.model.oracle_operators(spec.B)
 
 
 # -- complex eigenvalue counting ----------------------------------------------
@@ -370,55 +316,41 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect, max_samples: int = 2000
 
 
 def _check_reference_nonnegative(model: WeylModel):
-    kind = model.kind
-    if kind == "half_line":
-        if model.h is not None:
-            raise ContractError("negative_count needs the (y(0), y'(0)) triplet")
-        op = oracle_mod.halfline_dirichlet_operator(model.q)
-        if _dirichlet_sign_changes(model.q) or oracle_mod.eigen_count_below(op, -ORACLE_ZERO_CUT) > 0:
-            raise ContractError("reference (Dirichlet) extension has negative spectrum")
-    elif kind == "finite_interval":
-        op = oracle_mod.discretize(
-            model.q, model.b, 2000, oracle_mod.Boundary.dirichlet(), oracle_mod.Boundary.dirichlet()
-        )
-        if oracle_mod.eigen_count_below(op, -ORACLE_ZERO_CUT) > 0:
-            raise ContractError("reference (Dirichlet) extension has negative spectrum")
-    elif model.ess_floor < -1e-12:
-        raise ContractError("model floor below zero: reference extension not nonnegative")
-
-
-def _dirichlet_sign_changes(q) -> list:
-    """Sign changes of y(0; lambda) on [min q - 1, 0], lambda = 0 included.
-
-    y is the tail-matched solution, so each sign change is a Dirichlet
-    eigenvalue below 0, also one whose decay length exceeds the oracle's box
-    (a threshold resonance).  Empty unless q has a constant tail >= 0.
-    """
-    support = tail_support(q)
-    if support is None or q.tail < 0.0:
-        return []
-    # past the support so that the tail piece counts; a table's nodes bound its linear segments
-    lowest = min([c for _lo, _hi, c in q.pieces(0.0, support + 1.0) if c is not None] + list(q.values))
-
-    def y_at_zero(lam):
-        return _decaying_solution(q, complex(lam))[0].real
-
-    return scan_sign_changes(y_at_zero, lowest - 1.0, 0.0, 128)
+    if model.dirichlet_reference is None:
+        if model.ess_floor < -1e-12:
+            raise ContractError("model floor below zero: reference extension not nonnegative")
+        return
+    op = model.dirichlet_reference()
+    window = model.reference_scan_window and model.reference_scan_window()
+    below_zero = window and scan_sign_changes(model.pole_indicator, *window, 128)
+    if below_zero or oracle_mod.eigen_count_below(op, -ORACLE_ZERO_CUT) > 0:
+        raise ContractError("reference (Dirichlet) extension has negative spectrum")
 
 
 def negative_count(spec: ExtensionSpec):
     """(count from inertia of B - M(0), oracle count or None).
 
     The headline law: dim E_{A_B}(-inf, 0) equals the number of negative
-    eigenvalues of B - M(0).
+    eigenvalues of B - M(0).  An eigenvalue w with |w| <= 1e-9 counts as
+    zero (B = M(0) is the Krein extension, which has none); one with
+    1e-9 < |w| <= 3 est_error of M(0) has a sign M(0) cannot decide, and
+    raises AccuracyError.
     """
     if not spec.is_hermitian:
         raise ContractError("negative_count requires Hermitian B")
     model = spec.model
     _check_reference_nonnegative(model)
     m0 = m_at_zero(model)
-    zero_tol = max(1e-9, 3.0 * m0.est_error)
-    kappa_m = inertia(herm_part(spec.B - m0.value), zero_tol).n_neg
+    band = 3.0 * m0.est_error
+    evals = hermitian_eigen(herm_part(spec.B - m0.value))
+    for w in evals:
+        if 1e-9 < abs(w) <= band:
+            raise AccuracyError(
+                f"eigenvalue {w:.3g} of B - M(0) is within 3 est_error of M(0) of zero, "
+                "so its sign is undecided",
+                estimate=m0.est_error,
+            )
+    kappa_m = sum(1 for w in evals if w < -1e-9)
     ops = _oracle_operators(spec)
     kappa_oracle = None
     if ops is not None:

@@ -68,7 +68,6 @@ class DiscretizedOperator:
     L: float
     left: Boundary
     right: Boundary
-    shift: float = 0.0
 
     @property
     def size(self) -> int:
@@ -88,8 +87,7 @@ def _cell_averages(q: PotentialSpec, L: float, n: int) -> array:
     ))
 
 
-def discretize(q: PotentialSpec, L: float, n: int, left: Boundary, right: Boundary,
-               shift: float = 0.0) -> DiscretizedOperator:
+def discretize(q: PotentialSpec, L: float, n: int, left: Boundary, right: Boundary) -> DiscretizedOperator:
     if n < 100:
         raise ContractError("need at least 100 grid intervals")
     if L <= 0:
@@ -112,11 +110,11 @@ def discretize(q: PotentialSpec, L: float, n: int, left: Boundary, right: Bounda
             kd += right.h
         weights.append(w)
         kdiag.append(kd)
-    diag = tuple(kdiag[k] / weights[k] - shift for k in range(len(idx)))
+    diag = tuple(kdiag[k] / weights[k] for k in range(len(idx)))
     off = tuple(
         (-1.0 / dx) / math.sqrt(weights[k] * weights[k + 1]) for k in range(len(idx) - 1)
     )
-    return DiscretizedOperator(diag, off, dx, float(L), left, right, shift)
+    return DiscretizedOperator(diag, off, dx, float(L), left, right)
 
 
 def eigen_count_below(opd: DiscretizedOperator, mu: float) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import models as models_mod
 from .errors import SchemaError
@@ -78,6 +78,20 @@ def _number(v, path: str) -> float:
     return float(v)
 
 
+def _numbers(data: dict, key: str, path: str, min_len: int = 1) -> list:
+    """data[key] as a list of at least min_len numbers."""
+    v = _require(data, key, path)
+    if not isinstance(v, list) or len(v) < min_len:
+        raise SchemaError(f"{path}.{key}", f"expected an array of at least {min_len} numbers")
+    return [_number(t, f"{path}.{key}[{i}]") for i, t in enumerate(v)]
+
+
+def _check_each(vals: list, path: str, ok, what: str):
+    for i, v in enumerate(vals):
+        if not ok(v):
+            raise SchemaError(f"{path}[{i}]", what)
+
+
 def potential_from_json(data, path: str) -> PotentialSpec:
     if data is None:
         return PotentialSpec.zero()
@@ -93,10 +107,8 @@ def potential_from_json(data, path: str) -> PotentialSpec:
             raise SchemaError(f"{path}.width", "must be positive")
         return PotentialSpec.square_well(depth, width)
     if kind == "sampled_table":
-        nodes = _require(data, "nodes", path)
-        values = _require(data, "values", path)
-        if not isinstance(nodes, list) or not isinstance(values, list):
-            raise SchemaError(f"{path}.nodes", "nodes/values must be arrays")
+        nodes = _numbers(data, "nodes", path, min_len=2)
+        values = _numbers(data, "values", path)
         if len(nodes) != len(values):
             raise SchemaError(f"{path}.values", "length mismatch with nodes")
         if any(b <= a for a, b in zip(nodes, nodes[1:])):
@@ -138,18 +150,14 @@ def model_from_json(data, path: str = "$.model") -> WeylModel:
         if b <= 0:
             raise SchemaError(f"{path}.b", "must be positive")
         return models_mod.finite_interval(q, b)
-    if kind == "operator_potential_halfline":
-        a = _require(data, "a_diag", path)
-        if not isinstance(a, list) or not a:
-            raise SchemaError(f"{path}.a_diag", "expected a nonempty array")
-        if any(_number(v, f"{path}.a_diag[{i}]") < 1.0 for i, v in enumerate(a)):
-            raise SchemaError(f"{path}.a_diag", "entries must be >= 1")
-        return models_mod.operator_potential_halfline(a)
-    if kind == "strip":
-        a = _require(data, "a_diag", path)
-        if not isinstance(a, list) or not a:
-            raise SchemaError(f"{path}.a_diag", "expected a nonempty array")
+    if kind in ("operator_potential_halfline", "strip"):
+        a = _numbers(data, "a_diag", path)
+        _check_each(a, f"{path}.a_diag", lambda v: v >= 1.0, "must be >= 1")
+        if kind == "operator_potential_halfline":
+            return models_mod.operator_potential_halfline(a)
         width = _number(data.get("width", math.pi), f"{path}.width")
+        if width <= 0:
+            raise SchemaError(f"{path}.width", "must be positive")
         return models_mod.strip(a, width)
     if kind in ("corner", "sector"):
         beta = _number(_require(data, "beta", path), f"{path}.beta")
@@ -157,32 +165,23 @@ def model_from_json(data, path: str = "$.model") -> WeylModel:
             raise SchemaError(f"{path}.beta", "must lie in the open interval (0.5, 1)")
         return models_mod.corner(beta) if kind == "corner" else models_mod.sector(beta)
     if kind == "multi_corner":
-        betas = _require(data, "betas", path)
-        if not isinstance(betas, list) or not betas:
-            raise SchemaError(f"{path}.betas", "expected a nonempty array")
-        for i, b in enumerate(betas):
-            if not 0.5 < _number(b, f"{path}.betas[{i}]") < 1.0:
-                raise SchemaError(f"{path}.betas[{i}]", "must lie in (0.5, 1)")
+        betas = _numbers(data, "betas", path)
+        _check_each(betas, f"{path}.betas", lambda v: 0.5 < v < 1.0, "must lie in (0.5, 1)")
         return models_mod.multi_corner(betas)
     raise SchemaError(f"{path}.kind", f"unknown model kind {kind!r}")
 
 
 def model_to_json(m: WeylModel):
+    """The model's parameters under their field names; its potential q as "potential"."""
     out = {"kind": m.kind}
-    if m.kind in ("half_line", "finite_interval"):
-        out["potential"] = potential_to_json(m.q)
-    if m.kind == "half_line" and m.h is not None:
-        out["h"] = m.h
-    if m.kind == "finite_interval":
-        out["b"] = m.b
-    if m.kind in ("operator_potential_halfline", "strip"):
-        out["a_diag"] = list(m.a_diag)
-    if m.kind == "strip":
-        out["width"] = m.width
-    if m.kind in ("corner", "sector"):
-        out["beta"] = m.beta
-    if m.kind == "multi_corner":
-        out["betas"] = list(m.betas)
+    for f in fields(m):
+        v = getattr(m, f.name)
+        if isinstance(v, PotentialSpec):
+            out["potential"] = potential_to_json(v)
+        elif isinstance(v, tuple):
+            out[f.name] = list(v)
+        elif v is not None:
+            out[f.name] = v
     return out
 
 

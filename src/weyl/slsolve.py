@@ -233,7 +233,7 @@ _DP_E = (  # b5 - b4
 
 
 def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10,
-                  atol: float = 1e-10, record: bool = False):
+                  record: bool = False):
     """Integrate (y, y')' = (y', (q - z) y) over span = (a, b).
 
     Exact transfer matrices on the pieces where q is constant, adaptive
@@ -251,7 +251,7 @@ def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10,
             pieces = [(hi, lo, c) for lo, hi, c in reversed(pieces)]
         for start, end, c in pieces:
             if c is None:
-                y, yp = _rk45(q, z, y, yp, start, end, rtol, atol, samples)
+                y, yp = _rk45(q, z, y, yp, start, end, rtol, samples)
             else:
                 y, yp = _transfer(c - z, y, yp, start, end, samples)
     return ((y, yp), samples) if record else (y, yp)
@@ -283,7 +283,7 @@ def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float, samples)
 
 
 def _rk45(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: float,
-          rtol: float, atol: float, samples):
+          rtol: float, samples):
     """Adaptive Dormand-Prince RK5(4) from a to b; appends accepted steps to samples.
 
     The seven stages are written out with the tableau entries as locals.
@@ -336,8 +336,9 @@ def _rk45(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: fl
         if rejected_nan:
             err = math.inf
         else:
-            sc_u = atol + rtol * max(abs(y), abs(y_new))
-            sc_p = atol + rtol * max(abs(yp), abs(yp_new))
+            # rtol is the absolute tolerance as well
+            sc_u = rtol + rtol * max(abs(y), abs(y_new))
+            sc_p = rtol + rtol * max(abs(yp), abs(yp_new))
             err = math.sqrt(0.5 * ((abs(eu) / sc_u) ** 2 + (abs(ep) / sc_p) ** 2))
         if err <= 1.0:
             x += h
@@ -361,8 +362,8 @@ def fundamental_system(q: PotentialSpec, b: float, z: complex,
         raise EvalError("interval length must be positive")
     z = complex(z)
     b = float(b)
-    u1b, u1pb = integrate_ivp(q, z, (1.0, 0.0), (0.0, b), rtol=rtol, atol=rtol)
-    u2b, u2pb = integrate_ivp(q, z, (0.0, 1.0), (0.0, b), rtol=rtol, atol=rtol)
+    u1b, u1pb = integrate_ivp(q, z, (1.0, 0.0), (0.0, b), rtol=rtol)
+    u2b, u2pb = integrate_ivp(q, z, (0.0, 1.0), (0.0, b), rtol=rtol)
     y0 = Matrix.from_rows([[1.0, 0.0], [u1b, u2b]])
     y1 = Matrix.from_rows([[0.0, 1.0], [-u1pb, -u2pb]])
     return FundamentalSystem(z, b, y0, y1)
@@ -407,7 +408,7 @@ def _endpoint(q: PotentialSpec, z: complex, start: float, seed: tuple, rtol: flo
     xs = [start - i * (start / nchunks) for i in range(nchunks + 1)]
     y, yp = seed
     for a, b in zip(xs, xs[1:]):
-        y, yp = integrate_ivp(q, z, (y, yp), (a, b), rtol=rtol, atol=rtol)
+        y, yp = integrate_ivp(q, z, (y, yp), (a, b), rtol=rtol)
         m = max(abs(y), abs(yp))
         if m > _RESCALE_NORM or (0.0 < m < 1.0 / _RESCALE_NORM):
             y, yp = y / m, yp / m

@@ -115,23 +115,6 @@ def compose(t2: TripletTransform, t1: TripletTransform) -> TripletTransform:
     return make_transform(t2.U @ t1.U, x11, x12, x21, x22)
 
 
-def invert(t: TripletTransform) -> TripletTransform:
-    """Inverse transform from the block relations (structure-exact, no 2n x 2n solve)."""
-    u = t.U
-    ua = u.adjoint()
-
-    def conj(m: Matrix) -> Matrix:
-        return u @ m @ ua
-
-    return make_transform(
-        ua,
-        conj(t.X22.adjoint()),
-        conj(-t.X12.adjoint()),
-        conj(-t.X21.adjoint()),
-        conj(t.X11.adjoint()),
-    )
-
-
 # -- generators (used by the verification suites) ---------------------------
 
 

@@ -335,7 +335,7 @@ def suite_krein_extension(rng: random.Random):
 
     m = models.operator_potential_halfline([2.0, 5.0])
     kr = extensions.krein_extension(m)
-    robin = models.operator_potential_robin(m, kr.B)
+    robin = m.robin_matrix(kr.B)
     target = Matrix.diag([-1.0, -2.0])
     dev = (robin - target).norm_fro()
     _check(out, "Krein condition y'(0) = -(A-I)^(1/2) y(0) for A=diag(2,5), exactly",

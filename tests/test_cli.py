@@ -151,6 +151,27 @@ def test_schema_violation_is_input_error(tmp_path):
     assert rc == 1
 
 
+_TABLE = {"kind": "sampled_table", "nodes": [0.0, 1.0], "values": [1.0, 2.0]}
+
+
+@pytest.mark.parametrize("model,path", [
+    ({"kind": "strip", "a_diag": ["x"]}, "$.model.a_diag[0]"),
+    ({"kind": "strip", "a_diag": [2.0, 0.5]}, "$.model.a_diag[1]"),
+    ({"kind": "strip", "a_diag": [2.0], "width": 0.0}, "$.model.width"),
+    ({"kind": "half_line", "potential": {**_TABLE, "nodes": [0.0, "x"]}}, "$.model.potential.nodes[1]"),
+    ({"kind": "half_line", "potential": {**_TABLE, "values": [1.0, "x"]}}, "$.model.potential.values[1]"),
+    ({"kind": "half_line", "potential": {**_TABLE, "nodes": [0.0], "values": [1.0]}},
+     "$.model.potential.nodes:"),
+])
+def test_malformed_model_is_an_error_line_at_its_path(tmp_path, capsys, model, path):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": model}))
+    rc = main(["eval", "--problem", str(f), "--grid=-1:1:2,1:2:2", "--out", str(tmp_path / "o.json")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}")
+
+
 def test_unknown_suite_is_input_error():
     rc = main(["verify", "--suite", "not_a_suite"])
     assert rc == 1

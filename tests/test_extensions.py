@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weyl import extensions, models
-from weyl.errors import BoundaryZeroError, ContractError, SpectralPointError, WeylError
+from weyl.errors import AccuracyError, BoundaryZeroError, ContractError, SpectralPointError, WeylError
 from weyl.linalg import Matrix
 from weyl.slsolve import PotentialSpec
 from weyl.specfun import sqrt_upper
@@ -21,7 +21,7 @@ def test_extension_flags():
     hl = models.half_line(Q0)
     assert extensions.extension(hl, -1.0).is_hermitian
     spec = extensions.extension(hl, 1j)
-    assert not spec.is_hermitian and spec.is_dissipative
+    assert not spec.is_hermitian
 
 
 def test_point_spectrum_requires_hermitian_b():
@@ -219,6 +219,16 @@ def test_negative_count_expression_tail_above_zero():
     for b, count in ((0.0, 0), (-0.5, 1)):
         k_m, k_o = extensions.negative_count(extensions.extension(hl, b))
         assert k_m == k_o == count, b
+
+
+def test_negative_count_refuses_an_undecided_sign():
+    # M(0) = 2.27 +- 0.49 here, so B - M(0) = -0.27 for B = 2 lies inside 3 est_error:
+    # its sign, and with it the count, is not known
+    hl = models.half_line(PotentialSpec.expression("-exp(-x)"))
+    with pytest.raises(AccuracyError):
+        extensions.negative_count(extensions.extension(hl, 2.0))
+    # B = M(0) (the Krein extension) is an exact zero, counted as no negative eigenvalue
+    assert extensions.negative_count(extensions.krein_extension(hl))[0] == 0
 
 
 @settings(max_examples=30, deadline=None)

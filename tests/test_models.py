@@ -21,7 +21,7 @@ def test_sector_evaluate_is_herglotz_signed_constant():
     # the Green-identity-consistent evaluation carries the opposite sign of
     # the bare constant: M(1) = -C_beta (boundary value from above the cut)
     sec = models.sector(0.75)
-    v = models._evaluate_any(sec, 1.0 + 0j).at(0, 0)
+    v = sec.M(1.0 + 0j).at(0, 0)
     assert abs(v + models.sector_constant(0.75)) < 1e-12
 
 
@@ -163,24 +163,6 @@ def test_half_line_with_finite_h_triplet():
     assert abs(mh * (mi - h) - (1.0 - h * mi)) < 1e-10
     # |h| > 1 members stay Herglotz
     assert mh.imag > 0
-
-
-def test_classify_r_class_catalog_and_stub():
-    rep = models.classify_R_class(models.half_line(Q0), [0.3 + 1.1j, -1 + 2j])
-    assert rep.herglotz_at_samples and rep.norm_over_y_decreasing and rep.y_im_growth_unbounded
-    rep = models.classify_R_class(models.sector(0.75), [0.5j])
-    assert rep.herglotz_at_samples and rep.norm_over_y_decreasing and rep.y_im_growth_unbounded
-    stub = models.callable_model(lambda z: Matrix.identity(2), 2)
-    rep = models.classify_R_class(stub, [1j])
-    assert rep.herglotz_at_samples  # Im M = 0 passes the >= -tol test
-    assert not rep.y_im_growth_unbounded
-    with pytest.raises(DomainError):
-        models.classify_R_class(stub, [1.0 + 0j])
-
-
-def test_classify_r_class_corner_within_bessel_range():
-    rep = models.classify_R_class(models.corner(0.75), [1j], ladder_max_exp=10)
-    assert rep.herglotz_at_samples and rep.y_im_growth_unbounded
 
 
 def test_classify_stieltjes_halfline_and_interval():

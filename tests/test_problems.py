@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from weyl import problems
+from weyl import models, problems
 from weyl.errors import SchemaError
 from weyl.linalg import Matrix
 
@@ -25,17 +25,32 @@ def test_roundtrip_half_line():
     assert a == b
 
 
+# Problem-file models per model class kind; every class of models.py needs one.
+MODELS_BY_KIND = {
+    "half_line": [
+        {"kind": "half_line", "potential": {"kind": "square_well", "depth": -2.0, "width": 1.0}, "h": 1.5},
+        {"kind": "radial_schrodinger", "potential": {"kind": "expression", "source": "1/(1+x^2)"}},
+    ],
+    "finite_interval": [{"kind": "finite_interval", "b": 2.0, "potential": {
+        "kind": "sampled_table", "nodes": [0.0, 1.0], "values": [0.5, 0.0]}}],
+    "operator_potential_halfline": [{"kind": "operator_potential_halfline", "a_diag": [1.5, 3.0]}],
+    "strip": [{"kind": "strip", "a_diag": [2.0, 5.0], "width": 3.0}, {"kind": "strip", "a_diag": [1.0]}],
+    "corner": [{"kind": "corner", "beta": 0.6}],
+    "sector": [{"kind": "sector", "beta": 0.75}],
+    "multi_corner": [{"kind": "multi_corner", "betas": [0.55, 0.9]}],
+}
+
+
 def test_roundtrip_all_kinds():
-    datas = [
-        {"model": {"kind": "radial_schrodinger", "potential": {"kind": "expression", "source": "1/(1+x^2)"}}},
-        {"model": {"kind": "finite_interval", "potential": {"kind": "sampled_table", "nodes": [0.0, 1.0], "values": [0.5, 0.0]}, "b": 2.0}},
-        {"model": {"kind": "operator_potential_halfline", "a_diag": [1.5, 3.0]}},
-        {"model": {"kind": "corner", "beta": 0.6}},
-        {"model": {"kind": "multi_corner", "betas": [0.55, 0.9]}},
-    ]
-    for data in datas:
-        _, a, b = roundtrip(data)
-        assert a == b, data
+    classes = [c for c in models.WeylModel.__subclasses__() if c is not models.CallableModel]
+    assert len(classes) == len(MODELS_BY_KIND)
+    for cls in classes:
+        for data in MODELS_BY_KIND[cls.kind]:
+            m = problems.model_from_json(data)
+            assert type(m) is cls
+            assert problems.model_from_json(problems.model_to_json(m)) == m, data
+            _, a, b = roundtrip({"model": data})
+            assert a == b, data
 
 
 def test_radial_schrodinger_is_half_line_alias():

@@ -387,7 +387,7 @@ def test_unrolled_rk45_is_the_tableau_loop_to_the_bit(q, span, z):
     y0 = (0.3 - 0.2j, 1.0 + 0j)
     for rtol in (1e-10, 1e-6):
         got_samples, ref_samples = [], []
-        got = _rk45(q, complex(z), *y0, a, b, rtol, rtol, got_samples)
+        got = _rk45(q, complex(z), *y0, a, b, rtol, got_samples)
         ref = _rk45_loop(q, complex(z), *y0, a, b, rtol, rtol, ref_samples)
         assert _bits(got) == _bits(ref)
         assert len(got_samples) == len(ref_samples) > 5
