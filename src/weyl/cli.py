@@ -147,6 +147,8 @@ def cmd_spectrum(args) -> int:
     spec = extensions.ExtensionSpec(problem.model, _boundary_or_fail(problem))
     rect_text = args.rect or problem.task.get("rect")
     if rect_text is not None:
+        if args.format == "csv":
+            raise WeylError("--rect reports are JSON only: drop --format csv")
         rect = parse_rect(rect_text) if isinstance(rect_text, str) else tuple(rect_text)
         rep = extensions.count_complex_eigenvalues(spec, rect)
         payload = {
@@ -264,11 +266,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"weyl {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_problem=True):
-        if needs_problem:
-            p.add_argument("--problem", required=True, help="JSON problem file")
+    def common(p, with_format=True):
+        p.add_argument("--problem", required=True, help="JSON problem file")
         p.add_argument("--out", help="output file (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="json")
+        if with_format:
+            p.add_argument("--format", choices=("csv", "json"), default="json")
 
     p = sub.add_parser(
         "eval",
@@ -293,11 +295,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_spectrum)
 
     p = sub.add_parser("negcount", help="negative-eigenvalue count of A_B, both routes")
-    common(p)
+    common(p, with_format=False)
     p.set_defaults(fn=cmd_negcount)
 
     p = sub.add_parser("krein", help="Krein-extension boundary operator B = M(0)")
-    common(p)
+    common(p, with_format=False)
     p.set_defaults(fn=cmd_krein)
 
     p = sub.add_parser(

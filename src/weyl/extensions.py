@@ -114,13 +114,6 @@ def scan_sign_changes(f, lo: float, hi: float, grid_n: int):
     return [x for x, _k in scan_count_jumps(lambda x: f(x) < 0.0, lo, hi, grid_n)]
 
 
-def _real_det_hermitian(m: Matrix) -> float:
-    prod = 1.0
-    for w in hermitian_eigen(m):
-        prod *= w
-    return prod
-
-
 def model_pole_locations(model: WeylModel, lo: float, hi: float, grid_n: int = 128) -> list:
     """Poles of M on (lo, hi): Dirichlet eigenvalues of the reference extension."""
     if model.pole_indicator is None:  # M is analytic below the floor

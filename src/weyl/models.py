@@ -106,30 +106,35 @@ class HalfLine(WeylModel):
         return _decaying_solution(self.q, complex(x))[0].real
 
     def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
-        """The decaying solution at z = 0 itself when q has an exactly constant
-        tail or a floor above 0.  A floor of exactly 0 is a sqrt branch point, so
-        there the ladder runs in t = sqrt(floor - x) (plain x-ladders converge
-        too slowly against the truncation cap).  A floor below 0 has no M(0)."""
+        """M_inf(0) = y'(0)/y(0) of the decaying solution, mapped once through
+        the h family.  M_inf(0) is the decaying solution at z = 0 itself when q
+        has an exactly constant tail or a floor above 0.  A floor of exactly 0
+        is a sqrt branch point, so there the ladder runs in t = sqrt(floor - x)
+        (plain x-ladders converge too slowly against the truncation cap).  A
+        floor below 0 has no M(0)."""
         if self.ess_floor < 0.0:
             raise DomainError(
                 f"0 lies in the essential spectrum [{self.ess_floor}, inf): M(0) does not exist"
             )
         if self.ess_floor > 0.0 or tail_support(self.q) is not None:
-            return self._direct_m_at_zero(rtol)
-        # limited in depth by the Dirichlet truncation cap (larger reported error)
-        floor = self.ess_floor
-        ts = [0.64 * 0.5**k for k in range(4)]
-        samples = [self.M(complex(floor - t * t), rtol) for t in ts]
+            m, est, method = self._direct_m_inf_at_zero(rtol)
+        else:
+            # limited in depth by the Dirichlet truncation cap (larger reported error)
+            ts = [0.64 * 0.5**k for k in range(4)]
+            zs = [complex(self.ess_floor - t * t) for t in ts]
+            samples = [Matrix.scalar(halfline_m(self.q, None, z, rtol=rtol)) for z in zs]
+            value, est = _extrapolate_entrywise(ts, samples, 1)
+            m, method = value.at(0, 0).real, "extrapolated"
         if self.h is not None:
-            samples = [
-                Matrix.scalar((1.0 - self.h * s.at(0, 0)) / (s.at(0, 0) - self.h))
-                for s in samples
-            ]
-        value, est = _extrapolate_entrywise(ts, samples, self.n)
-        return MZeroResult(herm_part(value), "extrapolated", est)
+            denom = m - self.h
+            if abs(denom) < 1e-13 * (1.0 + abs(m)):
+                raise TransversalityError(f"M(0) = h = {self.h}: pole of the h-triplet family")
+            est *= abs(1.0 - self.h * self.h) / (denom * denom)
+            m = (1.0 - self.h * m) / denom
+        return MZeroResult(Matrix.scalar(m), method, est)
 
-    def _direct_m_at_zero(self, rtol: float) -> MZeroResult:
-        """M(0) = y'(0)/y(0) of the decaying solution at z = 0 itself.
+    def _direct_m_inf_at_zero(self, rtol: float):
+        """(M_inf(0), estimate, method) from the decaying solution at z = 0 itself.
 
         The floor is >= 0 here.  With an exactly constant tail the solution is
         matched to it: the seed exp(-sqrt(tail) x) is (1, 0) for a zero tail,
@@ -146,22 +151,12 @@ class HalfLine(WeylModel):
             if abs(y) < 1e-13 * scale:
                 raise TransversalityError("y(0; 0) = 0: M(x) is unbounded as x -> 0-")
             m = (yp / y).real
-            est = rtol * (1.0 + abs(m)) * scale / abs(y)
-            method = "tail_matched"
-        else:
-            try:
-                m = halfline_m(q, None, 0.0, rtol=rtol).real
-            except PoleError as e:  # the same y(0; 0) = 0 test as above
-                raise TransversalityError("y(0; 0) = 0: M(x) is unbounded as x -> 0-") from e
-            est = (rtol + 2.0 * truncation_length(q, 0.0)[1]) * (1.0 + abs(m))
-            method = "truncated"
-        if self.h is not None:
-            denom = m - self.h
-            if abs(denom) < 1e-13 * (1.0 + abs(m)):
-                raise TransversalityError(f"M(0) = h = {self.h}: pole of the h-triplet family")
-            est *= abs(1.0 - self.h * self.h) / (denom * denom)
-            m = (1.0 - self.h * m) / denom
-        return MZeroResult(Matrix.scalar(m), method, est)
+            return m, rtol * (1.0 + abs(m)) * scale / abs(y), "tail_matched"
+        try:
+            m = halfline_m(q, None, 0.0, rtol=rtol).real
+        except PoleError as e:  # the same y(0; 0) = 0 test as above
+            raise TransversalityError("y(0; 0) = 0: M(x) is unbounded as x -> 0-") from e
+        return m, (rtol + 2.0 * truncation_length(q, 0.0)[1]) * (1.0 + abs(m)), "truncated"
 
     def oracle_operators(self, b: Matrix):
         if self.h is not None:
@@ -216,8 +211,7 @@ class FiniteInterval(WeylModel):
         return [oracle.interval_operator(self.q, self.b, b.at(0, 0).real, b.at(1, 1).real, n=2000)]
 
     def dirichlet_reference(self):
-        dirichlet = oracle.Boundary.dirichlet()
-        return oracle.discretize(self.q, self.b, 2000, dirichlet, dirichlet)
+        return oracle.discretize(self.q, self.b, 2000, None, None)
 
 
 def _checked_diagonal(a_diag, what: str) -> tuple:
@@ -268,10 +262,7 @@ class OperatorPotentialHalfline(WeylModel):
             kappa2 = a - 1.0
             L = 40.0 if kappa2 < 0.25 else max(16.0, 30.0 / math.sqrt(kappa2))
             n = max(3000, int(L / 2.4e-3))
-            ops.append(oracle.discretize(
-                oracle.constant_potential(kappa2, L), L, n,
-                oracle.Boundary.robin(s), oracle.Boundary.dirichlet(),
-            ))
+            ops.append(oracle.discretize(oracle.constant_potential(kappa2, L), L, n, s, None))
         return ops
 
 

@@ -9,16 +9,19 @@ this module, never the other way around.
 Error model for the defaults (n=4000, L=40): err ~ C dx^2 + exp(-2 kappa L);
 tests pick n, L from it.
 
-Work is spent only on what callers read.  The cell averages of a grid depend
-on (q, L, n) alone and are computed once per grid, so the Dirichlet
-reference and A_B of one request share them.  The bisection for the j-th
-eigenvalue starts from the same Gershgorin bracket as the one for j - 1, so
-all of them share one table of Sturm counts; with `upper` given, bisection
-stops after the first eigenvalue above it.  The values up to the stop come
-out of the same bisections, bit for bit, and since the floating-point Sturm
-count is monotone in mu (Demmel, Dhillon & Ren, Parallel Computing 21, 1995)
-the ones past it lie above `upper` too: a caller that keeps the values
-<= upper loses nothing.
+A boundary side is None (Dirichlet) or a Robin value h (Neumann is 0.0).
+
+Work is spent only on what callers read.  The interior rows of a grid
+depend on (q, L, n) alone and are built once per grid; an operator is that
+interior plus a boundary row and edge coupling on each side that is not
+Dirichlet, so the Dirichlet reference and every A_B of one request share
+it.  The bisection for the j-th eigenvalue starts from the same Gershgorin
+bracket as the one for j - 1, so all of them share one table of Sturm
+counts; with `upper` given, bisection stops after the first eigenvalue
+above it.  The values up to the stop come out of the same bisections, bit
+for bit, and since the floating-point Sturm count is monotone in mu
+(Demmel, Dhillon & Ren, Parallel Computing 21, 1995) the ones past it lie
+above `upper` too: a caller that keeps the values <= upper loses nothing.
 """
 
 from __future__ import annotations
@@ -35,39 +38,23 @@ from .specfun import bessel_j
 
 
 @dataclass(frozen=True)
-class Boundary:
-    kind: str  # "dirichlet" | "neumann" | "robin"
-    h: float = 0.0
-
-    @staticmethod
-    def dirichlet() -> "Boundary":
-        return Boundary("dirichlet")
-
-    @staticmethod
-    def neumann() -> "Boundary":
-        return Boundary("neumann")
-
-    @staticmethod
-    def robin(h: float) -> "Boundary":
-        return Boundary("robin", float(h))
-
-
-@dataclass(frozen=True)
 class DiscretizedOperator:
     """Symmetric tridiagonal reduction of -y'' + q y on [0, L].
 
-    Left Robin means y'(0) = h y(0); right Robin means -y'(L) = h y(L), the
-    sign convention of the interval boundary triplet.  The boundary condition
-    is folded in through the lumped quadratic form, which keeps the matrix
-    exactly symmetric and the eigenvalues second-order accurate.
+    A side is None (Dirichlet: its end node is dropped) or the Robin value h
+    (Neumann is 0.0).  Left Robin means y'(0) = h y(0); right Robin means
+    -y'(L) = h y(L), the sign convention of the interval boundary triplet.
+    The boundary condition is folded in through the lumped quadratic form,
+    which keeps the matrix exactly symmetric and the eigenvalues
+    second-order accurate.
     """
 
     diag: tuple
     off: tuple
     dx: float
     L: float
-    left: Boundary
-    right: Boundary
+    left: float | None
+    right: float | None
 
     @property
     def size(self) -> int:
@@ -75,45 +62,42 @@ class DiscretizedOperator:
 
 
 @lru_cache(maxsize=32)
-def _cell_averages(q: PotentialSpec, L: float, n: int) -> array:
-    """q averaged over the cell of each grid node, clipped to [0, L].
+def _grid(q: PotentialSpec, L: float, n: int):
+    """(q at node 0, interior diagonal of nodes 1..n-1, q at node n).
 
-    An array('d'), so that a cached grid costs 8 bytes a node.
+    q is averaged over each node's cell clipped to [0, L], which keeps
+    potential jumps second-order accurate.  The interior rows do not depend
+    on the boundary; they are an array('d'), so a cached grid costs 8 bytes
+    a node.
     """
     dx = L / n
-    return array("d", (
-        q.cell_average(max(0.0, (i - 0.5) * dx), min(L, (i + 0.5) * dx))
-        for i in range(n + 1)
-    ))
+
+    def average(i):
+        return q.cell_average(max(0.0, (i - 0.5) * dx), min(L, (i + 0.5) * dx))
+
+    return average(0), array("d", ((2.0 / dx + average(i) * dx) / dx for i in range(1, n))), average(n)
 
 
-def discretize(q: PotentialSpec, L: float, n: int, left: Boundary, right: Boundary) -> DiscretizedOperator:
+def discretize(q: PotentialSpec, L: float, n: int, left: float | None,
+               right: float | None) -> DiscretizedOperator:
     if n < 100:
         raise ContractError("need at least 100 grid intervals")
     if L <= 0:
         raise ContractError("L must be positive")
     dx = L / n
-    # cell averages keep potential jumps second-order accurate
-    qs = _cell_averages(q, L, n)
-    # quadratic form: sum (y_{i+1}-y_i)^2/dx + sum w_i q_i y_i^2 + h_l y_0^2 + h_r y_n^2
-    include_left = left.kind != "dirichlet"
-    include_right = right.kind != "dirichlet"
-    idx = list(range(0 if include_left else 1, n + 1 if include_right else n))
-    weights = []
-    kdiag = []
-    for i in idx:
-        w = dx if 0 < i < n else dx / 2.0
-        kd = (2.0 / dx if 0 < i < n else 1.0 / dx) + qs[i] * w
-        if i == 0:
-            kd += left.h
-        if i == n:
-            kd += right.h
-        weights.append(w)
-        kdiag.append(kd)
-    diag = tuple(kdiag[k] / weights[k] for k in range(len(idx)))
-    off = tuple(
-        (-1.0 / dx) / math.sqrt(weights[k] * weights[k + 1]) for k in range(len(idx) - 1)
-    )
+    # quadratic form: sum (y_{i+1}-y_i)^2/dx + sum w_i q_i y_i^2 + h_l y_0^2 + h_r y_n^2,
+    # lumped weights w_i = dx inside and dx/2 at a retained end node
+    q0, interior, qn = _grid(q, L, n)
+    diag = tuple(interior)
+    off = ((-1.0 / dx) / math.sqrt(dx * dx),) * (n - 2)
+    half = dx / 2.0
+    edge = (-1.0 / dx) / math.sqrt(half * dx)
+    if left is not None:
+        diag = ((1.0 / dx + q0 * half + left) / half,) + diag
+        off = (edge,) + off
+    if right is not None:
+        diag += ((1.0 / dx + qn * half + right) / half,)
+        off += (edge,)
     return DiscretizedOperator(diag, off, dx, float(L), left, right)
 
 
@@ -215,8 +199,8 @@ def resolvent_apply(opd: DiscretizedOperator, z: complex, v) -> list:
 def node_grid(opd: DiscretizedOperator):
     """(positions, lumped weights) of the retained nodes, in matrix order."""
     n = round(opd.L / opd.dx)
-    i0 = 0 if opd.left.kind != "dirichlet" else 1
-    i1 = n if opd.right.kind != "dirichlet" else n - 1
+    i0 = 1 if opd.left is None else 0
+    i1 = n - 1 if opd.right is None else n
     xs = []
     ws = []
     for i in range(i0, i1 + 1):
@@ -273,24 +257,20 @@ def resolvent_difference_rank(op1: DiscretizedOperator, op2: DiscretizedOperator
 # -- model-specific oracle builders -----------------------------------------
 
 
-def halfline_operator(q: PotentialSpec, h: float | None, L: float = 40.0,
+def halfline_operator(q: PotentialSpec, h: float, L: float = 40.0,
                       n: int = 4000) -> DiscretizedOperator:
-    """Robin (or Dirichlet for h=None ... not used: None means Neumann triplet base).
-
-    h is the boundary-operator value of the (y(0), y'(0)) triplet: y'(0)=h y(0).
-    """
-    left = Boundary.robin(h if h is not None else 0.0)
-    return discretize(q, L, n, left, Boundary.dirichlet())
+    """y'(0) = h y(0), h the boundary-operator value of the (y(0), y'(0)) triplet."""
+    return discretize(q, L, n, h, None)
 
 
 def halfline_dirichlet_operator(q: PotentialSpec, L: float = 40.0, n: int = 4000) -> DiscretizedOperator:
-    return discretize(q, L, n, Boundary.dirichlet(), Boundary.dirichlet())
+    return discretize(q, L, n, None, None)
 
 
 def interval_operator(q: PotentialSpec, b: float, h0: float, hb: float,
                       n: int = 2000) -> DiscretizedOperator:
     """Separated conditions of the interval triplet: y'(0)=h0 y(0), -y'(b)=hb y(b)."""
-    return discretize(q, b, n, Boundary.robin(h0), Boundary.robin(hb))
+    return discretize(q, b, n, h0, hb)
 
 
 def constant_potential(c: float, span: float = 1.0) -> PotentialSpec:

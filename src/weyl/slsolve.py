@@ -57,7 +57,6 @@ class PotentialSpec:
     nodes: tuple = ()
     values: tuple = ()
     source: str = ""
-    domain_end: float = math.inf
 
     @staticmethod
     def zero() -> "PotentialSpec":

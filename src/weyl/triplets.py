@@ -75,10 +75,11 @@ def identity_transform(n: int) -> TripletTransform:
 
 
 def _mobius(t: TripletTransform, m: Matrix) -> Matrix:
-    denom = t.X21 @ m + t.X22
+    x21m = t.X21 @ m
+    denom = x21m + t.X22
     # singularity must be judged against the input scale, not the (possibly
     # fully cancelled) denominator itself
-    scale = max((t.X21 @ m).norm_max(), t.X22.norm_max(), 1e-30)
+    scale = max(x21m.norm_max(), t.X22.norm_max(), 1e-30)
     if denom.norm_max() < 1e-12 * scale:
         raise TransversalityError("Mobius denominator X21*M + X22 vanishes")
     try:

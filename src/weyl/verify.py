@@ -388,7 +388,7 @@ def suite_transform_invariance(rng: random.Random, n_transforms: int = 20):
         b = triplets._random_hermitian(rng, n)
 
         def f(x):
-            return extensions._real_det_hermitian(m_fn(complex(x)) - b)
+            return det(m_fn(complex(x)) - b).real
 
         roots = []
         cuts = [window[0]] + list(poles) + [window[1]]
@@ -412,7 +412,7 @@ def suite_transform_invariance(rng: random.Random, n_transforms: int = 20):
 
             def ft(x):
                 mt = triplets.transform_weyl(t, m_fn(complex(x)))
-                return extensions._real_det_hermitian(mt - bt)
+                return det(mt - bt).real
 
             # shrink the bracket until no transformed pole (singular Mobius
             # denominator) sits inside it; the root itself is unaffected
@@ -465,7 +465,7 @@ def suite_transform_invariance(rng: random.Random, n_transforms: int = 20):
     new_poles = extensions.scan_sign_changes(pole_indicator, 0.5, 9.5, 256)
 
     def ft(x):
-        return extensions._real_det_hermitian(herm_part(mt_of(x) - bt))
+        return det(herm_part(mt_of(x) - bt)).real
 
     roots = []
     cuts = [0.5] + new_poles + [9.5]
@@ -710,14 +710,14 @@ def suite_oracle_convergence(rng: random.Random):
     q0 = PotentialSpec.zero()
 
     def lowest_err(n):
-        op = oracle.discretize(q0, math.pi, n, oracle.Boundary.dirichlet(), oracle.Boundary.dirichlet())
+        op = oracle.discretize(q0, math.pi, n, None, None)
         return abs(oracle.lowest_eigenvalues(op, 1)[0] - 1.0)
 
     factor = lowest_err(500) / lowest_err(1000)
     _check(out, "second-order convergence factor in [3.5, 4.5]", 3.5 <= factor <= 4.5,
            f"factor {factor:.3f}")
 
-    op = oracle.discretize(q0, math.pi, 2000, oracle.Boundary.dirichlet(), oracle.Boundary.dirichlet())
+    op = oracle.discretize(q0, math.pi, 2000, None, None)
     evs = oracle.lowest_eigenvalues(op, 4)
     count = oracle.eigen_count_below(op, 10.0)
     ok = count == 3 and sum(1 for v in evs if v < 10.0) == 3

@@ -126,6 +126,23 @@ def test_krein_json(tmp_path):
     assert abs(data["robin_matrix"][1][1] + 2.0) < 1e-12
 
 
+@pytest.mark.parametrize("cmd", ["negcount", "krein"])
+def test_json_only_subcommands_have_no_format_option(robin_problem, cmd, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([cmd, "--problem", robin_problem, "--format", "csv"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format csv" in capsys.readouterr().err
+
+
+def test_spectrum_rect_csv_is_an_error_line(sector_problem, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    rc = main(["spectrum", "--problem", sector_problem, "--rect=3:5:0.5:2", "--format", "csv",
+               "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--rect" in err[0]
+
+
 def test_missing_problem_file_is_input_error(tmp_path):
     rc = main(["negcount", "--problem", str(tmp_path / "nope.json")])
     assert rc == 1

@@ -95,6 +95,20 @@ def test_m_at_zero_expression_tail_above_zero(h):
     assert abs(r.value.at(0, 0) + math.sqrt(0.5)) < 1e-10
 
 
+@pytest.mark.parametrize("h, expected", [(0.3, 0.31611180419923113), (2.0, 11.453195351683112)])
+def test_m_at_zero_ladder_maps_h_once(h, expected):
+    # a tail of exactly 0 takes the ladder; it extrapolates M_inf, then maps the limit
+    q = PotentialSpec.expression("-1.5*exp(-x/0.7)")
+    base = models.m_at_zero(models.half_line(q))
+    m = base.value.at(0, 0).real
+    assert base.method == "extrapolated" and abs(m - 1.7770046504509671) < 1e-12
+    r = models.m_at_zero(models.half_line(q, h))
+    assert r.method == "extrapolated"
+    assert abs(r.value.at(0, 0) - (1.0 - h * m) / (m - h)) < 1e-12
+    assert abs(r.value.at(0, 0) - expected) < 1e-12
+    assert r.est_error == pytest.approx(base.est_error * abs(1.0 - h * h) / (m - h) ** 2, rel=1e-12)
+
+
 @pytest.mark.parametrize("source", ["0.5 - exp(-x)", None])
 def test_m_at_zero_direct_zero_y0_is_transversality_error(monkeypatch, source):
     # y(0; 0) = 0 is one condition whether the tail is truncated or matched

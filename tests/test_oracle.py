@@ -5,21 +5,20 @@ import pytest
 
 from weyl import oracle
 from weyl.errors import ContractError, SpectralPointError
-from weyl.oracle import Boundary
 from weyl.slsolve import PotentialSpec
 
 Q0 = PotentialSpec.zero()
 
 
 def test_dirichlet_interval_eigenvalues():
-    op = oracle.discretize(Q0, math.pi, 2000, Boundary.dirichlet(), Boundary.dirichlet())
+    op = oracle.discretize(Q0, math.pi, 2000, None, None)
     lows = oracle.lowest_eigenvalues(op, 3)
     for v, k in zip(lows, (1, 2, 3)):
         assert abs(v / (k * k) - 1.0) < 5e-6
 
 
 def test_neumann_dirichlet_quarter_series():
-    op = oracle.discretize(Q0, math.pi, 2000, Boundary.neumann(), Boundary.dirichlet())
+    op = oracle.discretize(Q0, math.pi, 2000, 0.0, None)
     lows = oracle.lowest_eigenvalues(op, 2)
     assert abs(lows[0] - 0.25) < 1e-5
     assert abs(lows[1] - 2.25) < 1e-4
@@ -32,7 +31,7 @@ def test_robin_bound_state():
 
 
 def test_sturm_counts():
-    op = oracle.discretize(Q0, math.pi, 2000, Boundary.dirichlet(), Boundary.dirichlet())
+    op = oracle.discretize(Q0, math.pi, 2000, None, None)
     assert oracle.eigen_count_below(op, 10.0) == 3
     op = oracle.halfline_operator(Q0, -2.0)
     assert oracle.eigen_count_below(op, 0.0) == 1
@@ -40,7 +39,7 @@ def test_sturm_counts():
 
 
 def test_sturm_count_matches_bisection():
-    op = oracle.discretize(Q0, math.pi, 800, Boundary.robin(-0.7), Boundary.robin(0.3))
+    op = oracle.discretize(Q0, math.pi, 800, -0.7, 0.3)
     mu = 7.3
     count = oracle.eigen_count_below(op, mu)
     lows = oracle.lowest_eigenvalues(op, count + 2)
@@ -49,14 +48,14 @@ def test_sturm_count_matches_bisection():
 
 def test_discretize_validation():
     with pytest.raises(ContractError):
-        oracle.discretize(Q0, 1.0, 50, Boundary.dirichlet(), Boundary.dirichlet())
+        oracle.discretize(Q0, 1.0, 50, None, None)
     with pytest.raises(ContractError):
-        oracle.discretize(Q0, -1.0, 500, Boundary.dirichlet(), Boundary.dirichlet())
+        oracle.discretize(Q0, -1.0, 500, None, None)
 
 
 def test_resolvent_identity_and_residual():
     rng = random.Random(0)
-    op = oracle.discretize(Q0, math.pi, 500, Boundary.dirichlet(), Boundary.dirichlet())
+    op = oracle.discretize(Q0, math.pi, 500, None, None)
     v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(op.size)]
     z = -1.0 + 0.5j
     u = oracle.resolvent_apply(op, z, v)
@@ -67,7 +66,7 @@ def test_resolvent_identity_and_residual():
 
 def test_resolvent_on_discrete_eigenvector():
     # sin(k x) is an exact eigenvector of the interior stencil
-    op = oracle.discretize(Q0, math.pi, 1000, Boundary.dirichlet(), Boundary.dirichlet())
+    op = oracle.discretize(Q0, math.pi, 1000, None, None)
     lam1 = oracle.lowest_eigenvalues(op, 1)[0]
     xs, _ = oracle.node_grid(op)
     v = [math.sin(x) for x in xs]
@@ -78,7 +77,7 @@ def test_resolvent_on_discrete_eigenvector():
 
 
 def test_resolvent_spectral_proximity_error():
-    op = oracle.discretize(Q0, math.pi, 500, Boundary.dirichlet(), Boundary.dirichlet())
+    op = oracle.discretize(Q0, math.pi, 500, None, None)
     lam1 = oracle.lowest_eigenvalues(op, 1, tol=1e-13)[0]
     with pytest.raises(SpectralPointError):
         oracle.resolvent_apply(op, lam1, [1.0] * op.size)
@@ -93,7 +92,7 @@ def test_resolvent_difference_rank_one():
 
 def test_second_order_convergence():
     def err(n):
-        op = oracle.discretize(Q0, math.pi, n, Boundary.dirichlet(), Boundary.dirichlet())
+        op = oracle.discretize(Q0, math.pi, n, None, None)
         return abs(oracle.lowest_eigenvalues(op, 1)[0] - 1.0)
 
     assert 3.5 <= err(400) / err(800) <= 4.5
@@ -113,9 +112,9 @@ def test_corner_friedrichs_eigenvalues_interlace():
 def test_square_well_cell_average_discretization():
     # jump-aligned grids keep second-order accuracy via cell averaging
     q = PotentialSpec.square_well(-2.5, 1.0)
-    op = oracle.discretize(q, 30.0, 3000, Boundary.robin(-0.8), Boundary.dirichlet())
+    op = oracle.discretize(q, 30.0, 3000, -0.8, None)
     low = oracle.lowest_eigenvalues(op, 1)[0]
-    op2 = oracle.discretize(q, 30.0, 6000, Boundary.robin(-0.8), Boundary.dirichlet())
+    op2 = oracle.discretize(q, 30.0, 6000, -0.8, None)
     low2 = oracle.lowest_eigenvalues(op2, 1)[0]
     assert abs(low - low2) < 5e-5
 
@@ -148,8 +147,7 @@ def _random_tridiagonal(rng, n):
     diag = tuple(float(rng.randint(-4, 4)) for _ in range(n))
     off = tuple(0.0 if rng.random() < 0.3 else rng.choice([-2.0, -1.0, -0.5, 1.0, rng.gauss(0, 1)])
                 for _ in range(n - 1))
-    return oracle.DiscretizedOperator(diag, off, 1.0, float(n), Boundary.dirichlet(),
-                                      Boundary.dirichlet())
+    return oracle.DiscretizedOperator(diag, off, 1.0, float(n), None, None)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -171,10 +169,32 @@ def test_lowest_eigenvalues_upper_is_a_prefix():
         assert cut == full[:stop]
 
 
-def _packed(op):
+def _packed(diag, off):
     from array import array
 
-    return array("d", op.diag).tobytes(), array("d", op.off).tobytes()
+    return array("d", diag).tobytes(), array("d", off).tobytes()
+
+
+def _node_loop(q, L, n, left, right):
+    """The per-node assembly _grid replaced, kept as the reference: every cell
+    average taken afresh, every row and coupling built in its own loop pass."""
+    dx = L / n
+    qs = [q.cell_average(max(0.0, (i - 0.5) * dx), min(L, (i + 0.5) * dx)) for i in range(n + 1)]
+    idx = list(range(0 if left is not None else 1, n + 1 if right is not None else n))
+    weights = []
+    kdiag = []
+    for i in idx:
+        w = dx if 0 < i < n else dx / 2.0
+        kd = (2.0 / dx if 0 < i < n else 1.0 / dx) + qs[i] * w
+        if i == 0:
+            kd += left
+        if i == n:
+            kd += right
+        weights.append(w)
+        kdiag.append(kd)
+    diag = [kdiag[k] / weights[k] for k in range(len(idx))]
+    off = [(-1.0 / dx) / math.sqrt(weights[k] * weights[k + 1]) for k in range(len(idx) - 1)]
+    return diag, off
 
 
 @pytest.mark.parametrize("q", [
@@ -184,13 +204,18 @@ def _packed(op):
 ])
 def test_discretize_cache_hit_is_bit_identical(q):
     L, n = 12.0, 600
-    oracle._cell_averages.cache_clear()
-    miss = oracle.discretize(q, L, n, Boundary.robin(-0.3), Boundary.dirichlet())
-    hits = oracle._cell_averages.cache_info().hits
-    hit = oracle.discretize(q, L, n, Boundary.robin(-0.3), Boundary.dirichlet())
-    assert oracle._cell_averages.cache_info().hits == hits + 1
-    assert _packed(hit) == _packed(miss)
-    # the uncached grid: every cell average taken afresh, as discretize once did
-    dx = L / n
-    qs = [q.cell_average(max(0.0, (i - 0.5) * dx), min(L, (i + 0.5) * dx)) for i in range(n + 1)]
-    assert list(oracle._cell_averages(q, L, n)) == qs
+    oracle._grid.cache_clear()
+    for left, right in ((None, None), (-0.3, None), (0.0, None), (-0.7, 0.45)):
+        misses, hits = oracle._grid.cache_info().misses, oracle._grid.cache_info().hits
+        first = oracle.discretize(q, L, n, left, right)
+        second = oracle.discretize(q, L, n, left, right)
+        info = oracle._grid.cache_info()
+        assert info.misses == misses + (left is None)  # the first pair misses, the rest hit
+        assert info.hits == hits + 1 + (left is not None)
+        assert info.currsize == 1
+        reference = _packed(*_node_loop(q, L, n, left, right))
+        assert _packed(first.diag, first.off) == reference
+        assert _packed(second.diag, second.off) == reference
+        assert (first.left, first.right) == (left, right)
+        xs, ws = oracle.node_grid(first)
+        assert len(xs) == len(ws) == first.size == len(first.off) + 1

@@ -6,7 +6,9 @@ would break it; this runs the same installation here.
 
 import os
 
-from weyl import models, verify
+from weyl import extensions, models, verify
+from weyl.linalg import Matrix
+from weyl.slsolve import PotentialSpec
 
 SPANS = os.path.join(os.path.dirname(__file__), os.pardir, "weylbench", "spans.py")
 
@@ -34,3 +36,19 @@ def test_tracer_counts_evaluate_per_kind():
         assert model.kind in spans["MODEL_KINDS"]
         assert counters[f"models.evaluate.{model.kind}.calls"] >= 1
     assert models.evaluate.__name__ == "evaluate" and not hasattr(models.evaluate, "__wrapped__")
+
+
+def test_tracer_counts_the_oracle():
+    spans = _load_spans()
+    tracer = spans["Tracer"]()
+    model = models.half_line(PotentialSpec.square_well(-2.0, 1.0))
+    try:
+        spans["install"](tracer)
+        kappa = extensions.negative_count(extensions.ExtensionSpec(model, Matrix.scalar(-0.8)))
+    finally:
+        tracer.uninstall()
+    assert kappa == (1, 1)
+    stats, counters = tracer.stats()
+    assert stats["oracle.discretize"].calls >= 1
+    assert stats["oracle.eigen_count_below"].calls >= 1
+    assert counters["oracle.sturm_rows"] >= stats["oracle.eigen_count_below"].calls * 3999
