@@ -16,7 +16,7 @@ V = -i (W - I)(W + I)^-1 J, checked numerically by cayley_check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import ContractError, DegenerateColligationError, SingularMatrixError, SpectralPointError
 from .extensions import ExtensionSpec
@@ -29,6 +29,13 @@ class Colligation:
     B: Matrix
     K: Matrix  # n x r, r = rank of Im B
     J: Matrix  # r x r signature (diagonal +-1)
+    # B* and K*, fixed per colligation
+    B_star: Matrix = field(init=False, repr=False, compare=False)
+    K_star: Matrix = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "B_star", self.B.adjoint())
+        object.__setattr__(self, "K_star", self.K.adjoint())
 
     @property
     def reduced_dim(self) -> int:
@@ -55,7 +62,7 @@ def factor_colligation(b: Matrix, rel_tol: float = 1e-12) -> Colligation:
     )
     j_sig = Matrix.diag([1.0 if evals[j] > 0 else -1.0 for j in keep])
     col = Colligation(b, k, j_sig)
-    resid = (k @ j_sig @ k.adjoint() - bi).norm_fro()
+    resid = (k @ j_sig @ col.K_star - bi).norm_fro()
     if resid > 1e-10 * max(1.0, scale):
         raise ContractError(f"colligation residual {resid:.3e} exceeds tolerance")
     return col
@@ -73,13 +80,14 @@ def char_function_from_m(col: Colligation, m: Matrix) -> Matrix:
     col depends on B alone, so grid evaluations factor once and call this per point.
     """
     if col.full_rank:
-        return _char_full(col.B, m)
+        return _char_full(col, m)
     return char_function_colligation(col, m)
 
 
-def _char_full(b: Matrix, m: Matrix) -> Matrix:
+def _char_full(col: Colligation, m: Matrix) -> Matrix:
+    """W(z) = (B* - M(z))^-1 (B - M(z))."""
     try:
-        return solve(b.adjoint() - m, b - m)
+        return solve(col.B_star - m, col.B - m)
     except SingularMatrixError as e:
         raise SpectralPointError(
             "B* - M(z) singular: z in the spectrum of the adjoint extension"
@@ -89,23 +97,23 @@ def _char_full(b: Matrix, m: Matrix) -> Matrix:
 def char_function_colligation(col: Colligation, m: Matrix) -> Matrix:
     """Reduced-space W(z) = I + 2i K* (B* - M(z))^-1 K J."""
     try:
-        core = solve(col.B.adjoint() - m, col.K)
+        core = solve(col.B_star - m, col.K)
     except SingularMatrixError as e:
         raise SpectralPointError(
             "B* - M(z) singular: z in the spectrum of the adjoint extension"
         ) from e
     r = col.reduced_dim
-    return Matrix.identity(r) + (col.K.adjoint() @ core @ col.J).scale(2j)
+    return Matrix.identity(r) + (col.K_star @ core @ col.J).scale(2j)
 
 
 def v_function(col: Colligation, m: Matrix) -> Matrix:
     """V(z) = K* (B_R - M(z))^-1 K with B_R the Hermitian part of B."""
-    b_r = (col.B + col.B.adjoint()).scale(0.5)
+    b_r = (col.B + col.B_star).scale(0.5)
     try:
         core = solve(b_r - m, col.K)
     except SingularMatrixError as e:
         raise SpectralPointError("B_R - M(z) singular") from e
-    return col.K.adjoint() @ core
+    return col.K_star @ core
 
 
 def cayley_check(col: Colligation, w: Matrix, v: Matrix) -> float:

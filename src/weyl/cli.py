@@ -3,7 +3,11 @@
 Subcommands: eval | spectrum | negcount | krein | charfn | verify.  Problem
 files are JSON (schema in docs/problem.schema.json); grids/windows come from
 flags.  Reports are deterministic for a fixed problem file and seed: floats
-are emitted in shortest round-trip form and JSON keys are sorted.
+are emitted in shortest round-trip form and JSON keys are sorted.  The grid
+reports of `eval` and `charfn` are written by a fixed-shape emitter, one
+template per request filled with the repr of every float; the result is
+byte-identical to `json.dumps(sort_keys=True, indent=1)` of the report as
+nested dicts and lists, or to `csv.writer` rows for CSV.
 
 The boundary operator in a problem file always refers to the base boundary
 coordinates of the model.  When a transform block is present, `eval` and
@@ -16,8 +20,6 @@ hence those answers, unchanged -- that invariance is itself verified by the
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -56,14 +58,20 @@ def parse_window(text: str):
     parts = text.split(":")
     if len(parts) != 2:
         raise WeylError(f"window must be 'a:b', got {text!r}")
-    return float(parts[0]), float(parts[1])
+    try:
+        return float(parts[0]), float(parts[1])
+    except ValueError as e:
+        raise WeylError(f"bad window {text!r}: {e}") from e
 
 
 def parse_rect(text: str):
     parts = text.split(":")
     if len(parts) != 4:
         raise WeylError(f"rect must be 're0:re1:im0:im1', got {text!r}")
-    return tuple(float(p) for p in parts)
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError as e:
+        raise WeylError(f"bad rect {text!r}: {e}") from e
 
 
 def _report_header(problem: ProblemFile) -> dict:
@@ -82,28 +90,57 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def _complexify(value):
-    if isinstance(value, complex):
-        return [value.real, value.imag]
-    return value
+def _matrix_grid_csv(points, mats, label: str) -> str:
+    """re_z, im_z, then the entries row-major as re, im; one line per point.
 
-
-def _matrix_grid_csv(points, mats, n: int, label: str = "M") -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
+    No field holds a comma, a quote or a newline, so a plain join writes
+    what `csv.writer` would.
+    """
+    rows, cols = mats[0].rows, mats[0].cols
     header = ["re_z", "im_z"]
-    for i in range(n):
-        for j in range(n):
+    for i in range(rows):
+        for j in range(cols):
             header += [f"{label}_{i}_{j}_re", f"{label}_{i}_{j}_im"]
-    writer.writerow(header)
+    values = []
     for z, m in zip(points, mats):
-        row = [repr(z.real), repr(z.imag)]
-        for i in range(n):
-            for j in range(n):
-                v = m.at(i, j)
-                row += [repr(v.real), repr(v.imag)]
-        writer.writerow(row)
-    return buf.getvalue()
+        values += (z.real, z.imag)
+        for v in m.data:
+            values += (v.real, v.imag)
+    line = ",".join(["%r"] * len(header)) + "\n"
+    return ",".join(header) + "\n" + line * len(points) % tuple(values)
+
+
+def _matrix_grid_json(problem: ProblemFile, points, mats, label: str) -> str:
+    """`_json_dump` of {header, "rows": [{label: [[[re, im], ..], ..], "z": [re, im]}, ..]}.
+
+    The rows share one shape, so one template filled with `%r` of each float
+    (float.__repr__, as `json` writes it) gives the same bytes.
+    """
+    rows, cols = mats[0].rows, mats[0].cols
+    entry = "     [\n      %r,\n      %r\n     ]"
+    matrix_row = "    [\n" + ",\n".join([entry] * cols) + "\n    ]"
+    row = (
+        f'  {{\n   "{label}": [\n' + ",\n".join([matrix_row] * rows)
+        + '\n   ],\n   "z": [\n    %r,\n    %r\n   ]\n  }'
+    )
+    values = []
+    for z, m in zip(points, mats):
+        for v in m.data:
+            values += (v.real, v.imag)
+        values += (z.real, z.imag)
+    body = ",\n".join([row] * len(points)) % tuple(values)
+    if "n" in body:  # only nan and inf spell an 'n'; json writes them as below
+        body = body.replace("nan", "NaN").replace("inf", "Infinity")
+    fields = {key: json.dumps(value) for key, value in _report_header(problem).items()}
+    fields["rows"] = f"[\n{body}\n ]"
+    return "{\n" + ",\n".join(f" {json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "\n}\n"
+
+
+def _emit_grid(args, problem: ProblemFile, points, mats, label: str):
+    if args.format == "csv":
+        _emit(_matrix_grid_csv(points, mats, label), args.out)
+    else:
+        _emit(_matrix_grid_json(problem, points, mats, label), args.out)
 
 
 def _boundary_or_fail(problem: ProblemFile) -> Matrix:
@@ -130,15 +167,7 @@ def _weyl(problem: ProblemFile, z: complex) -> Matrix:
 def cmd_eval(args) -> int:
     problem = parse_problem(args.problem)
     points = _grid_or_fail(args, problem)
-    mats = [_weyl(problem, z) for z in points]
-    if args.format == "csv":
-        _emit(_matrix_grid_csv(points, mats, problem.model.n), args.out)
-    else:
-        rows = [
-            {"z": [z.real, z.imag], "M": [[_complexify(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]}
-            for z, m in zip(points, mats)
-        ]
-        _emit(_json_dump({**_report_header(problem), "rows": rows}), args.out)
+    _emit_grid(args, problem, points, [_weyl(problem, z) for z in points], "M")
     return 0
 
 
@@ -176,12 +205,7 @@ def cmd_spectrum(args) -> int:
     if rep.oracle_delta is not None:
         payload["oracle_delta"] = list(rep.oracle_delta)
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["location", "multiplicity"])
-        for x, mult in rep.eigenvalues:
-            writer.writerow([repr(x), mult])
-        _emit(buf.getvalue(), args.out)
+        _emit("location,multiplicity\n" + "".join(f"{x!r},{mult}\n" for x, mult in rep.eigenvalues), args.out)
     else:
         _emit(_json_dump(payload), args.out)
     return 0
@@ -221,15 +245,7 @@ def cmd_charfn(args) -> int:
         b = triplets.transform_boundary_operator(problem.transform, b)
     col = charfun.factor_colligation(b)
     mats = [charfun.char_function_from_m(col, _weyl(problem, z)) for z in points]
-    n = mats[0].rows
-    if args.format == "csv":
-        _emit(_matrix_grid_csv(points, mats, n, label="W"), args.out)
-    else:
-        rows = [
-            {"z": [z.real, z.imag], "W": [[_complexify(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]}
-            for z, m in zip(points, mats)
-        ]
-        _emit(_json_dump({**_report_header(problem), "rows": rows}), args.out)
+    _emit_grid(args, problem, points, mats, "W")
     return 0
 
 

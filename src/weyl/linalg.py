@@ -85,18 +85,18 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.data, other.data)))
+        return _unchecked(self.rows, self.cols, tuple(a + b for a, b in zip(self.data, other.data)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.data, other.data)))
+        return _unchecked(self.rows, self.cols, tuple(a - b for a, b in zip(self.data, other.data)))
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(-a for a in self.data))
+        return _unchecked(self.rows, self.cols, tuple(-a for a in self.data))
 
     def scale(self, s) -> "Matrix":
         s = complex(s)
-        return Matrix(self.rows, self.cols, tuple(s * a for a in self.data))
+        return _unchecked(self.rows, self.cols, tuple(s * a for a in self.data))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -114,17 +114,14 @@ class Matrix:
                 brow = b[t * m : (t + 1) * m]
                 for j in range(m):
                     out[base + j] += av * brow[j]
-        return Matrix(n, m, tuple(out))
+        return _unchecked(n, m, tuple(out))
 
     def adjoint(self) -> "Matrix":
-        return Matrix(
-            self.cols,
-            self.rows,
-            tuple(self.data[j * self.cols + i].conjugate() for i in range(self.cols) for j in range(self.rows)),
-        )
+        data, cols = self.data, self.cols
+        return _unchecked(cols, self.rows, tuple(a.conjugate() for i in range(cols) for a in data[i::cols]))
 
     def conjugate(self) -> "Matrix":
-        return Matrix(self.rows, self.cols, tuple(a.conjugate() for a in self.data))
+        return _unchecked(self.rows, self.cols, tuple(a.conjugate() for a in self.data))
 
     # -- norms ----------------------------------------------------------
 
@@ -132,13 +129,24 @@ class Matrix:
         return math.sqrt(sum((a.real * a.real + a.imag * a.imag) for a in self.data))
 
     def norm_max(self) -> float:
-        return max(abs(a) for a in self.data)
+        return max(map(abs, self.data))
 
     def _same_shape(self, other: "Matrix"):
         if self.rows != other.rows or self.cols != other.cols:
             raise DimensionError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
+
+
+def _unchecked(rows: int, cols: int, data: tuple) -> Matrix:
+    """Matrix(rows, cols, data) without __post_init__, for the results of
+    operations that already checked their operands' shapes."""
+    m = object.__new__(Matrix)
+    fields = m.__dict__
+    fields["rows"] = rows
+    fields["cols"] = cols
+    fields["data"] = data
+    return m
 
 
 def herm_part(m: Matrix) -> Matrix:
@@ -226,7 +234,8 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
             for t in range(k + 1, n):
                 s -= lurow[t] * x[t][c]
             xk[c] = s / piv
-    return Matrix.from_rows(x)
+    # complex(): A and B may hold real entries, and the result is complex as from_rows made it
+    return _unchecked(n, m, tuple([complex(v) for row in x for v in row]))
 
 
 def inverse(a: Matrix) -> Matrix:

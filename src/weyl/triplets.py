@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import DimensionError, SingularMatrixError, TransformValidationError, TransversalityError
 from .linalg import Matrix, inverse
@@ -32,6 +32,13 @@ class TripletTransform:
     X12: Matrix
     X21: Matrix
     X22: Matrix
+    # fixed per transform: U* and the scale of X22 for the singularity test
+    U_star: Matrix = field(init=False, repr=False, compare=False)
+    X22_max: float = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "U_star", self.U.adjoint())
+        object.__setattr__(self, "X22_max", self.X22.norm_max())
 
     @property
     def n(self) -> int:
@@ -79,7 +86,7 @@ def _mobius(t: TripletTransform, m: Matrix) -> Matrix:
     denom = x21m + t.X22
     # singularity must be judged against the input scale, not the (possibly
     # fully cancelled) denominator itself
-    scale = max(x21m.norm_max(), t.X22.norm_max(), 1e-30)
+    scale = max(x21m.norm_max(), t.X22_max, 1e-30)
     if denom.norm_max() < 1e-12 * scale:
         raise TransversalityError("Mobius denominator X21*M + X22 vanishes")
     try:
@@ -88,7 +95,7 @@ def _mobius(t: TripletTransform, m: Matrix) -> Matrix:
         raise TransversalityError(
             f"Mobius denominator X21*M + X22 singular (pivot {e.smallest_pivot:.3e})"
         ) from e
-    return t.U @ core @ t.U.adjoint()
+    return t.U @ core @ t.U_star
 
 
 def transform_weyl(t: TripletTransform, m: Matrix) -> Matrix:

@@ -520,12 +520,12 @@ def suite_charfun_identities(rng: random.Random):
     _check(out, "mismatched Cayley pair rejected (residual >> 1e-6)",
            charfun.cayley_check(col, w, v) > 1e-6, "")
 
-    # resolvent form vs colligation form
+    # resolvent form vs colligation form, the former by the route `charfn` takes
     worst_scalar = 0.0
     for _ in range(20):
         z = _sample_z(rng, hl)
         mz = models.evaluate(hl, z)
-        w47 = charfun._char_full(Matrix.scalar(1j), mz)
+        w47 = charfun.char_function_from_m(col, mz)
         w49 = charfun.char_function_colligation(col, mz)
         worst_scalar = max(worst_scalar, abs(w47.at(0, 0) - w49.at(0, 0)))
     _check(out, "scalar resolvent and colligation forms agree to 1e-10",
@@ -536,7 +536,7 @@ def suite_charfun_identities(rng: random.Random):
     for _ in range(12):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.4, 6))
         mz = models.evaluate(fi, z)
-        wf = charfun._char_full(bd, mz)
+        wf = charfun.char_function_from_m(cold, mz)
         wr = charfun.char_function_colligation(cold, mz)
         worst_tw = max(worst_tw, (cold.K.adjoint() @ wf - wr @ cold.K.adjoint()).norm_fro())
     _check(out, "matrix forms intertwined by K* to 1e-10 (definite Im B)",

@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 
 import pytest
@@ -283,3 +284,31 @@ def test_spectrum_finds_close_eigenvalue_pair(tmp_path):
     got = [e["location"] for e in data["eigenvalues"]]
     assert len(got) == 2 and all(abs(x - y) < 1e-8 for x, y in zip(got, want))
     assert [e["multiplicity"] for e in data["eigenvalues"]] == [1, 1]
+
+
+@pytest.mark.parametrize("flag", ["--window=a:b", "--rect=x:1:0.1:2"])
+def test_malformed_window_or_rect_is_an_error_line(robin_problem, capsys, flag):
+    rc = main(["spectrum", "--problem", robin_problem, flag])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: bad {flag[2:flag.index('=')]} ")
+
+
+def test_spectrum_csv_matches_csv_writer(tmp_path):
+    prob = tmp_path / "pair.json"
+    prob.write_text(json.dumps({
+        "model": {"kind": "operator_potential_halfline", "a_diag": [2, 5]},
+        "boundary": [[0.4535, 0.0], [0.0, 0.4133]],
+        "task": {"window": [-5.0, 0.9]},
+    }))
+    out_json, out_csv = tmp_path / "s.json", tmp_path / "s.csv"
+    assert main(["spectrum", "--problem", str(prob), "--out", str(out_json)]) == 0
+    assert main(["spectrum", "--problem", str(prob), "--format", "csv", "--out", str(out_csv)]) == 0
+    eigenvalues = json.loads(out_json.read_text())["eigenvalues"]
+    assert len(eigenvalues) == 2
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(["location", "multiplicity"])
+    for e in eigenvalues:
+        writer.writerow([repr(e["location"]), e["multiplicity"]])
+    assert out_csv.read_bytes() == buf.getvalue().encode()

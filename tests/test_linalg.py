@@ -172,3 +172,20 @@ def test_singular_values_match_eigen_for_hermitian_psd():
     sig = singular_values(p)
     for a, b in zip(sorted(evals, reverse=True), sig):
         assert abs(a - b) <= 1e-10 * max(1.0, sig[0])
+
+
+def test_operation_results_equal_checked_construction():
+    a = Matrix.from_rows([[1, 2j], [3, 4 - 1j]])
+    b = Matrix.from_rows([[0.5, -1], [2j, 1]])
+    for out in (a + b, a - b, -a, a.scale(2j), a @ b, a.adjoint(), a.conjugate(), solve(a, b), inverse(a)):
+        checked = Matrix(out.rows, out.cols, out.data)
+        assert out == checked and hash(out) == hash(checked)
+    assert a.adjoint() == Matrix.from_rows([[1, 3], [-2j, 4 + 1j]])
+    assert Matrix.from_rows([[1, 2, 3]]).adjoint() == Matrix.from_rows([[1], [2], [3]])
+
+
+def test_public_constructor_still_checks_its_shape():
+    with pytest.raises(DimensionError):
+        Matrix(2, 2, (1, 2, 3))
+    with pytest.raises(DimensionError):
+        Matrix(0, 1, ())

@@ -4,9 +4,11 @@
 would break it; this runs the same installation here.
 """
 
+import json
 import os
 
 from weyl import extensions, models, verify
+from weyl.cli import main
 from weyl.linalg import Matrix
 from weyl.slsolve import PotentialSpec
 
@@ -52,3 +54,31 @@ def test_tracer_counts_the_oracle():
     assert stats["oracle.discretize"].calls >= 1
     assert stats["oracle.eigen_count_below"].calls >= 1
     assert counters["oracle.sturm_rows"] >= stats["oracle.eigen_count_below"].calls * 3999
+
+
+def test_tracer_counts_the_grid_request_path(tmp_path):
+    spans = _load_spans()
+    tracer = spans["Tracer"]()
+    model = {"kind": "operator_potential_halfline", "a_diag": [2, 5]}
+    transform = {"U": [[0, 1], [1, 0]], "X11": [[1, 0], [0, 1]], "X12": [[1, 0.5], [0.5, -1]],
+                 "X21": [[0, 0], [0, 0]], "X22": [[1, 0], [0, 1]]}
+    requests = [  # a transformed eval, then W with Im B of full rank and of rank 1
+        ("eval", {"model": model, "transform": transform}),
+        ("charfn", {"model": model, "boundary": [[[0.3, 0.5], 0.1], [0.1, [0.5, 0.8]]]}),
+        ("charfn", {"model": model, "boundary": [[0.3, 0.1], [0.1, [0.5, 0.8]]], "transform": transform}),
+    ]
+    try:
+        spans["install"](tracer)
+        for i, (cmd, data) in enumerate(requests):
+            prob = tmp_path / f"p{i}.json"
+            prob.write_text(json.dumps(data))
+            out = tmp_path / f"o{i}.json"
+            assert main([cmd, "--problem", str(prob), "--grid=0.5:0.5:1,1:1:1", "--out", str(out)]) == 0
+    finally:
+        tracer.uninstall()
+    stats, _counters = tracer.stats()
+    for name in ("triplets.transform_weyl", "charfun._char_full", "charfun.char_function_colligation",
+                 "linalg.solve", "linalg.inverse", "linalg.matmul"):
+        assert stats[name].calls >= 1, name
+    assert stats["charfun._char_full"].calls == 1
+    assert stats["charfun.char_function_colligation"].calls == 1
