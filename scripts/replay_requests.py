@@ -10,7 +10,8 @@ per request i, into OUTDIR:
 
 The requests run with OUTDIR as the working directory and relative paths
 (problems/p<i>.json, o<i>.<fmt>), so that no text depends on where OUTDIR
-is.  Run it in each of two checkouts and compare with `diff -r`.
+is.  Run it in each of two checkouts and compare with `diff -r`, or number
+by number with scripts/compare_reports.py.
 
 Usage: python scripts/replay_requests.py WORKLOAD SEED OUTDIR
 """

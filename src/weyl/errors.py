@@ -37,14 +37,6 @@ class DomainError(WeylError):
     """z outside the admissible set of a model (e.g. on the essential spectrum)."""
 
 
-class StiffnessError(WeylError):
-    """Adaptive ODE step size underflowed."""
-
-    def __init__(self, message: str, location: float):
-        super().__init__(f"{message} at x={location!r}")
-        self.location = location
-
-
 class AccuracyError(WeylError):
     """Requested accuracy is unattainable; carries the estimated error bound."""
 

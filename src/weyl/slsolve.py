@@ -4,13 +4,15 @@ Fundamental systems on a finite interval (for the 2x2 interval Weyl matrix)
 and m-functions on the half-line.  integrate_ivp splits its span at the pieces
 of q (PotentialSpec.pieces): where q is exactly constant it steps with the
 exact transfer matrix [[cosh kh, sinh kh / k], [k sinh kh, cosh kh]],
-k^2 = q - z; adaptive RK5(4) runs only where q varies (the interior of a
-sampled table, an expression).  The half-line m-function integrates backward
-to 0 rather than solving a Riccati equation (no blow-through at solution
-zeros).  When q is exactly constant beyond some point the integration is
-seeded there with the decaying tail solution exp(-kappa x), with no
-truncation error; otherwise it starts from a Dirichlet truncation at x = L,
-whose error is exponentially small and estimable (~ exp(-2 Im sqrt(z - q_inf) L)).
+k^2 = q - z.  Where q varies (a table segment, an expression) it steps the
+exact exponential of the 4th-order Magnus generator on a mesh built once per
+(potential, piece) and shared by every z, extrapolating nested halvings of it
+to rtol.  The half-line m-function integrates backward to 0 rather than
+solving a Riccati equation (no blow-through at solution zeros).  When q is
+exactly constant beyond some point the integration is seeded there with the
+decaying tail solution exp(-kappa x), with no truncation error; otherwise it
+starts from a Dirichlet truncation at x = L, whose error is exponentially
+small and estimable (~ exp(-2 Im sqrt(z - q_inf) L)).
 
 An expression potential is compiled once per PotentialSpec
 (expr.compile_potential, cached with the parsed tree) and value() runs the
@@ -18,18 +20,19 @@ compiled function; when it raises or returns anything but a float, value()
 re-runs the tree walker expr.evaluate, the reference, which raises the
 EvalError with its message.  Parsing caps an expression's nesting at
 expr.MAX_NESTING and its depth at expr.MAX_DEPTH levels.
-The RK5(4) stages are unrolled and call value() once each.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+from array import array
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import expr
-from .errors import AccuracyError, EvalError, PoleError, RangeError, StiffnessError
+from .errors import AccuracyError, EvalError, PoleError, RangeError
 from .linalg import Matrix
 from .specfun import sqrt_upper
 
@@ -92,7 +95,7 @@ class PotentialSpec:
         return expr.compile_potential(self._ast)
 
     def value(self, x: float) -> float:
-        # expression first: RK5(4) asks for it at every stage
+        # expression first: the meshes of the propagator sample it
         if self.kind == "expression":
             try:
                 v = self._compiled(x)
@@ -113,15 +116,9 @@ class PotentialSpec:
                 return vals[0]
             if x >= nodes[-1]:
                 return vals[-1]
-            lo, hi = 0, len(nodes) - 1
-            while hi - lo > 1:
-                mid = (lo + hi) // 2
-                if nodes[mid] <= x:
-                    lo = mid
-                else:
-                    hi = mid
-            t = (x - nodes[lo]) / (nodes[hi] - nodes[lo])
-            return vals[lo] * (1.0 - t) + vals[hi] * t
+            lo = bisect_right(nodes, x) - 1
+            t = (x - nodes[lo]) / (nodes[lo + 1] - nodes[lo])
+            return vals[lo] * (1.0 - t) + vals[lo + 1] * t
         raise EvalError(f"unknown potential kind {self.kind!r}")
 
     def cell_average(self, a: float, b: float) -> float:
@@ -152,8 +149,9 @@ class PotentialSpec:
         Returns [(lo, hi, c), ...] in increasing order, with c the value of q
         on [lo, hi] where q is exactly constant there and None where it
         varies.  Neighbouring constant pieces with the same value are merged;
-        the linear segments of a table stay apart, so that no RK step of the
-        propagator straddles a kink of q.
+        the linear segments of a table stay apart, so that no mesh cell of the
+        propagator straddles a kink of q, and an expression splits at 0, where
+        its meshes start.
         """
         if self.kind == "zero":
             return [(a, b, 0.0)]
@@ -164,7 +162,7 @@ class PotentialSpec:
             breaks = self.nodes
             consts = (v[0], *(lo if lo == hi else None for lo, hi in zip(v, v[1:])), v[-1])
         else:
-            return [(a, b, None)]
+            breaks, consts = (0.0,), (None, None)
         edges = (-math.inf, *breaks, math.inf)
         out = []
         for lo, hi, c in zip(edges, edges[1:], consts):
@@ -209,36 +207,27 @@ class FundamentalSystem:
     Y1: Matrix  # trace map (y'(0), -y'(b)) applied to the basis
 
 
-# Dormand-Prince 5(4) tableau
-_DP_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
-)
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
-_DP_E = (  # b5 - b4
-    35 / 384 - 5179 / 57600,
-    0.0,
-    500 / 1113 - 7571 / 16695,
-    125 / 192 - 393 / 640,
-    -2187 / 6784 + 92097 / 339200,
-    11 / 84 - 187 / 2100,
-    -1 / 40,
-)
+# A base cell of a Magnus mesh is at most _CELL_MAX wide and q changes by at
+# most _CELL_DQ across it, unless it is _CELL_MIN wide (q may jump); a mesh of
+# more than _MAX_CELLS base cells is refused (q may have a pole).
+_CELL_MAX = 0.5
+_CELL_DQ = 0.05
+_CELL_MIN = _CELL_MAX * 2.0 ** -30
+_MAX_CELLS = 2**15
+_MAX_LEVEL = 6
+_GAUSS = math.sqrt(3.0) / 6.0  # the Gauss points sit at the middle -/+ this times h
+_MAGNUS_C = math.sqrt(3.0) / 12.0
 
 
 def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10,
                   record: bool = False):
     """Integrate (y, y')' = (y', (q - z) y) over span = (a, b).
 
-    Exact transfer matrices on the pieces where q is constant, adaptive
-    RK5(4) on the others.  Returns (y(b), y'(b)) or, with record=True,
-    ((y(b), y'(b)), samples) where samples is the list of accepted (x, y, y')
-    steps.  The span may be decreasing.
+    Exact transfer matrices on the pieces where q is constant, Magnus steps
+    on a z-independent mesh on the others.  Returns (y(b), y'(b)) or, with
+    record=True, ((y(b), y'(b)), samples) where samples is the list of
+    (x, y, y') at the nodes stepped (of the accepted mesh level on a varying
+    piece).  The span may be decreasing.
     """
     a, b = float(span[0]), float(span[1])
     y, yp = complex(y0[0]), complex(y0[1])
@@ -250,10 +239,15 @@ def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10,
             pieces = [(hi, lo, c) for lo, hi, c in reversed(pieces)]
         for start, end, c in pieces:
             if c is None:
-                y, yp = _rk45(q, z, y, yp, start, end, rtol, samples)
+                y, yp = _magnus(q, z, y, yp, start, end, rtol, samples)
             else:
                 y, yp = _transfer(c - z, y, yp, start, end, samples)
     return ((y, yp), samples) if record else (y, yp)
+
+
+def _check_finite(y: complex, yp: complex, a: float, b: float):
+    if not (cmath.isfinite(y) and cmath.isfinite(yp)):
+        raise RangeError(f"solution overflows double range on [{a}, {b}]")
 
 
 def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float, samples):
@@ -276,81 +270,153 @@ def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float, samples)
         y, yp = ch * y + sk * yp, ks * y + ch * yp
         if samples is not None:
             samples.append((a + i * h, y, yp))
-    if not (cmath.isfinite(y) and cmath.isfinite(yp)):
-        raise RangeError(f"solution overflows double range on [{a}, {b}]")
+    _check_finite(y, yp, a, b)
     return y, yp
 
 
-def _rk45(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: float,
-          rtol: float, samples):
-    """Adaptive Dormand-Prince RK5(4) from a to b; appends accepted steps to samples.
+def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: float,
+            rtol: float, samples):
+    """(y(b), y'(b)) from a to b inside one varying piece of q, to rtol.
 
-    The seven stages are written out with the tableau entries as locals.
-    Stage i evaluates q once, at x + c_i h; its slope is (p_i, k_i) with
-    k_i = (q - z) y_i at the stage values (y_i, p_i).  Each stage sum starts
-    at 0j, keeps its zero coefficients and is scaled by h last, as the loop
-    over the tableau rows that this replaces did, so the arithmetic is that
-    loop's, operation for operation.
+    Sweeps mesh levels 0, 1, 2, ... from the same (y, y'), so all share one
+    scaling, and extrapolates their error terms h^4 and h^6 away:
+    r4_k = y_k + (y_k - y_{k-1})/15, r6_k = r4_k + (r4_k - r4_{k-1})/63.
+    The error of r6_k is taken as |r6_k - r4_k|, and also as |y_k - y_{k-1}|
+    unless that difference fell at least 8-fold from the last (far from h^4,
+    as next to a branch point of q, the extrapolation cannot be trusted).
+    Returns r6_k at the first k >= 2 whose error is <= rtol max(|y|, |y'|);
+    past level _MAX_LEVEL raises AccuracyError.
     """
-    direction = 1.0 if b >= a else -1.0
-    length = abs(b - a)
-    qv = q.value
-    _, (a10,), (a20, a21), (a30, a31, a32), (a40, a41, a42, a43), \
-        (a50, a51, a52, a53, a54), (a60, a61, a62, a63, a64, a65) = _DP_A
-    _, c1, c2, c3, c4, c5, c6 = _DP_C
-    e0, e1, e2, e3, e4, e5, e6 = _DP_E
+    # the whole piece holding the span is meshed from its finite end
+    lo, hi, _ = next(p for p in q.pieces(-math.inf, math.inf) if p[0] <= min(a, b) < p[1])
+    mesh = _mesh(q, hi, lo) if lo == -math.inf else _mesh(q, lo, hi)
+    r4 = y_prev = None
+    d = 0.0
+    for level in range(_MAX_LEVEL + 1):
+        yk = mesh.sweep(z, y, yp, a, b, level, None)
+        _check_finite(*yk, a, b)
+        if level >= 1:
+            r4, r4_prev = _richardson(yk, y_prev, 15.0), r4
+            d_prev, d = d, max(abs(yk[0] - y_prev[0]), abs(yk[1] - y_prev[1]))
+        if level >= 2:
+            u, p = _richardson(r4, r4_prev, 63.0)
+            err, scale = max(abs(u - r4[0]), abs(p - r4[1])), max(abs(u), abs(p))
+            if d_prev < 8.0 * d:
+                err = max(err, d)
+            if err <= rtol * scale:
+                if samples is not None:
+                    mesh.sweep(z, y, yp, a, b, level, samples)
+                    samples[-1] = (b, u, p)
+                return u, p
+        y_prev = yk
+    raise AccuracyError(f"Magnus mesh on [{a}, {b}] unresolved at z={z} after level {_MAX_LEVEL}",
+                        estimate=err / scale)
 
-    x = a
-    h = direction * min(length / 50.0, 0.2)
-    hmin = 1e-14 * max(length, 1.0)
-    while (b - x) * direction > 0:
-        if abs(h) > abs(b - x):
-            h = b - x
-        k0 = (qv(x) - z) * y
-        y1 = y + h * (0j + a10 * yp)
-        p1 = yp + h * (0j + a10 * k0)
-        k1 = (qv(x + c1 * h) - z) * y1
-        y2 = y + h * (0j + a20 * yp + a21 * p1)
-        p2 = yp + h * (0j + a20 * k0 + a21 * k1)
-        k2 = (qv(x + c2 * h) - z) * y2
-        y3 = y + h * (0j + a30 * yp + a31 * p1 + a32 * p2)
-        p3 = yp + h * (0j + a30 * k0 + a31 * k1 + a32 * k2)
-        k3 = (qv(x + c3 * h) - z) * y3
-        y4 = y + h * (0j + a40 * yp + a41 * p1 + a42 * p2 + a43 * p3)
-        p4 = yp + h * (0j + a40 * k0 + a41 * k1 + a42 * k2 + a43 * k3)
-        k4 = (qv(x + c4 * h) - z) * y4
-        y5 = y + h * (0j + a50 * yp + a51 * p1 + a52 * p2 + a53 * p3 + a54 * p4)
-        p5 = yp + h * (0j + a50 * k0 + a51 * k1 + a52 * k2 + a53 * k3 + a54 * k4)
-        k5 = (qv(x + c5 * h) - z) * y5
-        # 5th-order solution: the b-weights equal the last tableau row (FSAL)
-        y_new = y + h * (0j + a60 * yp + a61 * p1 + a62 * p2 + a63 * p3 + a64 * p4 + a65 * p5)
-        yp_new = yp + h * (0j + a60 * k0 + a61 * k1 + a62 * k2 + a63 * k3 + a64 * k4 + a65 * k5)
-        k6 = (qv(x + c6 * h) - z) * y_new
-        eu = (0j + e0 * yp + e1 * p1 + e2 * p2 + e3 * p3 + e4 * p4 + e5 * p5 + e6 * yp_new) * h
-        ep = (0j + e0 * k0 + e1 * k1 + e2 * k2 + e3 * k3 + e4 * k4 + e5 * k5 + e6 * k6) * h
-        rejected_nan = not (
-            math.isfinite(y_new.real) and math.isfinite(y_new.imag)
-            and math.isfinite(yp_new.real) and math.isfinite(yp_new.imag)
-        )
-        if rejected_nan:
-            err = math.inf
+
+def _richardson(fine, coarse, factor: float):
+    return fine[0] + (fine[0] - coarse[0]) / factor, fine[1] + (fine[1] - coarse[1]) / factor
+
+
+@lru_cache(maxsize=64)
+def _mesh(q: PotentialSpec, origin: float, end: float) -> _Mesh:
+    """The one mesh of a piece, shared by every z and span: it grows on demand,
+    but what it holds depends on (q, origin, end) alone."""
+    return _Mesh(q, origin, end)
+
+
+class _Mesh:
+    """The z-independent mesh of one varying piece of q, with q sampled on its levels.
+
+    Base nodes are distances t from origin toward end (end may be infinite),
+    graded from origin and added on demand: a base cell is twice as wide as
+    the last (at most _CELL_MAX), halved while q changes by more than
+    _CELL_DQ across it or is not defined at its end.  Every span in the piece
+    steps the same base cells; only the cells it cuts are sampled afresh.
+    Level k holds, for each of the 2^k equal subcells of each base cell,
+    qbar = (q1 + q2)/2, c = (sqrt 3/12) w^2 (q1 - q2) and w: its Gauss values
+    (q1 nearer origin) and its width, in one array('d').
+    """
+
+    def __init__(self, q: PotentialSpec, origin: float, end: float):
+        self.q, self.origin, self.end = q, origin, end
+        self.dir = 1.0 if end > origin else -1.0
+        self.t = array("d", [0.0])
+        self.q_last, self.w_last = q.value(origin), _CELL_MAX
+        self.levels = {}
+
+    def _grade_to(self, t_stop: float):
+        qv, t, d, x0 = self.q.value, self.t, self.dir, self.origin
+        t_max = abs(self.end - x0)
+        while t[-1] < min(t_stop, t_max):
+            if len(t) > _MAX_CELLS:
+                raise AccuracyError(f"q varies too fast to mesh near x={x0 + d * t[-1]!r}",
+                                    estimate=math.inf)
+            w = min(_CELL_MAX, 2.0 * self.w_last)
+            while True:
+                tb = min(t[-1] + w, t_max)
+                try:
+                    qb = qv(x0 + d * tb)
+                except EvalError:
+                    if w <= _CELL_MIN:
+                        raise
+                    qb = math.inf
+                if abs(qb - self.q_last) <= _CELL_DQ or w <= _CELL_MIN:
+                    break
+                w *= 0.5
+            t.append(tb)
+            self.q_last, self.w_last = qb, w
+
+    def _cells(self, t0: float, t1: float, n: int) -> array:
+        """The (qbar, c, w) of the n equal subcells of [t0, t1], in order of t."""
+        qv, d, x0 = self.q.value, self.dir, self.origin
+        w = (t1 - t0) / n
+        out = array("d")
+        for j in range(n):
+            mid = t0 + (j + 0.5) * w
+            q1, q2 = qv(x0 + d * (mid - _GAUSS * w)), qv(x0 + d * (mid + _GAUSS * w))
+            out.extend((0.5 * (q1 + q2), _MAGNUS_C * w * w * (q1 - q2), w))
+        return out
+
+    def sweep(self, z: complex, y: complex, yp: complex, a: float, b: float, level: int,
+              samples):
+        """(y(b), y'(b)) by the Magnus steps of one level from x = a; appends (x, y, y') to samples.
+
+        A subcell stepped toward larger t has Omega = [[c, h], [h (qbar - z), -c]],
+        h = dir w, and toward smaller t the same with h and c negated;
+        exp(Omega) = cosh(s) I + sinh(s)/s Omega with s^2 = c^2 + w^2 (qbar - z).
+        """
+        x0, d, t, n = self.origin, self.dir, self.t, 1 << level
+        ta, tb = (a - x0) * d, (b - x0) * d
+        lo, hi = min(ta, tb), max(ta, tb)
+        self._grade_to(hi)
+        i0, i1 = bisect_right(t, lo), bisect_left(t, hi)
+        done = self.levels.setdefault(level, array("d"))
+        # sample the base cells up to hi, but none that crosses it
+        for i in range(len(done) // (3 * n), i1 if t[i1] == hi else i1 - 1):
+            done.extend(self._cells(t[i], t[i + 1], n))
+        edges = [lo, *t[i0:i1], hi]
+        cells = array("d")
+        for k, (e0, e1) in enumerate(zip(edges, edges[1:]), i0 - 1):
+            full = e0 == t[k] and e1 == t[k + 1]
+            cells += done[3 * n * k: 3 * n * (k + 1)] if full else self._cells(e0, e1, n)
+        sign = 1.0 if tb > ta else -1.0
+        if sign > 0:
+            subcells = zip(cells[0::3], cells[1::3], cells[2::3])
         else:
-            # rtol is the absolute tolerance as well
-            sc_u = rtol + rtol * max(abs(y), abs(y_new))
-            sc_p = rtol + rtol * max(abs(yp), abs(yp_new))
-            err = math.sqrt(0.5 * ((abs(eu) / sc_u) ** 2 + (abs(ep) / sc_p) ** 2))
-        if err <= 1.0:
-            x += h
-            y, yp = y_new, yp_new
+            subcells = zip(cells[-3::-3], cells[-2::-3], cells[-1::-3])
+        x, sqrt, cosh, sinh = a, cmath.sqrt, cmath.cosh, cmath.sinh
+        for qbar, c, w in subcells:
+            c *= sign
+            h = sign * d * w
+            p = qbar - z
+            s = sqrt(c * c + w * w * p)
+            ch, sh = (cosh(s), sinh(s) / s) if s else (1.0, 1.0)
+            shc, shh = sh * c, sh * h
+            y, yp = (ch + shc) * y + shh * yp, shh * p * y + (ch - shc) * yp
             if samples is not None:
+                x += h
                 samples.append((x, y, yp))
-            grow = 5.0 if err == 0.0 else min(5.0, 0.9 * err ** -0.2)
-            h *= max(0.2, grow)
-        else:
-            h *= 0.5 if rejected_nan else max(0.2, 0.9 * err ** -0.2)
-        if abs(h) < hmin:
-            raise StiffnessError("step size underflow", location=x)
-    return y, yp
+        return y, yp
 
 
 @lru_cache(maxsize=100_000)

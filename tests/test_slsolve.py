@@ -1,19 +1,14 @@
 import cmath
 import math
-import struct
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyl import models
-from weyl.errors import AccuracyError, EvalError, PoleError, RangeError, StiffnessError
+from weyl.errors import AccuracyError, EvalError, PoleError, RangeError
 from weyl.slsolve import (
-    _DP_A,
-    _DP_C,
-    _DP_E,
     PotentialSpec,
-    _rk45,
     finite_interval_M,
     fundamental_system,
     halfline_m,
@@ -50,21 +45,19 @@ def test_ivp_backward_span():
 
 
 def test_ivp_residual_along_trajectory():
+    # each interior recorded step (x0, y0, y0') -> (x1, y1, y1') against the
+    # independent RK5(4) reference at rtol = 1e-13; a second difference of the
+    # nodes would carry its own error h^2 |y''''| / 12, about 1e-4 at h = 1/16
     z = 2.0 + 1.0j
     q = PotentialSpec.expression("1/(1+x^2)")
     (_, _), samples = integrate_ivp(q, z, (1.0, 0.0), (0.0, 2.0), record=True)
-    worst = 0.0
-    for k in range(2, len(samples) - 2):
-        x0, y0, _ = samples[k - 1]
-        x1, y1, _ = samples[k]
-        x2, y2, _ = samples[k + 1]
-        if min(x1 - x0, x2 - x1) < 1e-6 or abs((x1 - x0) - (x2 - x1)) > 1e-12 * (x2 - x0):
-            continue
-        h = x1 - x0
-        ypp = (y2 - 2 * y1 + y0) / (h * h)
-        resid = ypp - (q.value(x1) - z) * y1
-        worst = max(worst, abs(resid) / max(1.0, abs(y1)))
-    assert worst <= 1e-7 or worst == 0.0
+    worst, checked = 0.0, 0
+    for (x0, y0, p0), (x1, y1, p1) in zip(samples[1:-2], samples[2:-1]):
+        y, yp = _rk45_loop(q, z, y0, p0, x0, x1, 1e-13, 1e-13, None)
+        worst = max(worst, abs(y1 - y) / max(1.0, abs(y)), abs(p1 - yp) / max(1.0, abs(yp)))
+        checked += 1
+    assert checked >= 20
+    assert worst <= 1e-7
 
 
 def test_interval_M_closed_form_at_minus_one():
@@ -219,7 +212,7 @@ def test_halfline_square_well_matches_closed_form(depth, width, h):
 
 
 def test_square_well_never_evaluates_q(monkeypatch):
-    # zero and square_well are constant piecewise: RK5(4), which samples q, never runs
+    # zero and square_well are constant piecewise: no mesh, which samples q, is built
     def no_sampling(self, x):
         raise AssertionError("q sampled on a constant piece")
 
@@ -264,8 +257,33 @@ def test_ivp_record_on_exact_pieces():
     assert samples[-1][1:] == (y, yp)
 
 
+# m_inf(z) of q = -1.5 exp(-x/0.7): the decaying solution is J_nu(t), t = 2 b sqrt(a)
+# exp(-x/(2b)), nu = 2 b kappa, kappa = -i sqrt_upper(z), so m = -(t0/2b) J_nu'(t0)/J_nu(t0);
+# mpmath at 40 digits, at the corners of the benchmark's ode_grid range and at |z| = 400
+EXP_WELL_M = [
+    ((-3.6 + 0.6j), (-1.6054883810159983 + 0.17704630170153665j)),
+    ((-3.6 + 2.1j), (-1.69220977204303 + 0.5923989605281246j)),
+    ((-3.6 - 0.6j), (-1.6054883810159983 - 0.17704630170153665j)),
+    ((-3.6 - 2.1j), (-1.69220977204303 - 0.5923989605281246j)),
+    ((1.7 + 0.6j), (-0.005710756971061646 + 1.7189474432572918j)),
+    ((1.7 + 2.1j), (-0.4733590271117741 + 1.7660073631089581j)),
+    ((1.7 - 0.6j), (-0.005710756971061646 - 1.7189474432572918j)),
+    ((1.7 - 2.1j), (-0.4733590271117741 - 1.7660073631089581j)),
+    (400j, (-14.115671504565807 + 14.16737114292737j)),
+    (-400.0, -19.963762464746413),
+    ((240 + 320j), (-8.926777195924261 + 17.921004589844916j)),
+]
+
+
+@pytest.mark.parametrize("z,want", EXP_WELL_M)
+def test_exponential_well_matches_bessel_closed_form(z, want):
+    q = PotentialSpec.expression("-1.5*exp(-x/0.7)")
+    got = halfline_m(q, None, z)
+    assert abs(got - want) <= 1e-9 * abs(want)
+
+
 def test_table_with_constant_tail_matches_truncated_route():
-    # constant -2 on [0, 1], linear to 0 on [1, 2], 0 beyond: RK on [1, 2] only
+    # constant -2 on [0, 1], linear to 0 on [1, 2], 0 beyond: a mesh on [1, 2] only
     q = PotentialSpec.table([0.0, 1.0, 2.0], [-2.0, -2.0, 0.0])
     for z in (1j, -0.4 + 0.3j, -1.5, 2 + 0.5j):
         exact = halfline_m_exact_tail(q, z)
@@ -302,8 +320,30 @@ def test_interval_overflow_is_an_error():
     assert _rel(m.at(0, 0), -20.0) < 1e-12 and 0.0 < m.at(0, 1).real < 1e-80
 
 
+# Dormand-Prince 5(4) tableau
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+_DP_E = (  # b5 - b4
+    35 / 384 - 5179 / 57600,
+    0.0,
+    500 / 1113 - 7571 / 16695,
+    125 / 192 - 393 / 640,
+    -2187 / 6784 + 92097 / 339200,
+    11 / 84 - 187 / 2100,
+    -1 / 40,
+)
+
+
 def _rk45_loop(q, z, y, yp, a, b, rtol, atol, samples):
-    """The tableau-loop Dormand-Prince integrator that _rk45 unrolls, kept as its reference."""
+    """Adaptive Dormand-Prince RK5(4) over the tableau, an independent reference propagator."""
     direction = 1.0 if b >= a else -1.0
     length = abs(b - a)
     qv = q.value
@@ -363,16 +403,8 @@ def _rk45_loop(q, z, y, yp, a, b, rtol, atol, samples):
         else:
             h *= 0.5 if rejected_nan else max(0.2, 0.9 * err ** -0.2)
         if abs(h) < hmin:
-            raise StiffnessError("step size underflow", location=x)
+            raise ArithmeticError(f"step size underflow at x={x!r}")
     return y, yp
-
-
-def _bits(values):
-    out = []
-    for v in values:
-        v = complex(v)
-        out.append(struct.pack("<dd", v.real, v.imag))
-    return out
 
 
 @pytest.mark.parametrize("q,span", [
@@ -383,20 +415,38 @@ def _bits(values):
 ])
 @pytest.mark.parametrize("z", [1j, -3.0 + 0.5j, 7.0 + 0.01j, 400j, -400.0, 240.0 + 320j])
 def test_unrolled_rk45_is_the_tableau_loop_to_the_bit(q, span, z):
-    a, b = span
+    # the name is kept from when integrate_ivp ran an unrolled RK5(4) on these
+    # pieces, equal to _rk45_loop bit for bit; it now checks the Magnus route at
+    # its default rtol against RK5(4) at rtol = 1e-13
     y0 = (0.3 - 0.2j, 1.0 + 0j)
-    for rtol in (1e-10, 1e-6):
-        got_samples, ref_samples = [], []
-        got = _rk45(q, complex(z), *y0, a, b, rtol, got_samples)
-        ref = _rk45_loop(q, complex(z), *y0, a, b, rtol, rtol, ref_samples)
-        assert _bits(got) == _bits(ref)
-        assert len(got_samples) == len(ref_samples) > 5
-        for (xg, *g), (xr, *r) in zip(got_samples, ref_samples):
-            assert struct.pack("<d", xg) == struct.pack("<d", xr)
-            assert _bits(g) == _bits(r)
-    # the public propagator runs it for these pieces, and records the same steps
-    (y, yp), samples = integrate_ivp(q, z, y0, span, record=True)
-    ref_samples = [(a, *y0)]
-    ref = _rk45_loop(q, complex(z), *y0, a, b, 1e-10, 1e-10, ref_samples)
-    assert _bits((y, yp)) == _bits(ref)
-    assert [(s[0], *_bits(s[1:])) for s in samples] == [(s[0], *_bits(s[1:])) for s in ref_samples]
+    ref = _rk45_loop(q, complex(z), *y0, *span, 1e-13, 1e-13, None)
+    got = integrate_ivp(q, z, y0, span)
+    scale = max(abs(ref[0]), abs(ref[1]))
+    assert max(abs(got[0] - ref[0]), abs(got[1] - ref[1])) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("b", [0.95, 0.7])
+def test_magnus_mesh_samples_q_only_inside_the_span(b):
+    # sqrt(1 - x) is not defined beyond x = 1, where the mesh would grade on
+    q = PotentialSpec.expression("sqrt(1 - x)")
+    y0 = (0.0, 1.0)
+    ref = _rk45_loop(q, 1 + 1j, *y0, 0.0, b, 1e-13, 1e-13, None)
+    got = integrate_ivp(q, 1 + 1j, y0, (0.0, b))
+    assert max(abs(got[0] - ref[0]), abs(got[1] - ref[1])) <= 1e-10 * max(abs(ref[0]), abs(ref[1]))
+
+
+def test_magnus_mesh_refuses_to_extrapolate_at_a_branch_point():
+    # at x = 1 the levels of sqrt(1 - x) converge like h^1.5, not h^4: the h^4, h^6
+    # extrapolants agree to 1e-10 while the result is off by 3e-9, so it is an error
+    with pytest.raises(AccuracyError):
+        integrate_ivp(PotentialSpec.expression("sqrt(1 - x)"), 1 + 1j, (0.0, 1.0), (0.0, 1.0))
+
+
+def test_magnus_mesh_across_a_jump_and_a_pole():
+    # -1 below x = 0.3 and 1 above is the square well of depth -2 shifted by 1
+    jump = PotentialSpec.expression("abs(x-0.3)/(x-0.3)")
+    got = integrate_ivp(jump, 1 + 1j, (0.0, 1.0), (0.0, 1.0))
+    want = integrate_ivp(PotentialSpec.square_well(-2.0, 0.3), 1j, (0.0, 1.0), (0.0, 1.0))
+    assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-9 * max(abs(want[0]), abs(want[1]))
+    with pytest.raises(AccuracyError):
+        integrate_ivp(PotentialSpec.expression("1/(x-0.3)"), 1 + 1j, (0.0, 1.0), (0.0, 1.0))
