@@ -3,11 +3,11 @@
 Each class holds its own parameters plus kind, n and ess_floor (-inf allowed;
 +inf means purely discrete), its z-independent constants, computed once at
 construction, and every rule of its kind: M(z) (evaluate(model, z) checks the
-domain and calls it), m_at_zero (the base class extrapolates a ladder
-x_k -> 0-), the pole indicator (a real function of x whose sign changes are
-the poles of M below the floor), the interval's entire pencil Y1 - B Y0, the
-oracle discretizations of A_B and of the Dirichlet reference, and the
-operator potential's Robin matrix.  A rule a kind lacks is None.
+domain and calls it), m_at_zero (a direct route to M(0), with no limit
+x -> 0- to extrapolate), the pole indicator (a real function of x whose sign
+changes are the poles of M below the floor), the interval's entire pencil
+Y1 - B Y0, the oracle discretizations of A_B and of the Dirichlet reference,
+and the operator potential's Robin matrix.  A rule a kind lacks is None.
 
 All models satisfy M(conj z) = M(z)* and the Herglotz property Im M >= 0 on the
 upper half-plane; those two facts are the acceptance anchor for every branch
@@ -29,10 +29,12 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from . import oracle
-from .errors import ContractError, DomainError, EvalError, PoleError, RangeError, TransversalityError
+from . import oracle, slsolve
+from .errors import (AccuracyError, ContractError, DomainError, EvalError, PoleError, RangeError,
+                     TransversalityError)
 from .linalg import Matrix, herm_part, lambda_min
 from .slsolve import (
+    TRUNCATION_CAP,
     PotentialSpec,
     _decaying_solution,
     finite_interval_M,
@@ -47,7 +49,7 @@ from .specfun import BESSEL_RANGE, bessel_j, cpow, gamma, sqrt_upper, upper_powe
 @dataclass(frozen=True)
 class MZeroResult:
     value: Matrix  # Hermitian
-    method: str  # "closed_form" | "tail_matched" | "truncated" | "extrapolated"
+    method: str  # "closed_form" | "tail_matched" | "threshold" | "truncated" | "propagated"
     est_error: float
 
 
@@ -71,19 +73,7 @@ class WeylModel:
         raise NotImplementedError
 
     def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
-        """M analytic at 0 (corner, multi_corner, finite_interval, stubs): the
-        plain ladder x_k = -2^-k, Richardson-extrapolated to 0."""
-        ts = []
-        grids = []
-        for k in range(1, 21):
-            ts.append(2.0**-k)
-            grids.append(self.M(complex(-ts[-1]), rtol))
-            if len(grids) >= 6:
-                a, b = grids[-2].at(0, 0), grids[-1].at(0, 0)
-                if abs(b - a) < 1e-13 * max(1.0, abs(b)):
-                    break
-        value, est = _extrapolate_entrywise(ts, grids, self.n)
-        return MZeroResult(herm_part(value), "extrapolated", est)
+        raise NotImplementedError
 
 
 @dataclass(frozen=True)
@@ -106,25 +96,13 @@ class HalfLine(WeylModel):
         return _decaying_solution(self.q, complex(x))[0].real
 
     def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
-        """M_inf(0) = y'(0)/y(0) of the decaying solution, mapped once through
-        the h family.  M_inf(0) is the decaying solution at z = 0 itself when q
-        has an exactly constant tail or a floor above 0.  A floor of exactly 0
-        is a sqrt branch point, so there the ladder runs in t = sqrt(floor - x)
-        (plain x-ladders converge too slowly against the truncation cap).  A
-        floor below 0 has no M(0)."""
+        """M_inf(0) = y'(0)/y(0) of the solution bounded at infinity at z = 0
+        itself, mapped once through the h family.  A floor below 0 has no M(0)."""
         if self.ess_floor < 0.0:
             raise DomainError(
                 f"0 lies in the essential spectrum [{self.ess_floor}, inf): M(0) does not exist"
             )
-        if self.ess_floor > 0.0 or tail_support(self.q) is not None:
-            m, est, method = self._direct_m_inf_at_zero(rtol)
-        else:
-            # limited in depth by the Dirichlet truncation cap (larger reported error)
-            ts = [0.64 * 0.5**k for k in range(4)]
-            zs = [complex(self.ess_floor - t * t) for t in ts]
-            samples = [Matrix.scalar(halfline_m(self.q, None, z, rtol=rtol)) for z in zs]
-            value, est = _extrapolate_entrywise(ts, samples, 1)
-            m, method = value.at(0, 0).real, "extrapolated"
+        m, est, method = self._m_inf_at_zero(rtol)
         if self.h is not None:
             denom = m - self.h
             if abs(denom) < 1e-13 * (1.0 + abs(m)):
@@ -133,29 +111,36 @@ class HalfLine(WeylModel):
             m = (1.0 - self.h * m) / denom
         return MZeroResult(Matrix.scalar(m), method, est)
 
-    def _direct_m_inf_at_zero(self, rtol: float):
-        """(M_inf(0), estimate, method) from the decaying solution at z = 0 itself.
+    def _m_inf_at_zero(self, rtol: float):
+        """(M_inf(0), estimate, method); the floor is >= 0 here.
 
-        The floor is >= 0 here.  With an exactly constant tail the solution is
-        matched to it: the seed exp(-sqrt(tail) x) is (1, 0) for a zero tail,
-        the bounded threshold solution, so there is no limit to take, and the
-        estimate carries the rtol of the propagation through the division by
-        y(0).  Otherwise the floor is above 0, M is analytic at 0 and
-        halfline_m gives it, Dirichlet-truncated; its estimate adds twice the
-        truncation estimate exp(-2 kappa L), the relative error of a truncated m.
+        An exactly constant tail seeds the decaying solution exp(-sqrt(tail) x)
+        there, (1, 0) for a zero tail.  A floor of exactly 0 without one seeds
+        that bounded threshold solution (1, 0) at L = 20, 40, 80, 160 and the
+        truncation cap until two successive values agree to rtol, and the
+        estimate adds their difference.  A floor above 0 makes M analytic at 0:
+        halfline_m gives it, and its estimate adds twice the truncation estimate
+        exp(-2 kappa L), the relative error of a truncated m.
         """
         q = self.q
         if tail_support(q) is not None:
-            y, yp = _decaying_solution(q, 0j, None, rtol)
-            scale = max(abs(y), abs(yp))
-            if abs(y) < 1e-13 * scale:
-                raise TransversalityError("y(0; 0) = 0: M(x) is unbounded as x -> 0-")
-            m = (yp / y).real
-            return m, rtol * (1.0 + abs(m)) * scale / abs(y), "tail_matched"
+            return (*_bounded_ratio(*_decaying_solution(q, 0j, None, rtol), rtol), "tail_matched")
+        if self.ess_floor == 0.0:
+            previous, length = None, 20.0
+            while True:
+                y, yp = slsolve._endpoint(q, 0j, length, (1.0 + 0j, 0j), float(rtol))
+                m, est = _bounded_ratio(y, yp, rtol)
+                if previous is not None and abs(m - previous) <= rtol * (1.0 + abs(m)):
+                    return m, abs(m - previous) + est, "threshold"
+                if length >= TRUNCATION_CAP:
+                    raise AccuracyError(
+                        f"M(0) did not settle by L = {length:g}", estimate=abs(m - previous)
+                    )
+                previous, length = m, min(2.0 * length, TRUNCATION_CAP)
         try:
             m = halfline_m(q, None, 0.0, rtol=rtol).real
-        except PoleError as e:  # the same y(0; 0) = 0 test as above
-            raise TransversalityError("y(0; 0) = 0: M(x) is unbounded as x -> 0-") from e
+        except PoleError as e:  # the y(0; 0) = 0 test of _bounded_ratio
+            raise TransversalityError(_UNBOUNDED) from e
         return m, (rtol + 2.0 * truncation_length(q, 0.0)[1]) * (1.0 + abs(m)), "truncated"
 
     def oracle_operators(self, b: Matrix):
@@ -181,6 +166,18 @@ class HalfLine(WeylModel):
         return min([c for _lo, _hi, c in pieces if c is not None] + list(self.q.values)) - 1.0, 0.0
 
 
+_UNBOUNDED = "y(0; 0) = 0: M(x) is unbounded as x -> 0-"
+
+
+def _bounded_ratio(y: complex, yp: complex, rtol: float):
+    """(y'(0)/y(0), its propagation error) of the solution bounded at infinity."""
+    scale = max(abs(y), abs(yp))
+    if abs(y) < 1e-13 * scale:
+        raise TransversalityError(_UNBOUNDED)
+    m = (yp / y).real
+    return m, rtol * (1.0 + abs(m)) * scale / abs(y)
+
+
 @dataclass(frozen=True)
 class FiniteInterval(WeylModel):
     """-y'' + q y on [0, b] with the triplet (y(0), y(b)) / (y'(0), -y'(b))."""
@@ -193,6 +190,16 @@ class FiniteInterval(WeylModel):
 
     def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
         return finite_interval_M(self.q, self.b, z, rtol=rtol)
+
+    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+        """M(0) itself: M is analytic at 0 unless 0 is a Dirichlet eigenvalue.
+        The entries of M are u1(b), 1 and u2'(b) over u2(b), so the relative
+        error rtol of the solutions grows by at most about (1 + |M|)^2."""
+        try:
+            value = finite_interval_M(self.q, self.b, 0j, rtol=rtol)
+        except PoleError as e:
+            raise TransversalityError("0 is a Dirichlet eigenvalue: M(x) is unbounded as x -> 0-") from e
+        return MZeroResult(herm_part(value), "propagated", rtol * (1.0 + value.norm_max()) ** 2)
 
     def pole_indicator(self, x: float) -> float:
         """det Y0(x)."""
@@ -345,6 +352,11 @@ class Corner(WeylModel):
             raise DomainError(f"corner model pole at z={z}")
         return -num / den
 
+    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+        # J_{+-beta}(s) ~ (s/2)^(+-beta) / Gamma(1 +- beta) as s -> 0: the
+        # Gamma factors and the powers of s/2 cancel in the quotient
+        return MZeroResult(Matrix.scalar(-1.0), "closed_form", 0.0)
+
 
 @dataclass(frozen=True)
 class MultiCorner(WeylModel):
@@ -359,6 +371,9 @@ class MultiCorner(WeylModel):
 
     def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
         return Matrix.diag([c.scalar(z) for c in self._corners])
+
+    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+        return MZeroResult(Matrix.diag([-1.0] * self.n), "closed_form", 0.0)
 
 
 def sector_constant(beta: float) -> complex:
@@ -439,43 +454,10 @@ def evaluate(model: WeylModel, z: complex, rtol: float = 1e-10) -> Matrix:
 # -- M(0) -------------------------------------------------------------------
 
 
-def _neville_to_zero(ts, vals):
-    """Polynomial extrapolation of (t_k, F(t_k)) to t = 0 (Neville tableau).
-
-    For a dyadic ladder this is Richardson elimination to full order.  The
-    error estimate is the last applied correction.
-    """
-    p = list(vals)
-    n = len(p)
-    heads = [p[0]]
-    for level in range(1, n):
-        for i in range(n - level):
-            p[i] = (ts[i] * p[i + 1] - ts[i + level] * p[i]) / (ts[i] - ts[i + level])
-        heads.append(p[0])
-    est = abs(heads[-1] - heads[-2]) if n > 1 else math.inf
-    return p[0], est
-
-
-def _extrapolate_entrywise(ts, grids, n: int):
-    data = []
-    est_max = 0.0
-    for i in range(n):
-        for j in range(n):
-            seq = [g.at(i, j) for g in grids]
-            if abs(seq[-1]) > 4.0 * abs(seq[0]) + 1e3:
-                raise TransversalityError(
-                    "M(x) grows without bound as x -> 0-: Friedrichs and Krein "
-                    "extensions are not transversal"
-                )
-            lim, est = _neville_to_zero(ts, seq)
-            data.append(lim)
-            est_max = max(est_max, est)
-    return Matrix(n, n, tuple(data)), est_max
-
-
 def m_at_zero(model: WeylModel, rtol: float = 1e-11) -> MZeroResult:
-    """Boundary value M(0) = lim_{x -> 0-} M(x), by the model's own route: a
-    closed form, the decaying solution at z = 0, or a ladder extrapolated to 0."""
+    """Boundary value M(0) = lim_{x -> 0-} M(x), by the model's own direct
+    route: a closed form, the bounded solution at z = 0 (tail-matched, seeded
+    at the threshold or Dirichlet-truncated), or the propagated M(0) itself."""
     return model.m_at_zero(rtol)
 
 

@@ -280,34 +280,48 @@ def suite_eigenvalue_correspondence(rng: random.Random):
 
 
 def negative_count_scenarios():
+    """(label, spec, min q) triples.  min q bounds the real scan of a half-line
+    scenario; it is None where no scan runs."""
     q0 = PotentialSpec.zero()
     hl = models.half_line(q0)
     op = models.operator_potential_halfline([2.0, 5.0])
+    well_1 = models.half_line(PotentialSpec.square_well(-1.0, 1.2))
+    well_5 = models.half_line(PotentialSpec.square_well(-5.0, 0.5))
+    exp_well = models.half_line(PotentialSpec.expression("-exp(-x)"))
     return [
-        ("half-line q=0, h=-3", extensions.extension(hl, -3.0)),
-        ("half-line q=0, h=-2", extensions.extension(hl, -2.0)),
-        ("half-line q=0, h=-0.5", extensions.extension(hl, -0.5)),
-        ("half-line q=0, h=+1", extensions.extension(hl, 1.0)),
-        ("square well depth -1 width 1.2, Neumann", extensions.extension(
-            models.half_line(PotentialSpec.square_well(-1.0, 1.2)), 0.0)),
-        ("square well depth -5 width 0.5, Neumann", extensions.extension(
-            models.half_line(PotentialSpec.square_well(-5.0, 0.5)), 0.0)),
-        ("square well depth -5 width 0.5, h=-1.5", extensions.extension(
-            models.half_line(PotentialSpec.square_well(-5.0, 0.5)), -1.5)),
+        ("half-line q=0, h=-3", extensions.extension(hl, -3.0), 0.0),
+        ("half-line q=0, h=-2", extensions.extension(hl, -2.0), 0.0),
+        ("half-line q=0, h=-0.5", extensions.extension(hl, -0.5), 0.0),
+        ("half-line q=0, h=+1", extensions.extension(hl, 1.0), 0.0),
+        ("square well depth -1 width 1.2, Neumann", extensions.extension(well_1, 0.0), -1.0),
+        ("square well depth -5 width 0.5, Neumann", extensions.extension(well_5, 0.0), -5.0),
+        ("square well depth -5 width 0.5, h=-1.5", extensions.extension(well_5, -1.5), -5.0),
+        # M(0) = J1(2)/J0(2) = 2.5759; with h = 2 the eigenvalue (about -1.3e-3)
+        # lies above the scan window, too close to 0 for the truncation cap
+        ("q = -exp(-x), Neumann", extensions.extension(exp_well, 0.0), -1.0),
+        ("q = -exp(-x), h=2", extensions.extension(exp_well, 2.0), None),
         ("operator potential diag(2,5), B=diag(0,5)", extensions.ExtensionSpec(
-            op, Matrix.diag([0.0, 5.0]))),
+            op, Matrix.diag([0.0, 5.0])), None),
         ("operator potential diag(2,5), B=diag(-1,0)", extensions.ExtensionSpec(
-            op, Matrix.diag([-1.0, 0.0]))),
+            op, Matrix.diag([-1.0, 0.0])), None),
     ]
 
 
 def suite_negative_count(rng: random.Random):
     out = []
-    for label, spec in negative_count_scenarios():
+    for label, spec, q_min in negative_count_scenarios():
         kappa_m, kappa_oracle = extensions.negative_count(spec)
         _check(out, f"negative count equality [{label}]",
                kappa_oracle is not None and kappa_m == kappa_oracle,
                f"M-route {kappa_m}, oracle {kappa_oracle}")
+        if q_min is not None:
+            # the form bound A_h >= min q - h^2 puts every eigenvalue above the window
+            h = spec.B.at(0, 0).real
+            rep = extensions.point_spectrum_real(spec, (q_min - h * h - 1.0, -0.01))
+            scanned = sum(mult for _x, mult in rep.eigenvalues)
+            _check(out, f"negative count equals the real scan [{label}]",
+                   not rep.unresolved and kappa_m == scanned,
+                   f"M-route {kappa_m}, scan {scanned}, unresolved {rep.unresolved}")
     # monotonicity behind the count law: lambda_min(B - M(x)) non-increasing
     hl = models.half_line(PotentialSpec.zero())
     vals = []
@@ -649,9 +663,11 @@ def suite_corner_sector_anchors(rng: random.Random):
     out = []
     co = models.corner(0.75)
     r = models.m_at_zero(co)
-    dev = abs(r.value.at(0, 0) + 1.0)
-    _check(out, "corner M(0) = -1 within 1e-4 by extrapolation",
-           r.method == "extrapolated" and dev <= 1e-4, f"M(0) = {r.value.at(0,0)}, est {r.est_error:.1e}")
+    _check(out, "corner M(0) = -1 exactly (closed form)",
+           r.method == "closed_form" and r.value.at(0, 0) == -1.0, f"M(0) = {r.value.at(0,0)}")
+    r = models.m_at_zero(models.multi_corner([0.6, 0.85]))
+    _check(out, "multi-corner M(0) = -I exactly (closed form)",
+           r.method == "closed_form" and r.value == Matrix.diag([-1.0, -1.0]), f"M(0) = {r.value}")
 
     sec = models.sector(0.75)
     r = models.m_at_zero(sec)

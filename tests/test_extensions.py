@@ -221,10 +221,15 @@ def test_negative_count_expression_tail_above_zero():
         assert k_m == k_o == count, b
 
 
-def test_negative_count_refuses_an_undecided_sign():
-    # M(0) = 2.27 +- 0.49 here, so B - M(0) = -0.27 for B = 2 lies inside 3 est_error:
-    # its sign, and with it the count, is not known
+def test_negative_count_refuses_an_undecided_sign(monkeypatch):
+    # M(0) = J1(2)/J0(2) = 2.5759 here, so B - M(0) = -0.58 for B = 2: one
+    # negative eigenvalue on both routes
     hl = models.half_line(PotentialSpec.expression("-exp(-x)"))
+    assert extensions.negative_count(extensions.extension(hl, 2.0)) == (1, 1)
+    # an M(0) of 2.27 +- 0.5 puts B - M(0) = -0.27 inside 3 est_error: its
+    # sign, and with it the count, is not known
+    uncertain = models.MZeroResult(Matrix.scalar(2.27), "threshold", 0.5)
+    monkeypatch.setattr(extensions, "m_at_zero", lambda model: uncertain)
     with pytest.raises(AccuracyError):
         extensions.negative_count(extensions.extension(hl, 2.0))
     # B = M(0) (the Krein extension) is an exact zero, counted as no negative eigenvalue

@@ -35,7 +35,8 @@ def test_corner_limit_minus_one():
     co = models.corner(0.75)
     vals = [models.evaluate(co, -(2.0**-k)).at(0, 0) for k in range(4, 14)]
     assert abs(vals[-1] + 1.0) < 1e-3
-    assert abs(models.m_at_zero(co).value.at(0, 0) + 1.0) < 1e-4
+    r = models.m_at_zero(co)
+    assert r.method == "closed_form" and r.value.at(0, 0) == -1.0 and r.est_error == 0.0
 
 
 def test_corner_range_guard():
@@ -58,8 +59,34 @@ def test_m_at_zero_methods():
     assert models.m_at_zero(models.operator_potential_halfline([2, 5])).method == "closed_form"
     assert models.m_at_zero(models.strip([2, 5])).method == "closed_form"
     assert models.m_at_zero(models.half_line(Q0)).method == "tail_matched"
-    assert models.m_at_zero(models.half_line(PotentialSpec.expression("-exp(-x)"))).method == "extrapolated"
-    assert models.m_at_zero(models.corner(0.8)).method == "extrapolated"
+    assert models.m_at_zero(models.half_line(PotentialSpec.expression("-exp(-x)"))).method == "threshold"
+    assert models.m_at_zero(models.corner(0.8)).method == "closed_form"
+    assert models.m_at_zero(models.finite_interval(Q0, 2.0)).method == "propagated"
+
+
+def test_every_model_kind_has_its_own_m_at_zero():
+    kinds = [cls for cls in models.WeylModel.__subclasses__() if cls is not models.CallableModel]
+    assert len(kinds) == 7
+    for cls in kinds:
+        assert "m_at_zero" in vars(cls), cls.__name__
+    with pytest.raises(NotImplementedError):
+        models.m_at_zero(models.callable_model(lambda z: Matrix.scalar(z), 1))
+
+
+@pytest.mark.parametrize("b", [1.3, 2.0])
+def test_m_at_zero_interval_free(b):
+    # q = 0 on [0, b]: u1 = 1, u2 = x at z = 0, so M(0) = [[-1, 1], [1, -1]] / b
+    r = models.m_at_zero(models.finite_interval(Q0, b))
+    want = Matrix.from_rows([[-1.0 / b, 1.0 / b], [1.0 / b, -1.0 / b]])
+    assert (r.value - want).norm_max() < 1e-14
+    assert r.est_error < 1e-10
+
+
+def test_m_at_zero_interval_dirichlet_eigenvalue_is_transversality_error():
+    # q = -1 on [0, pi]: sin x is a Dirichlet eigenfunction at 0
+    q = PotentialSpec.table([0.0, math.pi], [-1.0, -1.0])
+    with pytest.raises(TransversalityError):
+        models.m_at_zero(models.finite_interval(q, math.pi))
 
 
 def test_m_at_zero_halfline_zero():
@@ -95,23 +122,40 @@ def test_m_at_zero_expression_tail_above_zero(h):
     assert abs(r.value.at(0, 0) + math.sqrt(0.5)) < 1e-10
 
 
-@pytest.mark.parametrize("h, expected", [(0.3, 0.3161118041975832), (2.0, 11.453195351921437)])
-def test_m_at_zero_ladder_maps_h_once(h, expected):
-    # a tail of exactly 0 takes the ladder; it extrapolates M_inf, then maps the limit
+def test_m_at_zero_threshold_exp_well():
+    # -exp(-x): the bounded solution at z = 0 is J0(2 exp(-x/2)), so M(0) = J1(2)/J0(2)
+    r = models.m_at_zero(models.half_line(PotentialSpec.expression("-exp(-x)")))
+    exact = 2.575920321368222
+    assert r.method == "threshold"
+    assert abs(r.value.at(0, 0) - exact) < 1e-12 * exact
+    assert abs(r.value.at(0, 0) - exact) <= r.est_error
+
+
+@pytest.mark.parametrize(
+    "h, mapped, expected",
+    [(0.3, 0.29900880459021795, 0.2990088045901919), (2.0, 14.590748723047081, 14.590748723053132)],
+)
+def test_m_at_zero_threshold_maps_h_once(h, mapped, expected):
+    # a tail of exactly 0 takes the threshold route, which gives
+    # M_inf(0) = sqrt(1.5) J1(c)/J0(c), c = 1.4 sqrt(1.5); the h family maps it once
     q = PotentialSpec.expression("-1.5*exp(-x/0.7)")
     base = models.m_at_zero(models.half_line(q))
     m = base.value.at(0, 0).real
-    assert base.method == "extrapolated" and abs(m - 1.7770046504549175) < 1e-12
+    assert base.method == "threshold" and abs(m - 1.8191763343488256) < 1e-12
     r = models.m_at_zero(models.half_line(q, h))
-    assert r.method == "extrapolated"
+    assert r.method == "threshold"
     assert abs(r.value.at(0, 0) - (1.0 - h * m) / (m - h)) < 1e-12
-    assert abs(r.value.at(0, 0) - expected) < 1e-12
+    assert abs(r.value.at(0, 0) - mapped) < 1e-12  # the route's own output, pinned
+    # expected is the map of the exact M_inf(0); the map multiplies the error
+    # of m by |1 - h^2| / (m - h)^2 (92 at h = 2), so this bound is relative
+    assert abs(r.value.at(0, 0) - expected) < 1e-12 * abs(expected)
+    assert abs(r.value.at(0, 0) - expected) <= r.est_error
     assert r.est_error == pytest.approx(base.est_error * abs(1.0 - h * h) / (m - h) ** 2, rel=1e-12)
 
 
-@pytest.mark.parametrize("source", ["0.5 - exp(-x)", None])
+@pytest.mark.parametrize("source", ["0.5 - exp(-x)", "-exp(-x)", None])
 def test_m_at_zero_direct_zero_y0_is_transversality_error(monkeypatch, source):
-    # y(0; 0) = 0 is one condition whether the tail is truncated or matched
+    # y(0; 0) = 0 is one condition whether the tail is truncated, seeded at the threshold or matched
     q = PotentialSpec.table([0.0, 1.0], [0.5, 0.5]) if source is None else PotentialSpec.expression(source)
     monkeypatch.setattr(slsolve, "_endpoint", lambda *args: (0j, 1.0 + 0j))
     with pytest.raises(TransversalityError, match="unbounded"):
@@ -157,6 +201,8 @@ def test_multi_corner_structure():
     assert m.at(0, 1) == 0 and m.at(1, 0) == 0
     assert m.at(0, 0) == models.evaluate(models.corner(0.6), z).at(0, 0)
     assert m.at(1, 1) == models.evaluate(models.corner(0.85), z).at(0, 0)
+    r = models.m_at_zero(mc)
+    assert r.method == "closed_form" and r.value == Matrix.diag([-1.0, -1.0])
 
 
 def test_radial_equals_halfline():
