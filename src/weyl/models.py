@@ -29,21 +29,25 @@ import cmath
 import math
 from dataclasses import dataclass, field
 
-from . import oracle, slsolve
-from .errors import (AccuracyError, ContractError, DomainError, EvalError, PoleError, RangeError,
+from . import oracle
+from .errors import (ContractError, DomainError, EvalError, PoleError, RangeError,
                      TransversalityError)
 from .linalg import Matrix, herm_part, lambda_min
 from .slsolve import (
-    TRUNCATION_CAP,
     PotentialSpec,
-    _decaying_solution,
+    boundary_ratio,
+    decaying_solution,
     finite_interval_M,
     fundamental_system,
+    h_map,
     halfline_m,
     tail_support,
-    truncation_length,
+    threshold_solution,
 )
 from .specfun import BESSEL_RANGE, bessel_j, cpow, gamma, sqrt_upper, upper_power
+
+# the propagation tolerance of every M(0) route that integrates
+M0_RTOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,10 @@ class WeylModel:
         for name, value in values.items():
             object.__setattr__(self, name, value)
 
-    def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
+    def M(self, z: complex) -> Matrix:
         raise NotImplementedError
 
-    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+    def m_at_zero(self) -> MZeroResult:
         raise NotImplementedError
 
 
@@ -88,60 +92,53 @@ class HalfLine(WeylModel):
     def __post_init__(self):
         self._derive(ess_floor=self.q.tail)
 
-    def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
-        return Matrix.scalar(halfline_m(self.q, self.h, z, rtol=rtol))
+    def M(self, z: complex) -> Matrix:
+        return Matrix.scalar(halfline_m(self.q, self.h, z))
 
     def pole_indicator(self, x: float) -> float:
         """y(0; x) of the decaying solution."""
-        return _decaying_solution(self.q, complex(x))[0].real
+        return decaying_solution(self.q, complex(x))[0].real
 
-    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+    def m_at_zero(self) -> MZeroResult:
         """M_inf(0) = y'(0)/y(0) of the solution bounded at infinity at z = 0
-        itself, mapped once through the h family.  A floor below 0 has no M(0)."""
+        itself, mapped once through the h family.  A floor below 0 has no M(0).
+
+        A floor of exactly 0 without a constant tail takes threshold_solution
+        and adds its settling error to the estimate.  Otherwise it is the
+        decaying solution at z = 0: tail-matched, or truncated where M is
+        analytic at 0, adding twice the truncation error, the relative error
+        of a truncated m (labelled by the tail, as an error may underflow to
+        0).  y(0) = 0 has no M(0).
+        """
         if self.ess_floor < 0.0:
             raise DomainError(
                 f"0 lies in the essential spectrum [{self.ess_floor}, inf): M(0) does not exist"
             )
-        m, est, method = self._m_inf_at_zero(rtol)
+        matched = tail_support(self.q) is not None
+        threshold = self.ess_floor == 0.0 and not matched
+        try:
+            if threshold:
+                y, yp, error = threshold_solution(self.q, M0_RTOL)
+            else:
+                y, yp, error = decaying_solution(self.q, 0j, rtol=M0_RTOL)
+            m = boundary_ratio(y, yp, 0j).real
+        except PoleError as e:
+            raise TransversalityError("y(0; 0) = 0: M(x) is unbounded as x -> 0-") from e
+        est = M0_RTOL * (1.0 + abs(m)) * max(abs(y), abs(yp)) / abs(y)
+        if threshold:
+            method, est = "threshold", est + error
+        elif matched:
+            method = "tail_matched"
+        else:
+            method, est = "truncated", est + 2.0 * error * (1.0 + abs(m))
         if self.h is not None:
             denom = m - self.h
-            if abs(denom) < 1e-13 * (1.0 + abs(m)):
-                raise TransversalityError(f"M(0) = h = {self.h}: pole of the h-triplet family")
+            try:
+                m = h_map(m, self.h)
+            except PoleError as e:
+                raise TransversalityError(f"M(0) = h = {self.h}: pole of the h-triplet family") from e
             est *= abs(1.0 - self.h * self.h) / (denom * denom)
-            m = (1.0 - self.h * m) / denom
         return MZeroResult(Matrix.scalar(m), method, est)
-
-    def _m_inf_at_zero(self, rtol: float):
-        """(M_inf(0), estimate, method); the floor is >= 0 here.
-
-        An exactly constant tail seeds the decaying solution exp(-sqrt(tail) x)
-        there, (1, 0) for a zero tail.  A floor of exactly 0 without one seeds
-        that bounded threshold solution (1, 0) at L = 20, 40, 80, 160 and the
-        truncation cap until two successive values agree to rtol, and the
-        estimate adds their difference.  A floor above 0 makes M analytic at 0:
-        halfline_m gives it, and its estimate adds twice the truncation estimate
-        exp(-2 kappa L), the relative error of a truncated m.
-        """
-        q = self.q
-        if tail_support(q) is not None:
-            return (*_bounded_ratio(*_decaying_solution(q, 0j, None, rtol), rtol), "tail_matched")
-        if self.ess_floor == 0.0:
-            previous, length = None, 20.0
-            while True:
-                y, yp = slsolve._endpoint(q, 0j, length, (1.0 + 0j, 0j), float(rtol))
-                m, est = _bounded_ratio(y, yp, rtol)
-                if previous is not None and abs(m - previous) <= rtol * (1.0 + abs(m)):
-                    return m, abs(m - previous) + est, "threshold"
-                if length >= TRUNCATION_CAP:
-                    raise AccuracyError(
-                        f"M(0) did not settle by L = {length:g}", estimate=abs(m - previous)
-                    )
-                previous, length = m, min(2.0 * length, TRUNCATION_CAP)
-        try:
-            m = halfline_m(q, None, 0.0, rtol=rtol).real
-        except PoleError as e:  # the y(0; 0) = 0 test of _bounded_ratio
-            raise TransversalityError(_UNBOUNDED) from e
-        return m, (rtol + 2.0 * truncation_length(q, 0.0)[1]) * (1.0 + abs(m)), "truncated"
 
     def oracle_operators(self, b: Matrix):
         if self.h is not None:
@@ -166,18 +163,6 @@ class HalfLine(WeylModel):
         return min([c for _lo, _hi, c in pieces if c is not None] + list(self.q.values)) - 1.0, 0.0
 
 
-_UNBOUNDED = "y(0; 0) = 0: M(x) is unbounded as x -> 0-"
-
-
-def _bounded_ratio(y: complex, yp: complex, rtol: float):
-    """(y'(0)/y(0), its propagation error) of the solution bounded at infinity."""
-    scale = max(abs(y), abs(yp))
-    if abs(y) < 1e-13 * scale:
-        raise TransversalityError(_UNBOUNDED)
-    m = (yp / y).real
-    return m, rtol * (1.0 + abs(m)) * scale / abs(y)
-
-
 @dataclass(frozen=True)
 class FiniteInterval(WeylModel):
     """-y'' + q y on [0, b] with the triplet (y(0), y(b)) / (y'(0), -y'(b))."""
@@ -188,18 +173,18 @@ class FiniteInterval(WeylModel):
     n = 2
     ess_floor = math.inf
 
-    def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
-        return finite_interval_M(self.q, self.b, z, rtol=rtol)
+    def M(self, z: complex) -> Matrix:
+        return finite_interval_M(self.q, self.b, z)
 
-    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+    def m_at_zero(self) -> MZeroResult:
         """M(0) itself: M is analytic at 0 unless 0 is a Dirichlet eigenvalue.
         The entries of M are u1(b), 1 and u2'(b) over u2(b), so the relative
-        error rtol of the solutions grows by at most about (1 + |M|)^2."""
+        error M0_RTOL of the solutions grows by at most about (1 + |M|)^2."""
         try:
-            value = finite_interval_M(self.q, self.b, 0j, rtol=rtol)
+            value = finite_interval_M(self.q, self.b, 0j, rtol=M0_RTOL)
         except PoleError as e:
             raise TransversalityError("0 is a Dirichlet eigenvalue: M(x) is unbounded as x -> 0-") from e
-        return MZeroResult(herm_part(value), "propagated", rtol * (1.0 + value.norm_max()) ** 2)
+        return MZeroResult(herm_part(value), "propagated", M0_RTOL * (1.0 + value.norm_max()) ** 2)
 
     def pole_indicator(self, x: float) -> float:
         """det Y0(x)."""
@@ -239,12 +224,12 @@ class OperatorPotentialHalfline(WeylModel):
         a = _checked_diagonal(self.a_diag, "operator potential")
         self._derive(a_diag=a, n=len(a), ess_floor=min(a) - 1.0)
 
-    def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
+    def M(self, z: complex) -> Matrix:
         # sqrt(a-1-z) with Re >= 0 (decaying defect solution) = -i sqrt_upper(z-(a-1))
         roots = [-1j * sqrt_upper(z - (a - 1.0)) for a in self.a_diag]
         return Matrix.diag([math.sqrt(a) * (math.sqrt(a) - r) for a, r in zip(self.a_diag, roots)])
 
-    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+    def m_at_zero(self) -> MZeroResult:
         vals = [math.sqrt(a) * (math.sqrt(a) - math.sqrt(a - 1.0)) for a in self.a_diag]
         return MZeroResult(Matrix.diag(vals), "closed_form", 0.0)
 
@@ -287,7 +272,7 @@ class Strip(WeylModel):
             raise EvalError("strip width must be positive")
         self._derive(a_diag=a, width=float(self.width), n=2 * len(a), ess_floor=min(a) - 1.0)
 
-    def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
+    def M(self, z: complex) -> Matrix:
         m = len(self.a_diag)
         out = [[0j] * (2 * m) for _ in range(2 * m)]
         for i, a in enumerate(self.a_diag):
@@ -297,7 +282,7 @@ class Strip(WeylModel):
             out[i][m + i] = out[m + i][i] = -ra * csch
         return Matrix.from_rows(out)
 
-    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+    def m_at_zero(self) -> MZeroResult:
         # the strip entries depend on kappa^2 only, hence are analytic at 0
         return MZeroResult(herm_part(self.M(0j)), "closed_form", 0.0)
 
@@ -339,7 +324,7 @@ class Corner(WeylModel):
         beta = _checked_beta(self.beta)
         self._derive(beta=beta, _gamma_minus=gamma(1.0 - beta), _gamma_plus=gamma(1.0 + beta))
 
-    def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
+    def M(self, z: complex) -> Matrix:
         return Matrix.scalar(self.scalar(z))
 
     def scalar(self, z: complex) -> complex:
@@ -352,7 +337,7 @@ class Corner(WeylModel):
             raise DomainError(f"corner model pole at z={z}")
         return -num / den
 
-    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+    def m_at_zero(self) -> MZeroResult:
         # J_{+-beta}(s) ~ (s/2)^(+-beta) / Gamma(1 +- beta) as s -> 0: the
         # Gamma factors and the powers of s/2 cancel in the quotient
         return MZeroResult(Matrix.scalar(-1.0), "closed_form", 0.0)
@@ -369,10 +354,10 @@ class MultiCorner(WeylModel):
         corners = tuple(Corner(b) for b in self.betas)
         self._derive(betas=tuple(c.beta for c in corners), n=len(corners), _corners=corners)
 
-    def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
+    def M(self, z: complex) -> Matrix:
         return Matrix.diag([c.scalar(z) for c in self._corners])
 
-    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+    def m_at_zero(self) -> MZeroResult:
         return MZeroResult(Matrix.diag([-1.0] * self.n), "closed_form", 0.0)
 
 
@@ -395,10 +380,10 @@ class Sector(WeylModel):
         # law are unchanged.
         self._derive(beta=beta, _coefficient=-sector_constant(beta))
 
-    def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
+    def M(self, z: complex) -> Matrix:
         return Matrix.scalar(self._coefficient * upper_power(z, self.beta))
 
-    def m_at_zero(self, rtol: float = 1e-11) -> MZeroResult:
+    def m_at_zero(self) -> MZeroResult:
         return MZeroResult(Matrix.scalar(0.0), "closed_form", 0.0)
 
 
@@ -411,7 +396,7 @@ class CallableModel(WeylModel):
     ess_floor: float = 0.0
     kind = "_callable"
 
-    def M(self, z: complex, rtol: float = 1e-10) -> Matrix:
+    def M(self, z: complex) -> Matrix:
         return self.fn(z)
 
 
@@ -441,24 +426,24 @@ def _is_diagonal(b: Matrix) -> bool:
 # -- evaluation -------------------------------------------------------------
 
 
-def evaluate(model: WeylModel, z: complex, rtol: float = 1e-10) -> Matrix:
+def evaluate(model: WeylModel, z: complex) -> Matrix:
     """M(z) for z with Im z != 0, or real z below the essential-spectrum floor."""
     z = complex(z)
     if z.imag == 0.0 and z.real >= model.ess_floor:
         raise DomainError(
             f"z={z.real} lies on/above the essential-spectrum floor {model.ess_floor}"
         )
-    return model.M(z, rtol)
+    return model.M(z)
 
 
 # -- M(0) -------------------------------------------------------------------
 
 
-def m_at_zero(model: WeylModel, rtol: float = 1e-11) -> MZeroResult:
+def m_at_zero(model: WeylModel) -> MZeroResult:
     """Boundary value M(0) = lim_{x -> 0-} M(x), by the model's own direct
     route: a closed form, the bounded solution at z = 0 (tail-matched, seeded
     at the threshold or Dirichlet-truncated), or the propagated M(0) itself."""
-    return model.m_at_zero(rtol)
+    return model.m_at_zero()
 
 
 # -- classification report ----------------------------------------------------

@@ -7,12 +7,10 @@ exact transfer matrix [[cosh kh, sinh kh / k], [k sinh kh, cosh kh]],
 k^2 = q - z.  Where q varies (a table segment, an expression) it steps the
 exact exponential of the 4th-order Magnus generator on a mesh built once per
 (potential, piece) and shared by every z, extrapolating nested halvings of it
-to rtol.  The half-line m-function integrates backward to 0 rather than
-solving a Riccati equation (no blow-through at solution zeros).  When q is
-exactly constant beyond some point the integration is seeded there with the
-decaying tail solution exp(-kappa x), with no truncation error; otherwise it
-starts from a Dirichlet truncation at x = L, whose error is exponentially
-small and estimable (~ exp(-2 Im sqrt(z - q_inf) L)).
+to rtol.  Only this module seeds, truncates or thresholds the half-line
+solution (decaying_solution, threshold_solution), integrating it backward to
+0 rather than through a Riccati equation (no blow-through at solution zeros);
+boundary_ratio is the one y(0) = 0 test and h_map the one h-family map.
 
 An expression potential is compiled once per PotentialSpec
 (expr.compile_potential, cached with the parsed tree) and value() runs the
@@ -219,30 +217,25 @@ _GAUSS = math.sqrt(3.0) / 6.0  # the Gauss points sit at the middle -/+ this tim
 _MAGNUS_C = math.sqrt(3.0) / 12.0
 
 
-def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10,
-                  record: bool = False):
-    """Integrate (y, y')' = (y', (q - z) y) over span = (a, b).
+def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10):
+    """Integrate (y, y')' = (y', (q - z) y) over span = (a, b); returns (y(b), y'(b)).
 
     Exact transfer matrices on the pieces where q is constant, Magnus steps
-    on a z-independent mesh on the others.  Returns (y(b), y'(b)) or, with
-    record=True, ((y(b), y'(b)), samples) where samples is the list of
-    (x, y, y') at the nodes stepped (of the accepted mesh level on a varying
-    piece).  The span may be decreasing.
+    on a z-independent mesh on the others.  The span may be decreasing.
     """
     a, b = float(span[0]), float(span[1])
     y, yp = complex(y0[0]), complex(y0[1])
     z = complex(z)
-    samples = [(a, y, yp)] if record else None
     if a != b:
         pieces = q.pieces(min(a, b), max(a, b))
         if b < a:
             pieces = [(hi, lo, c) for lo, hi, c in reversed(pieces)]
         for start, end, c in pieces:
             if c is None:
-                y, yp = _magnus(q, z, y, yp, start, end, rtol, samples)
+                y, yp = _magnus(q, z, y, yp, start, end, rtol)
             else:
-                y, yp = _transfer(c - z, y, yp, start, end, samples)
-    return ((y, yp), samples) if record else (y, yp)
+                y, yp = _transfer(c - z, y, yp, start, end)
+    return y, yp
 
 
 def _check_finite(y: complex, yp: complex, a: float, b: float):
@@ -250,7 +243,7 @@ def _check_finite(y: complex, yp: complex, a: float, b: float):
         raise RangeError(f"solution overflows double range on [{a}, {b}]")
 
 
-def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float, samples):
+def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float):
     """Exact steps of y'' = k2 y from a to b, cut so that |Re k h| <= _EXACT_GROWTH."""
     k = cmath.sqrt(k2)
     n = max(1, math.ceil(abs(k.real * (b - a)) / _EXACT_GROWTH))
@@ -266,16 +259,14 @@ def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float, samples)
         sh = cmath.sinh(k * h)
         sk = sh / k
         ks = k * sh
-    for i in range(1, n + 1):
+    for _ in range(n):
         y, yp = ch * y + sk * yp, ks * y + ch * yp
-        if samples is not None:
-            samples.append((a + i * h, y, yp))
     _check_finite(y, yp, a, b)
     return y, yp
 
 
 def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: float,
-            rtol: float, samples):
+            rtol: float):
     """(y(b), y'(b)) from a to b inside one varying piece of q, to rtol.
 
     Sweeps mesh levels 0, 1, 2, ... from the same (y, y'), so all share one
@@ -293,7 +284,7 @@ def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: 
     r4 = y_prev = None
     d = 0.0
     for level in range(_MAX_LEVEL + 1):
-        yk = mesh.sweep(z, y, yp, a, b, level, None)
+        yk = mesh.sweep(z, y, yp, a, b, level)
         _check_finite(*yk, a, b)
         if level >= 1:
             r4, r4_prev = _richardson(yk, y_prev, 15.0), r4
@@ -304,9 +295,6 @@ def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: 
             if d_prev < 8.0 * d:
                 err = max(err, d)
             if err <= rtol * scale:
-                if samples is not None:
-                    mesh.sweep(z, y, yp, a, b, level, samples)
-                    samples[-1] = (b, u, p)
                 return u, p
         y_prev = yk
     raise AccuracyError(f"Magnus mesh on [{a}, {b}] unresolved at z={z} after level {_MAX_LEVEL}",
@@ -377,9 +365,8 @@ class _Mesh:
             out.extend((0.5 * (q1 + q2), _MAGNUS_C * w * w * (q1 - q2), w))
         return out
 
-    def sweep(self, z: complex, y: complex, yp: complex, a: float, b: float, level: int,
-              samples):
-        """(y(b), y'(b)) by the Magnus steps of one level from x = a; appends (x, y, y') to samples.
+    def sweep(self, z: complex, y: complex, yp: complex, a: float, b: float, level: int):
+        """(y(b), y'(b)) by the Magnus steps of one level from x = a.
 
         A subcell stepped toward larger t has Omega = [[c, h], [h (qbar - z), -c]],
         h = dir w, and toward smaller t the same with h and c negated;
@@ -404,7 +391,7 @@ class _Mesh:
             subcells = zip(cells[0::3], cells[1::3], cells[2::3])
         else:
             subcells = zip(cells[-3::-3], cells[-2::-3], cells[-1::-3])
-        x, sqrt, cosh, sinh = a, cmath.sqrt, cmath.cosh, cmath.sinh
+        sqrt, cosh, sinh = cmath.sqrt, cmath.cosh, cmath.sinh
         for qbar, c, w in subcells:
             c *= sign
             h = sign * d * w
@@ -413,9 +400,6 @@ class _Mesh:
             ch, sh = (cosh(s), sinh(s) / s) if s else (1.0, 1.0)
             shc, shh = sh * c, sh * h
             y, yp = (ch + shc) * y + shh * yp, shh * p * y + (ch - shc) * yp
-            if samples is not None:
-                x += h
-                samples.append((x, y, yp))
         return y, yp
 
 
@@ -451,16 +435,6 @@ def finite_interval_M(q: PotentialSpec, b: float, z: complex,
     return Matrix.from_rows([[-u1b / u2b, 1.0 / u2b], [1.0 / u2b, -u2pb / u2b]])
 
 
-def truncation_length(q: PotentialSpec, z: complex):
-    """(auto L, truncation error estimate) for the half-line Dirichlet cutoff."""
-    kappa = sqrt_upper(complex(z) - q.tail).imag
-    if kappa <= 0.0:
-        raise AccuracyError(f"z={z} sits on the essential spectrum tail", estimate=1.0)
-    needed = -0.5 * math.log(_TRUNC_TARGET) / kappa
-    L = min(TRUNCATION_CAP, max(12.0, needed))
-    return L, math.exp(-2.0 * kappa * L)
-
-
 @lru_cache(maxsize=200_000)
 def _endpoint(q: PotentialSpec, z: complex, start: float, seed: tuple, rtol: float):
     """(y(0), y'(0)) from seed = (y, y') at x = start, integrated back in rescaled chunks.
@@ -486,71 +460,93 @@ def tail_support(q: PotentialSpec) -> float | None:
     return None if c is None else lo
 
 
-def _decaying_solution(q: PotentialSpec, z: complex, L: float | None = None,
-                       rtol: float = 1e-10):
-    """(y(0), y'(0)) of the solution of l[y] = z y that decays at infinity.
+def decaying_solution(q: PotentialSpec, z: complex, L: float | None = None,
+                      rtol: float = 1e-10):
+    """(y(0), y'(0), truncation error) of the solution of l[y] = z y that decays at infinity.
 
     With L = None and q exactly constant beyond tail_support(q), it is seeded
     there with the tail solution exp(-kappa x), kappa the Re >= 0 root of
-    (tail - z): no truncation error.  At z = tail that seed is the bounded
+    (tail - z), and the error is 0.0.  At z = tail that seed is the bounded
     solution (1, 0).  Otherwise the seed is y(L) = 0, y'(L) = 1, a Dirichlet
-    truncation (L from truncation_length when None) whose error halfline_m
-    checks.
+    truncation with relative error exp(-2 Im sqrt(z - tail) L); L = None
+    takes the L that makes it _TRUNC_TARGET, at least 12 and at most
+    TRUNCATION_CAP.  A truncation with z on the essential spectrum, or with
+    an error above _TRUNC_RAISE, raises AccuracyError.
     """
+    z = complex(z)
     support = tail_support(q) if L is None else None
     if support is not None:
         kappa = -1j * sqrt_upper(z - q.tail)
-        return _endpoint(q, z, support, (1.0 + 0j, -kappa), float(rtol))
+        return (*_endpoint(q, z, support, (1.0 + 0j, -kappa), float(rtol)), 0.0)
+    kappa = sqrt_upper(z - q.tail).imag
+    if kappa <= 0.0:
+        raise AccuracyError(f"z={z} sits on the essential spectrum tail", estimate=1.0)
     if L is None:
-        L, _estimate = truncation_length(q, z)
-    return _endpoint(q, z, float(L), (0.0 + 0j, 1.0 + 0j), float(rtol))
+        L = min(TRUNCATION_CAP, max(12.0, -0.5 * math.log(_TRUNC_TARGET) / kappa))
+    error = math.exp(-2.0 * kappa * L)
+    if error > _TRUNC_RAISE:
+        raise AccuracyError(f"truncation at L={L:.1f} insufficient for z={z}", estimate=error)
+    return (*_endpoint(q, z, float(L), (0.0 + 0j, 1.0 + 0j), float(rtol)), error)
 
 
-def halfline_m_exact_tail(q: PotentialSpec, z: complex, rtol: float = 1e-11) -> complex:
+def threshold_solution(q: PotentialSpec, rtol: float = 1e-10):
+    """(y(0), y'(0), settling error) of the solution bounded at infinity at z = 0,
+    for a q that tends to 0 without being exactly constant.
+
+    Seeds that threshold solution (1, 0) at L = 20, 40, 80, 160 and
+    TRUNCATION_CAP until two successive m = Re y'(0)/y(0) agree to
+    rtol (1 + |m|); their difference is the settling error.  No agreement by
+    the cap raises AccuracyError, and y(0) = 0 raises PoleError.
+    """
+    previous, length = None, 20.0
+    while True:
+        y, yp = _endpoint(q, 0j, length, (1.0 + 0j, 0j), float(rtol))
+        m = boundary_ratio(y, yp, 0j).real
+        if previous is not None and abs(m - previous) <= rtol * (1.0 + abs(m)):
+            return y, yp, abs(m - previous)
+        if length >= TRUNCATION_CAP:
+            raise AccuracyError(f"M(0) did not settle by L = {length:g}", estimate=abs(m - previous))
+        previous, length = m, min(2.0 * length, TRUNCATION_CAP)
+
+
+def boundary_ratio(y: complex, yp: complex, z: complex) -> complex:
+    """y'(0)/y(0); PoleError where y(0) vanishes to 1e-13 of max(|y(0)|, |y'(0)|)."""
+    if abs(y) < 1e-13 * max(abs(y), abs(yp)):
+        raise PoleError(f"z={z} is numerically an eigenvalue of the reference Dirichlet problem")
+    return yp / y
+
+
+def h_map(m: complex, h: float) -> complex:
+    """The member (1 - h m) / (m - h) of the h family; PoleError where m = h."""
+    denom = m - h
+    if abs(denom) < 1e-13 * (1.0 + abs(m)):
+        raise PoleError(f"m_inf(z) = h = {h}: pole of the h-triplet family")
+    return (1.0 - h * m) / denom
+
+
+def halfline_m_exact_tail(q: PotentialSpec, z: complex) -> complex:
     """m_inf(z) through the tail-matched route; requires a constant tail."""
     if tail_support(q) is None:
         raise AccuracyError("potential has no exactly-constant tail", estimate=1.0)
-    return halfline_m(q, None, z, rtol=rtol)
+    return halfline_m(q, None, z, rtol=1e-11)
 
 
 def halfline_m(q: PotentialSpec, h, z: complex, L: float | None = None,
                rtol: float = 1e-10) -> complex:
     """Half-line m-function for the triplet (y(0), y'(0)).
 
-    m_inf = y'(0)/y(0) of the decaying solution: tail-matched when q has an
+    m_inf = y'(0)/y(0) of decaying_solution: tail-matched when q has an
     exactly constant tail and L is None, else Dirichlet-truncated at L.
-    h = None selects m_inf itself; a finite real h applies the
-    one-parameter family m_h(z) = (1 - h m_inf(z)) / (m_inf(z) - h).  That
-    relation is the convention anchor for the whole family; note it maps the
-    upper half-plane to itself only for |h| > 1 (the |h| < 1 members arise
-    from an orientation-reversing coordinate change).
+    z on the essential spectrum is refused on either route.  h = None
+    selects m_inf itself; a finite real h applies h_map, the one-parameter
+    family m_h(z) = (1 - h m_inf(z)) / (m_inf(z) - h).  That relation is the
+    convention anchor for the whole family; note it maps the upper
+    half-plane to itself only for |h| > 1 (the |h| < 1 members arise from an
+    orientation-reversing coordinate change).
     """
     z = complex(z)
-    if L is None and tail_support(q) is not None:
-        if sqrt_upper(z - q.tail).imag <= 0.0:
-            raise AccuracyError(f"z={z} sits on the essential spectrum tail", estimate=1.0)
-    else:
-        if L is None:
-            L, estimate = truncation_length(q, z)
-        else:
-            kappa = sqrt_upper(z - q.tail).imag
-            estimate = math.exp(-2.0 * kappa * L) if kappa > 0 else 1.0
-        if estimate > _TRUNC_RAISE:
-            raise AccuracyError(
-                f"truncation at L={L:.1f} insufficient for z={z}", estimate=estimate
-            )
-    y, yp = _decaying_solution(q, z, L, rtol)
-    scale = max(abs(y), abs(yp))
-    if abs(y) < 1e-13 * scale:
-        raise PoleError(
-            f"z={z} is numerically an eigenvalue of the reference Dirichlet problem",
-            location=z,
-        )
-    m_inf = yp / y
-    if h is None:
-        return m_inf
-    h = float(h)
-    denom = m_inf - h
-    if abs(denom) < 1e-13 * (1.0 + abs(m_inf)):
-        raise PoleError(f"m_inf(z) = h = {h}: pole of the h-triplet family", location=z)
-    return (1.0 - h * m_inf) / denom
+    if sqrt_upper(z - q.tail).imag <= 0.0:
+        raise AccuracyError(f"z={z} sits on the essential spectrum tail", estimate=1.0)
+    y, yp, _error = decaying_solution(q, z, L, rtol)
+    m_inf = boundary_ratio(y, yp, z)
+    return m_inf if h is None else h_map(m_inf, float(h))

@@ -20,7 +20,6 @@ from .expr import evaluate as expr_eval
 from .expr import parse_potential
 from .errors import ParseError, WeylError
 from .linalg import Matrix, det, herm_part, imag_part, inverse, lambda_min
-from .models import WeylModel
 from .slsolve import PotentialSpec, fundamental_system, halfline_m
 from .specfun import cpow, sqrt_upper, upper_power
 
@@ -70,17 +69,9 @@ def catalog() -> dict:
     }
 
 
-def _sample_z(rng: random.Random, model: WeylModel) -> complex:
-    """Upper-half-plane sample inside the model's numerically admissible region."""
-    while True:
-        z = complex(rng.uniform(-20.0, 20.0), rng.uniform(0.3, 20.0))
-        if abs(z) > 900.0:
-            continue
-        if model.kind == "half_line":
-            # keep the Dirichlet truncation inside its cap
-            if sqrt_upper(z - model.q.tail).imag < 0.08:
-                continue
-        return z
+def _sample_z(rng: random.Random) -> complex:
+    """Upper-half-plane sample, |Re z| <= 20 and 0.3 <= Im z <= 20."""
+    return complex(rng.uniform(-20.0, 20.0), rng.uniform(0.3, 20.0))
 
 
 # -- suite: herglotz ----------------------------------------------------------
@@ -92,7 +83,7 @@ def suite_herglotz(rng: random.Random, samples_per_kind: int = 200):
         worst = math.inf
         bad = 0
         for _ in range(samples_per_kind):
-            z = _sample_z(rng, model)
+            z = _sample_z(rng)
             m = models.evaluate(model, z)
             lam = lambda_min(imag_part(m))
             scale = max(m.norm_fro(), 1e-30)
@@ -114,7 +105,7 @@ def suite_herglotz(rng: random.Random, samples_per_kind: int = 200):
 def suite_nevanlinna_kernel(rng: random.Random, trials: int = 50):
     out = []
     for kind, model in catalog().items():
-        pool = [_sample_z(rng, model) for _ in range(24)]
+        pool = [_sample_z(rng) for _ in range(24)]
         worst = math.inf
         bad = 0
         for _ in range(trials):
@@ -146,7 +137,7 @@ def suite_conjugate_symmetry(rng: random.Random):
     for kind, model in catalog().items():
         worst = 0.0
         for _ in range(6):
-            z = _sample_z(rng, model)
+            z = _sample_z(rng)
             a = models.evaluate(model, z.conjugate())
             b = models.evaluate(model, z).adjoint()
             worst = max(worst, (a - b).norm_fro() / max(1.0, b.norm_fro()))
@@ -505,12 +496,12 @@ def suite_charfun_identities(rng: random.Random):
 
     cases = []
     for _ in range(36):
-        cases.append((hl, Matrix.scalar(1j), _sample_z(rng, hl)))
+        cases.append((hl, Matrix.scalar(1j), _sample_z(rng)))
     bf = Matrix.from_rows([[1 + 1j, 0.3], [0.3, -0.5 - 0.7j]])
     for _ in range(32):
         cases.append((fi, bf, complex(rng.uniform(-3, 3), rng.uniform(0.4, 6))))
     for _ in range(32):
-        cases.append((sec, Matrix.scalar(cb * h_sector), _sample_z(rng, sec)))
+        cases.append((sec, Matrix.scalar(cb * h_sector), _sample_z(rng)))
 
     worst_cayley = 0.0
     worst_jc = math.inf
@@ -537,7 +528,7 @@ def suite_charfun_identities(rng: random.Random):
     # resolvent form vs colligation form, the former by the route `charfn` takes
     worst_scalar = 0.0
     for _ in range(20):
-        z = _sample_z(rng, hl)
+        z = _sample_z(rng)
         mz = models.evaluate(hl, z)
         w47 = charfun.char_function_from_m(col, mz)
         w49 = charfun.char_function_colligation(col, mz)
@@ -562,7 +553,7 @@ def suite_charfun_identities(rng: random.Random):
     worst_mod = 0.0
     twist = cmath.exp(2j * beta * math.pi)
     for _ in range(25):
-        z = _sample_z(rng, sec)
+        z = _sample_z(rng)
         w = charfun.char_function(spec_s, z).at(0, 0)
         zb = upper_power(z, beta)
         closed = (zb + h_sector) / (zb + twist * h_sector.conjugate())
@@ -577,7 +568,7 @@ def suite_charfun_identities(rng: random.Random):
 
     worst = 0.0
     for _ in range(15):
-        z = _sample_z(rng, hl)
+        z = _sample_z(rng)
         w = charfun.char_function(extensions.extension(hl, 1j), z).at(0, 0)
         worst = max(worst, abs(w))
     _check(out, "scalar dissipative |W| < 1 on the upper half-plane", worst < 1.0,
@@ -711,7 +702,7 @@ def suite_corner_sector_anchors(rng: random.Random):
     hlw = models.half_line(PotentialSpec.square_well(-1.0, 1.2))
     worst = 0.0
     for _ in range(5):
-        z = _sample_z(rng, rad)
+        z = _sample_z(rng)
         worst = max(worst, (models.evaluate(rad, z) - models.evaluate(hlw, z)).norm_fro())
     _check(out, "radial model delegates to the half-line model (<= 1e-12)",
            worst <= 1e-12, f"worst {worst:.1e}")

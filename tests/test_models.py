@@ -60,6 +60,8 @@ def test_m_at_zero_methods():
     assert models.m_at_zero(models.strip([2, 5])).method == "closed_form"
     assert models.m_at_zero(models.half_line(Q0)).method == "tail_matched"
     assert models.m_at_zero(models.half_line(PotentialSpec.expression("-exp(-x)"))).method == "threshold"
+    # a truncation error that underflows to 0 is still a truncation
+    assert models.m_at_zero(models.half_line(PotentialSpec.expression("1000 + exp(-x)"))).method == "truncated"
     assert models.m_at_zero(models.corner(0.8)).method == "closed_form"
     assert models.m_at_zero(models.finite_interval(Q0, 2.0)).method == "propagated"
 
@@ -116,6 +118,7 @@ def test_m_at_zero_expression_tail_above_zero(h):
     assert r.method == "truncated"
     ref = halfline_m(q, h, 0.0, rtol=1e-12).real
     assert abs(r.value.at(0, 0) - ref) < 1e-10 and r.est_error < 1e-10
+    assert abs(r.value.at(0, 0) - ref) <= r.est_error
     m_inf = -0.2308023113
     assert abs(halfline_m(q, None, 0.0).real - m_inf) < 1e-9
     r = models.m_at_zero(models.half_line(PotentialSpec.expression("0.5 + 0*x")))
@@ -160,6 +163,12 @@ def test_m_at_zero_direct_zero_y0_is_transversality_error(monkeypatch, source):
     monkeypatch.setattr(slsolve, "_endpoint", lambda *args: (0j, 1.0 + 0j))
     with pytest.raises(TransversalityError, match="unbounded"):
         models.m_at_zero(models.half_line(q))
+
+
+def test_m_at_zero_h_at_m_inf_is_transversality_error():
+    # M_inf(0) = 0 for q = 0, so h = 0 is the pole of the family at 0
+    with pytest.raises(TransversalityError, match="pole of the h-triplet family"):
+        models.m_at_zero(models.half_line(Q0, 0.0))
 
 
 def test_m_at_zero_expression_tail_too_small_to_truncate():

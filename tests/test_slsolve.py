@@ -9,13 +9,13 @@ from weyl import models
 from weyl.errors import AccuracyError, EvalError, PoleError, RangeError
 from weyl.slsolve import (
     PotentialSpec,
+    decaying_solution,
     finite_interval_M,
     fundamental_system,
     halfline_m,
     halfline_m_exact_tail,
     integrate_ivp,
     tail_support,
-    truncation_length,
 )
 from weyl.specfun import sqrt_upper
 
@@ -45,18 +45,19 @@ def test_ivp_backward_span():
 
 
 def test_ivp_residual_along_trajectory():
-    # each interior recorded step (x0, y0, y0') -> (x1, y1, y1') against the
-    # independent RK5(4) reference at rtol = 1e-13; a second difference of the
-    # nodes would carry its own error h^2 |y''''| / 12, about 1e-4 at h = 1/16
+    # the solution integrated from 0 to each node k/16, and each step between
+    # consecutive nodes (x0, y0, y0') -> (x1, y1, y1') against the independent
+    # RK5(4) reference at rtol = 1e-13; a second difference of the nodes would
+    # carry its own error h^2 |y''''| / 12, about 1e-4 at h = 1/16
     z = 2.0 + 1.0j
     q = PotentialSpec.expression("1/(1+x^2)")
-    (_, _), samples = integrate_ivp(q, z, (1.0, 0.0), (0.0, 2.0), record=True)
+    samples = [(k / 16, *integrate_ivp(q, z, (1.0, 0.0), (0.0, k / 16))) for k in range(33)]
     worst, checked = 0.0, 0
-    for (x0, y0, p0), (x1, y1, p1) in zip(samples[1:-2], samples[2:-1]):
+    for (x0, y0, p0), (x1, y1, p1) in zip(samples, samples[1:]):
         y, yp = _rk45_loop(q, z, y0, p0, x0, x1, 1e-13, 1e-13, None)
         worst = max(worst, abs(y1 - y) / max(1.0, abs(y)), abs(p1 - yp) / max(1.0, abs(yp)))
         checked += 1
-    assert checked >= 20
+    assert checked == 32
     assert worst <= 1e-7
 
 
@@ -102,17 +103,26 @@ def test_halfline_mh_family():
     for h in (-2.0, -0.5, 1.0, 3.0):
         mh = halfline_m(Q0, h, z)
         assert abs(mh * (mi - h) - (1.0 - h * mi)) < 1e-10
+    # m_inf(-1) = -1 for q = 0, so h = -1 is the pole of the family
+    with pytest.raises(PoleError, match="pole of the h-triplet family"):
+        halfline_m(PotentialSpec.zero(), -1.0, -1.0)
 
 
 def test_halfline_truncation_error_contract():
     # z too close to the essential spectrum for L = 40: explicit error
-    with pytest.raises(AccuracyError):
+    with pytest.raises(AccuracyError, match="truncation at L=40.0 insufficient"):
         halfline_m(Q0, None, 25.0 + 0.05j, L=40.0)
+    # z on it: the same refusal as without L
+    with pytest.raises(AccuracyError, match="essential spectrum"):
+        halfline_m(Q0, None, 2.0, L=40.0)
 
 
 def test_truncation_length_caps():
-    L, est = truncation_length(Q0, -0.25)
-    assert L <= 200.0 and est < 1e-12
+    # no constant tail: a Dirichlet truncation at an auto L within the cap
+    y, yp, error = decaying_solution(PotentialSpec.expression("0*x"), -0.25)
+    assert 0.0 < error < 1e-12
+    assert abs(yp / y + 0.5) < 1e-9
+    assert decaying_solution(Q0, -0.25)[2] == 0.0  # tail-matched
 
 
 def test_halfline_deep_imaginary_renormalized():
@@ -248,13 +258,6 @@ def test_potential_pieces():
     assert tail_support(t) == 3.0
     assert tail_support(well) == 1.0
     assert tail_support(PotentialSpec.expression("exp(-x)")) is None
-
-
-def test_ivp_record_on_exact_pieces():
-    q = PotentialSpec.square_well(-2.0, 1.0)
-    (y, yp), samples = integrate_ivp(q, -0.5, (1.0, 0.0), (0.0, 3.0), record=True)
-    assert [s[0] for s in samples] == [0.0, 1.0, 3.0]
-    assert samples[-1][1:] == (y, yp)
 
 
 # m_inf(z) of q = -1.5 exp(-x/0.7): the decaying solution is J_nu(t), t = 2 b sqrt(a)
