@@ -46,14 +46,14 @@ class Colligation:
         return self.K.cols == self.B.rows
 
 
-def factor_colligation(b: Matrix, rel_tol: float = 1e-12) -> Colligation:
+def factor_colligation(b: Matrix) -> Colligation:
     """Factor Im B = K J K* from its eigendecomposition (K = Q |L|^(1/2))."""
     bi = imag_part(b)
     scale = bi.norm_fro()
     if scale <= 1e-14 * max(1.0, b.norm_fro()):
         raise DegenerateColligationError("Im B = 0: W(z) is identically the identity")
     evals, q = hermitian_eigh(bi)
-    keep = [i for i, w in enumerate(evals) if abs(w) > rel_tol * scale]
+    keep = [i for i, w in enumerate(evals) if abs(w) > 1e-12 * scale]
     if not keep:
         raise DegenerateColligationError("Im B numerically zero after eigen cut")
     n = b.rows
@@ -84,26 +84,25 @@ def char_function_from_m(col: Colligation, m: Matrix) -> Matrix:
     return char_function_colligation(col, m)
 
 
-def _char_full(col: Colligation, m: Matrix) -> Matrix:
-    """W(z) = (B* - M(z))^-1 (B - M(z))."""
+def _adjoint_solve(col: Colligation, m: Matrix, rhs: Matrix) -> Matrix:
+    """(B* - M(z))^-1 rhs, the solve both forms of W share."""
     try:
-        return solve(col.B_star - m, col.B - m)
+        return solve(col.B_star - m, rhs)
     except SingularMatrixError as e:
         raise SpectralPointError(
             "B* - M(z) singular: z in the spectrum of the adjoint extension"
         ) from e
+
+
+def _char_full(col: Colligation, m: Matrix) -> Matrix:
+    """W(z) = (B* - M(z))^-1 (B - M(z))."""
+    return _adjoint_solve(col, m, col.B - m)
 
 
 def char_function_colligation(col: Colligation, m: Matrix) -> Matrix:
     """Reduced-space W(z) = I + 2i K* (B* - M(z))^-1 K J."""
-    try:
-        core = solve(col.B_star - m, col.K)
-    except SingularMatrixError as e:
-        raise SpectralPointError(
-            "B* - M(z) singular: z in the spectrum of the adjoint extension"
-        ) from e
-    r = col.reduced_dim
-    return Matrix.identity(r) + (col.K_star @ core @ col.J).scale(2j)
+    core = _adjoint_solve(col, m, col.K)
+    return Matrix.identity(col.reduced_dim) + (col.K_star @ core @ col.J).scale(2j)
 
 
 def v_function(col: Colligation, m: Matrix) -> Matrix:

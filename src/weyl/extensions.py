@@ -44,6 +44,7 @@ from .linalg import (
 from .models import WeylModel, evaluate, m_at_zero
 
 ORACLE_ZERO_CUT = 1e-4  # oracle counts strictly below -cut: O(dx^2)-stable
+RANK_TAU = 1e-8  # the rank law counts singular values above RANK_TAU * the largest
 
 
 @dataclass(frozen=True)
@@ -114,11 +115,11 @@ def scan_sign_changes(f, lo: float, hi: float, grid_n: int):
     return [x for x, _k in scan_count_jumps(lambda x: f(x) < 0.0, lo, hi, grid_n)]
 
 
-def model_pole_locations(model: WeylModel, lo: float, hi: float, grid_n: int = 128) -> list:
+def model_pole_locations(model: WeylModel, lo: float, hi: float) -> list:
     """Poles of M on (lo, hi): Dirichlet eigenvalues of the reference extension."""
     if model.pole_indicator is None:  # M is analytic below the floor
         return []
-    return scan_sign_changes(model.pole_indicator, lo, hi, grid_n)
+    return scan_sign_changes(model.pole_indicator, lo, hi, 128)
 
 
 # -- point spectrum on the real axis -----------------------------------------
@@ -234,7 +235,7 @@ class ComplexCountReport:
     min_boundary_abs: float
 
 
-def count_complex_eigenvalues(spec: ExtensionSpec, rect, max_samples: int = 20000) -> ComplexCountReport:
+def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
     """Zeros of det(M(z) - B) inside a rectangle in the open upper half-plane.
 
     Winding number of the determinant along the boundary, with the phase step
@@ -257,7 +258,7 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect, max_samples: int = 2000
     ]
     pts = []
     vals = []
-    budget = [max_samples]
+    budget = [20000]
 
     def fval(z):
         if budget[0] <= 0:
@@ -370,7 +371,7 @@ class RankLawReport:
 
 
 def resolvent_rank_law(spec1: ExtensionSpec, spec2: ExtensionSpec, z: complex,
-                       zeta: complex, tau: float = 1e-8) -> RankLawReport:
+                       zeta: complex) -> RankLawReport:
     """Rank of (B1-M(z))^-1 - (B2-M(z))^-1 vs (B1-zeta)^-1 - (B2-zeta)^-1 vs B1-B2.
 
     At matrix scale the operator-ideal equivalences collapse to one integer;
@@ -378,10 +379,8 @@ def resolvent_rank_law(spec1: ExtensionSpec, spec2: ExtensionSpec, z: complex,
     """
     if spec1.model != spec2.model:
         raise ContractError("rank law needs a shared model")
-    model = spec1.model
     b1, b2 = spec1.B, spec2.B
-    m = evaluate(model, complex(z))
-    ident = Matrix.identity(b1.rows)
+    m = evaluate(spec1.model, complex(z))
 
     def inv_or_error(mat: Matrix, which: str) -> Matrix:
         try:
@@ -390,13 +389,13 @@ def resolvent_rank_law(spec1: ExtensionSpec, spec2: ExtensionSpec, z: complex,
             raise SpectralPointError(f"{which} is singular: point in a spectrum") from e
 
     r_weyl = numeric_rank(
-        inv_or_error(b1 - m, f"B1 - M({z})") - inv_or_error(b2 - m, f"B2 - M({z})"), tau
+        inv_or_error(b1 - m, f"B1 - M({z})") - inv_or_error(b2 - m, f"B2 - M({z})"), RANK_TAU
     )
-    zi = ident.scale(complex(zeta))
+    zi = Matrix.identity(b1.rows).scale(complex(zeta))
     r_param = numeric_rank(
-        inv_or_error(b1 - zi, f"B1 - {zeta}") - inv_or_error(b2 - zi, f"B2 - {zeta}"), tau
+        inv_or_error(b1 - zi, f"B1 - {zeta}") - inv_or_error(b2 - zi, f"B2 - {zeta}"), RANK_TAU
     )
-    r_diff = numeric_rank(b1 - b2, tau)
+    r_diff = numeric_rank(b1 - b2, RANK_TAU)
 
     rank_oracle = None
     ops1 = _oracle_operators(spec1)

@@ -9,6 +9,7 @@ free, quadratically convergent.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,9 @@ from .errors import ContractError, DimensionError, SingularMatrixError
 # Solve/inverse declare a pivot singular below this multiple of the largest
 # entry; root finders on det(M(z)-B) rely on a crisp singularity signal.
 SINGULAR_PIVOT_REL = 1e-13
+
+# both Jacobi iterations stop at off-diagonal mass JACOBI_TOL * norm, or after the sweep cap
+JACOBI_TOL, JACOBI_MAX_SWEEPS = 1e-14, 60
 
 
 @dataclass(frozen=True)
@@ -47,6 +51,7 @@ class Matrix:
         return Matrix(r, c, tuple(complex(v) for row in rows for v in row))
 
     @staticmethod
+    @functools.cache  # one shared instance per n: a Matrix is immutable
     def identity(n: int) -> "Matrix":
         return Matrix(n, n, tuple(1.0 + 0j if i == j else 0j for i in range(n) for j in range(n)))
 
@@ -166,44 +171,39 @@ def _require_square(m: Matrix, op: str):
         raise DimensionError(f"{op} requires a square matrix, got {m.rows}x{m.cols}")
 
 
-# -- LU: solve / det / inverse -------------------------------------------
+# -- partial-pivot elimination: solve / det / inverse --------------------
 
 
-def _lu_decompose(a: Matrix):
-    """Partial-pivot LU in packed form; returns (lu rows, perm, sign, min|pivot|)."""
-    _require_square(a, "lu")
+def _eliminate(a: Matrix, b: Matrix | None = None):
+    """Row-reduce [A | B] (A alone when B is None) by partial pivoting on the first
+    row of largest |entry|; returns (the rows, the sign of the row swaps, min |pivot|)."""
     n = a.rows
-    lu = [list(a.row(i)) for i in range(n)]
-    perm = list(range(n))
+    rows = [list(a.row(i) if b is None else a.row(i) + b.row(i)) for i in range(n)]
     sign = 1
     min_pivot = math.inf
     for k in range(n):
-        piv_row = max(range(k, n), key=lambda r: abs(lu[r][k]))
+        piv_row = max(range(k, n), key=lambda r: abs(rows[r][k]))
         if piv_row != k:
-            lu[k], lu[piv_row] = lu[piv_row], lu[k]
-            perm[k], perm[piv_row] = perm[piv_row], perm[k]
+            rows[k], rows[piv_row] = rows[piv_row], rows[k]
             sign = -sign
-        piv = lu[k][k]
+        piv = rows[k][k]
         min_pivot = min(min_pivot, abs(piv))
         if piv == 0:
             continue
+        tail = rows[k][k + 1 :]
         for r in range(k + 1, n):
-            f = lu[r][k] / piv
-            lu[r][k] = f
+            row = rows[r]
+            f = row[k] / piv
             if f != 0:
-                lurow, lukrow = lu[r], lu[k]
-                for c in range(k + 1, n):
-                    lurow[c] -= f * lukrow[c]
-    return lu, perm, sign, min_pivot
+                row[k + 1 :] = [v - f * w for v, w in zip(row[k + 1 :], tail)]
+    return rows, sign, min_pivot
 
 
 def det(a: Matrix) -> complex:
-    """Determinant by partial-pivot LU."""
-    lu, _, sign, _ = _lu_decompose(a)
-    d = complex(sign)
-    for k in range(a.rows):
-        d *= lu[k][k]
-    return d
+    """Determinant: the sign of the row swaps times the pivots of the elimination."""
+    _require_square(a, "det")
+    rows, sign, _ = _eliminate(a)
+    return math.prod((rows[k][k] for k in range(a.rows)), start=complex(sign))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
@@ -211,31 +211,21 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     _require_square(a, "solve")
     if a.rows != b.rows:
         raise DimensionError(f"solve: A is {a.rows}x{a.cols} but B has {b.rows} rows")
-    n = a.rows
-    lu, perm, _, min_pivot = _lu_decompose(a)
+    n, m = a.rows, b.cols
+    rows, _, min_pivot = _eliminate(a, b)
     scale = max(a.norm_max(), 1e-300)
     if min_pivot < SINGULAR_PIVOT_REL * scale:
         raise SingularMatrixError("matrix singular to working tolerance", min_pivot)
-    m = b.cols
-    x = [list(b.row(perm[i])) for i in range(n)]
-    for k in range(n):  # forward
-        for r in range(k + 1, n):
-            f = lu[r][k]
-            if f != 0:
-                xr, xk = x[r], x[k]
-                for c in range(m):
-                    xr[c] -= f * xk[c]
-    for k in range(n - 1, -1, -1):  # backward
-        piv = lu[k][k]
-        xk = x[k]
-        for c in range(m):
-            s = xk[c]
-            lurow = lu[k]
+    for k in range(n - 1, -1, -1):  # back substitution, X overwriting the B columns
+        rowk = rows[k]
+        piv = rowk[k]
+        for c in range(n, n + m):
+            s = rowk[c]
             for t in range(k + 1, n):
-                s -= lurow[t] * x[t][c]
-            xk[c] = s / piv
+                s -= rowk[t] * rows[t][c]
+            rowk[c] = s / piv
     # complex(): A and B may hold real entries, and the result is complex as from_rows made it
-    return _unchecked(n, m, tuple([complex(v) for row in x for v in row]))
+    return _unchecked(n, m, tuple([complex(v) for row in rows for v in row[n:]]))
 
 
 def inverse(a: Matrix) -> Matrix:
@@ -263,7 +253,7 @@ def _symmetrized(m: Matrix) -> Matrix:
     return herm_part(m)
 
 
-def hermitian_eigh(m: Matrix, tol: float = 1e-14, max_sweeps: int = 60):
+def hermitian_eigh(m: Matrix):
     """Eigen-decomposition of a Hermitian matrix by cyclic complex Jacobi.
 
     Returns (eigenvalues ascending, V) with columns of V the corresponding
@@ -276,15 +266,15 @@ def hermitian_eigh(m: Matrix, tol: float = 1e-14, max_sweeps: int = 60):
         a[i][i] = complex(a[i][i].real)
     v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
     norm = max(h.norm_fro(), 1e-300)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(sum(abs(a[i][j]) ** 2 for i in range(n) for j in range(n) if i != j))
-        if off <= tol * norm:
+        if off <= JACOBI_TOL * norm:
             break
         for p in range(n - 1):
             for q in range(p + 1, n):
                 g = a[p][q]
                 ag = abs(g)
-                if ag <= 0.25 * tol * norm / max(n, 1):
+                if ag <= 0.25 * JACOBI_TOL * norm / max(n, 1):
                     continue
                 app = a[p][p].real
                 aqq = a[q][q].real
@@ -320,8 +310,7 @@ def hermitian_eigh(m: Matrix, tol: float = 1e-14, max_sweeps: int = 60):
 
 def hermitian_eigen(m: Matrix) -> list:
     """Sorted (ascending) real eigenvalues of a Hermitian matrix."""
-    evals, _ = hermitian_eigh(m)
-    return evals
+    return hermitian_eigh(m)[0]
 
 
 def inertia(m: Matrix, zero_tol: float) -> HermitianInertia:
@@ -341,13 +330,13 @@ def lambda_min(m: Matrix) -> float:
 # -- singular values (one-sided Jacobi) ------------------------------------
 
 
-def singular_values(m: Matrix, tol: float = 1e-14, max_sweeps: int = 60) -> list:
+def singular_values(m: Matrix) -> list:
     """Singular values (descending) by one-sided Jacobi on the columns."""
     a = m if m.rows >= m.cols else m.adjoint()
     rows, cols = a.rows, a.cols
     col = [[a.at(i, j) for i in range(rows)] for j in range(cols)]
     limit = max(a.norm_fro() ** 2, 1e-300)
-    for _ in range(max_sweeps):
+    for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
         for p in range(cols - 1):
             for q in range(p + 1, cols):
@@ -356,7 +345,7 @@ def singular_values(m: Matrix, tol: float = 1e-14, max_sweeps: int = 60) -> list
                 aqq = sum(x.real * x.real + x.imag * x.imag for x in cq)
                 apq = sum(x.conjugate() * y for x, y in zip(cp, cq))
                 ag = abs(apq)
-                if ag <= tol * limit / max(cols, 1):
+                if ag <= JACOBI_TOL * limit / max(cols, 1):
                     continue
                 rotated = True
                 u = apq / ag
@@ -372,11 +361,8 @@ def singular_values(m: Matrix, tol: float = 1e-14, max_sweeps: int = 60) -> list
                     cq[i] = -su * xp + c * xq
         if not rotated:
             break
-    sigmas = sorted(
-        (math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in cj)) for cj in col),
-        reverse=True,
-    )
-    return sigmas
+    return sorted((math.sqrt(sum(x.real * x.real + x.imag * x.imag for x in cj)) for cj in col),
+                  reverse=True)
 
 
 def numeric_rank(m: Matrix, tau: float) -> int:

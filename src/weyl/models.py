@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import oracle
-from .errors import (ContractError, DomainError, EvalError, PoleError, RangeError,
+from .errors import (AccuracyError, ContractError, DomainError, EvalError, PoleError, RangeError,
                      TransversalityError)
 from .linalg import Matrix, herm_part, lambda_min
 from .slsolve import (
@@ -186,11 +186,6 @@ class FiniteInterval(WeylModel):
             raise TransversalityError("0 is a Dirichlet eigenvalue: M(x) is unbounded as x -> 0-") from e
         return MZeroResult(herm_part(value), "propagated", M0_RTOL * (1.0 + value.norm_max()) ** 2)
 
-    def pole_indicator(self, x: float) -> float:
-        """det Y0(x)."""
-        y0 = fundamental_system(self.q, self.b, complex(x)).Y0
-        return (y0.at(0, 0) * y0.at(1, 1) - y0.at(0, 1) * y0.at(1, 0)).real
-
     def entire_pencil(self, b: Matrix, x: float) -> Matrix:
         """Y1(x) - B Y0(x): entire in x and singular exactly at the eigenvalues of
         A_B, so it stays finite through pole-eigenvalue collisions."""
@@ -331,6 +326,10 @@ class Corner(WeylModel):
         s = sqrt_upper(z)
         if abs(s) > BESSEL_RANGE:
             raise RangeError(f"corner model limited to |sqrt z| <= {BESSEL_RANGE}")
+        # terms of about e^(|s| - |Im s|) |J| cancel: refuse past the 1e-10 the ODE kinds meet
+        estimate = 1e-16 * math.exp(abs(s) - abs(s.imag))
+        if estimate > 1e-10:
+            raise AccuracyError(f"corner series cancels at z={z}", estimate)
         num = self._gamma_minus * bessel_j(-self.beta, s) * cpow(0.5 * s, 2.0 * self.beta)
         den = self._gamma_plus * bessel_j(self.beta, s)
         if abs(den) < 1e-300:

@@ -142,19 +142,19 @@ def random_unitary(rng: random.Random, n: int) -> Matrix:
     return Matrix.from_rows([[cols[j][i] for j in range(n)] for i in range(n)])
 
 
-def _random_hermitian(rng: random.Random, n: int, scale: float = 1.0) -> Matrix:
+def _random_hermitian(rng: random.Random, n: int) -> Matrix:
     a = Matrix.from_rows(
-        [[complex(rng.gauss(0, scale), rng.gauss(0, scale)) for _ in range(n)] for _ in range(n)]
+        [[complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)] for _ in range(n)]
     )
     return (a + a.adjoint()).scale(0.5)
 
 
-def sample_transform(rng: random.Random, n: int, factors: int = 3) -> TripletTransform:
+def sample_transform(rng: random.Random, n: int) -> TripletTransform:
     """Random valid transform: a product of shift / congruence / rotation generators."""
     ident = Matrix.identity(n)
     zero = Matrix.zeros(n, n)
     t = identity_transform(n)
-    for _ in range(factors):
+    for _ in range(3):
         pick = rng.randrange(4)
         if pick == 0:  # Gamma1 shift by Hermitian K
             k = _random_hermitian(rng, n)

@@ -189,3 +189,39 @@ def test_public_constructor_still_checks_its_shape():
         Matrix(2, 2, (1, 2, 3))
     with pytest.raises(DimensionError):
         Matrix(0, 1, ())
+
+
+def test_pivot_ties_take_the_first_row():
+    # column 0 holds 1, -1 and 1j, all of modulus 1: the pivot is row 0, and
+    # another tie-break moves the last bits of every result
+    a = Matrix.from_rows([[1, 2, 3j], [-1, 1j, 2], [1j, 3, 1]])
+    assert det(a) == -3.999999999999999 - 1.0000000000000009j
+    assert solve(a, Matrix.column([1, 2j, -1])).data == (
+        7.470588235294118 - 1.1176470588235317j,
+        -1.4705882352941189 - 2.8823529411764706j,
+        2.2941176470588243 + 1.1764705882352935j,
+    )
+
+
+def test_det_with_an_exactly_zero_second_pivot():
+    # after the first step column 1 is exactly 0 below the diagonal
+    d = det(Matrix.from_rows([[2, 4, 1], [1, 2, 3], [1, 2, 5]]))
+    assert d == 0 and type(d) is complex
+
+
+def test_solve_of_real_entries_returns_complex_entries():
+    x = solve(Matrix(2, 2, (2.0, 1.0, 1.0, 3.0)), Matrix(2, 1, (1.0, 2.0)))
+    assert x.data == (0.2 + 0j, 0.6 + 0j)
+    assert all(type(v) is complex for v in x.data)
+
+
+def test_singular_error_carries_the_smallest_pivot():
+    with pytest.raises(SingularMatrixError) as exc:
+        solve(Matrix.from_rows([[1e-15, 0], [0, 1]]), Matrix.identity(2))
+    assert exc.value.smallest_pivot == 1e-15
+
+
+def test_identity_is_one_shared_instance_per_size():
+    assert Matrix.identity(3) is Matrix.identity(3)
+    assert Matrix.identity(3) == Matrix.diag([1, 1, 1])
+    assert Matrix.identity(2) is not Matrix.identity(3)

@@ -44,6 +44,26 @@ def test_corner_range_guard():
         models.evaluate(models.corner(0.75), -2000.0)
 
 
+@pytest.mark.parametrize("model", [models.corner(0.75), models.multi_corner([0.6, 0.85])])
+@pytest.mark.parametrize("z", [1500 + 3j, 400 + 5j])
+def test_corner_refuses_where_the_series_cancels(model, z):
+    # near the positive axis the series terms reach about e^|s| while J stays O(1);
+    # at 1500+3i the unguarded quotient was 143.56+7.71i against -78.89+25.47i
+    with pytest.raises(AccuracyError):
+        models.evaluate(model, z)
+
+
+@pytest.mark.parametrize("z, expected, rtol", [
+    # mpmath at 40 digits
+    (100 + 10j, 6.510717408291045 + 59.099186267507235j, 1e-11),
+    (150 + 1j, 92.3542942848276 + 4.615197915832667j, 1e-10),
+    (-1500, -336.1703969507669, 1e-13),
+])
+def test_corner_answers_within_its_estimate(z, expected, rtol):
+    v = models.evaluate(models.corner(0.75), z).at(0, 0)
+    assert abs(v - expected) <= rtol * abs(expected)
+
+
 def test_evaluate_domain_guard():
     with pytest.raises(DomainError):
         models.evaluate(models.half_line(Q0), 1.0)
