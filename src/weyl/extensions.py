@@ -202,11 +202,13 @@ def _oracle_deltas(spec: ExtensionSpec, eigs, window_top: float):
     ops = _oracle_operators(spec)
     if ops is None:
         return None
+    cap = oracle_mod.MAX_EIGENVALUES
     found = []
     for op in ops:
-        k = min(12, op.size)
-        lows = oracle_mod.lowest_eigenvalues(op, k, upper=window_top)
-        found.extend(v for v in lows if v <= window_top)
+        lows = oracle_mod.lowest_eigenvalues(op, cap, upper=window_top)
+        if len(lows) == cap and oracle_mod.eigen_count_below(op, window_top) > cap:
+            return None  # the oracle cannot cover the window: no delta beats a spurious one
+        found.extend(lows)
     deltas = []
     for x, _mult in eigs:
         deltas.append(min((abs(x - v) for v in found), default=math.inf))

@@ -15,13 +15,14 @@ Work is spent only on what callers read.  The interior rows of a grid
 depend on (q, L, n) alone and are built once per grid; an operator is that
 interior plus a boundary row and edge coupling on each side that is not
 Dirichlet, so the Dirichlet reference and every A_B of one request share
-it.  The bisection for the j-th eigenvalue starts from the same Gershgorin
-bracket as the one for j - 1, so all of them share one table of Sturm
-counts; with `upper` given, bisection stops after the first eigenvalue
-above it.  The values up to the stop come out of the same bisections, bit
-for bit, and since the floating-point Sturm count is monotone in mu
-(Demmel, Dhillon & Ren, Parallel Computing 21, 1995) the ones past it lie
-above `upper` too: a caller that keeps the values <= upper loses nothing.
+it.  The bisection for the j-th eigenvalue starts from the same bracket as
+the one for j - 1, so all of them share one table of Sturm counts.  With
+`upper` given, one Sturm count at `upper` says how many eigenvalues lie
+below it, and only those are bisected, from [Gershgorin lower bound, upper]
+rather than from the full Gershgorin bracket: no value above `upper` is
+computed, and each returned value lies within `tol` of the unbounded run's
+value of the same index.  A resolvent factors T - z once; every right-hand
+side is then one substitution through the stored swaps and multipliers.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from functools import lru_cache
 from .errors import ContractError, DimensionError, RangeError, SpectralPointError
 from .slsolve import PotentialSpec
 from .specfun import bessel_j
+
+MAX_EIGENVALUES = 50  # most eigenvalues one lowest_eigenvalues call bisects
 
 
 @dataclass(frozen=True)
@@ -134,13 +137,19 @@ def lowest_eigenvalues(opd: DiscretizedOperator, k: int, tol: float = 1e-10,
                        upper: float | None = None) -> list:
     """k smallest eigenvalues by bisection on the Sturm count function.
 
-    With upper given, stops after the first eigenvalue above it; the result
-    is then a prefix, bit for bit, of the list without the stop.
+    With upper given, returns the min(k, eigen_count_below(opd, upper))
+    eigenvalues below upper, each bisected from [Gershgorin lower bound,
+    upper]; each lies within tol of the value of the same index without
+    upper.
     """
-    if k > 50:
-        raise ContractError("k <= 50")
-    k = min(k, opd.size)
+    if k > MAX_EIGENVALUES:
+        raise ContractError(f"k <= {MAX_EIGENVALUES}")
     lo0, hi0 = gershgorin_bounds(opd)
+    if upper is None:
+        k = min(k, opd.size)
+    else:
+        k = min(k, eigen_count_below(opd, upper))
+        hi0 = upper
     counts = {}
     out = []
     for j in range(1, k + 1):
@@ -155,45 +164,63 @@ def lowest_eigenvalues(opd: DiscretizedOperator, k: int, tol: float = 1e-10,
             else:
                 lo = mid
         out.append(0.5 * (lo + hi))
-        if upper is not None and out[-1] > upper:
-            break
     return out
 
 
-def resolvent_apply(opd: DiscretizedOperator, z: complex, v) -> list:
-    """(T - z)^-1 v by pivoted tridiagonal elimination; residual <= 1e-11 ||v||."""
+def _factor(opd: DiscretizedOperator, z: complex):
+    """Pivoted elimination of T - z: (row swaps, multipliers, upper rows b, c, d).
+
+    Nothing here depends on a right-hand side, so one factorization serves
+    every vector that _substitute is given.
+    """
     n = opd.size
-    if len(v) != n:
-        raise DimensionError(f"vector length {len(v)} != operator size {n}")
-    z = complex(z)
     a = [0j] * n  # sub
     b = [complex(opd.diag[i]) - z for i in range(n)]
     c = [complex(opd.off[i]) for i in range(n - 1)] + [0j]
     d = [0j] * n  # second super (fill from row swaps)
     for i in range(n - 1):
         a[i + 1] = complex(opd.off[i])
-    x = [complex(t) for t in v]
+    swaps = [False] * (n - 1)
+    mults = [0j] * (n - 1)
     scale = max(max(abs(t) for t in b), 1.0)
     for i in range(n - 1):
         if abs(a[i + 1]) > abs(b[i]):  # swap rows i, i+1
             b[i], a[i + 1] = a[i + 1], b[i]
             c[i], b[i + 1] = b[i + 1], c[i]
             d[i], c[i + 1] = c[i + 1], d[i]
-            x[i], x[i + 1] = x[i + 1], x[i]
+            swaps[i] = True
         if abs(b[i]) < 1e-10 * scale:
             raise SpectralPointError(f"z={z} numerically in the discrete spectrum")
-        f = a[i + 1] / b[i]
+        f = mults[i] = a[i + 1] / b[i]
         b[i + 1] -= f * c[i]
         c[i + 1] -= f * d[i]
-        x[i + 1] -= f * x[i]
     if abs(b[n - 1]) < 1e-10 * scale:
         raise SpectralPointError(f"z={z} numerically in the discrete spectrum")
+    return swaps, mults, b, c, d
+
+
+def _substitute(factor, v) -> list:
+    """(T - z)^-1 v from _factor's output: the same row operations on v, then back substitution."""
+    swaps, mults, b, c, d = factor
+    n = len(b)
+    x = [complex(t) for t in v]
+    for i in range(n - 1):
+        if swaps[i]:
+            x[i], x[i + 1] = x[i + 1], x[i]
+        x[i + 1] -= mults[i] * x[i]
     x[n - 1] /= b[n - 1]
     if n >= 2:
         x[n - 2] = (x[n - 2] - c[n - 2] * x[n - 1]) / b[n - 2]
     for i in range(n - 3, -1, -1):
         x[i] = (x[i] - c[i] * x[i + 1] - d[i] * x[i + 2]) / b[i]
     return x
+
+
+def resolvent_apply(opd: DiscretizedOperator, z: complex, v) -> list:
+    """(T - z)^-1 v by pivoted tridiagonal elimination; residual <= 1e-11 ||v||."""
+    if len(v) != opd.size:
+        raise DimensionError(f"vector length {len(v)} != operator size {opd.size}")
+    return _substitute(_factor(opd, complex(z)), v)
 
 
 def node_grid(opd: DiscretizedOperator):
@@ -243,12 +270,15 @@ def resolvent_difference_rank(op1: DiscretizedOperator, op2: DiscretizedOperator
 
     if op1.size != op2.size:
         raise DimensionError("operators must share a grid")
+    z = complex(z)
+    f1 = _factor(op1, z)
+    f2 = _factor(op2, z)
     rng = random.Random(seed)
     cols = []
     for _ in range(probes):
         v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(op1.size)]
-        u1 = resolvent_apply(op1, z, v)
-        u2 = resolvent_apply(op2, z, v)
+        u1 = _substitute(f1, v)
+        u2 = _substitute(f2, v)
         cols.append([a - b for a, b in zip(u1, u2)])
     mat = Matrix.from_rows([[cols[j][i] for j in range(probes)] for i in range(op1.size)])
     return numeric_rank(mat, tau)

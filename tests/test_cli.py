@@ -286,6 +286,21 @@ def test_spectrum_finds_close_eigenvalue_pair(tmp_path):
     assert [e["multiplicity"] for e in data["eigenvalues"]] == [1, 1]
 
 
+def test_spectrum_compares_every_eigenvalue_below_the_window_top(tmp_path):
+    # Neumann on [0, 2]: 14 eigenvalues (k pi / 2)^2 below 420, more than the
+    # oracle was once asked for; each must meet its own oracle value
+    prob = tmp_path / "interval.json"
+    prob.write_text(json.dumps({
+        "model": {"kind": "finite_interval", "b": 2, "potential": {"kind": "zero"}},
+        "boundary": [[0, 0], [0, 0]],
+    }))
+    out = tmp_path / "s.json"
+    assert main(["spectrum", "--problem", str(prob), "--out", str(out), "--window=-1:420"]) == 0
+    data = json.loads(out.read_text())
+    assert len(data["eigenvalues"]) == 14
+    assert len(data["oracle_delta"]) == 14 and max(data["oracle_delta"]) <= 2e-2
+
+
 @pytest.mark.parametrize("flag", ["--window=a:b", "--rect=x:1:0.1:2"])
 def test_malformed_window_or_rect_is_an_error_line(robin_problem, capsys, flag):
     rc = main(["spectrum", "--problem", robin_problem, flag])

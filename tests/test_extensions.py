@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weyl import extensions, models
+from weyl import extensions, models, oracle
 from weyl.errors import AccuracyError, BoundaryZeroError, ContractError, SpectralPointError, WeylError
 from weyl.linalg import Matrix
 from weyl.slsolve import PotentialSpec
@@ -156,6 +156,17 @@ def test_spectrum_report_oracle_delta_shape():
         extensions.extension(hl, -2.0), (-6.0, -0.1), compare_oracle=True
     )
     assert rep.oracle_delta is not None and len(rep.oracle_delta) == len(rep.eigenvalues)
+
+
+def test_oracle_delta_omitted_past_the_bisection_cap(monkeypatch):
+    # Neumann on [0, 2]: eigenvalues (k pi / 2)^2 = 0, 2.47, 9.87, 22.21, ...
+    spec = extensions.ExtensionSpec(models.finite_interval(Q0, 2.0), Matrix.diag([0.0, 0.0]))
+    monkeypatch.setattr(oracle, "MAX_EIGENVALUES", 3)
+    rep = extensions.point_spectrum_real(spec, (-1.0, 15.0), compare_oracle=True)
+    assert len(rep.eigenvalues) == 3  # as many as the cap: every one is compared
+    assert rep.oracle_delta is not None and max(rep.oracle_delta) < 1e-3
+    rep = extensions.point_spectrum_real(spec, (-1.0, 30.0), compare_oracle=True)
+    assert len(rep.eigenvalues) == 4 and rep.oracle_delta is None
 
 
 def test_scan_count_jumps_splits_close_and_multiple_roots():

@@ -159,14 +159,77 @@ def test_sturm_count_matches_indexed_loop(seed):
             assert oracle.eigen_count_below(op, mu) == _reference_count(op, mu)
 
 
-def test_lowest_eigenvalues_upper_is_a_prefix():
+def test_lowest_eigenvalues_below_upper():
     q = PotentialSpec.square_well(-3.0, 2.0)
     op = oracle.halfline_operator(q, -0.5, L=20.0, n=1000)
-    full = oracle.lowest_eigenvalues(op, 8)
+    tol = 1e-10
+    full = oracle.lowest_eigenvalues(op, 8, tol=tol)
     for u in (full[0] - 1.0, full[0], 0.5 * (full[1] + full[2]), full[4], full[-1] + 1.0):
-        cut = oracle.lowest_eigenvalues(op, 8, upper=u)
-        stop = next((j + 1 for j, v in enumerate(full) if v > u), len(full))
-        assert cut == full[:stop]
+        cut = oracle.lowest_eigenvalues(op, 8, tol=tol, upper=u)
+        assert len(cut) == min(8, oracle.eigen_count_below(op, u))
+        assert all(v <= u for v in cut)
+        assert all(abs(v - w) <= tol for v, w in zip(cut, full))
+
+
+@pytest.mark.parametrize("op, want", [
+    (oracle.halfline_operator(PotentialSpec.square_well(-3.0, 2.0), -0.5, L=20.0, n=1000),
+     [-3.137495727603322, -0.4097982489278772, 0.03334648647655939, 0.13180571572182875,
+      0.29223499589401847]),
+    (oracle.interval_operator(PotentialSpec.table([0.0, 0.7, 1.5, 3.0], [-1.0, 0.4, 0.4, 0.25]),
+                              3.0, -0.3, 0.45, n=400),
+     [-0.08110179158201716, 1.3235150117080212, 4.655213162887122, 10.167311246969529,
+      17.85240517372442]),
+])
+def test_lowest_eigenvalues_without_upper_are_pinned(op, want):
+    # bisection from the full Gershgorin bracket, bit for bit as before `upper` changed
+    assert oracle.lowest_eigenvalues(op, 5) == want
+
+
+def _reference_resolvent(opd, z, v):
+    """The elimination that carried the right-hand side along, one vector at a
+    time, before the factorization was split off; kept as the reference."""
+    n = opd.size
+    a = [0j] * n
+    b = [complex(opd.diag[i]) - z for i in range(n)]
+    c = [complex(opd.off[i]) for i in range(n - 1)] + [0j]
+    d = [0j] * n
+    for i in range(n - 1):
+        a[i + 1] = complex(opd.off[i])
+    x = [complex(t) for t in v]
+    for i in range(n - 1):
+        if abs(a[i + 1]) > abs(b[i]):
+            b[i], a[i + 1] = a[i + 1], b[i]
+            c[i], b[i + 1] = b[i + 1], c[i]
+            d[i], c[i + 1] = c[i + 1], d[i]
+            x[i], x[i + 1] = x[i + 1], x[i]
+        f = a[i + 1] / b[i]
+        b[i + 1] -= f * c[i]
+        c[i + 1] -= f * d[i]
+        x[i + 1] -= f * x[i]
+    x[n - 1] /= b[n - 1]
+    if n >= 2:
+        x[n - 2] = (x[n - 2] - c[n - 2] * x[n - 1]) / b[n - 2]
+    for i in range(n - 3, -1, -1):
+        x[i] = (x[i] - c[i] * x[i + 1] - d[i] * x[i + 2]) / b[i]
+    return x
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_factored_resolvent_is_per_vector_elimination_to_the_bit(seed):
+    rng = random.Random(seed)
+    for n in (1, 2, 3, 40):
+        # couplings larger than the diagonal force row swaps
+        diag = tuple(rng.uniform(-1.0, 1.0) for _ in range(n))
+        off = tuple(rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 3.0) for _ in range(n - 1))
+        op = oracle.DiscretizedOperator(diag, off, 1.0, float(n), None, None)
+        z = complex(rng.uniform(-2.0, 2.0), rng.uniform(0.1, 1.0))
+        factor = oracle._factor(op, z)
+        assert n < 3 or any(factor[0])
+        for _ in range(6):
+            v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n)]
+            want = _reference_resolvent(op, z, v)
+            assert oracle._substitute(factor, v) == want
+            assert oracle.resolvent_apply(op, z, v) == want
 
 
 def _packed(diag, off):
