@@ -174,36 +174,41 @@ def _require_square(m: Matrix, op: str):
 # -- partial-pivot elimination: solve / det / inverse --------------------
 
 
-def _eliminate(a: Matrix, b: Matrix | None = None):
-    """Row-reduce [A | B] (A alone when B is None) by partial pivoting on the first
-    row of largest |entry|; returns (the rows, the sign of the row swaps, min |pivot|)."""
-    n = a.rows
-    rows = [list(a.row(i) if b is None else a.row(i) + b.row(i)) for i in range(n)]
+def _eliminate(rows: list, n: int):
+    """Row-reduce the n rows in place by partial pivoting on the first row of
+    largest |entry|; returns (the sign of the row swaps, min |pivot|)."""
     sign = 1
     min_pivot = math.inf
     for k in range(n):
-        piv_row = max(range(k, n), key=lambda r: abs(rows[r][k]))
+        piv_row, best = k, abs(rows[k][k])
+        for r in range(k + 1, n):
+            v = abs(rows[r][k])
+            if v > best:
+                piv_row, best = r, v
         if piv_row != k:
             rows[k], rows[piv_row] = rows[piv_row], rows[k]
             sign = -sign
-        piv = rows[k][k]
-        min_pivot = min(min_pivot, abs(piv))
-        if piv == 0:
+        if best < min_pivot:
+            min_pivot = best
+        if best == 0:
             continue
+        piv = rows[k][k]
         tail = rows[k][k + 1 :]
         for r in range(k + 1, n):
             row = rows[r]
             f = row[k] / piv
             if f != 0:
                 row[k + 1 :] = [v - f * w for v, w in zip(row[k + 1 :], tail)]
-    return rows, sign, min_pivot
+    return sign, min_pivot
 
 
 def det(a: Matrix) -> complex:
     """Determinant: the sign of the row swaps times the pivots of the elimination."""
     _require_square(a, "det")
-    rows, sign, _ = _eliminate(a)
-    return math.prod((rows[k][k] for k in range(a.rows)), start=complex(sign))
+    n = a.rows
+    rows = [list(a.row(i)) for i in range(n)]
+    sign, _ = _eliminate(rows, n)
+    return math.prod((rows[k][k] for k in range(n)), start=complex(sign))
 
 
 def solve(a: Matrix, b: Matrix) -> Matrix:
@@ -212,8 +217,13 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     if a.rows != b.rows:
         raise DimensionError(f"solve: A is {a.rows}x{a.cols} but B has {b.rows} rows")
     n, m = a.rows, b.cols
-    rows, _, min_pivot = _eliminate(a, b)
-    scale = max(a.norm_max(), 1e-300)
+    rows = []
+    scale = 1e-300  # the largest |entry| of A, taken while copying [A | B]
+    for i in range(n):
+        arow = a.row(i)
+        scale = max(scale, *map(abs, arow))
+        rows.append(list(arow + b.row(i)))
+    _, min_pivot = _eliminate(rows, n)
     if min_pivot < SINGULAR_PIVOT_REL * scale:
         raise SingularMatrixError("matrix singular to working tolerance", min_pivot)
     for k in range(n - 1, -1, -1):  # back substitution, X overwriting the B columns

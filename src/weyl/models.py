@@ -19,8 +19,10 @@ Branch conventions:
     non-negative real part, written as -i*sqrt_upper(z - (a-1)); this is the
     unique choice under which the model is Herglotz;
   * strip entries depend only on the square of that root, so any branch works;
-  * sector/corner powers use the cut along [0, inf):
-    z^beta := cpow(sqrt_upper(z), 2 beta).
+  * sector powers use the cut along [0, inf):
+    z^beta := cpow(sqrt_upper(z), 2 beta);
+  * the corner quotient is a function of z itself (a ratio of two entire
+    series in z), so it needs no branch; sqrt_upper(z) only sizes its guards.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from .slsolve import (
     tail_support,
     threshold_solution,
 )
-from .specfun import BESSEL_RANGE, bessel_j, cpow, gamma, sqrt_upper, upper_power
+from .specfun import BESSEL_RANGE, gamma, sqrt_upper, upper_power
 
 # the propagation tolerance of every M(0) route that integrates
 M0_RTOL = 1e-11
@@ -310,14 +312,19 @@ def _checked_beta(beta) -> float:
 
 @dataclass(frozen=True)
 class Corner(WeylModel):
-    """The corner of opening beta: a Bessel-function quotient in sqrt z."""
+    """The corner of opening beta: a Bessel-function quotient in sqrt z,
+
+        M(z) = -Gamma(1-beta) J_{-beta}(s) (s/2)^(2 beta) / (Gamma(1+beta) J_beta(s)),  s = sqrt z,
+
+    summed as -S_{-beta}(z) / S_beta(z).  J_nu(s) = (s/2)^nu S_nu(z) / Gamma(1+nu)
+    with the entire S_nu(z) = sum_k (-z/4)^k / (k! (1+nu)_k) (DLMF 10.2.2), so the
+    Gamma factors and the powers of s/2 cancel in the quotient."""
 
     beta: float
     kind = "corner"
 
     def __post_init__(self):
-        beta = _checked_beta(self.beta)
-        self._derive(beta=beta, _gamma_minus=gamma(1.0 - beta), _gamma_plus=gamma(1.0 + beta))
+        self._derive(beta=_checked_beta(self.beta))
 
     def M(self, z: complex) -> Matrix:
         return Matrix.scalar(self.scalar(z))
@@ -330,11 +337,22 @@ class Corner(WeylModel):
         estimate = 1e-16 * math.exp(abs(s) - abs(s.imag))
         if estimate > 1e-10:
             raise AccuracyError(f"corner series cancels at z={z}", estimate)
-        num = self._gamma_minus * bessel_j(-self.beta, s) * cpow(0.5 * s, 2.0 * self.beta)
-        den = self._gamma_plus * bessel_j(self.beta, s)
-        if abs(den) < 1e-300:
+        w, beta = -0.25 * z, self.beta
+        term_p = term_m = sum_p = sum_m = 1.0 + 0j
+        # both series stop once a term is below 1e-17 of its sum (absolute near a zero);
+        # at |z| = BESSEL_RANGE^2 that takes about 60 terms
+        for k in range(1, 401):
+            term_p *= w / (k * (k + beta))
+            term_m *= w / (k * (k - beta))
+            sum_p += term_p
+            sum_m += term_m
+            if abs(term_p) < 1e-17 * abs(sum_p) + 1e-300 and abs(term_m) < 1e-17 * abs(sum_m) + 1e-300:
+                break
+        else:
+            raise RangeError(f"corner series failed to terminate at z={z}")
+        if abs(sum_p) < 1e-300:
             raise DomainError(f"corner model pole at z={z}")
-        return -num / den
+        return -sum_m / sum_p
 
     def m_at_zero(self) -> MZeroResult:
         # J_{+-beta}(s) ~ (s/2)^(+-beta) / Gamma(1 +- beta) as s -> 0: the

@@ -1,10 +1,13 @@
-"""Special functions for the closed-form Weyl models.
+"""Special functions for the model catalog and the oracle.
 
-Only what the model catalog needs: real Gamma on (-50, 50), Bessel J of real
-order in (-1, 1) at complex argument (power-series regime |z| <= 40), the
-upper-half-plane square root and principal powers.  Branches matter more than
-speed here; every branch choice is validated downstream by the Herglotz
-suites.
+Real Gamma on (-50, 50), Bessel J of real order in (-1, 1) at complex
+argument in its power-series regime |z| <= 40, the upper-half-plane square
+root and principal powers.  Branches matter more than speed here; every
+branch choice is validated downstream by the Herglotz suites.
+
+bessel_j serves only oracle.corner_friedrichs_eigenvalues: the corner models
+sum their own reduced series in z (models.Corner), so the M-route and the
+oracle share no Bessel code.
 """
 
 from __future__ import annotations

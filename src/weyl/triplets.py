@@ -20,7 +20,7 @@ import random
 from dataclasses import dataclass, field
 
 from .errors import DimensionError, SingularMatrixError, TransformValidationError, TransversalityError
-from .linalg import Matrix, inverse
+from .linalg import Matrix, inverse, solve
 
 VALIDATION_TOL = 1e-8
 
@@ -32,13 +32,18 @@ class TripletTransform:
     X12: Matrix
     X21: Matrix
     X22: Matrix
-    # fixed per transform: U* and the scale of X22 for the singularity test
-    U_star: Matrix = field(init=False, repr=False, compare=False)
-    X22_max: float = field(init=False, repr=False, compare=False)
+    # fixed per transform: the adjoints of P, Q, R, S = U X11, U X12, U X21, U X22,
+    # which fold U into the Mobius map, and ||X22||_F for the singularity test
+    P_star: Matrix = field(init=False, repr=False, compare=False)
+    Q_star: Matrix = field(init=False, repr=False, compare=False)
+    R_star: Matrix = field(init=False, repr=False, compare=False)
+    S_star: Matrix = field(init=False, repr=False, compare=False)
+    X22_fro: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "U_star", self.U.adjoint())
-        object.__setattr__(self, "X22_max", self.X22.norm_max())
+        for name, x in (("P_star", self.X11), ("Q_star", self.X12), ("R_star", self.X21), ("S_star", self.X22)):
+            object.__setattr__(self, name, (self.U @ x).adjoint())
+        object.__setattr__(self, "X22_fro", self.X22.norm_fro())
 
     @property
     def n(self) -> int:
@@ -82,24 +87,27 @@ def identity_transform(n: int) -> TripletTransform:
 
 
 def _mobius(t: TripletTransform, m: Matrix) -> Matrix:
-    x21m = t.X21 @ m
-    denom = x21m + t.X22
+    """(P M + Q)(R M + S)^-1 as the adjoint of the solution X* of (R M + S)* X* = (P M + Q)*."""
+    m_star = m.adjoint()
+    rm_star = m_star @ t.R_star
+    denom_star = rm_star + t.S_star
     # singularity must be judged against the input scale, not the (possibly
-    # fully cancelled) denominator itself
-    scale = max(x21m.norm_max(), t.X22_max, 1e-30)
-    if denom.norm_max() < 1e-12 * scale:
+    # fully cancelled) denominator itself; Frobenius norms, which U leaves alone:
+    # ||R M|| = ||X21 M||, ||S|| = ||X22||, ||R M + S|| = ||X21 M + X22||
+    scale = max(rm_star.norm_fro(), t.X22_fro, 1e-30)
+    if denom_star.norm_fro() < 1e-12 * scale:
         raise TransversalityError("Mobius denominator X21*M + X22 vanishes")
     try:
-        core = (t.X11 @ m + t.X12) @ inverse(denom)
+        core_star = solve(denom_star, m_star @ t.P_star + t.Q_star)
     except SingularMatrixError as e:
         raise TransversalityError(
             f"Mobius denominator X21*M + X22 singular (pivot {e.smallest_pivot:.3e})"
         ) from e
-    return t.U @ core @ t.U_star
+    return core_star.adjoint()
 
 
 def transform_weyl(t: TripletTransform, m: Matrix) -> Matrix:
-    """M -> U (X11 M + X12)(X21 M + X22)^-1 U*."""
+    """M -> U (X11 M + X12)(X21 M + X22)^-1 U* = (P M + Q)(R M + S)^-1."""
     return _mobius(t, m)
 
 

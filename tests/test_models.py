@@ -64,6 +64,38 @@ def test_corner_answers_within_its_estimate(z, expected, rtol):
     assert abs(v - expected) <= rtol * abs(expected)
 
 
+@pytest.mark.parametrize("beta, z, expected", [
+    # mpmath at 40 digits of -Gamma(1-b) J_{-b}(s) (s/2)^(2b) / (Gamma(1+b) J_b(s)), s = sqrt z
+    (0.6, 3 + 4j, -0.094862911740670974 + 2.4383175008582162j),
+    (0.6, -5 + 2j, -2.939615304133933 + 0.63267712341250719j),
+    (0.6, -7 - 6j, -3.7288693103596809 - 1.6631282980459578j),
+    (0.6, 2 - 9j, -1.801061581128849 - 3.6904559558511574j),
+    (0.6, -12, -4.8083982150363583),
+    (0.6, 11.5 + 1j, -14.024253936861161 + 18.808196693481808j),
+    (0.6, -0.25 + 0.5j, -1.1215037749728164 + 0.22808806393244376j),
+    (0.6, 0.5 - 12j, -2.6770893402078265 - 4.0145329954745859j),
+    (0.75, 3 + 4j, 1.0473281246830024 + 4.1096672480992037j),
+    (0.75, -5 + 2j, -4.7997518407969886 + 1.3377981945228063j),
+    (0.75, -7 - 6j, -6.3596175499091727 - 3.7012426943256807j),
+    (0.75, 2 - 9j, -1.4409141629010503 - 7.2633202076358499j),
+    (0.75, -12, -9.0061379610459795),
+    (0.75, 11.5 + 1j, 23.457129830138916 + 31.547842445962035j),
+    (0.75, -0.25 + 0.5j, -1.2193518341233451 + 0.42128475426312885j),
+    (0.75, 0.5 - 12j, -3.0980606489073848 - 8.4891373105202167j),
+    (0.9, 3 + 4j, 5.5614574266064068 + 10.274485669786717j),
+    (0.9, -5 + 2j, -12.266476668014372 + 4.2796048141497502j),
+    (0.9, -7 - 6j, -16.851431649109281 - 12.435164337125512j),
+    (0.9, 2 - 9j, 1.1465564271575486 - 20.993925383043526j),
+    (0.9, -12, -26.606760743448404),
+    (0.9, 11.5 + 1j, 44.317337529560932 + 14.436951240637664j),
+    (0.9, -0.25 + 0.5j, -1.5979782756090941 + 1.1758549345311627j),
+    (0.9, 0.5 - 12j, -3.0449683376698377 - 26.493213942319847j),
+])
+def test_corner_pinned_in_the_series_range(beta, z, expected):
+    v = models.evaluate(models.corner(beta), z).at(0, 0)
+    assert abs(v - expected) <= 1e-13 * abs(expected)
+
+
 def test_evaluate_domain_guard():
     with pytest.raises(DomainError):
         models.evaluate(models.half_line(Q0), 1.0)

@@ -132,3 +132,70 @@ def test_singular_denominator_raises():
     )
     with pytest.raises(TransversalityError):
         triplets.transform_weyl(t, Matrix.scalar(1.0))  # cot(pi/4) = 1: singular
+
+
+def _two_by_two_transform():
+    # U a rotation; [[I, 0], [L, I]] [[I, K], [0, I]] with dyadic K, L: every block is exact
+    u = Matrix.from_rows([[0.6, 0.8j], [0.8j, 0.6]])
+    ident = Matrix.identity(2)
+    k = Matrix.from_rows([[1, 0.5], [0.5, -1]])
+    l = Matrix.from_rows([[0.25, -0.5j], [0.5j, 2]])
+    return triplets.make_transform(u, ident, k, l, ident + l @ k)
+
+
+def _four_by_four_transform():
+    # U the unitary 4-point DFT; [[I, 0], [L, I]] [[C, D C^-*], [0, C^-*]], exact
+    u = Matrix.from_rows([[1, 1, 1, 1], [1, 1j, -1, -1j], [1, -1, 1, -1], [1, -1j, -1, 1j]]).scale(0.5)
+    c = Matrix.from_rows([[2, 1, 0, 0], [0, 1, 0, 0], [0, 0, 0.5, 0.5j], [0, 0, 0, 4]])
+    c_inv_adj = Matrix.from_rows([[0.5, -0.5, 0, 0], [0, 1, 0, 0], [0, 0, 2, -0.25j], [0, 0, 0, 0.25]]).adjoint()
+    d = Matrix.from_rows([[1, 0.5j, 0, 0.25], [-0.5j, -2, 1, 0], [0, 1, 0.5, -1j], [0.25, 0, 1j, 3]])
+    l = Matrix.from_rows([[0.5, 0, 0.25j, 0], [0, -1, 0, 0.5], [-0.25j, 0, 1, 0], [0, 0.5, 0, 0.125]])
+    return triplets.make_transform(u, c, d @ c_inv_adj, l @ c, l @ d @ c_inv_adj + c_inv_adj)
+
+
+@pytest.mark.parametrize("t, m, expected", [
+    # mpmath at 40 digits of U (X11 M + X12)(X21 M + X22)^-1 U*
+    (_two_by_two_transform(),
+     Matrix.from_rows([[0.5 + 1j, 0.25 - 0.5j], [0.25 - 0.5j, -1 + 2j]]),
+     [[1.3385794336694609 + 0.57033134427208799j, 0.16858027777597415 - 0.56563603425773823j],
+      [-0.45095338584108724 + 0.48377068872598359j, 0.83558571252329418 + 0.25278938243868869j]]),
+    (_four_by_four_transform(),
+     Matrix.from_rows([[1 + 2j, 0.5, -0.25j, 0], [0.5, -1 + 1j, 0.5 + 0.5j, 0.25],
+                       [0.25j, 0.5 - 0.5j, 2 + 0.5j, -1], [0, 0.25, -1, 0.5 + 3j]]),
+     [[1.876267126323493 + 0.19673488173056993j, 0.22344968232920385 + 0.99300572054165451j,
+       -0.56798028992535887 - 0.13763317652605762j, 0.39452124999074021 - 0.51462357394314771j],
+      [0.42459878329810847 - 0.90666735828961094j, 0.72367528901171682 + 0.14975696710597949j,
+       0.11728160815200665 + 0.80701971694176333j, 0.56029729726461992 - 0.1035752095734389j],
+      [-0.61029256651815755 + 0.11462991886184827j, 0.24616036969056285 - 0.7122755046197637j,
+       1.9257846059763296 + 0.19851598993771016j, 0.19821445646089368 + 1.053404278759998j],
+      [0.37638351527695525 + 0.62607580757335204j, 0.59728859556580489 + 0.14604448753998553j,
+       0.42661220912700255 - 0.85859599921862611j, 0.66385870730069765 + 0.1616911555137887j]]),
+])
+def test_transform_weyl_pinned(t, m, expected):
+    want = Matrix.from_rows(expected)
+    assert (triplets.transform_weyl(t, m) - want).norm_max() <= 1e-13 * want.norm_max()
+
+
+@pytest.mark.parametrize("eps, expected", [
+    (0.0, "vanishes"), (3e-13, "vanishes"), (1e-11, None), (0.5, "singular"),
+])
+def test_vanishing_denominator_refusal_ignores_u(eps, expected):
+    # rotation by pi/4 mixes the traces: X21 M + X22 = cos - sin M, which is
+    # diag(-sin eps, one ulp) here: below 1e-12 of the inputs it vanishes, and
+    # once its larger pivot dwarfs the ulp it is singular
+    th = math.pi / 4
+    ident = Matrix.identity(2)
+    blocks = (ident.scale(math.cos(th)), ident.scale(math.sin(th)),
+              ident.scale(-math.sin(th)), ident.scale(math.cos(th)))
+    m = Matrix.diag([1.0 + eps, 1.0])
+
+    def refusal(u):
+        try:
+            triplets.transform_weyl(triplets.make_transform(u, *blocks), m)
+        except TransversalityError as e:
+            return "vanishes" if "vanishes" in str(e) else "singular"
+        return None
+
+    phased_swap = Matrix.from_rows([[0, 1j], [-1, 0]])
+    rotation = Matrix.from_rows([[0.6, 0.8j], [0.8j, 0.6]])
+    assert refusal(phased_swap) == refusal(rotation) == refusal(ident) == expected
