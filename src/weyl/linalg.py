@@ -174,9 +174,10 @@ def _require_square(m: Matrix, op: str):
 # -- partial-pivot elimination: solve / det / inverse --------------------
 
 
-def _eliminate(rows: list, n: int):
-    """Row-reduce the n rows in place by partial pivoting on the first row of
-    largest |entry|; returns (the sign of the row swaps, min |pivot|)."""
+def _eliminate(rows: list):
+    """Row-reduce the rows' square leading block in place by partial pivoting on
+    the first row of largest |entry|; returns (the sign of the row swaps, min |pivot|)."""
+    n = len(rows)
     sign = 1
     min_pivot = math.inf
     for k in range(n):
@@ -207,7 +208,7 @@ def det(a: Matrix) -> complex:
     _require_square(a, "det")
     n = a.rows
     rows = [list(a.row(i)) for i in range(n)]
-    sign, _ = _eliminate(rows, n)
+    sign, _ = _eliminate(rows)
     return math.prod((rows[k][k] for k in range(n)), start=complex(sign))
 
 
@@ -223,7 +224,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         arow = a.row(i)
         scale = max(scale, *map(abs, arow))
         rows.append(list(arow + b.row(i)))
-    _, min_pivot = _eliminate(rows, n)
+    _, min_pivot = _eliminate(rows)
     if min_pivot < SINGULAR_PIVOT_REL * scale:
         raise SingularMatrixError("matrix singular to working tolerance", min_pivot)
     for k in range(n - 1, -1, -1):  # back substitution, X overwriting the B columns

@@ -32,17 +32,21 @@ class TripletTransform:
     X12: Matrix
     X21: Matrix
     X22: Matrix
-    # fixed per transform: the adjoints of P, Q, R, S = U X11, U X12, U X21, U X22,
-    # which fold U into the Mobius map, and ||X22||_F for the singularity test
+    # fixed per transform: U*, the adjoints of P, Q = U X11, U X12 (U folded on
+    # the left only, where no unitarity is assumed), X21*, X22*, and ||X22||_F
+    U_star: Matrix = field(init=False, repr=False, compare=False)
     P_star: Matrix = field(init=False, repr=False, compare=False)
     Q_star: Matrix = field(init=False, repr=False, compare=False)
-    R_star: Matrix = field(init=False, repr=False, compare=False)
-    S_star: Matrix = field(init=False, repr=False, compare=False)
+    X21_star: Matrix = field(init=False, repr=False, compare=False)
+    X22_star: Matrix = field(init=False, repr=False, compare=False)
     X22_fro: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name, x in (("P_star", self.X11), ("Q_star", self.X12), ("R_star", self.X21), ("S_star", self.X22)):
-            object.__setattr__(self, name, (self.U @ x).adjoint())
+        object.__setattr__(self, "U_star", self.U.adjoint())
+        object.__setattr__(self, "P_star", (self.U @ self.X11).adjoint())
+        object.__setattr__(self, "Q_star", (self.U @ self.X12).adjoint())
+        object.__setattr__(self, "X21_star", self.X21.adjoint())
+        object.__setattr__(self, "X22_star", self.X22.adjoint())
         object.__setattr__(self, "X22_fro", self.X22.norm_fro())
 
     @property
@@ -87,14 +91,19 @@ def identity_transform(n: int) -> TripletTransform:
 
 
 def _mobius(t: TripletTransform, m: Matrix) -> Matrix:
-    """(P M + Q)(R M + S)^-1 as the adjoint of the solution X* of (R M + S)* X* = (P M + Q)*."""
+    """(P M + Q)(X21 M + X22)^-1 U*, the core taken as the adjoint of the
+    solution of (X21 M + X22)* X = (P M + Q)*: one right solve, no inverse.
+
+    U enters on the left through P, Q and on the right through U* itself, so the
+    result is the congruence U A U* for any U that passed validation, not a
+    similarity that holds only when U* = U^-1 exactly.
+    """
     m_star = m.adjoint()
-    rm_star = m_star @ t.R_star
-    denom_star = rm_star + t.S_star
+    x21m_star = m_star @ t.X21_star
+    denom_star = x21m_star + t.X22_star
     # singularity must be judged against the input scale, not the (possibly
-    # fully cancelled) denominator itself; Frobenius norms, which U leaves alone:
-    # ||R M|| = ||X21 M||, ||S|| = ||X22||, ||R M + S|| = ||X21 M + X22||
-    scale = max(rm_star.norm_fro(), t.X22_fro, 1e-30)
+    # fully cancelled) denominator itself
+    scale = max(x21m_star.norm_fro(), t.X22_fro, 1e-30)
     if denom_star.norm_fro() < 1e-12 * scale:
         raise TransversalityError("Mobius denominator X21*M + X22 vanishes")
     try:
@@ -103,11 +112,11 @@ def _mobius(t: TripletTransform, m: Matrix) -> Matrix:
         raise TransversalityError(
             f"Mobius denominator X21*M + X22 singular (pivot {e.smallest_pivot:.3e})"
         ) from e
-    return core_star.adjoint()
+    return core_star.adjoint() @ t.U_star
 
 
 def transform_weyl(t: TripletTransform, m: Matrix) -> Matrix:
-    """M -> U (X11 M + X12)(X21 M + X22)^-1 U* = (P M + Q)(R M + S)^-1."""
+    """M -> U (X11 M + X12)(X21 M + X22)^-1 U* = (P M + Q)(X21 M + X22)^-1 U*."""
     return _mobius(t, m)
 
 

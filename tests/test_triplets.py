@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from weyl import triplets
-from weyl.errors import TransformValidationError, TransversalityError
+from weyl import charfun, triplets
+from weyl.errors import DegenerateColligationError, TransformValidationError, TransversalityError
 from weyl.linalg import Matrix, imag_part, lambda_min
 
 
@@ -199,3 +199,25 @@ def test_vanishing_denominator_refusal_ignores_u(eps, expected):
     phased_swap = Matrix.from_rows([[0, 1j], [-1, 0]])
     rotation = Matrix.from_rows([[0.6, 0.8j], [0.8j, 0.6]])
     assert refusal(phased_swap) == refusal(rotation) == refusal(ident) == expected
+
+
+@pytest.mark.parametrize("b", [
+    Matrix.from_rows([[2, 0.5 - 1j], [0.5 + 1j, -3]]),
+    Matrix.from_rows([[0.5, 1.25j], [-1.25j, 1.5]]),
+    Matrix.diag([0.5, -1.0]),
+])
+def test_near_unitary_u_keeps_hermitian_b_hermitian(b):
+    # U = diag(1, e^i) R(0.6) typed to 10 digits: U*U - I is about 1.5e-10, inside
+    # the validation tolerance but no scalar multiple of I.  The map must stay the
+    # congruence U A U*; a similarity U A U^-1 would give Im B of about 1e-10 and
+    # a characteristic function built from rounding noise.
+    u = Matrix.from_rows([[0.8253356149, -0.5646424734],
+                          [0.3050776304 + 0.4751302582j, 0.4459307359 + 0.6944959727j]])
+    ident = Matrix.identity(2)
+    k = Matrix.from_rows([[1, 0.5], [0.5, -1]])
+    l = Matrix.from_rows([[0.25, -0.5j], [0.5j, 2]])
+    t = triplets.make_transform(u, ident, k, l, ident + l @ k)
+    bt = triplets.transform_boundary_operator(t, b)
+    assert (bt - bt.adjoint()).norm_fro() <= 1e-14 * bt.norm_fro()
+    with pytest.raises(DegenerateColligationError):
+        charfun.factor_colligation(bt)
