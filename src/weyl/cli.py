@@ -200,7 +200,6 @@ def cmd_spectrum(args) -> int:
         "window": list(rep.window),
         "method": rep.method,
         "eigenvalues": [{"location": x, "multiplicity": mult} for x, mult in rep.eigenvalues],
-        "unresolved": [list(iv) for iv in rep.unresolved],
     }
     if rep.oracle_delta is not None:
         payload["oracle_delta"] = list(rep.oracle_delta)

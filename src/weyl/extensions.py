@@ -1,15 +1,12 @@
 """Spectral analysis of the extension A_B from the Weyl function alone.
 
-Eigenvalues below the essential spectrum are zeros of det(M(x) - B); between
-poles M increases, so the number of positive eigenvalues of M(x) - B rises by
-k where k eigenvalues are passed.  The scan brackets the jumps of that count
-and bisects them apart, with multiplicities read off the inertia of
-M(x*) - B.  Poles of M make the count fall without an eigenvalue, so windows
-are split at the sign changes of the model's pole indicator.  A model with an
-entire pencil (the finite interval's det(Y1(x) - B Y0(x))) is scanned on its
-determinant instead, which stays finite through pole-eigenvalue collisions
-(Dirichlet and, say, Neumann spectra overlap there) and resolves them
-exactly; other kinds flag such collisions as unresolved brackets.
+Below the essential spectrum one integer carries the real point spectrum:
+N_B(x) = N_0(x) + ind_+(M(x) - B), the number of eigenvalues of A_B below x,
+with N_0 counting the poles of M, the eigenvalues of the reference extension
+ker Gamma_0 (WeylModel.eigen_count, Derkach & Malamud 1991).  It is monotone
+and jumps by the multiplicity at each eigenvalue, so a scan of its jumps
+loses none: a grid step with equal counts at both ends holds no eigenvalue.
+The negative count is the same identity at 0 with the boundary value M(0).
 
 The residual/continuous parts of the abstract correspondence have no finite
 dimensional counterpart (M(z) - B is a matrix), so only the point spectrum is
@@ -37,11 +34,10 @@ from .linalg import (
     det,
     herm_part,
     hermitian_eigen,
-    inertia,
     inverse,
     numeric_rank,
 )
-from .models import WeylModel, evaluate, m_at_zero
+from .models import ZERO_EIGENVALUE, WeylModel, evaluate, m_at_zero
 
 ORACLE_ZERO_CUT = 1e-4  # oracle counts strictly below -cut: O(dx^2)-stable
 RANK_TAU = 1e-8  # the rank law counts singular values above RANK_TAU * the largest
@@ -73,10 +69,8 @@ def extension(model: WeylModel, b) -> ExtensionSpec:
 class SpectrumReport:
     window: tuple
     eigenvalues: tuple  # ((location, multiplicity), ...)
-    neg_count: int | None
     method: str
     oracle_delta: tuple | None
-    unresolved: tuple = ()
 
 
 # -- scanning utilities -------------------------------------------------------
@@ -116,10 +110,8 @@ def scan_sign_changes(f, lo: float, hi: float, grid_n: int):
 
 
 def model_pole_locations(model: WeylModel, lo: float, hi: float) -> list:
-    """Poles of M on (lo, hi): Dirichlet eigenvalues of the reference extension."""
-    if model.pole_indicator is None:  # M is analytic below the floor
-        return []
-    return scan_sign_changes(model.pole_indicator, lo, hi, 128)
+    """Poles of M on (lo, hi): the jumps of N_0, eigenvalues of the reference extension."""
+    return [x for x, _k in scan_count_jumps(model.reference_count, lo, hi, 128)]
 
 
 # -- point spectrum on the real axis -----------------------------------------
@@ -127,7 +119,8 @@ def model_pole_locations(model: WeylModel, lo: float, hi: float) -> list:
 
 def point_spectrum_real(spec: ExtensionSpec, window, grid_n: int = 128,
                         compare_oracle: bool = False) -> SpectrumReport:
-    """Eigenvalues of A_B in a real window below the essential spectrum."""
+    """Eigenvalues of A_B in a real window below the essential spectrum: the
+    jumps of N_B, each with its size as the multiplicity."""
     if not spec.is_hermitian:
         raise ContractError("point_spectrum_real requires Hermitian B")
     if grid_n < 64:
@@ -135,67 +128,14 @@ def point_spectrum_real(spec: ExtensionSpec, window, grid_n: int = 128,
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ContractError("window must be a nonempty interval")
-    model = spec.model
+    model, b = spec.model, spec.B
     if hi >= model.ess_floor:
         raise ContractError(
             f"window top {hi} reaches the essential-spectrum floor {model.ess_floor}"
         )
-
-    if model.entire_pencil is not None:
-        eigs, unresolved = _entire_scan(spec, lo, hi, grid_n)
-        method = "real_scan_entire_det"
-    else:
-        eigs, unresolved = _generic_scan(spec, lo, hi, grid_n)
-        method = "real_scan"
-
+    eigs = scan_count_jumps(lambda x: model.eigen_count(b, x), lo, hi, grid_n)
     delta = _oracle_deltas(spec, eigs, hi) if compare_oracle else None
-    return SpectrumReport((lo, hi), tuple(eigs), None, method, delta, tuple(unresolved))
-
-
-def _entire_scan(spec: ExtensionSpec, lo: float, hi: float, grid_n: int):
-    model, b = spec.model, spec.B
-
-    def entire_det(x):
-        return det(model.entire_pencil(b, x)).real
-
-    roots = scan_sign_changes(entire_det, lo, hi, grid_n)
-    eigs = []
-    for x in roots:
-        pencil = model.entire_pencil(b, x)
-        mult = max(1, pencil.rows - numeric_rank(pencil, 1e-7))
-        eigs.append((x, mult))
-    return eigs, []
-
-
-def _generic_scan(spec: ExtensionSpec, lo: float, hi: float, grid_n: int):
-    model, b = spec.model, spec.B
-    poles = model_pole_locations(model, lo, hi)
-    cuts = [lo] + [p for p in poles if lo < p < hi] + [hi]
-    eigs = []
-    unresolved = []
-    for a, c in zip(cuts, cuts[1:]):
-        gap = 1e-9 * (1.0 + abs(a) + abs(c))
-        sub_lo = a + (gap if a in poles else 0.0)
-        sub_hi = c - (gap if c in poles else 0.0)
-        if sub_hi <= sub_lo:
-            continue
-        sub_grid = max(64, int(grid_n * (sub_hi - sub_lo) / (hi - lo)) + 8)
-
-        def count(x):
-            # positive eigenvalues of M(x) - B: M increases between poles, so
-            # this count rises by k where k eigenvalues of A_B are passed
-            return sum(1 for w in hermitian_eigen(evaluate(model, complex(x)) - b) if w > 0.0)
-
-        for x, jump in scan_count_jumps(count, sub_lo, sub_hi, sub_grid):
-            near_pole = any(abs(x - p) < 1e-6 * (1.0 + abs(x)) for p in poles)
-            if near_pole:
-                unresolved.append((x - 1e-6 * (1 + abs(x)), x + 1e-6 * (1 + abs(x))))
-                continue
-            pencil = evaluate(model, complex(x)) - b
-            scale = max(1.0, pencil.norm_fro())
-            mult = max(jump, inertia(herm_part(pencil), 1e-6 * scale).n_zero)
-            eigs.append((x, mult))
-    return eigs, unresolved
+    return SpectrumReport((lo, hi), tuple(eigs), "count_scan", delta)
 
 
 def _oracle_deltas(spec: ExtensionSpec, eigs, window_top: float):
@@ -311,42 +251,29 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
 # -- negative spectrum ---------------------------------------------------------
 
 
-def _check_reference_nonnegative(model: WeylModel):
-    if model.dirichlet_reference is None:
-        if model.ess_floor < -1e-12:
-            raise ContractError("model floor below zero: reference extension not nonnegative")
-        return
-    op = model.dirichlet_reference()
-    window = model.reference_scan_window and model.reference_scan_window()
-    below_zero = window and scan_sign_changes(model.pole_indicator, *window, 128)
-    if below_zero or oracle_mod.eigen_count_below(op, -ORACLE_ZERO_CUT) > 0:
-        raise ContractError("reference (Dirichlet) extension has negative spectrum")
-
-
 def negative_count(spec: ExtensionSpec):
-    """(count from inertia of B - M(0), oracle count or None).
+    """(count through M(0), oracle count or None).
 
-    The headline law: dim E_{A_B}(-inf, 0) equals the number of negative
-    eigenvalues of B - M(0).  An eigenvalue w with |w| <= 1e-9 counts as
-    zero (B = M(0) is the Krein extension, which has none); one with
-    1e-9 < |w| <= 3 est_error of M(0) has a sign M(0) cannot decide, and
-    raises AccuracyError.
+    The headline law: dim E_{A_B}(-inf, 0) is N_0(0) plus the number of
+    negative eigenvalues of B - M(0) (WeylModel.count_below_zero).  An
+    eigenvalue w of B - M(0) with |w| <= ZERO_EIGENVALUE counts as zero
+    (B = M(0) is the Krein extension, which has none); one with
+    ZERO_EIGENVALUE < |w| <= 3 est_error of M(0) has a sign M(0) cannot
+    decide, and raises AccuracyError.
     """
     if not spec.is_hermitian:
         raise ContractError("negative_count requires Hermitian B")
     model = spec.model
-    _check_reference_nonnegative(model)
     m0 = m_at_zero(model)
     band = 3.0 * m0.est_error
-    evals = hermitian_eigen(herm_part(spec.B - m0.value))
-    for w in evals:
-        if 1e-9 < abs(w) <= band:
+    for w in hermitian_eigen(herm_part(spec.B - m0.value)):
+        if ZERO_EIGENVALUE < abs(w) <= band:
             raise AccuracyError(
                 f"eigenvalue {w:.3g} of B - M(0) is within 3 est_error of M(0) of zero, "
                 "so its sign is undecided",
                 estimate=m0.est_error,
             )
-    kappa_m = sum(1 for w in evals if w < -1e-9)
+    kappa_m = model.count_below_zero(spec.B, m0.value)
     ops = _oracle_operators(spec)
     kappa_oracle = None
     if ops is not None:
@@ -402,7 +329,8 @@ def resolvent_rank_law(spec1: ExtensionSpec, spec2: ExtensionSpec, z: complex,
     rank_oracle = None
     ops1 = _oracle_operators(spec1)
     ops2 = _oracle_operators(spec2)
-    if ops1 is not None and ops2 is not None:
+    # a Dirichlet side (an h family member at B = -h) drops its end node: no shared grid
+    if ops1 is not None and ops2 is not None and [o.size for o in ops1] == [o.size for o in ops2]:
         rank_oracle = sum(
             oracle_mod.resolvent_difference_rank(o1, o2, complex(z))
             for o1, o2 in zip(ops1, ops2)

@@ -4,10 +4,16 @@ Each class holds its own parameters plus kind, n and ess_floor (-inf allowed;
 +inf means purely discrete), its z-independent constants, computed once at
 construction, and every rule of its kind: M(z) (evaluate(model, z) checks the
 domain and calls it), m_at_zero (a direct route to M(0), with no limit
-x -> 0- to extrapolate), the pole indicator (a real function of x whose sign
-changes are the poles of M below the floor), the interval's entire pencil
-Y1 - B Y0, the oracle discretizations of A_B and of the Dirichlet reference,
-and the operator potential's Robin matrix.  A rule a kind lacks is None.
+x -> 0- to extrapolate), the eigenvalue counts below a real x, the oracle
+discretizations of A_B and the operator potential's Robin matrix.  A rule a
+kind lacks is None.
+
+Below the floor N_B(x) = N_0(x) + ind_+(M(x) - B) counts the eigenvalues of
+A_B below x (Derkach & Malamud 1991), N_0 those of the reference extension
+ker Gamma_0, the poles of M: 0 for the closed-form kinds, a Sturm
+oscillation count for the ODE kinds.  The interval takes the inertia of the
+congruent Y0* (Y1 - B Y0), finite where poles and eigenvalues collide; an h
+family member counts through the (y(0), y'(0)) triplet.
 
 All models satisfy M(conj z) = M(z)* and the Herglotz property Im M >= 0 on the
 upper half-plane; those two facts are the acceptance anchor for every branch
@@ -32,17 +38,18 @@ import math
 from dataclasses import dataclass, field
 
 from . import oracle
-from .errors import (AccuracyError, ContractError, DomainError, EvalError, PoleError, RangeError,
+from .errors import (AccuracyError, DomainError, EvalError, PoleError, RangeError,
                      TransversalityError)
-from .linalg import Matrix, herm_part, lambda_min
+from .linalg import Matrix, herm_part, hermitian_eigen, lambda_min
 from .slsolve import (
     PotentialSpec,
     boundary_ratio,
     decaying_solution,
     finite_interval_M,
-    fundamental_system,
     h_map,
     halfline_m,
+    halfline_oscillation,
+    interval_oscillation,
     tail_support,
     threshold_solution,
 )
@@ -50,6 +57,9 @@ from .specfun import BESSEL_RANGE, gamma, sqrt_upper, upper_power
 
 # the propagation tolerance of every M(0) route that integrates
 M0_RTOL = 1e-11
+# an eigenvalue of B - M(0) this close to 0 is zero: B = M(0), the Krein
+# extension, has no negative eigenvalue
+ZERO_EIGENVALUE = 1e-9
 
 
 @dataclass(frozen=True)
@@ -67,8 +77,7 @@ class WeylModel:
     kind = ""
     n = 1
     ess_floor = 0.0
-    pole_indicator = entire_pencil = robin_matrix = None
-    oracle_operators = dirichlet_reference = reference_scan_window = None
+    robin_matrix = oracle_operators = None
 
     def _derive(self, **values):
         """Set attributes on the frozen instance once, at construction."""
@@ -80,6 +89,25 @@ class WeylModel:
 
     def m_at_zero(self) -> MZeroResult:
         raise NotImplementedError
+
+    def reference_count(self, x: float) -> int:
+        """N_0(x): eigenvalues below x of ker Gamma_0, the poles of M; M is
+        analytic below the floor unless a kind says otherwise."""
+        return 0
+
+    def eigen_count(self, b: Matrix, x: float) -> int:
+        """N_B(x): eigenvalues of A_b below a real x under the floor."""
+        return self.reference_count(x) + _positive_index(self.M(complex(x)) - b)
+
+    def count_below_zero(self, b: Matrix, m0: Matrix) -> int:
+        """N_B(0) from M(0) = m0: N_0(0) plus the eigenvalues of b - m0 below
+        -ZERO_EIGENVALUE."""
+        negative = sum(1 for w in hermitian_eigen(herm_part(b - m0)) if w < -ZERO_EIGENVALUE)
+        return self.reference_count(0.0) + negative
+
+
+def _positive_index(m: Matrix) -> int:
+    return sum(1 for w in hermitian_eigen(m) if w > 0.0)
 
 
 @dataclass(frozen=True)
@@ -97,9 +125,43 @@ class HalfLine(WeylModel):
     def M(self, z: complex) -> Matrix:
         return Matrix.scalar(halfline_m(self.q, self.h, z))
 
-    def pole_indicator(self, x: float) -> float:
-        """y(0; x) of the decaying solution."""
-        return decaying_solution(self.q, complex(x))[0].real
+    def _robin(self, b: Matrix) -> float | None:
+        """The r of y'(0) = r y(0) that A_b is in the (y(0), y'(0)) triplet, or
+        None for y(0) = 0: m_h = b means m = (1 + h b)/(b + h), Dirichlet at b = -h."""
+        b = b.at(0, 0).real
+        if self.h is None:
+            return b
+        return None if b == -self.h else (1.0 + self.h * b) / (b + self.h)
+
+    def _robin_count(self, r: float | None, x: float) -> int:
+        """Eigenvalues below x of y'(0) = r y(0) (r = None: y(0) = 0) in the
+        (y(0), y'(0)) triplet, where m -> -inf below the spectrum: the
+        Dirichlet ones plus ind_+(m(x) - r)."""
+        zeros, y, yp = halfline_oscillation(self.q, x)
+        # m - r = (y' - r y)/y has the sign of (y' - r y) y
+        return zeros if r is None else zeros + ((yp - r * y) * y > 0.0)
+
+    def reference_count(self, x: float) -> int:
+        """Dirichlet eigenvalues below x; for a finite h those of y'(0) = h y(0),
+        the poles of m_h."""
+        return self._robin_count(self.h, x)
+
+    def eigen_count(self, b: Matrix, x: float) -> int:
+        return self._robin_count(self._robin(b), x)
+
+    def count_below_zero(self, b: Matrix, m0: Matrix) -> int:
+        """For a finite h, through the (y(0), y'(0)) triplet: with r = _robin(b),
+        b - m_h = (b + h)(m - r)/(m - h) and m_h + h = (1 - h^2)/(m - h), so
+        m(0) - r has the sign of w (b + h)(1 - h^2)(M(0) + h), w = b - M(0),
+        and w = 0 (the Krein extension) adds none."""
+        if self.h is None:
+            return super().count_below_zero(b, m0)
+        h, bb, mh = self.h, b.at(0, 0).real, m0.at(0, 0).real
+        zeros = self._robin_count(None, 0.0)
+        w = bb - mh
+        if bb == -h or abs(w) <= ZERO_EIGENVALUE:
+            return zeros
+        return zeros + (w * (bb + h) * (1.0 - h * h) * (mh + h) > 0.0)
 
     def m_at_zero(self) -> MZeroResult:
         """M_inf(0) = y'(0)/y(0) of the solution bounded at infinity at z = 0
@@ -143,26 +205,10 @@ class HalfLine(WeylModel):
         return MZeroResult(Matrix.scalar(m), method, est)
 
     def oracle_operators(self, b: Matrix):
-        if self.h is not None:
-            return None
-        return [oracle.halfline_operator(self.q, b.at(0, 0).real)]
-
-    def dirichlet_reference(self):
-        if self.h is not None:
-            raise ContractError("negative_count needs the (y(0), y'(0)) triplet")
-        return oracle.halfline_dirichlet_operator(self.q)
-
-    def reference_scan_window(self):
-        """[min q - 1, 0] when q has a constant tail >= 0, or None.  y is then
-        tail-matched, so the pole indicator also changes sign at a Dirichlet
-        eigenvalue below 0 whose decay length exceeds the oracle's box (a
-        threshold resonance)."""
-        support = tail_support(self.q)
-        if support is None or self.q.tail < 0.0:
-            return None
-        # past the support so that the tail piece counts; a table's nodes bound its linear segments
-        pieces = self.q.pieces(0.0, support + 1.0)
-        return min([c for _lo, _hi, c in pieces if c is not None] + list(self.q.values)) - 1.0, 0.0
+        r = self._robin(b)
+        if r is None:
+            return [oracle.halfline_dirichlet_operator(self.q)]
+        return [oracle.halfline_operator(self.q, r)]
 
 
 @dataclass(frozen=True)
@@ -188,19 +234,20 @@ class FiniteInterval(WeylModel):
             raise TransversalityError("0 is a Dirichlet eigenvalue: M(x) is unbounded as x -> 0-") from e
         return MZeroResult(herm_part(value), "propagated", M0_RTOL * (1.0 + value.norm_max()) ** 2)
 
-    def entire_pencil(self, b: Matrix, x: float) -> Matrix:
-        """Y1(x) - B Y0(x): entire in x and singular exactly at the eigenvalues of
-        A_B, so it stays finite through pole-eigenvalue collisions."""
-        fs = fundamental_system(self.q, self.b, complex(x))
-        return fs.Y1 - b @ fs.Y0
+    def reference_count(self, x: float) -> int:
+        """Dirichlet eigenvalues below x: the zeros of u2 in (0, b)."""
+        return interval_oscillation(self.q, self.b, x)[0]
+
+    def eigen_count(self, b: Matrix, x: float) -> int:
+        """N_0(x) plus the inertia of Y0* (Y1 - B Y0), congruent to M - B where
+        Y0 is invertible (Sylvester) and finite where it is not."""
+        zeros, fs = interval_oscillation(self.q, self.b, x)
+        return zeros + _positive_index(herm_part(fs.Y0.adjoint() @ (fs.Y1 - b @ fs.Y0)))
 
     def oracle_operators(self, b: Matrix):
         if not _is_diagonal(b):
             return None
         return [oracle.interval_operator(self.q, self.b, b.at(0, 0).real, b.at(1, 1).real, n=2000)]
-
-    def dirichlet_reference(self):
-        return oracle.discretize(self.q, self.b, 2000, None, None)
 
 
 def _checked_diagonal(a_diag, what: str) -> tuple:

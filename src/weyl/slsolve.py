@@ -267,7 +267,19 @@ def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float):
 
 def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: float,
             rtol: float):
-    """(y(b), y'(b)) from a to b inside one varying piece of q, to rtol.
+    """(y(b), y'(b)) from a to b inside one varying piece of q, to rtol."""
+    mesh = _piece_mesh(q, a, b)
+    return _extrapolate(lambda level: mesh.sweep(z, y, yp, a, b, level), a, b, z, rtol)
+
+
+def _piece_mesh(q: PotentialSpec, a: float, b: float) -> _Mesh:
+    """The mesh of the varying piece of q that holds the span, from its finite end."""
+    lo, hi, _ = next(p for p in q.pieces(-math.inf, math.inf) if p[0] <= min(a, b) < p[1])
+    return _mesh(q, hi, lo) if lo == -math.inf else _mesh(q, lo, hi)
+
+
+def _extrapolate(sweep, a: float, b: float, z: complex, rtol: float):
+    """The Magnus value of sweep(level) = (y_k(b), y'_k(b)), to rtol.
 
     Sweeps mesh levels 0, 1, 2, ... from the same (y, y'), so all share one
     scaling, and extrapolates their error terms h^4 and h^6 away:
@@ -278,13 +290,10 @@ def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: 
     Returns r6_k at the first k >= 2 whose error is <= rtol max(|y|, |y'|);
     past level _MAX_LEVEL raises AccuracyError.
     """
-    # the whole piece holding the span is meshed from its finite end
-    lo, hi, _ = next(p for p in q.pieces(-math.inf, math.inf) if p[0] <= min(a, b) < p[1])
-    mesh = _mesh(q, hi, lo) if lo == -math.inf else _mesh(q, lo, hi)
     r4 = y_prev = None
     d = 0.0
     for level in range(_MAX_LEVEL + 1):
-        yk = mesh.sweep(z, y, yp, a, b, level)
+        yk = sweep(level)
         _check_finite(*yk, a, b)
         if level >= 1:
             r4, r4_prev = _richardson(yk, y_prev, 15.0), r4
@@ -297,12 +306,60 @@ def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: 
             if err <= rtol * scale:
                 return u, p
         y_prev = yk
-    raise AccuracyError(f"Magnus mesh on [{a}, {b}] unresolved at z={z} after level {_MAX_LEVEL}",
+    raise AccuracyError(f"Magnus mesh on [{a}, {b}] not resolved at z={z} after level {_MAX_LEVEL}",
                         estimate=err / scale)
 
 
 def _richardson(fine, coarse, factor: float):
     return fine[0] + (fine[0] - coarse[0]) / factor, fine[1] + (fine[1] - coarse[1]) / factor
+
+
+# -- oscillation counts at real x ----------------------------------------------
+
+
+def _count_ivp(q: PotentialSpec, x: float, y: float, yp: float, a: float, b: float,
+               rtol: float):
+    """integrate_ivp at a real x, and the times y passes from y <= 0 to y > 0 or
+    back after a: (y(b), y'(b), zeros).
+
+    An exact step, or a Magnus cell with s^2 = -sigma^2 < 0, turns (y, y')
+    uniformly by sigma in the coordinates of its rotation, so y vanishes once
+    per half-turn and once more where the rest ends across 0; otherwise (a
+    whole exact piece included) y vanishes at most once.
+    """
+    zeros = 0
+    pieces = q.pieces(min(a, b), max(a, b))
+    if b < a:
+        pieces = [(hi, lo, c) for lo, hi, c in reversed(pieces)]
+    for start, end, c in pieces:
+        if c is None:
+            y1, yp, n = _count_magnus(q, x, y, yp, start, end, rtol)
+        else:
+            y1, yp = (v.real for v in _transfer(c - x, y, yp, start, end))
+            turns = int(math.sqrt(max(x - c, 0.0)) * abs(end - start) / math.pi)
+            n = turns + (((y > 0.0) != (y1 > 0.0)) ^ (turns & 1))
+        y = y1
+        zeros += n
+    return y, yp, zeros
+
+
+def _count_magnus(q: PotentialSpec, x: float, y: float, yp: float, a: float, b: float,
+                  rtol: float):
+    """_magnus at a real x with the zeros of its finest swept level, moved by one
+    where the extrapolated y(b) lies across 0 from that level's: a zero at a
+    piece end then counts once."""
+    mesh, last = _piece_mesh(q, a, b), []
+
+    def sweep(level):
+        last[:] = mesh.count_sweep(x, y, yp, a, b, level)
+        return last[0], last[1]
+
+    y1, yp1 = _extrapolate(sweep, a, b, x, rtol)
+    yk, ypk, zeros = last
+    if (y1 > 0.0) != (yk > 0.0):
+        # past a zero, y has the sign of y' times the direction of travel
+        zeros += -1 if (yk > 0.0) == ((ypk > 0.0) == (b > a)) else 1
+    return y1, yp1, zeros
 
 
 @lru_cache(maxsize=64)
@@ -372,6 +429,40 @@ class _Mesh:
         h = dir w, and toward smaller t the same with h and c negated;
         exp(Omega) = cosh(s) I + sinh(s)/s Omega with s^2 = c^2 + w^2 (qbar - z).
         """
+        subcells, sign = self._subcells(a, b, level)
+        d = self.dir
+        sqrt, cosh, sinh = cmath.sqrt, cmath.cosh, cmath.sinh
+        for qbar, c, w in subcells:
+            c *= sign
+            h = sign * d * w
+            p = qbar - z
+            s = sqrt(c * c + w * w * p)
+            ch, sh = (cosh(s), sinh(s) / s) if s else (1.0, 1.0)
+            shc, shh = sh * c, sh * h
+            y, yp = (ch + shc) * y + shh * yp, shh * p * y + (ch - shc) * yp
+        return y, yp
+
+    def count_sweep(self, x: float, y: float, yp: float, a: float, b: float, level: int):
+        """sweep at a real x, with the zeros of y passed (see _count_ivp):
+        (y(b), y'(b), zeros)."""
+        subcells, sign = self._subcells(a, b, level)
+        d, zeros, pos = self.dir, 0, y > 0.0
+        for qbar, c, w in subcells:
+            c *= sign
+            h = sign * d * w
+            p = qbar - x
+            s = cmath.sqrt(c * c + w * w * p)
+            ch, sh = (cmath.cosh(s).real, (cmath.sinh(s) / s).real) if s else (1.0, 1.0)
+            shc, shh = sh * c, sh * h
+            y, yp = (ch + shc) * y + shh * yp, shh * p * y + (ch - shc) * yp
+            new, turns = y > 0.0, int(s.imag / math.pi)
+            zeros += turns + ((pos != new) ^ (turns & 1))
+            pos = new
+        return y, yp, zeros
+
+    def _subcells(self, a: float, b: float, level: int):
+        """The (qbar, c, w) of the level's subcells from a to b, in stepping order,
+        and the sign of the step in t."""
         x0, d, t, n = self.origin, self.dir, self.t, 1 << level
         ta, tb = (a - x0) * d, (b - x0) * d
         lo, hi = min(ta, tb), max(ta, tb)
@@ -386,21 +477,9 @@ class _Mesh:
         for k, (e0, e1) in enumerate(zip(edges, edges[1:]), i0 - 1):
             full = e0 == t[k] and e1 == t[k + 1]
             cells += done[3 * n * k: 3 * n * (k + 1)] if full else self._cells(e0, e1, n)
-        sign = 1.0 if tb > ta else -1.0
-        if sign > 0:
-            subcells = zip(cells[0::3], cells[1::3], cells[2::3])
-        else:
-            subcells = zip(cells[-3::-3], cells[-2::-3], cells[-1::-3])
-        sqrt, cosh, sinh = cmath.sqrt, cmath.cosh, cmath.sinh
-        for qbar, c, w in subcells:
-            c *= sign
-            h = sign * d * w
-            p = qbar - z
-            s = sqrt(c * c + w * w * p)
-            ch, sh = (cosh(s), sinh(s) / s) if s else (1.0, 1.0)
-            shc, shh = sh * c, sh * h
-            y, yp = (ch + shc) * y + shh * yp, shh * p * y + (ch - shc) * yp
-        return y, yp
+        if tb > ta:
+            return zip(cells[0::3], cells[1::3], cells[2::3]), 1.0
+        return zip(cells[-3::-3], cells[-2::-3], cells[-1::-3]), -1.0
 
 
 @lru_cache(maxsize=100_000)
@@ -416,6 +495,19 @@ def fundamental_system(q: PotentialSpec, b: float, z: complex,
     y0 = Matrix.from_rows([[1.0, 0.0], [u1b, u2b]])
     y1 = Matrix.from_rows([[0.0, 1.0], [-u1pb, -u2pb]])
     return FundamentalSystem(z, b, y0, y1)
+
+
+@lru_cache(maxsize=100_000)
+def interval_oscillation(q: PotentialSpec, b: float, x: float):
+    """(zeros, FundamentalSystem) at a real x: fundamental_system's, in real
+    arithmetic, and the zeros of u2 in (0, b), the Dirichlet eigenvalues below
+    x (Sturm)."""
+    u1b, u1pb, _ = _count_ivp(q, float(x), 1.0, 0.0, 0.0, float(b), 1e-10)
+    u2b, u2pb, zeros = _count_ivp(q, float(x), 0.0, 1.0, 0.0, float(b), 1e-10)
+    y0 = Matrix.from_rows([[1.0, 0.0], [u1b, u2b]])
+    y1 = Matrix.from_rows([[0.0, 1.0], [-u1pb, -u2pb]])
+    # u2 leaves its zero at 0 into y > 0, which counts once
+    return zeros - 1, FundamentalSystem(complex(x), float(b), y0, y1)
 
 
 def finite_interval_M(q: PotentialSpec, b: float, z: complex,
@@ -442,16 +534,21 @@ def _endpoint(q: PotentialSpec, z: complex, start: float, seed: tuple, rtol: flo
     Only the ray through (y(0), y'(0)) matters, so per-chunk rescaling is
     harmless and keeps magnitudes inside double range for large Im sqrt(z) L.
     """
-    growth = sqrt_upper(z - q.tail).imag
-    nchunks = max(1, int(growth * start / 80.0) + 1)
-    xs = [start - i * (start / nchunks) for i in range(nchunks + 1)]
     y, yp = seed
-    for a, b in zip(xs, xs[1:]):
+    for a, b in _chunks(q, z, start):
         y, yp = integrate_ivp(q, z, (y, yp), (a, b), rtol=rtol)
         m = max(abs(y), abs(yp))
         if m > _RESCALE_NORM or (0.0 < m < 1.0 / _RESCALE_NORM):
             y, yp = y / m, yp / m
     return y, yp
+
+
+def _chunks(q: PotentialSpec, z: complex, start: float):
+    """The spans, from start back to 0, over which the solution grows by at most about e^80."""
+    growth = sqrt_upper(z - q.tail).imag
+    nchunks = max(1, int(growth * start / 80.0) + 1)
+    xs = [start - i * (start / nchunks) for i in range(nchunks + 1)]
+    return zip(xs, xs[1:])
 
 
 def tail_support(q: PotentialSpec) -> float | None:
@@ -474,10 +571,16 @@ def decaying_solution(q: PotentialSpec, z: complex, L: float | None = None,
     an error above _TRUNC_RAISE, raises AccuracyError.
     """
     z = complex(z)
+    start, seed, error = _decaying_seed(q, z, L)
+    return (*_endpoint(q, z, start, seed, float(rtol)), error)
+
+
+def _decaying_seed(q: PotentialSpec, z: complex, L: float | None):
+    """(x, (y(x), y'(x)), truncation error) that decaying_solution starts from."""
     support = tail_support(q) if L is None else None
     if support is not None:
         kappa = -1j * sqrt_upper(z - q.tail)
-        return (*_endpoint(q, z, support, (1.0 + 0j, -kappa), float(rtol)), 0.0)
+        return support, (1.0 + 0j, -kappa), 0.0
     kappa = sqrt_upper(z - q.tail).imag
     if kappa <= 0.0:
         raise AccuracyError(f"z={z} sits on the essential spectrum tail", estimate=1.0)
@@ -486,7 +589,29 @@ def decaying_solution(q: PotentialSpec, z: complex, L: float | None = None,
     error = math.exp(-2.0 * kappa * L)
     if error > _TRUNC_RAISE:
         raise AccuracyError(f"truncation at L={L:.1f} insufficient for z={z}", estimate=error)
-    return (*_endpoint(q, z, float(L), (0.0 + 0j, 1.0 + 0j), float(rtol)), error)
+    return float(L), (0.0 + 0j, 1.0 + 0j), error
+
+
+@lru_cache(maxsize=100_000)
+def halfline_oscillation(q: PotentialSpec, x: float):
+    """(zeros, y(0), y'(0)) of the solution bounded at infinity at a real x at
+    most the floor, seeded as decaying_solution seeds it, or at the floor of a
+    q that is never constant as (1, 0) at TRUNCATION_CAP.  Its zeros in
+    (0, inf) are the Dirichlet eigenvalues below x (Sturm): none lies past a
+    tail-matched seed, and a truncated seed leaves its zero at L into y < 0."""
+    x = float(x)
+    if x == q.tail and tail_support(q) is None:
+        start, seed = TRUNCATION_CAP, (1.0, 0.0)
+    else:
+        start, seed, _error = _decaying_seed(q, complex(x), None)
+    y, yp, zeros = seed[0].real, seed[1].real, 0
+    for a, b in _chunks(q, complex(x), start):
+        y, yp, n = _count_ivp(q, x, y, yp, a, b, 1e-10)
+        zeros += n
+        m = max(abs(y), abs(yp))  # rescaled as in _endpoint: signs are kept
+        if m > _RESCALE_NORM or (0.0 < m < 1.0 / _RESCALE_NORM):
+            y, yp = y / m, yp / m
+    return zeros, y, yp
 
 
 def threshold_solution(q: PotentialSpec, rtol: float = 1e-10):

@@ -5,9 +5,11 @@ argument in its power-series regime |z| <= 40, the upper-half-plane square
 root and principal powers.  Branches matter more than speed here; every
 branch choice is validated downstream by the Herglotz suites.
 
-bessel_j serves only oracle.corner_friedrichs_eigenvalues: the corner models
-sum their own reduced series in z (models.Corner), so the M-route and the
-oracle share no Bessel code.
+bessel_j has no caller in the package: the corner models sum their own
+reduced series in z (models.Corner) and the oracle takes its Bessel zeros
+from Ikebe's matrix (oracle.corner_friedrichs_eigenvalues), so the M-route
+and the oracle share no Bessel code.  It stays, with its tests, only because
+the benchmark tracer (weylbench/spans.py) wraps it by name.
 """
 
 from __future__ import annotations

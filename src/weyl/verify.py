@@ -264,7 +264,30 @@ def suite_eigenvalue_correspondence(rng: random.Random):
     )
     _check(out, "well scenario: M-route and oracle spectra match both ways", ok,
            f"M-route {[x for x, _ in rep.eigenvalues]}, oracle {oracle_evs}")
+
+    windows = ((extensions.extension(hl, -1.0), (-2.0, -0.1)),
+               (extensions.ExtensionSpec(fi, Matrix.zeros(2, 2)), (0.5, 9.5)),
+               (extensions.extension(well, -0.8), (-3.5, -0.01)))
+    counts = [_count_routes(spec, lo, hi) for spec, (lo, hi) in windows]
+    _check(out, "N_B(hi) - N_B(lo) equals the oracle's Sturm-count difference",
+           all(a == b for a, b in counts), f"(M-route, oracle) {counts}")
+
+    poles = extensions.model_pole_locations(fi, 0.5, 40.0)
+    op = oracle.discretize(q0, math.pi, 2000, None, None)
+    dirichlet = [v for v in oracle.lowest_eigenvalues(op, 10, upper=40.0) if v > 0.5]
+    ok = len(poles) == len(dirichlet) and all(
+        abs(x - v) <= 1e-4 * v for x, v in zip(poles, dirichlet))
+    _check(out, "interval poles of M on (0.5, 40) are the oracle's Dirichlet eigenvalues (1e-4)",
+           ok, f"M-route {poles}, oracle {dirichlet}")
     return out
+
+
+def _count_routes(spec, lo: float, hi: float):
+    """(N_B(hi) - N_B(lo) on the M-route, the oracle's Sturm-count difference)."""
+    n_m = spec.model.eigen_count(spec.B, hi) - spec.model.eigen_count(spec.B, lo)
+    n_o = sum(oracle.eigen_count_below(op, hi) - oracle.eigen_count_below(op, lo)
+              for op in extensions._oracle_operators(spec))
+    return n_m, n_o
 
 
 # -- suite: negative_count ----------------------------------------------------------
@@ -308,11 +331,14 @@ def suite_negative_count(rng: random.Random):
         if q_min is not None:
             # the form bound A_h >= min q - h^2 puts every eigenvalue above the window
             h = spec.B.at(0, 0).real
-            rep = extensions.point_spectrum_real(spec, (q_min - h * h - 1.0, -0.01))
+            window = (q_min - h * h - 1.0, -0.01)
+            rep = extensions.point_spectrum_real(spec, window)
             scanned = sum(mult for _x, mult in rep.eigenvalues)
             _check(out, f"negative count equals the real scan [{label}]",
-                   not rep.unresolved and kappa_m == scanned,
-                   f"M-route {kappa_m}, scan {scanned}, unresolved {rep.unresolved}")
+                   kappa_m == scanned, f"M-route {kappa_m}, scan {scanned}")
+            n_m, n_o = _count_routes(spec, *window)
+            _check(out, f"N_B difference on the scan window equals the oracle's [{label}]",
+                   n_m == n_o, f"M-route {n_m}, oracle {n_o}")
     # monotonicity behind the count law: lambda_min(B - M(x)) non-increasing
     hl = models.half_line(PotentialSpec.zero())
     vals = []
@@ -463,11 +489,11 @@ def suite_transform_invariance(rng: random.Random):
         den = fs.Y1.scale(-math.sin(th)) + fs.Y0.scale(math.cos(th))
         return num @ inverse(den)
 
-    def pole_indicator(x):
+    def denominator_det(x):
         fs = fundamental_system(q0, math.pi, complex(x))
         return det(fs.Y1.scale(-math.sin(th)) + fs.Y0.scale(math.cos(th))).real
 
-    new_poles = extensions.scan_sign_changes(pole_indicator, 0.5, 9.5, 256)
+    new_poles = extensions.scan_sign_changes(denominator_det, 0.5, 9.5, 256)
 
     def ft(x):
         return det(herm_part(mt_of(x) - bt)).real

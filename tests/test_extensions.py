@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weyl import extensions, models, oracle
-from weyl.errors import AccuracyError, BoundaryZeroError, ContractError, SpectralPointError, WeylError
+from weyl.errors import AccuracyError, BoundaryZeroError, ContractError, SpectralPointError
 from weyl.linalg import Matrix
 from weyl.slsolve import PotentialSpec
 from weyl.specfun import sqrt_upper
@@ -53,7 +53,31 @@ def test_interval_collision_spectrum():
     locs = [x for x, _ in rep.eigenvalues]
     assert [round(x) for x in locs] == [1, 4, 9]
     assert all(m == 1 for _, m in rep.eigenvalues)
-    assert rep.method == "real_scan_entire_det"
+    assert rep.method == "count_scan"
+
+
+def test_interval_neumann_window_keeps_every_eigenvalue():
+    # Neumann on [0, 2]: (k pi/2)^2, k = 0..34, each a Dirichlet pole of M but
+    # the first; a determinant sign scan lost 0, 2.47, 9.87 and 22.21 here
+    spec = extensions.ExtensionSpec(models.finite_interval(Q0, 2.0), Matrix.zeros(2, 2))
+    rep = extensions.point_spectrum_real(spec, (-1.0, 3000.0))
+    assert len(rep.eigenvalues) == 35
+    for k, (x, mult) in enumerate(rep.eigenvalues):
+        want = (k * math.pi / 2.0) ** 2
+        assert mult == 1 and abs(x - want) <= 1e-9 * (1.0 + want), (k, x)
+
+
+def test_h_family_counts_through_the_base_triplet():
+    # m_h has a pole at -4 (m = h), which is no eigenvalue of A_0: y'(0) = -0.5 y(0)
+    hl = models.half_line(Q0, h=-2.0)
+    rep = extensions.point_spectrum_real(extensions.extension(hl, 0.0), (-10.0, -0.1),
+                                         compare_oracle=True)
+    assert len(rep.eigenvalues) == 1
+    x, mult = rep.eigenvalues[0]
+    assert mult == 1 and abs(x + 0.25) <= 1e-9
+    assert rep.oracle_delta is not None and rep.oracle_delta[0] < 1e-3
+    k_m, k_o = extensions.negative_count(extensions.extension(hl, 0.0))
+    assert k_m == k_o == 1
 
 
 def test_interval_mixed_conditions():
@@ -106,10 +130,10 @@ def test_count_complex_real_model_no_interior_zero():
     assert rep.count == 0
 
 
-def test_negative_count_requires_nonnegative_reference():
-    deep = models.half_line(PotentialSpec.square_well(-5.0, 1.2))  # Dirichlet bound state
-    with pytest.raises(ContractError):
-        extensions.negative_count(extensions.extension(deep, 0.0))
+def test_negative_count_with_a_dirichlet_bound_state():
+    # N_0(0) = 1 and M(0) = -1.103, so B = 0 adds none: one eigenvalue below 0
+    deep = models.half_line(PotentialSpec.square_well(-5.0, 1.2))
+    assert extensions.negative_count(extensions.extension(deep, 0.0)) == (1, 1)
 
 
 def test_negative_count_dissipative_rejected():
@@ -132,6 +156,14 @@ def test_rank_law_spectral_point_error():
     with pytest.raises(SpectralPointError):
         # zeta = eigenvalue of B2 = 1: (B2 - zeta) singular
         extensions.resolvent_rank_law(s1, s2, 1j, 1.0)
+
+
+def test_rank_law_with_a_dirichlet_h_family_member():
+    # B = -h is y(0) = 0, whose oracle grid drops a node: the oracle rank is skipped
+    hl = models.half_line(Q0, h=-2.0)
+    rep = extensions.resolvent_rank_law(extensions.extension(hl, 2.0), extensions.extension(hl, 1.0),
+                                        0.7 + 1.3j, 0.4 + 2.2j)
+    assert rep.agree and rep.rank_difference == 1 and rep.rank_oracle is None
 
 
 def test_rank_law_requires_shared_model():
@@ -199,11 +231,7 @@ def test_negative_count_threshold_resonant_well():
     # the Dirichlet reference has an eigenvalue near -2.6e-4 whose decay
     # length (~62) exceeds the oracle box: a count of 0 would be silently wrong
     hl = models.half_line(PotentialSpec.square_well(-2.5, 1.0))
-    try:
-        k_m, _k_o = extensions.negative_count(extensions.extension(hl, -0.8))
-    except WeylError:
-        return
-    assert k_m == 1
+    assert extensions.negative_count(extensions.extension(hl, -0.8)) == (1, 1)
 
 
 def test_negative_count_next_to_threshold_state():
@@ -252,8 +280,9 @@ def test_negative_count_refuses_an_undecided_sign(monkeypatch):
 def test_negative_count_routes_agree(depth, width, h):
     # three routes to one integer: the inertia of B - M(0), the eigenvalues the
     # real scan finds below 0, and the oracle's Sturm count
-    # no Dirichlet state below 0, and the well kept off the threshold where one appears
-    assume(depth >= 0.0 or math.sqrt(-depth) * width < math.pi / 2 - 0.2)
+    # the well kept off the thresholds where a Dirichlet state appears
+    if depth < 0.0:
+        assume(all(abs(math.sqrt(-depth) * width - (k + 0.5) * math.pi) >= 0.2 for k in range(3)))
     hl = models.half_line(PotentialSpec.square_well(depth, width))
     # m increases on (-inf, 0) with no pole there, so A_h has an eigenvalue in
     # (-0.02, 0) exactly when m(-0.02) < h < M(0): keep h clear of that band
@@ -265,5 +294,4 @@ def test_negative_count_routes_agree(depth, width, h):
     # the form bound A_h >= min q - h^2 puts every eigenvalue above lo
     lo = min(depth, 0.0) - h * h - 1.0
     rep = extensions.point_spectrum_real(spec, (lo, -0.01))
-    assert not rep.unresolved
     assert k_m == sum(mult for _x, mult in rep.eigenvalues) == k_o

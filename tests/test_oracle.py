@@ -109,6 +109,14 @@ def test_corner_friedrichs_eigenvalues_interlace():
     assert math.pi**2 < evs[0] < 3.8318**2 < evs[1]
 
 
+def test_corner_friedrichs_zeros_pinned():
+    # mpmath.besseljzero(0.75, k), 20 digits; a power-series bracketing gave 37.98 for k = 12
+    zeros = [math.sqrt(v) for v in oracle.corner_friedrichs_eigenvalues(0.75, 12)]
+    for k, want in ((1, 3.4910083741084221302), (7, 22.376871574815684749),
+                    (12, 38.087709889404884205)):
+        assert zeros[k - 1] == pytest.approx(want, rel=1e-13, abs=0.0)
+
+
 def test_square_well_cell_average_discretization():
     # jump-aligned grids keep second-order accuracy via cell averaging
     q = PotentialSpec.square_well(-2.5, 1.0)

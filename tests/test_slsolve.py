@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyl import models
+from weyl import models, oracle
 from weyl.errors import AccuracyError, EvalError, PoleError, RangeError
 from weyl.slsolve import (
     PotentialSpec,
     decaying_solution,
     finite_interval_M,
     fundamental_system,
+    halfline_oscillation,
+    interval_oscillation,
     halfline_m,
     halfline_m_exact_tail,
     integrate_ivp,
@@ -453,3 +455,66 @@ def test_magnus_mesh_across_a_jump_and_a_pole():
     assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-9 * max(abs(want[0]), abs(want[1]))
     with pytest.raises(AccuracyError):
         integrate_ivp(PotentialSpec.expression("1/(x-0.3)"), 1 + 1j, (0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("x", [-3.0, 0.5, 2.4, 2.5, 9.0, 10.0, 3000.0])
+def test_interval_oscillation_counts_dirichlet_eigenvalues(x):
+    # q = 0 on [0, 2]: Dirichlet eigenvalues (k pi/2)^2, k >= 1, and u2 = sin(w t)/w
+    zeros, fs = interval_oscillation(Q0, 2.0, x)
+    assert zeros == sum(1 for k in range(1, 40) if (k * math.pi / 2.0) ** 2 < x)
+    ref = fundamental_system(Q0, 2.0, complex(x))
+    assert (fs.Y0 - ref.Y0).norm_max() <= 1e-9 * ref.Y0.norm_max()
+    assert (fs.Y1 - ref.Y1).norm_max() <= 1e-9 * ref.Y1.norm_max()
+
+
+@pytest.mark.parametrize("q,b,top", [
+    (PotentialSpec.expression("3*cos(2*x) - 1"), 2.0, 400.0),
+    # nearly constant: Magnus settles on coarse levels, whose cells turn several times
+    (PotentialSpec.expression("0.001*x"), 3.0, 5000.0),
+    (PotentialSpec.table([0.0, 0.3, 0.8, 1.1, 2.0], [4.0, -6.0, -6.0, 2.0, -1.0]), 2.0, 400.0),
+])
+def test_oscillation_count_on_varying_pieces_matches_the_oracle(q, b, top):
+    # the zeros of u2 are the oracle's Sturm count wherever no eigenvalue is within 0.5 %
+    op = oracle.discretize(q, b, 2000, None, None)
+    checked = 0
+    for k in range(40):
+        x = -40.0 + k * (top + 40.0) / 39.0
+        below, above = (oracle.eigen_count_below(op, x + s * 5e-3 * (1.0 + abs(x))) for s in (-1, 1))
+        if below == above:
+            assert interval_oscillation(q, b, x)[0] == below, x
+            checked += 1
+    assert checked >= 25
+
+
+@pytest.mark.parametrize("q,x,want", [
+    # threshold-resonant well: its Dirichlet state near -2.6e-4 decays too slowly for
+    # the oracle's box; y(0; 0) < 0 < y(1; 0) shows the zero
+    (PotentialSpec.square_well(-2.5, 1.0), 0.0, 1),
+    # oracle Dirichlet states -23.04 and -4.09
+    (PotentialSpec.square_well(-30.0, 1.0), -1.0, 2),
+    # truncated seed; oracle states -1.457 and one near -0.0025
+    (PotentialSpec.expression("-8*exp(-x)"), -0.3, 1),
+    # threshold route, seeded at the truncation cap; oracle -6.62, -1.43, -0.0087
+    (PotentialSpec.expression("-20*exp(-x)"), 0.0, 3),
+    (PotentialSpec.expression("-exp(-x)"), 0.0, 0),
+])
+def test_halfline_oscillation_counts_dirichlet_states(q, x, want):
+    assert halfline_oscillation(q, x)[0] == want
+
+
+def test_interval_oscillation_agrees_with_the_sign_of_u2_at_its_zeros():
+    # u2(b) > 0 exactly when u2 has an even number of zeros in (0, b), also
+    # within the propagation error of a Dirichlet eigenvalue, where the finest
+    # Magnus level and the extrapolated u2(b) may lie on either side of 0
+    q, b = PotentialSpec.expression("3*cos(2*x) - 1"), 2.0
+    for lo, hi in ((0.0, 0.5), (8.0, 8.6)):
+        positive = interval_oscillation(q, b, lo)[1].Y0.at(1, 1).real > 0.0
+        while hi - lo > 1e-14 * hi:
+            mid = 0.5 * (lo + hi)
+            if (interval_oscillation(q, b, mid)[1].Y0.at(1, 1).real > 0.0) == positive:
+                lo = mid
+            else:
+                hi = mid
+        for k in range(-20, 21):
+            zeros, fs = interval_oscillation(q, b, lo * (1.0 + k * 1e-11))
+            assert (fs.Y0.at(1, 1).real > 0.0) == (zeros % 2 == 0), k
