@@ -80,9 +80,10 @@ def scan_count_jumps(count, lo: float, hi: float, grid_n: int):
     """Bracket the jumps of an integer-valued count on [lo, hi] and bisect them.
 
     A grid step where the count moves by k is bisected until each jump is
-    isolated, so k roots closer than the grid step are all found.  Returns
-    [(x, k), ...]; k > 1 only where a jump stays whole at the 1e-10 relative
-    tolerance (a multiple root).
+    isolated, so k roots closer than the grid step are all found.  A bracket
+    stops at a width of 1e-10 (1 + |x|): relative far from 0, but about 1e-10
+    absolute near it.  Returns [(x, k), ...]; k > 1 only where a jump stays
+    whole at that width (a multiple root).
     """
     roots = []
 

@@ -246,13 +246,6 @@ def inverse(a: Matrix) -> Matrix:
 # -- Hermitian eigenproblem (cyclic Jacobi) --------------------------------
 
 
-@dataclass(frozen=True)
-class HermitianInertia:
-    n_neg: int
-    n_zero: int
-    n_pos: int
-
-
 def _symmetrized(m: Matrix) -> Matrix:
     _require_square(m, "hermitian_eigen")
     scale = max(m.norm_fro(), 1e-300)
@@ -322,16 +315,6 @@ def hermitian_eigh(m: Matrix):
 def hermitian_eigen(m: Matrix) -> list:
     """Sorted (ascending) real eigenvalues of a Hermitian matrix."""
     return hermitian_eigh(m)[0]
-
-
-def inertia(m: Matrix, zero_tol: float) -> HermitianInertia:
-    """Counts of eigenvalues below -zero_tol / within +-zero_tol / above +zero_tol."""
-    if zero_tol <= 0:
-        raise ContractError("zero_tol must be positive")
-    evals = hermitian_eigen(m)
-    n_neg = sum(1 for w in evals if w < -zero_tol)
-    n_pos = sum(1 for w in evals if w > zero_tol)
-    return HermitianInertia(n_neg, len(evals) - n_neg - n_pos, n_pos)
 
 
 def lambda_min(m: Matrix) -> float:

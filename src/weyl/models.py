@@ -46,10 +46,10 @@ from .slsolve import (
     boundary_ratio,
     decaying_solution,
     finite_interval_M,
+    fundamental_system,
     h_map,
     halfline_m,
     halfline_oscillation,
-    interval_oscillation,
     tail_support,
     threshold_solution,
 )
@@ -236,13 +236,14 @@ class FiniteInterval(WeylModel):
 
     def reference_count(self, x: float) -> int:
         """Dirichlet eigenvalues below x: the zeros of u2 in (0, b)."""
-        return interval_oscillation(self.q, self.b, x)[0]
+        return fundamental_system(self.q, self.b, x).dirichlet_count
 
     def eigen_count(self, b: Matrix, x: float) -> int:
         """N_0(x) plus the inertia of Y0* (Y1 - B Y0), congruent to M - B where
         Y0 is invertible (Sylvester) and finite where it is not."""
-        zeros, fs = interval_oscillation(self.q, self.b, x)
-        return zeros + _positive_index(herm_part(fs.Y0.adjoint() @ (fs.Y1 - b @ fs.Y0)))
+        fs = fundamental_system(self.q, self.b, x)
+        congruent = herm_part(fs.Y0.adjoint() @ (fs.Y1 - b @ fs.Y0))
+        return fs.dirichlet_count + _positive_index(congruent)
 
     def oracle_operators(self, b: Matrix):
         if not _is_diagonal(b):

@@ -7,10 +7,13 @@ exact transfer matrix [[cosh kh, sinh kh / k], [k sinh kh, cosh kh]],
 k^2 = q - z.  Where q varies (a table segment, an expression) it steps the
 exact exponential of the 4th-order Magnus generator on a mesh built once per
 (potential, piece) and shared by every z, extrapolating nested halvings of it
-to rtol.  Only this module seeds, truncates or thresholds the half-line
-solution (decaying_solution, threshold_solution), integrating it backward to
-0 rather than through a Riccati equation (no blow-through at solution zeros);
-boundary_ratio is the one y(0) = 0 test and h_map the one h-family map.
+to rtol.  At a real z the same steps count the zeros of y, which gives the
+Dirichlet eigenvalue counts (Sturm oscillation) of a FundamentalSystem and of
+halfline_oscillation.  Only this module seeds, truncates or thresholds the
+half-line solution (decaying_solution, threshold_solution), integrating it
+backward to 0 rather than through a Riccati equation (no blow-through at
+solution zeros); boundary_ratio is the one y(0) = 0 test and h_map the one
+h-family map.
 
 An expression potential is compiled once per PotentialSpec
 (expr.compile_potential, cached with the parsed tree) and value() runs the
@@ -203,6 +206,9 @@ class FundamentalSystem:
     b: float
     Y0: Matrix  # trace map (y(0), y(b)) applied to the basis
     Y1: Matrix  # trace map (y'(0), -y'(b)) applied to the basis
+    # at a real z, the zeros of u2 in (0, b): the Dirichlet eigenvalues below z
+    # (Sturm); 0 at a complex z
+    dirichlet_count: int
 
 
 # A base cell of a Magnus mesh is at most _CELL_MAX wide and q changes by at
@@ -218,24 +224,34 @@ _MAGNUS_C = math.sqrt(3.0) / 12.0
 
 
 def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10):
-    """Integrate (y, y')' = (y', (q - z) y) over span = (a, b); returns (y(b), y'(b)).
+    """Integrate (y, y')' = (y', (q - z) y) over span = (a, b); returns
+    (y(b), y'(b), zeros).
 
     Exact transfer matrices on the pieces where q is constant, Magnus steps
     on a z-independent mesh on the others.  The span may be decreasing.
+
+    At a real z, zeros counts the times y passes from y <= 0 to y > 0 or back
+    after a (at a complex z it is 0).  An exact step, or a Magnus cell with
+    s^2 = -sigma^2 < 0, turns (y, y') uniformly by sigma in the coordinates
+    of its rotation, so y vanishes once per half-turn and once more where the
+    rest ends across 0; otherwise (a whole exact piece included) y vanishes
+    at most once.
     """
     a, b = float(span[0]), float(span[1])
     y, yp = complex(y0[0]), complex(y0[1])
     z = complex(z)
+    zeros = 0
     if a != b:
         pieces = q.pieces(min(a, b), max(a, b))
         if b < a:
             pieces = [(hi, lo, c) for lo, hi, c in reversed(pieces)]
         for start, end, c in pieces:
             if c is None:
-                y, yp = _magnus(q, z, y, yp, start, end, rtol)
+                y, yp, n = _magnus(q, z, y, yp, start, end, rtol)
             else:
-                y, yp = _transfer(c - z, y, yp, start, end)
-    return y, yp
+                y, yp, n = _transfer(c - z, y, yp, start, end)
+            zeros += n
+    return y, yp, zeros
 
 
 def _check_finite(y: complex, yp: complex, a: float, b: float):
@@ -244,7 +260,9 @@ def _check_finite(y: complex, yp: complex, a: float, b: float):
 
 
 def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float):
-    """Exact steps of y'' = k2 y from a to b, cut so that |Re k h| <= _EXACT_GROWTH."""
+    """Exact steps of y'' = k2 y from a to b, cut so that |Re k h| <= _EXACT_GROWTH:
+    (y(b), y'(b), zeros), the zeros counted at a real k2 (see integrate_ivp)."""
+    y_a = y
     k = cmath.sqrt(k2)
     n = max(1, math.ceil(abs(k.real * (b - a)) / _EXACT_GROWTH))
     h = (b - a) / n
@@ -262,104 +280,54 @@ def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float):
     for _ in range(n):
         y, yp = ch * y + sk * yp, ks * y + ch * yp
     _check_finite(y, yp, a, b)
-    return y, yp
+    if k2.imag:
+        return y, yp, 0
+    turns = int(math.sqrt(max(-k2.real, 0.0)) * abs(b - a) / math.pi)
+    return y, yp, turns + (((y_a.real > 0.0) != (y.real > 0.0)) ^ (turns & 1))
 
 
 def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: float,
             rtol: float):
-    """(y(b), y'(b)) from a to b inside one varying piece of q, to rtol."""
-    mesh = _piece_mesh(q, a, b)
-    return _extrapolate(lambda level: mesh.sweep(z, y, yp, a, b, level), a, b, z, rtol)
+    """(y(b), y'(b), zeros) from a to b inside one varying piece of q, to rtol.
 
-
-def _piece_mesh(q: PotentialSpec, a: float, b: float) -> _Mesh:
-    """The mesh of the varying piece of q that holds the span, from its finite end."""
-    lo, hi, _ = next(p for p in q.pieces(-math.inf, math.inf) if p[0] <= min(a, b) < p[1])
-    return _mesh(q, hi, lo) if lo == -math.inf else _mesh(q, lo, hi)
-
-
-def _extrapolate(sweep, a: float, b: float, z: complex, rtol: float):
-    """The Magnus value of sweep(level) = (y_k(b), y'_k(b)), to rtol.
-
-    Sweeps mesh levels 0, 1, 2, ... from the same (y, y'), so all share one
-    scaling, and extrapolates their error terms h^4 and h^6 away:
-    r4_k = y_k + (y_k - y_{k-1})/15, r6_k = r4_k + (r4_k - r4_{k-1})/63.
-    The error of r6_k is taken as |r6_k - r4_k|, and also as |y_k - y_{k-1}|
-    unless that difference fell at least 8-fold from the last (far from h^4,
-    as next to a branch point of q, the extrapolation cannot be trusted).
-    Returns r6_k at the first k >= 2 whose error is <= rtol max(|y|, |y'|);
-    past level _MAX_LEVEL raises AccuracyError.
+    Sweeps the piece's mesh (from its finite end) at levels 0, 1, 2, ... from
+    the same (y, y'), so all share one scaling, and extrapolates their error
+    terms h^4 and h^6 away: r4_k = y_k + (y_k - y_{k-1})/15,
+    r6_k = r4_k + (r4_k - r4_{k-1})/63.  The error of r6_k is taken as
+    |r6_k - r4_k|, and also as |y_k - y_{k-1}| unless that difference fell at
+    least 8-fold from the last (far from h^4, as next to a branch point of q,
+    the extrapolation cannot be trusted).  Returns r6_k at the first k >= 2
+    whose error is <= rtol max(|y|, |y'|); past level _MAX_LEVEL raises
+    AccuracyError.  The zeros are those of level k, moved by one where r6_k
+    lies across 0 from y_k: a zero at a piece end then counts once.
     """
+    lo, hi, _ = next(p for p in q.pieces(-math.inf, math.inf) if p[0] <= min(a, b) < p[1])
+    mesh = _mesh(q, hi, lo) if lo == -math.inf else _mesh(q, lo, hi)
     r4 = y_prev = None
     d = 0.0
     for level in range(_MAX_LEVEL + 1):
-        yk = sweep(level)
-        _check_finite(*yk, a, b)
+        yk, ypk, zeros = mesh.sweep(z, y, yp, a, b, level)
+        _check_finite(yk, ypk, a, b)
         if level >= 1:
-            r4, r4_prev = _richardson(yk, y_prev, 15.0), r4
-            d_prev, d = d, max(abs(yk[0] - y_prev[0]), abs(yk[1] - y_prev[1]))
+            r4, r4_prev = _richardson((yk, ypk), y_prev, 15.0), r4
+            d_prev, d = d, max(abs(yk - y_prev[0]), abs(ypk - y_prev[1]))
         if level >= 2:
             u, p = _richardson(r4, r4_prev, 63.0)
             err, scale = max(abs(u - r4[0]), abs(p - r4[1])), max(abs(u), abs(p))
             if d_prev < 8.0 * d:
                 err = max(err, d)
             if err <= rtol * scale:
-                return u, p
-        y_prev = yk
+                if not z.imag and (u.real > 0.0) != (yk.real > 0.0):
+                    # past a zero, y has the sign of y' times the direction of travel
+                    zeros += -1 if (yk.real > 0.0) == ((ypk.real > 0.0) == (b > a)) else 1
+                return u, p, zeros
+        y_prev = yk, ypk
     raise AccuracyError(f"Magnus mesh on [{a}, {b}] not resolved at z={z} after level {_MAX_LEVEL}",
                         estimate=err / scale)
 
 
 def _richardson(fine, coarse, factor: float):
     return fine[0] + (fine[0] - coarse[0]) / factor, fine[1] + (fine[1] - coarse[1]) / factor
-
-
-# -- oscillation counts at real x ----------------------------------------------
-
-
-def _count_ivp(q: PotentialSpec, x: float, y: float, yp: float, a: float, b: float,
-               rtol: float):
-    """integrate_ivp at a real x, and the times y passes from y <= 0 to y > 0 or
-    back after a: (y(b), y'(b), zeros).
-
-    An exact step, or a Magnus cell with s^2 = -sigma^2 < 0, turns (y, y')
-    uniformly by sigma in the coordinates of its rotation, so y vanishes once
-    per half-turn and once more where the rest ends across 0; otherwise (a
-    whole exact piece included) y vanishes at most once.
-    """
-    zeros = 0
-    pieces = q.pieces(min(a, b), max(a, b))
-    if b < a:
-        pieces = [(hi, lo, c) for lo, hi, c in reversed(pieces)]
-    for start, end, c in pieces:
-        if c is None:
-            y1, yp, n = _count_magnus(q, x, y, yp, start, end, rtol)
-        else:
-            y1, yp = (v.real for v in _transfer(c - x, y, yp, start, end))
-            turns = int(math.sqrt(max(x - c, 0.0)) * abs(end - start) / math.pi)
-            n = turns + (((y > 0.0) != (y1 > 0.0)) ^ (turns & 1))
-        y = y1
-        zeros += n
-    return y, yp, zeros
-
-
-def _count_magnus(q: PotentialSpec, x: float, y: float, yp: float, a: float, b: float,
-                  rtol: float):
-    """_magnus at a real x with the zeros of its finest swept level, moved by one
-    where the extrapolated y(b) lies across 0 from that level's: a zero at a
-    piece end then counts once."""
-    mesh, last = _piece_mesh(q, a, b), []
-
-    def sweep(level):
-        last[:] = mesh.count_sweep(x, y, yp, a, b, level)
-        return last[0], last[1]
-
-    y1, yp1 = _extrapolate(sweep, a, b, x, rtol)
-    yk, ypk, zeros = last
-    if (y1 > 0.0) != (yk > 0.0):
-        # past a zero, y has the sign of y' times the direction of travel
-        zeros += -1 if (yk > 0.0) == ((ypk > 0.0) == (b > a)) else 1
-    return y1, yp1, zeros
 
 
 @lru_cache(maxsize=64)
@@ -423,46 +391,13 @@ class _Mesh:
         return out
 
     def sweep(self, z: complex, y: complex, yp: complex, a: float, b: float, level: int):
-        """(y(b), y'(b)) by the Magnus steps of one level from x = a.
+        """(y(b), y'(b), zeros) by the Magnus steps of one level from x = a, the
+        zeros counted at a real z (see integrate_ivp).
 
         A subcell stepped toward larger t has Omega = [[c, h], [h (qbar - z), -c]],
         h = dir w, and toward smaller t the same with h and c negated;
         exp(Omega) = cosh(s) I + sinh(s)/s Omega with s^2 = c^2 + w^2 (qbar - z).
         """
-        subcells, sign = self._subcells(a, b, level)
-        d = self.dir
-        sqrt, cosh, sinh = cmath.sqrt, cmath.cosh, cmath.sinh
-        for qbar, c, w in subcells:
-            c *= sign
-            h = sign * d * w
-            p = qbar - z
-            s = sqrt(c * c + w * w * p)
-            ch, sh = (cosh(s), sinh(s) / s) if s else (1.0, 1.0)
-            shc, shh = sh * c, sh * h
-            y, yp = (ch + shc) * y + shh * yp, shh * p * y + (ch - shc) * yp
-        return y, yp
-
-    def count_sweep(self, x: float, y: float, yp: float, a: float, b: float, level: int):
-        """sweep at a real x, with the zeros of y passed (see _count_ivp):
-        (y(b), y'(b), zeros)."""
-        subcells, sign = self._subcells(a, b, level)
-        d, zeros, pos = self.dir, 0, y > 0.0
-        for qbar, c, w in subcells:
-            c *= sign
-            h = sign * d * w
-            p = qbar - x
-            s = cmath.sqrt(c * c + w * w * p)
-            ch, sh = (cmath.cosh(s).real, (cmath.sinh(s) / s).real) if s else (1.0, 1.0)
-            shc, shh = sh * c, sh * h
-            y, yp = (ch + shc) * y + shh * yp, shh * p * y + (ch - shc) * yp
-            new, turns = y > 0.0, int(s.imag / math.pi)
-            zeros += turns + ((pos != new) ^ (turns & 1))
-            pos = new
-        return y, yp, zeros
-
-    def _subcells(self, a: float, b: float, level: int):
-        """The (qbar, c, w) of the level's subcells from a to b, in stepping order,
-        and the sign of the step in t."""
         x0, d, t, n = self.origin, self.dir, self.t, 1 << level
         ta, tb = (a - x0) * d, (b - x0) * d
         lo, hi = min(ta, tb), max(ta, tb)
@@ -478,8 +413,24 @@ class _Mesh:
             full = e0 == t[k] and e1 == t[k + 1]
             cells += done[3 * n * k: 3 * n * (k + 1)] if full else self._cells(e0, e1, n)
         if tb > ta:
-            return zip(cells[0::3], cells[1::3], cells[2::3]), 1.0
-        return zip(cells[-3::-3], cells[-2::-3], cells[-1::-3]), -1.0
+            subcells, sign = zip(cells[0::3], cells[1::3], cells[2::3]), 1.0
+        else:
+            subcells, sign = zip(cells[-3::-3], cells[-2::-3], cells[-1::-3]), -1.0
+        sqrt, cosh, sinh = cmath.sqrt, cmath.cosh, cmath.sinh
+        real, zeros, pos = not z.imag, 0, y.real > 0.0
+        for qbar, c, w in subcells:
+            c *= sign
+            h = sign * d * w
+            p = qbar - z
+            s = sqrt(c * c + w * w * p)
+            ch, sh = (cosh(s), sinh(s) / s) if s else (1.0, 1.0)
+            shc, shh = sh * c, sh * h
+            y, yp = (ch + shc) * y + shh * yp, shh * p * y + (ch - shc) * yp
+            if real:
+                new, turns = y.real > 0.0, int(abs(s.imag) / math.pi)
+                zeros += turns + ((pos != new) ^ (turns & 1))
+                pos = new
+        return y, yp, zeros
 
 
 @lru_cache(maxsize=100_000)
@@ -490,24 +441,12 @@ def fundamental_system(q: PotentialSpec, b: float, z: complex,
         raise EvalError("interval length must be positive")
     z = complex(z)
     b = float(b)
-    u1b, u1pb = integrate_ivp(q, z, (1.0, 0.0), (0.0, b), rtol=rtol)
-    u2b, u2pb = integrate_ivp(q, z, (0.0, 1.0), (0.0, b), rtol=rtol)
+    u1b, u1pb, _ = integrate_ivp(q, z, (1.0, 0.0), (0.0, b), rtol=rtol)
+    u2b, u2pb, zeros = integrate_ivp(q, z, (0.0, 1.0), (0.0, b), rtol=rtol)
     y0 = Matrix.from_rows([[1.0, 0.0], [u1b, u2b]])
     y1 = Matrix.from_rows([[0.0, 1.0], [-u1pb, -u2pb]])
-    return FundamentalSystem(z, b, y0, y1)
-
-
-@lru_cache(maxsize=100_000)
-def interval_oscillation(q: PotentialSpec, b: float, x: float):
-    """(zeros, FundamentalSystem) at a real x: fundamental_system's, in real
-    arithmetic, and the zeros of u2 in (0, b), the Dirichlet eigenvalues below
-    x (Sturm)."""
-    u1b, u1pb, _ = _count_ivp(q, float(x), 1.0, 0.0, 0.0, float(b), 1e-10)
-    u2b, u2pb, zeros = _count_ivp(q, float(x), 0.0, 1.0, 0.0, float(b), 1e-10)
-    y0 = Matrix.from_rows([[1.0, 0.0], [u1b, u2b]])
-    y1 = Matrix.from_rows([[0.0, 1.0], [-u1pb, -u2pb]])
-    # u2 leaves its zero at 0 into y > 0, which counts once
-    return zeros - 1, FundamentalSystem(complex(x), float(b), y0, y1)
+    # at a real z, u2 leaves its zero at 0 into y > 0, which counts once
+    return FundamentalSystem(z, b, y0, y1, 0 if z.imag else zeros - 1)
 
 
 def finite_interval_M(q: PotentialSpec, b: float, z: complex,
@@ -529,26 +468,25 @@ def finite_interval_M(q: PotentialSpec, b: float, z: complex,
 
 @lru_cache(maxsize=200_000)
 def _endpoint(q: PotentialSpec, z: complex, start: float, seed: tuple, rtol: float):
-    """(y(0), y'(0)) from seed = (y, y') at x = start, integrated back in rescaled chunks.
+    """(y(0), y'(0), zeros) from seed = (y, y') at x = start, integrated back in
+    rescaled chunks over which the solution grows by at most about e^80; the
+    zeros in (0, start) are counted at a real z (see integrate_ivp).
 
     Only the ray through (y(0), y'(0)) matters, so per-chunk rescaling is
-    harmless and keeps magnitudes inside double range for large Im sqrt(z) L.
+    harmless (it keeps the signs) and keeps magnitudes inside double range for
+    large Im sqrt(z) L.
     """
+    nchunks = max(1, int(sqrt_upper(z - q.tail).imag * start / 80.0) + 1)
+    xs = [start - i * (start / nchunks) for i in range(nchunks + 1)]
     y, yp = seed
-    for a, b in _chunks(q, z, start):
-        y, yp = integrate_ivp(q, z, (y, yp), (a, b), rtol=rtol)
+    zeros = 0
+    for a, b in zip(xs, xs[1:]):
+        y, yp, n = integrate_ivp(q, z, (y, yp), (a, b), rtol=rtol)
+        zeros += n
         m = max(abs(y), abs(yp))
         if m > _RESCALE_NORM or (0.0 < m < 1.0 / _RESCALE_NORM):
             y, yp = y / m, yp / m
-    return y, yp
-
-
-def _chunks(q: PotentialSpec, z: complex, start: float):
-    """The spans, from start back to 0, over which the solution grows by at most about e^80."""
-    growth = sqrt_upper(z - q.tail).imag
-    nchunks = max(1, int(growth * start / 80.0) + 1)
-    xs = [start - i * (start / nchunks) for i in range(nchunks + 1)]
-    return zip(xs, xs[1:])
+    return y, yp, zeros
 
 
 def tail_support(q: PotentialSpec) -> float | None:
@@ -572,7 +510,8 @@ def decaying_solution(q: PotentialSpec, z: complex, L: float | None = None,
     """
     z = complex(z)
     start, seed, error = _decaying_seed(q, z, L)
-    return (*_endpoint(q, z, start, seed, float(rtol)), error)
+    y, yp, _ = _endpoint(q, z, start, seed, float(rtol))
+    return y, yp, error
 
 
 def _decaying_seed(q: PotentialSpec, z: complex, L: float | None):
@@ -592,7 +531,6 @@ def _decaying_seed(q: PotentialSpec, z: complex, L: float | None):
     return float(L), (0.0 + 0j, 1.0 + 0j), error
 
 
-@lru_cache(maxsize=100_000)
 def halfline_oscillation(q: PotentialSpec, x: float):
     """(zeros, y(0), y'(0)) of the solution bounded at infinity at a real x at
     most the floor, seeded as decaying_solution seeds it, or at the floor of a
@@ -604,14 +542,8 @@ def halfline_oscillation(q: PotentialSpec, x: float):
         start, seed = TRUNCATION_CAP, (1.0, 0.0)
     else:
         start, seed, _error = _decaying_seed(q, complex(x), None)
-    y, yp, zeros = seed[0].real, seed[1].real, 0
-    for a, b in _chunks(q, complex(x), start):
-        y, yp, n = _count_ivp(q, x, y, yp, a, b, 1e-10)
-        zeros += n
-        m = max(abs(y), abs(yp))  # rescaled as in _endpoint: signs are kept
-        if m > _RESCALE_NORM or (0.0 < m < 1.0 / _RESCALE_NORM):
-            y, yp = y / m, yp / m
-    return zeros, y, yp
+    y, yp, zeros = _endpoint(q, complex(x), start, seed, 1e-10)
+    return zeros, y.real, yp.real
 
 
 def threshold_solution(q: PotentialSpec, rtol: float = 1e-10):
@@ -625,7 +557,7 @@ def threshold_solution(q: PotentialSpec, rtol: float = 1e-10):
     """
     previous, length = None, 20.0
     while True:
-        y, yp = _endpoint(q, 0j, length, (1.0 + 0j, 0j), float(rtol))
+        y, yp, _ = _endpoint(q, 0j, length, (1.0 + 0j, 0j), float(rtol))
         m = boundary_ratio(y, yp, 0j).real
         if previous is not None and abs(m - previous) <= rtol * (1.0 + abs(m)):
             return y, yp, abs(m - previous)

@@ -212,7 +212,7 @@ def test_m_at_zero_threshold_maps_h_once(h, mapped, expected):
 def test_m_at_zero_direct_zero_y0_is_transversality_error(monkeypatch, source):
     # y(0; 0) = 0 is one condition whether the tail is truncated, seeded at the threshold or matched
     q = PotentialSpec.table([0.0, 1.0], [0.5, 0.5]) if source is None else PotentialSpec.expression(source)
-    monkeypatch.setattr(slsolve, "_endpoint", lambda *args: (0j, 1.0 + 0j))
+    monkeypatch.setattr(slsolve, "_endpoint", lambda *args: (0j, 1.0 + 0j, 0))
     with pytest.raises(TransversalityError, match="unbounded"):
         models.m_at_zero(models.half_line(q))
 

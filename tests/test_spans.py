@@ -82,3 +82,24 @@ def test_tracer_counts_the_grid_request_path(tmp_path):
         assert stats[name].calls >= 1, name
     assert stats["charfun._char_full"].calls == 1
     assert stats["charfun.char_function_colligation"].calls == 1
+
+
+def test_tracer_counts_the_propagations_of_the_eigenvalue_count(tmp_path):
+    # the Sturm count of a spectrum window propagates through integrate_ivp,
+    # so the tracer sees that work
+    spans = _load_spans()
+    tracer = spans["Tracer"]()
+    prob = tmp_path / "interval.json"
+    prob.write_text(json.dumps({
+        "model": {"kind": "finite_interval", "b": 2,
+                  "potential": {"kind": "expression", "source": "3*cos(2*x) - 1"}},
+        "boundary": [[0, 0], [0, 0]],
+    }))
+    try:
+        spans["install"](tracer)
+        assert main(["spectrum", "--problem", str(prob), "--out", str(tmp_path / "s.json"),
+                     "--window=-5:20"]) == 0
+    finally:
+        tracer.uninstall()
+    stats, _counters = tracer.stats()
+    assert "slsolve.integrate_ivp" in stats and stats["slsolve.integrate_ivp"].calls >= 1
