@@ -11,7 +11,8 @@ per request i, into OUTDIR:
 The requests run with OUTDIR as the working directory and relative paths
 (problems/p<i>.json, o<i>.<fmt>), so that no text depends on where OUTDIR
 is.  Run it in each of two checkouts and compare with `diff -r`, or number
-by number with scripts/compare_reports.py.
+by number with scripts/compare_reports.py.  It exits 1 when any request
+exited nonzero (every reply is still written), else 0.
 
 Usage: python scripts/replay_requests.py WORKLOAD SEED OUTDIR
 """
@@ -60,7 +61,7 @@ def main(argv=None):
         with open(f"r{i:04d}.txt", "w") as f:
             f.write(f"exit {rc}\n{err.getvalue()}")
     print(f"{args.workload} seed {args.seed}: {len(reqs)} requests, {failed} nonzero exits")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -77,7 +77,9 @@ def char_function(spec: ExtensionSpec, z: complex) -> Matrix:
 def char_function_from_m(col: Colligation, m: Matrix) -> Matrix:
     """W at a point where the Weyl function is m, for the extension factored in col.
 
-    col depends on B alone, so grid evaluations factor once and call this per point.
+    col depends on B alone, so a grid request factors once; for n <= 4 its
+    points then run a generated kernel with this function's bits (`kernels`),
+    and beyond that they call this per point.
     """
     if col.full_rank:
         return _char_full(col, m)

@@ -3,9 +3,12 @@
 Subcommands: eval | spectrum | negcount | krein | charfn | verify.  Problem
 files are JSON (schema in docs/problem.schema.json); grids/windows come from
 flags.  Reports are deterministic for a fixed problem file and seed: floats
-are emitted in shortest round-trip form and JSON keys are sorted.  The grid
-reports of `eval` and `charfn` are written by a fixed-shape emitter, one
-template per request filled with the repr of every float; the result is
+are emitted in shortest round-trip form and JSON keys are sorted.  A grid
+point of `eval` or `charfn` evaluates M(z) and then runs the request's
+kernel (`kernels.grid_kernel`: generated straight-line code for n <= 4, the
+Matrix path beyond) for the transformed M or for W, with the Matrix path's
+bits.  The grid reports are written by a fixed-shape emitter, one template
+per request filled with the repr of every float; the result is
 byte-identical to `json.dumps(sort_keys=True, indent=1)` of the report as
 nested dicts and lists, or to `csv.writer` rows for CSV.
 
@@ -23,7 +26,7 @@ import argparse
 import json
 import sys
 
-from . import __version__, charfun, extensions, models, triplets, verify
+from . import __version__, charfun, extensions, kernels, models, triplets, verify
 from .errors import WeylError
 from .linalg import Matrix
 from .problems import ProblemFile, parse_problem
@@ -90,33 +93,34 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def _matrix_grid_csv(points, mats, label: str) -> str:
+def _matrix_grid_csv(points, shape, results, label: str) -> str:
     """re_z, im_z, then the entries row-major as re, im; one line per point.
 
-    No field holds a comma, a quote or a newline, so a plain join writes
-    what `csv.writer` would.
+    results holds, per point, the entries of a (rows, cols) = shape matrix
+    row-major.  No field holds a comma, a quote or a newline, so a plain join
+    writes what `csv.writer` would.
     """
-    rows, cols = mats[0].rows, mats[0].cols
+    rows, cols = shape
     header = ["re_z", "im_z"]
     for i in range(rows):
         for j in range(cols):
             header += [f"{label}_{i}_{j}_re", f"{label}_{i}_{j}_im"]
     values = []
-    for z, m in zip(points, mats):
+    for z, data in zip(points, results):
         values += (z.real, z.imag)
-        for v in m.data:
+        for v in data:
             values += (v.real, v.imag)
     line = ",".join(["%r"] * len(header)) + "\n"
     return ",".join(header) + "\n" + line * len(points) % tuple(values)
 
 
-def _matrix_grid_json(problem: ProblemFile, points, mats, label: str) -> str:
+def _matrix_grid_json(problem: ProblemFile, points, shape, results, label: str) -> str:
     """`_json_dump` of {header, "rows": [{label: [[[re, im], ..], ..], "z": [re, im]}, ..]}.
 
     The rows share one shape, so one template filled with `%r` of each float
     (float.__repr__, as `json` writes it) gives the same bytes.
     """
-    rows, cols = mats[0].rows, mats[0].cols
+    rows, cols = shape
     entry = "     [\n      %r,\n      %r\n     ]"
     matrix_row = "    [\n" + ",\n".join([entry] * cols) + "\n    ]"
     row = (
@@ -124,8 +128,8 @@ def _matrix_grid_json(problem: ProblemFile, points, mats, label: str) -> str:
         + '\n   ],\n   "z": [\n    %r,\n    %r\n   ]\n  }'
     )
     values = []
-    for z, m in zip(points, mats):
-        for v in m.data:
+    for z, data in zip(points, results):
+        for v in data:
             values += (v.real, v.imag)
         values += (z.real, z.imag)
     body = ",\n".join([row] * len(points)) % tuple(values)
@@ -136,11 +140,15 @@ def _matrix_grid_json(problem: ProblemFile, points, mats, label: str) -> str:
     return "{\n" + ",\n".join(f" {json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "\n}\n"
 
 
-def _emit_grid(args, problem: ProblemFile, points, mats, label: str):
+def _emit_grid(args, problem: ProblemFile, points, col, label: str):
+    """The grid report of M (col None) or of W: one kernel call per point on M(z)."""
+    n = problem.model.n if col is None else col.reduced_dim
+    kernel = kernels.grid_kernel(problem.model.n, problem.transform, col)
+    results = [kernel(models.evaluate(problem.model, z).data) for z in points]
     if args.format == "csv":
-        _emit(_matrix_grid_csv(points, mats, label), args.out)
+        _emit(_matrix_grid_csv(points, (n, n), results, label), args.out)
     else:
-        _emit(_matrix_grid_json(problem, points, mats, label), args.out)
+        _emit(_matrix_grid_json(problem, points, (n, n), results, label), args.out)
 
 
 def _boundary_or_fail(problem: ProblemFile) -> Matrix:
@@ -156,18 +164,9 @@ def _grid_or_fail(args, problem: ProblemFile) -> list:
     return parse_grid(grid_text)
 
 
-def _weyl(problem: ProblemFile, z: complex) -> Matrix:
-    """M(z) in the problem's boundary coordinates (transformed if a transform is given)."""
-    m = models.evaluate(problem.model, z)
-    if problem.transform is not None:
-        m = triplets.transform_weyl(problem.transform, m)
-    return m
-
-
 def cmd_eval(args) -> int:
     problem = parse_problem(args.problem)
-    points = _grid_or_fail(args, problem)
-    _emit_grid(args, problem, points, [_weyl(problem, z) for z in points], "M")
+    _emit_grid(args, problem, _grid_or_fail(args, problem), None, "M")
     return 0
 
 
@@ -242,9 +241,7 @@ def cmd_charfn(args) -> int:
     b = _boundary_or_fail(problem)
     if problem.transform is not None:
         b = triplets.transform_boundary_operator(problem.transform, b)
-    col = charfun.factor_colligation(b)
-    mats = [charfun.char_function_from_m(col, _weyl(problem, z)) for z in points]
-    _emit_grid(args, problem, points, mats, "W")
+    _emit_grid(args, problem, points, charfun.factor_colligation(b), "W")
     return 0
 
 

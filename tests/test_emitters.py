@@ -49,10 +49,12 @@ def _reference_csv(points, mats, label):
 
 
 def _reference(problem_path, cmd, grid, fmt):
-    """The report `cmd` should write, built by the reference dumpers."""
+    """The report `cmd` should write: the Matrix path's values, by the reference dumpers."""
     problem = parse_problem(problem_path)
     points = cli.parse_grid(grid)
-    mats = [cli._weyl(problem, z) for z in points]
+    mats = [models.evaluate(problem.model, z) for z in points]
+    if problem.transform is not None:
+        mats = [triplets.transform_weyl(problem.transform, m) for m in mats]
     label = "M"
     if cmd == "charfn":
         b = problem.boundary
@@ -69,6 +71,16 @@ def _reference(problem_path, cmd, grid, fmt):
 ROTATION = {"U": [[0, 1], [1, 0]], "X11": [[1, 0], [0, 1]], "X12": [[1, 0.5], [0.5, -1]],
             "X21": [[0, 0], [0, 0]], "X22": [[1, 0], [0, 1]]}
 
+STRIP3 = {"kind": "strip", "a_diag": [2, 3, 5], "width": 3.0}
+ROTATION6 = {"U": [[float(i + j == 5) for j in range(6)] for i in range(6)],
+             "X11": [[float(i == j) for j in range(6)] for i in range(6)],
+             "X12": [[1.0 if i == j else 0.5 if abs(i - j) == 1 else 0.0 for j in range(6)] for i in range(6)],
+             "X21": [[0.0] * 6 for _ in range(6)],
+             "X22": [[float(i == j) for j in range(6)] for i in range(6)]}
+# Im B = diag(0.8, 0, 0, -0.5, 0, 0): rank 2, the reduced route
+BOUNDARY6_RANK2 = [[[0.3, 0.8] if i == j == 0 else [-0.2, -0.5] if i == j == 3
+                    else 0.1 * (i == j) + 0.05 * (abs(i - j) == 1) for j in range(6)] for i in range(6)]
+
 CASES = {
     "eval_n1": ("eval", {"model": {"kind": "sector", "beta": 0.75}}, "-2:2:5,0.5:2:3"),
     "eval_n2": ("eval", {"model": {"kind": "operator_potential_halfline", "a_diag": [2, 5]},
@@ -80,6 +92,9 @@ CASES = {
                                   "boundary": [[0.3, 0.1], [0.1, [0.5, 0.8]]],
                                   "transform": ROTATION}, "-1:1:3,0.5:1.5:2"),
     "one_point": ("eval", {"model": {"kind": "corner", "beta": 0.7}}, "0.5:0.5:1,1:1:1"),
+    # n = 6, beyond kernels.MAX_N: the Matrix path writes these
+    "eval_n6": ("eval", {"model": STRIP3, "transform": ROTATION6}, "-3:3:3,0.5:2:2"),
+    "charfn_n6_reduced": ("charfn", {"model": STRIP3, "boundary": BOUNDARY6_RANK2}, "-3:3:3,0.5:2:2"),
 }
 
 
@@ -94,7 +109,8 @@ def test_grid_report_bytes_match_the_reference(tmp_path, case, fmt):
     assert out.read_bytes() == _reference(str(problem), cmd, grid, fmt).encode()
 
 
-@pytest.mark.parametrize("case, full_rank", [("charfn_full", True), ("charfn_reduced", False)])
+@pytest.mark.parametrize("case, full_rank", [("charfn_full", True), ("charfn_reduced", False),
+                                             ("charfn_n6_reduced", False)])
 def test_charfn_cases_take_both_routes(case, full_rank):
     problem = problem_from_data(CASES[case][1])
     b = problem.boundary
@@ -116,10 +132,11 @@ def test_special_floats_match_the_reference(tmp_path, label):
         Matrix(2, 2, tuple(complex(SPECIAL[(k + i) % 6], SPECIAL[(k + 2 * i + 1) % 6]) for i in range(4)))
         for k in range(len(points))
     ]
-    text = cli._matrix_grid_json(prob, points, mats, label)
+    values = [m.data for m in mats]
+    text = cli._matrix_grid_json(prob, points, (2, 2), values, label)
     assert text == _reference_json(prob, points, mats, label)
     assert "NaN" in text and "-Infinity" in text and "1e+22" in text and "-0.0" in text
-    assert cli._matrix_grid_csv(points, mats, label) == _reference_csv(points, mats, label)
+    assert cli._matrix_grid_csv(points, (2, 2), values, label) == _reference_csv(points, mats, label)
 
 
 def test_catalog_weyl_functions_have_complex_entries():

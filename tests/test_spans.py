@@ -56,17 +56,10 @@ def test_tracer_counts_the_oracle():
     assert counters["oracle.sturm_rows"] >= stats["oracle.eigen_count_below"].calls * 3999
 
 
-def test_tracer_counts_the_grid_request_path(tmp_path):
+def _run_grid_requests(tmp_path, requests):
+    """Run each (cmd, problem) at the one grid point 0.5+1i under the tracer."""
     spans = _load_spans()
     tracer = spans["Tracer"]()
-    model = {"kind": "operator_potential_halfline", "a_diag": [2, 5]}
-    transform = {"U": [[0, 1], [1, 0]], "X11": [[1, 0], [0, 1]], "X12": [[1, 0.5], [0.5, -1]],
-                 "X21": [[0, 0], [0, 0]], "X22": [[1, 0], [0, 1]]}
-    requests = [  # a transformed eval, then W with Im B of full rank and of rank 1
-        ("eval", {"model": model, "transform": transform}),
-        ("charfn", {"model": model, "boundary": [[[0.3, 0.5], 0.1], [0.1, [0.5, 0.8]]]}),
-        ("charfn", {"model": model, "boundary": [[0.3, 0.1], [0.1, [0.5, 0.8]]], "transform": transform}),
-    ]
     try:
         spans["install"](tracer)
         for i, (cmd, data) in enumerate(requests):
@@ -76,12 +69,51 @@ def test_tracer_counts_the_grid_request_path(tmp_path):
             assert main([cmd, "--problem", str(prob), "--grid=0.5:0.5:1,1:1:1", "--out", str(out)]) == 0
     finally:
         tracer.uninstall()
-    stats, _counters = tracer.stats()
+    return tracer.stats()
+
+
+def _identity(n):
+    return [[float(i == j) for j in range(n)] for i in range(n)]
+
+
+def test_tracer_counts_the_grid_request_path(tmp_path):
+    # a 3-channel strip has n = 6, beyond kernels.MAX_N: its grid points take the Matrix path
+    model = {"kind": "strip", "a_diag": [2, 3, 5], "width": 3.0}
+    transform = {"U": [row[::-1] for row in _identity(6)], "X11": _identity(6),
+                 "X12": [[1.0 if i == j else 0.5 if abs(i - j) == 1 else 0.0 for j in range(6)] for i in range(6)],
+                 "X21": [[0.0] * 6 for _ in range(6)], "X22": _identity(6)}
+    full = [[[0.3, 0.5 + 0.1 * i] if i == j else 0.1 * (abs(i - j) == 1) for j in range(6)] for i in range(6)]
+    rank1 = [[[0.3, 0.8] if i == j == 5 else 0.2 * (i == j) + 0.1 * (abs(i - j) == 1) for j in range(6)]
+             for i in range(6)]
+    # a transformed eval, then W with Im B of full rank and of rank 1
+    stats, _counters = _run_grid_requests(tmp_path, [
+        ("eval", {"model": model, "transform": transform}),
+        ("charfn", {"model": model, "boundary": full}),
+        ("charfn", {"model": model, "boundary": rank1, "transform": transform}),
+    ])
     for name in ("triplets.transform_weyl", "charfun._char_full", "charfun.char_function_colligation",
                  "linalg.solve", "linalg.matmul"):
         assert stats[name].calls >= 1, name
     assert stats["charfun._char_full"].calls == 1
     assert stats["charfun.char_function_colligation"].calls == 1
+
+
+def test_tracer_counts_the_kernel_grid_request_path(tmp_path):
+    # for n <= kernels.MAX_N the points take a generated kernel, which the tracer does not
+    # see; it still counts M(z) per point and the per-request work on B
+    model = {"kind": "operator_potential_halfline", "a_diag": [2, 5]}
+    transform = {"U": [[0, 1], [1, 0]], "X11": [[1, 0], [0, 1]], "X12": [[1, 0.5], [0.5, -1]],
+                 "X21": [[0, 0], [0, 0]], "X22": [[1, 0], [0, 1]]}
+    stats, counters = _run_grid_requests(tmp_path, [
+        ("eval", {"model": model, "transform": transform}),
+        ("charfn", {"model": model, "boundary": [[[0.3, 0.5], 0.1], [0.1, [0.5, 0.8]]]}),
+        ("charfn", {"model": model, "boundary": [[0.3, 0.1], [0.1, [0.5, 0.8]]], "transform": transform}),
+    ])
+    assert stats["models.evaluate"].calls == 3
+    assert counters["models.evaluate.operator_potential_halfline.calls"] == 3
+    assert stats["charfun.factor_colligation"].calls == 2
+    assert stats["triplets.transform_boundary_operator"].calls == 1
+    assert "triplets.transform_weyl" not in stats and "charfun._char_full" not in stats
 
 
 def test_tracer_counts_the_propagations_of_the_eigenvalue_count(tmp_path):
