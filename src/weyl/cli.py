@@ -3,14 +3,17 @@
 Subcommands: eval | spectrum | negcount | krein | charfn | verify.  Problem
 files are JSON (schema in docs/problem.schema.json); grids/windows come from
 flags.  Reports are deterministic for a fixed problem file and seed: floats
-are emitted in shortest round-trip form and JSON keys are sorted.  A grid
-point of `eval` or `charfn` evaluates M(z) and then runs the request's
-kernel (`kernels.grid_kernel`: generated straight-line code for n <= 4, the
-Matrix path beyond) for the transformed M or for W, with the Matrix path's
-bits.  The grid reports are written by a fixed-shape emitter, one template
-per request filled with the repr of every float; the result is
-byte-identical to `json.dumps(sort_keys=True, indent=1)` of the report as
-nested dicts and lists, or to `csv.writer` rows for CSV.
+are emitted in shortest round-trip form and JSON keys are sorted.  The
+argument parser is built once per process (`build_parser` is cached;
+parsing leaves it unchanged), so repeated `main()` calls in one process
+share it.  A grid point of `eval` or `charfn` evaluates M(z) and then runs
+the request's kernel (`kernels.grid_kernel`: generated straight-line code
+for n <= 4, the Matrix path beyond) for the transformed M or for W, with the
+Matrix path's bits.  The grid reports are written by a fixed-shape emitter,
+one template per request filled with the repr of every float, each grid
+axis value formatted once per request by its position on the axis; the
+result is byte-identical to `json.dumps(sort_keys=True, indent=1)` of the
+report as nested dicts and lists, or to `csv.writer` rows for CSV.
 
 The boundary operator in a problem file always refers to the base boundary
 coordinates of the model.  When a transform block is present, `eval` and
@@ -23,6 +26,8 @@ hence those answers, unchanged -- that invariance is itself verified by the
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 
@@ -47,13 +52,17 @@ def _parse_axis(text: str, what: str):
     return [a + (b - a) * k / (n - 1) for k in range(n)]
 
 
-def parse_grid(text: str):
-    """'re0:re1:n,im0:im1:m' -> row-major list of complex grid points."""
+def parse_axes(text: str):
+    """'re0:re1:n,im0:im1:m' -> (the real axis values, the imaginary axis values)."""
     parts = text.split(",")
     if len(parts) != 2:
         raise WeylError(f"grid must be 're0:re1:n,im0:im1:m', got {text!r}")
-    res = _parse_axis(parts[0], "real axis")
-    ims = _parse_axis(parts[1], "imaginary axis")
+    return _parse_axis(parts[0], "real axis"), _parse_axis(parts[1], "imaginary axis")
+
+
+def parse_grid(text: str):
+    """'re0:re1:n,im0:im1:m' -> row-major list of complex grid points."""
+    res, ims = parse_axes(text)
     return [complex(r, i) for r in res for i in ims]
 
 
@@ -93,10 +102,18 @@ def _json_dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ": "), indent=1) + "\n"
 
 
-def _matrix_grid_csv(points, shape, results, label: str) -> str:
+def _z_reprs(axes):
+    """(repr re z, repr im z) of every grid point, row-major, each axis value
+    formatted once and looked up by its position (0.0 == -0.0 as a key)."""
+    res, ims = axes
+    return itertools.product(map(repr, res), map(repr, ims))
+
+
+def _matrix_grid_csv(axes, shape, results, label: str) -> str:
     """re_z, im_z, then the entries row-major as re, im; one line per point.
 
-    results holds, per point, the entries of a (rows, cols) = shape matrix
+    axes holds the real and the imaginary axis values, results, per point
+    row-major over them, the entries of a (rows, cols) = shape matrix
     row-major.  No field holds a comma, a quote or a newline, so a plain join
     writes what `csv.writer` would.
     """
@@ -106,33 +123,34 @@ def _matrix_grid_csv(points, shape, results, label: str) -> str:
         for j in range(cols):
             header += [f"{label}_{i}_{j}_re", f"{label}_{i}_{j}_im"]
     values = []
-    for z, data in zip(points, results):
-        values += (z.real, z.imag)
+    for z, data in zip(_z_reprs(axes), results):
+        values += z
         for v in data:
             values += (v.real, v.imag)
-    line = ",".join(["%r"] * len(header)) + "\n"
-    return ",".join(header) + "\n" + line * len(points) % tuple(values)
+    line = ",".join(["%s", "%s"] + ["%r"] * (len(header) - 2)) + "\n"
+    return ",".join(header) + "\n" + line * len(results) % tuple(values)
 
 
-def _matrix_grid_json(problem: ProblemFile, points, shape, results, label: str) -> str:
+def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str) -> str:
     """`_json_dump` of {header, "rows": [{label: [[[re, im], ..], ..], "z": [re, im]}, ..]}.
 
     The rows share one shape, so one template filled with `%r` of each float
-    (float.__repr__, as `json` writes it) gives the same bytes.
+    (float.__repr__, as `json` writes it) gives the same bytes; z takes the
+    axis reprs of `_z_reprs`.
     """
     rows, cols = shape
     entry = "     [\n      %r,\n      %r\n     ]"
     matrix_row = "    [\n" + ",\n".join([entry] * cols) + "\n    ]"
     row = (
         f'  {{\n   "{label}": [\n' + ",\n".join([matrix_row] * rows)
-        + '\n   ],\n   "z": [\n    %r,\n    %r\n   ]\n  }'
+        + '\n   ],\n   "z": [\n    %s,\n    %s\n   ]\n  }'
     )
     values = []
-    for z, data in zip(points, results):
+    for z, data in zip(_z_reprs(axes), results):
         for v in data:
             values += (v.real, v.imag)
-        values += (z.real, z.imag)
-    body = ",\n".join([row] * len(points)) % tuple(values)
+        values += z
+    body = ",\n".join([row] * len(results)) % tuple(values)
     if "n" in body:  # only nan and inf spell an 'n'; json writes them as below
         body = body.replace("nan", "NaN").replace("inf", "Infinity")
     fields = {key: json.dumps(value) for key, value in _report_header(problem).items()}
@@ -140,15 +158,17 @@ def _matrix_grid_json(problem: ProblemFile, points, shape, results, label: str) 
     return "{\n" + ",\n".join(f" {json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "\n}\n"
 
 
-def _emit_grid(args, problem: ProblemFile, points, col, label: str):
+def _emit_grid(args, problem: ProblemFile, axes, col, label: str):
     """The grid report of M (col None) or of W: one kernel call per point on M(z)."""
-    n = problem.model.n if col is None else col.reduced_dim
-    kernel = kernels.grid_kernel(problem.model.n, problem.transform, col)
-    results = [kernel(models.evaluate(problem.model, z).data) for z in points]
+    model = problem.model
+    n = model.n if col is None else col.reduced_dim
+    kernel = kernels.grid_kernel(model.n, problem.transform, col)
+    res, ims = axes
+    results = [kernel(models.evaluate(model, complex(r, i)).data) for r in res for i in ims]
     if args.format == "csv":
-        _emit(_matrix_grid_csv(points, (n, n), results, label), args.out)
+        _emit(_matrix_grid_csv(axes, (n, n), results, label), args.out)
     else:
-        _emit(_matrix_grid_json(problem, points, (n, n), results, label), args.out)
+        _emit(_matrix_grid_json(problem, axes, (n, n), results, label), args.out)
 
 
 def _boundary_or_fail(problem: ProblemFile) -> Matrix:
@@ -157,11 +177,12 @@ def _boundary_or_fail(problem: ProblemFile) -> Matrix:
     return problem.boundary
 
 
-def _grid_or_fail(args, problem: ProblemFile) -> list:
+def _grid_or_fail(args, problem: ProblemFile):
+    """The grid's (real axis, imaginary axis)."""
     grid_text = args.grid or problem.task.get("grid")
     if not grid_text:
         raise WeylError("no grid: pass --grid or put one under task.grid")
-    return parse_grid(grid_text)
+    return parse_axes(grid_text)
 
 
 def cmd_eval(args) -> int:
@@ -237,11 +258,11 @@ def cmd_krein(args) -> int:
 
 def cmd_charfn(args) -> int:
     problem = parse_problem(args.problem)
-    points = _grid_or_fail(args, problem)
+    axes = _grid_or_fail(args, problem)
     b = _boundary_or_fail(problem)
     if problem.transform is not None:
         b = triplets.transform_boundary_operator(problem.transform, b)
-    _emit_grid(args, problem, points, charfun.factor_colligation(b), "W")
+    _emit_grid(args, problem, axes, charfun.factor_colligation(b), "W")
     return 0
 
 
@@ -268,6 +289,7 @@ def cmd_verify(args) -> int:
     return 0 if n_pass == len(results) else 2
 
 
+@functools.cache  # one parser per process: parse_args reads it and leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="weyl",

@@ -90,18 +90,18 @@ class Matrix:
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return _unchecked(self.rows, self.cols, tuple(a + b for a, b in zip(self.data, other.data)))
+        return unchecked(self.rows, self.cols, tuple(a + b for a, b in zip(self.data, other.data)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return _unchecked(self.rows, self.cols, tuple(a - b for a, b in zip(self.data, other.data)))
+        return unchecked(self.rows, self.cols, tuple(a - b for a, b in zip(self.data, other.data)))
 
     def __neg__(self) -> "Matrix":
-        return _unchecked(self.rows, self.cols, tuple(-a for a in self.data))
+        return unchecked(self.rows, self.cols, tuple(-a for a in self.data))
 
     def scale(self, s) -> "Matrix":
         s = complex(s)
-        return _unchecked(self.rows, self.cols, tuple(s * a for a in self.data))
+        return unchecked(self.rows, self.cols, tuple(s * a for a in self.data))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -119,14 +119,14 @@ class Matrix:
                 brow = b[t * m : (t + 1) * m]
                 for j in range(m):
                     out[base + j] += av * brow[j]
-        return _unchecked(n, m, tuple(out))
+        return unchecked(n, m, tuple(out))
 
     def adjoint(self) -> "Matrix":
         data, cols = self.data, self.cols
-        return _unchecked(cols, self.rows, tuple(a.conjugate() for i in range(cols) for a in data[i::cols]))
+        return unchecked(cols, self.rows, tuple(a.conjugate() for i in range(cols) for a in data[i::cols]))
 
     def conjugate(self) -> "Matrix":
-        return _unchecked(self.rows, self.cols, tuple(a.conjugate() for a in self.data))
+        return unchecked(self.rows, self.cols, tuple(a.conjugate() for a in self.data))
 
     # -- norms ----------------------------------------------------------
 
@@ -143,9 +143,10 @@ class Matrix:
             )
 
 
-def _unchecked(rows: int, cols: int, data: tuple) -> Matrix:
+def unchecked(rows: int, cols: int, data: tuple) -> Matrix:
     """Matrix(rows, cols, data) without __post_init__, for the results of
-    operations that already checked their operands' shapes."""
+    operations that already checked their operands' shapes and for formulas
+    that assemble rows*cols complex entries row-major themselves."""
     m = object.__new__(Matrix)
     fields = m.__dict__
     fields["rows"] = rows
@@ -236,7 +237,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
                 s -= rowk[t] * rows[t][c]
             rowk[c] = s / piv
     # complex(): A and B may hold real entries, and the result is complex as from_rows made it
-    return _unchecked(n, m, tuple([complex(v) for row in rows for v in row[n:]]))
+    return unchecked(n, m, tuple([complex(v) for row in rows for v in row[n:]]))
 
 
 def inverse(a: Matrix) -> Matrix:

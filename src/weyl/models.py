@@ -34,13 +34,14 @@ Branch conventions:
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
 from . import oracle
 from .errors import (AccuracyError, DomainError, EvalError, PoleError, RangeError,
                      TransversalityError)
-from .linalg import Matrix, herm_part, hermitian_eigen, lambda_min
+from .linalg import Matrix, herm_part, hermitian_eigen, lambda_min, unchecked
 from .slsolve import (
     PotentialSpec,
     boundary_ratio,
@@ -108,6 +109,14 @@ class WeylModel:
 
 def _positive_index(m: Matrix) -> int:
     return sum(1 for w in hermitian_eigen(m) if w > 0.0)
+
+
+def _diag(entries: list) -> Matrix:
+    """The diagonal matrix of a list of complex entries, assembled row-major."""
+    n = len(entries)
+    data = [0j] * (n * n)
+    data[:: n + 1] = entries
+    return unchecked(n, n, tuple(data))
 
 
 @dataclass(frozen=True)
@@ -267,12 +276,12 @@ class OperatorPotentialHalfline(WeylModel):
 
     def __post_init__(self):
         a = _checked_diagonal(self.a_diag, "operator potential")
-        self._derive(a_diag=a, n=len(a), ess_floor=min(a) - 1.0)
+        self._derive(a_diag=a, n=len(a), ess_floor=min(a) - 1.0,
+                     _channels=tuple((math.sqrt(v), v - 1.0) for v in a))
 
     def M(self, z: complex) -> Matrix:
         # sqrt(a-1-z) with Re >= 0 (decaying defect solution) = -i sqrt_upper(z-(a-1))
-        roots = [-1j * sqrt_upper(z - (a - 1.0)) for a in self.a_diag]
-        return Matrix.diag([math.sqrt(a) * (math.sqrt(a) - r) for a, r in zip(self.a_diag, roots)])
+        return _diag([ra * (ra - (-1j * sqrt_upper(z - shift))) for ra, shift in self._channels])
 
     def m_at_zero(self) -> MZeroResult:
         vals = [math.sqrt(a) * (math.sqrt(a) - math.sqrt(a - 1.0)) for a in self.a_diag]
@@ -315,30 +324,30 @@ class Strip(WeylModel):
         a = _checked_diagonal(self.a_diag, "strip model")
         if self.width <= 0:
             raise EvalError("strip width must be positive")
-        self._derive(a_diag=a, width=float(self.width), n=2 * len(a), ess_floor=min(a) - 1.0)
+        self._derive(a_diag=a, width=float(self.width), n=2 * len(a), ess_floor=min(a) - 1.0,
+                     _channels=tuple((v, math.sqrt(v), v - 1.0) for v in a))
 
     def M(self, z: complex) -> Matrix:
-        m = len(self.a_diag)
-        out = [[0j] * (2 * m) for _ in range(2 * m)]
-        for i, a in enumerate(self.a_diag):
-            coth, csch = _kappa_pair(a, self.width, z)
-            ra = math.sqrt(a)
-            out[i][i] = out[m + i][m + i] = a - ra * coth
-            out[i][m + i] = out[m + i][i] = -ra * csch
-        return Matrix.from_rows(out)
+        m, n = len(self.a_diag), self.n
+        data = [0j] * (n * n)
+        for i, (a, ra, shift) in enumerate(self._channels):
+            coth, csch = _kappa_pair(shift, self.width, z)
+            data[i * (n + 1)] = data[(m + i) * (n + 1)] = a - ra * coth
+            data[i * n + m + i] = data[(m + i) * n + i] = -ra * csch
+        return unchecked(n, n, tuple(data))
 
     def m_at_zero(self) -> MZeroResult:
         # the strip entries depend on kappa^2 only, hence are analytic at 0
         return MZeroResult(herm_part(self.M(0j)), "closed_form", 0.0)
 
 
-def _kappa_pair(a: float, w: float, z: complex):
-    """(kappa coth(w kappa), kappa / sinh(w kappa)) for kappa^2 = a-1-z.
+def _kappa_pair(shift: float, w: float, z: complex):
+    """(kappa coth(w kappa), kappa / sinh(w kappa)) for kappa^2 = shift - z, shift = a-1.
 
     Both are even in kappa, so the branch is irrelevant; computed from the
     root with Re >= 0 through decaying exponentials for stability.
     """
-    kappa = -1j * sqrt_upper(z - (a - 1.0))
+    kappa = -1j * sqrt_upper(z - shift)
     u = w * kappa
     if abs(u) < 1e-5:
         # coth(u) ~ 1/u + u/3, 1/sinh(u) ~ 1/u - u/6
@@ -350,6 +359,13 @@ def _kappa_pair(a: float, w: float, z: complex):
     coth = kappa * (1.0 + e) / denom
     csch = 2.0 * kappa * cmath.exp(-u) / denom
     return coth, csch
+
+
+@functools.lru_cache(maxsize=16)
+def _series_denominators(beta: float) -> tuple:
+    """The corner series' term-ratio denominators (k (k + beta), k (k - beta)),
+    k = 1..400, built once per beta."""
+    return tuple((k * (k + beta), k * (k - beta)) for k in range(1, 401))
 
 
 def _checked_beta(beta) -> float:
@@ -372,10 +388,11 @@ class Corner(WeylModel):
     kind = "corner"
 
     def __post_init__(self):
-        self._derive(beta=_checked_beta(self.beta))
+        beta = _checked_beta(self.beta)
+        self._derive(beta=beta, _denominators=_series_denominators(beta))
 
     def M(self, z: complex) -> Matrix:
-        return Matrix.scalar(self.scalar(z))
+        return unchecked(1, 1, (self.scalar(z),))
 
     def scalar(self, z: complex) -> complex:
         s = sqrt_upper(z)
@@ -385,13 +402,13 @@ class Corner(WeylModel):
         estimate = 1e-16 * math.exp(abs(s) - abs(s.imag))
         if estimate > 1e-10:
             raise AccuracyError(f"corner series cancels at z={z}", estimate)
-        w, beta = -0.25 * z, self.beta
+        w = -0.25 * z
         term_p = term_m = sum_p = sum_m = 1.0 + 0j
         # both series stop once a term is below 1e-17 of its sum (absolute near a zero);
         # at |z| = BESSEL_RANGE^2 that takes about 60 terms
-        for k in range(1, 401):
-            term_p *= w / (k * (k + beta))
-            term_m *= w / (k * (k - beta))
+        for den_p, den_m in self._denominators:
+            term_p *= w / den_p
+            term_m *= w / den_m
             sum_p += term_p
             sum_m += term_m
             if abs(term_p) < 1e-17 * abs(sum_p) + 1e-300 and abs(term_m) < 1e-17 * abs(sum_m) + 1e-300:
@@ -420,7 +437,7 @@ class MultiCorner(WeylModel):
         self._derive(betas=tuple(c.beta for c in corners), n=len(corners), _corners=corners)
 
     def M(self, z: complex) -> Matrix:
-        return Matrix.diag([c.scalar(z) for c in self._corners])
+        return _diag([c.scalar(z) for c in self._corners])
 
     def m_at_zero(self) -> MZeroResult:
         return MZeroResult(Matrix.diag([-1.0] * self.n), "closed_form", 0.0)
@@ -446,7 +463,7 @@ class Sector(WeylModel):
         self._derive(beta=beta, _coefficient=-sector_constant(beta))
 
     def M(self, z: complex) -> Matrix:
-        return Matrix.scalar(self._coefficient * upper_power(z, self.beta))
+        return unchecked(1, 1, (self._coefficient * upper_power(z, self.beta),))
 
     def m_at_zero(self) -> MZeroResult:
         return MZeroResult(Matrix.scalar(0.0), "closed_form", 0.0)

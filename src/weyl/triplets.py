@@ -9,12 +9,15 @@ means the six block relations
 
 hold to tolerance; they are checked eagerly at construction because a
 violating transform produces subtly non-Herglotz outputs rather than loud
-failures.  The same Mobius action applies to the Weyl function and to the
-boundary operator, which is exactly what keeps extension spectra invariant.
+failures.  A block with an inf or nan entry, or a residual that is not a
+finite number within tolerance, fails validation too.  The same Mobius
+action applies to the Weyl function and to the boundary operator, which is
+exactly what keeps extension spectra invariant.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import random
 from dataclasses import dataclass, field
@@ -69,16 +72,18 @@ def j_unitarity_residuals(x11: Matrix, x12: Matrix, x21: Matrix, x22: Matrix):
 
 def make_transform(U: Matrix, X11: Matrix, X12: Matrix, X21: Matrix, X22: Matrix) -> TripletTransform:
     n = U.rows
+    failures = []
     for name, m in (("U", U), ("X11", X11), ("X12", X12), ("X21", X21), ("X22", X22)):
         if m.rows != n or m.cols != n:
             raise DimensionError(f"{name} must be {n}x{n}, got {m.rows}x{m.cols}")
-    failures = []
-    udev = (U.adjoint() @ U - Matrix.identity(n)).norm_fro()
-    if udev > VALIDATION_TOL:
-        failures.append(("U*U = I", udev))
-    for name, res in j_unitarity_residuals(X11, X12, X21, X22).items():
-        if res > VALIDATION_TOL:
-            failures.append((name, res))
+        if not all(map(cmath.isfinite, m.data)):
+            failures.append((f"{name} entries finite", math.inf))
+    if failures:
+        raise TransformValidationError(failures)
+    residuals = {"U*U = I": (U.adjoint() @ U - Matrix.identity(n)).norm_fro()}
+    residuals.update(j_unitarity_residuals(X11, X12, X21, X22))
+    # `not res <= tol` also refuses a nan residual
+    failures = [(name, res) for name, res in residuals.items() if not res <= VALIDATION_TOL]
     if failures:
         raise TransformValidationError(failures)
     return TripletTransform(U, X11, X12, X21, X22)

@@ -1,10 +1,11 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
-from weyl import charfun, models, verify
+from weyl import charfun, cli, models, verify
 from weyl.cli import main, parse_grid, parse_rect, parse_window
 from weyl.errors import ContractError, WeylError
 from weyl.problems import problem_from_data
@@ -160,6 +161,21 @@ def test_complex_power_is_an_error_line(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "left the real line" in err[0]
+
+
+def test_non_finite_transform_block_is_an_error_line(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({
+        "model": {"kind": "half_line", "potential": {"kind": "zero"}},
+        "transform": {"U": [[1]], "X11": [[1]], "X12": [[0]], "X21": [[math.inf]], "X22": [[1]]},
+    }))
+    assert "Infinity" in f.read_text()
+    rc = main(["eval", "--problem", str(f), "--grid=-1:1:3,1:1:1"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "X21 entries finite" in err[0]
 
 
 def test_schema_violation_is_input_error(tmp_path):
@@ -327,3 +343,30 @@ def test_spectrum_csv_matches_csv_writer(tmp_path):
     for e in eigenvalues:
         writer.writerow([repr(e["location"]), e["multiplicity"]])
     assert out_csv.read_bytes() == buf.getvalue().encode()
+
+
+def test_parser_is_reused_across_calls(sector_problem, capsys):
+    # one parser per process: each call writes what it writes as the first call of a process
+    calls = [
+        ["eval", "--grid"],  # argparse error: --grid needs a value
+        ["eval", "--problem", sector_problem, "--grid=-2:2:3,0.5:1:2"],
+        ["charfn", "--problem", sector_problem, "--grid=-1:1:3,0.5:1.5:2", "--format", "csv"],
+        ["--version"],
+    ]
+
+    def run(argv):
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            rc = e.code
+        return rc, capsys.readouterr()
+
+    first = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        first.append(run(argv))
+    assert [rc for rc, _ in first] == [2, 0, 0, 0]
+    assert first[1][1].out.startswith("{") and first[2][1].out.startswith("re_z,im_z,W_0_0_re")
+    cli.build_parser.cache_clear()
+    assert [run(argv) for argv in calls] == first
+    assert cli.build_parser() is cli.build_parser()

@@ -95,6 +95,13 @@ CASES = {
     # n = 6, beyond kernels.MAX_N: the Matrix path writes these
     "eval_n6": ("eval", {"model": STRIP3, "transform": ROTATION6}, "-3:3:3,0.5:2:2"),
     "charfn_n6_reduced": ("charfn", {"model": STRIP3, "boundary": BOUNDARY6_RANK2}, "-3:3:3,0.5:2:2"),
+    # the axis reprs go by position: a real -0.0 (below the floor of 1) next to an
+    # imaginary 0.0, and axes that share their values
+    "signed_zero_strip": ("eval", {"model": {"kind": "strip", "a_diag": [2, 4], "width": 3.0}},
+                          "-0.0:-0.0:1,0:1:2"),
+    "signed_zero_operator": ("charfn", {"model": {"kind": "operator_potential_halfline", "a_diag": [2, 5]},
+                                        "boundary": [[0.3, 0.1], [0.1, [0.5, 0.8]]]}, "-0.0:-0.0:1,0:1:2"),
+    "shared_axes": ("eval", {"model": {"kind": "multi_corner", "betas": [0.6, 0.8]}}, "1:2:2,1:2:2"),
 }
 
 
@@ -107,6 +114,22 @@ def test_grid_report_bytes_match_the_reference(tmp_path, case, fmt):
     out = tmp_path / f"o.{fmt}"
     assert main([cmd, "--problem", str(problem), f"--grid={grid}", "--format", fmt, "--out", str(out)]) == 0
     assert out.read_bytes() == _reference(str(problem), cmd, grid, fmt).encode()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("case", ["signed_zero_strip", "signed_zero_operator"])
+def test_signed_zero_axes_keep_their_signs(tmp_path, case, fmt):
+    cmd, data, grid = CASES[case]
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps(data))
+    out = tmp_path / f"o.{fmt}"
+    assert main([cmd, "--problem", str(problem), f"--grid={grid}", "--format", fmt, "--out", str(out)]) == 0
+    if fmt == "json":
+        zs = [row["z"] for row in json.loads(out.read_text())["rows"]]
+    else:
+        zs = [[float(v) for v in row[:2]] for row in list(csv.reader(io.StringIO(out.read_text())))[1:]]
+    assert [[math.copysign(1.0, v) for v in z] for z in zs] == [[-1.0, 1.0], [-1.0, 1.0]]
+    assert zs == [[0.0, 0.0], [0.0, 1.0]]
 
 
 @pytest.mark.parametrize("case, full_rank", [("charfn_full", True), ("charfn_reduced", False),
@@ -127,16 +150,17 @@ def test_special_floats_match_the_reference(tmp_path, label):
     problem = tmp_path / "p.json"
     problem.write_text(json.dumps({"model": {"kind": "sector", "beta": 0.75}}))
     prob = parse_problem(str(problem))
-    points = [complex(-0.0, 1e-300), complex(1e22, -math.inf), complex(math.nan, 0.5)]
+    axes = ([-0.0, 1e22, math.nan], [1e-300, -math.inf, 0.5])
+    points = [complex(r, i) for r in axes[0] for i in axes[1]]
     mats = [
         Matrix(2, 2, tuple(complex(SPECIAL[(k + i) % 6], SPECIAL[(k + 2 * i + 1) % 6]) for i in range(4)))
         for k in range(len(points))
     ]
     values = [m.data for m in mats]
-    text = cli._matrix_grid_json(prob, points, (2, 2), values, label)
+    text = cli._matrix_grid_json(prob, axes, (2, 2), values, label)
     assert text == _reference_json(prob, points, mats, label)
     assert "NaN" in text and "-Infinity" in text and "1e+22" in text and "-0.0" in text
-    assert cli._matrix_grid_csv(points, (2, 2), values, label) == _reference_csv(points, mats, label)
+    assert cli._matrix_grid_csv(axes, (2, 2), values, label) == _reference_csv(points, mats, label)
 
 
 def test_catalog_weyl_functions_have_complex_entries():

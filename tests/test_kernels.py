@@ -127,9 +127,10 @@ def test_terms_with_a_constant_zero_left_factor_are_skipped():
 
 
 def test_non_finite_transform_blocks_take_the_matrix_path():
-    # a nan residual passes validation; Matrix.__matmul__ skips the 0 * inf that a kernel would add
+    # make_transform refuses such blocks; built directly, Matrix.__matmul__ skips the
+    # 0 * inf that a kernel would add
     ident, zero = Matrix.identity(2), Matrix.zeros(2, 2)
-    t = triplets.make_transform(ident, ident, zero, Matrix.diag([math.inf, 0.0]), ident)
+    t = triplets.TripletTransform(ident, ident, zero, Matrix.diag([math.inf, 0.0]), ident)
     kernel = kernels.grid_kernel(2, t)
     assert kernel.func is kernels._matrix_path
     data = Matrix.diag([1j, 0.0]).data

@@ -96,6 +96,53 @@ def test_corner_pinned_in_the_series_range(beta, z, expected):
     assert abs(v - expected) <= 1e-13 * abs(expected)
 
 
+CLOSED_FORM = {
+    "corner": models.corner(0.7),
+    "multi_corner": models.multi_corner([0.6, 0.85]),
+    "sector": models.sector(0.75),
+    "strip": models.strip([2.0, 4.0], 3.0),
+    "operator_potential_halfline": models.operator_potential_halfline([2.0, 5.0]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CLOSED_FORM))
+def test_closed_form_entries_are_complex(kind):
+    model = CLOSED_FORM[kind]
+    # a complex z, and a real z below the floor, as a float and as a complex
+    points = [0.5 + 1j, -2.0 + 0.25j, model.ess_floor - 0.5, complex(model.ess_floor - 0.5)]
+    if kind == "strip":
+        # |w kappa| < 1e-5, kappa^2 = a - 1 - z: the series branch of _kappa_pair
+        points += [1.0 - 1e-12, 1.0 + 1e-12j]
+    for z in points:
+        m = models.evaluate(model, z)
+        assert (m.rows, m.cols) == (model.n, model.n) and len(m.data) == model.n ** 2
+        assert all(type(v) is complex for v in m.data), (kind, z)
+
+
+# the exact repr of every entry: the corner series uses only + - * / (the
+# guards do not touch the value), so these bits hold on any IEEE-754 platform
+CORNER_REPRS = {
+    0.5 + 1j: (["(-0.6805591894698123+0.7130583659043596j)"],
+               ["(-0.7873411406203705+0.49285240715244244j)", "0j", "0j",
+                "(-0.2609770053351107+1.5624910697554488j)"]),
+    -2 + 0.25j: (["(-2.277920344318172+0.14918094962658204j)"],
+                 ["(-1.8531661055125552+0.0973749787964764j)", "0j", "0j",
+                  "(-3.9521929461623215+0.35640176559965686j)"]),
+    -3.0: (["(-2.856560343529906+0j)"],
+           ["(-2.2271105989850186+0j)", "0j", "0j", "(-5.3555756028966925+0j)"]),
+    30 - 4j: (["(12.39966558860663-5.892904147463724j)"],
+              ["(7.025307365839002-4.557479264282237j)", "0j", "0j",
+               "(35.82584004968494-10.259227384750277j)"]),
+}
+
+
+@pytest.mark.parametrize("z", list(CORNER_REPRS))
+def test_corner_entries_pinned_bit_for_bit(z):
+    corner, multi = CORNER_REPRS[z]
+    assert [repr(v) for v in models.evaluate(CLOSED_FORM["corner"], z).data] == corner
+    assert [repr(v) for v in models.evaluate(CLOSED_FORM["multi_corner"], z).data] == multi
+
+
 def test_evaluate_domain_guard():
     with pytest.raises(DomainError):
         models.evaluate(models.half_line(Q0), 1.0)

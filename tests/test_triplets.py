@@ -36,6 +36,22 @@ def test_non_hermitian_k_rejected():
     assert any("X12" in name for name, _ in exc.value.failures)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(0.0, math.nan)])
+def test_non_finite_block_rejected(bad):
+    ident, zero = Matrix.identity(1), Matrix.zeros(1, 1)
+    with pytest.raises(TransformValidationError) as exc:
+        triplets.make_transform(ident, ident, zero, Matrix.scalar(bad), ident)
+    assert exc.value.failures == [("X21 entries finite", math.inf)]
+
+
+def test_nan_residual_rejected():
+    # 1e200 * 1e200 overflows, so X12*X22 - X22*X12 = inf - inf is nan
+    one, big = Matrix.identity(1), Matrix.scalar(1e200)
+    with pytest.raises(TransformValidationError) as exc:
+        triplets.make_transform(one, one, big, Matrix.zeros(1, 1), big)
+    assert any(name == "X12*X22 = X22*X12" and math.isnan(res) for name, res in exc.value.failures)
+
+
 def test_gamma0_shift_inverts_weyl_function():
     # new Gamma0 = Gamma0 + K Gamma1 realizes M~^-1 = M^-1 + K
     t = triplets.make_transform(
