@@ -29,6 +29,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 
 from . import __version__, charfun, extensions, kernels, models, triplets, verify
@@ -48,8 +49,12 @@ def _parse_axis(text: str, what: str):
     if n < 1:
         raise WeylError(f"{what} count must be >= 1")
     if n == 1:
-        return [a]
-    return [a + (b - a) * k / (n - 1) for k in range(n)]
+        values = [a]
+    else:
+        values = [a + (b - a) * k / (n - 1) for k in range(n)]
+    if not all(map(math.isfinite, (a, b, *values))):
+        raise WeylError(f"{what} values must be finite, got {text!r}")
+    return values
 
 
 def parse_axes(text: str):

@@ -15,14 +15,21 @@ Work is spent only on what callers read.  The interior rows of a grid
 depend on (q, L, n) alone and are built once per grid; an operator is that
 interior plus a boundary row and edge coupling on each side that is not
 Dirichlet, so the Dirichlet reference and every A_B of one request share
-it.  The bisection for the j-th eigenvalue starts from the same bracket as
-the one for j - 1, so all of them share one table of Sturm counts.  With
-`upper` given, one Sturm count at `upper` says how many eigenvalues lie
-below it, and only those are bisected, from [Gershgorin lower bound, upper]
-rather than from the full Gershgorin bracket: no value above `upper` is
-computed, and each returned value lies within `tol` of the unbounded run's
-value of the same index.  A resolvent factors T - z once; every right-hand
-side is then one substitution through the stored swaps and multipliers.
+it.  A grid's flat stretch, its longest run of interior rows with one
+diagonal entry and one coupling (the q = 0 tail of a half line, say), is
+found once per grid too.  A Sturm count steps through it only until an LDL
+pivot repeats bit for bit, since every later pivot of the stretch is then
+that same value, and the Gershgorin bounds read its rows as one row; both
+give the bits of the full loop.  The bisection for the j-th eigenvalue
+starts from the same bracket as the one for j - 1, so all of them share one
+table of Sturm counts, and it stops at width tol or once the midpoint is no
+longer strictly inside the bracket.  With `upper` given, one Sturm count at
+`upper` says how many eigenvalues lie below it, and only those are
+bisected, from [Gershgorin lower bound, upper] rather than from the full
+Gershgorin bracket: no value above `upper` is computed, and each returned
+value lies within `tol` of the unbounded run's value of the same index.  A
+resolvent factors T - z once; every right-hand side is then one
+substitution through the stored swaps and multipliers.
 """
 
 from __future__ import annotations
@@ -32,6 +39,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import chain, groupby
 
 from .errors import ContractError, DimensionError, SpectralPointError
 from .slsolve import PotentialSpec
@@ -49,6 +57,10 @@ class DiscretizedOperator:
     The boundary condition is folded in through the lumped quadratic form,
     which keeps the matrix exactly symmetric and the eigenvalues
     second-order accurate.
+
+    flat = (start, stop) names the rows start..stop-1 (start >= 1) that
+    share diag[start] and the coupling off[start - 1] to the row before;
+    (0, 0), the default, names none.
     """
 
     diag: tuple
@@ -57,6 +69,7 @@ class DiscretizedOperator:
     L: float
     left: float | None
     right: float | None
+    flat: tuple = (0, 0)
 
     @property
     def size(self) -> int:
@@ -65,19 +78,28 @@ class DiscretizedOperator:
 
 @lru_cache(maxsize=32)
 def _grid(q: PotentialSpec, L: float, n: int):
-    """(q at node 0, interior diagonal of nodes 1..n-1, q at node n).
+    """(q at node 0, interior diagonal of nodes 1..n-1, q at node n, flat run).
 
     q is averaged over each node's cell clipped to [0, L], which keeps
     potential jumps second-order accurate.  The interior rows do not depend
     on the boundary; they are an array('d'), so a cached grid costs 8 bytes
-    a node.
+    a node.  The flat run (i, j) is the first longest run interior[i:j] of
+    equal entries.
     """
     dx = L / n
 
     def average(i):
         return q.cell_average(max(0.0, (i - 0.5) * dx), min(L, (i + 0.5) * dx))
 
-    return average(0), array("d", ((2.0 / dx + average(i) * dx) / dx for i in range(1, n))), average(n)
+    interior = array("d", ((2.0 / dx + average(i) * dx) / dx for i in range(1, n)))
+    run = (0, 0)
+    i = 0
+    for _, rows in groupby(interior):
+        j = i + len(list(rows))
+        if j - i > run[1] - run[0]:
+            run = (i, j)
+        i = j
+    return average(0), interior, average(n), run
 
 
 def discretize(q: PotentialSpec, L: float, n: int, left: float | None,
@@ -89,7 +111,7 @@ def discretize(q: PotentialSpec, L: float, n: int, left: float | None,
     dx = L / n
     # quadratic form: sum (y_{i+1}-y_i)^2/dx + sum w_i q_i y_i^2 + h_l y_0^2 + h_r y_n^2,
     # lumped weights w_i = dx inside and dx/2 at a retained end node
-    q0, interior, qn = _grid(q, L, n)
+    q0, interior, qn, (i, j) = _grid(q, L, n)
     diag = tuple(interior)
     off = ((-1.0 / dx) / math.sqrt(dx * dx),) * (n - 2)
     half = dx / 2.0
@@ -97,26 +119,56 @@ def discretize(q: PotentialSpec, L: float, n: int, left: float | None,
     if left is not None:
         diag = ((1.0 / dx + q0 * half + left) / half,) + diag
         off = (edge,) + off
+        i, j = i + 1, j + 1
     if right is not None:
         diag += ((1.0 / dx + qn * half + right) / half,)
         off += (edge,)
-    return DiscretizedOperator(diag, off, dx, float(L), left, right)
+    # the flat rows couple to the row before through an interior coupling:
+    # no earlier than row 1, or row 2 behind a retained left node
+    i = max(i, 1 if left is None else 2)
+    return DiscretizedOperator(diag, off, dx, float(L), left, right, (i, j) if i < j else (0, 0))
 
 
 def eigen_count_below(opd: DiscretizedOperator, mu: float) -> int:
     """Number of eigenvalues below mu, by Sturm sign agreements of the LDL pivots."""
     if not math.isfinite(mu):
         raise ContractError("mu must be finite")
-    return _sturm_count(opd.diag, opd.off, mu)
+    return _sturm_count(opd.diag, opd.off, mu, opd.flat)
 
 
-def _sturm_count(diag, off, mu: float) -> int:
+def _sturm_count(diag, off, mu: float, flat=(0, 0)) -> int:
+    """The number of negative LDL pivots of T - mu.  The rows flat = (start,
+    stop) share one diagonal entry and coupling, so once a pivot there
+    repeats, the rest of them are that pivot."""
     tiny = 1e-300
     prev = diag[0] - mu
     if prev == 0.0:
         prev = -tiny
     count = 1 if prev < 0 else 0
-    for d, e in zip(diag[1:], off):
+    start, stop = flat
+    rest = 1
+    if start < stop:
+        for d, e in zip(diag[1:start], off):
+            prev = (d - mu) - e * e / prev
+            if prev == 0.0:
+                prev = -tiny
+            if prev < 0:
+                count += 1
+        a = diag[start] - mu
+        e2 = off[start - 1] * off[start - 1]
+        for i in range(start, stop):
+            p = a - e2 / prev
+            if p == 0.0:
+                p = -tiny
+            if p == prev:
+                if p < 0:
+                    count += stop - i
+                break
+            prev = p
+            if p < 0:
+                count += 1
+        rest = stop
+    for d, e in zip(diag[rest:], off[rest - 1:]):
         prev = (d - mu) - e * e / prev
         if prev == 0.0:
             prev = -tiny
@@ -126,10 +178,13 @@ def _sturm_count(diag, off, mu: float) -> int:
 
 
 def gershgorin_bounds(opd: DiscretizedOperator):
+    """(min, max) over the rows of diag -/+ the row's absolute couplings; the
+    flat rows but the last share one such row, which is read once."""
     d, e = opd.diag, opd.off
+    start, stop = opd.flat
     lo = math.inf
     hi = -math.inf
-    for i in range(len(d)):
+    for i in chain(range(start + 1), range(max(start + 1, stop - 1), len(d))):
         r = (abs(e[i - 1]) if i > 0 else 0.0) + (abs(e[i]) if i < len(e) else 0.0)
         lo = min(lo, d[i] - r)
         hi = max(hi, d[i] + r)
@@ -154,20 +209,29 @@ def lowest_eigenvalues(opd: DiscretizedOperator, k: int, tol: float = 1e-10,
         k = min(k, eigen_count_below(opd, upper))
         hi0 = upper
     counts = {}
-    out = []
-    for j in range(1, k + 1):
-        lo, hi = lo0, hi0
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            c = counts.get(mid)
-            if c is None:
-                c = counts[mid] = eigen_count_below(opd, mid)
-            if c >= j:
-                hi = mid
-            else:
-                lo = mid
-        out.append(0.5 * (lo + hi))
-    return out
+
+    def count_at(mid):
+        c = counts.get(mid)
+        if c is None:
+            c = counts[mid] = eigen_count_below(opd, mid)
+        return c
+
+    return [_bisect(count_at, j, lo0, hi0, tol) for j in range(1, k + 1)]
+
+
+def _bisect(count_at, j: int, lo: float, hi: float, tol: float) -> float:
+    """Midpoint of the bracket [lo, hi] around the point where count_at first
+    reaches j, halved until it is at most tol wide or its midpoint is no
+    longer strictly inside it."""
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        if count_at(mid) >= j:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
 
 
 def _factor(opd: DiscretizedOperator, z: complex):
@@ -326,16 +390,6 @@ def corner_friedrichs_eigenvalues(beta: float, count: int) -> list:
     n = 5 * count + 30
     diag = (0.0,) * n
     off = tuple(0.5 / math.sqrt((beta + k) * (beta + k + 1.0)) for k in range(1, n))
-    out = []
-    for j in range(1, count + 1):
-        lo, hi = -1.0, 0.0  # Gershgorin: every row sums to below 1
-        while True:
-            mid = 0.5 * (lo + hi)
-            if not lo < mid < hi:
-                break
-            if _sturm_count(diag, off, mid) >= j:
-                hi = mid
-            else:
-                lo = mid
-        out.append((0.5 * (lo + hi)) ** -2)
-    return out
+    # Gershgorin: every row sums to below 1; tol 0 bisects to the last bit
+    return [_bisect(lambda mid: _sturm_count(diag, off, mid), j, -1.0, 0.0, 0.0) ** -2
+            for j in range(1, count + 1)]

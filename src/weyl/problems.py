@@ -2,8 +2,9 @@
 optional triplet transform, and task parameters.
 
 Complex numbers are encoded as plain numbers (real) or two-element
-[re, im] arrays; matrices as row-major nested lists of those.  Validation
-errors carry the JSON path of the offending field.
+[re, im] arrays; matrices as row-major nested lists of those.  Every number
+must be finite (Python's json reads NaN and Infinity).  Validation errors
+carry the JSON path of the offending field.
 """
 
 from __future__ import annotations
@@ -30,11 +31,22 @@ class ProblemFile:
     sha256: str = ""
 
 
+def _finite(v, path: str) -> float:
+    """float(v) for a JSON int or float, refusing NaN, Infinity and ints past the float range."""
+    try:
+        x = float(v)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise SchemaError(path, "must be finite")
+    return x
+
+
 def _complex_from_json(v, path: str) -> complex:
     if isinstance(v, (int, float)):
-        return complex(v)
+        return complex(_finite(v, path))
     if isinstance(v, list) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v):
-        return complex(v[0], v[1])
+        return complex(_finite(v[0], path), _finite(v[1], path))
     raise SchemaError(path, "expected a number or an [re, im] pair")
 
 
@@ -75,7 +87,7 @@ def _require(data: dict, key: str, path: str):
 def _number(v, path: str) -> float:
     if not isinstance(v, (int, float)) or isinstance(v, bool):
         raise SchemaError(path, f"expected a number, got {type(v).__name__}")
-    return float(v)
+    return _finite(v, path)
 
 
 def _numbers(data: dict, key: str, path: str, min_len: int = 1) -> list:

@@ -175,7 +175,8 @@ def test_non_finite_transform_block_is_an_error_line(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     err = err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error:") and "X21 entries finite" in err[0]
+    # the schema refuses the entry at its path before make_transform sees the block
+    assert len(err) == 1 and err[0] == "error: $.transform.X21[0][0]: must be finite"
 
 
 def test_schema_violation_is_input_error(tmp_path):
@@ -370,3 +371,54 @@ def test_parser_is_reused_across_calls(sector_problem, capsys):
     cli.build_parser.cache_clear()
     assert [run(argv) for argv in calls] == first
     assert cli.build_parser() is cli.build_parser()
+
+
+# Python's json reads NaN and Infinity; a problem file that holds one is refused at its path
+_WELL = {"kind": "half_line", "potential": {"kind": "square_well", "depth": math.nan, "width": 1.0}}
+_PAIR = {"kind": "operator_potential_halfline", "a_diag": [2, 5]}
+
+
+@pytest.mark.parametrize("data,argv,path", [
+    ({"model": _WELL, "boundary": -1.0}, ["negcount"], "$.model.potential.depth"),
+    ({"model": _WELL}, ["eval", "--grid=-1:1:2,1:2:2"], "$.model.potential.depth"),
+    ({"model": {"kind": "sector", "beta": 0.75}, "boundary": math.inf},
+     ["spectrum", "--rect=-2:2:0.1:2"], "$.boundary"),
+    ({"model": {"kind": "half_line"}, "boundary": math.inf}, ["negcount"], "$.boundary"),
+    ({"model": _PAIR, "boundary": [[0.4, math.nan], [0.0, 0.4]]},
+     ["charfn", "--grid=-1:1:3,0.5:1:2"], "$.boundary[0][1]"),
+    ({"model": _PAIR, "boundary": [[[0.4, -math.inf], 0.0], [0.0, 0.4]]},
+     ["charfn", "--grid=-1:1:3,0.5:1:2"], "$.boundary[0][0]"),
+    # an integer literal past the float range
+    ({"model": {**_WELL, "potential": {**_WELL["potential"], "depth": -10**400}}},
+     ["eval", "--grid=-1:1:2,1:2:2"], "$.model.potential.depth"),
+    ({"model": _PAIR, "boundary": [[0.4, 0.0], [0.0, 10**400]]},
+     ["negcount"], "$.boundary[1][1]"),
+])
+def test_non_finite_problem_number_is_an_error_line_at_its_path(tmp_path, capsys, data, argv, path):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(data))
+    rc = main([argv[0], "--problem", str(f), *argv[1:]])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0] == f"error: {path}: must be finite"
+
+
+@pytest.mark.parametrize("grid,axis", [
+    ("nan:1:2,0.5:1:2", "real axis"),
+    ("-1:inf:3,0.5:1:2", "real axis"),
+    ("-1:1:1,-inf:1:1", "imaginary axis"),
+    ("-1:1:2,0.5:nan:1", "imaginary axis"),  # a one-point axis still has its stop read
+    ("-1e308:1e308:3,0.5:1:2", "real axis"),  # finite ends whose difference overflows
+])
+@pytest.mark.parametrize("model", [{"kind": "sector", "beta": 0.75}, {"kind": "half_line"}])
+def test_non_finite_grid_axis_is_an_error_line(tmp_path, capsys, grid, axis, model):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": model, "boundary": 0.5}))
+    rc = main(["eval", "--problem", str(f), f"--grid={grid}"])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0] == f"error: {axis} values must be finite, got {grid.split(',')[axis == 'imaginary axis']!r}"

@@ -1,5 +1,6 @@
 import math
 import random
+import threading
 
 import pytest
 
@@ -165,6 +166,98 @@ def test_sturm_count_matches_indexed_loop(seed):
         op = _random_tridiagonal(rng, n)
         for mu in {*op.diag, 0.0, -5.5, 5.5, rng.uniform(-6.0, 6.0)}:
             assert oracle.eigen_count_below(op, mu) == _reference_count(op, mu)
+
+
+def _pivots(opd, mu):
+    """The reference loop's LDL pivots, after the zero-pivot rule."""
+    d, e = opd.diag, opd.off
+    out = []
+    for i in range(len(d)):
+        p = d[i] - mu if i == 0 else (d[i] - mu) - e[i - 1] * e[i - 1] / out[-1]
+        out.append(-1e-300 if p == 0.0 else p)
+    return out
+
+
+_STRETCH_QS = [
+    PotentialSpec.zero(),
+    PotentialSpec.square_well(-2.5, 1.0),
+    oracle.constant_potential(0.75, span=3.0),
+    PotentialSpec.expression("x"),  # every interior row differs: no stretch
+]
+
+
+@pytest.mark.parametrize("q", _STRETCH_QS)
+@pytest.mark.parametrize("left, right", [(None, None), (-0.7, None), (None, 0.45), (0.0, -1.2)])
+def test_flat_stretch_count_is_the_full_loop(q, left, right):
+    L, n = 12.0, 600
+    op = oracle.discretize(q, L, n, left, right)
+    start, stop = op.flat
+    if q.kind == "expression":
+        assert op.flat == (0, 0)
+    else:
+        # behind a retained left node the first interior row couples through the edge
+        first = 1 if left is None else 2
+        assert start == first or (q.kind == "square_well" and op.diag[start - 1] != op.diag[start])
+        assert stop > start + 100 and (stop == op.size or op.diag[stop] != op.diag[start])
+        assert len({op.diag[i] for i in range(start, stop)}) == 1
+        assert len({op.off[i - 1] for i in range(start, stop)}) == 1
+    rng = random.Random(f"{q.kind} {left} {right}")
+    # the bottom d - 2|e| of the stretch's band; no stretch: any level
+    level = op.diag[start] + 2.0 * op.off[start - 1] if start else op.diag[0]
+    mus = [rng.uniform(-30.0, 60.0) for _ in range(6)]
+    mus += [op.diag[start], level - 100.0, level - 30.0, level - 1e-3, level + 1.0, level + 5.0]
+    for lam in oracle.lowest_eigenvalues(op, 3, tol=0.0):
+        mus += [lam, math.nextafter(lam, -math.inf), math.nextafter(lam, math.inf)]
+    repeats = 0
+    for mu in mus:
+        assert oracle.eigen_count_below(op, mu) == _reference_count(op, mu), mu
+        piv = _pivots(op, mu)
+        repeats += any(piv[i] == piv[i - 1] for i in range(start, stop))
+    if start:
+        # below the stretch's level its pivots settle; above it they never repeat
+        assert repeats >= 2
+        assert not any(_pivots(op, level + 1.0)[i] == _pivots(op, level + 1.0)[i - 1]
+                       for i in range(start, stop))
+    plain = oracle.DiscretizedOperator(op.diag, op.off, op.dx, op.L, left, right)
+    assert oracle.gershgorin_bounds(op) == oracle.gershgorin_bounds(plain)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_built_flat_stretch_is_the_full_loop(seed):
+    rng = random.Random(seed)
+    for n in (3, 7, 40):
+        base = _random_tridiagonal(rng, n)
+        start = rng.randint(1, n - 2)
+        stop = rng.randint(start + 1, n)
+        d = float(rng.randint(-4, 4))
+        for e in (0.0, -0.0, 1.0, -0.5):
+            diag = base.diag[:start] + (d,) * (stop - start) + base.diag[stop:]
+            off = base.off[:start - 1] + (e,) * (stop - start) + base.off[stop - 1:]
+            op = oracle.DiscretizedOperator(diag, off, 1.0, float(n), None, None, (start, stop))
+            plain = oracle.DiscretizedOperator(diag, off, 1.0, float(n), None, None)
+            for mu in {*diag, 0.0, -5.5, 5.5, rng.uniform(-6.0, 6.0)}:
+                assert oracle.eigen_count_below(op, mu) == _reference_count(op, mu)
+            if e == 0.0:  # mu = d makes every pivot of the stretch zero
+                assert _pivots(op, d)[start:stop] == [-1e-300] * (stop - start)
+            assert oracle.gershgorin_bounds(op) == oracle.gershgorin_bounds(plain)
+
+
+def test_bisection_stops_below_the_float_spacing():
+    # tol 1e-17 is below the spacing at the eigenvalue (about 1): the bracket
+    # shrinks to two neighbouring floats and the bisection returns.  It runs
+    # in a daemon thread so that a bisection that never stops fails the test
+    # rather than hanging the run.
+    op = oracle.discretize(Q0, math.pi, 200, None, None)
+    result = []
+    worker = threading.Thread(target=lambda: result.append(oracle.lowest_eigenvalues(op, 1, tol=1e-17)),
+                              daemon=True)
+    worker.start()
+    worker.join(timeout=30.0)
+    assert result, "bisection did not stop"
+    (v,) = result[0]
+    assert oracle.eigen_count_below(op, math.nextafter(v, -math.inf)) == 0
+    assert oracle.eigen_count_below(op, math.nextafter(v, math.inf)) == 1
+    assert oracle.lowest_eigenvalues(op, 1, tol=0.0) == [v]
 
 
 def test_lowest_eigenvalues_below_upper():
