@@ -75,7 +75,12 @@ class BoundaryZeroError(WeylError):
 
 
 class EvalError(WeylError):
-    """Expression evaluation failed (non-finite or domain violation)."""
+    """Expression evaluation failed (non-finite or domain violation), or a
+    constructor refused a parameter: field then names it, as in "a_diag[1]"."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message if field is None else f"{field}: {message}")
+        self.field, self.reason = field, message
 
 
 class ParseError(WeylError):

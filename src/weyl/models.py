@@ -230,6 +230,10 @@ class FiniteInterval(WeylModel):
     n = 2
     ess_floor = math.inf
 
+    def __post_init__(self):
+        if self.b <= 0:
+            raise EvalError("must be positive", field="b")
+
     def M(self, z: complex) -> Matrix:
         return finite_interval_M(self.q, self.b, z)
 
@@ -260,10 +264,13 @@ class FiniteInterval(WeylModel):
         return [oracle.interval_operator(self.q, self.b, b.at(0, 0).real, b.at(1, 1).real, n=2000)]
 
 
-def _checked_diagonal(a_diag, what: str) -> tuple:
+def _checked_diagonal(a_diag) -> tuple:
     a = tuple(float(v) for v in a_diag)
-    if not a or any(v < 1.0 for v in a):
-        raise EvalError(f"{what} needs diagonal entries >= 1")
+    if not a:
+        raise EvalError("must not be empty", field="a_diag")
+    for i, v in enumerate(a):
+        if v < 1.0:
+            raise EvalError("must be >= 1", field=f"a_diag[{i}]")
     return a
 
 
@@ -275,7 +282,7 @@ class OperatorPotentialHalfline(WeylModel):
     kind = "operator_potential_halfline"
 
     def __post_init__(self):
-        a = _checked_diagonal(self.a_diag, "operator potential")
+        a = _checked_diagonal(self.a_diag)
         self._derive(a_diag=a, n=len(a), ess_floor=min(a) - 1.0,
                      _channels=tuple((math.sqrt(v), v - 1.0) for v in a))
 
@@ -321,9 +328,9 @@ class Strip(WeylModel):
     kind = "strip"
 
     def __post_init__(self):
-        a = _checked_diagonal(self.a_diag, "strip model")
+        a = _checked_diagonal(self.a_diag)
         if self.width <= 0:
-            raise EvalError("strip width must be positive")
+            raise EvalError("must be positive", field="width")
         self._derive(a_diag=a, width=float(self.width), n=2 * len(a), ess_floor=min(a) - 1.0,
                      _channels=tuple((v, math.sqrt(v), v - 1.0) for v in a))
 
@@ -368,9 +375,9 @@ def _series_denominators(beta: float) -> tuple:
     return tuple((k * (k + beta), k * (k - beta)) for k in range(1, 401))
 
 
-def _checked_beta(beta) -> float:
+def _checked_beta(beta, field: str = "beta") -> float:
     if not 0.5 < beta < 1.0:
-        raise EvalError(f"beta must lie in (1/2, 1), got {beta}")
+        raise EvalError("must lie in the open interval (0.5, 1)", field=field)
     return float(beta)
 
 
@@ -433,7 +440,9 @@ class MultiCorner(WeylModel):
     kind = "multi_corner"
 
     def __post_init__(self):
-        corners = tuple(Corner(b) for b in self.betas)
+        if not self.betas:
+            raise EvalError("must not be empty", field="betas")
+        corners = tuple(Corner(_checked_beta(b, f"betas[{i}]")) for i, b in enumerate(self.betas))
         self._derive(betas=tuple(c.beta for c in corners), n=len(corners), _corners=corners)
 
     def M(self, z: complex) -> Matrix:

@@ -3,8 +3,10 @@ optional triplet transform, and task parameters.
 
 Complex numbers are encoded as plain numbers (real) or two-element
 [re, im] arrays; matrices as row-major nested lists of those.  Every number
-must be finite (Python's json reads NaN and Infinity).  Validation errors
-carry the JSON path of the offending field.
+must be finite (Python's json reads NaN and Infinity), and a JSON boolean is
+not a number.  Validation errors carry the JSON path of the offending field.
+Models and potentials are read through one table from kind to class each
+(MODEL_KINDS, POTENTIAL_KINDS), and the class's constructor checks the values.
 """
 
 from __future__ import annotations
@@ -12,19 +14,18 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 
-from . import models as models_mod
-from .errors import SchemaError
+from . import models
+from .errors import EvalError, SchemaError
 from .linalg import Matrix
-from .models import WeylModel
-from .slsolve import PotentialSpec
+from .slsolve import Expression, PotentialSpec, SquareWell, Table, Zero
 from .triplets import TripletTransform, make_transform
 
 
 @dataclass(frozen=True)
 class ProblemFile:
-    model: WeylModel
+    model: models.WeylModel
     boundary: Matrix | None
     transform: TripletTransform | None
     task: dict = field(default_factory=dict)
@@ -42,24 +43,26 @@ def _finite(v, path: str) -> float:
     return x
 
 
+def _is_number(v) -> bool:
+    """A JSON int or float; a JSON boolean is neither."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _is_complex(v) -> bool:
+    """A JSON number or an [re, im] pair of them."""
+    return _is_number(v) or (isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)))
+
+
 def _complex_from_json(v, path: str) -> complex:
-    if isinstance(v, (int, float)):
-        return complex(_finite(v, path))
-    if isinstance(v, list) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v):
+    if not _is_complex(v):
+        raise SchemaError(path, "expected a number or an [re, im] pair")
+    if isinstance(v, list):
         return complex(_finite(v[0], path), _finite(v[1], path))
-    raise SchemaError(path, "expected a number or an [re, im] pair")
-
-
-def _complex_to_json(z: complex):
-    if z.imag == 0.0:
-        return z.real
-    return [z.real, z.imag]
+    return complex(_finite(v, path))
 
 
 def matrix_from_json(v, path: str) -> Matrix:
-    if isinstance(v, (int, float)) or (
-        isinstance(v, list) and len(v) == 2 and all(isinstance(t, (int, float)) for t in v)
-    ):
+    if _is_complex(v):
         return Matrix.scalar(_complex_from_json(v, path))
     if not isinstance(v, list) or not v or not all(isinstance(r, list) for r in v):
         raise SchemaError(path, "expected a scalar or a nested list of rows")
@@ -75,7 +78,9 @@ def matrix_from_json(v, path: str) -> Matrix:
 
 
 def matrix_to_json(m: Matrix):
-    return [[_complex_to_json(m.at(i, j)) for j in range(m.cols)] for i in range(m.rows)]
+    """The rows of m, each entry a plain number where it is real, else an [re, im] pair."""
+    rows = ([m.at(i, j) for j in range(m.cols)] for i in range(m.rows))
+    return [[z.real if z.imag == 0.0 else [z.real, z.imag] for z in row] for row in rows]
 
 
 def _require(data: dict, key: str, path: str):
@@ -85,116 +90,71 @@ def _require(data: dict, key: str, path: str):
 
 
 def _number(v, path: str) -> float:
-    if not isinstance(v, (int, float)) or isinstance(v, bool):
+    if not _is_number(v):
         raise SchemaError(path, f"expected a number, got {type(v).__name__}")
     return _finite(v, path)
 
 
-def _numbers(data: dict, key: str, path: str, min_len: int = 1) -> list:
-    """data[key] as a list of at least min_len numbers."""
-    v = _require(data, key, path)
-    if not isinstance(v, list) or len(v) < min_len:
-        raise SchemaError(f"{path}.{key}", f"expected an array of at least {min_len} numbers")
-    return [_number(t, f"{path}.{key}[{i}]") for i, t in enumerate(v)]
+def _numbers(v, path: str) -> list:
+    if not isinstance(v, list):
+        raise SchemaError(path, "expected an array of numbers")
+    return [_number(t, f"{path}[{i}]") for i, t in enumerate(v)]
 
 
-def _check_each(vals: list, path: str, ok, what: str):
-    for i, v in enumerate(vals):
-        if not ok(v):
-            raise SchemaError(f"{path}[{i}]", what)
+def _string(v, path: str) -> str:
+    if not isinstance(v, str):
+        raise SchemaError(path, "expected a string")
+    return v
 
 
-def potential_from_json(data, path: str) -> PotentialSpec:
-    if data is None:
-        return PotentialSpec.zero()
+def _potential(v, path: str) -> PotentialSpec:
+    return Zero() if v is None else _from_json(POTENTIAL_KINDS, "potential", v, path)
+
+
+# Field name -> (JSON key, reader of its value).  A field with a default may
+# be left out, and so may the potential: an absent or null one is q = 0.
+_FIELDS = {
+    "q": ("potential", _potential),
+    "h": ("h", lambda v, path: None if v is None else _number(v, path)),
+    **{name: (name, _number) for name in ("depth", "width", "b", "beta")},
+    **{name: (name, _numbers) for name in ("nodes", "values", "a_diag", "betas")},
+    "source": ("source", _string),
+}
+
+POTENTIAL_KINDS = {cls.kind: cls for cls in (Zero, SquareWell, Table, Expression)}
+MODEL_KINDS = {
+    **{cls.kind: cls for cls in (models.HalfLine, models.FiniteInterval, models.OperatorPotentialHalfline,
+                                 models.Strip, models.Corner, models.Sector, models.MultiCorner)},
+    "radial_schrodinger": models.HalfLine,  # the 3-D spherically symmetric problem, h = None
+}
+
+
+def _from_json(kinds: dict, what: str, data, path: str):
+    """The instance of kinds[data["kind"]] built from data's fields; the
+    constructor's EvalError on a field becomes a SchemaError at its path."""
     if not isinstance(data, dict):
         raise SchemaError(path, "expected an object")
     kind = _require(data, "kind", path)
-    if kind == "zero":
-        return PotentialSpec.zero()
-    if kind == "square_well":
-        depth = _number(_require(data, "depth", path), f"{path}.depth")
-        width = _number(_require(data, "width", path), f"{path}.width")
-        if width <= 0:
-            raise SchemaError(f"{path}.width", "must be positive")
-        return PotentialSpec.square_well(depth, width)
-    if kind == "sampled_table":
-        nodes = _numbers(data, "nodes", path, min_len=2)
-        values = _numbers(data, "values", path)
-        if len(nodes) != len(values):
-            raise SchemaError(f"{path}.values", "length mismatch with nodes")
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise SchemaError(f"{path}.nodes", "must be strictly increasing")
-        return PotentialSpec.table(nodes, values)
-    if kind == "expression":
-        src = _require(data, "source", path)
-        if not isinstance(src, str):
-            raise SchemaError(f"{path}.source", "expected a string")
-        return PotentialSpec.expression(src)
-    raise SchemaError(f"{path}.kind", f"unknown potential kind {kind!r}")
+    cls = kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SchemaError(f"{path}.kind", f"unknown {what} kind {kind!r}")
+    args = {}
+    for f in fields(cls):
+        key, read = _FIELDS[f.name]
+        if key in data or key == "potential":
+            args[f.name] = read(data.get(key), f"{path}.{key}")
+        elif f.default is MISSING:
+            _require(data, key, path)
+    try:
+        return cls(**args)
+    except EvalError as e:
+        if e.field is None:
+            raise
+        raise SchemaError(f"{path}.{e.field}", e.reason) from e
 
 
-def potential_to_json(q: PotentialSpec):
-    if q.kind == "zero":
-        return {"kind": "zero"}
-    if q.kind == "square_well":
-        return {"kind": "square_well", "depth": q.depth, "width": q.width}
-    if q.kind == "sampled_table":
-        return {"kind": "sampled_table", "nodes": list(q.nodes), "values": list(q.values)}
-    return {"kind": "expression", "source": q.source}
-
-
-def model_from_json(data, path: str = "$.model") -> WeylModel:
-    if not isinstance(data, dict):
-        raise SchemaError(path, "expected an object")
-    kind = _require(data, "kind", path)
-    if kind in ("half_line", "radial_schrodinger"):
-        q = potential_from_json(data.get("potential"), f"{path}.potential")
-        if kind == "radial_schrodinger":  # an alias: the half-line model with h = None
-            return models_mod.radial_schrodinger(q)
-        h = data.get("h")
-        if h is not None:
-            h = _number(h, f"{path}.h")
-        return models_mod.half_line(q, h)
-    if kind == "finite_interval":
-        q = potential_from_json(data.get("potential"), f"{path}.potential")
-        b = _number(_require(data, "b", path), f"{path}.b")
-        if b <= 0:
-            raise SchemaError(f"{path}.b", "must be positive")
-        return models_mod.finite_interval(q, b)
-    if kind in ("operator_potential_halfline", "strip"):
-        a = _numbers(data, "a_diag", path)
-        _check_each(a, f"{path}.a_diag", lambda v: v >= 1.0, "must be >= 1")
-        if kind == "operator_potential_halfline":
-            return models_mod.operator_potential_halfline(a)
-        width = _number(data.get("width", math.pi), f"{path}.width")
-        if width <= 0:
-            raise SchemaError(f"{path}.width", "must be positive")
-        return models_mod.strip(a, width)
-    if kind in ("corner", "sector"):
-        beta = _number(_require(data, "beta", path), f"{path}.beta")
-        if not 0.5 < beta < 1.0:
-            raise SchemaError(f"{path}.beta", "must lie in the open interval (0.5, 1)")
-        return models_mod.corner(beta) if kind == "corner" else models_mod.sector(beta)
-    if kind == "multi_corner":
-        betas = _numbers(data, "betas", path)
-        _check_each(betas, f"{path}.betas", lambda v: 0.5 < v < 1.0, "must lie in (0.5, 1)")
-        return models_mod.multi_corner(betas)
-    raise SchemaError(f"{path}.kind", f"unknown model kind {kind!r}")
-
-
-def model_to_json(m: WeylModel):
-    """The model's parameters under their field names; its potential q as "potential"."""
-    out = {"kind": m.kind}
-    for f in fields(m):
-        v = getattr(m, f.name)
-        if isinstance(v, PotentialSpec):
-            out["potential"] = potential_to_json(v)
-        elif isinstance(v, tuple):
-            out[f.name] = list(v)
-        elif v is not None:
-            out[f.name] = v
-    return out
+def model_from_json(data, path: str = "$.model") -> models.WeylModel:
+    return _from_json(MODEL_KINDS, "model", data, path)
 
 
 def transform_from_json(data, n: int, path: str = "$.transform") -> TripletTransform:
@@ -208,17 +168,26 @@ def transform_from_json(data, n: int, path: str = "$.transform") -> TripletTrans
     return make_transform(mats["U"], mats["X11"], mats["X12"], mats["X21"], mats["X22"])
 
 
-def transform_to_json(t: TripletTransform):
-    return {
-        "U": matrix_to_json(t.U),
-        "X11": matrix_to_json(t.X11),
-        "X12": matrix_to_json(t.X12),
-        "X21": matrix_to_json(t.X21),
-        "X22": matrix_to_json(t.X22),
-    }
+# How many finite numbers a task value may hold in place of a string (None:
+# a string only); grid_n is an integer.
+_TASK_NUMBERS = {"window": 2, "rect": 4, "grid": None}
 
 
-_TASK_KEYS = {"window", "grid", "rect", "grid_n"}
+def _check_task(task: dict):
+    for key, v in task.items():
+        path = f"$.task.{key}"
+        if key == "grid_n":
+            if not (_is_number(v) and isinstance(v, int)):
+                raise SchemaError(path, f"expected an integer, got {type(v).__name__}")
+        elif key not in _TASK_NUMBERS:
+            raise SchemaError(path, f"unknown task key (allowed: {sorted([*_TASK_NUMBERS, 'grid_n'])})")
+        elif not isinstance(v, str):
+            count = _TASK_NUMBERS[key]
+            if count is None:
+                raise SchemaError(path, f"expected a string, got {type(v).__name__}")
+            if not isinstance(v, list) or len(v) != count:
+                raise SchemaError(path, f"expected a string or an array of {count} numbers")
+            _numbers(v, path)
 
 
 def problem_from_data(data: dict, sha: str = "") -> ProblemFile:
@@ -240,9 +209,7 @@ def problem_from_data(data: dict, sha: str = "") -> ProblemFile:
     task = data.get("task", {})
     if not isinstance(task, dict):
         raise SchemaError("$.task", "expected an object")
-    for key in task:
-        if key not in _TASK_KEYS:
-            raise SchemaError(f"$.task.{key}", f"unknown task key (allowed: {sorted(_TASK_KEYS)})")
+    _check_task(task)
     return ProblemFile(model, boundary, transform, dict(task), sha)
 
 
@@ -255,14 +222,3 @@ def parse_problem(path: str) -> ProblemFile:
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SchemaError("$", f"not valid UTF-8 JSON: {e}") from e
     return problem_from_data(data, sha)
-
-
-def problem_to_data(p: ProblemFile) -> dict:
-    out = {"model": model_to_json(p.model)}
-    if p.boundary is not None:
-        out["boundary"] = matrix_to_json(p.boundary)
-    if p.transform is not None:
-        out["transform"] = transform_to_json(p.transform)
-    if p.task:
-        out["task"] = dict(p.task)
-    return out

@@ -1,5 +1,9 @@
 """Complex-parameter ODE machinery for Sturm-Liouville problems.
 
+A potential q is one frozen PotentialSpec subclass per kind: Zero,
+SquareWell, Table or Expression, each checking its own parameters and
+holding its own value, cell average, break points and tail.
+
 Fundamental systems on a finite interval (for the 2x2 interval Weyl matrix)
 and m-functions on the half-line.  integrate_ivp splits its span at the pieces
 of q (PotentialSpec.pieces): where q is exactly constant it steps with the
@@ -15,8 +19,8 @@ backward to 0 rather than through a Riccati equation (no blow-through at
 solution zeros); boundary_ratio is the one y(0) = 0 test and h_map the one
 h-family map.
 
-An expression potential is compiled once per PotentialSpec
-(expr.compile_potential, cached with the parsed tree) and value() runs the
+An Expression is parsed when it is built and compiled once
+(expr.compile_potential, cached with the parsed tree); value() runs the
 compiled function; when it raises or returns anything but a float, value()
 re-runs the tree walker expr.evaluate, the reference, which raises the
 EvalError with its message.  Parsing caps an expression's nesting at
@@ -53,74 +57,14 @@ _TAIL_SETTLE_TOL = 1e-6
 
 @dataclass(frozen=True)
 class PotentialSpec:
-    """Immutable potential q(x): zero, square well, sampled table or expression."""
+    """Base of the potentials q(x).  A subclass sets kind and defines _at (q at x),
+    _mean (its mean over a cell), _form (its break points and its values between
+    them, None where q varies) and tail; every evaluation of q goes through value."""
 
-    kind: str  # "zero" | "square_well" | "sampled_table" | "expression"
-    depth: float = 0.0
-    width: float = 0.0
-    nodes: tuple = ()
-    values: tuple = ()
-    source: str = ""
-
-    @staticmethod
-    def zero() -> "PotentialSpec":
-        return PotentialSpec("zero")
-
-    @staticmethod
-    def square_well(depth: float, width: float) -> "PotentialSpec":
-        if width <= 0:
-            raise EvalError("square_well width must be positive")
-        return PotentialSpec("square_well", depth=float(depth), width=float(width))
-
-    @staticmethod
-    def table(nodes, values) -> "PotentialSpec":
-        nodes = tuple(float(x) for x in nodes)
-        values = tuple(float(v) for v in values)
-        if len(nodes) != len(values) or len(nodes) < 2:
-            raise EvalError("sampled_table needs matching nodes/values, at least two")
-        if any(b <= a for a, b in zip(nodes, nodes[1:])):
-            raise EvalError("sampled_table nodes must be strictly increasing")
-        return PotentialSpec("sampled_table", nodes=nodes, values=values)
-
-    @staticmethod
-    def expression(source: str) -> "PotentialSpec":
-        expr.parse_potential(source)  # validate now; AST is rebuilt lazily
-        return PotentialSpec("expression", source=source)
-
-    @cached_property
-    def _ast(self):
-        return expr.parse_potential(self.source)
-
-    @cached_property
-    def _compiled(self):
-        return expr.compile_potential(self._ast)
+    kind = ""
 
     def value(self, x: float) -> float:
-        # expression first: the meshes of the propagator sample it
-        if self.kind == "expression":
-            try:
-                v = self._compiled(x)
-            except (ZeroDivisionError, OverflowError, ValueError, TypeError):
-                v = None
-            if type(v) is not float:
-                v = expr.evaluate(self._ast, x)  # the reference raises the EvalError
-            if not math.isfinite(v):
-                raise EvalError(f"potential not finite at x={x}")
-            return v
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "square_well":
-            return self.depth if 0.0 <= x < self.width else 0.0
-        if self.kind == "sampled_table":
-            nodes, vals = self.nodes, self.values
-            if x <= nodes[0]:
-                return vals[0]
-            if x >= nodes[-1]:
-                return vals[-1]
-            lo = bisect_right(nodes, x) - 1
-            t = (x - nodes[lo]) / (nodes[lo + 1] - nodes[lo])
-            return vals[lo] * (1.0 - t) + vals[lo + 1] * t
-        raise EvalError(f"unknown potential kind {self.kind!r}")
+        return self._at(x)
 
     def cell_average(self, a: float, b: float) -> float:
         """Mean of q over [a, b]; exact for the piecewise kinds.
@@ -128,21 +72,7 @@ class PotentialSpec:
         Discretizations sample through this so that potential jumps keep the
         stencil second-order accurate.
         """
-        if b <= a:
-            return self.value(a)
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "square_well":
-            overlap = max(0.0, min(b, self.width) - max(a, 0.0))
-            return self.depth * overlap / (b - a)
-        if self.kind == "sampled_table":
-            knots = [a] + [x for x in self.nodes if a < x < b] + [b]
-            acc = 0.0
-            for lo, hi in zip(knots, knots[1:]):
-                acc += 0.5 * (self.value(lo) + self.value(hi)) * (hi - lo)
-            return acc / (b - a)
-        mid = 0.5 * (a + b)
-        return (self.value(a) + 4.0 * self.value(mid) + self.value(b)) / 6.0
+        return self.value(a) if b <= a else self._mean(a, b)
 
     def pieces(self, a: float, b: float) -> list:
         """Split [a, b] (a < b) where q changes form.
@@ -154,16 +84,7 @@ class PotentialSpec:
         propagator straddles a kink of q, and an expression splits at 0, where
         its meshes start.
         """
-        if self.kind == "zero":
-            return [(a, b, 0.0)]
-        if self.kind == "square_well":
-            breaks, consts = (0.0, self.width), (0.0, self.depth, 0.0)
-        elif self.kind == "sampled_table":
-            v = self.values
-            breaks = self.nodes
-            consts = (v[0], *(lo if lo == hi else None for lo, hi in zip(v, v[1:])), v[-1])
-        else:
-            breaks, consts = (0.0,), (None, None)
+        breaks, consts = self._form
         edges = (-math.inf, *breaks, math.inf)
         out = []
         for lo, hi, c in zip(edges, edges[1:], consts):
@@ -176,26 +97,133 @@ class PotentialSpec:
                 out.append((lo, hi, c))
         return out
 
-    @property
+
+@dataclass(frozen=True)
+class Zero(PotentialSpec):
+    """q = 0."""
+
+    kind = "zero"
+    _form = ((), (0.0,))
+    tail = 0.0
+
+    def _at(self, x: float) -> float:
+        return 0.0
+
+    def _mean(self, a: float, b: float) -> float:
+        return 0.0
+
+
+@dataclass(frozen=True)
+class SquareWell(PotentialSpec):
+    """q = depth on [0, width), 0 elsewhere."""
+
+    depth: float
+    width: float
+    kind = "square_well"
+    tail = 0.0
+
+    def __post_init__(self):
+        if self.width <= 0:
+            raise EvalError("must be positive", field="width")
+        object.__setattr__(self, "depth", float(self.depth))
+        object.__setattr__(self, "width", float(self.width))
+        object.__setattr__(self, "_form", ((0.0, self.width), (0.0, self.depth, 0.0)))
+
+    def _at(self, x: float) -> float:
+        return self.depth if 0.0 <= x < self.width else 0.0
+
+    def _mean(self, a: float, b: float) -> float:
+        return self.depth * max(0.0, min(b, self.width) - max(a, 0.0)) / (b - a)
+
+
+@dataclass(frozen=True)
+class Table(PotentialSpec):
+    """q linear between strictly increasing nodes, constant beyond the end ones."""
+
+    nodes: tuple
+    values: tuple
+    kind = "sampled_table"
+
+    def __post_init__(self):
+        nodes = tuple(float(x) for x in self.nodes)
+        values = tuple(float(v) for v in self.values)
+        if len(nodes) < 2:
+            raise EvalError("needs at least two nodes", field="nodes")
+        if len(values) != len(nodes):
+            raise EvalError("length mismatch with nodes", field="values")
+        if any(b <= a for a, b in zip(nodes, nodes[1:])):
+            raise EvalError("must be strictly increasing", field="nodes")
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "values", values)
+        segments = (lo if lo == hi else None for lo, hi in zip(values, values[1:]))
+        object.__setattr__(self, "_form", (nodes, (values[0], *segments, values[-1])))
+        object.__setattr__(self, "tail", values[-1])
+
+    def _at(self, x: float) -> float:
+        nodes, vals = self.nodes, self.values
+        if x <= nodes[0]:
+            return vals[0]
+        if x >= nodes[-1]:
+            return vals[-1]
+        lo = bisect_right(nodes, x) - 1
+        t = (x - nodes[lo]) / (nodes[lo + 1] - nodes[lo])
+        return vals[lo] * (1.0 - t) + vals[lo + 1] * t
+
+    def _mean(self, a: float, b: float) -> float:
+        knots = [a] + [x for x in self.nodes if a < x < b] + [b]
+        acc = 0.0
+        for lo, hi in zip(knots, knots[1:]):
+            acc += 0.5 * (self.value(lo) + self.value(hi)) * (hi - lo)
+        return acc / (b - a)
+
+
+@dataclass(frozen=True)
+class Expression(PotentialSpec):
+    """q given by an expression in x (expr.parse_potential)."""
+
+    source: str
+    kind = "expression"
+    _form = ((0.0,), (None, None))
+
+    def __post_init__(self):
+        object.__setattr__(self, "_ast", expr.parse_potential(self.source))
+
+    @cached_property
+    def _compiled(self):
+        return expr.compile_potential(self._ast)
+
+    def _at(self, x: float) -> float:
+        try:
+            v = self._compiled(x)
+        except (ZeroDivisionError, OverflowError, ValueError, TypeError):
+            v = None
+        if type(v) is not float:
+            v = expr.evaluate(self._ast, x)  # the reference raises the EvalError
+        if not math.isfinite(v):
+            raise EvalError(f"potential not finite at x={x}")
+        return v
+
+    def _mean(self, a: float, b: float) -> float:
+        mid = 0.5 * (a + b)
+        return (self.value(a) + 4.0 * self.value(mid) + self.value(b)) / 6.0
+
+    @cached_property
     def tail(self) -> float:
-        """Limit value of q at infinity."""
-        if self.kind == "zero":
-            return 0.0
-        if self.kind == "square_well":
-            return 0.0
-        if self.kind == "sampled_table":
-            return self.values[-1]
-        cached = self.__dict__.get("_tail_cache")
-        if cached is None:
-            cached = self.value(_TAIL_X)
-            spread = max(abs(self.value(x) - cached) for x in _TAIL_PROBES)
-            if spread > _TAIL_SETTLE_TOL * max(1.0, abs(cached)):
-                raise EvalError(
-                    f"potential {self.source!r} has no settled limit at large x: "
-                    f"q varies by {spread:.3g} between x = {_TAIL_PROBES[0]:g} and {_TAIL_X:g}"
-                )
-            self.__dict__["_tail_cache"] = cached
-        return cached
+        limit = self.value(_TAIL_X)
+        spread = max(abs(self.value(x) - limit) for x in _TAIL_PROBES)
+        if spread > _TAIL_SETTLE_TOL * max(1.0, abs(limit)):
+            raise EvalError(
+                f"potential {self.source!r} has no settled limit at large x: "
+                f"q varies by {spread:.3g} between x = {_TAIL_PROBES[0]:g} and {_TAIL_X:g}"
+            )
+        return limit
+
+
+# the constructors under the names the callers use
+PotentialSpec.zero = staticmethod(Zero)
+PotentialSpec.square_well = staticmethod(SquareWell)
+PotentialSpec.table = staticmethod(Table)
+PotentialSpec.expression = staticmethod(Expression)
 
 
 @dataclass(frozen=True)
@@ -436,9 +464,7 @@ class _Mesh:
 @lru_cache(maxsize=100_000)
 def fundamental_system(q: PotentialSpec, b: float, z: complex,
                        rtol: float = 1e-10) -> FundamentalSystem:
-    """Solution basis of l[y] = z y on [0, b] mapped through the interval triplet."""
-    if b <= 0:
-        raise EvalError("interval length must be positive")
+    """Solution basis of l[y] = z y on [0, b], b > 0, mapped through the interval triplet."""
     z = complex(z)
     b = float(b)
     u1b, u1pb, _ = integrate_ivp(q, z, (1.0, 0.0), (0.0, b), rtol=rtol)

@@ -207,6 +207,30 @@ def test_malformed_model_is_an_error_line_at_its_path(tmp_path, capsys, model, p
     assert len(err) == 1 and err[0].startswith(f"error: {path}")
 
 
+_ROBIN = {"kind": "half_line", "potential": {"kind": "zero"}}
+
+
+@pytest.mark.parametrize("data,argv,path", [
+    ({"model": _ROBIN, "boundary": -0.5, "task": {"window": [1]}}, ["spectrum"], "$.task.window"),
+    ({"model": _ROBIN, "boundary": -0.5, "task": {"window": [-2.0, "x"]}}, ["spectrum"], "$.task.window[1]"),
+    ({"model": _ROBIN, "boundary": -0.5, "task": {"rect": [-2.0, 2.0, 0.1]}}, ["spectrum"], "$.task.rect"),
+    ({"model": _ROBIN, "task": {"grid": [[-1, 1, 2], [1, 2, 2]]}}, ["eval"], "$.task.grid"),
+    ({"model": _ROBIN, "boundary": -0.5, "task": {"window": "-2:-0.1", "grid_n": True}}, ["spectrum"],
+     "$.task.grid_n"),
+    ({"model": _ROBIN, "boundary": True}, ["negcount"], "$.boundary"),
+    ({"model": _ROBIN, "boundary": [[True]]}, ["negcount"], "$.boundary[0][0]"),
+])
+def test_malformed_problem_is_an_error_line_at_its_path(tmp_path, capsys, data, argv, path):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(data))
+    rc = main([argv[0], "--problem", str(f), *argv[1:]])
+    assert rc == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {path}")
+
+
 def test_unknown_suite_is_input_error():
     rc = main(["verify", "--suite", "not_a_suite"])
     assert rc == 1

@@ -56,6 +56,26 @@ def test_tracer_counts_the_oracle():
     assert counters["oracle.sturm_rows"] >= stats["oracle.eigen_count_below"].calls * 3999
 
 
+def test_tracer_counts_potential_evaluations():
+    # every kind evaluates q through PotentialSpec.value, the method the tracer
+    # wraps; potentials no other test builds, so that no cached mesh or solution
+    # stands in for the evaluations
+    spans = _load_spans()
+    tracer = spans["Tracer"]()
+    half_line = models.half_line(PotentialSpec.expression("-1.375*exp(-x/0.625)"))
+    interval = models.finite_interval(PotentialSpec.table([0.0, 0.625, 1.375], [-1.125, 0.375, 0.25]), 1.875)
+    calls = []
+    try:
+        spans["install"](tracer)
+        for model in (half_line, interval):
+            models.evaluate(model, 0.5 + 1.3j)
+            stats, _counters = tracer.stats()
+            calls.append(stats["slsolve.potential_value"].calls if "slsolve.potential_value" in stats else 0)
+    finally:
+        tracer.uninstall()
+    assert calls[0] >= 1 and calls[1] > calls[0]
+
+
 def _run_grid_requests(tmp_path, requests):
     """Run each (cmd, problem) at the one grid point 0.5+1i under the tracer."""
     spans = _load_spans()
