@@ -65,12 +65,6 @@ def parse_axes(text: str):
     return _parse_axis(parts[0], "real axis"), _parse_axis(parts[1], "imaginary axis")
 
 
-def parse_grid(text: str):
-    """'re0:re1:n,im0:im1:m' -> row-major list of complex grid points."""
-    res, ims = parse_axes(text)
-    return [complex(r, i) for r in res for i in ims]
-
-
 def parse_window(text: str):
     parts = text.split(":")
     if len(parts) != 2:

@@ -19,6 +19,15 @@ backward to 0 rather than through a Riccati equation (no blow-through at
 solution zeros); boundary_ratio is the one y(0) = 0 test and h_map the one
 h-family map.
 
+Below the real axis decaying_solution and fundamental_system conjugate their
+answer at conj z, so a conjugate pair is propagated once.  The mirror is
+exact: q and the step widths are real, the seeds at conj z are the conjugates
+of those at z, and IEEE complex + - * / and cmath's sqrt, cosh and sinh
+commute with conjugation (tests/test_slsolve.py checks integrate_ivp to the
+bit; for the ODE kinds verify's conjugate_symmetry suite relies on that).
+The closed-form kinds are not mirrored: sector's power is not bit-symmetric
+(about 1e-15 off), and diagonal kinds' zero entries would turn -0.0.
+
 An Expression is parsed when it is built and compiled once
 (expr.compile_potential, cached with the parsed tree); value() runs the
 compiled function; when it raises or returns anything but a float, value()
@@ -30,6 +39,7 @@ expr.MAX_NESTING and its depth at expr.MAX_DEPTH levels.
 from __future__ import annotations
 
 import cmath
+import contextlib
 import math
 from array import array
 from bisect import bisect_left, bisect_right
@@ -37,7 +47,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import expr
-from .errors import AccuracyError, EvalError, PoleError, RangeError
+from .errors import AccuracyError, EvalError, PoleError, RangeError, WeylError
 from .linalg import Matrix
 from .specfun import sqrt_upper
 
@@ -464,9 +474,17 @@ class _Mesh:
 @lru_cache(maxsize=100_000)
 def fundamental_system(q: PotentialSpec, b: float, z: complex,
                        rtol: float = 1e-10) -> FundamentalSystem:
-    """Solution basis of l[y] = z y on [0, b], b > 0, mapped through the interval triplet."""
+    """Solution basis of l[y] = z y on [0, b], b > 0, mapped through the interval triplet.
+
+    Below the real axis, the conjugate of the cached basis at conj z (its 0 and
+    1 entries get imaginary part -0.0), or where that raises the direct route,
+    so that errors name z."""
     z = complex(z)
     b = float(b)
+    if z.imag < 0.0:
+        with contextlib.suppress(WeylError):
+            fs = fundamental_system(q, b, z.conjugate(), rtol=rtol)
+            return FundamentalSystem(z, b, fs.Y0.conjugate(), fs.Y1.conjugate(), 0)
     u1b, u1pb, _ = integrate_ivp(q, z, (1.0, 0.0), (0.0, b), rtol=rtol)
     u2b, u2pb, zeros = integrate_ivp(q, z, (0.0, 1.0), (0.0, b), rtol=rtol)
     y0 = Matrix.from_rows([[1.0, 0.0], [u1b, u2b]])
@@ -532,9 +550,15 @@ def decaying_solution(q: PotentialSpec, z: complex, L: float | None = None,
     truncation with relative error exp(-2 Im sqrt(z - tail) L); L = None
     takes the L that makes it _TRUNC_TARGET, at least 12 and at most
     TRUNCATION_CAP.  A truncation with z on the essential spectrum, or with
-    an error above _TRUNC_RAISE, raises AccuracyError.
+    an error above _TRUNC_RAISE, raises AccuracyError.  Below the real axis it
+    conjugates the answer at conj z, or where that raises takes the direct
+    route, so that errors name z.
     """
     z = complex(z)
+    if z.imag < 0.0:
+        with contextlib.suppress(WeylError):
+            y, yp, error = decaying_solution(q, z.conjugate(), L, rtol)
+            return y.conjugate(), yp.conjugate(), error
     start, seed, error = _decaying_seed(q, z, L)
     y, yp, _ = _endpoint(q, z, start, seed, float(rtol))
     return y, yp, error

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from weyl import charfun, cli, models, verify
-from weyl.cli import main, parse_grid, parse_rect, parse_window
+from weyl.cli import main, parse_axes, parse_rect, parse_window
 from weyl.errors import ContractError, WeylError
 from weyl.problems import problem_from_data
 from weyl.triplets import transform_boundary_operator, transform_weyl
@@ -35,16 +35,16 @@ def sector_problem(tmp_path):
 
 
 def test_parse_grid_cardinality():
-    pts = parse_grid("-5:5:41,0.1:5:20")
-    assert len(pts) == 820
-    assert pts[0] == complex(-5, 0.1)
+    res, ims = parse_axes("-5:5:41,0.1:5:20")
+    assert (len(res), len(ims)) == (41, 20)  # 820 points
+    assert (res[0], ims[0]) == (-5.0, 0.1)
 
 
 def test_parse_grid_errors():
     with pytest.raises(WeylError):
-        parse_grid("1:2:3")
+        parse_axes("1:2:3")
     with pytest.raises(WeylError):
-        parse_grid("a:b:c,0:1:2")
+        parse_axes("a:b:c,0:1:2")
     assert parse_window("-1:2.5") == (-1.0, 2.5)
     assert parse_rect("0:1:2:3") == (0.0, 1.0, 2.0, 3.0)
 

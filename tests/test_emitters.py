@@ -51,7 +51,8 @@ def _reference_csv(points, mats, label):
 def _reference(problem_path, cmd, grid, fmt):
     """The report `cmd` should write: the Matrix path's values, by the reference dumpers."""
     problem = parse_problem(problem_path)
-    points = cli.parse_grid(grid)
+    res, ims = cli.parse_axes(grid)
+    points = [complex(r, i) for r in res for i in ims]
     mats = [models.evaluate(problem.model, z) for z in points]
     if problem.transform is not None:
         mats = [triplets.transform_weyl(problem.transform, m) for m in mats]

@@ -1,11 +1,12 @@
 import cmath
 import math
+import re
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weyl import models, oracle
+from weyl import models, oracle, slsolve
 from weyl.errors import AccuracyError, EvalError, PoleError, RangeError
 from weyl.slsolve import (
     PotentialSpec,
@@ -77,11 +78,84 @@ def test_interval_M_pole_at_dirichlet_eigenvalue():
         finite_interval_M(Q0, math.pi, 1.0 + 1e-12)
 
 
+def _bits(*values):
+    """The bits of each complex value, signed zeros included (0.0 == -0.0)."""
+    return [(v.real.hex(), v.imag.hex()) for v in map(complex, values)]
+
+
+# one of each kind, with exact-transfer pieces (zero, the well, the table's
+# ends and its flat segment) and Magnus pieces (the table's slopes, the
+# expression on both sides of 0); every tail is settled
+_CONJ_POTENTIALS = {
+    "zero": Q0,
+    "square_well": PotentialSpec.square_well(-3.0, 1.5),
+    "table": PotentialSpec.table((0.0, 0.5, 1.0, 2.0), (1.0, 1.0, -2.0, 0.5)),
+    "expression": PotentialSpec.expression("-3*exp(-x*x)*cos(2*x)"),
+}
+
+
+@pytest.mark.parametrize("span", [(0.0, 2.5), (2.5, 0.0), (-1.0, 3.0), (3.0, -1.0)])
+@pytest.mark.parametrize("kind", sorted(_CONJ_POTENTIALS))
+def test_propagator_commutes_with_conjugation_to_the_bit(kind, span):
+    # decaying_solution and fundamental_system answer conj z with the mirror
+    # of their answer at z, which is exact only because this holds
+    q = _CONJ_POTENTIALS[kind]
+    for z in (2.0 + 1.0j, -5.0 + 0.3j, 20.0 + 3e-3j, 1e-9j):
+        for y0 in ((1.0 + 0j, 0j), (0.3 - 0.2j, 1.5 + 0.7j)):
+            y, yp, zeros = integrate_ivp(q, z, y0, span)
+            mirror = integrate_ivp(q, z.conjugate(), [v.conjugate() for v in y0], span)
+            assert _bits(*mirror[:2]) == _bits(y.conjugate(), yp.conjugate()), z
+            assert mirror[2] == zeros == 0
+
+
+@pytest.mark.parametrize("kind", sorted(_CONJ_POTENTIALS))
+def test_rescaled_endpoint_commutes_with_conjugation_to_the_bit(kind):
+    # Im sqrt(z) start = 1000: 13 chunks, and the solution grows by e^1000,
+    # past double range (e^709), so the rescaling between chunks must act
+    q, z, start = _CONJ_POTENTIALS[kind], -2500.0 + 1.0j, 20.0
+    assert sqrt_upper(z - q.tail).imag * start > 1000.0
+    # the truncated seed and the tail-matched one, (1, -kappa) with kappa = -i sqrt(z - tail)
+    for seed in ((0j, 1.0 + 0j), (1.0 + 0j, 1j * sqrt_upper(z - q.tail))):
+        y, yp, _ = slsolve._endpoint(q, z, start, seed, 1e-10)
+        mirror = slsolve._endpoint(q, z.conjugate(), start, tuple(v.conjugate() for v in seed), 1e-10)
+        assert _bits(*mirror[:2]) == _bits(y.conjugate(), yp.conjugate())
+
+
 def test_interval_M_conjugate_symmetry():
-    z = 0.7 + 1.3j
-    a = finite_interval_M(Q0, math.pi, z.conjugate())
-    b = finite_interval_M(Q0, math.pi, z).adjoint()
-    assert (a - b).norm_fro() < 1e-9
+    # below the axis fundamental_system returns the mirror of its answer at
+    # conj z; integrate_ivp at z itself, the route the mirror skips, has its bits
+    z = 0.7 - 1.3j
+    for q in _CONJ_POTENTIALS.values():
+        fs = fundamental_system(q, math.pi, z)
+        (u1, u1p, _), (u2, u2p, _) = (integrate_ivp(q, z, y0, (0.0, math.pi)) for y0 in ((1.0, 0.0), (0.0, 1.0)))
+        assert _bits(fs.Y0.at(1, 0), fs.Y0.at(1, 1), -fs.Y1.at(1, 0), -fs.Y1.at(1, 1)) == _bits(u1, u2, u1p, u2p)
+        assert fs.z == z and fs.dirichlet_count == 0
+        m = finite_interval_M(q, math.pi, z)
+        assert _bits(*m.data) == _bits(-u1 / u2, 1.0 / u2, 1.0 / u2, -u2p / u2)
+
+
+def test_errors_at_mirrored_points_name_the_requested_z():
+    # where the answer at conj z raises, z below the axis takes the direct route
+    with pytest.raises(AccuracyError, match=re.escape("insufficient for z=(1-0.05j)")):
+        decaying_solution(PotentialSpec.expression("exp(-x)"), 1 - 0.05j, L=5.0)
+    # sqrt(1 - x) has a branch point at b = 1, which the Magnus levels do not resolve
+    with pytest.raises(AccuracyError, match=re.escape("not resolved at z=(1-1j)")):
+        fundamental_system(PotentialSpec.expression("sqrt(1 - x)"), 1.0, 1 - 1j)
+
+
+def test_conjugate_pairs_are_propagated_once(monkeypatch):
+    # each pair of interval and half-line points integrates only at its upper
+    # point, whichever of the two comes first
+    seen = []
+    propagate = slsolve.integrate_ivp
+    monkeypatch.setattr(slsolve, "integrate_ivp", lambda q, z, *rest, **kw: seen.append(z) or propagate(q, z, *rest, **kw))
+    q = PotentialSpec.table((0.0, 1.0, 2.0), (0.375, -1.625, 0.0))  # in no cache yet
+    # the interval propagates u1 and u2; the half line one chunk from x = 2
+    for model, per_z in ((models.FiniteInterval(q, 2.0), 2), (models.HalfLine(q, None), 1)):
+        seen.clear()
+        for z in (3.0 - 0.5j, 3.0 + 0.5j, -1.0 + 2.0j, -1.0 - 2.0j):
+            assert _bits(*models.evaluate(model, z).data) == _bits(*models.evaluate(model, z.conjugate()).adjoint().data)
+        assert seen == [3.0 + 0.5j] * per_z + [-1.0 + 2.0j] * per_z
 
 
 def test_fundamental_system_det_relation():
