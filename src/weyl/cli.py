@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: eval | spectrum | negcount | krein | charfn | verify.  Problem
-files are JSON (schema in docs/problem.schema.json); grids/windows come from
-flags.  Reports are deterministic for a fixed problem file and seed: floats
-are emitted in shortest round-trip form and JSON keys are sorted.  The
+files are JSON (schema in docs/problem.schema.json); a grid, window, rect or
+grid_n comes from its flag, else from the problem's task block, both read by
+problems.request_value.  Reports are deterministic for a fixed problem file
+and seed: floats are emitted in shortest round-trip form and JSON keys are sorted.  The
 argument parser is built once per process (`build_parser` is cached;
 parsing leaves it unchanged), so repeated `main()` calls in one process
 share it.  A grid point of `eval` or `charfn` evaluates M(z) and then runs
@@ -29,60 +30,12 @@ import argparse
 import functools
 import itertools
 import json
-import math
 import sys
 
 from . import __version__, charfun, extensions, kernels, models, triplets, verify
 from .errors import WeylError
 from .linalg import Matrix
-from .problems import ProblemFile, parse_problem
-
-
-def _parse_axis(text: str, what: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise WeylError(f"{what} must be 'start:stop:count', got {text!r}")
-    try:
-        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError as e:
-        raise WeylError(f"bad {what} {text!r}: {e}") from e
-    if n < 1:
-        raise WeylError(f"{what} count must be >= 1")
-    if n == 1:
-        values = [a]
-    else:
-        values = [a + (b - a) * k / (n - 1) for k in range(n)]
-    if not all(map(math.isfinite, (a, b, *values))):
-        raise WeylError(f"{what} values must be finite, got {text!r}")
-    return values
-
-
-def parse_axes(text: str):
-    """'re0:re1:n,im0:im1:m' -> (the real axis values, the imaginary axis values)."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise WeylError(f"grid must be 're0:re1:n,im0:im1:m', got {text!r}")
-    return _parse_axis(parts[0], "real axis"), _parse_axis(parts[1], "imaginary axis")
-
-
-def parse_window(text: str):
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise WeylError(f"window must be 'a:b', got {text!r}")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError as e:
-        raise WeylError(f"bad window {text!r}: {e}") from e
-
-
-def parse_rect(text: str):
-    parts = text.split(":")
-    if len(parts) != 4:
-        raise WeylError(f"rect must be 're0:re1:im0:im1', got {text!r}")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError as e:
-        raise WeylError(f"bad rect {text!r}: {e}") from e
+from .problems import ProblemFile, matrix_to_json, parse_problem, request_value
 
 
 def _report_header(problem: ProblemFile) -> dict:
@@ -176,12 +129,21 @@ def _boundary_or_fail(problem: ProblemFile) -> Matrix:
     return problem.boundary
 
 
+def _request(args, problem: ProblemFile, key: str, default=None):
+    """key's flag where it was given, read as problems.request_value reads the
+    task, else its task entry, else default."""
+    text = getattr(args, key)
+    if text is None:
+        return problem.task.get(key, default)
+    return request_value(key, text, "--" + key.replace("_", "-"))
+
+
 def _grid_or_fail(args, problem: ProblemFile):
     """The grid's (real axis, imaginary axis)."""
-    grid_text = args.grid or problem.task.get("grid")
-    if not grid_text:
+    axes = _request(args, problem, "grid")
+    if axes is None:
         raise WeylError("no grid: pass --grid or put one under task.grid")
-    return parse_axes(grid_text)
+    return axes
 
 
 def cmd_eval(args) -> int:
@@ -193,11 +155,10 @@ def cmd_eval(args) -> int:
 def cmd_spectrum(args) -> int:
     problem = parse_problem(args.problem)
     spec = extensions.ExtensionSpec(problem.model, _boundary_or_fail(problem))
-    rect_text = args.rect or problem.task.get("rect")
-    if rect_text is not None:
+    rect = _request(args, problem, "rect")
+    if rect is not None:
         if args.format == "csv":
             raise WeylError("--rect reports are JSON only: drop --format csv")
-        rect = parse_rect(rect_text) if isinstance(rect_text, str) else tuple(rect_text)
         rep = extensions.count_complex_eigenvalues(spec, rect)
         payload = {
             **_report_header(problem),
@@ -208,11 +169,10 @@ def cmd_spectrum(args) -> int:
         }
         _emit(_json_dump(payload), args.out)
         return 0
-    window_text = args.window or problem.task.get("window")
-    if window_text is None:
+    window = _request(args, problem, "window")
+    if window is None:
         raise WeylError("no window/rect: pass --window or --rect, or set one under task")
-    window = parse_window(window_text) if isinstance(window_text, str) else tuple(window_text)
-    grid_n = args.grid_n or int(problem.task.get("grid_n", 128))
+    grid_n = _request(args, problem, "grid_n", 128)
     rep = extensions.point_spectrum_real(spec, window, grid_n=grid_n, compare_oracle=not args.no_oracle)
     payload = {
         **_report_header(problem),
@@ -241,8 +201,6 @@ def cmd_negcount(args) -> int:
 def cmd_krein(args) -> int:
     problem = parse_problem(args.problem)
     m0 = models.m_at_zero(problem.model)
-    from .problems import matrix_to_json
-
     payload = {
         **_report_header(problem),
         "B": matrix_to_json(m0.value),
@@ -323,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--window", help="a:b (real scan)")
     p.add_argument("--rect", help="re0:re1:im0:im1 (complex count via the argument principle)")
-    p.add_argument("--grid-n", type=int, default=None, help="scan grid density (>= 64)")
+    p.add_argument("--grid-n", help="scan grid density (>= 64)")
     p.add_argument("--no-oracle", action="store_true", help="skip the oracle comparison")
     p.set_defaults(fn=cmd_spectrum)
 

@@ -96,7 +96,7 @@ class ParseError(WeylError):
 
 
 class SchemaError(WeylError):
-    """Problem file violated the schema; message carries the JSON path."""
+    """A problem file or a request flag violated its format; message carries the JSON path or the flag."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")

@@ -41,6 +41,7 @@ from .models import ZERO_EIGENVALUE, WeylModel, evaluate, m_at_zero
 
 ORACLE_ZERO_CUT = 1e-4  # oracle counts strictly below -cut: O(dx^2)-stable
 RANK_TAU = 1e-8  # the rank law counts singular values above RANK_TAU * the largest
+MIN_GRID_N = 64  # the coarsest real scan grid
 
 
 @dataclass(frozen=True)
@@ -124,8 +125,8 @@ def point_spectrum_real(spec: ExtensionSpec, window, grid_n: int = 128,
     jumps of N_B, each with its size as the multiplicity."""
     if not spec.is_hermitian:
         raise ContractError("point_spectrum_real requires Hermitian B")
-    if grid_n < 64:
-        raise ContractError("grid_n must be at least 64")
+    if grid_n < MIN_GRID_N:
+        raise ContractError(f"grid_n must be at least {MIN_GRID_N}")
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ContractError("window must be a nonempty interval")

@@ -316,19 +316,6 @@ def resolvent_apply_samples(opd: DiscretizedOperator, z: complex, fsamples) -> l
     return [ui * math.sqrt(opd.dx / w) for ui, w in zip(u, ws)]
 
 
-def apply_operator(opd: DiscretizedOperator, v) -> list:
-    n = opd.size
-    out = []
-    for i in range(n):
-        acc = opd.diag[i] * v[i]
-        if i > 0:
-            acc += opd.off[i - 1] * v[i - 1]
-        if i < n - 1:
-            acc += opd.off[i] * v[i + 1]
-        out.append(acc)
-    return out
-
-
 def resolvent_difference_rank(op1: DiscretizedOperator, op2: DiscretizedOperator,
                               z: complex, probes: int = 6, tau: float = 1e-8,
                               seed: int = 0) -> int:

@@ -1,5 +1,7 @@
 """Problem files: JSON descriptions of a model, a boundary operator, an
-optional triplet transform, and task parameters.
+optional triplet transform, and task parameters: the defaults of a request's
+window, rect, grid and grid_n, read by request_value, which reads the
+command-line flags too.
 
 Complex numbers are encoded as plain numbers (real) or two-element
 [re, im] arrays; matrices as row-major nested lists of those.  Every number
@@ -11,6 +13,7 @@ Models and potentials are read through one table from kind to class each
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
@@ -18,6 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from . import models
 from .errors import EvalError, SchemaError
+from .extensions import MIN_GRID_N
 from .linalg import Matrix
 from .slsolve import Expression, PotentialSpec, SquareWell, Table, Zero
 from .triplets import TripletTransform, make_transform
@@ -28,7 +32,7 @@ class ProblemFile:
     model: models.WeylModel
     boundary: Matrix | None
     transform: TripletTransform | None
-    task: dict = field(default_factory=dict)
+    task: dict = field(default_factory=dict)  # key -> its value typed by request_value
     sha256: str = ""
 
 
@@ -168,26 +172,63 @@ def transform_from_json(data, n: int, path: str = "$.transform") -> TripletTrans
     return make_transform(mats["U"], mats["X11"], mats["X12"], mats["X21"], mats["X22"])
 
 
-# How many finite numbers a task value may hold in place of a string (None:
-# a string only); grid_n is an integer.
-_TASK_NUMBERS = {"window": 2, "rect": 4, "grid": None}
+# The text form of each request value; window and rect also take a JSON
+# array of as many numbers as their text has fields.
+_TASK_FORMS = {"window": "'a:b'", "rect": "'re0:re1:im0:im1'", "grid": "'re0:re1:n,im0:im1:m'", "grid_n": ""}
 
 
-def _check_task(task: dict):
-    for key, v in task.items():
-        path = f"$.task.{key}"
-        if key == "grid_n":
-            if not (_is_number(v) and isinstance(v, int)):
-                raise SchemaError(path, f"expected an integer, got {type(v).__name__}")
-        elif key not in _TASK_NUMBERS:
-            raise SchemaError(path, f"unknown task key (allowed: {sorted([*_TASK_NUMBERS, 'grid_n'])})")
-        elif not isinstance(v, str):
-            count = _TASK_NUMBERS[key]
-            if count is None:
-                raise SchemaError(path, f"expected a string, got {type(v).__name__}")
-            if not isinstance(v, list) or len(v) != count:
-                raise SchemaError(path, f"expected a string or an array of {count} numbers")
-            _numbers(v, path)
+def _axis(text: str, what: str, path: str) -> list:
+    """The values of one grid axis 'start:stop:count', all finite."""
+    parts = text.split(":")
+    if len(parts) != 3:
+        raise SchemaError(path, f"{what} must be 'start:stop:count', got {text!r}")
+    try:
+        a, b, n = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError as e:
+        raise SchemaError(path, f"bad {what} {text!r}: {e}") from e
+    if n < 1:
+        raise SchemaError(path, f"{what} count must be >= 1")
+    values = [a] if n == 1 else [a + (b - a) * k / (n - 1) for k in range(n)]
+    if not all(map(math.isfinite, (a, b, *values))):
+        raise SchemaError(path, f"{what} values must be finite, got {text!r}")
+    return values
+
+
+def request_value(key: str, v, flag: str | None = None):
+    """A request's window or rect as a tuple of 2 or 4 finite floats, its grid as
+    (real axis, imaginary axis) lists of finite floats, or its grid_n as an int
+    >= MIN_GRID_N, from the task entry v or the text v of the flag named flag;
+    each SchemaError names that source ("--window", "$.task.window[0]")."""
+    path, form = flag or f"$.task.{key}", _TASK_FORMS.get(key)
+    if form is None:
+        raise SchemaError(path, f"unknown task key (allowed: {sorted(_TASK_FORMS)})")
+    if key == "grid_n":
+        if flag is not None:
+            with contextlib.suppress(ValueError):
+                v = int(v)
+        if not (_is_number(v) and isinstance(v, int)):
+            raise SchemaError(path, f"expected an integer, got {v!r}")
+        if v < MIN_GRID_N:
+            raise SchemaError(path, f"must be at least {MIN_GRID_N}")
+        return v
+    if key == "grid":
+        if not isinstance(v, str):
+            raise SchemaError(path, f"expected a string, got {type(v).__name__}")
+        axes = v.split(",")
+        if len(axes) != 2:
+            raise SchemaError(path, f"grid must be {form}, got {v!r}")
+        return _axis(axes[0], "real axis", path), _axis(axes[1], "imaginary axis", path)
+    count = form.count(":") + 1
+    if isinstance(v, str):
+        if v.count(":") != count - 1:
+            raise SchemaError(path, f"{key} must be {form}, got {v!r}")
+        try:
+            v = [float(p) for p in v.split(":")]
+        except ValueError as e:
+            raise SchemaError(path, f"bad {key} {v!r}: {e}") from e
+    if not isinstance(v, list) or len(v) != count:
+        raise SchemaError(path, f"expected a string or an array of {count} numbers")
+    return tuple(_numbers(v, path))
 
 
 def problem_from_data(data: dict, sha: str = "") -> ProblemFile:
@@ -209,8 +250,7 @@ def problem_from_data(data: dict, sha: str = "") -> ProblemFile:
     task = data.get("task", {})
     if not isinstance(task, dict):
         raise SchemaError("$.task", "expected an object")
-    _check_task(task)
-    return ProblemFile(model, boundary, transform, dict(task), sha)
+    return ProblemFile(model, boundary, transform, {k: request_value(k, v) for k, v in task.items()}, sha)
 
 
 def parse_problem(path: str) -> ProblemFile:

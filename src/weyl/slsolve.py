@@ -58,6 +58,10 @@ _RESCALE_NORM = 1e100
 # exact steps on a constant piece are cut so that |Re k h| stays below this,
 # which keeps cosh(kh) far inside double range
 _EXACT_GROWTH = 40.0
+# A z that takes more than _MAX_STEPS rescaled chunks (_endpoint) or exact
+# steps on one piece (_transfer) is a RangeError before the first: a span
+# overflows after about 18 exact steps, and no test's z takes over 13 chunks.
+_MAX_STEPS = 1000
 # An expression potential's tail is q(1e6); it counts as settled only when q
 # at these smaller x agrees with it to _TAIL_SETTLE_TOL * max(1, |q(1e6)|).
 _TAIL_X = 1e6
@@ -287,7 +291,7 @@ def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10):
             if c is None:
                 y, yp, n = _magnus(q, z, y, yp, start, end, rtol)
             else:
-                y, yp, n = _transfer(c - z, y, yp, start, end)
+                y, yp, n = _transfer(c, z, y, yp, start, end)
             zeros += n
     return y, yp, zeros
 
@@ -297,12 +301,15 @@ def _check_finite(y: complex, yp: complex, a: float, b: float):
         raise RangeError(f"solution overflows double range on [{a}, {b}]")
 
 
-def _transfer(k2: complex, y: complex, yp: complex, a: float, b: float):
-    """Exact steps of y'' = k2 y from a to b, cut so that |Re k h| <= _EXACT_GROWTH:
-    (y(b), y'(b), zeros), the zeros counted at a real k2 (see integrate_ivp)."""
-    y_a = y
+def _transfer(c: float, z: complex, y: complex, yp: complex, a: float, b: float):
+    """Exact steps of y'' = (c - z) y from a to b, cut so that |Re k h| <= _EXACT_GROWTH:
+    (y(b), y'(b), zeros), the zeros counted at a real z (see integrate_ivp)."""
+    y_a, k2 = y, c - z
     k = cmath.sqrt(k2)
-    n = max(1, math.ceil(abs(k.real * (b - a)) / _EXACT_GROWTH))
+    n = abs(k.real * (b - a)) / _EXACT_GROWTH
+    if not n <= _MAX_STEPS:
+        raise RangeError(f"z={z} needs {n:.3g} exact steps on [{a}, {b}], more than {_MAX_STEPS}")
+    n = max(1, math.ceil(n))
     h = (b - a) / n
     u = k2 * h * h
     if abs(u) < 1e-8:
@@ -344,7 +351,10 @@ def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: 
     r4 = y_prev = None
     d = 0.0
     for level in range(_MAX_LEVEL + 1):
-        yk, ypk, zeros = mesh.sweep(z, y, yp, a, b, level)
+        try:
+            yk, ypk, zeros = mesh.sweep(z, y, yp, a, b, level)
+        except (OverflowError, ValueError):  # a cell's cosh or sinh overflowed, or z is nan
+            yk = ypk = math.inf
         _check_finite(yk, ypk, a, b)
         if level >= 1:
             r4, r4_prev = _richardson((yk, ypk), y_prev, 15.0), r4
@@ -520,7 +530,10 @@ def _endpoint(q: PotentialSpec, z: complex, start: float, seed: tuple, rtol: flo
     harmless (it keeps the signs) and keeps magnitudes inside double range for
     large Im sqrt(z) L.
     """
-    nchunks = max(1, int(sqrt_upper(z - q.tail).imag * start / 80.0) + 1)
+    nchunks = sqrt_upper(z - q.tail).imag * start / 80.0
+    if not nchunks <= _MAX_STEPS:
+        raise RangeError(f"z={z} needs {nchunks:.3g} rescaled chunks on [0, {start}], more than {_MAX_STEPS}")
+    nchunks = int(nchunks) + 1
     xs = [start - i * (start / nchunks) for i in range(nchunks + 1)]
     y, yp = seed
     zeros = 0

@@ -2,13 +2,15 @@ import csv
 import io
 import json
 import math
+import threading
+import time
 
 import pytest
 
 from weyl import charfun, cli, models, verify
-from weyl.cli import main, parse_axes, parse_rect, parse_window
-from weyl.errors import ContractError, WeylError
-from weyl.problems import problem_from_data
+from weyl.cli import main
+from weyl.errors import ContractError, RangeError, WeylError
+from weyl.problems import problem_from_data, request_value
 from weyl.triplets import transform_boundary_operator, transform_weyl
 from weyl.verify import Assertion
 
@@ -35,18 +37,18 @@ def sector_problem(tmp_path):
 
 
 def test_parse_grid_cardinality():
-    res, ims = parse_axes("-5:5:41,0.1:5:20")
+    res, ims = request_value("grid", "-5:5:41,0.1:5:20", "--grid")
     assert (len(res), len(ims)) == (41, 20)  # 820 points
     assert (res[0], ims[0]) == (-5.0, 0.1)
 
 
 def test_parse_grid_errors():
     with pytest.raises(WeylError):
-        parse_axes("1:2:3")
+        request_value("grid", "1:2:3", "--grid")
     with pytest.raises(WeylError):
-        parse_axes("a:b:c,0:1:2")
-    assert parse_window("-1:2.5") == (-1.0, 2.5)
-    assert parse_rect("0:1:2:3") == (0.0, 1.0, 2.0, 3.0)
+        request_value("grid", "a:b:c,0:1:2", "--grid")
+    assert request_value("window", "-1:2.5", "--window") == (-1.0, 2.5)
+    assert request_value("rect", "0:1:2:3", "--rect") == (0.0, 1.0, 2.0, 3.0)
 
 
 def test_negcount_json(robin_problem, tmp_path, capsys):
@@ -347,7 +349,8 @@ def test_malformed_window_or_rect_is_an_error_line(robin_problem, capsys, flag):
     rc = main(["spectrum", "--problem", robin_problem, flag])
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith(f"error: bad {flag[2:flag.index('=')]} ")
+    name = flag[2:flag.index("=")]
+    assert len(err) == 1 and err[0].startswith(f"error: --{name}: bad {name} ")
 
 
 def test_spectrum_csv_matches_csv_writer(tmp_path):
@@ -445,4 +448,176 @@ def test_non_finite_grid_axis_is_an_error_line(tmp_path, capsys, grid, axis, mod
     out, err = capsys.readouterr()
     assert out == ""
     err = err.strip().splitlines()
-    assert len(err) == 1 and err[0] == f"error: {axis} values must be finite, got {grid.split(',')[axis == 'imaginary axis']!r}"
+    assert len(err) == 1 and err[0] == (
+        f"error: --grid: {axis} values must be finite, got {grid.split(',')[axis == 'imaginary axis']!r}")
+
+
+# Request values through both channels: the key, its flag's text, the task
+# forms of the same value (text, and a JSON array where that form exists) and
+# the typed value all of them read to.
+_REQUEST_FORMS = [
+    ("window", "-5:-0.1", ["-5:-0.1", [-5, -0.1], [-5.0, -0.1]], (-5.0, -0.1)),
+    ("rect", "0:1:0.1:2", ["0:1:0.1:2", [0, 1, 0.1, 2]], (0.0, 1.0, 0.1, 2.0)),
+    ("grid", "-1:1:3,0.5:1:2", ["-1:1:3,0.5:1:2"], ([-1.0, 0.0, 1.0], [0.5, 1.0])),
+    ("grid_n", "256", [256], 256),
+]
+
+
+@pytest.mark.parametrize("key,text,task_forms,typed", _REQUEST_FORMS)
+def test_flag_and_task_read_to_equal_typed_values(key, text, task_forms, typed):
+    values = [request_value(key, text, "--" + key.replace("_", "-"))]
+    values += [problem_from_data({"model": _ROBIN, "task": {key: v}}).task[key] for v in task_forms]
+    for v in values:
+        assert v == typed and type(v) is type(typed)
+        if key in ("window", "rect"):
+            assert all(type(x) is float for x in v)
+
+
+@pytest.mark.parametrize("argv,task,key,flag_value", [
+    (["spectrum", "--no-oracle"], {"window": [-5.0, -0.05]}, "window", "-3:-0.05"),
+    (["spectrum", "--no-oracle"], {"window": "-5:-0.05", "grid_n": 64}, "grid_n", "80"),
+    (["spectrum"], {"rect": [3.0, 5.0, 0.5, 2.0]}, "rect", "3:5:0.6:2"),
+    (["eval"], {"grid": "1:2:2,1:1:1"}, "grid", "1:3:3,1:1:1"),
+])
+def test_flag_overrides_task(tmp_path, monkeypatch, argv, task, key, flag_value):
+    """Each request reaches the library with the task's value, and with the
+    flag's where the flag is given."""
+    seen = []
+
+    def recorder(fn):
+        def record(spec, value, **kw):
+            seen.append({"window": value, "rect": value, **kw})
+            return fn(spec, value, **kw)
+        return record
+
+    for name in ("point_spectrum_real", "count_complex_eigenvalues"):
+        monkeypatch.setattr(cli.extensions, name, recorder(getattr(cli.extensions, name)))
+    monkeypatch.setattr(cli, "_emit_grid", lambda args, problem, axes, *a: seen.append({"grid": axes}))
+    model = {"kind": "sector", "beta": 0.75} if key in ("rect", "grid") else _ROBIN
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": model, "boundary": [0.0, 2.0] if key == "rect" else -2.0, "task": task}))
+    flag = f"--{key.replace('_', '-')}={flag_value}"
+    for extra in ([], [flag]):
+        assert main([argv[0], "--problem", str(f), "--out", str(tmp_path / "o.json"), *argv[1:], *extra]) == 0
+    task_value, flag_read = seen[0][key], seen[1][key]
+    assert task_value == problem_from_data({"model": model, "task": task}).task[key]
+    assert flag_read == request_value(key, flag_value, "--")
+    assert flag_read != task_value
+
+
+# Malformed request values through either channel: the command, the task
+# block, the flags and the start of the one error line, which names its source.
+_GRID = "-1:1:2,0.5:1:2"
+_BAD_REQUESTS = [
+    # non-finite ends, which the propagator would meet as NaN
+    ("spectrum", {}, ["--window=-inf:-0.1"], "--window[0]: must be finite"),
+    ("spectrum", {"window": "-inf:-0.1"}, [], "$.task.window[0]: must be finite"),
+    ("spectrum", {}, ["--window=-3:nan"], "--window[1]: must be finite"),
+    ("spectrum", {"window": [-3.0, math.nan]}, [], "$.task.window[1]: must be finite"),
+    ("spectrum", {}, ["--rect=-inf:1:0.1:1"], "--rect[0]: must be finite"),
+    ("spectrum", {"rect": "0:inf:0.1:1"}, [], "$.task.rect[1]: must be finite"),
+    ("spectrum", {}, ["--rect=0:1:0.1:1e400"], "--rect[3]: must be finite"),
+    ("eval", {}, ["--grid=nan:1:2,0.5:1:2"], "--grid: real axis values must be finite"),
+    ("eval", {"grid": "-1:1:2,0.5:inf:2"}, [], "$.task.grid: imaginary axis values must be finite"),
+    ("eval", {"grid": "-1e308:1e308:3,0.5:1:2"}, [], "$.task.grid: real axis values must be finite"),
+    # grid_n below the coarsest scan, which a flag of 0 once replaced by 128
+    ("spectrum", {"window": "-3:-0.1"}, ["--grid-n=0"], "--grid-n: must be at least 64"),
+    ("spectrum", {"window": "-3:-0.1", "grid_n": 0}, [], "$.task.grid_n: must be at least 64"),
+    ("spectrum", {"window": "-3:-0.1"}, ["--grid-n=63"], "--grid-n: must be at least 64"),
+    # a wrong count
+    ("spectrum", {}, ["--window=-3:-1:0"], "--window: window must be 'a:b'"),
+    ("spectrum", {"window": "-3:-0.1"}, ["--window="], "--window: window must be 'a:b', got ''"),
+    ("spectrum", {"window": "-3"}, [], "$.task.window: window must be 'a:b'"),
+    ("spectrum", {"window": [1]}, [], "$.task.window: expected a string or an array of 2 numbers"),
+    ("spectrum", {}, ["--rect=0:1:0.1"], "--rect: rect must be 're0:re1:im0:im1'"),
+    ("spectrum", {"rect": [0, 1, 0.1, 1, 2]}, [], "$.task.rect: expected a string or an array of 4 numbers"),
+    ("eval", {}, ["--grid=-1:1:2"], "--grid: grid must be 're0:re1:n,im0:im1:m'"),
+    ("eval", {"grid": "-1:1,0.5:1:2"}, [], "$.task.grid: real axis must be 'start:stop:count'"),
+    ("eval", {}, ["--grid=-1:1:0,0.5:1:2"], "--grid: real axis count must be >= 1"),
+    # a non-number
+    ("spectrum", {}, ["--window=a:-1"], "--window: bad window 'a:-1'"),
+    ("spectrum", {"window": [-3.0, "x"]}, [], "$.task.window[1]: expected a number, got str"),
+    ("spectrum", {"rect": "0:1:x:1"}, [], "$.task.rect: bad rect '0:1:x:1'"),
+    ("eval", {}, ["--grid=-1:1:2,0.5:1:two"], "--grid: bad imaginary axis '0.5:1:two'"),
+    ("eval", {"grid": [[-1, 1, 2], [0.5, 1, 2]]}, [], "$.task.grid: expected a string, got list"),
+    ("spectrum", {"window": "-3:-0.1"}, ["--grid-n=many"], "--grid-n: expected an integer, got 'many'"),
+    ("spectrum", {"window": "-3:-0.1", "grid_n": "128"}, [], "$.task.grid_n: expected an integer, got '128'"),
+    # a bool or a float grid_n
+    ("spectrum", {"window": "-3:-0.1", "grid_n": True}, [], "$.task.grid_n: expected an integer, got True"),
+    ("spectrum", {"window": "-3:-0.1", "grid_n": 128.0}, [], "$.task.grid_n: expected an integer, got 128.0"),
+    ("spectrum", {"window": "-3:-0.1"}, ["--grid-n=128.0"], "--grid-n: expected an integer, got '128.0'"),
+]
+
+
+@pytest.mark.parametrize("cmd,task,flags,line", _BAD_REQUESTS)
+def test_malformed_request_value_is_one_error_line_naming_its_source(tmp_path, capsys, cmd, task, flags, line):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": _ROBIN, "boundary": -0.5, "task": task}))
+    argv = [cmd, "--problem", str(f), *flags]
+    if cmd == "eval" and not task and not any(a.startswith("--grid") for a in flags):
+        argv.append(f"--grid={_GRID}")
+    rc = main(argv)
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {line}"), err
+
+
+def _ends_within(seconds: float, fn):
+    """fn()'s result, or the exception it raised.  It runs in a daemon thread,
+    so that a call that does not end fails the test rather than hanging the run."""
+    box = []
+
+    def run():
+        try:
+            box.append(fn())
+        except Exception as e:  # the caller asserts which
+            box.append(e)
+
+    worker = threading.Thread(target=run, daemon=True)
+    start = time.perf_counter()
+    worker.start()
+    worker.join(timeout=seconds)
+    assert box, f"did not end within {seconds} s"
+    assert time.perf_counter() - start < seconds
+    return box[0]
+
+
+_MINUS_EXP = {"kind": "finite_interval", "b": 2, "potential": {"kind": "expression", "source": "-exp(-x)"}}
+_WELL_HALF_LINE = {"kind": "half_line", "potential": {"kind": "square_well", "depth": -2, "width": 1}}
+_ZERO_INTERVAL = {"kind": "finite_interval", "b": 2}
+_EXPR_HALF_LINE = {"kind": "half_line", "potential": {"kind": "expression", "source": "1/(1+x^2)"}}
+
+
+@pytest.mark.parametrize("model,argv,line", [
+    # a Magnus cell's cosh overflows once |z| passes about 2e6
+    (_MINUS_EXP, ["spectrum", "--window=-2e7:-1"], "solution overflows double range on [0.0, 2.0]"),
+    # 1.25e8 and 1.25e6 rescaled chunks; the second once answered after 10 s
+    (_WELL_HALF_LINE, ["eval", "--grid=-1e20:-1e20:1,0:0:1"],
+     "z=(-1e+20+0j) needs 1.25e+08 rescaled chunks on [0, 1.0], more than 1000"),
+    (_WELL_HALF_LINE, ["eval", "--grid=-1e16:-1e16:1,1:1:1"], "z=(-1e+16+1j) needs 1.25e+06 rescaled chunks"),
+    # exact steps before the overflow: 5e6 of them, and at -1e300 no end
+    (_ZERO_INTERVAL, ["eval", "--grid=-1e16:-1e16:1,0:0:1"],
+     "z=(-1e+16+0j) needs 5e+06 exact steps on [0.0, 2.0], more than 1000"),
+    (_ZERO_INTERVAL, ["eval", "--grid=-1e300:-1e300:1,0:0:1"], "z=(-1e+300+0j) needs 5e+148 exact steps"),
+    (_EXPR_HALF_LINE, ["eval", "--grid=-1e300:-1e300:1,0:0:1"],
+     "z=(-1e+300+0j) needs 1.5e+149 rescaled chunks"),
+])
+def test_huge_z_on_an_ode_kind_is_a_bounded_error_line(tmp_path, capsys, model, argv, line):
+    f = tmp_path / "p.json"
+    boundary = 0.0 if model["kind"] == "half_line" else [[0, 0], [0, 0]]
+    f.write_text(json.dumps({"model": model, "boundary": boundary}))
+    rc = _ends_within(5.0, lambda: main([argv[0], "--problem", str(f), *argv[1:]]))
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {line}"), err
+
+
+@pytest.mark.parametrize("model", [_WELL_HALF_LINE, _EXPR_HALF_LINE, _ZERO_INTERVAL, _MINUS_EXP,
+                                   {**_WELL_HALF_LINE, "h": 1.5}])
+@pytest.mark.parametrize("z", [complex("nan"), complex("nan+nanj"), complex(0.0, math.nan)])
+def test_nan_z_on_an_ode_kind_is_a_range_error(model, z):
+    m = problem_from_data({"model": model}).model
+    e = _ends_within(5.0, lambda: models.evaluate(m, z))
+    assert isinstance(e, RangeError), e

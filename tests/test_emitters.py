@@ -12,7 +12,7 @@ import pytest
 from weyl import charfun, cli, models, triplets, verify
 from weyl.cli import main
 from weyl.linalg import Matrix
-from weyl.problems import parse_problem, problem_from_data
+from weyl.problems import parse_problem, problem_from_data, request_value
 
 
 def _complexify(value):
@@ -51,7 +51,7 @@ def _reference_csv(points, mats, label):
 def _reference(problem_path, cmd, grid, fmt):
     """The report `cmd` should write: the Matrix path's values, by the reference dumpers."""
     problem = parse_problem(problem_path)
-    res, ims = cli.parse_axes(grid)
+    res, ims = request_value("grid", grid, "--grid")
     points = [complex(r, i) for r in res for i in ims]
     mats = [models.evaluate(problem.model, z) for z in points]
     if problem.transform is not None:

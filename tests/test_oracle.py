@@ -60,7 +60,10 @@ def test_resolvent_identity_and_residual():
     v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(op.size)]
     z = -1.0 + 0.5j
     u = oracle.resolvent_apply(op, z, v)
-    tu = oracle.apply_operator(op, u)
+    # the tridiagonal product T u
+    n = op.size
+    tu = [op.diag[i] * u[i] + (op.off[i - 1] * u[i - 1] if i > 0 else 0.0)
+          + (op.off[i] * u[i + 1] if i < n - 1 else 0.0) for i in range(n)]
     resid = max(abs(tu[i] - z * u[i] - v[i]) for i in range(op.size))
     assert resid <= 1e-11 * max(abs(x) for x in v)
 

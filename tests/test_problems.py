@@ -26,7 +26,7 @@ def test_reader_half_line():
     assert p.model == models.half_line(WELL, 1.5)
     assert p.boundary == Matrix.scalar(-2.0)
     assert p.transform is None
-    assert p.task == {"window": [-5.0, -0.1]}
+    assert p.task == {"window": (-5.0, -0.1)}
 
 
 # Problem-file models per model class kind, each with the model built
@@ -197,9 +197,11 @@ def test_malformed_task_value_rejected(task, path):
 def test_task_value_forms_accepted():
     task = {"window": "-5:-0.1", "rect": [-2, 2, 0.1, 2.0], "grid": "-1:1:3,0.5:1:2", "grid_n": 256}
     p = problems.problem_from_data({"model": {"kind": "half_line"}, "task": task})
-    assert p.task == task
+    assert p.task == {"window": (-5.0, -0.1), "rect": (-2.0, 2.0, 0.1, 2.0),
+                      "grid": ([-1.0, 0.0, 1.0], [0.5, 1.0]), "grid_n": 256}
+    assert all(type(v) is float for key in ("window", "rect") for v in p.task[key])
     p = problems.problem_from_data({"model": {"kind": "half_line"}, "task": {"window": [-5, -0.1], "rect": "0:1:0.1:1"}})
-    assert p.task == {"window": [-5, -0.1], "rect": "0:1:0.1:1"}
+    assert p.task == {"window": (-5.0, -0.1), "rect": (0.0, 1.0, 0.1, 1.0)}
 
 
 @pytest.mark.parametrize("boundary,path", [
