@@ -42,6 +42,7 @@ from .models import ZERO_EIGENVALUE, WeylModel, evaluate, m_at_zero
 ORACLE_ZERO_CUT = 1e-4  # oracle counts strictly below -cut: O(dx^2)-stable
 RANK_TAU = 1e-8  # the rank law counts singular values above RANK_TAU * the largest
 MIN_GRID_N = 64  # the coarsest real scan grid
+MAX_GRID_N = 10_000  # the finest one a request may ask for (problems.request_value)
 
 
 @dataclass(frozen=True)

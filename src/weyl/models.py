@@ -1,9 +1,9 @@
 """The Weyl-function catalog: one frozen class per operator family.
 
-Each class holds its own parameters plus kind, n and ess_floor (-inf allowed;
-+inf means purely discrete), its z-independent constants, computed once at
-construction, and every rule of its kind: M(z) (evaluate(model, z) checks the
-domain and calls it), m_at_zero (a direct route to M(0), with no limit
+Each class holds its own parameters plus kind, n, ess_floor (-inf allowed;
++inf means purely discrete) and mirrored, its z-independent constants, computed
+once at construction, and every rule of its kind: M(z) (evaluate(model, z)
+checks the domain and calls it), m_at_zero (a direct route to M(0), no limit
 x -> 0- to extrapolate), the eigenvalue counts below a real x, the oracle
 discretizations of A_B and the operator potential's Robin matrix.  A rule a
 kind lacks is None.
@@ -34,13 +34,14 @@ Branch conventions:
 from __future__ import annotations
 
 import cmath
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
 
 from . import oracle
 from .errors import (AccuracyError, DomainError, EvalError, PoleError, RangeError,
-                     TransversalityError)
+                     TransversalityError, WeylError)
 from .linalg import Matrix, herm_part, hermitian_eigen, lambda_min, unchecked
 from .slsolve import (
     PotentialSpec,
@@ -48,7 +49,6 @@ from .slsolve import (
     decaying_solution,
     finite_interval_M,
     fundamental_system,
-    h_map,
     halfline_m,
     halfline_oscillation,
     tail_support,
@@ -73,11 +73,16 @@ class MZeroResult:
 @dataclass(frozen=True)
 class WeylModel:
     """Base of the catalog.  A subclass is a frozen dataclass of its own
-    parameters; it sets kind, and n and ess_floor where they differ from 1 and 0."""
+    parameters; it sets kind, and n, ess_floor and mirrored where not 1, 0, False."""
 
     kind = ""
     n = 1
     ess_floor = 0.0
+    # evaluate answers Im z < 0 as M(conj z)*: only the ODE kinds, whose propagation
+    # commutes with conjugation to the bit, so a conjugate pair is propagated once.
+    # The closed forms are cheap, sector's power is not bit-symmetric (about 1e-15
+    # off), and the diagonal kinds' zero entries would turn -0.0.
+    mirrored = False
     robin_matrix = oracle_operators = None
 
     def _derive(self, **values):
@@ -119,6 +124,16 @@ def _diag(entries: list) -> Matrix:
     return unchecked(n, n, tuple(data))
 
 
+def h_map(m: complex, h: float) -> complex:
+    """The member m_h = (1 - h m) / (m - h) of the h family, the convention anchor
+    of the family; PoleError where m = h.  It keeps the upper half-plane only for
+    |h| > 1 (the |h| < 1 members come from an orientation-reversing change)."""
+    denom = m - h
+    if abs(denom) < 1e-13 * (1.0 + abs(m)):
+        raise PoleError(f"m_inf(z) = h = {h}: pole of the h-triplet family")
+    return (1.0 - h * m) / denom
+
+
 @dataclass(frozen=True)
 class HalfLine(WeylModel):
     """-y'' + q y on [0, inf) with the triplet (y(0), y'(0)); a finite h selects
@@ -127,12 +142,14 @@ class HalfLine(WeylModel):
     q: PotentialSpec
     h: float | None = None
     kind = "half_line"
+    mirrored = True
 
     def __post_init__(self):
         self._derive(ess_floor=self.q.tail)
 
     def M(self, z: complex) -> Matrix:
-        return Matrix.scalar(halfline_m(self.q, self.h, z))
+        m = halfline_m(self.q, z)
+        return Matrix.scalar(m if self.h is None else h_map(m, float(self.h)))
 
     def _robin(self, b: Matrix) -> float | None:
         """The r of y'(0) = r y(0) that A_b is in the (y(0), y'(0)) triplet, or
@@ -229,6 +246,7 @@ class FiniteInterval(WeylModel):
     kind = "finite_interval"
     n = 2
     ess_floor = math.inf
+    mirrored = True
 
     def __post_init__(self):
         if self.b <= 0:
@@ -518,12 +536,18 @@ def _is_diagonal(b: Matrix) -> bool:
 
 
 def evaluate(model: WeylModel, z: complex) -> Matrix:
-    """M(z) for z with Im z != 0, or real z below the essential-spectrum floor."""
+    """M(z) for z with Im z != 0, or real z below the essential-spectrum floor.
+
+    A mirrored kind answers Im z < 0 as M(conj z)*, or where that raises
+    through M(z) itself, so that errors name z."""
     z = complex(z)
     if z.imag == 0.0 and z.real >= model.ess_floor:
         raise DomainError(
             f"z={z.real} lies on/above the essential-spectrum floor {model.ess_floor}"
         )
+    if model.mirrored and z.imag < 0.0:
+        with contextlib.suppress(WeylError):
+            return model.M(z.conjugate()).conjugate()
     return model.M(z)
 
 

@@ -45,6 +45,7 @@ from .errors import ContractError, DimensionError, SpectralPointError
 from .slsolve import PotentialSpec
 
 MAX_EIGENVALUES = 50  # most eigenvalues one lowest_eigenvalues call bisects
+RANK_PROBES, RANK_SEED, RANK_TAU = 6, 0, 1e-8  # resolvent_difference_rank's probes, seed, cut
 
 
 @dataclass(frozen=True)
@@ -317,8 +318,7 @@ def resolvent_apply_samples(opd: DiscretizedOperator, z: complex, fsamples) -> l
 
 
 def resolvent_difference_rank(op1: DiscretizedOperator, op2: DiscretizedOperator,
-                              z: complex, probes: int = 6, tau: float = 1e-8,
-                              seed: int = 0) -> int:
+                              z: complex) -> int:
     """Numeric rank of (T1-z)^-1 - (T2-z)^-1 sampled on random probe vectors."""
     from .linalg import Matrix, numeric_rank
 
@@ -327,15 +327,15 @@ def resolvent_difference_rank(op1: DiscretizedOperator, op2: DiscretizedOperator
     z = complex(z)
     f1 = _factor(op1, z)
     f2 = _factor(op2, z)
-    rng = random.Random(seed)
+    rng = random.Random(RANK_SEED)
     cols = []
-    for _ in range(probes):
+    for _ in range(RANK_PROBES):
         v = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(op1.size)]
         u1 = _substitute(f1, v)
         u2 = _substitute(f2, v)
         cols.append([a - b for a, b in zip(u1, u2)])
-    mat = Matrix.from_rows([[cols[j][i] for j in range(probes)] for i in range(op1.size)])
-    return numeric_rank(mat, tau)
+    mat = Matrix.from_rows([[cols[j][i] for j in range(RANK_PROBES)] for i in range(op1.size)])
+    return numeric_rank(mat, RANK_TAU)
 
 
 # -- model-specific oracle builders -----------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from . import models
 from .errors import EvalError, SchemaError
-from .extensions import MIN_GRID_N
+from .extensions import MAX_GRID_N, MIN_GRID_N
 from .linalg import Matrix
 from .slsolve import Expression, PotentialSpec, SquareWell, Table, Zero
 from .triplets import TripletTransform, make_transform
@@ -175,6 +175,7 @@ def transform_from_json(data, n: int, path: str = "$.transform") -> TripletTrans
 # The text form of each request value; window and rect also take a JSON
 # array of as many numbers as their text has fields.
 _TASK_FORMS = {"window": "'a:b'", "rect": "'re0:re1:im0:im1'", "grid": "'re0:re1:n,im0:im1:m'", "grid_n": ""}
+MAX_AXIS_POINTS = 1000  # the most points one grid axis may have
 
 
 def _axis(text: str, what: str, path: str) -> list:
@@ -188,6 +189,8 @@ def _axis(text: str, what: str, path: str) -> list:
         raise SchemaError(path, f"bad {what} {text!r}: {e}") from e
     if n < 1:
         raise SchemaError(path, f"{what} count must be >= 1")
+    if n > MAX_AXIS_POINTS:
+        raise SchemaError(path, f"{what} count must be at most {MAX_AXIS_POINTS}, got {n}")
     values = [a] if n == 1 else [a + (b - a) * k / (n - 1) for k in range(n)]
     if not all(map(math.isfinite, (a, b, *values))):
         raise SchemaError(path, f"{what} values must be finite, got {text!r}")
@@ -196,9 +199,9 @@ def _axis(text: str, what: str, path: str) -> list:
 
 def request_value(key: str, v, flag: str | None = None):
     """A request's window or rect as a tuple of 2 or 4 finite floats, its grid as
-    (real axis, imaginary axis) lists of finite floats, or its grid_n as an int
-    >= MIN_GRID_N, from the task entry v or the text v of the flag named flag;
-    each SchemaError names that source ("--window", "$.task.window[0]")."""
+    (real axis, imaginary axis) lists of 1 to MAX_AXIS_POINTS finite floats, or its
+    grid_n as an int in [MIN_GRID_N, MAX_GRID_N], from the task entry v or the text v
+    of the flag named flag; each SchemaError names that source ("--window", "$.task.window[0]")."""
     path, form = flag or f"$.task.{key}", _TASK_FORMS.get(key)
     if form is None:
         raise SchemaError(path, f"unknown task key (allowed: {sorted(_TASK_FORMS)})")
@@ -210,6 +213,8 @@ def request_value(key: str, v, flag: str | None = None):
             raise SchemaError(path, f"expected an integer, got {v!r}")
         if v < MIN_GRID_N:
             raise SchemaError(path, f"must be at least {MIN_GRID_N}")
+        if v > MAX_GRID_N:
+            raise SchemaError(path, f"must be at most {MAX_GRID_N}, got {v}")
         return v
     if key == "grid":
         if not isinstance(v, str):

@@ -16,17 +16,14 @@ Dirichlet eigenvalue counts (Sturm oscillation) of a FundamentalSystem and of
 halfline_oscillation.  Only this module seeds, truncates or thresholds the
 half-line solution (decaying_solution, threshold_solution), integrating it
 backward to 0 rather than through a Riccati equation (no blow-through at
-solution zeros); boundary_ratio is the one y(0) = 0 test and h_map the one
-h-family map.
+solution zeros); boundary_ratio is the one y(0) = 0 test.
 
-Below the real axis decaying_solution and fundamental_system conjugate their
-answer at conj z, so a conjugate pair is propagated once.  The mirror is
-exact: q and the step widths are real, the seeds at conj z are the conjugates
-of those at z, and IEEE complex + - * / and cmath's sqrt, cosh and sinh
-commute with conjugation (tests/test_slsolve.py checks integrate_ivp to the
-bit; for the ODE kinds verify's conjugate_symmetry suite relies on that).
-The closed-form kinds are not mirrored: sector's power is not bit-symmetric
-(about 1e-15 off), and diagonal kinds' zero entries would turn -0.0.
+Every route propagates exactly the z and seed it is given; M(conj z) = M(z)*
+is models.evaluate's to use.  Two caches (fundamental_system, and _endpoint
+under decaying_solution and the Sturm counts) keep a propagation for the
+partner of a mirrored point and for a sweep's repeated scan points: with
+both off, the ode_grid workload's session took 0.53 s of CPU instead of 0.31 s
+and boundary_sweep's about 8 % longer (medians of 3, 2-core x86-64, CPython 3.11).
 
 An Expression is parsed when it is built and compiled once
 (expr.compile_potential, cached with the parsed tree); value() runs the
@@ -39,7 +36,6 @@ expr.MAX_NESTING and its depth at expr.MAX_DEPTH levels.
 from __future__ import annotations
 
 import cmath
-import contextlib
 import math
 from array import array
 from bisect import bisect_left, bisect_right
@@ -47,7 +43,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from . import expr
-from .errors import AccuracyError, EvalError, PoleError, RangeError, WeylError
+from .errors import AccuracyError, EvalError, PoleError, RangeError
 from .linalg import Matrix
 from .specfun import sqrt_upper
 
@@ -244,8 +240,6 @@ PotentialSpec.expression = staticmethod(Expression)
 class FundamentalSystem:
     """Boundary images of the solution basis u1 (u1(0)=1, u1'(0)=0), u2 (0,1)."""
 
-    z: complex
-    b: float
     Y0: Matrix  # trace map (y(0), y(b)) applied to the basis
     Y1: Matrix  # trace map (y'(0), -y'(b)) applied to the basis
     # at a real z, the zeros of u2 in (0, b): the Dirichlet eigenvalues below z
@@ -484,23 +478,14 @@ class _Mesh:
 @lru_cache(maxsize=100_000)
 def fundamental_system(q: PotentialSpec, b: float, z: complex,
                        rtol: float = 1e-10) -> FundamentalSystem:
-    """Solution basis of l[y] = z y on [0, b], b > 0, mapped through the interval triplet.
-
-    Below the real axis, the conjugate of the cached basis at conj z (its 0 and
-    1 entries get imaginary part -0.0), or where that raises the direct route,
-    so that errors name z."""
+    """Solution basis of l[y] = z y on [0, b], b > 0, mapped through the interval triplet."""
     z = complex(z)
-    b = float(b)
-    if z.imag < 0.0:
-        with contextlib.suppress(WeylError):
-            fs = fundamental_system(q, b, z.conjugate(), rtol=rtol)
-            return FundamentalSystem(z, b, fs.Y0.conjugate(), fs.Y1.conjugate(), 0)
     u1b, u1pb, _ = integrate_ivp(q, z, (1.0, 0.0), (0.0, b), rtol=rtol)
     u2b, u2pb, zeros = integrate_ivp(q, z, (0.0, 1.0), (0.0, b), rtol=rtol)
     y0 = Matrix.from_rows([[1.0, 0.0], [u1b, u2b]])
     y1 = Matrix.from_rows([[0.0, 1.0], [-u1pb, -u2pb]])
     # at a real z, u2 leaves its zero at 0 into y > 0, which counts once
-    return FundamentalSystem(z, b, y0, y1, 0 if z.imag else zeros - 1)
+    return FundamentalSystem(y0, y1, 0 if z.imag else zeros - 1)
 
 
 def finite_interval_M(q: PotentialSpec, b: float, z: complex,
@@ -563,15 +548,9 @@ def decaying_solution(q: PotentialSpec, z: complex, L: float | None = None,
     truncation with relative error exp(-2 Im sqrt(z - tail) L); L = None
     takes the L that makes it _TRUNC_TARGET, at least 12 and at most
     TRUNCATION_CAP.  A truncation with z on the essential spectrum, or with
-    an error above _TRUNC_RAISE, raises AccuracyError.  Below the real axis it
-    conjugates the answer at conj z, or where that raises takes the direct
-    route, so that errors name z.
+    an error above _TRUNC_RAISE, raises AccuracyError.
     """
     z = complex(z)
-    if z.imag < 0.0:
-        with contextlib.suppress(WeylError):
-            y, yp, error = decaying_solution(q, z.conjugate(), L, rtol)
-            return y.conjugate(), yp.conjugate(), error
     start, seed, error = _decaying_seed(q, z, L)
     y, yp, _ = _endpoint(q, z, start, seed, float(rtol))
     return y, yp, error
@@ -630,43 +609,30 @@ def threshold_solution(q: PotentialSpec, rtol: float = 1e-10):
 
 
 def boundary_ratio(y: complex, yp: complex, z: complex) -> complex:
-    """y'(0)/y(0); PoleError where y(0) vanishes to 1e-13 of max(|y(0)|, |y'(0)|)."""
-    if abs(y) < 1e-13 * max(abs(y), abs(yp)):
+    """y'(0)/y(0); at a real z, PoleError where y(0) vanishes to 1e-13 of max(|y(0)|,
+    |y'(0)|).  A non-real z is no eigenvalue of the self-adjoint reference, however large m."""
+    if not z.imag and abs(y) < 1e-13 * max(abs(y), abs(yp)):
         raise PoleError(f"z={z} is numerically an eigenvalue of the reference Dirichlet problem")
     return yp / y
-
-
-def h_map(m: complex, h: float) -> complex:
-    """The member (1 - h m) / (m - h) of the h family; PoleError where m = h."""
-    denom = m - h
-    if abs(denom) < 1e-13 * (1.0 + abs(m)):
-        raise PoleError(f"m_inf(z) = h = {h}: pole of the h-triplet family")
-    return (1.0 - h * m) / denom
 
 
 def halfline_m_exact_tail(q: PotentialSpec, z: complex) -> complex:
     """m_inf(z) through the tail-matched route; requires a constant tail."""
     if tail_support(q) is None:
         raise AccuracyError("potential has no exactly-constant tail", estimate=1.0)
-    return halfline_m(q, None, z, rtol=1e-11)
+    return halfline_m(q, z, rtol=1e-11)
 
 
-def halfline_m(q: PotentialSpec, h, z: complex, L: float | None = None,
+def halfline_m(q: PotentialSpec, z: complex, L: float | None = None,
                rtol: float = 1e-10) -> complex:
-    """Half-line m-function for the triplet (y(0), y'(0)).
+    """Half-line m-function m_inf for the triplet (y(0), y'(0)).
 
     m_inf = y'(0)/y(0) of decaying_solution: tail-matched when q has an
     exactly constant tail and L is None, else Dirichlet-truncated at L.
-    z on the essential spectrum is refused on either route.  h = None
-    selects m_inf itself; a finite real h applies h_map, the one-parameter
-    family m_h(z) = (1 - h m_inf(z)) / (m_inf(z) - h).  That relation is the
-    convention anchor for the whole family; note it maps the upper
-    half-plane to itself only for |h| > 1 (the |h| < 1 members arise from an
-    orientation-reversing coordinate change).
+    z on the essential spectrum is refused on either route.
     """
     z = complex(z)
     if sqrt_upper(z - q.tail).imag <= 0.0:
         raise AccuracyError(f"z={z} sits on the essential spectrum tail", estimate=1.0)
     y, yp, _error = decaying_solution(q, z, L, rtol)
-    m_inf = boundary_ratio(y, yp, z)
-    return m_inf if h is None else h_map(m_inf, float(h))
+    return boundary_ratio(y, yp, z)

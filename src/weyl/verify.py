@@ -163,9 +163,10 @@ def suite_mh_relation(rng: random.Random):
     grid = _closed_form_grid()
     for h in (-2.0, -0.5, 1.0, 3.0):
         worst = 0.0
+        member = models.half_line(q0, h)
         for z in grid:
-            mi = halfline_m(q0, None, z)
-            mh = halfline_m(q0, h, z)
+            mi = halfline_m(q0, z)
+            mh = member.M(z).at(0, 0)
             worst = max(worst, abs(mh * (mi - h) - (1.0 - h * mi)))
         _check(out, f"m_h relation at h={h} on 100-point grid", worst <= 1e-8,
                f"worst residual {worst:.3e}")
@@ -180,14 +181,14 @@ def suite_closed_form_halfline(rng: random.Random):
     q0 = PotentialSpec.zero()
     worst = 0.0
     for z in _closed_form_grid():
-        m = halfline_m(q0, None, z, L=40.0, rtol=1e-12)
+        m = halfline_m(q0, z, L=40.0, rtol=1e-12)
         worst = max(worst, abs(m - 1j * sqrt_upper(z)))
     _check(out, "m_inf = i sqrt_upper(z) for q=0, L=40, 100 points", worst <= 1e-8,
            f"worst |m - i sqrt z| = {worst:.3e}")
     # truncation convergence: doubling L changes nothing at these z
     worst = 0.0
     for z in (1j, 2j, -1 + 1j, -2 + 0.5j, 0.2 + 2j):
-        worst = max(worst, abs(halfline_m(q0, None, z, L=40.0) - halfline_m(q0, None, z, L=80.0)))
+        worst = max(worst, abs(halfline_m(q0, z, L=40.0) - halfline_m(q0, z, L=80.0)))
     _check(out, "truncation convergence |m(L=40) - m(L=80)| <= 1e-9", worst <= 1e-9,
            f"worst {worst:.3e}")
     return out

@@ -621,3 +621,41 @@ def test_nan_z_on_an_ode_kind_is_a_range_error(model, z):
     m = problem_from_data({"model": model}).model
     e = _ends_within(5.0, lambda: models.evaluate(m, z))
     assert isinstance(e, RangeError), e
+
+
+# Past the caps on the scan grid and on a grid axis: the work a scan or a grid
+# would do, and the list an axis count would build, is refused by the reader
+# first.  A grid_n of 3e6 once ran past 20 s.
+_OVER_CAP = [
+    ("spectrum", {}, ["--grid-n=10001"], "--grid-n: must be at most 10000, got 10001"),
+    ("spectrum", {}, ["--grid-n=3000000"], "--grid-n: must be at most 10000, got 3000000"),
+    ("spectrum", {"grid_n": 10001}, [], "$.task.grid_n: must be at most 10000, got 10001"),
+    ("spectrum", {"grid_n": 10**12}, [], "$.task.grid_n: must be at most 10000, got 1000000000000"),
+    ("eval", {}, ["--grid=-1:1:1001,0.5:1:2"], "--grid: real axis count must be at most 1000, got 1001"),
+    ("eval", {}, ["--grid=-1:1:2,0.5:1:10000000000"],
+     "--grid: imaginary axis count must be at most 1000, got 10000000000"),
+    ("eval", {"grid": "-1:1:1001,0.5:1:2"}, [], "$.task.grid: real axis count must be at most 1000, got 1001"),
+    ("eval", {"grid": "-1:1:2,0.5:1:10000000000"}, [],
+     "$.task.grid: imaginary axis count must be at most 1000, got 10000000000"),
+]
+
+
+@pytest.mark.parametrize("cmd,task,flags,line", _OVER_CAP)
+def test_grid_past_its_cap_is_a_bounded_error_line(tmp_path, capsys, cmd, task, flags, line):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": _ROBIN, "boundary": -2, "task": {"window": "-5:-0.05", **task}}))
+    argv = [cmd, "--problem", str(f), *flags]
+    if cmd == "spectrum":
+        argv.append("--no-oracle")
+    rc = _ends_within(5.0, lambda: main(argv))
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    err = err.strip().splitlines()
+    assert err == [f"error: {line}"], err
+
+
+def test_caps_admit_every_size_in_use():
+    # the largest in the workloads, verify, the tests and the README: grid_n 256, 41 axis points
+    assert request_value("grid_n", 10000) == request_value("grid_n", "10000", "--grid-n") == 10000
+    re_axis, im_axis = request_value("grid", "-1:1:1000,0.5:1:41")
+    assert (len(re_axis), len(im_axis)) == (1000, 41)

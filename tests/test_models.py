@@ -215,11 +215,12 @@ def test_m_at_zero_expression_tail_above_zero(h):
     q = PotentialSpec.expression("0.5 - exp(-x)")
     r = models.m_at_zero(models.half_line(q, h))
     assert r.method == "truncated"
-    ref = halfline_m(q, h, 0.0, rtol=1e-12).real
+    m = halfline_m(q, 0.0, rtol=1e-12)
+    ref = (m if h is None else models.h_map(m, h)).real
     assert abs(r.value.at(0, 0) - ref) < 1e-10 and r.est_error < 1e-10
     assert abs(r.value.at(0, 0) - ref) <= r.est_error
     m_inf = -0.2308023113
-    assert abs(halfline_m(q, None, 0.0).real - m_inf) < 1e-9
+    assert abs(halfline_m(q, 0.0).real - m_inf) < 1e-9
     r = models.m_at_zero(models.half_line(PotentialSpec.expression("0.5 + 0*x")))
     assert abs(r.value.at(0, 0) + math.sqrt(0.5)) < 1e-10
 

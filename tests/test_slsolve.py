@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 import re
 
@@ -97,8 +98,8 @@ _CONJ_POTENTIALS = {
 @pytest.mark.parametrize("span", [(0.0, 2.5), (2.5, 0.0), (-1.0, 3.0), (3.0, -1.0)])
 @pytest.mark.parametrize("kind", sorted(_CONJ_POTENTIALS))
 def test_propagator_commutes_with_conjugation_to_the_bit(kind, span):
-    # decaying_solution and fundamental_system answer conj z with the mirror
-    # of their answer at z, which is exact only because this holds
+    # models.evaluate answers conj z on the ODE kinds with the mirror of its
+    # answer at z, which is exact only because this holds
     q = _CONJ_POTENTIALS[kind]
     for z in (2.0 + 1.0j, -5.0 + 0.3j, 20.0 + 3e-3j, 1e-9j):
         for y0 in ((1.0 + 0j, 0j), (0.3 - 0.2j, 1.5 + 0.7j)):
@@ -122,25 +123,60 @@ def test_rescaled_endpoint_commutes_with_conjugation_to_the_bit(kind):
 
 
 def test_interval_M_conjugate_symmetry():
-    # below the axis fundamental_system returns the mirror of its answer at
-    # conj z; integrate_ivp at z itself, the route the mirror skips, has its bits
+    # below the axis fundamental_system propagates z itself: integrate_ivp at z,
+    # the route models.evaluate's mirror skips, has its bits
     z = 0.7 - 1.3j
     for q in _CONJ_POTENTIALS.values():
         fs = fundamental_system(q, math.pi, z)
         (u1, u1p, _), (u2, u2p, _) = (integrate_ivp(q, z, y0, (0.0, math.pi)) for y0 in ((1.0, 0.0), (0.0, 1.0)))
         assert _bits(fs.Y0.at(1, 0), fs.Y0.at(1, 1), -fs.Y1.at(1, 0), -fs.Y1.at(1, 1)) == _bits(u1, u2, u1p, u2p)
-        assert fs.z == z and fs.dirichlet_count == 0
+        assert fs.dirichlet_count == 0
         m = finite_interval_M(q, math.pi, z)
         assert _bits(*m.data) == _bits(-u1 / u2, 1.0 / u2, 1.0 / u2, -u2p / u2)
 
 
 def test_errors_at_mirrored_points_name_the_requested_z():
-    # where the answer at conj z raises, z below the axis takes the direct route
+    # where the answer at conj z raises, models.evaluate takes the direct route at z
     with pytest.raises(AccuracyError, match=re.escape("insufficient for z=(1-0.05j)")):
-        decaying_solution(PotentialSpec.expression("exp(-x)"), 1 - 0.05j, L=5.0)
+        models.evaluate(models.half_line(PotentialSpec.expression("exp(-x)")), 1 - 0.05j)
     # sqrt(1 - x) has a branch point at b = 1, which the Magnus levels do not resolve
     with pytest.raises(AccuracyError, match=re.escape("not resolved at z=(1-1j)")):
-        fundamental_system(PotentialSpec.expression("sqrt(1 - x)"), 1.0, 1 - 1j)
+        models.evaluate(models.finite_interval(PotentialSpec.expression("sqrt(1 - x)"), 1.0), 1 - 1j)
+
+
+@pytest.mark.parametrize("kind", sorted(_CONJ_POTENTIALS))
+def test_mirror_has_the_bits_of_the_direct_route(kind):
+    # models.evaluate answers conj z as M(z)*; model.M(conj z) propagates conj z
+    # itself, so the mirror saves work and changes no bit
+    q = _CONJ_POTENTIALS[kind]
+    for model in (models.half_line(q), models.half_line(q, 1.5), models.finite_interval(q, math.pi)):
+        for z in (2.0 + 1.0j, -5.0 + 0.3j, 0.5 + 4.0j, 0.7 + 1.3j):
+            mirrored = models.evaluate(model, z.conjugate())
+            assert _bits(*mirrored.data) == _bits(*model.M(z.conjugate()).data), (model, z)
+
+
+def test_only_the_ode_kinds_are_mirrored():
+    kinds = {cls for cls in models.WeylModel.__subclasses__() if cls.mirrored}
+    assert kinds == {models.HalfLine, models.FiniteInterval}
+    # a class constant, not a field a problem file or a caller could set
+    assert all("mirrored" not in {f.name for f in dataclasses.fields(cls)}
+               for cls in models.WeylModel.__subclasses__())
+
+
+@pytest.mark.parametrize("z", [1e27j, 1e30j, 1e27 + 1e27j])
+@pytest.mark.parametrize("h", [None, 1.5])
+def test_huge_nonreal_z_is_no_reference_eigenvalue(z, h):
+    # |m| = |sqrt z| passes 1e13 |y(0)|, which a real z would take for y(0) = 0
+    m = 1j * sqrt_upper(z)
+    want = m if h is None else models.h_map(m, h)
+    got = models.evaluate(models.half_line(Q0, h), z).at(0, 0)
+    assert abs(got - want) <= 1e-15 * abs(want)
+
+
+def test_boundary_ratio_refuses_a_vanishing_y0_at_real_z_only():
+    with pytest.raises(PoleError, match="eigenvalue of the reference Dirichlet problem"):
+        slsolve.boundary_ratio(1e-14 + 0j, 1.0 + 0j, -2.0 + 0j)
+    assert slsolve.boundary_ratio(1e-14 + 0j, 1.0 + 0j, -2.0 + 1e-3j) == 1e14
 
 
 def test_conjugate_pairs_are_propagated_once(monkeypatch):
@@ -167,29 +203,29 @@ def test_fundamental_system_det_relation():
 
 
 def test_halfline_m_closed_form():
-    assert abs(halfline_m(Q0, None, -1.0) + 1.0) < 1e-9
-    v = halfline_m(Q0, None, 1j)
+    assert abs(halfline_m(Q0, -1.0) + 1.0) < 1e-9
+    v = halfline_m(Q0, 1j)
     assert abs(v - 1j * cmath.exp(1j * math.pi / 4)) < 1e-9
 
 
 def test_halfline_mh_family():
     z = -0.5 + 1.2j
-    mi = halfline_m(Q0, None, z)
+    mi = halfline_m(Q0, z)
     for h in (-2.0, -0.5, 1.0, 3.0):
-        mh = halfline_m(Q0, h, z)
+        mh = _halfline_mh(Q0, h, z)
         assert abs(mh * (mi - h) - (1.0 - h * mi)) < 1e-10
     # m_inf(-1) = -1 for q = 0, so h = -1 is the pole of the family
     with pytest.raises(PoleError, match="pole of the h-triplet family"):
-        halfline_m(PotentialSpec.zero(), -1.0, -1.0)
+        _halfline_mh(PotentialSpec.zero(), -1.0, -1.0)
 
 
 def test_halfline_truncation_error_contract():
     # z too close to the essential spectrum for L = 40: explicit error
     with pytest.raises(AccuracyError, match="truncation at L=40.0 insufficient"):
-        halfline_m(Q0, None, 25.0 + 0.05j, L=40.0)
+        halfline_m(Q0, 25.0 + 0.05j, L=40.0)
     # z on it: the same refusal as without L
     with pytest.raises(AccuracyError, match="essential spectrum"):
-        halfline_m(Q0, None, 2.0, L=40.0)
+        halfline_m(Q0, 2.0, L=40.0)
 
 
 def test_truncation_length_caps():
@@ -203,14 +239,14 @@ def test_truncation_length_caps():
 def test_halfline_deep_imaginary_renormalized():
     # large Im sqrt(z) L exercises the chunked rescaling
     z = 400j
-    v = halfline_m(Q0, None, z)
+    v = halfline_m(Q0, z)
     assert abs(v - 1j * sqrt_upper(z)) < 1e-6 * abs(v)
 
 
 def test_exact_tail_route_matches_truncated():
     q = PotentialSpec.square_well(-1.0, 1.2)
     z = -0.3
-    a = halfline_m(q, None, z)
+    a = halfline_m(q, z)
     b = halfline_m_exact_tail(q, z)
     assert abs(a - b) < 1e-8
 
@@ -218,7 +254,7 @@ def test_exact_tail_route_matches_truncated():
 def test_well_herglotz_samples():
     q = PotentialSpec.square_well(-2.0, 1.0)
     for z in (0.5 + 1j, -1 + 0.5j, 2j, -3 + 2j):
-        m = halfline_m(q, None, z)
+        m = halfline_m(q, z)
         assert m.imag > 0
 
 
@@ -261,6 +297,11 @@ def _m_h(m_inf, h):
     return m_inf if h is None else (1.0 - h * m_inf) / (m_inf - h)
 
 
+def _halfline_mh(q, h, z):
+    """m_h(z) of the half line's h family, as the model answers it."""
+    return models.half_line(q, h).M(z).at(0, 0)
+
+
 def _well_m_closed_form(depth, width, z):
     """m_inf of q = depth on [0, width), 0 beyond: match exp(-kappa x) at the edge."""
     kappa = -1j * sqrt_upper(complex(z))
@@ -276,13 +317,13 @@ EXACT_ZS = (1j, 5 + 1j, -20 + 0.3j, 3 + 0.2j, 0.5 + 0.05j, -2.5, 400j, -400.0)
 def test_halfline_zero_matches_closed_form(h):
     for z in EXACT_ZS:
         want = _m_h(1j * sqrt_upper(z), h)
-        assert _rel(halfline_m(Q0, h, z), want) < 1e-11, z
+        assert _rel(_halfline_mh(Q0, h, z), want) < 1e-11, z
 
 
 def test_halfline_zero_near_positive_axis():
     # tail matching has no truncation, so no AccuracyError blind zone here
     z = 3 + 0.2j
-    assert abs(halfline_m(Q0, None, z) - 1j * sqrt_upper(z)) < 1e-12
+    assert abs(halfline_m(Q0, z) - 1j * sqrt_upper(z)) < 1e-12
 
 
 @pytest.mark.parametrize("h", [None, -1.5, 0.7])
@@ -291,7 +332,7 @@ def test_halfline_square_well_matches_closed_form(depth, width, h):
     q = PotentialSpec.square_well(depth, width)
     for z in EXACT_ZS:
         want = _m_h(_well_m_closed_form(depth, width, z), h)
-        got = halfline_m(q, h, z)
+        got = _halfline_mh(q, h, z)
         assert math.isfinite(abs(got))
         assert _rel(got, want) < 1e-11, z
 
@@ -303,7 +344,7 @@ def test_square_well_never_evaluates_q(monkeypatch):
 
     monkeypatch.setattr(PotentialSpec, "value", no_sampling)
     q = PotentialSpec.square_well(-2.0, 1.0)
-    halfline_m(q, None, 1 + 1j)
+    halfline_m(q, 1 + 1j)
     models.m_at_zero(models.half_line(q))
     finite_interval_M(q, 2.0, -1 + 0.5j)
     finite_interval_M(Q0, math.pi, 2 + 1j)
@@ -356,7 +397,7 @@ EXP_WELL_M = [
 @pytest.mark.parametrize("z,want", EXP_WELL_M)
 def test_exponential_well_matches_bessel_closed_form(z, want):
     q = PotentialSpec.expression("-1.5*exp(-x/0.7)")
-    got = halfline_m(q, None, z)
+    got = halfline_m(q, z)
     assert abs(got - want) <= 1e-9 * abs(want)
 
 
@@ -365,7 +406,7 @@ def test_table_with_constant_tail_matches_truncated_route():
     q = PotentialSpec.table([0.0, 1.0, 2.0], [-2.0, -2.0, 0.0])
     for z in (1j, -0.4 + 0.3j, -1.5, 2 + 0.5j):
         exact = halfline_m_exact_tail(q, z)
-        truncated = halfline_m(q, None, z, L=100.0, rtol=1e-12)
+        truncated = halfline_m(q, z, L=100.0, rtol=1e-12)
         assert _rel(exact, truncated) < 1e-9, z
 
 
@@ -373,7 +414,7 @@ def test_constant_table_is_constant_potential():
     q = PotentialSpec.table([0.0, 2.0], [0.75, 0.75])
     assert tail_support(q) == 0.0
     for z in (1j, -3.0, 2 + 0.1j):
-        assert _rel(halfline_m(q, None, z), 1j * sqrt_upper(z - 0.75)) < 1e-12
+        assert _rel(halfline_m(q, z), 1j * sqrt_upper(z - 0.75)) < 1e-12
 
 
 @settings(max_examples=60, deadline=None)
@@ -387,7 +428,7 @@ def test_square_well_property_closed_form(depth, width, re, im):
     # off the real axis m has no poles
     z = complex(re, im)
     q = PotentialSpec.square_well(depth, width)
-    assert _rel(halfline_m(q, None, z), _well_m_closed_form(depth, width, z)) < 1e-11
+    assert _rel(halfline_m(q, z), _well_m_closed_form(depth, width, z)) < 1e-11
 
 
 def test_interval_overflow_is_an_error():
