@@ -19,13 +19,7 @@ exponents nest at most MAX_NESTING levels, since the recursive-descent
 parser spends up to five frames a level (sums, products and leading minus
 signs are loops and do not nest), and the tree is at most MAX_DEPTH levels
 deep, counting every operator, call and parenthesis pair on a path, since
-evaluate and compile_potential spend one frame a level.
-
-evaluate walks the tree and is the reference; compile_potential turns a tree
-into one straight-line Python function with the same operations in the same
-order, so it returns the same float bits.  Callers run the compiled function
-and re-run evaluate for its error message whenever the compiled one raises or
-returns anything but a float.
+the tree walker evaluate spends one frame a level.
 """
 
 from __future__ import annotations
@@ -286,44 +280,3 @@ def evaluate(node, x: float) -> float:
             raise EvalError(f"{node.func}({v}) failed at x={x}: {e}") from e
     raise EvalError(f"unknown node {node!r}")
 
-
-def compile_potential(node):
-    """The function x -> evaluate(node, x) as straight-line Python, one local per node.
-
-    Operands are evaluated in evaluate's order and combined by the same
-    operators, so every float result has the same bits; errors surface as
-    the raw ZeroDivisionError, OverflowError, ValueError or the EvalError of
-    _pow, and a caller re-runs evaluate for the message.  Only node kinds,
-    fixed operator symbols and FUNCTIONS names reach the generated source;
-    constants are bound by name (repr would not round-trip 1e999 = inf).
-    """
-    scope = {"__builtins__": {}, "_pow": _pow, **FUNCTIONS}
-    lines = []
-
-    def emit(n) -> str:
-        if isinstance(n, Num):
-            name = f"c{len(scope)}"
-            scope[name] = n.value
-            return name
-        if isinstance(n, Var):
-            return "x"
-        if isinstance(n, Unary):
-            code = f"-{emit(n.arg)}"
-        elif isinstance(n, Bin):
-            a, b = emit(n.left), emit(n.right)
-            if n.op == "^":
-                code = f"_pow({a}, {b}, x)"
-            elif n.op in ("+", "-", "*", "/"):
-                code = f"{a} {n.op} {b}"
-            else:
-                raise EvalError(f"unknown operator {n.op!r}")
-        elif isinstance(n, Call) and n.func in FUNCTIONS:
-            code = f"{n.func}({emit(n.arg)})"
-        else:
-            raise EvalError(f"unknown node {n!r}")
-        lines.append(f"    t{len(lines)} = {code}\n")
-        return f"t{len(lines) - 1}"
-
-    result = emit(node)
-    exec(f"def q(x):\n{''.join(lines)}    return {result}\n", scope)
-    return scope["q"]

@@ -46,6 +46,7 @@ from .linalg import Matrix, herm_part, hermitian_eigen, lambda_min, unchecked
 from .slsolve import (
     PotentialSpec,
     boundary_ratio,
+    checked_finite,
     decaying_solution,
     finite_interval_M,
     fundamental_system,
@@ -145,6 +146,8 @@ class HalfLine(WeylModel):
     mirrored = True
 
     def __post_init__(self):
+        if self.h is not None:
+            checked_finite(self.h, "h")
         self._derive(ess_floor=self.q.tail)
 
     def M(self, z: complex) -> Matrix:
@@ -249,7 +252,7 @@ class FiniteInterval(WeylModel):
     mirrored = True
 
     def __post_init__(self):
-        if self.b <= 0:
+        if checked_finite(self.b, "b") <= 0:
             raise EvalError("must be positive", field="b")
 
     def M(self, z: complex) -> Matrix:
@@ -283,7 +286,7 @@ class FiniteInterval(WeylModel):
 
 
 def _checked_diagonal(a_diag) -> tuple:
-    a = tuple(float(v) for v in a_diag)
+    a = tuple(checked_finite(v, f"a_diag[{i}]") for i, v in enumerate(a_diag))
     if not a:
         raise EvalError("must not be empty", field="a_diag")
     for i, v in enumerate(a):
@@ -347,9 +350,10 @@ class Strip(WeylModel):
 
     def __post_init__(self):
         a = _checked_diagonal(self.a_diag)
-        if self.width <= 0:
+        width = checked_finite(self.width, "width")
+        if width <= 0:
             raise EvalError("must be positive", field="width")
-        self._derive(a_diag=a, width=float(self.width), n=2 * len(a), ess_floor=min(a) - 1.0,
+        self._derive(a_diag=a, width=width, n=2 * len(a), ess_floor=min(a) - 1.0,
                      _channels=tuple((v, math.sqrt(v), v - 1.0) for v in a))
 
     def M(self, z: complex) -> Matrix:
@@ -539,8 +543,11 @@ def evaluate(model: WeylModel, z: complex) -> Matrix:
     """M(z) for z with Im z != 0, or real z below the essential-spectrum floor.
 
     A mirrored kind answers Im z < 0 as M(conj z)*, or where that raises
-    through M(z) itself, so that errors name z."""
+    through M(z) itself, so that errors name z.  A z that is not finite is one
+    RangeError for every kind, before any work."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise RangeError(f"z={z} is not finite")
     if z.imag == 0.0 and z.real >= model.ess_floor:
         raise DomainError(
             f"z={z.real} lies on/above the essential-spectrum floor {model.ess_floor}"

@@ -25,11 +25,9 @@ partner of a mirrored point and for a sweep's repeated scan points: with
 both off, the ode_grid workload's session took 0.53 s of CPU instead of 0.31 s
 and boundary_sweep's about 8 % longer (medians of 3, 2-core x86-64, CPython 3.11).
 
-An Expression is parsed when it is built and compiled once
-(expr.compile_potential, cached with the parsed tree); value() runs the
-compiled function; when it raises or returns anything but a float, value()
-re-runs the tree walker expr.evaluate, the reference, which raises the
-EvalError with its message.  Parsing caps an expression's nesting at
+An Expression is parsed once, when it is built; value() walks the parsed
+tree (expr.evaluate), which raises an EvalError for a failed operation, and
+refuses a result that is not finite.  Parsing caps an expression's nesting at
 expr.MAX_NESTING and its depth at expr.MAX_DEPTH levels.
 """
 
@@ -63,6 +61,15 @@ _MAX_STEPS = 1000
 _TAIL_X = 1e6
 _TAIL_PROBES = (1e4, 1e5)
 _TAIL_SETTLE_TOL = 1e-6
+
+
+def checked_finite(value, field: str) -> float:
+    """A constructor parameter as a float, or an EvalError naming field where it
+    is not finite (nan or +-inf)."""
+    v = float(value)
+    if not math.isfinite(v):
+        raise EvalError("must be finite", field=field)
+    return v
 
 
 @dataclass(frozen=True)
@@ -133,10 +140,11 @@ class SquareWell(PotentialSpec):
     tail = 0.0
 
     def __post_init__(self):
-        if self.width <= 0:
+        width = checked_finite(self.width, "width")
+        if width <= 0:
             raise EvalError("must be positive", field="width")
-        object.__setattr__(self, "depth", float(self.depth))
-        object.__setattr__(self, "width", float(self.width))
+        object.__setattr__(self, "depth", checked_finite(self.depth, "depth"))
+        object.__setattr__(self, "width", width)
         object.__setattr__(self, "_form", ((0.0, self.width), (0.0, self.depth, 0.0)))
 
     def _at(self, x: float) -> float:
@@ -155,8 +163,8 @@ class Table(PotentialSpec):
     kind = "sampled_table"
 
     def __post_init__(self):
-        nodes = tuple(float(x) for x in self.nodes)
-        values = tuple(float(v) for v in self.values)
+        nodes = tuple(checked_finite(x, f"nodes[{i}]") for i, x in enumerate(self.nodes))
+        values = tuple(checked_finite(v, f"values[{i}]") for i, v in enumerate(self.values))
         if len(nodes) < 2:
             raise EvalError("needs at least two nodes", field="nodes")
         if len(values) != len(nodes):
@@ -198,17 +206,8 @@ class Expression(PotentialSpec):
     def __post_init__(self):
         object.__setattr__(self, "_ast", expr.parse_potential(self.source))
 
-    @cached_property
-    def _compiled(self):
-        return expr.compile_potential(self._ast)
-
     def _at(self, x: float) -> float:
-        try:
-            v = self._compiled(x)
-        except (ZeroDivisionError, OverflowError, ValueError, TypeError):
-            v = None
-        if type(v) is not float:
-            v = expr.evaluate(self._ast, x)  # the reference raises the EvalError
+        v = expr.evaluate(self._ast, x)
         if not math.isfinite(v):
             raise EvalError(f"potential not finite at x={x}")
         return v

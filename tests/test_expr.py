@@ -8,7 +8,7 @@ import struct
 import pytest
 
 from weyl.errors import EvalError, ParseError
-from weyl.expr import compile_potential, evaluate, parse_potential
+from weyl.expr import evaluate, parse_potential
 from weyl.slsolve import PotentialSpec
 
 _TOKEN_RE = re.compile(r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|[A-Za-z_]\w*|\*|/|\+|-|\^|\(|\))")
@@ -172,13 +172,13 @@ def test_reference_evaluator_agreement_on_1000_random_expressions():
         try:
             ast = parse_potential(src)
             mine = evaluate(ast, x)
-            compiled = compile_potential(ast)(x)
+            value = PotentialSpec.expression(src).value(x)
             ref = shunting_yard_eval(src, x)
         except (EvalError, OverflowError, ZeroDivisionError):
             continue
         if not (math.isfinite(mine) and math.isfinite(ref)):
             continue
-        assert compiled == mine == ref, f"{src} at x={x}: {compiled} vs {mine} vs {ref}"
+        assert value == mine == ref, f"{src} at x={x}: {value} vs {mine} vs {ref}"
         checked += 1
 
 
@@ -195,11 +195,11 @@ def test_reference_evaluator_agreement_unparenthesized():
         try:
             ast = parse_potential(src)
             mine = evaluate(ast, x)
-            compiled = compile_potential(ast)(x)
+            value = PotentialSpec.expression(src).value(x)
             ref = shunting_yard_eval(src, x)
         except (EvalError, OverflowError, ZeroDivisionError):
             continue
-        assert compiled == mine == ref, f"{src} at x={x}"
+        assert value == mine == ref, f"{src} at x={x}"
         checked += 1
 
 
@@ -228,10 +228,9 @@ def _bits_or_message(f, x):
         return str(e)
 
 
-def test_compiled_matches_evaluate_bits_and_messages():
-    # PotentialSpec.value runs the compiled function and falls back to
-    # evaluate: on every input the two give the same float bits, or the same
-    # EvalError text
+def test_value_matches_evaluate_bits_and_messages():
+    # PotentialSpec.value is the tree walker plus the finiteness check: on
+    # every input it gives evaluate's float bits, or the same EvalError text
     rng = random.Random(20261018)
     outcomes = {"value": 0, "error": 0}
     for _ in range(3000):
@@ -248,8 +247,6 @@ def test_compiled_matches_evaluate_bits_and_messages():
 
         ref = _bits_or_message(reference, x)
         assert _bits_or_message(q.value, x) == ref, f"{src} at x={x}"
-        if isinstance(ref, bytes):
-            assert struct.pack("<d", compile_potential(ast)(x)) == ref, f"{src} at x={x}"
         outcomes["value" if isinstance(ref, bytes) else "error"] += 1
     assert min(outcomes.values()) > 500, outcomes
 
@@ -285,4 +282,4 @@ def test_deep_expression_is_a_parse_error(src, column, message):
 def test_depth_caps_admit_their_limits(src, x, expected):
     # flat chains are loops in the parser, so only the tree depth bounds them
     ast = parse_potential(src)
-    assert evaluate(ast, x) == compile_potential(ast)(x) == PotentialSpec.expression(src).value(x) == expected
+    assert evaluate(ast, x) == PotentialSpec.expression(src).value(x) == expected

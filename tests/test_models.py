@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from weyl import models, slsolve
+from weyl import models, slsolve, verify
 from weyl.errors import AccuracyError, DomainError, EvalError, RangeError, TransversalityError
 from weyl.linalg import Matrix, imag_part, lambda_min
 from weyl.slsolve import PotentialSpec, halfline_m
@@ -373,6 +373,46 @@ def test_model_constructor_validation():
         models.operator_potential_halfline([0.5])
     with pytest.raises(EvalError):
         models.strip([2.0], width=0.0)
+
+
+# Every numeric constructor field, each inside an otherwise valid model: a nan
+# entry would make M nan, and a well or a table node at inf would answer as q = 0.
+_NUMERIC_FIELDS = {
+    "square_well.depth": (lambda v: PotentialSpec.square_well(v, 1.0), "depth"),
+    "square_well.width": (lambda v: PotentialSpec.square_well(-1.0, v), "width"),
+    "table.nodes": (lambda v: PotentialSpec.table([0.0, v], [0.0, 1.0]), "nodes[1]"),
+    "table.values": (lambda v: PotentialSpec.table([0.0, 1.0], [v, 1.0]), "values[0]"),
+    "finite_interval.b": (lambda v: models.finite_interval(Q0, v), "b"),
+    "half_line.h": (lambda v: models.half_line(Q0, h=v), "h"),
+    "operator_potential_halfline.a_diag": (lambda v: models.operator_potential_halfline([v, 2.0]),
+                                           "a_diag[0]"),
+    "strip.a_diag": (lambda v: models.strip([2.0, v]), "a_diag[1]"),
+    "strip.width": (lambda v: models.strip([2.0], v), "width"),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", sorted(_NUMERIC_FIELDS))
+def test_non_finite_parameter_is_refused(name, value):
+    build, field = _NUMERIC_FIELDS[name]
+    with pytest.raises(EvalError) as exc:
+        build(value)
+    assert (exc.value.field, exc.value.reason) == (field, "must be finite")
+
+
+_CATALOG = verify.catalog()
+# a closed-form M is nan at each of these
+_NON_FINITE_Z = [complex(math.nan, 1.0), complex(1.0, math.nan), complex(math.inf, 1.0),
+                 complex(1.0, math.inf), complex(math.nan, 0.0), complex(-math.inf, 0.0),
+                 complex(math.inf, 0.0), complex(1.0, -math.inf)]
+
+
+@pytest.mark.parametrize("z", _NON_FINITE_Z, ids=str)
+@pytest.mark.parametrize("kind", sorted(_CATALOG))
+def test_non_finite_z_is_one_range_error(kind, z):
+    with pytest.raises(RangeError) as exc:
+        models.evaluate(_CATALOG[kind], z)
+    assert str(exc.value) == f"z={z} is not finite"
 
 
 def test_strip_herglotz_near_floor():
