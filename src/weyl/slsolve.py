@@ -9,21 +9,23 @@ and m-functions on the half-line.  integrate_ivp splits its span at the pieces
 of q (PotentialSpec.pieces): where q is exactly constant it steps with the
 exact transfer matrix [[cosh kh, sinh kh / k], [k sinh kh, cosh kh]],
 k^2 = q - z.  Where q varies (a table segment, an expression) it steps the
-exact exponential of the 4th-order Magnus generator on a mesh built once per
-(potential, piece) and shared by every z, extrapolating nested halvings of it
-to rtol.  At a real z the same steps count the zeros of y, which gives the
-Dirichlet eigenvalue counts (Sturm oscillation) of a FundamentalSystem and of
-halfline_oscillation.  Only this module seeds, truncates or thresholds the
-half-line solution (decaying_solution, threshold_solution), integrating it
-backward to 0 rather than through a Riccati equation (no blow-through at
-solution zeros); boundary_ratio is the one y(0) = 0 test.
+exact exponential of the 6th-order Magnus generator on three Gauss-Legendre
+nodes per cell (Blanes, Casas & Ros, BIT 40, 2000), on a mesh built once per
+(potential, piece) and shared by every z; it halves the mesh until the
+extrapolant of two successive levels is within rtol (_magnus).  At a real z
+the same steps count the zeros of y, which gives the Dirichlet eigenvalue
+counts (Sturm oscillation) of a FundamentalSystem and of halfline_oscillation.
+Only this module seeds, truncates or thresholds the half-line solution
+(decaying_solution, threshold_solution), integrating it backward to 0 rather
+than through a Riccati equation (no blow-through at solution zeros);
+boundary_ratio is the one y(0) = 0 test.
 
 Every route propagates exactly the z and seed it is given; M(conj z) = M(z)*
 is models.evaluate's to use.  Two caches (fundamental_system, and _endpoint
 under decaying_solution and the Sturm counts) keep a propagation for the
 partner of a mirrored point and for a sweep's repeated scan points: with
-both off, the ode_grid workload's session took 0.53 s of CPU instead of 0.31 s
-and boundary_sweep's about 8 % longer (medians of 3, 2-core x86-64, CPython 3.11).
+both off, the ode_grid workload's session took 0.40 s of CPU instead of 0.29 s
+and boundary_sweep's about 5 % longer (medians of 3, 2-core x86-64, CPython 3.11).
 
 An Expression is parsed once, when it is built; value() walks the parsed
 tree (expr.evaluate), which raises an EvalError for a failed operation, and
@@ -254,8 +256,8 @@ _CELL_DQ = 0.05
 _CELL_MIN = _CELL_MAX * 2.0 ** -30
 _MAX_CELLS = 2**15
 _MAX_LEVEL = 6
-_GAUSS = math.sqrt(3.0) / 6.0  # the Gauss points sit at the middle -/+ this times h
-_MAGNUS_C = math.sqrt(3.0) / 12.0
+_NODE = math.sqrt(15.0) / 10.0  # the outer Gauss nodes sit at the middle -/+ this times w
+_NODE_A2 = math.sqrt(15.0) / 3.0
 
 
 def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10):
@@ -266,11 +268,16 @@ def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10):
     on a z-independent mesh on the others.  The span may be decreasing.
 
     At a real z, zeros counts the times y passes from y <= 0 to y > 0 or back
-    after a (at a complex z it is 0).  An exact step, or a Magnus cell with
-    s^2 = -sigma^2 < 0, turns (y, y') uniformly by sigma in the coordinates
-    of its rotation, so y vanishes once per half-turn and once more where the
-    rest ends across 0; otherwise (a whole exact piece included) y vanishes
-    at most once.
+    after a (at a complex z it is 0).  Each step, exact or Magnus, is
+    exp(Omega) with Omega real and traceless at a real z: the exact step's
+    Omega is h [[0, 1], [q - z, 0]], and the Magnus generator's entries are
+    real polynomials in q at its nodes, h and z.  So along the step,
+    exp(tau Omega) = cosh(tau s) I + sinh(tau s)/s Omega with s^2 = -det Omega
+    real.  With s^2 = -sigma^2 < 0 it turns (y, y') uniformly by sigma in the
+    coordinates of its rotation, and y = A cos(sigma tau - phi) vanishes once
+    per half-turn and once more where the rest ends across 0; otherwise
+    (a whole exact piece included) y is a sum of two real exponentials
+    e^(+-s tau) times constants and vanishes at most once.
     """
     a, b = float(span[0]), float(span[1])
     y, yp = complex(y0[0]), complex(y0[1])
@@ -329,19 +336,18 @@ def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: 
     """(y(b), y'(b), zeros) from a to b inside one varying piece of q, to rtol.
 
     Sweeps the piece's mesh (from its finite end) at levels 0, 1, 2, ... from
-    the same (y, y'), so all share one scaling, and extrapolates their error
-    terms h^4 and h^6 away: r4_k = y_k + (y_k - y_{k-1})/15,
-    r6_k = r4_k + (r4_k - r4_{k-1})/63.  The error of r6_k is taken as
-    |r6_k - r4_k|, and also as |y_k - y_{k-1}| unless that difference fell at
-    least 8-fold from the last (far from h^4, as next to a branch point of q,
-    the extrapolation cannot be trusted).  Returns r6_k at the first k >= 2
-    whose error is <= rtol max(|y|, |y'|); past level _MAX_LEVEL raises
-    AccuracyError.  The zeros are those of level k, moved by one where r6_k
-    lies across 0 from y_k: a zero at a piece end then counts once.
+    the same (y, y'), so all share one scaling.  The step is of order 6, so at
+    level k >= 1 it extrapolates the h^6 term away, u_k = y_k + (y_k - y_{k-1})/63,
+    and takes the error of u_k as |y_k - y_{k-1}|/63, or from k = 2 on as
+    |y_k - y_{k-1}| itself unless that difference fell at least 8-fold from the
+    last (far from h^6, as next to a branch point of q, the extrapolation
+    cannot be trusted); each is the larger over y and y'.  Returns u_k at the
+    first k whose error is <= rtol max(|u|, |u'|); past level _MAX_LEVEL
+    raises AccuracyError.  The zeros are those of level k, moved by one where
+    u_k lies across 0 from y_k: a zero at a piece end then counts once.
     """
     lo, hi, _ = next(p for p in q.pieces(-math.inf, math.inf) if p[0] <= min(a, b) < p[1])
     mesh = _mesh(q, hi, lo) if lo == -math.inf else _mesh(q, lo, hi)
-    r4 = y_prev = None
     d = 0.0
     for level in range(_MAX_LEVEL + 1):
         try:
@@ -350,25 +356,19 @@ def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: 
             yk = ypk = math.inf
         _check_finite(yk, ypk, a, b)
         if level >= 1:
-            r4, r4_prev = _richardson((yk, ypk), y_prev, 15.0), r4
-            d_prev, d = d, max(abs(yk - y_prev[0]), abs(ypk - y_prev[1]))
-        if level >= 2:
-            u, p = _richardson(r4, r4_prev, 63.0)
-            err, scale = max(abs(u - r4[0]), abs(p - r4[1])), max(abs(u), abs(p))
-            if d_prev < 8.0 * d:
+            u, p = yk + (yk - y_prev) / 63.0, ypk + (ypk - yp_prev) / 63.0
+            d_prev, d = d, max(abs(yk - y_prev), abs(ypk - yp_prev))
+            err, scale = d / 63.0, max(abs(u), abs(p))
+            if level >= 2 and d_prev < 8.0 * d:
                 err = max(err, d)
             if err <= rtol * scale:
                 if not z.imag and (u.real > 0.0) != (yk.real > 0.0):
                     # past a zero, y has the sign of y' times the direction of travel
                     zeros += -1 if (yk.real > 0.0) == ((ypk.real > 0.0) == (b > a)) else 1
                 return u, p, zeros
-        y_prev = yk, ypk
+        y_prev, yp_prev = yk, ypk
     raise AccuracyError(f"Magnus mesh on [{a}, {b}] not resolved at z={z} after level {_MAX_LEVEL}",
                         estimate=err / scale)
-
-
-def _richardson(fine, coarse, factor: float):
-    return fine[0] + (fine[0] - coarse[0]) / factor, fine[1] + (fine[1] - coarse[1]) / factor
 
 
 @lru_cache(maxsize=64)
@@ -386,9 +386,9 @@ class _Mesh:
     the last (at most _CELL_MAX), halved while q changes by more than
     _CELL_DQ across it or is not defined at its end.  Every span in the piece
     steps the same base cells; only the cells it cuts are sampled afresh.
-    Level k holds, for each of the 2^k equal subcells of each base cell,
-    qbar = (q1 + q2)/2, c = (sqrt 3/12) w^2 (q1 - q2) and w: its Gauss values
-    (q1 nearer origin) and its width, in one array('d').
+    Level k holds the 6th-order Magnus generator of each of the 2^k equal
+    subcells of each base cell, stepped toward larger t, as six doubles in
+    one array('d') (see _cells).
     """
 
     def __init__(self, q: PotentialSpec, origin: float, end: float):
@@ -421,52 +421,77 @@ class _Mesh:
             self.q_last, self.w_last = qb, w
 
     def _cells(self, t0: float, t1: float, n: int) -> array:
-        """The (qbar, c, w) of the n equal subcells of [t0, t1], in order of t."""
+        """The (q2, c0, d0, o1, c2, d2) of the n equal subcells of [t0, t1], in order of t.
+
+        A subcell of width w stepped toward larger t, h = dir w, with q1, q2,
+        q3 at its Gauss nodes mid - _NODE w, mid, mid + _NODE w, has the
+        generator of Blanes, Casas & Ros (BIT 40, 2000) for
+        A = [[0, 1], [q - z, 0]]: with a2 = (sqrt 15/3) h (q3 - q1),
+        a3 = (10/3) h (q3 - 2 q2 + q1) and p = q2 - z it is
+        Omega = [[o0, o1], [o2, -o0]], o0 = c0 + d0 p and o2 = c2 + d2 p, where
+          c0 = (-20 h a2 + h^2 a2 a3/30) / 240,   d0 = h^3 a2 / 180,
+          o1 = h + (h^3 a2^2/30 - (2/3) h^2 a3) / 120,
+          c2 = a3/12 + (h a3^2/30 - h a2^2) / 120,
+          d2 = h + ((2/3) h^2 a3 + h^3 a2^2/30) / 120,
+        all real and independent of z.
+        """
         qv, d, x0 = self.q.value, self.dir, self.origin
         w = (t1 - t0) / n
+        h, g = d * w, _NODE * w
+        hh = h * h
         out = array("d")
         for j in range(n):
             mid = t0 + (j + 0.5) * w
-            q1, q2 = qv(x0 + d * (mid - _GAUSS * w)), qv(x0 + d * (mid + _GAUSS * w))
-            out.extend((0.5 * (q1 + q2), _MAGNUS_C * w * w * (q1 - q2), w))
+            q1, q2, q3 = qv(x0 + d * (mid - g)), qv(x0 + d * mid), qv(x0 + d * (mid + g))
+            a2 = _NODE_A2 * h * (q3 - q1)
+            a3 = (10.0 / 3.0) * h * (q3 - 2.0 * q2 + q1)
+            e = hh * h * a2 * a2 / 30.0
+            out.extend((q2, (-20.0 * h * a2 + hh * a2 * a3 / 30.0) / 240.0, hh * h * a2 / 180.0,
+                        h + (e - (2.0 / 3.0) * hh * a3) / 120.0,
+                        a3 / 12.0 + (h * a3 * a3 / 30.0 - h * a2 * a2) / 120.0,
+                        h + ((2.0 / 3.0) * hh * a3 + e) / 120.0))
         return out
 
     def sweep(self, z: complex, y: complex, yp: complex, a: float, b: float, level: int):
         """(y(b), y'(b), zeros) by the Magnus steps of one level from x = a, the
         zeros counted at a real z (see integrate_ivp).
 
-        A subcell stepped toward larger t has Omega = [[c, h], [h (qbar - z), -c]],
-        h = dir w, and toward smaller t the same with h and c negated;
-        exp(Omega) = cosh(s) I + sinh(s)/s Omega with s^2 = c^2 + w^2 (qbar - z).
+        A subcell steps by exp(Omega) = cosh(s) I + sinh(s)/s Omega, with
+        s^2 = o0^2 + o1 o2.  The step is time-symmetric, Omega(-h) = -Omega(h),
+        so stepped toward smaller t it is the same with sinh(s)/s negated.
         """
         x0, d, t, n = self.origin, self.dir, self.t, 1 << level
         ta, tb = (a - x0) * d, (b - x0) * d
         lo, hi = min(ta, tb), max(ta, tb)
         self._grade_to(hi)
         i0, i1 = bisect_right(t, lo), bisect_left(t, hi)
+        head, tail = t[i0 - 1] != lo, t[i1] != hi  # a base cell cut by the span at either end
+        m = 6 * n  # doubles per base cell
         done = self.levels.setdefault(level, array("d"))
         # sample the base cells up to hi, but none that crosses it
-        for i in range(len(done) // (3 * n), i1 if t[i1] == hi else i1 - 1):
+        for i in range(len(done) // m, i1 - tail):
             done.extend(self._cells(t[i], t[i + 1], n))
-        edges = [lo, *t[i0:i1], hi]
-        cells = array("d")
-        for k, (e0, e1) in enumerate(zip(edges, edges[1:]), i0 - 1):
-            full = e0 == t[k] and e1 == t[k + 1]
-            cells += done[3 * n * k: 3 * n * (k + 1)] if full else self._cells(e0, e1, n)
-        if tb > ta:
-            subcells, sign = zip(cells[0::3], cells[1::3], cells[2::3]), 1.0
+        if head and tail and i0 == i1:
+            cells = self._cells(lo, hi, n)
         else:
-            subcells, sign = zip(cells[-3::-3], cells[-2::-3], cells[-1::-3]), -1.0
+            cells = done[m * (i0 - 1 + head): m * (i1 - tail)]
+            if head:
+                cells = self._cells(lo, t[i0], n) + cells
+            if tail:
+                cells += self._cells(t[i1 - 1], hi, n)
+        if tb > ta:
+            subcells, sign = zip(*(cells[j::6] for j in range(6))), 1.0
+        else:
+            subcells, sign = zip(*(cells[j - 6::-6] for j in range(6))), -1.0
         sqrt, cosh, sinh = cmath.sqrt, cmath.cosh, cmath.sinh
         real, zeros, pos = not z.imag, 0, y.real > 0.0
-        for qbar, c, w in subcells:
-            c *= sign
-            h = sign * d * w
-            p = qbar - z
-            s = sqrt(c * c + w * w * p)
-            ch, sh = (cosh(s), sinh(s) / s) if s else (1.0, 1.0)
-            shc, shh = sh * c, sh * h
-            y, yp = (ch + shc) * y + shh * yp, shh * p * y + (ch - shc) * yp
+        for q2, c0, d0, o1, c2, d2 in subcells:
+            p = q2 - z
+            o0, o2 = c0 + d0 * p, c2 + d2 * p
+            s = sqrt(o0 * o0 + o1 * o2)
+            ch, sh = (cosh(s), sign * sinh(s) / s) if s else (1.0, sign)
+            sh0 = sh * o0
+            y, yp = (ch + sh0) * y + sh * o1 * yp, sh * o2 * y + (ch - sh0) * yp
             if real:
                 new, turns = y.real > 0.0, int(abs(s.imag) / math.pi)
                 zeros += turns + ((pos != new) ^ (turns & 1))

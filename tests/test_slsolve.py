@@ -544,6 +544,56 @@ def test_unrolled_rk45_is_the_tableau_loop_to_the_bit(q, span, z):
     assert max(abs(got[0] - ref[0]), abs(got[1] - ref[1])) <= 1e-10 * scale
 
 
+@pytest.mark.parametrize("z", [1j, -3.0 + 0.5j])
+def test_magnus_step_is_of_order_six(z):
+    # each halving of the mesh cuts the error of a sweep 2^6 = 64-fold; a 4th-order
+    # step would cut it 16-fold
+    q = PotentialSpec.expression("-2*exp(-x/1.5) + 0.3*sin(3*x)")
+    y0 = (0.3 - 0.2j, 1.0 + 0j)
+    ref = _rk45_loop(q, complex(z), *y0, 0.0, 6.0, 1e-13, 1e-13, None)
+    mesh = slsolve._mesh(q, 0.0, math.inf)
+    errors = []
+    for level in range(3):
+        y, yp, _ = mesh.sweep(complex(z), *y0, 0.0, 6.0, level)
+        errors.append(max(abs(y - ref[0]), abs(yp - ref[1])))
+    assert errors[0] >= 40.0 * errors[1] and errors[1] >= 40.0 * errors[2], errors
+
+
+@pytest.mark.parametrize("z", [3 + 0.5j, 2 + 1j])
+def test_magnus_step_is_time_symmetric(z):
+    # stepped back over the same subcells, each step is the inverse of the forward one;
+    # the span cuts base cells at both ends
+    q = PotentialSpec.expression("-2*exp(-x/1.5) + 0.3*sin(3*x)")
+    mesh = slsolve._mesh(q, 0.0, math.inf)
+    y0 = (0.3 - 0.2j, 1.0 + 0j)
+    y, yp, _ = mesh.sweep(z, *y0, 0.3, 4.1, 0)
+    back = mesh.sweep(z, y, yp, 4.1, 0.3, 0)
+    assert max(abs(back[0] - y0[0]), abs(back[1] - y0[1])) <= 1e-13 * max(abs(y0[0]), abs(y0[1]))
+
+
+_ODE_GRID_NODES = [0.5 * i for i in range(7)]
+
+
+# the varying potentials of the ode_grid workload (seed 7), swept back from x = L
+# as the half-line route sweeps them
+@pytest.mark.parametrize("q,L", [
+    (PotentialSpec.table(_ODE_GRID_NODES,
+                         [round(-0.8474 * math.exp(-x), 6) for x in _ODE_GRID_NODES[:-1]] + [0.0]), 3.0),
+    (PotentialSpec.expression("-1.2865*exp(-x/0.7955)"), 20.0),
+])
+@pytest.mark.parametrize("z", [-3.4 + 1.1j, -1.7 - 0.6j, -0.2 + 1.3j, 0.5 - 2.0j, 1.4 + 0.7j,
+                               1.7 + 1.9j, -3.0, -0.4, 1.2])
+def test_magnus_accepted_answer_is_within_rtol(q, L, z):
+    # the answer accepted on each varying piece, at the default rtol = 1e-10
+    y0 = (0j, 1.0 + 0j)
+    for lo, hi, c in q.pieces(0.0, L):
+        assert c is None
+        ref = _rk45_loop(q, complex(z), *y0, hi, lo, 1e-13, 1e-13, None)
+        got = integrate_ivp(q, z, y0, (hi, lo))
+        scale = max(abs(ref[0]), abs(ref[1]))
+        assert max(abs(got[0] - ref[0]), abs(got[1] - ref[1])) <= 1e-10 * scale, (lo, hi)
+
+
 @pytest.mark.parametrize("b", [0.95, 0.7])
 def test_magnus_mesh_samples_q_only_inside_the_span(b):
     # sqrt(1 - x) is not defined beyond x = 1, where the mesh would grade on
@@ -555,8 +605,8 @@ def test_magnus_mesh_samples_q_only_inside_the_span(b):
 
 
 def test_magnus_mesh_refuses_to_extrapolate_at_a_branch_point():
-    # at x = 1 the levels of sqrt(1 - x) converge like h^1.5, not h^4: the h^4, h^6
-    # extrapolants agree to 1e-10 while the result is off by 3e-9, so it is an error
+    # at x = 1 the levels of sqrt(1 - x) converge like h^1.5, not h^6: |L_k - L_{k-1}|/63
+    # falls below 1e-10 at level 4 while the result is off by 3e-9, so it is an error
     with pytest.raises(AccuracyError):
         integrate_ivp(PotentialSpec.expression("sqrt(1 - x)"), 1 + 1j, (0.0, 1.0), (0.0, 1.0))
 
