@@ -32,7 +32,7 @@ import itertools
 import json
 import sys
 
-from . import __version__, charfun, extensions, kernels, models, triplets, verify
+from . import __version__, charfun, extensions, kernels, models, triplets
 from .errors import WeylError
 from .linalg import Matrix
 from .problems import ProblemFile, matrix_to_json, parse_problem, request_value
@@ -224,6 +224,8 @@ def cmd_charfn(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify  # the suites load only when they run
+
     names = list(verify.SUITES) if args.suite == "all" else [args.suite]
     results = verify.run_suites(names, seed=args.seed)
     n_pass = sum(1 for r in results if r.passed)

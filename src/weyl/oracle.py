@@ -19,7 +19,10 @@ it.  A grid's flat stretch, its longest run of interior rows with one
 diagonal entry and one coupling (the q = 0 tail of a half line, say), is
 found once per grid too.  A Sturm count steps through it only until an LDL
 pivot repeats bit for bit, since every later pivot of the stretch is then
-that same value, and the Gershgorin bounds read its rows as one row; both
+that same value.  When the stretch is the last rows of the matrix (the
+Dirichlet end of a half line) and mu lies below its band, the count also
+stops once a pivot exceeds the coupling, since no later pivot can then be
+negative.  The Gershgorin bounds read the stretch's rows as one row.  Both
 give the bits of the full loop.  The bisection for the j-th eigenvalue
 starts from the same bracket as the one for j - 1, so all of them share one
 table of Sturm counts, and it stops at width tol or once the midpoint is no
@@ -138,9 +141,29 @@ def eigen_count_below(opd: DiscretizedOperator, mu: float) -> int:
 
 
 def _sturm_count(diag, off, mu: float, flat=(0, 0)) -> int:
-    """The number of negative LDL pivots of T - mu.  The rows flat = (start,
-    stop) share one diagonal entry and coupling, so once a pivot there
-    repeats, the rest of them are that pivot."""
+    """The number of negative LDL pivots of T - mu, the same integer as the
+    full loop over every row.
+
+    The rows flat = (start, stop) share a = diag[start] - mu and e2 = e * e
+    for the coupling e, so each pivot there is p' = fl(a - fl(e2 / p)), the
+    full loop's bits.  Once a pivot repeats, the rest of the stretch is
+    that pivot.
+
+    When the stretch ends the matrix (stop == len(diag)) and mu lies below
+    its band, the count is final once a pivot p there exceeds |e|.  With
+    r = sqrt(e2), a > 2r and p > r give p' = a - e2/p > a - r > r in exact
+    arithmetic, so no later pivot is negative, and no row follows the
+    stretch.  In floating point, with u = 2^-53:
+    - a > fl(2 (1 + 1e-12) fl(sqrt(e2))) gives a > 2r (1 + 9.9e-13), since
+      the constant, the square root and the product each round by at most
+      u relative (a square root of a positive float is normal);
+    - fl(p * p) > e2 gives p > r exactly, since rounding is monotonic and
+      e2 is a float;
+    - then fl(e2 / p) < r (1 + 2u), and p' >= (a - fl(e2 / p)) (1 - u) >
+      r (1 + 1.9e-12) > r, so p' is again above r, and positive.
+    With e2 = 0 every later pivot is a > 0 itself.  Any other stretch, and
+    mu at or above the band, is stepped as before.
+    """
     tiny = 1e-300
     prev = diag[0] - mu
     if prev == 0.0:
@@ -157,6 +180,7 @@ def _sturm_count(diag, off, mu: float, flat=(0, 0)) -> int:
                 count += 1
         a = diag[start] - mu
         e2 = off[start - 1] * off[start - 1]
+        settles = stop == len(diag) and a > 2.0 * (1 + 1e-12) * math.sqrt(e2)
         for i in range(start, stop):
             p = a - e2 / prev
             if p == 0.0:
@@ -168,6 +192,8 @@ def _sturm_count(diag, off, mu: float, flat=(0, 0)) -> int:
             prev = p
             if p < 0:
                 count += 1
+            elif settles and p * p > e2:
+                break
         rest = stop
     for d, e in zip(diag[rest:], off[rest - 1:]):
         prev = (d - mu) - e * e / prev

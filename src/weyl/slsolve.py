@@ -523,8 +523,9 @@ def finite_interval_M(q: PotentialSpec, b: float, z: complex,
     fs = fundamental_system(q, b, z, rtol=rtol)
     u1b, u2b, u2pb = fs.Y0.at(1, 0), fs.Y0.at(1, 1), -fs.Y1.at(1, 1)
     # the integrator cannot resolve u2(b) = det Y0 below ~30x its tolerance
-    # relative to the size of the solutions
-    if abs(u2b) < 30.0 * rtol * max(fs.Y0.norm_max(), 1.0):
+    # relative to the size of the solutions; u2(b) is about b on a short
+    # interval, so below b = 1 the bound shrinks with b
+    if abs(u2b) < 30.0 * rtol * min(b, 1.0) * max(fs.Y0.norm_max(), 1.0):
         raise PoleError(f"z={z} is a Dirichlet eigenvalue of the interval problem", location=z)
     return Matrix.from_rows([[-u1b / u2b, 1.0 / u2b], [1.0 / u2b, -u2pb / u2b]])
 

@@ -231,18 +231,67 @@ def test_built_flat_stretch_is_the_full_loop(seed):
     for n in (3, 7, 40):
         base = _random_tridiagonal(rng, n)
         start = rng.randint(1, n - 2)
-        stop = rng.randint(start + 1, n)
+        drawn = rng.randint(start + 1, n)
         d = float(rng.randint(-4, 4))
         for e in (0.0, -0.0, 1.0, -0.5):
-            diag = base.diag[:start] + (d,) * (stop - start) + base.diag[stop:]
-            off = base.off[:start - 1] + (e,) * (stop - start) + base.off[stop - 1:]
-            op = oracle.DiscretizedOperator(diag, off, 1.0, float(n), None, None, (start, stop))
-            plain = oracle.DiscretizedOperator(diag, off, 1.0, float(n), None, None)
-            for mu in {*diag, 0.0, -5.5, 5.5, rng.uniform(-6.0, 6.0)}:
-                assert oracle.eigen_count_below(op, mu) == _reference_count(op, mu)
-            if e == 0.0:  # mu = d makes every pivot of the stretch zero
-                assert _pivots(op, d)[start:stop] == [-1e-300] * (stop - start)
-            assert oracle.gershgorin_bounds(op) == oracle.gershgorin_bounds(plain)
+            extra = rng.uniform(-6.0, 6.0)
+            # the drawn stretch, and one that ends the matrix, where a count
+            # below the band stops once a pivot exceeds |e|
+            for stop in {drawn, n}:
+                diag = base.diag[:start] + (d,) * (stop - start) + base.diag[stop:]
+                off = base.off[:start - 1] + (e,) * (stop - start) + base.off[stop - 1:]
+                op = oracle.DiscretizedOperator(diag, off, 1.0, float(n), None, None, (start, stop))
+                plain = oracle.DiscretizedOperator(diag, off, 1.0, float(n), None, None)
+                for mu in {*diag, 0.0, -5.5, 5.5, extra, d - 2.0 * abs(e) - 0.25}:
+                    assert oracle.eigen_count_below(op, mu) == _reference_count(op, mu)
+                if e == 0.0:  # mu = d makes every pivot of the stretch zero
+                    assert _pivots(op, d)[start:stop] == [-1e-300] * (stop - start)
+                assert oracle.gershgorin_bounds(op) == oracle.gershgorin_bounds(plain)
+
+
+def _tail_operator(first, d, e, length, after=None):
+    """The row `first`, then `length` rows of diagonal d and coupling e as the
+    flat stretch, then the row `after` when it is given."""
+    diag = (first,) + (d,) * length
+    off = (e,) * length
+    if after is not None:
+        diag += (after,)
+        off += (-1.0,)
+    return oracle.DiscretizedOperator(diag, off, 1.0, float(len(diag)), None, None,
+                                      (1, 1 + length))
+
+
+def _around_the_band(d, e):
+    """mu far below the band of (d, e), at its bottom d - 2|e|, one float to
+    either side of it, just inside it (where pivots above |e| still turn
+    negative within 100 rows), at its middle and above it."""
+    bottom = d - 2.0 * abs(e)
+    return [bottom - 100.0, bottom - 1.0, bottom - 1e-9, bottom, math.nextafter(bottom, -math.inf),
+            math.nextafter(bottom, math.inf), bottom + 1.8e-3 * abs(e), d, d + 2.0 * abs(e) + 1.0]
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 100])
+@pytest.mark.parametrize("after", [None, -50.0, 0.5])
+@pytest.mark.parametrize("e", [-1.0, 0.75, 0.3, 1e-3, 0.0, -0.0])
+def test_settled_tail_stop_is_the_full_loop(length, after, e):
+    # a stretch that ends the matrix stops once a pivot exceeds |e|; one row
+    # after it (at mu - 50, a negative pivot) keeps the full loop
+    d, r = 4.0, abs(e)
+    for mu in _around_the_band(d, e):
+        a = d - mu
+        # pivots entering the stretch: negative, zero (read as -1e-300), small
+        # and large; below the band also ones that put the stretch's first
+        # pivot between |e|/2 and |e|, or below e^2/a, from where later
+        # pivots still turn negative
+        entering = [-3.0, 0.0, 1e-9, 7.0]
+        if a > 2.0 * r:
+            entering += [e * e / (a - 0.7 * r), e * e / (a - r * r / (2.0 * a))]
+        for first in [mu + p for p in entering] + [math.nextafter(mu, math.inf)]:
+            op = _tail_operator(first, d, e, length, None if after is None else mu + after)
+            assert oracle.eigen_count_below(op, mu) == _reference_count(op, mu), (mu, first)
+    if after == -50.0:  # below the band the stretch settles, and the last row counts
+        mu = d - 2.0 * r - 1.0
+        assert _pivots(_tail_operator(mu + 7.0, d, e, length, mu + after), mu)[-1] < 0
 
 
 def test_bisection_stops_below_the_float_spacing():

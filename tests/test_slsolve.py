@@ -362,6 +362,25 @@ def test_interval_zero_matches_coth_csch(z):
     assert _rel(m.at(0, 1), k * csch) < 1e-11
 
 
+@pytest.mark.parametrize("b", [1e-10, 1e-8])
+def test_short_interval_is_no_pole_at_a_nonreal_z(b):
+    # u2(b) is about b here; a pole bound that did not shrink with b refused every z
+    z = 1 + 1j
+    k = cmath.sqrt(z)
+    cot = cmath.cos(k * b) / cmath.sin(k * b)
+    csc = 1.0 / cmath.sin(k * b)
+    m = models.evaluate(models.finite_interval(Q0, b), z)
+    assert _rel(m.at(0, 0), -k * cot) <= 1e-9
+    assert _rel(m.at(1, 1), -k * cot) <= 1e-9
+    assert _rel(m.at(0, 1), k * csc) <= 1e-9
+    assert _rel(m.at(1, 0), k * csc) <= 1e-9
+
+
+def test_interval_pole_at_a_real_dirichlet_eigenvalue_of_b_2():
+    with pytest.raises(PoleError):
+        models.evaluate(models.finite_interval(Q0, 2.0), (math.pi / 2) ** 2)
+
+
 def test_potential_pieces():
     well = PotentialSpec.square_well(-2.0, 1.0)
     assert well.pieces(-1.0, 3.0) == [(-1.0, 0.0, 0.0), (0.0, 1.0, -2.0), (1.0, 3.0, 0.0)]
@@ -526,22 +545,37 @@ def _rk45_loop(q, z, y, yp, a, b, rtol, atol, samples):
     return y, yp
 
 
-@pytest.mark.parametrize("q,span", [
-    (PotentialSpec.expression("-2*exp(-x/1.5) + 0.3*sin(3*x)"), (0.0, 6.0)),
-    (PotentialSpec.expression("-2*exp(-x/1.5) + 0.3*sin(3*x)"), (6.0, 0.0)),
-    (PotentialSpec.table([0.0, 2.0], [-1.5, 0.5]), (0.0, 2.0)),
-    (PotentialSpec.table([0.0, 2.0], [-1.5, 0.5]), (2.0, 0.0)),
-])
-@pytest.mark.parametrize("z", [1j, -3.0 + 0.5j, 7.0 + 0.01j, 400j, -400.0, 240.0 + 320j])
-def test_unrolled_rk45_is_the_tableau_loop_to_the_bit(q, span, z):
-    # the name is kept from when integrate_ivp ran an unrolled RK5(4) on these
-    # pieces, equal to _rk45_loop bit for bit; it now checks the Magnus route at
-    # its default rtol against RK5(4) at rtol = 1e-13
+_RK45_ZS = [1j, -3.0 + 0.5j, 7.0 + 0.01j, 400j, -400.0, 240.0 + 320j]
+
+
+def _check_magnus_against_rk45(q, span, z):
+    """The Magnus route at its default rtol against RK5(4) at rtol = 1e-13."""
     y0 = (0.3 - 0.2j, 1.0 + 0j)
     ref = _rk45_loop(q, complex(z), *y0, *span, 1e-13, 1e-13, None)
     got = integrate_ivp(q, z, y0, span)
     scale = max(abs(ref[0]), abs(ref[1]))
     assert max(abs(got[0] - ref[0]), abs(got[1] - ref[1])) <= 1e-10 * scale
+
+
+@pytest.mark.parametrize("q,span", [
+    (PotentialSpec.expression("-2*exp(-x/1.5) + 0.3*sin(3*x)"), (0.0, 6.0)),
+    (PotentialSpec.expression("-2*exp(-x/1.5) + 0.3*sin(3*x)"), (6.0, 0.0)),
+])
+@pytest.mark.parametrize("z", _RK45_ZS)
+def test_unrolled_rk45_is_the_tableau_loop_to_the_bit(q, span, z):
+    # the name is kept from when integrate_ivp ran an unrolled RK5(4) on these
+    # pieces, equal to _rk45_loop bit for bit; its sampled_table half now runs
+    # as test_magnus_matches_the_rk45_reference
+    _check_magnus_against_rk45(q, span, z)
+
+
+@pytest.mark.parametrize("q,span", [
+    (PotentialSpec.table([0.0, 2.0], [-1.5, 0.5]), (0.0, 2.0)),
+    (PotentialSpec.table([0.0, 2.0], [-1.5, 0.5]), (2.0, 0.0)),
+])
+@pytest.mark.parametrize("z", _RK45_ZS)
+def test_magnus_matches_the_rk45_reference(q, span, z):
+    _check_magnus_against_rk45(q, span, z)
 
 
 @pytest.mark.parametrize("z", [1j, -3.0 + 0.5j])
