@@ -258,18 +258,14 @@ def _symmetrized(m: Matrix) -> Matrix:
     return herm_part(m)
 
 
-def hermitian_eigh(m: Matrix):
-    """Eigen-decomposition of a Hermitian matrix by cyclic complex Jacobi.
-
-    Returns (eigenvalues ascending, V) with columns of V the corresponding
-    orthonormal eigenvectors: M = V diag(w) V*.
-    """
+def _jacobi(m: Matrix, v):
+    """The matrix left by the cyclic Jacobi rotations of m, as rows; each
+    rotation is also applied to the columns of v unless v is None."""
     h = _symmetrized(m)
     n = h.rows
     a = [[h.at(i, j) for j in range(n)] for i in range(n)]
     for i in range(n):
         a[i][i] = complex(a[i][i].real)
-    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
     norm = max(h.norm_fro(), 1e-300)
     for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(sum(abs(a[i][j]) ** 2 for i in range(n) for j in range(n) if i != j))
@@ -303,10 +299,23 @@ def hermitian_eigh(m: Matrix):
                 a[q][p] = 0j
                 a[p][p] = complex(a[p][p].real)
                 a[q][q] = complex(a[q][q].real)
-                for i in range(n):
-                    vip, viq = v[i][p], v[i][q]
-                    v[i][p] = c * vip + suc * viq
-                    v[i][q] = -su * vip + c * viq
+                if v is not None:
+                    for i in range(n):
+                        vip, viq = v[i][p], v[i][q]
+                        v[i][p] = c * vip + suc * viq
+                        v[i][q] = -su * vip + c * viq
+    return a
+
+
+def hermitian_eigh(m: Matrix):
+    """Eigen-decomposition of a Hermitian matrix by cyclic complex Jacobi.
+
+    Returns (eigenvalues ascending, V) with columns of V the corresponding
+    orthonormal eigenvectors: M = V diag(w) V*.
+    """
+    n = m.rows
+    v = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+    a = _jacobi(m, v)
     order = sorted(range(n), key=lambda i: a[i][i].real)
     evals = [a[i][i].real for i in order]
     vec = Matrix.from_rows([[v[i][order[k]] for k in range(n)] for i in range(n)])
@@ -314,8 +323,13 @@ def hermitian_eigh(m: Matrix):
 
 
 def hermitian_eigen(m: Matrix) -> list:
-    """Sorted (ascending) real eigenvalues of a Hermitian matrix."""
-    return hermitian_eigh(m)[0]
+    """Sorted (ascending) real eigenvalues of a Hermitian matrix.
+
+    The rotations of hermitian_eigh on the matrix alone, with no
+    eigenvectors accumulated, so the values are its values bit for bit.
+    """
+    a = _jacobi(m, None)
+    return sorted(a[i][i].real for i in range(m.rows))
 
 
 def lambda_min(m: Matrix) -> float:

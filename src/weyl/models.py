@@ -308,11 +308,14 @@ class OperatorPotentialHalfline(WeylModel):
                      _channels=tuple((math.sqrt(v), v - 1.0) for v in a))
 
     def M(self, z: complex) -> Matrix:
-        # sqrt(a-1-z) with Re >= 0 (decaying defect solution) = -i sqrt_upper(z-(a-1))
-        return _diag([ra * (ra - (-1j * sqrt_upper(z - shift))) for ra, shift in self._channels])
+        # ra (ra - s) with s = sqrt(a-1-z), Re s >= 0 (decaying defect solution)
+        # = -i sqrt_upper(z-(a-1)), written ra (1 + z) / (ra + s) (ra^2 - s^2 = 1 + z),
+        # which does not cancel at a large a
+        return _diag([ra * (1.0 + z) / (ra - 1j * sqrt_upper(z - shift))
+                      for ra, shift in self._channels])
 
     def m_at_zero(self) -> MZeroResult:
-        vals = [math.sqrt(a) * (math.sqrt(a) - math.sqrt(a - 1.0)) for a in self.a_diag]
+        vals = [math.sqrt(a) / (math.sqrt(a) + math.sqrt(a - 1.0)) for a in self.a_diag]
         return MZeroResult(Matrix.diag(vals), "closed_form", 0.0)
 
     def robin_matrix(self, b: Matrix) -> Matrix:
@@ -360,8 +363,8 @@ class Strip(WeylModel):
         m, n = len(self.a_diag), self.n
         data = [0j] * (n * n)
         for i, (a, ra, shift) in enumerate(self._channels):
-            coth, csch = _kappa_pair(shift, self.width, z)
-            data[i * (n + 1)] = data[(m + i) * (n + 1)] = a - ra * coth
+            diag, csch = _strip_pair(a, ra, shift, self.width, z)
+            data[i * (n + 1)] = data[(m + i) * (n + 1)] = diag
             data[i * n + m + i] = data[(m + i) * n + i] = -ra * csch
         return unchecked(n, n, tuple(data))
 
@@ -370,24 +373,27 @@ class Strip(WeylModel):
         return MZeroResult(herm_part(self.M(0j)), "closed_form", 0.0)
 
 
-def _kappa_pair(shift: float, w: float, z: complex):
-    """(kappa coth(w kappa), kappa / sinh(w kappa)) for kappa^2 = shift - z, shift = a-1.
+def _strip_pair(a: float, ra: float, shift: float, w: float, z: complex):
+    """(a - ra kappa coth(w kappa), kappa / sinh(w kappa)) for kappa^2 = shift - z,
+    shift = a - 1, ra = sqrt(a).
 
     Both are even in kappa, so the branch is irrelevant; computed from the
-    root with Re >= 0 through decaying exponentials for stability.
+    root with Re >= 0 through decaying exponentials for stability, the first
+    as ra (1 + z) / (ra + kappa) - 2 ra kappa e / (1 - e), e = exp(-2 w kappa):
+    a - ra kappa = ra (1 + z) / (ra + kappa) does not cancel at a large a.
     """
     kappa = -1j * sqrt_upper(z - shift)
     u = w * kappa
     if abs(u) < 1e-5:
         # coth(u) ~ 1/u + u/3, 1/sinh(u) ~ 1/u - u/6
-        return kappa * kappa * w / 3.0 + 1.0 / w, 1.0 / w - kappa * kappa * w / 6.0
+        return a - ra * (kappa * kappa * w / 3.0 + 1.0 / w), 1.0 / w - kappa * kappa * w / 6.0
     e = cmath.exp(-2.0 * u)
     denom = 1.0 - e
     if abs(denom) < 1e-300:
         raise DomainError(f"strip entry singular at z={z} (Dirichlet eigenvalue)")
-    coth = kappa * (1.0 + e) / denom
+    diag = ra * (1.0 + z) / (ra + kappa) - 2.0 * ra * kappa * e / denom
     csch = 2.0 * kappa * cmath.exp(-u) / denom
-    return coth, csch
+    return diag, csch
 
 
 @functools.lru_cache(maxsize=16)

@@ -11,36 +11,44 @@ tests pick n, L from it.
 
 A boundary side is None (Dirichlet) or a Robin value h (Neumann is 0.0).
 
-Work is spent only on what callers read.  The interior rows of a grid
-depend on (q, L, n) alone and are built once per grid; an operator is that
-interior plus a boundary row and edge coupling on each side that is not
-Dirichlet, so the Dirichlet reference and every A_B of one request share
-it.  A grid's flat stretch, its longest run of interior rows with one
-diagonal entry and one coupling (the q = 0 tail of a half line, say), is
-found once per grid too.  A Sturm count steps through it only until an LDL
-pivot repeats bit for bit, since every later pivot of the stretch is then
-that same value.  When the stretch is the last rows of the matrix (the
-Dirichlet end of a half line) and mu lies below its band, the count also
-stops once a pivot exceeds the coupling, since no later pivot can then be
-negative.  The Gershgorin bounds read the stretch's rows as one row.  Both
-give the bits of the full loop.  The bisection for the j-th eigenvalue
+Work is spent only on what callers read, and nothing is computed twice.
+The interior rows of a grid depend on (q, L, n) alone and are built once per
+grid, from one pass of q.cell_averages over the cells' shared edges; the
+couplings and their squares depend on (L, n) and on which sides are Robin
+and are built once too.  An operator is that interior plus a boundary row on
+each side that is not Dirichlet, so the Dirichlet reference and every A_B of
+one request share both.  A grid's flat stretch, its longest run of interior
+rows with one diagonal entry and one coupling (the q = 0 tail of a half
+line, say), is found once per grid too.  A Sturm count steps through it only
+until an LDL pivot repeats bit for bit, since every later pivot of the
+stretch is then that same value.  When the stretch is the last rows of the
+matrix (the Dirichlet end of a half line) and mu lies below its band, the
+count also stops once a pivot exceeds the coupling, since no later pivot can
+then be negative.  The Gershgorin bounds read the stretch's rows as one row.
+Both give the bits of the full loop.  The bisection for the j-th eigenvalue
 starts from the same bracket as the one for j - 1, so all of them share one
-table of Sturm counts, and it stops at width tol or once the midpoint is no
-longer strictly inside the bracket.  With `upper` given, one Sturm count at
-`upper` says how many eigenvalues lie below it, and only those are
-bisected, from [Gershgorin lower bound, upper] rather than from the full
-Gershgorin bracket: no value above `upper` is computed, and each returned
-value lies within `tol` of the unbounded run's value of the same index.  A
-resolvent factors T - z once; every right-hand side is then one
-substitution through the stored swaps and multipliers.
+sorted table of Sturm counts, and it stops at width tol or once the
+midpoint is no longer strictly inside the bracket.  The floating-point
+Sturm count is monotone in mu (Demmel, Dhillon & Ren, ETNA 3, 1995), so a
+midpoint between two counted points of equal count has that count and takes
+no pass.  With `upper` given, one Sturm count at `upper` says how many
+eigenvalues lie below it, and only those are bisected, from [Gershgorin
+lower bound, upper] rather than from the full Gershgorin bracket (Barth,
+Martin & Wilkinson, Numer. Math. 9, 1967): no value above `upper` is
+computed, and each returned value lies within `tol` of the unbounded run's
+value of the same index.  Counts at points stepped down from `upper` find
+one below the lowest eigenvalue, so the descent from the Gershgorin bound,
+far below on every grid, costs no count.  Every returned value is the one
+plain bisection gives.  A resolvent factors T - z once; every right-hand
+side is then one substitution through the stored swaps and multipliers.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from array import array
-from dataclasses import dataclass
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, groupby
 
@@ -64,7 +72,8 @@ class DiscretizedOperator:
 
     flat = (start, stop) names the rows start..stop-1 (start >= 1) that
     share diag[start] and the coupling off[start - 1] to the row before;
-    (0, 0), the default, names none.
+    (0, 0), the default, names none.  off2 holds the squares e * e of the
+    couplings, which the Sturm count reads; left out, they are derived here.
     """
 
     diag: tuple
@@ -74,6 +83,11 @@ class DiscretizedOperator:
     left: float | None
     right: float | None
     flat: tuple = (0, 0)
+    off2: tuple | None = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self):
+        if self.off2 is None:
+            object.__setattr__(self, "off2", tuple(e * e for e in self.off))
 
     @property
     def size(self) -> int:
@@ -85,25 +99,47 @@ def _grid(q: PotentialSpec, L: float, n: int):
     """(q at node 0, interior diagonal of nodes 1..n-1, q at node n, flat run).
 
     q is averaged over each node's cell clipped to [0, L], which keeps
-    potential jumps second-order accurate.  The interior rows do not depend
-    on the boundary; they are an array('d'), so a cached grid costs 8 bytes
-    a node.  The flat run (i, j) is the first longest run interior[i:j] of
-    equal entries.
+    potential jumps second-order accurate; the n + 1 cells share their
+    edges, and q.cell_averages reads them in one pass.  The interior rows do
+    not depend on the boundary.  The flat run (i, j) is the first longest run
+    interior[i:j] of equal entries; the cached interior is a tuple whose flat
+    run is one float object, so a cached grid costs 8 bytes a flat node and
+    32 bytes (a reference and its float) any other.
     """
     dx = L / n
-
-    def average(i):
-        return q.cell_average(max(0.0, (i - 0.5) * dx), min(L, (i + 0.5) * dx))
-
-    interior = array("d", ((2.0 / dx + average(i) * dx) / dx for i in range(1, n)))
+    # node i's cell is [max(0, (i - 0.5) dx), min(L, (i + 0.5) dx)]
+    interior = q.cell_averages(chain((0.0,), (min(L, (i + 0.5) * dx) for i in range(n + 1))))
+    q0, qn = interior.pop(0), interior.pop()
+    for i, c in enumerate(interior):
+        interior[i] = (2.0 / dx + c * dx) / dx
     run = (0, 0)
     i = 0
     for _, rows in groupby(interior):
-        j = i + len(list(rows))
+        j = i + sum(1 for _ in rows)
         if j - i > run[1] - run[0]:
             run = (i, j)
         i = j
-    return average(0), interior, average(n), run
+    i, j = run
+    rows = tuple(interior[:i]) + (interior[i],) * (j - i) + tuple(interior[j:])
+    return q0, rows, qn, run
+
+
+@lru_cache(maxsize=32)
+def _couplings(L: float, n: int, left: bool, right: bool):
+    """(couplings, their squares) of the grid (L, n) with a Robin row on the
+    sides that are True; neither depends on q or on the Robin values.  Each
+    tuple repeats one float object, so a cached pair costs 16 bytes a row."""
+    dx = L / n
+    half = dx / 2.0
+    inner = (-1.0 / dx) / math.sqrt(dx * dx)
+    edge = (-1.0 / dx) / math.sqrt(half * dx)
+    off = (inner,) * (n - 2)
+    off2 = (inner * inner,) * (n - 2)
+    if left:
+        off, off2 = (edge,) + off, (edge * edge,) + off2
+    if right:
+        off, off2 = off + (edge,), off2 + (edge * edge,)
+    return off, off2
 
 
 def discretize(q: PotentialSpec, L: float, n: int, left: float | None,
@@ -115,37 +151,34 @@ def discretize(q: PotentialSpec, L: float, n: int, left: float | None,
     dx = L / n
     # quadratic form: sum (y_{i+1}-y_i)^2/dx + sum w_i q_i y_i^2 + h_l y_0^2 + h_r y_n^2,
     # lumped weights w_i = dx inside and dx/2 at a retained end node
-    q0, interior, qn, (i, j) = _grid(q, L, n)
-    diag = tuple(interior)
-    off = ((-1.0 / dx) / math.sqrt(dx * dx),) * (n - 2)
+    q0, diag, qn, (i, j) = _grid(q, L, n)
+    off, off2 = _couplings(L, n, left is not None, right is not None)
     half = dx / 2.0
-    edge = (-1.0 / dx) / math.sqrt(half * dx)
     if left is not None:
         diag = ((1.0 / dx + q0 * half + left) / half,) + diag
-        off = (edge,) + off
         i, j = i + 1, j + 1
     if right is not None:
         diag += ((1.0 / dx + qn * half + right) / half,)
-        off += (edge,)
     # the flat rows couple to the row before through an interior coupling:
     # no earlier than row 1, or row 2 behind a retained left node
     i = max(i, 1 if left is None else 2)
-    return DiscretizedOperator(diag, off, dx, float(L), left, right, (i, j) if i < j else (0, 0))
+    return DiscretizedOperator(diag, off, dx, float(L), left, right,
+                               (i, j) if i < j else (0, 0), off2)
 
 
 def eigen_count_below(opd: DiscretizedOperator, mu: float) -> int:
     """Number of eigenvalues below mu, by Sturm sign agreements of the LDL pivots."""
     if not math.isfinite(mu):
         raise ContractError("mu must be finite")
-    return _sturm_count(opd.diag, opd.off, mu, opd.flat)
+    return _sturm_count(opd.diag, opd.off2, mu, opd.flat)
 
 
-def _sturm_count(diag, off, mu: float, flat=(0, 0)) -> int:
+def _sturm_count(diag, off2, mu: float, flat=(0, 0)) -> int:
     """The number of negative LDL pivots of T - mu, the same integer as the
-    full loop over every row.
+    full loop over every row; off2 are the squared couplings e * e.
 
-    The rows flat = (start, stop) share a = diag[start] - mu and e2 = e * e
-    for the coupling e, so each pivot there is p' = fl(a - fl(e2 / p)), the
+    The rows flat = (start, stop) share a = diag[start] - mu and e2 =
+    off2[start - 1], so each pivot there is p' = fl(a - fl(e2 / p)), the
     full loop's bits.  Once a pivot repeats, the rest of the stretch is
     that pivot.
 
@@ -172,14 +205,14 @@ def _sturm_count(diag, off, mu: float, flat=(0, 0)) -> int:
     start, stop = flat
     rest = 1
     if start < stop:
-        for d, e in zip(diag[1:start], off):
-            prev = (d - mu) - e * e / prev
+        for d, e2 in zip(diag[1:start], off2):
+            prev = (d - mu) - e2 / prev
             if prev == 0.0:
                 prev = -tiny
             if prev < 0:
                 count += 1
         a = diag[start] - mu
-        e2 = off[start - 1] * off[start - 1]
+        e2 = off2[start - 1]
         settles = stop == len(diag) and a > 2.0 * (1 + 1e-12) * math.sqrt(e2)
         for i in range(start, stop):
             p = a - e2 / prev
@@ -195,8 +228,8 @@ def _sturm_count(diag, off, mu: float, flat=(0, 0)) -> int:
             elif settles and p * p > e2:
                 break
         rest = stop
-    for d, e in zip(diag[rest:], off[rest - 1:]):
-        prev = (d - mu) - e * e / prev
+    for d, e2 in zip(diag[rest:], off2[rest - 1:]):
+        prev = (d - mu) - e2 / prev
         if prev == 0.0:
             prev = -tiny
         if prev < 0:
@@ -226,23 +259,42 @@ def lowest_eigenvalues(opd: DiscretizedOperator, k: int, tol: float = 1e-10,
     eigenvalues below upper, each bisected from [Gershgorin lower bound,
     upper]; each lies within tol of the value of the same index without
     upper.
+
+    The counts taken are kept sorted by mu.  Since the count is monotone in
+    mu, a midpoint between two counted points with equal counts (or below
+    the lowest counted point with count 0, or above the highest with count
+    size) takes that count without a pass, and the values are plain
+    bisection's bit for bit.  With upper given and an eigenvalue below it,
+    counts at upper - s, s = max(1, |upper|) doubling, go on until one is 0
+    or the point would leave the bracket.
     """
     if k > MAX_EIGENVALUES:
         raise ContractError(f"k <= {MAX_EIGENVALUES}")
     lo0, hi0 = gershgorin_bounds(opd)
+    xs, cs = [], []  # the counted points, ascending, and their counts
+
+    def count_at(mu):
+        i = bisect_left(xs, mu)
+        if i < len(xs) and xs[i] == mu:
+            return cs[i]
+        below = cs[i - 1] if i else 0
+        if below == (cs[i] if i < len(xs) else opd.size):
+            return below
+        c = eigen_count_below(opd, mu)
+        xs.insert(i, mu)
+        cs.insert(i, c)
+        return c
+
     if upper is None:
         k = min(k, opd.size)
     else:
-        k = min(k, eigen_count_below(opd, upper))
+        k = min(k, count_at(upper))
         hi0 = upper
-    counts = {}
-
-    def count_at(mid):
-        c = counts.get(mid)
-        if c is None:
-            c = counts[mid] = eigen_count_below(opd, mid)
-        return c
-
+        # probe down from upper until a count is 0: the bisections' descent
+        # from lo0 to there then needs no count
+        step = max(1.0, abs(upper))
+        while k and upper - step > lo0 and count_at(upper - step):
+            step *= 2.0
     return [_bisect(count_at, j, lo0, hi0, tol) for j in range(1, k + 1)]
 
 
@@ -402,7 +454,8 @@ def corner_friedrichs_eigenvalues(beta: float, count: int) -> list:
     """
     n = 5 * count + 30
     diag = (0.0,) * n
-    off = tuple(0.5 / math.sqrt((beta + k) * (beta + k + 1.0)) for k in range(1, n))
+    off = (0.5 / math.sqrt((beta + k) * (beta + k + 1.0)) for k in range(1, n))
+    off2 = tuple(e * e for e in off)
     # Gershgorin: every row sums to below 1; tol 0 bisects to the last bit
-    return [_bisect(lambda mid: _sturm_count(diag, off, mid), j, -1.0, 0.0, 0.0) ** -2
+    return [_bisect(lambda mid: _sturm_count(diag, off2, mid), j, -1.0, 0.0, 0.0) ** -2
             for j in range(1, count + 1)]

@@ -41,6 +41,7 @@ from array import array
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import pairwise
 
 from . import expr
 from .errors import AccuracyError, EvalError, PoleError, RangeError
@@ -92,6 +93,11 @@ class PotentialSpec:
         stencil second-order accurate.
         """
         return self.value(a) if b <= a else self._mean(a, b)
+
+    def cell_averages(self, edges) -> list:
+        """[cell_average(a, b) for the cells [a, b] between successive edges],
+        bit for bit; a kind may read q once per shared edge."""
+        return [self.cell_average(a, b) for a, b in pairwise(edges)]
 
     def pieces(self, a: float, b: float) -> list:
         """Split [a, b] (a < b) where q changes form.
@@ -195,6 +201,31 @@ class Table(PotentialSpec):
         for lo, hi in zip(knots, knots[1:]):
             acc += 0.5 * (self.value(lo) + self.value(hi)) * (hi - lo)
         return acc / (b - a)
+
+    def cell_averages(self, edges) -> list:
+        """_mean's trapezoid over each cell, with q read once per edge (edges
+        ascending); a cell with a node inside is _mean's own, and one of zero
+        width is q at its edge."""
+        value, nodes = self.value, self.nodes
+        edges = iter(edges)
+        a = next(edges)
+        qa = value(a)
+        out = []
+        j = 0  # the first node above the cell's left edge
+        for b in edges:
+            qb = value(b)
+            while j < len(nodes) and nodes[j] <= a:
+                j += 1
+            if b <= a:
+                out.append(qa)
+            elif j < len(nodes) and nodes[j] < b:
+                out.append(self._mean(a, b))
+            else:
+                acc = 0.0
+                acc += 0.5 * (qa + qb) * (b - a)
+                out.append(acc / (b - a))
+            a, qa = b, qb
+        return out
 
 
 @dataclass(frozen=True)

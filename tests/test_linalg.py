@@ -108,6 +108,19 @@ def test_eigh_reconstruction_and_trace():
         assert abs(sum(evals) - trace) <= 1e-10 * max(1.0, m.norm_fro())
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_eigenvalues_alone_are_eigh_values_to_the_bit(seed):
+    # hermitian_eigen runs hermitian_eigh's rotations without the eigenvectors
+    rng = random.Random(seed)
+    for n in (1, 2, 3, 5, 8):
+        m = random_hermitian(rng, n)
+        assert hermitian_eigen(m) == hermitian_eigh(m)[0]
+    # repeated eigenvalues, a zero block and a diagonal input (no rotation)
+    for rows in ([[2, 0], [0, 2]], [[0, 0, 0], [0, 0, 1j], [0, -1j, 0]], [[3, 0], [0, -1]]):
+        m = Matrix.from_rows(rows)
+        assert hermitian_eigen(m) == hermitian_eigh(m)[0]
+
+
 def test_non_hermitian_input_rejected():
     with pytest.raises(ContractError):
         hermitian_eigen(Matrix.from_rows([[0, 1], [0, 0]]))

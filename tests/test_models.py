@@ -31,6 +31,35 @@ def test_operator_potential_at_zero():
     assert abs(v - math.sqrt(2) * (math.sqrt(2) - 1.0)) < 1e-14
 
 
+# mpmath at 50 digits: sqrt(a) (sqrt(a) - sqrt(a - 1 - z)) at z = -0.5, 0 and 1 + 1j,
+# which is also the strip's diagonal entry there (width pi: coth(w kappa) = 1 to
+# double precision); the old closed form cancelled to 0j at a = 1e16
+LARGE_A = {
+    1e10: (0.250000000003125, 0.5000000000125, 1.0000000000375 + 0.50000000005000000001j),
+    1e12: (0.25000000000003125, 0.500000000000125, 1.000000000000375 + 0.5000000000005j),
+    1e16: (0.25000000000000000312, 0.5000000000000000125,
+           1.0000000000000000375 + 0.50000000000000005j),
+}
+
+
+@pytest.mark.parametrize("a", sorted(LARGE_A))
+def test_closed_forms_do_not_cancel_at_a_large_a(a):
+    at_half, at_zero, at_complex = LARGE_A[a]
+    op = models.operator_potential_halfline([a])
+    st = models.strip([a])
+    got = [
+        (models.evaluate(op, -0.5).at(0, 0), at_half),
+        (models.evaluate(op, 0.0).at(0, 0), at_zero),
+        (models.m_at_zero(op).value.at(0, 0), at_zero),
+        (models.evaluate(op, 1 + 1j).at(0, 0), at_complex),
+        (models.evaluate(st, -0.5).at(0, 0), at_half),
+        (models.m_at_zero(st).value.at(1, 1), at_zero),
+        (models.evaluate(st, 1 + 1j).at(0, 0), at_complex),
+    ]
+    for v, want in got:
+        assert abs(v - want) <= 1e-15 * abs(want), (v, want)
+
+
 def test_corner_limit_minus_one():
     co = models.corner(0.75)
     vals = [models.evaluate(co, -(2.0**-k)).at(0, 0) for k in range(4, 14)]
@@ -111,7 +140,7 @@ def test_closed_form_entries_are_complex(kind):
     # a complex z, and a real z below the floor, as a float and as a complex
     points = [0.5 + 1j, -2.0 + 0.25j, model.ess_floor - 0.5, complex(model.ess_floor - 0.5)]
     if kind == "strip":
-        # |w kappa| < 1e-5, kappa^2 = a - 1 - z: the series branch of _kappa_pair
+        # |w kappa| < 1e-5, kappa^2 = a - 1 - z: the series branch of _strip_pair
         points += [1.0 - 1e-12, 1.0 + 1e-12j]
     for z in points:
         m = models.evaluate(model, z)

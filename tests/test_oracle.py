@@ -3,6 +3,8 @@ import random
 import threading
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl import oracle
 from weyl.errors import ContractError, SpectralPointError
@@ -324,6 +326,101 @@ def test_lowest_eigenvalues_below_upper():
         assert all(abs(v - w) <= tol for v, w in zip(cut, full))
 
 
+_COUPLINGS = st.sampled_from([0.0, -0.0, 1.0, -0.5, -2.0, 0.3, 1e-3])
+
+
+@st.composite
+def _sturm_cases(draw):
+    """Small integer diagonals (mu on one makes a zero pivot), couplings with
+    zeros, and often a flat stretch, which ends the matrix half the time."""
+    n = draw(st.integers(1, 24))
+    ints = st.integers(-4, 4).map(float)
+    diag = draw(st.lists(ints, min_size=n, max_size=n))
+    off = draw(st.lists(_COUPLINGS, min_size=n - 1, max_size=n - 1))
+    flat = (0, 0)
+    if n >= 2 and draw(st.booleans()):
+        start = draw(st.integers(1, n - 1))
+        stop = n if draw(st.booleans()) else draw(st.integers(start + 1, n))
+        d, e = draw(ints), draw(_COUPLINGS)
+        diag[start:stop] = [d] * (stop - start)
+        off[start - 1:stop - 1] = [e] * (stop - start)
+        flat = (start, stop)
+    return oracle.DiscretizedOperator(tuple(diag), tuple(off), 1.0, float(n), None, None, flat)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sturm_cases(), st.lists(st.floats(-12.0, 12.0), max_size=6))
+def test_sturm_count_is_monotone_in_mu(op, extra):
+    # lowest_eigenvalues infers counts from this (Demmel, Dhillon & Ren, ETNA 3, 1995)
+    mus = {*extra, *op.diag}
+    for d, e in zip(op.diag[1:], op.off):  # the band edges, where a tail settles
+        mus |= {d - 2.0 * abs(e), d + 2.0 * abs(e), d - 2.0 * abs(e) - 1.0}
+    mus |= {math.nextafter(mu, side) for mu in list(mus) for side in (-math.inf, math.inf)}
+    mus = sorted(mus)
+    counts = [oracle._sturm_count(op.diag, op.off2, mu, op.flat) for mu in mus]
+    assert counts == sorted(counts)
+    assert counts == [_reference_count(op, mu) for mu in mus]
+
+
+def _plain_lowest(opd, k, tol=1e-10, upper=None):
+    """lowest_eigenvalues before it reused counts, kept as the reference: the
+    reference loop's count at every midpoint (once), each eigenvalue bisected
+    from [Gershgorin lower bound, upper or the Gershgorin upper bound]."""
+    lo0, hi0 = oracle.gershgorin_bounds(opd)
+    if upper is None:
+        k = min(k, opd.size)
+    else:
+        k = min(k, _reference_count(opd, upper))
+        hi0 = upper
+    memo = {}
+    out = []
+    for j in range(1, k + 1):
+        lo, hi = lo0, hi0
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            if not lo < mid < hi:
+                break
+            if mid not in memo:
+                memo[mid] = _reference_count(opd, mid)
+            if memo[mid] >= j:
+                hi = mid
+            else:
+                lo = mid
+        out.append(0.5 * (lo + hi))
+    return out, len(memo) + (upper is not None)
+
+
+_LOWEST_CASES = {
+    "half_line": (oracle.halfline_operator(PotentialSpec.square_well(-3.0, 2.0), -0.5, L=20.0,
+                                           n=400), [None, -0.05, 0.5, -3.5]),
+    "interval": (oracle.interval_operator(PotentialSpec.table([0.0, 0.7, 1.5, 3.0],
+                                                              [-1.0, 0.4, 0.4, 0.25]),
+                                          3.0, -0.3, 0.45, n=300), [None, 6.0, 1.0]),
+    "channel": (oracle.discretize(oracle.constant_potential(1.25, 16.0), 16.0, 400, -1.8, None),
+                [None, 0.9, -2.0]),
+    "built": (oracle.DiscretizedOperator((0.0, 3.0, -1.0) + (2.0,) * 40, (0.5, -1.0) + (-1.0,) * 40,
+                                         1.0, 43.0, None, None, (3, 43)), [None, 0.0, 2.5, 1e3]),
+}
+
+
+@pytest.mark.parametrize("tol", [1e-10, 0.0])
+@pytest.mark.parametrize("case", sorted(_LOWEST_CASES))
+def test_lowest_eigenvalues_are_plain_bisection(case, tol, monkeypatch):
+    op, uppers = _LOWEST_CASES[case]
+    counted = []
+    count = oracle.eigen_count_below
+    monkeypatch.setattr(oracle, "eigen_count_below", lambda o, mu: counted.append(mu) or count(o, mu))
+    for upper in uppers:
+        want, passes = _plain_lowest(op, 5, tol, upper)
+        counted.clear()
+        assert oracle.lowest_eigenvalues(op, 5, tol, upper) == want, upper
+        assert len(set(counted)) == len(counted)  # no point is counted twice
+        if upper is not None and want and case != "built":
+            # a grid's Gershgorin bound lies far below its lowest eigenvalue,
+            # and the descent from it needs no count
+            assert len(counted) < passes
+
+
 @pytest.mark.parametrize("op, want", [
     (oracle.halfline_operator(PotentialSpec.square_well(-3.0, 2.0), -0.5, L=20.0, n=1000),
      [-3.137495727603322, -0.4097982489278772, 0.03334648647655939, 0.13180571572182875,
@@ -435,3 +532,12 @@ def test_discretize_cache_hit_is_bit_identical(q):
         assert (first.left, first.right) == (left, right)
         xs, ws = oracle.node_grid(first)
         assert len(xs) == len(ws) == first.size == len(first.off) + 1
+        # the couplings and their squares are built once per grid and sides
+        assert second.off is first.off and second.off2 is first.off2
+        assert _packed(first.off2, ()) == _packed([e * e for e in first.off], ())
+        built = oracle.DiscretizedOperator(first.diag, first.off, first.dx, first.L, left, right)
+        assert _packed(built.off2, ()) == _packed(first.off2, ())
+    # the cached interior holds its flat run as one float object
+    _, rows, _, (i, j) = oracle._grid(q, L, n)
+    assert j - i > 100 or q.kind == "expression"
+    assert len({id(v) for v in rows[i:j]}) == 1
