@@ -318,10 +318,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except WeylError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (WeylError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -63,7 +63,11 @@ class Matrix:
     def diag(values) -> "Matrix":
         vals = [complex(v) for v in values]
         n = len(vals)
-        return Matrix(n, n, tuple(vals[i] if i == j else 0j for i in range(n) for j in range(n)))
+        if not n:
+            raise DimensionError("matrix dimensions must be positive")
+        data = [0j] * (n * n)
+        data[:: n + 1] = vals
+        return unchecked(n, n, tuple(data))
 
     @staticmethod
     def scalar(v) -> "Matrix":

@@ -117,14 +117,6 @@ def _positive_index(m: Matrix) -> int:
     return sum(1 for w in hermitian_eigen(m) if w > 0.0)
 
 
-def _diag(entries: list) -> Matrix:
-    """The diagonal matrix of a list of complex entries, assembled row-major."""
-    n = len(entries)
-    data = [0j] * (n * n)
-    data[:: n + 1] = entries
-    return unchecked(n, n, tuple(data))
-
-
 def h_map(m: complex, h: float) -> complex:
     """The member m_h = (1 - h m) / (m - h) of the h family, the convention anchor
     of the family; PoleError where m = h.  It keeps the upper half-plane only for
@@ -234,10 +226,7 @@ class HalfLine(WeylModel):
         return MZeroResult(Matrix.scalar(m), method, est)
 
     def oracle_operators(self, b: Matrix):
-        r = self._robin(b)
-        if r is None:
-            return [oracle.halfline_dirichlet_operator(self.q)]
-        return [oracle.halfline_operator(self.q, r)]
+        return [oracle.discretize(self.q, 40.0, 4000, self._robin(b), None)]
 
 
 @dataclass(frozen=True)
@@ -282,7 +271,7 @@ class FiniteInterval(WeylModel):
     def oracle_operators(self, b: Matrix):
         if not _is_diagonal(b):
             return None
-        return [oracle.interval_operator(self.q, self.b, b.at(0, 0).real, b.at(1, 1).real, n=2000)]
+        return [oracle.discretize(self.q, self.b, 2000, b.at(0, 0).real, b.at(1, 1).real)]
 
 
 def _checked_diagonal(a_diag) -> tuple:
@@ -311,8 +300,8 @@ class OperatorPotentialHalfline(WeylModel):
         # ra (ra - s) with s = sqrt(a-1-z), Re s >= 0 (decaying defect solution)
         # = -i sqrt_upper(z-(a-1)), written ra (1 + z) / (ra + s) (ra^2 - s^2 = 1 + z),
         # which does not cancel at a large a
-        return _diag([ra * (1.0 + z) / (ra - 1j * sqrt_upper(z - shift))
-                      for ra, shift in self._channels])
+        return Matrix.diag([ra * (1.0 + z) / (ra - 1j * sqrt_upper(z - shift))
+                            for ra, shift in self._channels])
 
     def m_at_zero(self) -> MZeroResult:
         vals = [math.sqrt(a) / (math.sqrt(a) + math.sqrt(a - 1.0)) for a in self.a_diag]
@@ -339,7 +328,7 @@ class OperatorPotentialHalfline(WeylModel):
             kappa2 = a - 1.0
             L = 40.0 if kappa2 < 0.25 else max(16.0, 30.0 / math.sqrt(kappa2))
             n = max(3000, int(L / 2.4e-3))
-            ops.append(oracle.discretize(oracle.constant_potential(kappa2, L), L, n, s, None))
+            ops.append(oracle.discretize(PotentialSpec.table([0.0, L], [kappa2, kappa2]), L, n, s, None))
         return ops
 
 
@@ -474,7 +463,7 @@ class MultiCorner(WeylModel):
         self._derive(betas=tuple(c.beta for c in corners), n=len(corners), _corners=corners)
 
     def M(self, z: complex) -> Matrix:
-        return _diag([c.scalar(z) for c in self._corners])
+        return Matrix.diag([c.scalar(z) for c in self._corners])
 
     def m_at_zero(self) -> MZeroResult:
         return MZeroResult(Matrix.diag([-1.0] * self.n), "closed_form", 0.0)

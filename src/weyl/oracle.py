@@ -6,8 +6,8 @@ eigenvalue counts (exact integers), bisection eigenvalues, and a pivoted
 tridiagonal solver for resolvents.  The M-route results are validated against
 this module, never the other way around.
 
-Error model for the defaults (n=4000, L=40): err ~ C dx^2 + exp(-2 kappa L);
-tests pick n, L from it.
+Error model: err ~ C dx^2 + exp(-2 kappa L).  The module has no default
+grid: each kind picks its L and n in models, and tests pick theirs from it.
 
 A boundary side is None (Dirichlet) or a Robin value h (Neumann is 0.0).
 
@@ -414,31 +414,6 @@ def resolvent_difference_rank(op1: DiscretizedOperator, op2: DiscretizedOperator
         cols.append([a - b for a, b in zip(u1, u2)])
     mat = Matrix.from_rows([[cols[j][i] for j in range(RANK_PROBES)] for i in range(op1.size)])
     return numeric_rank(mat, RANK_TAU)
-
-
-# -- model-specific oracle builders -----------------------------------------
-
-
-def halfline_operator(q: PotentialSpec, h: float, L: float = 40.0,
-                      n: int = 4000) -> DiscretizedOperator:
-    """y'(0) = h y(0), h the boundary-operator value of the (y(0), y'(0)) triplet."""
-    return discretize(q, L, n, h, None)
-
-
-def halfline_dirichlet_operator(q: PotentialSpec, L: float = 40.0, n: int = 4000) -> DiscretizedOperator:
-    return discretize(q, L, n, None, None)
-
-
-def interval_operator(q: PotentialSpec, b: float, h0: float, hb: float,
-                      n: int = 2000) -> DiscretizedOperator:
-    """Separated conditions of the interval triplet: y'(0)=h0 y(0), -y'(b)=hb y(b)."""
-    return discretize(q, b, n, h0, hb)
-
-
-def constant_potential(c: float, span: float = 1.0) -> PotentialSpec:
-    if c == 0.0:
-        return PotentialSpec.zero()
-    return PotentialSpec.table([0.0, span], [c, c])
 
 
 def corner_friedrichs_eigenvalues(beta: float, count: int) -> list:

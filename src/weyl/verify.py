@@ -256,7 +256,7 @@ def suite_eigenvalue_correspondence(rng: random.Random):
     well = models.half_line(PotentialSpec.square_well(-2.5, 1.0))
     spec = extensions.extension(well, -0.8)
     rep = extensions.point_spectrum_real(spec, (-3.5, -0.01), compare_oracle=True)
-    op = oracle.halfline_operator(well.q, -0.8)
+    (op,) = extensions._oracle_operators(spec)
     oracle_evs = [v for v in oracle.lowest_eigenvalues(op, 6) if v < -0.01]
     tol = max(1e-3, 5.0 * op.dx**2)
     ok = (
@@ -361,7 +361,7 @@ def suite_krein_extension(rng: random.Random):
     kr = extensions.krein_extension(hl)
     _check(out, "half-line q=0 Krein boundary operator is 0 (Neumann)",
            kr.B.norm_fro() <= 1e-9, f"B = {kr.B.at(0,0)}")
-    op_h = oracle.halfline_operator(q0, kr.B.at(0, 0).real)
+    (op_h,) = extensions._oracle_operators(kr)
     low = oracle.lowest_eigenvalues(op_h, 1)[0]
     _check(out, "half-line Krein oracle spectrum >= -1e-5", low >= -1e-5, f"lowest {low:.3e}")
 
@@ -653,8 +653,8 @@ def _krein_resolvent_formula_check() -> float:
     h = 1.0
     z = -2.0
     n, L = 4000, 40.0
-    op_d = oracle.halfline_dirichlet_operator(q0, L=L, n=n)
-    op_h = oracle.halfline_operator(q0, h, L=L, n=n)
+    op_d = oracle.discretize(q0, L, n, None, None)
+    op_h = oracle.discretize(q0, L, n, h, None)
     dx = op_d.dx
     probe_full = [math.exp(-((i * dx - 7.0) ** 2)) for i in range(n + 1)]
     u_d = oracle.resolvent_apply_samples(op_d, z, probe_full[1:n])
@@ -773,14 +773,14 @@ def suite_oracle_convergence(rng: random.Random):
     ok = count == 3 and sum(1 for v in evs if v < 10.0) == 3
     _check(out, "Sturm count at mu=10 equals bisection count (exact)", ok,
            f"count {count}, eigenvalues {evs}")
-    op = oracle.halfline_operator(q0, -2.0)
+    op = oracle.discretize(q0, 40.0, 4000, -2.0, None)
     _check(out, "Robin h=-2 Sturm count below 0 is 1",
            oracle.eigen_count_below(op, 0.0) == 1, "")
     _check(out, "count below the spectrum floor is 0",
            oracle.eigen_count_below(op, -30.0) == 0, "")
 
-    low40 = oracle.lowest_eigenvalues(oracle.halfline_operator(q0, -2.0, L=40.0, n=4000), 1)[0]
-    low50 = oracle.lowest_eigenvalues(oracle.halfline_operator(q0, -2.0, L=50.0, n=5000), 1)[0]
+    low40 = oracle.lowest_eigenvalues(oracle.discretize(q0, 40.0, 4000, -2.0, None), 1)[0]
+    low50 = oracle.lowest_eigenvalues(oracle.discretize(q0, 50.0, 5000, -2.0, None), 1)[0]
     _check(out, "bound state insensitive to truncation (L -> L+10)",
            abs(low40 - low50) < 1e-8, f"shift {abs(low40 - low50):.2e}")
     return out

@@ -130,6 +130,32 @@ def test_count_complex_real_model_no_interior_zero():
     assert rep.count == 0
 
 
+_WELL = models.half_line(PotentialSpec.square_well(-3.0, 0.7))
+_INTERVAL = models.finite_interval(Q0, 2.0)
+
+
+@pytest.mark.parametrize("model, b, rect", [
+    (_INTERVAL, Matrix.diag([-0.5j, 0.0]), (-5.0, 60.0, 0.01, 2.0)),
+    (_INTERVAL, Matrix.diag([-0.5j, 0.0]), (-5.0, 60.0, 0.3, 2.0)),
+    (_INTERVAL, Matrix.diag([-0.5j, 0.0]), (0.0, 20.0, 0.1, 1.0)),
+    (_WELL, Matrix.scalar(-2j), (-5.0, 5.0, 0.1, 3.0)),
+    (_WELL, Matrix.scalar(-2j), (-10.0, 20.0, 0.3, 2.0)),
+], ids=["interval-wide", "interval-raised", "interval-small", "well-small", "well-wide"])
+def test_count_complex_dissipative_b_has_no_upper_eigenvalue(model, b, rect):
+    # Green's identity: A_B f = z f gives Im z ||f||^2 = <Im B Gamma_0 f, Gamma_0 f>,
+    # so Im B <= 0 leaves no eigenvalue in the open upper half-plane
+    rep = extensions.count_complex_eigenvalues(extensions.ExtensionSpec(model, b), rect)
+    assert rep.count == 0
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the winding undercounts; it reports 3")
+def test_count_complex_interval_all_five_eigenvalues():
+    # k sin 2k = 0.5i cos 2k, z = k^2: 0.079+0.228i, 2.497+0.511i, 9.876+0.504i,
+    # 22.209+0.502i and 39.480+0.501i lie in the rectangle
+    spec = extensions.ExtensionSpec(_INTERVAL, Matrix.diag([0.5j, 0.0]))
+    assert extensions.count_complex_eigenvalues(spec, (-5.0, 60.0, 0.01, 2.0)).count == 5
+
+
 def test_negative_count_with_a_dirichlet_bound_state():
     # N_0(0) = 1 and M(0) = -1.103, so B = 0 adds none: one eigenvalue below 0
     deep = models.half_line(PotentialSpec.square_well(-5.0, 1.2))

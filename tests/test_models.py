@@ -451,3 +451,20 @@ def test_strip_herglotz_near_floor():
         assert lambda_min(imag_part(m)) >= -1e-9 * m.norm_fro()
     r = models.m_at_zero(st)
     assert r.method == "closed_form"
+
+
+_WELL = PotentialSpec.square_well(-2.5, 1.0)
+
+
+@pytest.mark.parametrize("model, b, want", [
+    (models.half_line(_WELL), Matrix.scalar(-0.8), [(40.0, 4000, -0.8, None, 4000)]),
+    # b = -h: the member's A_b is y(0) = 0
+    (models.half_line(_WELL, 1.5), Matrix.scalar(-1.5), [(40.0, 3999, None, None, 4000)]),
+    (models.finite_interval(_WELL, 2.0), Matrix.diag([0.3, -0.7]), [(2.0, 2001, 0.3, -0.7, 2000)]),
+    (models.operator_potential_halfline([2.0, 5.0]), Matrix.diag([0.0, 1.0]),
+     [(30.0, 12500, -math.sqrt(2.0), None, 12500),
+      (16.0, 6666, 1.0 / math.sqrt(5.0) - math.sqrt(5.0), None, 6666)]),
+], ids=["half_line", "h_family_dirichlet", "finite_interval", "operator_potential"])
+def test_oracle_recipe_of_each_kind(model, b, want):
+    got = [(op.L, op.size, op.left, op.right, round(op.L / op.dx)) for op in model.oracle_operators(b)]
+    assert got == want

@@ -28,7 +28,7 @@ def test_neumann_dirichlet_quarter_series():
 
 
 def test_robin_bound_state():
-    op = oracle.halfline_operator(Q0, -1.0)
+    op = oracle.discretize(Q0, 40.0, 4000, -1.0, None)
     low = oracle.lowest_eigenvalues(op, 1)[0]
     assert abs(low + 1.0) < 1e-4
 
@@ -36,7 +36,7 @@ def test_robin_bound_state():
 def test_sturm_counts():
     op = oracle.discretize(Q0, math.pi, 2000, None, None)
     assert oracle.eigen_count_below(op, 10.0) == 3
-    op = oracle.halfline_operator(Q0, -2.0)
+    op = oracle.discretize(Q0, 40.0, 4000, -2.0, None)
     assert oracle.eigen_count_below(op, 0.0) == 1
     assert oracle.eigen_count_below(op, -30.0) == 0
 
@@ -90,8 +90,8 @@ def test_resolvent_spectral_proximity_error():
 
 
 def test_resolvent_difference_rank_one():
-    op1 = oracle.halfline_operator(Q0, -1.0, n=800)
-    op2 = oracle.halfline_operator(Q0, 1.0, n=800)
+    op1 = oracle.discretize(Q0, 40.0, 800, -1.0, None)
+    op2 = oracle.discretize(Q0, 40.0, 800, 1.0, None)
     assert oracle.resolvent_difference_rank(op1, op2, -2.0 + 0.3j) == 1
     assert oracle.resolvent_difference_rank(op1, op1, -2.0 + 0.3j) == 0
 
@@ -105,8 +105,8 @@ def test_second_order_convergence():
 
 
 def test_truncation_insensitivity():
-    a = oracle.lowest_eigenvalues(oracle.halfline_operator(Q0, -2.0, L=40.0, n=4000), 1)[0]
-    b = oracle.lowest_eigenvalues(oracle.halfline_operator(Q0, -2.0, L=50.0, n=5000), 1)[0]
+    a = oracle.lowest_eigenvalues(oracle.discretize(Q0, 40.0, 4000, -2.0, None), 1)[0]
+    b = oracle.lowest_eigenvalues(oracle.discretize(Q0, 50.0, 5000, -2.0, None), 1)[0]
     assert abs(a - b) < 1e-8
 
 
@@ -186,7 +186,7 @@ def _pivots(opd, mu):
 _STRETCH_QS = [
     PotentialSpec.zero(),
     PotentialSpec.square_well(-2.5, 1.0),
-    oracle.constant_potential(0.75, span=3.0),
+    PotentialSpec.table([0.0, 3.0], [0.75, 0.75]),
     PotentialSpec.expression("x"),  # every interior row differs: no stretch
 ]
 
@@ -316,7 +316,7 @@ def test_bisection_stops_below_the_float_spacing():
 
 def test_lowest_eigenvalues_below_upper():
     q = PotentialSpec.square_well(-3.0, 2.0)
-    op = oracle.halfline_operator(q, -0.5, L=20.0, n=1000)
+    op = oracle.discretize(q, 20.0, 1000, -0.5, None)
     tol = 1e-10
     full = oracle.lowest_eigenvalues(op, 8, tol=tol)
     for u in (full[0] - 1.0, full[0], 0.5 * (full[1] + full[2]), full[4], full[-1] + 1.0):
@@ -391,13 +391,12 @@ def _plain_lowest(opd, k, tol=1e-10, upper=None):
 
 
 _LOWEST_CASES = {
-    "half_line": (oracle.halfline_operator(PotentialSpec.square_well(-3.0, 2.0), -0.5, L=20.0,
-                                           n=400), [None, -0.05, 0.5, -3.5]),
-    "interval": (oracle.interval_operator(PotentialSpec.table([0.0, 0.7, 1.5, 3.0],
-                                                              [-1.0, 0.4, 0.4, 0.25]),
-                                          3.0, -0.3, 0.45, n=300), [None, 6.0, 1.0]),
-    "channel": (oracle.discretize(oracle.constant_potential(1.25, 16.0), 16.0, 400, -1.8, None),
-                [None, 0.9, -2.0]),
+    "half_line": (oracle.discretize(PotentialSpec.square_well(-3.0, 2.0), 20.0, 400, -0.5, None),
+                  [None, -0.05, 0.5, -3.5]),
+    "interval": (oracle.discretize(PotentialSpec.table([0.0, 0.7, 1.5, 3.0], [-1.0, 0.4, 0.4, 0.25]),
+                                   3.0, 300, -0.3, 0.45), [None, 6.0, 1.0]),
+    "channel": (oracle.discretize(PotentialSpec.table([0.0, 16.0], [1.25, 1.25]), 16.0, 400, -1.8,
+                                  None), [None, 0.9, -2.0]),
     "built": (oracle.DiscretizedOperator((0.0, 3.0, -1.0) + (2.0,) * 40, (0.5, -1.0) + (-1.0,) * 40,
                                          1.0, 43.0, None, None, (3, 43)), [None, 0.0, 2.5, 1e3]),
 }
@@ -422,11 +421,11 @@ def test_lowest_eigenvalues_are_plain_bisection(case, tol, monkeypatch):
 
 
 @pytest.mark.parametrize("op, want", [
-    (oracle.halfline_operator(PotentialSpec.square_well(-3.0, 2.0), -0.5, L=20.0, n=1000),
+    (oracle.discretize(PotentialSpec.square_well(-3.0, 2.0), 20.0, 1000, -0.5, None),
      [-3.137495727603322, -0.4097982489278772, 0.03334648647655939, 0.13180571572182875,
       0.29223499589401847]),
-    (oracle.interval_operator(PotentialSpec.table([0.0, 0.7, 1.5, 3.0], [-1.0, 0.4, 0.4, 0.25]),
-                              3.0, -0.3, 0.45, n=400),
+    (oracle.discretize(PotentialSpec.table([0.0, 0.7, 1.5, 3.0], [-1.0, 0.4, 0.4, 0.25]),
+                       3.0, 400, -0.3, 0.45),
      [-0.08110179158201716, 1.3235150117080212, 4.655213162887122, 10.167311246969529,
       17.85240517372442]),
 ])

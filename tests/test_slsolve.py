@@ -482,7 +482,7 @@ def test_table_with_constant_tail_matches_truncated_route():
         assert _rel(exact, truncated) < 1e-9, z
 
 
-def test_constant_table_is_constant_potential():
+def test_constant_table_has_the_constant_closed_form():
     q = PotentialSpec.table([0.0, 2.0], [0.75, 0.75])
     assert tail_support(q) == 0.0
     for z in (1j, -3.0, 2 + 0.1j):
