@@ -1,8 +1,8 @@
 """Command-line surface.
 
 Subcommands: eval | spectrum | negcount | krein | charfn | verify.  Problem
-files are JSON (schema in docs/problem.schema.json); a grid, window, rect or
-grid_n comes from its flag, else from the problem's task block, both read by
+files are JSON (schema in docs/problem.schema.json); a grid, window or rect
+comes from its flag, else from the problem's task block, both read by
 problems.request_value.  Reports are deterministic for a fixed problem file
 and seed: floats are emitted in shortest round-trip form and JSON keys are sorted.  The
 argument parser is built once per process (`build_parser` is cached;
@@ -129,13 +129,13 @@ def _boundary_or_fail(problem: ProblemFile) -> Matrix:
     return problem.boundary
 
 
-def _request(args, problem: ProblemFile, key: str, default=None):
+def _request(args, problem: ProblemFile, key: str):
     """key's flag where it was given, read as problems.request_value reads the
-    task, else its task entry, else default."""
+    task, else its task entry, else None."""
     text = getattr(args, key)
     if text is None:
-        return problem.task.get(key, default)
-    return request_value(key, text, "--" + key.replace("_", "-"))
+        return problem.task.get(key)
+    return request_value(key, text, "--" + key)
 
 
 def _grid_or_fail(args, problem: ProblemFile):
@@ -172,8 +172,7 @@ def cmd_spectrum(args) -> int:
     window = _request(args, problem, "window")
     if window is None:
         raise WeylError("no window/rect: pass --window or --rect, or set one under task")
-    grid_n = _request(args, problem, "grid_n", 128)
-    rep = extensions.point_spectrum_real(spec, window, grid_n=grid_n, compare_oracle=not args.no_oracle)
+    rep = extensions.point_spectrum_real(spec, window, compare_oracle=not args.no_oracle)
     payload = {
         **_report_header(problem),
         "window": list(rep.window),
@@ -283,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--window", help="a:b (real scan)")
     p.add_argument("--rect", help="re0:re1:im0:im1 (complex count via the argument principle)")
-    p.add_argument("--grid-n", help="scan grid density (>= 64)")
     p.add_argument("--no-oracle", action="store_true", help="skip the oracle comparison")
     p.set_defaults(fn=cmd_spectrum)
 

@@ -4,8 +4,9 @@ Below the essential spectrum one integer carries the real point spectrum:
 N_B(x) = N_0(x) + ind_+(M(x) - B), the number of eigenvalues of A_B below x,
 with N_0 counting the poles of M, the eigenvalues of the reference extension
 ker Gamma_0 (WeylModel.eigen_count, Derkach & Malamud 1991).  It is monotone
-and jumps by the multiplicity at each eigenvalue, so a scan of its jumps
-loses none: a grid step with equal counts at both ends holds no eigenvalue.
+and jumps by the multiplicity at each eigenvalue, so a bracket with equal
+counts at both ends holds no eigenvalue, whatever its width: the scan starts
+from the window's two ends and bisects every bracket whose counts differ.
 The negative count is the same identity at 0 with the boundary value M(0).
 
 The residual/continuous parts of the abstract correspondence have no finite
@@ -41,8 +42,6 @@ from .models import ZERO_EIGENVALUE, WeylModel, evaluate, m_at_zero
 
 ORACLE_ZERO_CUT = 1e-4  # oracle counts strictly below -cut: O(dx^2)-stable
 RANK_TAU = 1e-8  # the rank law counts singular values above RANK_TAU * the largest
-MIN_GRID_N = 64  # the coarsest real scan grid
-MAX_GRID_N = 10_000  # the finest one a request may ask for (problems.request_value)
 
 
 @dataclass(frozen=True)
@@ -78,14 +77,17 @@ class SpectrumReport:
 # -- scanning utilities -------------------------------------------------------
 
 
-def scan_count_jumps(count, lo: float, hi: float, grid_n: int):
+def scan_count_jumps(count, lo: float, hi: float, steps: int):
     """Bracket the jumps of an integer-valued count on [lo, hi] and bisect them.
 
-    A grid step where the count moves by k is bisected until each jump is
-    isolated, so k roots closer than the grid step are all found.  A bracket
-    stops at a width of 1e-10 (1 + |x|): relative far from 0, but about 1e-10
-    absolute near it.  Returns [(x, k), ...]; k > 1 only where a jump stays
-    whole at that width (a multiple root).
+    [lo, hi] is cut into `steps` equal steps, and a step where the count
+    moves by k is bisected until each jump is isolated, so k roots closer
+    than a step are all found.  For a monotone count one step finds every
+    jump; an indicator such as f(x) < 0 can rise and fall again inside a
+    step, so it needs a grid.  A bracket stops at a width of 1e-10 (1 + |x|):
+    relative far from 0, but about 1e-10 absolute near it.  Returns
+    [(x, k), ...]; k > 1 only where a jump stays whole at that width (a
+    multiple root).
     """
     roots = []
 
@@ -100,34 +102,31 @@ def scan_count_jumps(count, lo: float, hi: float, grid_n: int):
         bisect(a, na, mid, nm)
         bisect(mid, nm, b, nb)
 
-    xs = [lo + (hi - lo) * k / grid_n for k in range(grid_n + 1)]
+    xs = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
     ns = [count(x) for x in xs]
     for xa, na, xb, nb in zip(xs, ns, xs[1:], ns[1:]):
         bisect(xa, na, xb, nb)
     return roots
 
 
-def scan_sign_changes(f, lo: float, hi: float, grid_n: int):
+def scan_sign_changes(f, lo: float, hi: float, steps: int):
     """Bracket sign changes of f on [lo, hi] and bisect each to tolerance."""
-    return [x for x, _k in scan_count_jumps(lambda x: f(x) < 0.0, lo, hi, grid_n)]
+    return [x for x, _k in scan_count_jumps(lambda x: f(x) < 0.0, lo, hi, steps)]
 
 
 def model_pole_locations(model: WeylModel, lo: float, hi: float) -> list:
     """Poles of M on (lo, hi): the jumps of N_0, eigenvalues of the reference extension."""
-    return [x for x, _k in scan_count_jumps(model.reference_count, lo, hi, 128)]
+    return [x for x, _k in scan_count_jumps(model.reference_count, lo, hi, 1)]
 
 
 # -- point spectrum on the real axis -----------------------------------------
 
 
-def point_spectrum_real(spec: ExtensionSpec, window, grid_n: int = 128,
-                        compare_oracle: bool = False) -> SpectrumReport:
+def point_spectrum_real(spec: ExtensionSpec, window, compare_oracle: bool = False) -> SpectrumReport:
     """Eigenvalues of A_B in a real window below the essential spectrum: the
     jumps of N_B, each with its size as the multiplicity."""
     if not spec.is_hermitian:
         raise ContractError("point_spectrum_real requires Hermitian B")
-    if grid_n < MIN_GRID_N:
-        raise ContractError(f"grid_n must be at least {MIN_GRID_N}")
     lo, hi = float(window[0]), float(window[1])
     if not lo < hi:
         raise ContractError("window must be a nonempty interval")
@@ -136,7 +135,7 @@ def point_spectrum_real(spec: ExtensionSpec, window, grid_n: int = 128,
         raise ContractError(
             f"window top {hi} reaches the essential-spectrum floor {model.ess_floor}"
         )
-    eigs = scan_count_jumps(lambda x: model.eigen_count(b, x), lo, hi, grid_n)
+    eigs = scan_count_jumps(lambda x: model.eigen_count(b, x), lo, hi, 1)
     delta = _oracle_deltas(spec, eigs, hi) if compare_oracle else None
     return SpectrumReport((lo, hi), tuple(eigs), "count_scan", delta)
 

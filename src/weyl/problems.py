@@ -1,7 +1,7 @@
 """Problem files: JSON descriptions of a model, a boundary operator, an
 optional triplet transform, and task parameters: the defaults of a request's
-window, rect, grid and grid_n, read by request_value, which reads the
-command-line flags too.
+window, rect and grid, read by request_value, which reads the command-line
+flags too.
 
 Complex numbers are encoded as plain numbers (real) or two-element
 [re, im] arrays; matrices as row-major nested lists of those.  Every number
@@ -13,7 +13,6 @@ Models and potentials are read through one table from kind to class each
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import math
@@ -21,7 +20,6 @@ from dataclasses import MISSING, dataclass, field, fields
 
 from . import models
 from .errors import EvalError, SchemaError
-from .extensions import MAX_GRID_N, MIN_GRID_N
 from .linalg import Matrix
 from .slsolve import Expression, PotentialSpec, SquareWell, Table, Zero
 from .triplets import TripletTransform, make_transform
@@ -174,7 +172,7 @@ def transform_from_json(data, n: int, path: str = "$.transform") -> TripletTrans
 
 # The text form of each request value; window and rect also take a JSON
 # array of as many numbers as their text has fields.
-_TASK_FORMS = {"window": "'a:b'", "rect": "'re0:re1:im0:im1'", "grid": "'re0:re1:n,im0:im1:m'", "grid_n": ""}
+_TASK_FORMS = {"window": "'a:b'", "rect": "'re0:re1:im0:im1'", "grid": "'re0:re1:n,im0:im1:m'"}
 MAX_AXIS_POINTS = 1000  # the most points one grid axis may have
 
 
@@ -198,24 +196,13 @@ def _axis(text: str, what: str, path: str) -> list:
 
 
 def request_value(key: str, v, flag: str | None = None):
-    """A request's window or rect as a tuple of 2 or 4 finite floats, its grid as
-    (real axis, imaginary axis) lists of 1 to MAX_AXIS_POINTS finite floats, or its
-    grid_n as an int in [MIN_GRID_N, MAX_GRID_N], from the task entry v or the text v
-    of the flag named flag; each SchemaError names that source ("--window", "$.task.window[0]")."""
+    """A request's window or rect as a tuple of 2 or 4 finite floats, or its grid as
+    (real axis, imaginary axis) lists of 1 to MAX_AXIS_POINTS finite floats, from the
+    task entry v or the text v of the flag named flag; each SchemaError names that
+    source ("--window", "$.task.window[0]")."""
     path, form = flag or f"$.task.{key}", _TASK_FORMS.get(key)
     if form is None:
         raise SchemaError(path, f"unknown task key (allowed: {sorted(_TASK_FORMS)})")
-    if key == "grid_n":
-        if flag is not None:
-            with contextlib.suppress(ValueError):
-                v = int(v)
-        if not (_is_number(v) and isinstance(v, int)):
-            raise SchemaError(path, f"expected an integer, got {v!r}")
-        if v < MIN_GRID_N:
-            raise SchemaError(path, f"must be at least {MIN_GRID_N}")
-        if v > MAX_GRID_N:
-            raise SchemaError(path, f"must be at most {MAX_GRID_N}, got {v}")
-        return v
     if key == "grid":
         if not isinstance(v, str):
             raise SchemaError(path, f"expected a string, got {type(v).__name__}")

@@ -217,7 +217,7 @@ _ROBIN = {"kind": "half_line", "potential": {"kind": "zero"}}
     ({"model": _ROBIN, "boundary": -0.5, "task": {"window": [-2.0, "x"]}}, ["spectrum"], "$.task.window[1]"),
     ({"model": _ROBIN, "boundary": -0.5, "task": {"rect": [-2.0, 2.0, 0.1]}}, ["spectrum"], "$.task.rect"),
     ({"model": _ROBIN, "task": {"grid": [[-1, 1, 2], [1, 2, 2]]}}, ["eval"], "$.task.grid"),
-    ({"model": _ROBIN, "boundary": -0.5, "task": {"window": "-2:-0.1", "grid_n": True}}, ["spectrum"],
+    ({"model": _ROBIN, "boundary": -0.5, "task": {"window": "-2:-0.1", "grid_n": 128}}, ["spectrum"],
      "$.task.grid_n"),
     ({"model": _ROBIN, "boundary": True}, ["negcount"], "$.boundary"),
     ({"model": _ROBIN, "boundary": [[True]]}, ["negcount"], "$.boundary[0][0]"),
@@ -459,13 +459,12 @@ _REQUEST_FORMS = [
     ("window", "-5:-0.1", ["-5:-0.1", [-5, -0.1], [-5.0, -0.1]], (-5.0, -0.1)),
     ("rect", "0:1:0.1:2", ["0:1:0.1:2", [0, 1, 0.1, 2]], (0.0, 1.0, 0.1, 2.0)),
     ("grid", "-1:1:3,0.5:1:2", ["-1:1:3,0.5:1:2"], ([-1.0, 0.0, 1.0], [0.5, 1.0])),
-    ("grid_n", "256", [256], 256),
 ]
 
 
 @pytest.mark.parametrize("key,text,task_forms,typed", _REQUEST_FORMS)
 def test_flag_and_task_read_to_equal_typed_values(key, text, task_forms, typed):
-    values = [request_value(key, text, "--" + key.replace("_", "-"))]
+    values = [request_value(key, text, "--" + key)]
     values += [problem_from_data({"model": _ROBIN, "task": {key: v}}).task[key] for v in task_forms]
     for v in values:
         assert v == typed and type(v) is type(typed)
@@ -475,7 +474,7 @@ def test_flag_and_task_read_to_equal_typed_values(key, text, task_forms, typed):
 
 @pytest.mark.parametrize("argv,task,key,flag_value", [
     (["spectrum", "--no-oracle"], {"window": [-5.0, -0.05]}, "window", "-3:-0.05"),
-    (["spectrum", "--no-oracle"], {"window": "-5:-0.05", "grid_n": 64}, "grid_n", "80"),
+    (["spectrum", "--no-oracle"], {"window": "-5:-0.05"}, "window", "-4:-0.1"),
     (["spectrum"], {"rect": [3.0, 5.0, 0.5, 2.0]}, "rect", "3:5:0.6:2"),
     (["eval"], {"grid": "1:2:2,1:1:1"}, "grid", "1:3:3,1:1:1"),
 ])
@@ -496,7 +495,7 @@ def test_flag_overrides_task(tmp_path, monkeypatch, argv, task, key, flag_value)
     model = {"kind": "sector", "beta": 0.75} if key in ("rect", "grid") else _ROBIN
     f = tmp_path / "p.json"
     f.write_text(json.dumps({"model": model, "boundary": [0.0, 2.0] if key == "rect" else -2.0, "task": task}))
-    flag = f"--{key.replace('_', '-')}={flag_value}"
+    flag = f"--{key}={flag_value}"
     for extra in ([], [flag]):
         assert main([argv[0], "--problem", str(f), "--out", str(tmp_path / "o.json"), *argv[1:], *extra]) == 0
     task_value, flag_read = seen[0][key], seen[1][key]
@@ -508,6 +507,7 @@ def test_flag_overrides_task(tmp_path, monkeypatch, argv, task, key, flag_value)
 # Malformed request values through either channel: the command, the task
 # block, the flags and the start of the one error line, which names its source.
 _GRID = "-1:1:2,0.5:1:2"
+_UNKNOWN_KEY = "unknown task key (allowed: ['grid', 'rect', 'window'])"
 _BAD_REQUESTS = [
     # non-finite ends, which the propagator would meet as NaN
     ("spectrum", {}, ["--window=-inf:-0.1"], "--window[0]: must be finite"),
@@ -520,10 +520,10 @@ _BAD_REQUESTS = [
     ("eval", {}, ["--grid=nan:1:2,0.5:1:2"], "--grid: real axis values must be finite"),
     ("eval", {"grid": "-1:1:2,0.5:inf:2"}, [], "$.task.grid: imaginary axis values must be finite"),
     ("eval", {"grid": "-1e308:1e308:3,0.5:1:2"}, [], "$.task.grid: real axis values must be finite"),
-    # grid_n below the coarsest scan, which a flag of 0 once replaced by 128
-    ("spectrum", {"window": "-3:-0.1"}, ["--grid-n=0"], "--grid-n: must be at least 64"),
-    ("spectrum", {"window": "-3:-0.1", "grid_n": 0}, [], "$.task.grid_n: must be at least 64"),
-    ("spectrum", {"window": "-3:-0.1"}, ["--grid-n=63"], "--grid-n: must be at least 64"),
+    # a key the reader does not know: grid_n, which once set the scan grid, or a misspelt one
+    ("spectrum", {"window": "-3:-0.1", "grid_n": 128}, [], f"$.task.grid_n: {_UNKNOWN_KEY}"),
+    ("spectrum", {"rect": "0:1:0.1:1", "grid_n": 64}, [], f"$.task.grid_n: {_UNKNOWN_KEY}"),
+    ("spectrum", {"windows": "-3:-0.1"}, [], f"$.task.windows: {_UNKNOWN_KEY}"),
     # a wrong count
     ("spectrum", {}, ["--window=-3:-1:0"], "--window: window must be 'a:b'"),
     ("spectrum", {"window": "-3:-0.1"}, ["--window="], "--window: window must be 'a:b', got ''"),
@@ -540,12 +540,12 @@ _BAD_REQUESTS = [
     ("spectrum", {"rect": "0:1:x:1"}, [], "$.task.rect: bad rect '0:1:x:1'"),
     ("eval", {}, ["--grid=-1:1:2,0.5:1:two"], "--grid: bad imaginary axis '0.5:1:two'"),
     ("eval", {"grid": [[-1, 1, 2], [0.5, 1, 2]]}, [], "$.task.grid: expected a string, got list"),
-    ("spectrum", {"window": "-3:-0.1"}, ["--grid-n=many"], "--grid-n: expected an integer, got 'many'"),
-    ("spectrum", {"window": "-3:-0.1", "grid_n": "128"}, [], "$.task.grid_n: expected an integer, got '128'"),
-    # a bool or a float grid_n
-    ("spectrum", {"window": "-3:-0.1", "grid_n": True}, [], "$.task.grid_n: expected an integer, got True"),
-    ("spectrum", {"window": "-3:-0.1", "grid_n": 128.0}, [], "$.task.grid_n: expected an integer, got 128.0"),
-    ("spectrum", {"window": "-3:-0.1"}, ["--grid-n=128.0"], "--grid-n: expected an integer, got '128.0'"),
+    ("spectrum", {}, ["--rect=0:1:x:1"], "--rect: bad rect '0:1:x:1'"),
+    ("spectrum", {"window": "-3:x"}, [], "$.task.window: bad window '-3:x'"),
+    # a bool or a string in an array
+    ("spectrum", {"window": [-3.0, True]}, [], "$.task.window[1]: expected a number, got bool"),
+    ("spectrum", {"rect": [0, 1, False, 1]}, [], "$.task.rect[2]: expected a number, got bool"),
+    ("spectrum", {"rect": [0, 1, 0.1, "1"]}, [], "$.task.rect[3]: expected a number, got str"),
 ]
 
 
@@ -561,6 +561,16 @@ def test_malformed_request_value_is_one_error_line_naming_its_source(tmp_path, c
     assert (rc, out) == (1, "")
     err = err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"error: {line}"), err
+
+
+def test_retired_grid_n_flag_is_an_unrecognized_argument(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": _ROBIN, "boundary": -0.5, "task": {"window": "-3:-0.1"}}))
+    with pytest.raises(SystemExit) as exc:
+        main(["spectrum", "--problem", str(f), "--grid-n=128"])
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (2, "")
+    assert err.strip().splitlines()[-1] == "weyl: error: unrecognized arguments: --grid-n=128"
 
 
 def _ends_within(seconds: float, fn):
@@ -623,14 +633,15 @@ def test_nan_z_on_an_ode_kind_is_a_range_error(model, z):
     assert isinstance(e, RangeError), e
 
 
-# Past the caps on the scan grid and on a grid axis: the work a scan or a grid
-# would do, and the list an axis count would build, is refused by the reader
-# first.  A grid_n of 3e6 once ran past 20 s.
+# Past the cap on a grid axis: the work a grid would do, and the list an axis
+# count would build, is refused by the reader first.  A task's grid_n, which
+# once set the size of the real scan, is refused whatever its size.
 _OVER_CAP = [
-    ("spectrum", {}, ["--grid-n=10001"], "--grid-n: must be at most 10000, got 10001"),
-    ("spectrum", {}, ["--grid-n=3000000"], "--grid-n: must be at most 10000, got 3000000"),
-    ("spectrum", {"grid_n": 10001}, [], "$.task.grid_n: must be at most 10000, got 10001"),
-    ("spectrum", {"grid_n": 10**12}, [], "$.task.grid_n: must be at most 10000, got 1000000000000"),
+    ("charfn", {}, ["--grid=-1:1:1001,0.5:1:2"], "--grid: real axis count must be at most 1000, got 1001"),
+    ("charfn", {}, ["--grid=-1:1:2,0.5:1:10000000000"],
+     "--grid: imaginary axis count must be at most 1000, got 10000000000"),
+    ("spectrum", {"grid_n": 10001}, [], f"$.task.grid_n: {_UNKNOWN_KEY}"),
+    ("spectrum", {"grid_n": 10**12}, [], f"$.task.grid_n: {_UNKNOWN_KEY}"),
     ("eval", {}, ["--grid=-1:1:1001,0.5:1:2"], "--grid: real axis count must be at most 1000, got 1001"),
     ("eval", {}, ["--grid=-1:1:2,0.5:1:10000000000"],
      "--grid: imaginary axis count must be at most 1000, got 10000000000"),
@@ -655,7 +666,6 @@ def test_grid_past_its_cap_is_a_bounded_error_line(tmp_path, capsys, cmd, task, 
 
 
 def test_caps_admit_every_size_in_use():
-    # the largest in the workloads, verify, the tests and the README: grid_n 256, 41 axis points
-    assert request_value("grid_n", 10000) == request_value("grid_n", "10000", "--grid-n") == 10000
+    # the largest in the workloads, verify, the tests and the README: 41 axis points
     re_axis, im_axis = request_value("grid", "-1:1:1000,0.5:1:41")
     assert (len(re_axis), len(im_axis)) == (1000, 41)

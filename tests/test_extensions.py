@@ -35,7 +35,7 @@ def test_point_spectrum_window_validation():
     with pytest.raises(ContractError):
         extensions.point_spectrum_real(extensions.extension(hl, -1.0), (-2.0, 0.5))
     with pytest.raises(ContractError):
-        extensions.point_spectrum_real(extensions.extension(hl, -1.0), (-2.0, -0.1), grid_n=32)
+        extensions.point_spectrum_real(extensions.extension(hl, -1.0), (-0.1, -2.0))
 
 
 def test_robin_bound_state_location():
@@ -43,6 +43,31 @@ def test_robin_bound_state_location():
     rep = extensions.point_spectrum_real(extensions.extension(hl, -1.5), (-4.0, -0.1))
     assert len(rep.eigenvalues) == 1
     assert abs(rep.eigenvalues[0][0] + 2.25) < 1e-8
+
+
+@pytest.mark.parametrize("b,window,found,budget", [
+    (-0.5, (-4.0, -0.3), [], 2),  # the one eigenvalue, -0.25, lies above the window
+    (-1.5, (-4.0, -0.1), [-2.25], 2 + math.ceil(math.log2(3.9 / 1e-10))),
+])
+def test_window_scan_count_budget(monkeypatch, b, window, found, budget):
+    """Robin b on q = 0: the scan counts at the window's two ends (so 2 is
+    exact), then only inside brackets whose counts differ, each halved down
+    to 1e-10 (1 + |x|)."""
+    calls = []
+    count = models.HalfLine.eigen_count
+    monkeypatch.setattr(models.HalfLine, "eigen_count", lambda self, bm, x: calls.append(x) or count(self, bm, x))
+    rep = extensions.point_spectrum_real(extensions.extension(models.half_line(Q0), b), window)
+    assert [round(x, 8) for x, _mult in rep.eigenvalues] == found
+    assert len(calls) <= budget
+
+
+def test_model_pole_locations_are_the_dirichlet_eigenvalues():
+    # M of q = 0 on [0, 2] has its poles at the Dirichlet eigenvalues (k pi / 2)^2
+    poles = extensions.model_pole_locations(models.finite_interval(Q0, 2.0), 0.5, 40.0)
+    want = [(k * math.pi / 2.0) ** 2 for k in range(1, 5)]
+    assert len(poles) == len(want)
+    for x, w in zip(poles, want):
+        assert abs(x - w) <= 1e-9 * (1.0 + w), (x, w)
 
 
 def test_interval_collision_spectrum():
@@ -85,7 +110,7 @@ def test_interval_mixed_conditions():
     fi = models.finite_interval(Q0, math.pi)
     big = 1e6
     rep = extensions.point_spectrum_real(
-        extensions.ExtensionSpec(fi, Matrix.diag([0.0, -big])), (0.1, 3.0), grid_n=256
+        extensions.ExtensionSpec(fi, Matrix.diag([0.0, -big])), (0.1, 3.0)
     )
     # B22 -> -inf forces y(pi) ~ 0: Neumann-Dirichlet eigenvalue 1/4
     assert any(abs(x - 0.25) < 1e-3 for x, _ in rep.eigenvalues)

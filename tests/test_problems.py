@@ -73,7 +73,8 @@ def test_reader_builds_every_kind():
 
 def test_kind_tables_match_the_classes_and_the_schema_doc():
     """Every potential class and every model class but CallableModel has a row
-    in the reader's kind tables, and docs/problem.schema.json lists the same kinds."""
+    in the reader's kind tables, and docs/problem.schema.json lists the same
+    kinds and the same task keys as the reader."""
     assert set(problems.POTENTIAL_KINDS.values()) == set(PotentialSpec.__subclasses__())
     model_classes = set(models.WeylModel.__subclasses__()) - {models.CallableModel}
     assert set(problems.MODEL_KINDS.values()) == model_classes
@@ -83,6 +84,7 @@ def test_kind_tables_match_the_classes_and_the_schema_doc():
         schema = json.load(f)
     assert schema["definitions"]["potential"]["properties"]["kind"]["enum"] == list(problems.POTENTIAL_KINDS)
     assert schema["properties"]["model"]["properties"]["kind"]["enum"] == list(problems.MODEL_KINDS)
+    assert set(schema["properties"]["task"]["properties"]) == set(problems._TASK_FORMS)
 
 
 def test_radial_schrodinger_is_half_line_alias():
@@ -184,9 +186,10 @@ def test_constructor_rule_is_a_schema_error_at_its_path(model, path, reason):
     ({"rect": [0.0, 1.0, 0.1]}, "$.task.rect"),
     ({"rect": {"re0": 0.0}}, "$.task.rect"),
     ({"grid": [0.0, 1.0]}, "$.task.grid"),
-    ({"grid_n": 128.0}, "$.task.grid_n"),
-    ({"grid_n": True}, "$.task.grid_n"),
-    ({"grid_n": "128"}, "$.task.grid_n"),
+    # the retired scan-grid key, at its old least, default and greatest
+    ({"grid_n": 64}, "$.task.grid_n"),
+    ({"grid_n": 128}, "$.task.grid_n"),
+    ({"grid_n": 10000}, "$.task.grid_n"),
 ])
 def test_malformed_task_value_rejected(task, path):
     with pytest.raises(SchemaError) as exc:
@@ -195,10 +198,10 @@ def test_malformed_task_value_rejected(task, path):
 
 
 def test_task_value_forms_accepted():
-    task = {"window": "-5:-0.1", "rect": [-2, 2, 0.1, 2.0], "grid": "-1:1:3,0.5:1:2", "grid_n": 256}
+    task = {"window": "-5:-0.1", "rect": [-2, 2, 0.1, 2.0], "grid": "-1:1:3,0.5:1:2"}
     p = problems.problem_from_data({"model": {"kind": "half_line"}, "task": task})
     assert p.task == {"window": (-5.0, -0.1), "rect": (-2.0, 2.0, 0.1, 2.0),
-                      "grid": ([-1.0, 0.0, 1.0], [0.5, 1.0]), "grid_n": 256}
+                      "grid": ([-1.0, 0.0, 1.0], [0.5, 1.0])}
     assert all(type(v) is float for key in ("window", "rect") for v in p.task[key])
     p = problems.problem_from_data({"model": {"kind": "half_line"}, "task": {"window": [-5, -0.1], "rect": "0:1:0.1:1"}})
     assert p.task == {"window": (-5.0, -0.1), "rect": (0.0, 1.0, 0.1, 1.0)}
