@@ -38,9 +38,14 @@ Martin & Wilkinson, Numer. Math. 9, 1967): no value above `upper` is
 computed, and each returned value lies within `tol` of the unbounded run's
 value of the same index.  Counts at points stepped down from `upper` find
 one below the lowest eigenvalue, so the descent from the Gershgorin bound,
-far below on every grid, costs no count.  Every returned value is the one
-plain bisection gives.  A resolvent factors T - z once; every right-hand
-side is then one substitution through the stored swaps and multipliers.
+far below on every grid, costs no count.  Once a bracket holds one
+eigenvalue alone, a safeguarded secant (Illinois) on the last pivot of a
+bottom-up elimination estimates it, and two Sturm counts planted just
+either side of the estimate let the bisection take every later midpoint
+outside them from the table.  The table holds true counts only, so every
+returned value is the one plain bisection gives.  A resolvent factors T - z
+once; every right-hand side is then one substitution through the stored
+swaps and multipliers.
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ from .errors import ContractError, DimensionError, SpectralPointError
 from .slsolve import PotentialSpec
 
 MAX_EIGENVALUES = 50  # most eigenvalues one lowest_eigenvalues call bisects
+SECANT_STEPS, PLANT_TRIES = 40, 6  # most g passes per estimate; most plants, each 4x wider
 RANK_PROBES, RANK_SEED, RANK_TAU = 6, 0, 1e-8  # resolvent_difference_rank's probes, seed, cut
 
 
@@ -263,10 +269,21 @@ def lowest_eigenvalues(opd: DiscretizedOperator, k: int, tol: float = 1e-10,
     The counts taken are kept sorted by mu.  Since the count is monotone in
     mu, a midpoint between two counted points with equal counts (or below
     the lowest counted point with count 0, or above the highest with count
-    size) takes that count without a pass, and the values are plain
-    bisection's bit for bit.  With upper given and an eigenvalue below it,
-    counts at upper - s, s = max(1, |upper|) doubling, go on until one is 0
-    or the point would leave the bracket.
+    size) takes that count without a pass.  With upper given and an
+    eigenvalue below it, counts at upper - s, s = max(1, |upper|) doubling,
+    go on until one is 0 or the point would leave the bracket.
+
+    Once the bisection for the j-th eigenvalue holds a bracket [a, b] with
+    counts j - 1 at a and j at b, a secant estimate x of the eigenvalue
+    (_secant_estimate on _last_pivot) is made, and two counts are planted at
+    x - d and x + d, d = max(tol / 4, 4 ulp(x)), widened 4-fold up to
+    PLANT_TRIES times until they hold the jump.  Every later midpoint
+    outside (x - d, x + d) then takes its count from the table.
+
+    Invariant: only true Sturm counts enter the table, and the bisection's
+    midpoints depend on nothing but the counts, so the values are plain
+    bisection's bit for bit.  A poor estimate, a pole of g in the bracket,
+    a jump larger than 1 or tol = 0 cost counts, never a changed value.
     """
     if k > MAX_EIGENVALUES:
         raise ContractError(f"k <= {MAX_EIGENVALUES}")
@@ -287,30 +304,135 @@ def lowest_eigenvalues(opd: DiscretizedOperator, k: int, tol: float = 1e-10,
 
     if upper is None:
         k = min(k, opd.size)
+        top = opd.size
     else:
-        k = min(k, count_at(upper))
+        top = count_at(upper)
+        k = min(k, top)
         hi0 = upper
         # probe down from upper until a count is 0: the bisections' descent
         # from lo0 to there then needs no count
         step = max(1.0, abs(upper))
         while k and upper - step > lo0 and count_at(upper - step):
             step *= 2.0
-    return [_bisect(count_at, j, lo0, hi0, tol) for j in range(1, k + 1)]
+    g = lru_cache(maxsize=None)(lambda mu: _last_pivot(opd, mu))
+
+    def plant(j, lo, hi):
+        x = _secant_estimate(g, lo, hi, tol)
+        if x is None:
+            return False
+        if lo < x < hi:
+            d = max(tol / 4.0, 4.0 * math.ulp(x))
+            for _ in range(PLANT_TRIES):
+                left, right = max(x - d, lo), min(x + d, hi)
+                if (left == lo or count_at(left) < j) and (right == hi or count_at(right) >= j):
+                    break
+                d *= 4.0
+        return True
+
+    return [_bisect(count_at, j, lo0, hi0, tol, plant, top) for j in range(1, k + 1)]
 
 
-def _bisect(count_at, j: int, lo: float, hi: float, tol: float) -> float:
+def _bisect(count_at, j: int, lo: float, hi: float, tol: float, isolated=None,
+            hi_count=None) -> float:
     """Midpoint of the bracket [lo, hi] around the point where count_at first
     reaches j, halved until it is at most tol wide or its midpoint is no
-    longer strictly inside it."""
+    longer strictly inside it.
+
+    With isolated given, isolated(j, lo, hi) is called before each halving
+    of a bracket known to hold that jump alone (count j - 1 at lo, taken as
+    0 at the start, and j at hi, hi_count at the start) until it returns
+    True.  It may count points in between but does not move the bracket, so
+    the midpoints and the result are the ones without it."""
+    lo_count = 0
     while hi - lo > tol:
+        if isolated is not None and lo_count == j - 1 and hi_count == j and isolated(j, lo, hi):
+            isolated = None
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        if count_at(mid) >= j:
-            hi = mid
+        c = count_at(mid)
+        if c >= j:
+            hi, hi_count = mid, c
         else:
-            lo = mid
+            lo, lo_count = mid, c
     return 0.5 * (lo + hi)
+
+
+def _last_pivot(opd: DiscretizedOperator, mu: float) -> float:
+    """g(mu), the last pivot of T - mu eliminated from its last row up:
+    q_{n-1} = d_{n-1} - mu, q_i = (d_i - mu) - e_i^2 / q_{i+1}, g = q_0.
+
+    g = det(T - mu) / det(T' - mu), T' being T without row 0, so it has a
+    simple zero at each simple eigenvalue of T and its poles are the
+    eigenvalues of T', which interlace them; between two poles it falls from
+    +inf to -inf.  It serves only as the estimate lowest_eigenvalues plants
+    its counts around, and reads the flat stretch in O(1): with mu below the
+    stretch's band, x -> a - e^2 / x has the fixed points q+ > q- > 0, and
+    w = (q - q+) / (q - q-) is multiplied by q- / q+ each row, so after m
+    rows w is (q- / q+)^m times its entry value.  This is used only while
+    |w| <= 1/2, where its q = (q+ - q- w) / (1 - w) is well conditioned
+    (the bottom of a half line: the decaying solution's fixed point q+ to
+    rounding).  Otherwise the stretch is stepped row by row.
+    """
+    diag, off2 = opd.diag, opd.off2
+    start, stop = opd.flat
+    i = len(diag) - 1
+    q = (diag[i] - mu) or 1e-300  # a zero pivot is replaced, as below
+    if start < stop - 1:
+        q = _pivots_up(diag, off2, mu, q, stop - 1, i)
+        i = stop - 1
+        a = diag[start] - mu
+        e2 = off2[start - 1]
+        if a > 0.0 and a * a > 4.0 * e2:
+            qp = 0.5 * a + math.sqrt(0.25 * a * a - e2)
+            qm = e2 / qp
+            num = (q - qp) * (qm / qp) ** (stop - 1 - start)
+            den = q - qm
+            if abs(num) <= 0.5 * abs(den):
+                w = num / den
+                q = (qp - qm * w) / (1.0 - w)
+                i = start
+    return _pivots_up(diag, off2, mu, q, 0, i)
+
+
+def _pivots_up(diag, off2, mu: float, q: float, lo: int, hi: int) -> float:
+    """The pivot of row lo, eliminating up from q, the pivot of row hi."""
+    for d, e2 in zip(reversed(diag[lo:hi]), reversed(off2[lo:hi])):
+        q = (d - mu) - e2 / q
+        if q == 0.0:
+            q = 1e-300
+    return q
+
+
+def _secant_estimate(g, a: float, b: float, tol: float):
+    """The zero of g in (a, b) by the Illinois variant of regula falsi
+    (Dowell & Jarratt, BIT 11, 1971), stopped once a step is under tol / 2
+    (or 2^-40 relative), after SECANT_STEPS steps, or at a nan.  None when
+    g(a) > 0 > g(b) fails, since a pole of g then lies in (a, b) and a
+    narrower bracket may exclude it."""
+    ga, gb = g(a), g(b)
+    if not ga > 0.0 > gb:
+        return None
+    x = a
+    side = 0
+    for _ in range(SECANT_STEPS):
+        x, last = b - gb * (b - a) / (gb - ga), x
+        if not a < x < b or abs(x - last) <= max(0.5 * tol, 2.0 ** -40 * abs(x)):
+            break
+        gx = g(x)
+        if not (gx > 0.0 or gx < 0.0):  # a zero, or nan
+            break
+        if gx > 0.0:
+            a, ga = x, gx
+            if side == 1:
+                gb *= 0.5
+            side = 1
+        else:
+            b, gb = x, gx
+            if side == -1:
+                ga *= 0.5
+            side = -1
+    return x
 
 
 def _factor(opd: DiscretizedOperator, z: complex):

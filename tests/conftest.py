@@ -1,4 +1,10 @@
 import os
 import sys
 
+from hypothesis import settings
+
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+# `pytest --hypothesis-profile=ci` runs each property test without a
+# max_examples of its own on 2000 examples
+settings.register_profile("ci", max_examples=2000, deadline=None)

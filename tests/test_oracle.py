@@ -1,6 +1,7 @@
 import math
 import random
 import threading
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -418,6 +419,79 @@ def test_lowest_eigenvalues_are_plain_bisection(case, tol, monkeypatch):
             # a grid's Gershgorin bound lies far below its lowest eigenvalue,
             # and the descent from it needs no count
             assert len(counted) < passes
+
+
+def _recording_counts(counted):
+    """eigen_count_below that appends each mu it counts to `counted`."""
+    count = oracle.eigen_count_below
+    return lambda o, mu: counted.append(mu) or count(o, mu)
+
+
+@settings(deadline=None)
+@given(_sturm_cases(), st.one_of(st.none(), st.floats(-12.0, 12.0)),
+       st.sampled_from([1e-10, 1e-3, 0.0]), st.integers(1, 6))
+def test_drawn_lowest_eigenvalues_are_plain_bisection(op, upper, tol, k):
+    # zero couplings, multiple eigenvalues and flat stretches that end the
+    # matrix: the planted counts may miss, but no value may move
+    want, _ = _plain_lowest(op, k, tol, upper)
+    counted = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(oracle, "eigen_count_below", _recording_counts(counted))
+        assert oracle.lowest_eigenvalues(op, k, tol, upper) == want
+    assert len(set(counted)) == len(counted)
+
+
+@lru_cache(maxsize=None)
+def _plain_lowest_case(case, upper):
+    return _plain_lowest(_LOWEST_CASES[case][0], 5, 1e-10, upper)[0]
+
+
+_WRONG_ESTIMATES = {
+    "lower end": lambda a, b, x: a,
+    "upper end": lambda a, b, x: b,
+    "0.3 away": lambda a, b, x: x + 0.3,
+    "nan": lambda a, b, x: math.nan,
+    "outside": lambda a, b, x: b + 1.0,
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(_WRONG_ESTIMATES))
+@pytest.mark.parametrize("case", sorted(_LOWEST_CASES))
+def test_a_wrong_estimate_changes_no_value(case, wrong, monkeypatch):
+    op, uppers = _LOWEST_CASES[case]
+    estimate = oracle._secant_estimate
+
+    def wrong_estimate(g, a, b, tol):
+        x = estimate(g, a, b, tol)
+        return None if x is None else _WRONG_ESTIMATES[wrong](a, b, x)
+
+    monkeypatch.setattr(oracle, "_secant_estimate", wrong_estimate)
+    for upper in uppers:
+        assert oracle.lowest_eigenvalues(op, 5, 1e-10, upper) == _plain_lowest_case(case, upper), upper
+
+
+_WORKLOAD_ORACLES = [  # the operators and window tops of the spectrum requests
+    (oracle.discretize(PotentialSpec.square_well(-1.0, 0.7), 2.0, 2000, -0.5, 0.3), 6.0),
+    (oracle.discretize(PotentialSpec.square_well(-2.0, 1.0), 40.0, 4000, -0.5, None), -0.05),
+    (oracle.discretize(PotentialSpec.table([0.0, 16.0], [4.0, 4.0]), 16.0, 6666, -1.8, None), 0.9),
+]
+
+
+def test_planted_counts_halve_the_work(monkeypatch):
+    # forward Sturm counts plus bottom-up passes, against plain bisection's
+    # counts; each bottom-up pass steps at most the rows a count steps
+    counted = []
+    last_pivot = oracle._last_pivot
+    monkeypatch.setattr(oracle, "eigen_count_below", _recording_counts(counted))
+    monkeypatch.setattr(oracle, "_last_pivot", lambda o, mu: counted.append(mu) or last_pivot(o, mu))
+    work = plain = 0
+    for op, upper in _WORKLOAD_ORACLES:
+        want, passes = _plain_lowest(op, oracle.MAX_EIGENVALUES, 1e-10, upper)
+        counted.clear()
+        assert oracle.lowest_eigenvalues(op, oracle.MAX_EIGENVALUES, upper=upper) == want
+        work += len(counted)
+        plain += passes
+    assert work <= plain / 2, (work, plain)
 
 
 @pytest.mark.parametrize("op, want", [
