@@ -102,7 +102,8 @@ def scan_count_jumps(count, lo: float, hi: float, steps: int):
         bisect(a, na, mid, nm)
         bisect(mid, nm, b, nb)
 
-    xs = [lo + (hi - lo) * k / steps for k in range(steps + 1)]
+    # the last point is hi itself: lo + (hi - lo) * steps / steps can round past it
+    xs = [lo + (hi - lo) * k / steps for k in range(steps)] + [hi]
     ns = [count(x) for x in xs]
     for xa, na, xb, nb in zip(xs, ns, xs[1:], ns[1:]):
         bisect(xa, na, xb, nb)

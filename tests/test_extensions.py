@@ -262,6 +262,22 @@ def test_scan_count_jumps_splits_close_and_multiple_roots():
     assert all(abs(x - r) < 1e-9 for (x, _k), r in zip(roots, (0.505, 0.515, 1.3)))
 
 
+@pytest.mark.parametrize("steps", [1, 128])
+@pytest.mark.parametrize("lo, hi", [(-1e6, -1e-12), (-4.0, -0.3)])
+def test_scan_counts_at_the_window_ends(lo, hi, steps):
+    # lo + (hi - lo) * steps / steps is 0.0 for the first window, the floor
+    # that point_spectrum_real refuses as a window top
+    counted = []
+
+    def count(x):
+        counted.append(x)
+        return x > -1.0
+
+    extensions.scan_count_jumps(count, lo, hi, steps)
+    assert min(counted) == lo and max(counted) == hi
+    assert len(counted) > steps
+
+
 def _op_potential_eig(a, b):
     # a - sqrt(a) sqrt(a - 1 - x) = b
     return a - 1.0 - ((a - b) / math.sqrt(a)) ** 2
