@@ -276,8 +276,8 @@ def lowest_eigenvalues(opd: DiscretizedOperator, k: int, tol: float = 1e-10,
     Once the bisection for the j-th eigenvalue holds a bracket [a, b] with
     counts j - 1 at a and j at b, a secant estimate x of the eigenvalue
     (_secant_estimate on _last_pivot) is made, and two counts are planted at
-    x - d and x + d, d = max(tol / 4, 4 ulp(x)), widened 4-fold up to
-    PLANT_TRIES times until they hold the jump.  Every later midpoint
+    x - d and x + d, d = max(tol / 4, 4 ulp(x)), at most PLANT_TRIES times,
+    each 4-fold wider, until they hold the jump.  Every later midpoint
     outside (x - d, x + d) then takes its count from the table.
 
     Invariant: only true Sturm counts enter the table, and the bisection's
