@@ -129,6 +129,8 @@ def point_spectrum_real(spec: ExtensionSpec, window, compare_oracle: bool = Fals
     if not spec.is_hermitian:
         raise ContractError("point_spectrum_real requires Hermitian B")
     lo, hi = float(window[0]), float(window[1])
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise ContractError(f"window ({lo}, {hi}) must have finite ends")
     if not lo < hi:
         raise ContractError("window must be a nonempty interval")
     model, b = spec.model, spec.B
@@ -187,6 +189,8 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
     kept below pi/4 by adaptive bisection of the contour segments.
     """
     re0, re1, im0, im1 = (float(v) for v in rect)
+    if not all(map(math.isfinite, (re0, re1, im0, im1))):
+        raise ContractError(f"rectangle ({re0}, {re1}, {im0}, {im1}) must have finite sides")
     if not (re0 < re1 and 0.0 < im0 < im1):
         raise ContractError("rectangle must satisfy re0 < re1 and 0 < im0 < im1")
     model, b = spec.model, spec.B

@@ -17,18 +17,17 @@ grid, from one pass of q.cell_averages over the cells' shared edges; the
 couplings and their squares depend on (L, n) and on which sides are Robin
 and are built once too.  An operator is that interior plus a boundary row on
 each side that is not Dirichlet, so the Dirichlet reference and every A_B of
-one request share both.  A grid's flat stretch, its longest run of interior
-rows with one diagonal entry and one coupling (the q = 0 tail of a half
-line, say), is found once per grid too.  A Sturm count steps through it only
-until an LDL pivot repeats bit for bit, since every later pivot of the
-stretch is then that same value.  When the stretch is the last rows of the
-matrix (the Dirichlet end of a half line) and mu lies below its band, the
-count also stops once a pivot exceeds the coupling, since no later pivot can
-then be negative.  The Gershgorin bounds read the stretch's rows as one row.
-Both give the bits of the full loop.  The bisection for the j-th eigenvalue
-starts from the same bracket as the one for j - 1, so all of them share one
-sorted table of Sturm counts, and it stops at width tol or once the
-midpoint is no longer strictly inside the bracket.  The floating-point
+one request share both.  A grid's flat stretch, its trailing run of equal
+interior rows (the q = 0 tail of a half line, say), is found once per grid
+too; its rows share one diagonal entry and one coupling.  A Sturm count is
+one pass over the rows with one early exit: when the stretch is the last
+rows of the matrix (the Dirichlet end of a half line) and mu lies below its
+band, the count stops once a pivot there exceeds the coupling, since no
+later pivot can then be negative.  The Gershgorin bounds read the stretch's
+rows as one row.  Both give the bits of the full loop.  The bisection for
+the j-th eigenvalue starts from the same bracket as the one for j - 1, so
+all of them share one sorted table of Sturm counts, and it stops at width
+tol or once the midpoint is no longer strictly inside the bracket.  The floating-point
 Sturm count is monotone in mu (Demmel, Dhillon & Ren, ETNA 3, 1995), so a
 midpoint between two counted points of equal count has that count and takes
 no pass.  With `upper` given, one Sturm count at `upper` says how many
@@ -55,7 +54,7 @@ import random
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import chain, groupby
+from itertools import chain
 
 from .errors import ContractError, DimensionError, SpectralPointError
 from .slsolve import PotentialSpec
@@ -78,7 +77,8 @@ class DiscretizedOperator:
 
     flat = (start, stop) names the rows start..stop-1 (start >= 1) that
     share diag[start] and the coupling off[start - 1] to the row before;
-    (0, 0), the default, names none.  off2 holds the squares e * e of the
+    (0, 0), the default, names none.  discretize names the grid's trailing
+    run of equal interior rows.  off2 holds the squares e * e of the
     couplings, which the Sturm count reads; left out, they are derived here.
     """
 
@@ -107,10 +107,11 @@ def _grid(q: PotentialSpec, L: float, n: int):
     q is averaged over each node's cell clipped to [0, L], which keeps
     potential jumps second-order accurate; the n + 1 cells share their
     edges, and q.cell_averages reads them in one pass.  The interior rows do
-    not depend on the boundary.  The flat run (i, j) is the first longest run
-    interior[i:j] of equal entries; the cached interior is a tuple whose flat
-    run is one float object, so a cached grid costs 8 bytes a flat node and
-    32 bytes (a reference and its float) any other.
+    not depend on the boundary.  The flat run (i, n - 1) is the trailing run
+    interior[i:] of equal entries, or (0, 0) when the last two differ; the
+    cached interior is a tuple whose flat run is one float object, so a
+    cached grid costs 8 bytes a flat node and 32 bytes (a reference and its
+    float) any other.
     """
     dx = L / n
     # node i's cell is [max(0, (i - 0.5) dx), min(L, (i + 0.5) dx)]
@@ -118,16 +119,12 @@ def _grid(q: PotentialSpec, L: float, n: int):
     q0, qn = interior.pop(0), interior.pop()
     for i, c in enumerate(interior):
         interior[i] = (2.0 / dx + c * dx) / dx
-    run = (0, 0)
-    i = 0
-    for _, rows in groupby(interior):
-        j = i + sum(1 for _ in rows)
-        if j - i > run[1] - run[0]:
-            run = (i, j)
-        i = j
-    i, j = run
-    rows = tuple(interior[:i]) + (interior[i],) * (j - i) + tuple(interior[j:])
-    return q0, rows, qn, run
+    i = j = len(interior)
+    while i and interior[i - 1] == interior[-1]:
+        i -= 1
+    if i == j - 1:
+        return q0, tuple(interior), qn, (0, 0)
+    return q0, tuple(interior[:i]) + (interior[-1],) * (j - i), qn, (i, j)
 
 
 @lru_cache(maxsize=32)
@@ -183,16 +180,14 @@ def _sturm_count(diag, off2, mu: float, flat=(0, 0)) -> int:
     """The number of negative LDL pivots of T - mu, the same integer as the
     full loop over every row; off2 are the squared couplings e * e.
 
-    The rows flat = (start, stop) share a = diag[start] - mu and e2 =
+    When the flat stretch (start, stop) ends the matrix (stop == len(diag))
+    and mu lies below its band, the count is final once a pivot p there
+    exceeds |e|.  Its rows share a = diag[start] - mu and e2 =
     off2[start - 1], so each pivot there is p' = fl(a - fl(e2 / p)), the
-    full loop's bits.  Once a pivot repeats, the rest of the stretch is
-    that pivot.
-
-    When the stretch ends the matrix (stop == len(diag)) and mu lies below
-    its band, the count is final once a pivot p there exceeds |e|.  With
-    r = sqrt(e2), a > 2r and p > r give p' = a - e2/p > a - r > r in exact
-    arithmetic, so no later pivot is negative, and no row follows the
-    stretch.  In floating point, with u = 2^-53:
+    full loop's bits.  With r = sqrt(e2), a > 2r and p > r give
+    p' = a - e2/p > a - r > r in exact arithmetic, so no later pivot is
+    negative, and no row follows the stretch.  In floating point, with
+    u = 2^-53:
     - a > fl(2 (1 + 1e-12) fl(sqrt(e2))) gives a > 2r (1 + 9.9e-13), since
       the constant, the square root and the product each round by at most
       u relative (a square root of a positive float is normal);
@@ -201,45 +196,35 @@ def _sturm_count(diag, off2, mu: float, flat=(0, 0)) -> int:
     - then fl(e2 / p) < r (1 + 2u), and p' >= (a - fl(e2 / p)) (1 - u) >
       r (1 + 1.9e-12) > r, so p' is again above r, and positive.
     With e2 = 0 every later pivot is a > 0 itself.  Any other stretch, and
-    mu at or above the band, is stepped as before.
+    mu at or above the band, is stepped row by row.
     """
     tiny = 1e-300
-    prev = diag[0] - mu
-    if prev == 0.0:
-        prev = -tiny
-    count = 1 if prev < 0 else 0
+    p = diag[0] - mu
+    if p == 0.0:
+        p = -tiny
+    count = 1 if p < 0 else 0
     start, stop = flat
-    rest = 1
-    if start < stop:
-        for d, e2 in zip(diag[1:start], off2):
-            prev = (d - mu) - e2 / prev
-            if prev == 0.0:
-                prev = -tiny
-            if prev < 0:
-                count += 1
+    if start < stop == len(diag):
         a = diag[start] - mu
         e2 = off2[start - 1]
-        settles = stop == len(diag) and a > 2.0 * (1 + 1e-12) * math.sqrt(e2)
-        for i in range(start, stop):
-            p = a - e2 / prev
-            if p == 0.0:
-                p = -tiny
-            if p == prev:
-                if p < 0:
-                    count += stop - i
-                break
-            prev = p
-            if p < 0:
-                count += 1
-            elif settles and p * p > e2:
-                break
-        rest = stop
-    for d, e2 in zip(diag[rest:], off2[rest - 1:]):
-        prev = (d - mu) - e2 / prev
-        if prev == 0.0:
-            prev = -tiny
-        if prev < 0:
+        if not a > 2.0 * (1 + 1e-12) * math.sqrt(e2):
+            start = stop
+    else:
+        start = stop = len(diag)
+    for d, sq in zip(diag[1:start], off2):
+        p = (d - mu) - sq / p
+        if p == 0.0:
+            p = -tiny
+        if p < 0:
             count += 1
+    for _ in range(start, stop):
+        p = a - e2 / p
+        if p == 0.0:
+            p = -tiny
+        if p < 0:
+            count += 1
+        elif p * p > e2:
+            break
     return count
 
 

@@ -30,6 +30,16 @@ def test_point_spectrum_requires_hermitian_b():
         extensions.point_spectrum_real(extensions.extension(hl, 1j), (-2.0, -0.1))
 
 
+@pytest.mark.parametrize("window", [(-math.inf, -0.05), (-2.0, math.inf), (math.nan, -0.05)])
+def test_point_spectrum_refuses_non_finite_window_ends(window):
+    # refused before the scan, which would evaluate at nan and raise a
+    # RangeError naming a z the caller never gave
+    for spec in (extensions.extension(models.half_line(Q0), -1.0),
+                 extensions.ExtensionSpec(models.finite_interval(Q0, 1.0), Matrix.zeros(2, 2))):
+        with pytest.raises(ContractError, match=r"^window \("):
+            extensions.point_spectrum_real(spec, window)
+
+
 def test_point_spectrum_window_validation():
     hl = models.half_line(Q0)
     with pytest.raises(ContractError):
@@ -139,6 +149,15 @@ def test_count_complex_interior_zero_detected():
     assert rep.count == 1
     rep = extensions.count_complex_eigenvalues(spec, (2.0, 4.0, 0.5, 1.5))
     assert rep.count == 0
+
+
+@pytest.mark.parametrize("rect", [(-math.inf, 1.0, 0.5, 1.5), (0.0, math.inf, 0.5, 1.5),
+                                  (0.0, 1.0, 0.5, math.inf)])
+def test_count_complex_refuses_non_finite_rect_sides(rect):
+    # refused before the contour, which would evaluate at a nan z
+    spec = extensions.extension(models.half_line(Q0), 2j)
+    with pytest.raises(ContractError, match=r"^rectangle \("):
+        extensions.count_complex_eigenvalues(spec, rect)
 
 
 def test_count_complex_boundary_zero_error():
