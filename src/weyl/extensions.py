@@ -20,6 +20,7 @@ import cmath
 import math
 from dataclasses import dataclass
 
+from . import kernels
 from . import oracle as oracle_mod
 from .errors import (
     AccuracyError,
@@ -30,14 +31,7 @@ from .errors import (
     SingularMatrixError,
     SpectralPointError,
 )
-from .linalg import (
-    Matrix,
-    det,
-    herm_part,
-    hermitian_eigen,
-    inverse,
-    numeric_rank,
-)
+from .linalg import Matrix, herm_part, inertia, inverse, numeric_rank
 from .models import ZERO_EIGENVALUE, WeylModel, evaluate, m_at_zero
 
 ORACLE_ZERO_CUT = 1e-4  # oracle counts strictly below -cut: O(dx^2)-stable
@@ -193,10 +187,10 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
         raise ContractError(f"rectangle ({re0}, {re1}, {im0}, {im1}) must have finite sides")
     if not (re0 < re1 and 0.0 < im0 < im1):
         raise ContractError("rectangle must satisfy re0 < re1 and 0 < im0 < im1")
-    model, b = spec.model, spec.B
+    model, det_b = spec.model, kernels.det_kernel(spec.B)
 
     def f(z):
-        return det(evaluate(model, z) - b)
+        return det_b(evaluate(model, z).data)
 
     corners = [
         complex(re0, im0),
@@ -273,11 +267,18 @@ def negative_count(spec: ExtensionSpec):
     model = spec.model
     m0 = m_at_zero(model)
     band = 3.0 * m0.est_error
-    for w in hermitian_eigen(herm_part(spec.B - m0.value)):
-        if ZERO_EIGENVALUE < abs(w) <= band:
+    if band > ZERO_EIGENVALUE:
+        w = herm_part(spec.B - m0.value)
+
+        def below(shift):  # (eigenvalues of w below shift, at or below it)
+            neg, zero, _ = inertia(w - Matrix.identity(model.n).scale(shift))
+            return neg, neg + zero
+
+        undecided = (below(band)[1] - below(ZERO_EIGENVALUE)[1], below(-ZERO_EIGENVALUE)[0] - below(-band)[0])
+        if max(undecided) > 0:
             raise AccuracyError(
-                f"eigenvalue {w:.3g} of B - M(0) is within 3 est_error of M(0) of zero, "
-                "so its sign is undecided",
+                f"{sum(undecided)} eigenvalue(s) of B - M(0) within 3 est_error of M(0) "
+                f"({band:.3g}) of zero, so the sign is undecided",
                 estimate=m0.est_error,
             )
     kappa_m = model.count_below_zero(spec.B, m0.value)

@@ -1,4 +1,4 @@
-"""Straight-line kernels for the per-point path of the `eval`/`charfn` grids.
+"""Straight-line kernels for the per-point paths of the grids and the contour.
 
 After M(z), a grid point takes the Mobius map of the problem's transform and,
 for `charfn`, W by the full route (B* - M)^-1 (B - M) or the reduced route
@@ -14,6 +14,10 @@ transform or not, W route, zeros of K*) is compiled once per process, and a
 request binds its constants as the compiled factory's arguments.  Beyond
 MAX_N, or with non-finite transform blocks (0 * inf is nan, a term that
 Matrix.__matmul__ skips), the kernel is the Matrix path itself.
+
+`det_kernel` does the same for a sample of the complex eigenvalue count:
+det(M(z) - B) by _eliminate's pivots and swap sign, multiplied in det's
+order, so it has linalg.det's bits; it raises nothing det does not.
 """
 
 from __future__ import annotations
@@ -22,13 +26,14 @@ import cmath
 import functools
 import math
 
-from . import charfun, triplets
-from .linalg import SINGULAR_PIVOT_REL, Matrix
+from .linalg import SINGULAR_PIVOT_REL, Matrix, det
 
 MAX_N = 4
 
 
 def _matrix_path(n: int, transform, col, data: tuple) -> tuple:
+    from . import charfun, triplets  # here, not at the top: charfun imports extensions, which imports this module
+
     m = Matrix(n, n, data)
     if transform is not None:
         m = triplets.transform_weyl(transform, m)
@@ -50,6 +55,17 @@ def grid_kernel(n: int, transform=None, col=None):
             k_zero = tuple(v == 0 for v in col.K_star.data)
     args = [v for block in blocks for v in block]
     return _factory(n, t is not None, rank, k_zero)(reference, t and t.X22_fro, *args)
+
+
+def _det_path(b: Matrix, data: tuple) -> complex:
+    return det(Matrix(b.rows, b.cols, data) - b)
+
+
+def det_kernel(b: Matrix):
+    """data of M(z) -> det(M(z) - b), with linalg.det's bits."""
+    if b.rows > MAX_N:
+        return functools.partial(_det_path, b)
+    return _det_factory(b.rows)(*b.data)
 
 
 def _matmul(a: list, b: list, n: int, k: int, m: int, zero=()) -> list:
@@ -79,6 +95,29 @@ class _Source:
         self.params += [f"{name}{i}" for i in range(size)]
         return self.params[-size:]
 
+    def eliminate(self, rows: list, n: int, det_sign: bool = False):
+        """_eliminate on the names in rows, the first n of them: min_pivot
+        tracks its smallest pivot or, for det, `sign` the sign of its swaps."""
+        for k in range(n - 1 if det_sign else n):  # det has no use for the last column's pivot search
+            self.line(f"best, piv_row = abs({rows[k][k]}), {k}")
+            for r in range(k + 1, n):
+                self.line(f"v = abs({rows[r][k]})")
+                self.line(f"if v > best: piv_row, best = {r}, v")
+            for r in range(k + 1, n):
+                pair, swapped = rows[k][k:] + rows[r][k:], rows[r][k:] + rows[k][k:]
+                if det_sign:
+                    pair, swapped = pair + ["sign"], swapped + ["-sign"]
+                self.line(f"{'el' * (r > k + 1)}if piv_row == {r}: {', '.join(pair)} = {', '.join(swapped)}")
+            if not det_sign:
+                self.line("if best < min_pivot: min_pivot = best")
+            if k + 1 < n:
+                self.line("if best != 0:")
+            for r in range(k + 1, n):
+                self.line(f"f = {rows[r][k]} / {rows[k][k]}", 1)
+                self.line("if f != 0:", 1)
+                self.line(f"{', '.join(rows[r][k + 1:])} = "
+                          + ", ".join(f"{rows[r][j]} - f * {rows[k][j]}" for j in range(k + 1, len(rows[r]))), 2)
+
     def solve(self, a: list, b: list, n: int, m: int) -> list:
         """The names of X in A X = B as linalg.solve computes it; the reference where it raises."""
         w, tag = n + m, len(self.lines)
@@ -87,28 +126,22 @@ class _Source:
                   + ", ".join(x for i in range(n) for x in a[i * n:(i + 1) * n] + b[i * m:(i + 1) * m]))
         self.line(f"scale = max(1e-300, {', '.join(f'abs({x})' for row in rows for x in row[:n])})")
         self.line("min_pivot = inf")
-        for k in range(n):
-            self.line(f"best, piv_row = abs({rows[k][k]}), {k}")
-            for r in range(k + 1, n):
-                self.line(f"v = abs({rows[r][k]})")
-                self.line(f"if v > best: piv_row, best = {r}, v")
-            for r in range(k + 1, n):
-                pair, swapped = rows[k][k:] + rows[r][k:], rows[r][k:] + rows[k][k:]
-                self.line(f"{'el' * (r > k + 1)}if piv_row == {r}: {', '.join(pair)} = {', '.join(swapped)}")
-            self.line("if best < min_pivot: min_pivot = best")
-            if k + 1 < n:
-                self.line("if best != 0:")
-            for r in range(k + 1, n):
-                self.line(f"f = {rows[r][k]} / {rows[k][k]}", 1)
-                self.line("if f != 0:", 1)
-                self.line(f"{', '.join(rows[r][k + 1:])} = "
-                          + ", ".join(f"{rows[r][j]} - f * {rows[k][j]}" for j in range(k + 1, w)), 2)
+        self.eliminate(rows, n)
         self.line("if min_pivot < SINGULAR_PIVOT_REL * scale: return reference(data)")
         for k in range(n - 1, -1, -1):
             for c in range(n, w):
                 s = rows[k][c] + "".join(f" - {rows[k][t]} * {rows[t][c]}" for t in range(k + 1, n))
                 self.line(f"{rows[k][c]} = ({s}) / {rows[k][k]}")
         return [row[j] for row in rows for j in range(n, w)]
+
+    def compile(self, params: list, returns: str):
+        """The factory (params, the block constants) -> kernel(data), whose body returns `returns`."""
+        body = "\n".join(self.lines + [f"        return {returns}"])
+        scope = {"__builtins__": {}, "abs": abs, "max": max, "sum": sum, "sqrt": math.sqrt, "inf": math.inf,
+                 "complex": complex, "SINGULAR_PIVOT_REL": SINGULAR_PIVOT_REL}
+        exec(f"def factory({', '.join(params + self.params)}):\n"
+             f"    def kernel(data):\n{body}\n    return kernel\n", scope)
+        return scope["factory"]
 
 
 @functools.lru_cache(maxsize=64)  # a grid session meets a handful of shapes; K*'s zeros could make more
@@ -141,9 +174,17 @@ def _factory(n: int, mobius: bool, rank, k_zero: tuple):
             # Matrix.identity(r) + (K* core J).scale(2j)
             m = [f"{'(1+0j)' if at % (rank + 1) == 0 else '0j'} + 2j * ({e})"
                  for at, e in enumerate(_matmul(p, j, rank, rank, rank))]
-    body = "\n".join(src.lines + [f"        return ({', '.join(m)},)"])
-    scope = {"__builtins__": {}, "abs": abs, "max": max, "sum": sum, "sqrt": math.sqrt, "inf": math.inf,
-             "SINGULAR_PIVOT_REL": SINGULAR_PIVOT_REL}
-    exec(f"def factory(reference, x22_fro, {', '.join(src.params)}):\n"
-         f"    def kernel(data):\n{body}\n    return kernel\n", scope)
-    return scope["factory"]
+    return src.compile(["reference", "x22_fro"], f"({', '.join(m)},)")
+
+
+@functools.cache  # one shape per n <= MAX_N
+def _det_factory(n: int):
+    """The compiled factory of det(M - B) for one n: (entries of B) -> kernel."""
+    src = _Source()
+    b = src.block("b", n * n)
+    rows = [[f"r{i}_{j}" for j in range(n)] for i in range(n)]
+    src.line(f"{', '.join(f'm{i}' for i in range(n * n))}, = data")
+    src.line(f"{', '.join(sum(rows, []))} = {', '.join(f'm{i} - {x}' for i, x in enumerate(b))}")
+    src.line("sign = 1")
+    src.eliminate(rows, n, det_sign=True)
+    return src.compile([], " * ".join(["complex(sign)"] + [rows[k][k] for k in range(n)]))

@@ -4,16 +4,19 @@ Matrices are immutable value types (row-major tuples); nothing here mutates
 shared state, so values are freely shareable between threads.  Dimensions in
 this package stay at desk scale (<= ~64), which is why the eigensolver is a
 cyclic Jacobi iteration and the SVD a one-sided Jacobi: simple, dependency
-free, quadratically convergent.
+free, quadratically convergent.  Jacobi serves where eigenvalues themselves
+are wanted; a count of eigenvalues by sign is the inertia, read from the
+pivots of one Bunch-Kaufman LDL* factorization.
 """
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 from dataclasses import dataclass
 
-from .errors import ContractError, DimensionError, SingularMatrixError
+from .errors import ContractError, DimensionError, RangeError, SingularMatrixError
 
 # Solve/inverse declare a pivot singular below this multiple of the largest
 # entry; root finders on det(M(z)-B) rely on a crisp singularity signal.
@@ -21,6 +24,9 @@ SINGULAR_PIVOT_REL = 1e-13
 
 # both Jacobi iterations stop at off-diagonal mass JACOBI_TOL * norm, or after the sweep cap
 JACOBI_TOL, JACOBI_MAX_SWEEPS = 1e-14, 60
+
+# Bunch-Kaufman's pivot threshold, which bounds the growth of the LDL* factors
+BK_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
 
 
 @dataclass(frozen=True)
@@ -248,29 +254,118 @@ def inverse(a: Matrix) -> Matrix:
     return solve(a, Matrix.identity(a.rows))
 
 
-# -- Hermitian eigenproblem (cyclic Jacobi) --------------------------------
+# -- Hermitian eigenproblem (cyclic Jacobi) and inertia (Bunch-Kaufman) ----
 
 
-def _symmetrized(m: Matrix) -> Matrix:
-    _require_square(m, "hermitian_eigen")
-    scale = max(m.norm_fro(), 1e-300)
-    dev = (m - m.adjoint()).norm_fro()
-    if dev > 2e-10 * scale and dev > 1e-12:
+def _hermitian_rows(m: Matrix, op: str, e: int = 0):
+    """(rows, e): the rows of herm_part(m), with its bits, and 0; or where the
+    squares of m's entries overflow, those of m scaled by the power of two 2**e
+    that brings its largest entry below 1, and e.  A non-finite entry raises
+    RangeError, and m must be Hermitian to tolerance (ContractError)."""
+    _require_square(m, op)
+    n = m.rows
+    rows = [list(m.data[i * n:(i + 1) * n]) for i in range(n)]
+    sq = dev = 0.0  # ||M||_F^2 and ||M - M*||_F^2
+    half = complex(0.5)  # herm_part's scale(0.5)
+    for i, ri in enumerate(rows):
+        x = ri[i]
+        sq += x.real * x.real + x.imag * x.imag
+        dev += 4.0 * x.imag * x.imag
+        ri[i] = complex(x.real)
+        for j in range(i):
+            x, y = ri[j], rows[j][i]
+            d = x - y.conjugate()
+            sq += x.real * x.real + x.imag * x.imag + y.real * y.real + y.imag * y.imag
+            dev += 2.0 * (d.real * d.real + d.imag * d.imag)
+            ri[j], rows[j][i] = half * (x + y.conjugate()), half * (y + x.conjugate())
+    if not sq < math.inf:
+        if not all(map(cmath.isfinite, m.data)):
+            raise RangeError(f"{op}: the matrix has a non-finite entry")
+        e = -math.frexp(m.norm_max())[1]
+        return _hermitian_rows(m.scale(math.ldexp(1.0, e)), op, e)
+    dev, scale = math.sqrt(dev), max(math.sqrt(sq), 1e-300)
+    if dev > 2e-10 * scale and dev > math.ldexp(1e-12, e):
         raise ContractError(
-            f"input not Hermitian to tolerance: ||M-M*|| = {dev:.3e} vs scale {scale:.3e}"
+            f"input not Hermitian to tolerance: ||M-M*|| = {math.ldexp(dev, -e):.3e} "
+            f"vs scale {math.ldexp(scale, -e):.3e}"
         )
-    return herm_part(m)
+    return rows, e
+
+
+def _swap(a: list, p: int, q: int):
+    """The symmetric permutation of indices p and q, in place."""
+    a[p], a[q] = a[q], a[p]
+    for row in a:
+        row[p], row[q] = row[q], row[p]
+
+
+def inertia(m: Matrix) -> tuple:
+    """(negative, zero, positive): the eigenvalues of a Hermitian m by sign.
+
+    Sylvester's law reads them from D in the Bunch-Kaufman factorization
+    P m P* = L D L* (Math. Comp. 31, 1977), here with LAPACK's pivot tests:
+    a 1x1 pivot is real, and zero only where its whole column is; a 2x2
+    pivot has a negative determinant, one eigenvalue of each sign, and is
+    applied through its scaled inverse, which squares no entry.  m is held
+    to hermitian_eigen's tolerance, with its errors (_hermitian_rows).
+    """
+    a, _ = _hermitian_rows(m, "inertia")
+    n = len(a)
+    neg = zero = k = 0
+    while k < n:
+        col, r = 0.0, k  # the largest |entry| below the diagonal of column k, and its row
+        for i in range(k + 1, n):
+            v = abs(a[i][k])
+            if v > col:
+                col, r = v, i
+        d = abs(a[k][k].real)
+        if d < BK_ALPHA * col:
+            row = max(map(abs, a[r][k:r] + a[r][r + 1:]))
+            if d < BK_ALPHA * col * (col / row):
+                if abs(a[r][r].real) >= BK_ALPHA * row:
+                    _swap(a, k, r)
+                else:  # the 2x2 pivot of rows k and r, moved to k + 1
+                    _swap(a, k + 1, r)
+                    b = a[k + 1][k]
+                    size = abs(b)
+                    d11, d22, u = a[k + 1][k + 1].real / size, a[k][k].real / size, b / size
+                    s = 1.0 / (d11 * d22 - 1.0) / size
+                    # row j of L times the pivot: (a_jk, a_j,k+1) E^-1
+                    w = [(s * (d11 * a[j][k] - u * a[j][k + 1]), s * (d22 * a[j][k + 1] - u.conjugate() * a[j][k]))
+                         for j in range(k + 2, n)]
+                    for i in range(k + 2, n):
+                        row_i, x, y = a[i], a[i][k], a[i][k + 1]
+                        for j, (wk, wk1) in enumerate(w, k + 2):
+                            row_i[j] -= x * wk.conjugate() + y * wk1.conjugate()
+                    neg += 1
+                    k += 2
+                    continue
+        d = a[k][k].real
+        if d < 0.0:
+            neg += 1
+        elif d == 0.0:  # only where col == 0
+            zero += 1
+            k += 1
+            continue
+        for i in range(k + 1, n):
+            f = a[i][k] / d
+            if f:
+                row_i = a[i]
+                for j in range(k + 1, n):
+                    row_i[j] -= f * a[j][k].conjugate()
+        k += 1
+    return neg, zero, n - neg - zero
 
 
 def _jacobi(m: Matrix, v):
     """The matrix left by the cyclic Jacobi rotations of m, as rows; each
-    rotation is also applied to the columns of v unless v is None."""
-    h = _symmetrized(m)
-    n = h.rows
-    a = [[h.at(i, j) for j in range(n)] for i in range(n)]
+    rotation is also applied to the columns of v unless v is None.  Where
+    _hermitian_rows scaled m by 2**e, the diagonal is scaled back."""
+    a, e = _hermitian_rows(m, "hermitian_eigen")
+    n = m.rows
     for i in range(n):
         a[i][i] = complex(a[i][i].real)
-    norm = max(h.norm_fro(), 1e-300)
+    norm = max(math.sqrt(sum([x.real * x.real + x.imag * x.imag for row in a for x in row])), 1e-300)
     for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(sum(abs(a[i][j]) ** 2 for i in range(n) for j in range(n) if i != j))
         if off <= JACOBI_TOL * norm:
@@ -308,6 +403,9 @@ def _jacobi(m: Matrix, v):
                         vip, viq = v[i][p], v[i][q]
                         v[i][p] = c * vip + suc * viq
                         v[i][q] = -su * vip + c * viq
+    if e:
+        for i in range(n):
+            a[i][i] = complex(math.ldexp(a[i][i].real, -e))
     return a
 
 

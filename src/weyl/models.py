@@ -42,7 +42,7 @@ from dataclasses import dataclass, field
 from . import oracle
 from .errors import (AccuracyError, DomainError, EvalError, PoleError, RangeError,
                      TransversalityError, WeylError)
-from .linalg import Matrix, herm_part, hermitian_eigen, lambda_min, unchecked
+from .linalg import Matrix, herm_part, inertia, lambda_min, unchecked
 from .slsolve import (
     PotentialSpec,
     boundary_ratio,
@@ -104,17 +104,13 @@ class WeylModel:
 
     def eigen_count(self, b: Matrix, x: float) -> int:
         """N_B(x): eigenvalues of A_b below a real x under the floor."""
-        return self.reference_count(x) + _positive_index(self.M(complex(x)) - b)
+        return self.reference_count(x) + inertia(self.M(complex(x)) - b)[2]
 
     def count_below_zero(self, b: Matrix, m0: Matrix) -> int:
         """N_B(0) from M(0) = m0: N_0(0) plus the eigenvalues of b - m0 below
-        -ZERO_EIGENVALUE."""
-        negative = sum(1 for w in hermitian_eigen(herm_part(b - m0)) if w < -ZERO_EIGENVALUE)
-        return self.reference_count(0.0) + negative
-
-
-def _positive_index(m: Matrix) -> int:
-    return sum(1 for w in hermitian_eigen(m) if w > 0.0)
+        -ZERO_EIGENVALUE, the negative inertia of b - m0 + ZERO_EIGENVALUE."""
+        shifted = herm_part(b - m0) + Matrix.identity(self.n).scale(ZERO_EIGENVALUE)
+        return self.reference_count(0.0) + inertia(shifted)[0]
 
 
 def h_map(m: complex, h: float) -> complex:
@@ -265,8 +261,15 @@ class FiniteInterval(WeylModel):
         """N_0(x) plus the inertia of Y0* (Y1 - B Y0), congruent to M - B where
         Y0 is invertible (Sylvester) and finite where it is not."""
         fs = fundamental_system(self.q, self.b, x)
-        congruent = herm_part(fs.Y0.adjoint() @ (fs.Y1 - b @ fs.Y0))
-        return fs.dirichlet_count + _positive_index(congruent)
+        (y00, y01, y10, y11), (w00, w01, w10, w11), (b00, b01, b10, b11) = fs.Y0.data, fs.Y1.data, b.data
+        # C = Y1 - B Y0, then the Hermitian part of G = Y0* C
+        c00, c01 = w00 - (b00 * y00 + b01 * y10), w01 - (b00 * y01 + b01 * y11)
+        c10, c11 = w10 - (b10 * y00 + b11 * y10), w11 - (b10 * y01 + b11 * y11)
+        y00, y01, y10, y11 = y00.conjugate(), y01.conjugate(), y10.conjugate(), y11.conjugate()
+        g10 = 0.5 * (y01 * c00 + y11 * c10 + (y00 * c01 + y10 * c11).conjugate())
+        g00, g11 = (y00 * c00 + y10 * c10).real, (y01 * c01 + y11 * c11).real
+        congruent = unchecked(2, 2, (complex(g00), g10.conjugate(), g10, complex(g11)))
+        return fs.dirichlet_count + inertia(congruent)[2]
 
     def oracle_operators(self, b: Matrix):
         if not _is_diagonal(b):

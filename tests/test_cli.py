@@ -51,6 +51,18 @@ def test_parse_grid_errors():
     assert request_value("rect", "0:1:2:3", "--rect") == (0.0, 1.0, 2.0, 3.0)
 
 
+@pytest.mark.parametrize("model", [
+    {"kind": "operator_potential_halfline", "a_diag": [2, 5]},
+    {"kind": "finite_interval", "potential": {"kind": "zero"}, "b": 2},
+])
+@pytest.mark.parametrize("cmd", [["negcount"], ["spectrum", "--window=-5:0.5"]])
+def test_boundary_entries_whose_squares_overflow_get_no_traceback(tmp_path, model, cmd):
+    # the counts' Hermitian tolerance squares B's entries: 1e160 overflowed into an OverflowError
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": model, "boundary": [[1e160, 1e160], [1e160, 1e160]]}))
+    assert main([*cmd, "--problem", str(f), "--out", str(tmp_path / "o.json")]) in (0, 1)
+
+
 def test_negcount_json(robin_problem, tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["negcount", "--problem", robin_problem, "--out", str(out)])

@@ -11,11 +11,13 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl import charfun, kernels, triplets
 from weyl.cli import main
 from weyl.errors import SpectralPointError, TransversalityError
-from weyl.linalg import Matrix
+from weyl.linalg import Matrix, det
 from weyl.problems import problem_from_data
 
 SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 0.0, 1e-300, 1.0)
@@ -115,6 +117,34 @@ def test_beyond_max_n_the_kernel_is_the_matrix_path():
     assert kernel.func is kernels._matrix_path
     data = _weyl_samples(rng, n, 1)[0]
     assert _kernel(kernel, data) == _reference(n, kernel.args[1], None, data)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=kernels.MAX_N), st.integers(min_value=0, max_value=10**6),
+       st.sampled_from(["random", "swap", "zero_column", "special"]))
+def test_det_kernel_has_the_matrix_paths_bits(n, seed, shape):
+    rng = random.Random(seed)
+    b = Matrix(n, n, tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n * n)))
+    m = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n * n)]
+    if shape == "swap":  # a small diagonal of M - B: the first step swaps rows
+        m[::n + 1] = [v + 1e-3 * rng.gauss(0, 1) for v in b.data[::n + 1]]
+    elif shape == "zero_column":  # M - B has a zero column: _eliminate skips that step
+        j = rng.randrange(n)
+        m[j::n] = b.data[j::n]
+    elif shape == "special":
+        m = [complex(rng.choice(SPECIAL), rng.choice(SPECIAL)) if rng.random() < 0.4 else v for v in m]
+    data = tuple(m)
+    assert repr(kernels.det_kernel(b)(data)) == repr(det(Matrix(n, n, data) - b))
+
+
+def test_det_kernel_beyond_max_n_is_the_matrix_path():
+    rng = random.Random(7)
+    n = kernels.MAX_N + 1
+    b = Matrix(n, n, tuple(complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(n * n)))
+    kernel = kernels.det_kernel(b)
+    assert kernel.func is kernels._det_path
+    data = _weyl_samples(rng, n, 1)[0]
+    assert repr(kernel(data)) == repr(det(Matrix(n, n, data) - b))
 
 
 def test_terms_with_a_constant_zero_left_factor_are_skipped():

@@ -1,10 +1,11 @@
+import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weyl.errors import ContractError, DimensionError, SingularMatrixError
+from weyl.errors import ContractError, DimensionError, RangeError, SingularMatrixError
 from weyl.linalg import (
     Matrix,
     det,
@@ -12,6 +13,7 @@ from weyl.linalg import (
     hermitian_eigen,
     hermitian_eigh,
     imag_part,
+    inertia,
     inverse,
     numeric_rank,
     singular_values,
@@ -122,8 +124,57 @@ def test_eigenvalues_alone_are_eigh_values_to_the_bit(seed):
 
 
 def test_non_hermitian_input_rejected():
-    with pytest.raises(ContractError):
-        hermitian_eigen(Matrix.from_rows([[0, 1], [0, 0]]))
+    for f in (hermitian_eigen, inertia):
+        with pytest.raises(ContractError):
+            f(Matrix.from_rows([[0, 1], [0, 0]]))
+
+
+def test_eigenvalues_of_entries_whose_squares_overflow():
+    # the squares of 1e200 overflow: Jacobi runs on the matrix scaled by a power of two
+    w = hermitian_eigen(Matrix.from_rows([[1e200, 1e200], [1e200, -1e200]]))
+    r = math.sqrt(2.0) * 1e200
+    assert abs(w[0] + r) <= 4e-16 * r and abs(w[1] - r) <= 4e-16 * r
+
+
+@pytest.mark.parametrize("entry", [math.nan, math.inf, complex(0.0, math.nan)])
+def test_non_finite_entries_raise_range_error(entry):
+    m = Matrix.diag([entry, 1.0])
+    for f in (hermitian_eigen, inertia):
+        with pytest.raises(RangeError):
+            f(m)
+
+
+@pytest.mark.parametrize("rows, want", [
+    ([[0, 1], [1, 0]], (1, 0, 1)),
+    ([[0, 0], [0, 2]], (0, 1, 1)),
+    ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], (0, 3, 0)),
+    # a zero diagonal fails every 1x1 pivot test: rows 0 and 2 make a 2x2 pivot
+    ([[0, 1, 2], [1, 0, 3], [2, 3, 0]], (2, 0, 1)),
+    ([[0, 1j, 0], [-1j, 0, 0], [0, 0, -3]], (2, 0, 1)),
+    ([[2, 1e-300], [1e-300, -1]], (1, 0, 1)),
+])
+def test_inertia_exact_cases(rows, want):
+    assert inertia(Matrix.from_rows(rows)) == want
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6),
+       st.sampled_from(["dense", "zero_diagonal", "real"]), st.sampled_from([1.0, 1e-150, 1e170]))
+def test_inertia_agrees_with_jacobi_signs(n, seed, shape, scale):
+    """Bunch-Kaufman's sign counts are Jacobi's wherever every eigenvalue lies
+    at least 1e-6 ||H|| from 0; at 1e170 both run on H scaled by a power of two."""
+    rng = random.Random(seed)
+    rows = [[complex(rng.gauss(0, 1), 0.0 if shape == "real" else rng.gauss(0, 1)) for _ in range(n)]
+            for _ in range(n)]
+    if shape == "zero_diagonal":  # forces 2x2 pivots and row swaps
+        for i in range(n):
+            rows[i][i] = 0j
+    h = herm_part(Matrix.from_rows(rows))
+    norm = h.norm_fro() * scale
+    h = h.scale(scale)
+    evals = hermitian_eigen(h)
+    assume(norm > 0 and min(abs(w) for w in evals) >= 1e-6 * norm)
+    assert inertia(h) == (sum(w < 0 for w in evals), 0, sum(w > 0 for w in evals))
 
 
 def test_inverse_accuracy_bound():
