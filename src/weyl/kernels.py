@@ -32,7 +32,8 @@ MAX_N = 4
 
 
 def _matrix_path(n: int, transform, col, data: tuple) -> tuple:
-    from . import charfun, triplets  # here, not at the top: charfun imports extensions, which imports this module
+    # imported here: charfun imports extensions, which imports this module
+    from . import charfun, triplets
 
     m = Matrix(n, n, data)
     if transform is not None:
@@ -116,7 +117,7 @@ class _Source:
                 self.line(f"f = {rows[r][k]} / {rows[k][k]}", 1)
                 self.line("if f != 0:", 1)
                 self.line(f"{', '.join(rows[r][k + 1:])} = "
-                          + ", ".join(f"{rows[r][j]} - f * {rows[k][j]}" for j in range(k + 1, len(rows[r]))), 2)
+                          + ", ".join(f"{v} - f * {w}" for v, w in zip(rows[r][k + 1:], rows[k][k + 1:])), 2)
 
     def solve(self, a: list, b: list, n: int, m: int) -> list:
         """The names of X in A X = B as linalg.solve computes it; the reference where it raises."""

@@ -331,8 +331,8 @@ def inertia(m: Matrix) -> tuple:
                     d11, d22, u = a[k + 1][k + 1].real / size, a[k][k].real / size, b / size
                     s = 1.0 / (d11 * d22 - 1.0) / size
                     # row j of L times the pivot: (a_jk, a_j,k+1) E^-1
-                    w = [(s * (d11 * a[j][k] - u * a[j][k + 1]), s * (d22 * a[j][k + 1] - u.conjugate() * a[j][k]))
-                         for j in range(k + 2, n)]
+                    w = [(s * (d11 * a[j][k] - u * a[j][k + 1]),
+                          s * (d22 * a[j][k + 1] - u.conjugate() * a[j][k])) for j in range(k + 2, n)]
                     for i in range(k + 2, n):
                         row_i, x, y = a[i], a[i][k], a[i][k + 1]
                         for j, (wk, wk1) in enumerate(w, k + 2):
@@ -363,8 +363,6 @@ def _jacobi(m: Matrix, v):
     _hermitian_rows scaled m by 2**e, the diagonal is scaled back."""
     a, e = _hermitian_rows(m, "hermitian_eigen")
     n = m.rows
-    for i in range(n):
-        a[i][i] = complex(a[i][i].real)
     norm = max(math.sqrt(sum([x.real * x.real + x.imag * x.imag for row in a for x in row])), 1e-300)
     for _ in range(JACOBI_MAX_SWEEPS):
         off = math.sqrt(sum(abs(a[i][j]) ** 2 for i in range(n) for j in range(n) if i != j))
