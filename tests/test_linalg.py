@@ -200,7 +200,7 @@ def test_inertia_sylvester_invariance(n, seed):
         return
     congruent = t.adjoint() @ m @ t
     tol = 1e-7 * max(1.0, m.norm_fro())
-    # the sign counts of the eigenvalues, as FiniteInterval.eigen_count takes them
+    # the law FiniteInterval.eigen_count rests on, read from the signs of the eigenvalues
     before = _sign_counts(hermitian_eigen(m), tol)
     after = _sign_counts(hermitian_eigen(congruent), tol * sig[0] ** 2)
     if before[1] == 0 and after[1] == 0:
