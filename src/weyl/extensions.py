@@ -28,6 +28,7 @@ from .errors import (
     BoundaryZeroError,
     ContractError,
     DimensionError,
+    RangeError,
     SingularMatrixError,
     SpectralPointError,
 )
@@ -179,8 +180,12 @@ class ComplexCountReport:
 def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
     """Zeros of det(M(z) - B) inside a rectangle in the open upper half-plane.
 
-    Winding number of the determinant along the boundary, with the phase step
-    kept below pi/4 by adaptive bisection of the contour segments.
+    The winding number of the determinant along the boundary, in one ordered
+    walk: 16 samples a side, each segment whose phase step is pi/4 or more
+    halved, left half first, until its step is smaller or it is at most 1e-12
+    long, and each accepted step added to the phase sum in contour order.  A
+    sample or a phase sum that is not finite raises RangeError, and a 20001st
+    sample ArgumentPrincipleError.
     """
     re0, re1, im0, im1 = (float(v) for v in rect)
     if not all(map(math.isfinite, (re0, re1, im0, im1))):
@@ -188,65 +193,47 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
     if not (re0 < re1 and 0.0 < im0 < im1):
         raise ContractError("rectangle must satisfy re0 < re1 and 0 < im0 < im1")
     model, det_b = spec.model, kernels.det_kernel(spec.B)
+    samples = 0
 
-    def f(z):
-        return det_b(evaluate(model, z).data)
+    def sample(z):
+        nonlocal samples
+        if samples == 20000:
+            raise ArgumentPrincipleError("contour sample budget exhausted before the phase step stabilized")
+        samples += 1
+        v = det_b(evaluate(model, z).data)
+        if not cmath.isfinite(v):
+            raise RangeError(f"det(M(z)-B) is not finite at contour point {z}")
+        return z, v
 
-    corners = [
-        complex(re0, im0),
-        complex(re1, im0),
-        complex(re1, im1),
-        complex(re0, im1),
-        complex(re0, im0),
-    ]
-    pts = []
-    vals = []
-    budget = [20000]
-
-    def fval(z):
-        if budget[0] <= 0:
-            raise ArgumentPrincipleError(
-                "contour sample budget exhausted before the phase step stabilized"
-            )
-        budget[0] -= 1
-        return f(z)
-
-    for a, c in zip(corners, corners[1:]):
-        seg = 16
-        for k in range(seg):
-            pts.append(a + (c - a) * (k / seg))
-    pts.append(corners[-1])
-    vals = [fval(z) for z in pts]
-    scale = max(abs(v) for v in vals)
+    corners = [complex(re0, im0), complex(re1, im0), complex(re1, im1), complex(re0, im1)]
+    todo = [sample(a + (c - a) * (k / 16)) for a, c in zip(corners, corners[1:] + corners[:1])
+            for k in range(16)]
+    todo.append(sample(corners[0]))
+    scale = max(abs(v) for _, v in todo)
     if scale == 0.0:
         raise BoundaryZeroError("det(M(z)-B) vanished on the contour; perturb the rectangle")
-
+    min_abs = min(abs(v) for _, v in todo)
+    todo.reverse()  # the samples still ahead of the walk, the next one last
+    a, va = todo.pop()
     total = 0.0
-    min_abs = min(abs(v) for v in vals)
-    i = 0
-    while i < len(pts) - 1:
-        va, vb = vals[i], vals[i + 1]
+    while todo:
+        b, vb = todo[-1]
         if abs(va) < 1e-12 * scale or abs(vb) < 1e-12 * scale:
-            raise BoundaryZeroError(
-                f"det(M(z)-B) ~ 0 at contour point {pts[i]}; perturb the rectangle"
-            )
+            raise BoundaryZeroError(f"det(M(z)-B) ~ 0 at contour point {a}; perturb the rectangle")
         dphi = cmath.phase(vb / va)
-        if abs(dphi) >= math.pi / 4.0 and abs(pts[i + 1] - pts[i]) > 1e-12:
-            mid = 0.5 * (pts[i] + pts[i + 1])
-            vm = fval(mid)
-            pts.insert(i + 1, mid)
-            vals.insert(i + 1, vm)
-            min_abs = min(min_abs, abs(vm))
+        if abs(dphi) >= math.pi / 4.0 and abs(b - a) > 1e-12:
+            todo.append(sample(0.5 * (a + b)))
+            min_abs = min(min_abs, abs(todo[-1][1]))
             continue
         total += dphi
-        i += 1
+        a, va = todo.pop()
     winding = total / (2.0 * math.pi)
+    if not math.isfinite(winding):  # finite samples near the float limit overflow a quotient vb / va
+        raise RangeError("det(M(z)-B) lies too near the float limit for the phase steps of this contour")
     count = round(winding)
     if abs(winding - count) > 0.05:
-        raise ArgumentPrincipleError(
-            f"winding number {winding:.4f} did not settle near an integer"
-        )
-    return ComplexCountReport(count, min_abs < 1e-3 * scale, len(pts), min_abs)
+        raise ArgumentPrincipleError(f"winding number {winding:.4f} did not settle near an integer")
+    return ComplexCountReport(count, min_abs < 1e-3 * scale, samples, min_abs)
 
 
 # -- negative spectrum ---------------------------------------------------------

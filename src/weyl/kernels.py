@@ -17,7 +17,10 @@ Matrix.__matmul__ skips), the kernel is the Matrix path itself.
 
 `det_kernel` does the same for a sample of the complex eigenvalue count:
 det(M(z) - B) by _eliminate's pivots and swap sign, multiplied in det's
-order, so it has linalg.det's bits; it raises nothing det does not.
+order, so it has linalg.det's bits; it raises nothing det does not.  One
+emitted elimination serves solve and det alike: like _eliminate it tracks
+both the sign of its swaps, which det reads, and its smallest pivot, which
+solve reads.
 """
 
 from __future__ import annotations
@@ -96,21 +99,19 @@ class _Source:
         self.params += [f"{name}{i}" for i in range(size)]
         return self.params[-size:]
 
-    def eliminate(self, rows: list, n: int, det_sign: bool = False):
-        """_eliminate on the names in rows, the first n of them: min_pivot
-        tracks its smallest pivot or, for det, `sign` the sign of its swaps."""
-        for k in range(n - 1 if det_sign else n):  # det has no use for the last column's pivot search
+    def eliminate(self, rows: list, n: int):
+        """_eliminate on the names in rows, the first n of them: `sign` tracks
+        the sign of its swaps and min_pivot its smallest pivot."""
+        self.line("sign, min_pivot = 1, inf")
+        for k in range(n):
             self.line(f"best, piv_row = abs({rows[k][k]}), {k}")
             for r in range(k + 1, n):
                 self.line(f"v = abs({rows[r][k]})")
                 self.line(f"if v > best: piv_row, best = {r}, v")
             for r in range(k + 1, n):
-                pair, swapped = rows[k][k:] + rows[r][k:], rows[r][k:] + rows[k][k:]
-                if det_sign:
-                    pair, swapped = pair + ["sign"], swapped + ["-sign"]
+                pair, swapped = rows[k][k:] + rows[r][k:] + ["sign"], rows[r][k:] + rows[k][k:] + ["-sign"]
                 self.line(f"{'el' * (r > k + 1)}if piv_row == {r}: {', '.join(pair)} = {', '.join(swapped)}")
-            if not det_sign:
-                self.line("if best < min_pivot: min_pivot = best")
+            self.line("if best < min_pivot: min_pivot = best")
             if k + 1 < n:
                 self.line("if best != 0:")
             for r in range(k + 1, n):
@@ -126,7 +127,6 @@ class _Source:
         self.line(f"{', '.join(sum(rows, []))} = "
                   + ", ".join(x for i in range(n) for x in a[i * n:(i + 1) * n] + b[i * m:(i + 1) * m]))
         self.line(f"scale = max(1e-300, {', '.join(f'abs({x})' for row in rows for x in row[:n])})")
-        self.line("min_pivot = inf")
         self.eliminate(rows, n)
         self.line("if min_pivot < SINGULAR_PIVOT_REL * scale: return reference(data)")
         for k in range(n - 1, -1, -1):
@@ -186,6 +186,5 @@ def _det_factory(n: int):
     rows = [[f"r{i}_{j}" for j in range(n)] for i in range(n)]
     src.line(f"{', '.join(f'm{i}' for i in range(n * n))}, = data")
     src.line(f"{', '.join(sum(rows, []))} = {', '.join(f'm{i} - {x}' for i, x in enumerate(b))}")
-    src.line("sign = 1")
-    src.eliminate(rows, n, det_sign=True)
+    src.eliminate(rows, n)
     return src.compile([], " * ".join(["complex(sign)"] + [rows[k][k] for k in range(n)]))

@@ -3,10 +3,11 @@
 Matrices are immutable value types (row-major tuples); nothing here mutates
 shared state, so values are freely shareable between threads.  Dimensions in
 this package stay at desk scale (<= ~64), which is why the eigensolver is a
-cyclic Jacobi iteration and the SVD a one-sided Jacobi: simple, dependency
-free, quadratically convergent.  Jacobi serves where eigenvalues themselves
-are wanted; a count of eigenvalues by sign is the inertia, read from the
-pivots of one Bunch-Kaufman LDL* factorization.
+cyclic Jacobi iteration and the SVD a one-sided Jacobi, both by one complex
+rotation: simple, dependency free, quadratically convergent.  The eigensolver,
+hermitian_eigh, always accumulates the eigenvectors and serves where
+eigenvalues themselves are wanted; a count of eigenvalues by sign is the
+inertia, read from the pivots of one Bunch-Kaufman LDL* factorization.
 """
 
 from __future__ import annotations
@@ -307,7 +308,7 @@ def inertia(m: Matrix) -> tuple:
     a 1x1 pivot is real, and zero only where its whole column is; a 2x2
     pivot has a negative determinant, one eigenvalue of each sign, and is
     applied through its scaled inverse, which squares no entry.  m is held
-    to hermitian_eigen's tolerance, with its errors (_hermitian_rows).
+    to hermitian_eigh's tolerance, with its errors (_hermitian_rows).
     """
     a, _ = _hermitian_rows(m, "inertia")
     n = len(a)
@@ -357,11 +358,23 @@ def inertia(m: Matrix) -> tuple:
     return neg, zero, n - neg - zero
 
 
-def _jacobi(m: Matrix, v):
-    """The matrix left by the cyclic Jacobi rotations of m, as rows; each
-    rotation is also applied to the columns of v unless v is None.  Where
-    _hermitian_rows scaled m by 2**e, the diagonal is scaled back."""
-    a, e = _hermitian_rows(m, "hermitian_eigen")
+def _rotation(app: float, aqq: float, g: complex, ag: float):
+    """(c, s u, s conj(u)) of the complex Jacobi rotation that zeroes the
+    coupling g = |g| u of two diagonal entries app and aqq: a column p
+    becomes c col_p + s conj(u) col_q, a column q -s u col_p + c col_q."""
+    u = g / ag  # unit phase of the coupling
+    theta = (app - aqq) / (2.0 * ag)
+    t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
+    c = 1.0 / math.hypot(1.0, t)
+    s = t * c
+    return c, s * u, s * u.conjugate()
+
+
+def _jacobi(m: Matrix, v: list):
+    """The matrix left by the cyclic Jacobi rotations of m, as rows, each
+    rotation also applied to the columns of v.  Where _hermitian_rows scaled
+    m by 2**e, the diagonal is scaled back."""
+    a, e = _hermitian_rows(m, "hermitian_eigh")
     n = m.rows
     norm = max(math.sqrt(sum([x.real * x.real + x.imag * x.imag for row in a for x in row])), 1e-300)
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -374,16 +387,7 @@ def _jacobi(m: Matrix, v):
                 ag = abs(g)
                 if ag <= 0.25 * JACOBI_TOL * norm / max(n, 1):
                     continue
-                app = a[p][p].real
-                aqq = a[q][q].real
-                u = g / ag  # unit phase of the coupling
-                theta = (app - aqq) / (2.0 * ag)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                # columns: col_p <- c*col_p + s*conj(u)*col_q ; col_q <- -s*u*col_p + c*col_q
-                su = s * u
-                suc = s * u.conjugate()
+                c, su, suc = _rotation(a[p][p].real, a[q][q].real, g, ag)
                 for i in range(n):
                     aip, aiq = a[i][p], a[i][q]
                     a[i][p] = c * aip + suc * aiq
@@ -396,11 +400,10 @@ def _jacobi(m: Matrix, v):
                 a[q][p] = 0j
                 a[p][p] = complex(a[p][p].real)
                 a[q][q] = complex(a[q][q].real)
-                if v is not None:
-                    for i in range(n):
-                        vip, viq = v[i][p], v[i][q]
-                        v[i][p] = c * vip + suc * viq
-                        v[i][q] = -su * vip + c * viq
+                for i in range(n):
+                    vip, viq = v[i][p], v[i][q]
+                    v[i][p] = c * vip + suc * viq
+                    v[i][q] = -su * vip + c * viq
     if e:
         for i in range(n):
             a[i][i] = complex(math.ldexp(a[i][i].real, -e))
@@ -422,18 +425,8 @@ def hermitian_eigh(m: Matrix):
     return evals, vec
 
 
-def hermitian_eigen(m: Matrix) -> list:
-    """Sorted (ascending) real eigenvalues of a Hermitian matrix.
-
-    The rotations of hermitian_eigh on the matrix alone, with no
-    eigenvectors accumulated, so the values are its values bit for bit.
-    """
-    a = _jacobi(m, None)
-    return sorted(a[i][i].real for i in range(m.rows))
-
-
 def lambda_min(m: Matrix) -> float:
-    return hermitian_eigen(m)[0]
+    return hermitian_eigh(m)[0][0]
 
 
 # -- singular values (one-sided Jacobi) ------------------------------------
@@ -457,13 +450,7 @@ def singular_values(m: Matrix) -> list:
                 if ag <= JACOBI_TOL * limit / max(cols, 1):
                     continue
                 rotated = True
-                u = apq / ag
-                theta = (app - aqq) / (2.0 * ag)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.hypot(1.0, t)
-                s = t * c
-                su = s * u
-                suc = s * u.conjugate()
+                c, su, suc = _rotation(app, aqq, apq, ag)
                 for i in range(rows):
                     xp, xq = cp[i], cq[i]
                     cp[i] = c * xp + suc * xq

@@ -63,6 +63,23 @@ def test_boundary_entries_whose_squares_overflow_get_no_traceback(tmp_path, mode
     assert main([*cmd, "--problem", str(f), "--out", str(tmp_path / "o.json")]) in (0, 1)
 
 
+@pytest.mark.parametrize("boundary, line", [
+    # det(M(z) - B) is about -1e600 on the contour
+    ([[0, 1e300], [1e300, 0]], "det(M(z)-B) is not finite at contour point (-5+0.1j)"),
+    # about -(0.9 + 0.9i) 1e308: finite, but a quotient of two samples overflows
+    ([[0, 1e154], [[0.9e154, 0.9e154], 0]], "det(M(z)-B) lies too near the float limit for the phase steps"),
+], ids=["det-overflows", "quotient-overflows"])
+def test_rect_with_a_determinant_that_overflows_is_an_error_line(tmp_path, capsys, boundary, line):
+    # both once reached round() as a nan winding, a ValueError
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": {"kind": "finite_interval", "b": 2}, "boundary": boundary}))
+    rc = main(["spectrum", "--problem", str(f), "--rect=-5:50:0.1:2"])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {line}"), err
+
+
 def test_negcount_json(robin_problem, tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["negcount", "--problem", robin_problem, "--out", str(out)])

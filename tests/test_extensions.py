@@ -5,7 +5,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weyl import extensions, models, oracle
-from weyl.errors import AccuracyError, BoundaryZeroError, ContractError, SpectralPointError
+from weyl.errors import (
+    AccuracyError,
+    ArgumentPrincipleError,
+    BoundaryZeroError,
+    ContractError,
+    RangeError,
+    SpectralPointError,
+)
 from weyl.linalg import Matrix
 from weyl.slsolve import PotentialSpec
 from weyl.specfun import sqrt_upper
@@ -190,6 +197,39 @@ def test_count_complex_dissipative_b_has_no_upper_eigenvalue(model, b, rect):
     # so Im B <= 0 leaves no eigenvalue in the open upper half-plane
     rep = extensions.count_complex_eigenvalues(extensions.ExtensionSpec(model, b), rect)
     assert rep.count == 0
+
+
+@pytest.mark.parametrize("model, b, rect, count, samples, min_abs", [
+    (_INTERVAL, Matrix.diag([-0.5j, 0.0]), (-5.0, 60.0, 0.01, 2.0), 0, 94, 0.24726272396511723),
+    (_INTERVAL, Matrix.diag([-0.5j, 0.0]), (-5.0, 60.0, 0.3, 2.0), 0, 73, 0.5621288544918067),
+    (_INTERVAL, Matrix.diag([-0.5j, 0.0]), (0.0, 20.0, 0.1, 1.0), 0, 73, 0.3524640715664323),
+    (_INTERVAL, Matrix.diag([0.5j, 0.0]), (0.0, 20.0, 0.1, 1.0), 3, 88, 0.08181010762396454),
+    (models.sector(0.75), Matrix.scalar(-0.3 + 0.8j), (-3.0, 3.0, 0.1, 3.0), 1, 67, 0.6065789986273189),
+    (models.operator_potential_halfline([2, 5]), Matrix.diag([0.4 + 0.5j, 1.2 + 0.3j]), (-3.0, 3.0, 0.1, 3.0),
+     2, 67, 0.31567129104900327),
+], ids=["interval-wide", "interval-raised", "interval-small", "interval-small-up", "sector", "operator"])
+def test_count_complex_refinement_is_pinned(model, b, rect, count, samples, min_abs):
+    # the 65 first samples and every halved segment: the walk's order and rule decide samples
+    rep = extensions.count_complex_eigenvalues(extensions.ExtensionSpec(model, b), rect)
+    assert (rep.count, rep.samples) == (count, samples)
+    assert rep.min_boundary_abs == pytest.approx(min_abs, rel=1e-12, abs=0.0)
+
+
+def test_count_complex_non_finite_sample_is_a_range_error():
+    # M(z) = 1e600 z overflows on the whole contour: the first sample is refused, before any phase
+    big = models.callable_model(lambda z: Matrix.scalar(1e300 * z * 1e300), 1, ess_floor=-math.inf)
+    with pytest.raises(RangeError, match=r"^det\(M\(z\)-B\) is not finite at contour point 0\.5j$"):
+        extensions.count_complex_eigenvalues(extensions.ExtensionSpec(big, Matrix.scalar(0.0)), (0.0, 1.0, 0.5, 1.5))
+
+
+def test_count_complex_unresolved_phase_jump_exhausts_the_budget():
+    # near 1e6 a halved segment stops shrinking one float apart, above 1e-12, so a
+    # sign jump is halved until the 20000 samples are spent, which ends in a typed error
+    jump = models.callable_model(lambda z: Matrix.scalar(1.0 if z.real < 1e6 + 0.3 else -1.0), 1,
+                                 ess_floor=-math.inf)
+    with pytest.raises(ArgumentPrincipleError, match="budget exhausted"):
+        extensions.count_complex_eigenvalues(extensions.ExtensionSpec(jump, Matrix.scalar(0.0)),
+                                             (1e6, 1e6 + 1.0, 0.5, 1.5))
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the winding undercounts; it reports 3")
