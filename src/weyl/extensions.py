@@ -184,8 +184,9 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
     walk: 16 samples a side, each segment whose phase step is pi/4 or more
     halved, left half first, until its step is smaller or it is at most 1e-12
     long, and each accepted step added to the phase sum in contour order.  A
-    sample or a phase sum that is not finite raises RangeError, and a 20001st
-    sample ArgumentPrincipleError.
+    sample or a phase sum that is not finite raises RangeError, a sample below
+    1e-12 of the largest of the first ones BoundaryZeroError naming that
+    sample, and a 20001st sample ArgumentPrincipleError.
     """
     re0, re1, im0, im1 = (float(v) for v in rect)
     if not all(map(math.isfinite, (re0, re1, im0, im1))):
@@ -218,8 +219,9 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
     total = 0.0
     while todo:
         b, vb = todo[-1]
-        if abs(va) < 1e-12 * scale or abs(vb) < 1e-12 * scale:
-            raise BoundaryZeroError(f"det(M(z)-B) ~ 0 at contour point {a}; perturb the rectangle")
+        for z, v in ((a, va), (b, vb)):
+            if abs(v) < 1e-12 * scale:
+                raise BoundaryZeroError(f"det(M(z)-B) ~ 0 at contour point {z}; perturb the rectangle")
         dphi = cmath.phase(vb / va)
         if abs(dphi) >= math.pi / 4.0 and abs(b - a) > 1e-12:
             todo.append(sample(0.5 * (a + b)))

@@ -12,9 +12,14 @@ k^2 = q - z.  Where q varies (a table segment, an expression) it steps the
 exact exponential of the 6th-order Magnus generator on three Gauss-Legendre
 nodes per cell (Blanes, Casas & Ros, BIT 40, 2000), on a mesh built once per
 (potential, piece) and shared by every z; it halves the mesh until the
-extrapolant of two successive levels is within rtol (_magnus).  At a real z
-the same steps count the zeros of y, which gives the Dirichlet eigenvalue
-counts (Sturm oscillation) of a FundamentalSystem and of halfline_oscillation.
+extrapolant of two successive levels is within rtol (_magnus).  The mesh is
+graded for that 6th-order step: a cell of width w is accepted where
+w^4 |dq| <= 3e-5, dq the change of q across it, so it is narrow where q is
+steep and wide where q is flat; a change of more than 0.05 that one half of
+the cell carries more than 3/4 of is a jump, and its cell is halved down to
+about 5e-10 (_Mesh).  At a real z the same steps count the zeros of y, which
+gives the Dirichlet eigenvalue counts (Sturm oscillation) of a
+FundamentalSystem and of halfline_oscillation.
 Only this module seeds, truncates or thresholds the half-line solution
 (decaying_solution, threshold_solution), integrating it backward to 0 rather
 than through a Riccati equation (no blow-through at solution zeros);
@@ -281,11 +286,15 @@ class FundamentalSystem:
     dirichlet_count: int
 
 
-# A base cell of a Magnus mesh is at most _CELL_MAX wide and q changes by at
-# most _CELL_DQ across it, unless it is _CELL_MIN wide (q may jump); a mesh of
-# more than _MAX_CELLS base cells is refused (q may have a pole).
+# A base cell of a Magnus mesh is at most _CELL_MAX wide, and its width w and
+# the change dq of q across it keep w^4 |dq| <= _CELL_W4DQ, which spreads the
+# 6th-order step's error over the mesh.  A change of more than _CELL_DQ that
+# one half of the cell carries more than 3/4 of is a jump: its cell is halved
+# down to _CELL_MIN.  A mesh of more than _MAX_CELLS base cells is refused (q
+# may have a pole).
 _CELL_MAX = 0.5
 _CELL_DQ = 0.05
+_CELL_W4DQ = 3e-5
 _CELL_MIN = _CELL_MAX * 2.0 ** -30
 _MAX_CELLS = 2**15
 _MAX_LEVEL = 6
@@ -416,9 +425,11 @@ class _Mesh:
 
     Base nodes are distances t from origin toward end (end may be infinite),
     graded from origin and added on demand: a base cell is twice as wide as
-    the last (at most _CELL_MAX), halved while q changes by more than
-    _CELL_DQ across it or is not defined at its end.  Every span in the piece
-    steps the same base cells; only the cells it cuts are sampled afresh.
+    the last (at most _CELL_MAX), halved down to _CELL_MIN while its width w
+    and the change dq of q across it have w^4 |dq| > _CELL_W4DQ, while dq is
+    a jump (more than _CELL_DQ, and more than 3/4 of it in one half of the
+    cell; _jumps), or while q is not defined at its end.  Every span in the
+    piece steps the same base cells; only the cells it cuts are sampled afresh.
     Level k holds the 6th-order Magnus generator of each of the 2^k equal
     subcells of each base cell, stepped toward larger t, as six doubles in
     one array('d') (see _cells).
@@ -447,11 +458,22 @@ class _Mesh:
                     if w <= _CELL_MIN:
                         raise
                     qb = math.inf
-                if abs(qb - self.q_last) <= _CELL_DQ or w <= _CELL_MIN:
+                dq = abs(qb - self.q_last)
+                if w <= _CELL_MIN or (w ** 4 * dq <= _CELL_W4DQ
+                                      and not (dq > _CELL_DQ and self._jumps(t[-1], tb, qb, dq))):
                     break
                 w *= 0.5
             t.append(tb)
             self.q_last, self.w_last = qb, w
+
+    def _jumps(self, ta: float, tb: float, qb: float, dq: float) -> bool:
+        """Whether one half of the cell [ta, tb] carries more than 3/4 of the
+        change dq of q across it (or q is not defined at its middle)."""
+        try:
+            qm = self.q.value(self.origin + self.dir * 0.5 * (ta + tb))
+        except EvalError:
+            return True
+        return max(abs(qm - self.q_last), abs(qb - qm)) > 0.75 * dq
 
     def _cells(self, t0: float, t1: float, n: int) -> array:
         """The (q2, c0, d0, o1, c2, d2) of the n equal subcells of [t0, t1], in order of t.

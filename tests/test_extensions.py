@@ -168,9 +168,11 @@ def test_count_complex_refuses_non_finite_rect_sides(rect):
 
 
 def test_count_complex_boundary_zero_error():
+    # the zero is the corner 1+0.5i, the right end of the walk's 16th segment:
+    # the error names that sample, not the segment's left end 0.9375+0.5i
     lin = models.callable_model(lambda z: Matrix.scalar(z), 1, ess_floor=-math.inf)
     spec = extensions.ExtensionSpec(lin, Matrix.scalar(1.0 + 0.5j))
-    with pytest.raises(BoundaryZeroError):
+    with pytest.raises(BoundaryZeroError, match=r"^det\(M\(z\)-B\) ~ 0 at contour point \(1\+0\.5j\);"):
         extensions.count_complex_eigenvalues(spec, (0.0, 1.0, 0.5, 1.5))
 
 

@@ -2,9 +2,10 @@ import cmath
 import dataclasses
 import math
 import re
+from bisect import bisect_left, bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from weyl import models, oracle, slsolve
@@ -544,10 +545,11 @@ def _rk45_loop(q, z, y, yp, a, b, rtol, atol, samples):
 
     x = a
     h = direction * min(length / 50.0, 0.2)
-    hmin = 1e-14 * max(length, 1.0)
+    hmin = min(1e-14 * max(length, 1.0), 1e-3 * length)  # a span can be a few ulps long
     k = [None] * 7
     while (b - x) * direction > 0:
-        if abs(h) > abs(b - x):
+        last = abs(h) >= abs(b - x)
+        if last:
             h = b - x
         k[0] = f(x, y, yp)
         rejected_nan = False
@@ -585,7 +587,7 @@ def _rk45_loop(q, z, y, yp, a, b, rtol, atol, samples):
             sc_p = atol + rtol * max(abs(yp), abs(yp_new))
             err = math.sqrt(0.5 * ((abs(eu) / sc_u) ** 2 + (abs(ep) / sc_p) ** 2))
         if err <= 1.0:
-            x += h
+            x = b if last else x + h  # x + (b - x) can miss b by an ulp
             y, yp = y_new, yp_new
             if samples is not None:
                 samples.append((x, y, yp))
@@ -613,6 +615,42 @@ def test_magnus_matches_the_rk45_reference(q, span, z):
     y0 = (0.3 - 0.2j, 1.0 + 0j)
     ref = _rk45_loop(q, complex(z), *y0, *span, 1e-13, 1e-13, None)
     got = integrate_ivp(q, z, y0, span)
+    scale = max(abs(ref[0]), abs(ref[1]))
+    assert max(abs(got[0] - ref[0]), abs(got[1] - ref[1])) <= 1e-10 * scale
+
+
+@st.composite
+def _varying_potentials(draw):
+    """(q, lo, hi): a*exp(-x/b) + c*sin(k*x), or a table of 2 to 6 nodes, with
+    the stretch [lo, hi] that spans draw from, a little beyond x = 0 and the
+    table's end nodes."""
+    def coef(lo, hi):
+        return draw(st.integers(lo, hi)) / 100
+
+    if draw(st.booleans()):
+        a, b, c, k = coef(-300, 300), coef(30, 300), coef(-100, 100), coef(50, 400)
+        return PotentialSpec.expression(f"{a}*exp(-x/{b}) + {c}*sin({k}*x)"), -0.5, 3.0
+    nodes = [0.0]
+    for step in draw(st.lists(st.integers(20, 100), min_size=1, max_size=5)):
+        nodes.append(nodes[-1] + step / 100)
+    return PotentialSpec.table(nodes, [coef(-300, 300) for _ in nodes]), -0.5, nodes[-1] + 0.5
+
+
+@given(potential=_varying_potentials(), ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
+       re=st.floats(-10.0, 10.0), im=st.floats(-5.0, 5.0))
+def test_magnus_agrees_with_rk45_on_random_potentials(potential, ends, re, im):
+    # the answer at the default rtol = 1e-10 against RK5(4) at rtol = 1e-13, forward
+    # and backward; the reference restarts at each kink of a table, which its
+    # error estimate does not see (stepped across them it can miss by 3e-10)
+    q, lo, hi = potential
+    a, b = (lo + t * (hi - lo) for t in ends)
+    assume(abs(b - a) >= 0.05)
+    z, y0 = complex(re, im), (0.3 - 0.2j, 1.0 + 0j)
+    ref = y0
+    pieces = q.pieces(min(a, b), max(a, b))
+    for start, end, _c in (pieces if b > a else [(p1, p0, c) for p0, p1, c in reversed(pieces)]):
+        ref = _rk45_loop(q, z, *ref, start, end, 1e-13, 1e-13, None)
+    got = integrate_ivp(q, z, y0, (a, b))
     scale = max(abs(ref[0]), abs(ref[1]))
     assert max(abs(got[0] - ref[0]), abs(got[1] - ref[1])) <= 1e-10 * scale
 
@@ -649,13 +687,16 @@ _ODE_GRID_NODES = [0.5 * i for i in range(7)]
 
 # the varying potentials of the ode_grid workload (seed 7), swept back from x = L
 # as the half-line route sweeps them
-@pytest.mark.parametrize("q,L", [
+_ODE_GRID_POTENTIALS = [
     (PotentialSpec.table(_ODE_GRID_NODES,
                          [round(-0.8474 * math.exp(-x), 6) for x in _ODE_GRID_NODES[:-1]] + [0.0]), 3.0),
     (PotentialSpec.expression("-1.2865*exp(-x/0.7955)"), 20.0),
-])
-@pytest.mark.parametrize("z", [-3.4 + 1.1j, -1.7 - 0.6j, -0.2 + 1.3j, 0.5 - 2.0j, 1.4 + 0.7j,
-                               1.7 + 1.9j, -3.0, -0.4, 1.2])
+]
+_ODE_GRID_ZS = [-3.4 + 1.1j, -1.7 - 0.6j, -0.2 + 1.3j, 0.5 - 2.0j, 1.4 + 0.7j, 1.7 + 1.9j, -3.0, -0.4, 1.2]
+
+
+@pytest.mark.parametrize("q,L", _ODE_GRID_POTENTIALS)
+@pytest.mark.parametrize("z", _ODE_GRID_ZS)
 def test_magnus_accepted_answer_is_within_rtol(q, L, z):
     # the answer accepted on each varying piece, at the default rtol = 1e-10
     y0 = (0j, 1.0 + 0j)
@@ -692,6 +733,45 @@ def test_magnus_mesh_across_a_jump_and_a_pole():
     assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-9 * max(abs(want[0]), abs(want[1]))
     with pytest.raises(AccuracyError):
         integrate_ivp(PotentialSpec.expression("1/(x-0.3)"), 1 + 1j, (0.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("jump", [0.06, 0.2, 0.45])
+def test_magnus_mesh_isolates_a_jump_above_cell_dq(jump):
+    # -J/2 below x = 0.3 and J/2 above is the square well of depth -J shifted by J/2;
+    # the mesh halves the base cell across the jump down to _CELL_MIN
+    q = PotentialSpec.expression(f"({jump}/2)*abs(x-0.3)/(x-0.3)")
+    got = integrate_ivp(q, 1 + 1j, (0.0, 1.0), (0.0, 1.0))
+    want = integrate_ivp(PotentialSpec.square_well(-jump, 0.3), 1 + 1j - jump / 2, (0.0, 1.0), (0.0, 1.0))
+    assert max(abs(got[0] - want[0]), abs(got[1] - want[1])) <= 1e-10 * max(abs(want[0]), abs(want[1]))
+    t = slsolve._mesh(q, 0.0, math.inf).t
+    assert any(lo < 0.3 < hi and hi - lo <= slsolve._CELL_MIN for lo, hi in zip(t, t[1:]))
+
+
+def test_magnus_work_on_the_ode_grid_potentials_is_pinned(monkeypatch):
+    # the subcells stepped over the 63 pieces and z of test_magnus_accepted_answer_is_within_rtol,
+    # and the last level of each call: the mesh graded for the 6th-order step accepts 61 answers
+    # at level 1; the table's [0, 0.5] at 1.7+1.9i and the expression at 1.2 read estimates of
+    # 1.3e-10 and 1.1e-10 there and take level 2 (the |dq| <= 0.05 mesh: 5,731 subcells and
+    # levels 1, 2 and 3 on 29, 25 and 9 calls)
+    counted = []
+    sweep = slsolve._Mesh.sweep
+
+    def counting(mesh, z, y, yp, a, b, level):
+        out = sweep(mesh, z, y, yp, a, b, level)
+        lo, hi = sorted(((a - mesh.origin) * mesh.dir, (b - mesh.origin) * mesh.dir))
+        counted.append((level, (bisect_left(mesh.t, hi) - bisect_right(mesh.t, lo) + 1) << level))
+        return out
+
+    monkeypatch.setattr(slsolve._Mesh, "sweep", counting)
+    last_levels = []
+    for q, L in _ODE_GRID_POTENTIALS:
+        for z in _ODE_GRID_ZS:
+            for lo, hi, _c in q.pieces(0.0, L):
+                start = len(counted)
+                integrate_ivp(q, z, (0j, 1.0 + 0j), (hi, lo))
+                last_levels.append(max(level for level, _n in counted[start:]))
+    assert (last_levels.count(1), last_levels.count(2), len(last_levels)) == (61, 2, 63)
+    assert sum(n for _level, n in counted) == 2772
 
 
 @pytest.mark.parametrize("x", [-3.0, 0.5, 2.4, 2.5, 9.0, 10.0, 3000.0])
