@@ -30,10 +30,11 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 
 from . import __version__, charfun, extensions, kernels, models, triplets
-from .errors import WeylError
+from .errors import RangeError, WeylError
 from .linalg import Matrix
 from .problems import ProblemFile, matrix_to_json, parse_problem, request_value
 
@@ -61,13 +62,22 @@ def _z_reprs(axes):
     return itertools.product(map(repr, res), map(repr, ims))
 
 
-def _matrix_grid_csv(axes, shape, results, label: str) -> str:
+def _non_finite(axes, results, label: str) -> RangeError:
+    """The RangeError naming the first grid point with an entry that is not finite."""
+    points = (complex(r, i) for r, i in itertools.product(*axes))
+    z = next(z for z, data in zip(points, results)
+             if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in data))
+    return RangeError(f"{label}(z) is not finite at z={z}")
+
+
+def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False) -> str:
     """re_z, im_z, then the entries row-major as re, im; one line per point.
 
     axes holds the real and the imaginary axis values, results, per point
     row-major over them, the entries of a (rows, cols) = shape matrix
     row-major.  No field holds a comma, a quote or a newline, so a plain join
-    writes what `csv.writer` would.
+    writes what `csv.writer` would.  With finite, an entry that is not
+    finite is a RangeError (_non_finite).
     """
     rows, cols = shape
     header = ["re_z", "im_z"]
@@ -80,15 +90,20 @@ def _matrix_grid_csv(axes, shape, results, label: str) -> str:
         for v in data:
             values += (v.real, v.imag)
     line = ",".join(["%s", "%s"] + ["%r"] * (len(header) - 2)) + "\n"
-    return ",".join(header) + "\n" + line * len(results) % tuple(values)
+    body = line * len(results) % tuple(values)
+    if finite and "n" in body:  # only nan and inf spell an 'n'
+        raise _non_finite(axes, results, label)
+    return ",".join(header) + "\n" + body
 
 
-def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str) -> str:
+def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str,
+                      finite: bool = False) -> str:
     """`_json_dump` of {header, "rows": [{label: [[[re, im], ..], ..], "z": [re, im]}, ..]}.
 
     The rows share one shape, so one template filled with `%r` of each float
     (float.__repr__, as `json` writes it) gives the same bytes; z takes the
-    axis reprs of `_z_reprs`.
+    axis reprs of `_z_reprs`.  With finite, an entry that is not finite is a
+    RangeError (_non_finite).
     """
     rows, cols = shape
     entry = "     [\n      %r,\n      %r\n     ]"
@@ -104,6 +119,8 @@ def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str) ->
         values += z
     body = ",\n".join([row] * len(results)) % tuple(values)
     if "n" in body:  # only nan and inf spell an 'n'; json writes them as below
+        if finite:
+            raise _non_finite(axes, results, label)
         body = body.replace("nan", "NaN").replace("inf", "Infinity")
     fields = {key: json.dumps(value) for key, value in _report_header(problem).items()}
     fields["rows"] = f"[\n{body}\n ]"
@@ -118,9 +135,9 @@ def _emit_grid(args, problem: ProblemFile, axes, col, label: str):
     res, ims = axes
     results = [kernel(models.evaluate(model, complex(r, i)).data) for r in res for i in ims]
     if args.format == "csv":
-        _emit(_matrix_grid_csv(axes, (n, n), results, label), args.out)
+        _emit(_matrix_grid_csv(axes, (n, n), results, label, finite=True), args.out)
     else:
-        _emit(_matrix_grid_json(problem, axes, (n, n), results, label), args.out)
+        _emit(_matrix_grid_json(problem, axes, (n, n), results, label, finite=True), args.out)
 
 
 def _boundary_or_fail(problem: ProblemFile) -> Matrix:

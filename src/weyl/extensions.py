@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 
 from . import kernels
@@ -244,6 +245,10 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
 def negative_count(spec: ExtensionSpec):
     """(count through M(0), oracle count or None).
 
+    The oracle count is None where the kind or B has no oracle operator, and
+    where rounding could decide it: 8 eps ||T||_inf (T.norm bounds the norm)
+    not below half of ORACLE_ZERO_CUT, as on a very short interval.
+
     The headline law: dim E_{A_B}(-inf, 0) is N_0(0) plus the number of
     negative eigenvalues of B - M(0) (WeylModel.count_below_zero).  An
     eigenvalue w of B - M(0) with |w| <= ZERO_EIGENVALUE counts as zero
@@ -273,7 +278,11 @@ def negative_count(spec: ExtensionSpec):
     kappa_m = model.count_below_zero(spec.B, m0.value)
     ops = _oracle_operators(spec)
     kappa_oracle = None
-    if ops is not None:
+    # a floating-point Sturm count is the exact count of a matrix within a few
+    # ulps of T entry by entry (Demmel, Dhillon & Ren, ETNA 3, 1995), so the
+    # count at -cut is T's own only where 8 eps ||T||_inf is well inside the cut
+    if ops is not None and all(8.0 * sys.float_info.epsilon * op.norm < ORACLE_ZERO_CUT / 2.0
+                                for op in ops):
         kappa_oracle = sum(oracle_mod.eigen_count_below(op, -ORACLE_ZERO_CUT) for op in ops)
     return kappa_m, kappa_oracle
 

@@ -13,21 +13,25 @@ A boundary side is None (Dirichlet) or a Robin value h (Neumann is 0.0).
 
 Work is spent only on what callers read, and nothing is computed twice.
 The interior rows of a grid depend on (q, L, n) alone and are built once per
-grid, from one pass of q.cell_averages over the cells' shared edges; the
-couplings and their squares depend on (L, n) and on which sides are Robin
-and are built once too.  An operator is that interior plus a boundary row on
-each side that is not Dirichlet, so the Dirichlet reference and every A_B of
-one request share both.  A grid's flat stretch, its trailing run of equal
-interior rows (the q = 0 tail of a half line, say), is found once per grid
-too; its rows share one diagonal entry and one coupling.  A Sturm count is
-one pass over the rows with one early exit: when the stretch is the last
-rows of the matrix (the Dirichlet end of a half line) and mu lies below its
-band, the count stops once a pivot there exceeds the coupling, since no
-later pivot can then be negative.  The Gershgorin bounds read the stretch's
-rows as one row.  Both give the bits of the full loop.  The bisection for
-the j-th eigenvalue starts from the same bracket as the one for j - 1, so
-all of them share one sorted table of Sturm counts, and it stops at width
-tol or once the midpoint is no longer strictly inside the bracket.  The floating-point
+grid from the pieces of q: each constant piece is one run of equal rows,
+and q.cell_averages reads only the cells across a break or in a varying
+piece, so a build costs O(pieces + varying cells) (_grid); the couplings
+and their squares depend on (L, n) and on which sides are Robin and are
+built once too.  An operator is that interior plus a boundary row on each
+side that is not Dirichlet, so the Dirichlet reference and every A_B of one
+request share both, and its norm bound max |diag| + 2 max |off| comes from
+the runs and the boundary rows in O(1).  A grid's flat stretch, its
+trailing run of equal interior rows (the q = 0 tail of a half line, say),
+is its last run; its rows share one diagonal entry and one coupling.  A
+Sturm count is one pass over the rows with one early exit: when the stretch
+is the last rows of the matrix (the Dirichlet end of a half line) and mu
+lies below its band, the count stops once a pivot there exceeds the
+coupling, since no later pivot can then be negative.  The Gershgorin bounds
+read the stretch's rows as one row.  Both give the bits of the full loop.
+The bisection for the j-th eigenvalue starts from the same bracket as the
+one for j - 1, so all of them share one sorted table of Sturm counts, and
+it stops at width tol or once the midpoint is no longer strictly inside the
+bracket.  The floating-point
 Sturm count is monotone in mu (Demmel, Dhillon & Ren, ETNA 3, 1995), so a
 midpoint between two counted points of equal count has that count and takes
 no pass.  With `upper` given, one Sturm count at `upper` says how many
@@ -51,7 +55,7 @@ from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
@@ -79,7 +83,8 @@ class DiscretizedOperator:
     share diag[start] and the coupling off[start - 1] to the row before;
     (0, 0), the default, names none.  discretize names the grid's trailing
     run of equal interior rows.  off2 holds the squares e * e of the
-    couplings, which the Sturm count reads; left out, they are derived here.
+    couplings, which the Sturm count reads, and norm = max |diag| + 2 max |off|
+    bounds ||T||_inf; left out, each is derived here.
     """
 
     diag: tuple
@@ -90,14 +95,23 @@ class DiscretizedOperator:
     right: float | None
     flat: tuple = (0, 0)
     off2: tuple | None = field(default=None, repr=False, compare=False)
+    norm: float | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.off2 is None:
             object.__setattr__(self, "off2", tuple(e * e for e in self.off))
+        if self.norm is None:
+            object.__setattr__(self, "norm", max(map(abs, self.diag))
+                               + 2.0 * max(map(abs, self.off), default=0.0))
 
     @property
     def size(self) -> int:
         return len(self.diag)
+
+
+class _Grid(tuple):
+    """_grid's (q0, rows, qn, flat); top is the largest |row|, which bounds
+    the grid's share of ||T||_inf."""
 
 
 @lru_cache(maxsize=32)
@@ -105,26 +119,61 @@ def _grid(q: PotentialSpec, L: float, n: int):
     """(q at node 0, interior diagonal of nodes 1..n-1, q at node n, flat run).
 
     q is averaged over each node's cell clipped to [0, L], which keeps
-    potential jumps second-order accurate; the n + 1 cells share their
-    edges, and q.cell_averages reads them in one pass.  The interior rows do
-    not depend on the boundary.  The flat run (i, n - 1) is the trailing run
-    interior[i:] of equal entries, or (0, 0) when the last two differ; the
-    cached interior is a tuple whose flat run is one float object, so a
-    cached grid costs 8 bytes a flat node and 32 bytes (a reference and its
-    float) any other.
+    potential jumps second-order accurate.  The grid is built from the pieces
+    of q (q.pieces): the cells wholly inside a constant piece, found by
+    bisection on the cells' edges, average to its constant c and are one
+    run, whose rows are the one float (2/dx + c dx)/dx; the other cells (those
+    across a break, and those of a varying piece) share their edges, and
+    q.cell_averages reads each stretch of them in one pass.  So a build costs
+    O(pieces + varying cells), and every row is q.cell_average's.  The
+    interior rows do not depend on the boundary.  Neighbouring runs of equal
+    rows merge, and the flat run (i, n - 1) is the last of them, the trailing
+    run interior[i:] of equal entries, or (0, 0) when it is one row.  The
+    cached interior is a tuple whose runs are each one float object, so a
+    cached grid costs 8 bytes a node of a run and 32 bytes (a reference and
+    its float) any other.  Its top, the largest |row|, is read off the runs.
     """
     dx = L / n
-    # node i's cell is [max(0, (i - 0.5) dx), min(L, (i + 0.5) dx)]
-    interior = q.cell_averages(chain((0.0,), (min(L, (i + 0.5) * dx) for i in range(n + 1))))
-    q0, qn = interior.pop(0), interior.pop()
-    for i, c in enumerate(interior):
-        interior[i] = (2.0 / dx + c * dx) / dx
-    i = j = len(interior)
-    while i and interior[i - 1] == interior[-1]:
-        i -= 1
-    if i == j - 1:
-        return q0, tuple(interior), qn, (0, 0)
-    return q0, tuple(interior[:i]) + (interior[-1],) * (j - i), qn, (i, j)
+
+    def edge(k):  # node k's cell is [edge(k), edge(k + 1)], k = 0..n
+        return min(L, (k - 0.5) * dx) if k else 0.0
+
+    edges = range(n + 2)
+    cells = []  # (q's mean, count of cells), in cell order
+    done = 0  # the cells already in cells
+
+    def averaged(stop):  # cells done..stop-1, each its own cell average
+        if done < stop:
+            cells.extend((c, 1) for c in q.cell_averages(map(edge, range(done, stop + 1))))
+
+    for lo, hi, c in q.pieces(0.0, L):
+        if c is None:
+            continue
+        first = bisect_left(edges, lo, done, key=edge)
+        stop = bisect_right(edges, hi, first, key=edge) - 1
+        if first < stop:
+            averaged(first)
+            cells.append((c, stop - first))
+            done = stop
+    averaged(n + 1)
+    q0, qn = cells[0][0], cells[-1][0]
+    cells[0] = (q0, cells[0][1] - 1)
+    cells[-1] = (qn, cells[-1][1] - 1)
+    runs = []  # [row, count], neighbours with equal rows merged
+    for c, m in cells:
+        if m:
+            v = (2.0 / dx + c * dx) / dx
+            if runs and runs[-1][0] == v:
+                runs[-1][1] += m
+            else:
+                runs.append([v, m])
+    rows = []
+    for v, m in runs:
+        rows += [v] * m
+    m = runs[-1][1]
+    grid = _Grid((q0, tuple(rows), qn, (n - 1 - m, n - 1) if m > 1 else (0, 0)))
+    grid.top = max(abs(v) for v, _ in runs)
+    return grid
 
 
 @lru_cache(maxsize=32)
@@ -154,19 +203,25 @@ def discretize(q: PotentialSpec, L: float, n: int, left: float | None,
     dx = L / n
     # quadratic form: sum (y_{i+1}-y_i)^2/dx + sum w_i q_i y_i^2 + h_l y_0^2 + h_r y_n^2,
     # lumped weights w_i = dx inside and dx/2 at a retained end node
-    q0, diag, qn, (i, j) = _grid(q, L, n)
+    grid = _grid(q, L, n)
+    q0, diag, qn, (i, j) = grid
+    top = grid.top
     off, off2 = _couplings(L, n, left is not None, right is not None)
     half = dx / 2.0
     if left is not None:
         diag = ((1.0 / dx + q0 * half + left) / half,) + diag
+        top = max(top, abs(diag[0]))
         i, j = i + 1, j + 1
     if right is not None:
         diag += ((1.0 / dx + qn * half + right) / half,)
+        top = max(top, abs(diag[-1]))
     # the flat rows couple to the row before through an interior coupling:
     # no earlier than row 1, or row 2 behind a retained left node
     i = max(i, 1 if left is None else 2)
+    # the largest coupling is an end one: an edge coupling where a side is Robin
+    norm = top + 2.0 * max(abs(off[0]), abs(off[-1]))
     return DiscretizedOperator(diag, off, dx, float(L), left, right,
-                               (i, j) if i < j else (0, 0), off2)
+                               (i, j) if i < j else (0, 0), off2, norm)
 
 
 def eigen_count_below(opd: DiscretizedOperator, mu: float) -> int:

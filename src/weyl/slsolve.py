@@ -94,7 +94,8 @@ class PotentialSpec:
         return self._at(x)
 
     def cell_average(self, a: float, b: float) -> float:
-        """Mean of q over [a, b]; exact for the piecewise kinds.
+        """Mean of q over [a, b]; exact for the piecewise kinds, and on a cell
+        inside a constant piece of q (pieces) that constant itself.
 
         Discretizations sample through this so that potential jumps keep the
         stencil second-order accurate.
@@ -166,6 +167,8 @@ class SquareWell(PotentialSpec):
         return self.depth if 0.0 <= x < self.width else 0.0
 
     def _mean(self, a: float, b: float) -> float:
+        if 0.0 <= a and b <= self.width:
+            return self.depth
         return self.depth * max(0.0, min(b, self.width) - max(a, 0.0)) / (b - a)
 
 
@@ -199,11 +202,17 @@ class Table(PotentialSpec):
         if x >= nodes[-1]:
             return vals[-1]
         lo = bisect_right(nodes, x) - 1
+        if vals[lo] == vals[lo + 1]:
+            return vals[lo]
         t = (x - nodes[lo]) / (nodes[lo + 1] - nodes[lo])
         return vals[lo] * (1.0 - t) + vals[lo + 1] * t
 
     def _mean(self, a: float, b: float) -> float:
-        knots = [a] + [x for x in self.nodes if a < x < b] + [b]
+        first, stop = bisect_right(self.nodes, a), bisect_left(self.nodes, b)
+        span = self.values[max(first - 1, 0):stop + 1]  # q at the nodes that bound [a, b]
+        if min(span) == max(span):
+            return span[0]
+        knots = [a, *self.nodes[first:stop], b]
         acc = 0.0
         for lo, hi in zip(knots, knots[1:]):
             acc += 0.5 * (self.value(lo) + self.value(hi)) * (hi - lo)
@@ -211,14 +220,14 @@ class Table(PotentialSpec):
 
     def cell_averages(self, edges) -> list:
         """_mean's trapezoid over each cell, with q read once per edge (edges
-        ascending); a cell with a node inside is _mean's own, and one of zero
-        width is q at its edge."""
-        value, nodes = self.value, self.nodes
+        ascending); a cell with a node inside is _mean's own, one of zero
+        width is q at its edge, and one on a constant segment its value."""
+        value, nodes, values = self.value, self.nodes, self.values
         edges = iter(edges)
         a = next(edges)
         qa = value(a)
         out = []
-        j = 0  # the first node above the cell's left edge
+        j = bisect_right(nodes, a)  # the first node above the cell's left edge
         for b in edges:
             qb = value(b)
             while j < len(nodes) and nodes[j] <= a:
@@ -227,6 +236,8 @@ class Table(PotentialSpec):
                 out.append(qa)
             elif j < len(nodes) and nodes[j] < b:
                 out.append(self._mean(a, b))
+            elif values[max(j - 1, 0)] == values[min(j, len(nodes) - 1)]:
+                out.append(values[max(j - 1, 0)])
             else:
                 acc = 0.0
                 acc += 0.5 * (qa + qb) * (b - a)

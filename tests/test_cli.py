@@ -194,6 +194,24 @@ def test_complex_power_is_an_error_line(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error:") and "left the real line" in err[0]
 
 
+@pytest.mark.parametrize("model, grid, z", [
+    # a_diag 1e300 over width 1e-300 overflows M; the sector's Bessel ratio at
+    # beta next to 1 and |z| = 1e300 does too
+    ({"kind": "strip", "a_diag": [1e300, 2], "width": 1e-300}, "-1:1:2,0.5:1:2", "(-1+0.5j)"),
+    ({"kind": "sector", "beta": 0.9999999999999999}, "-1e300:-1e300:1,1e-300:1e-300:1",
+     "(-1e+300+1e-300j)"),
+])
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_grid_entry_is_an_error_line(tmp_path, capsys, model, grid, z, fmt):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": model}))
+    out = tmp_path / f"o.{fmt}"
+    rc = main(["eval", "--problem", str(f), f"--grid={grid}", "--format", fmt, "--out", str(out)])
+    assert rc == 1 and not out.exists()
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"error: M(z) is not finite at z={z}"]
+
+
 def test_non_finite_transform_block_is_an_error_line(tmp_path, capsys):
     f = tmp_path / "p.json"
     f.write_text(json.dumps({

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import assume, given, settings
@@ -259,6 +260,23 @@ def test_krein_extension_nonnegative():
     kr = extensions.krein_extension(hl)
     k_m, k_o = extensions.negative_count(kr)
     assert k_m == 0 and k_o == 0
+
+
+def test_oracle_zero_cut_count_only_where_rounding_cannot_decide_it():
+    # on b = 1e-8, 1/dx^2 is about 4e22, so the Sturm count at -ORACLE_ZERO_CUT
+    # is rounding noise (it read 1; the lowest Neumann eigenvalue is exactly 0)
+    cut = extensions.ORACLE_ZERO_CUT
+    short = extensions.extension(models.finite_interval(Q0, 1e-8), Matrix.diag([0.0, 0.0]))
+    (op,) = extensions._oracle_operators(short)
+    assert 8.0 * sys.float_info.epsilon * op.norm >= cut / 2.0
+    assert extensions.negative_count(short) == (0, None)
+    # on b = 2 the bound is about 8.5e-9, and the count stands: one eigenvalue
+    # below 0 for each negative Robin value
+    for h, want in (((0.0, 0.0), 0), ((-1.0, 0.0), 1), ((-1.0, -2.0), 2)):
+        spec = extensions.extension(models.finite_interval(Q0, 2.0), Matrix.diag(h))
+        (op,) = extensions._oracle_operators(spec)
+        assert 8.0 * sys.float_info.epsilon * op.norm < 1e-8
+        assert extensions.negative_count(spec) == (want, want)
 
 
 def test_rank_law_spectral_point_error():

@@ -623,3 +623,130 @@ def test_discretize_cache_hit_is_bit_identical(q):
     else:
         assert j - i > 100 and j == len(rows)
         assert len({id(v) for v in rows[i:j]}) == 1
+
+
+# -- grids built from the pieces of q --------------------------------------------
+
+# the grids of the benchmark's boundary_sweep, each with one of its sides: the
+# half line's wells at L = 40, the interval's well, and the operator
+# potential's channels [1, 1] (a_diag 2) and [4, 4] (a_diag 5)
+_BENCH_GRIDS = [
+    (PotentialSpec.square_well(-2.0, 1.0), 40.0, 4000, (-0.4, None)),
+    (PotentialSpec.square_well(-1.0, 1.2), 40.0, 4000, (0.7, None)),
+    (PotentialSpec.square_well(-2.5, 1.0), 40.0, 4000, (0.0, None)),
+    (PotentialSpec.square_well(-1.0, 0.7), 2.0, 2000, (-1.0, 0.3)),
+    (PotentialSpec.table([0.0, 30.0], [1.0, 1.0]), 30.0, 12500, (-1.2, None)),
+    (PotentialSpec.table([0.0, 16.0], [4.0, 4.0]), 16.0, 6666, (-2.0, None)),
+]
+
+
+@pytest.mark.parametrize("q, L, n, sides", _BENCH_GRIDS)
+def test_grid_is_the_node_loop_on_the_benchmark_grids(q, L, n, sides):
+    for left, right in ((None, None), sides):
+        op = oracle.discretize(q, L, n, left, right)
+        assert _packed(op.diag, op.off) == _packed(*_node_loop(q, L, n, left, right))
+        # the norm bound read off the runs is the one over every row
+        built = oracle.DiscretizedOperator(op.diag, op.off, op.dx, op.L, left, right)
+        assert op.norm == built.norm
+    # each run of equal rows is one float object: a well's inside, its
+    # break cell and its outside, or a channel's one run
+    _, rows, _, _ = oracle._grid(q, L, n)
+    assert len({id(v) for v in rows}) == len(set(rows)) <= 3
+
+
+def test_grid_reads_q_only_across_breaks(monkeypatch):
+    reads = []
+    cell_average = PotentialSpec.cell_average
+    monkeypatch.setattr(PotentialSpec, "value", lambda self, x: reads.append(x) or self._at(x))
+    monkeypatch.setattr(PotentialSpec, "cell_average",
+                        lambda self, a, b: reads.append((a, b)) or cell_average(self, a, b))
+    oracle._grid.cache_clear()
+    # the well's one cell across x = 1, and none of the channel's
+    oracle._grid(PotentialSpec.square_well(-2.0, 1.0), 40.0, 4000)
+    ((a, b),) = reads
+    assert a < 1.0 < b
+    reads.clear()
+    oracle._grid(PotentialSpec.table([0.0, 30.0], [1.0, 1.0]), 30.0, 12500)
+    assert reads == []
+    # a linear segment on [1, 2] of a 0.01 grid: q once an edge of its 99
+    # cells and the two across its ends (102 edges), and _mean's four reads in
+    # each of those two, not once an edge of the grid's 1001 cells
+    oracle._grid(PotentialSpec.table([0.0, 1.0, 2.0, 3.0], [-1.0, -1.0, 0.5, 0.5]), 10.0, 1000)
+    assert len(reads) == 102 + 2 * 4
+    oracle._grid.cache_clear()
+
+
+# tenths too: most are not dyadic, so c w / w need not round to c
+_VALUES = st.floats(-5.0, 5.0) | st.integers(-50, 50).map(lambda k: k / 10.0)
+_EXPRESSIONS = ("{a}*exp(-x/{s})", "{a}*sin({s}*x)", "{a}/(1+{s}*x^2)")
+
+
+@st.composite
+def _potentials(draw):
+    """One of each kind: a well; a table whose segments are often constant
+    (a value repeated) and otherwise linear; an expression; zero."""
+    kind = draw(st.sampled_from(["zero", "square_well", "sampled_table", "expression"]))
+    if kind == "square_well":
+        return PotentialSpec.square_well(draw(_VALUES), draw(st.floats(0.01, 8.0)))
+    if kind == "sampled_table":
+        x, v = draw(st.floats(-1.0, 3.0)), draw(_VALUES)
+        nodes, values = [x], [v]
+        for gap, new in draw(st.lists(st.tuples(st.floats(0.01, 2.0), st.none() | _VALUES),
+                                      min_size=1, max_size=8)):
+            x, v = x + gap, v if new is None else new
+            nodes.append(x)
+            values.append(v)
+        return PotentialSpec.table(nodes, values)
+    if kind == "expression":
+        source = draw(st.sampled_from(_EXPRESSIONS))
+        return PotentialSpec.expression(source.format(a=draw(st.floats(-3.0, 3.0)),
+                                                      s=draw(st.floats(0.2, 3.0))))
+    return PotentialSpec.zero()
+
+
+@settings(deadline=None)
+@given(_potentials(), st.floats(0.5, 20.0), st.integers(100, 300),
+       st.sampled_from([(None, None), (-0.5, None), (0.25, 1.5)]))
+def test_grid_rows_follow_the_pieces_of_q(q, L, n, sides):
+    q0, rows, qn, (i, j) = oracle._grid(q, L, n)
+    dx = L / n
+    constant = [(lo, hi, c) for lo, hi, c in q.pieces(0.0, L) if c is not None]
+
+    def mean(k):  # node k's cell: the constant of a piece that holds it, else its cell average
+        a, b = max(0.0, (k - 0.5) * dx), min(L, (k + 0.5) * dx)
+        c = next((c for lo, hi, c in constant if lo <= a and b <= hi), None)
+        if c is None:
+            return q.cell_average(a, b)
+        assert q.cell_average(a, b) == c
+        return c
+
+    assert (q0, qn) == (mean(0), mean(n))
+    want = [(2.0 / dx + mean(k) * dx) / dx for k in range(1, n)]
+    assert [v.hex() for v in rows] == [v.hex() for v in want]
+    # the flat run is the trailing run of equal rows, held as one float object
+    k = len(rows)
+    while k and rows[k - 1] == rows[-1]:
+        k -= 1
+    assert (i, j) == ((k, n - 1) if k < n - 2 else (0, 0))
+    assert len({id(v) for v in rows[i:j]}) <= 1
+    op = oracle.discretize(q, L, n, *sides)
+    assert op.norm == oracle.DiscretizedOperator(op.diag, op.off, op.dx, op.L, *sides).norm
+
+
+@pytest.mark.parametrize("q", [
+    Q0,
+    PotentialSpec.square_well(-2.5, 1.0),
+    PotentialSpec.square_well(0.3, 0.7),
+    PotentialSpec.table([0.0, 0.7, 1.5, 3.0], [-1.0, 0.4, 0.4, 0.25]),
+    PotentialSpec.table([0.0, 30.0], [0.3, 0.3]),
+    PotentialSpec.table([0.0, 0.5, 1.0, 1.5, 2.0], [0.1, 0.1, 0.7, 0.7, -0.3]),
+    PotentialSpec.expression("-exp(-x)"),
+], ids=lambda q: q.kind)
+def test_constant_pieces_are_the_value_of_q(q):
+    # _grid takes a constant piece's c for q there, and the propagator its
+    # exact transfer: a wrong piece shows here rather than in both at once
+    rng = random.Random(0)
+    for lo, hi, c in q.pieces(-5.0, 40.0):
+        if c is not None:
+            xs = (lo + rng.random() * (hi - lo) for _ in range(500))
+            assert all(q.value(x) == c for x in xs if lo < x < hi)
