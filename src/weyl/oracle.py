@@ -119,59 +119,56 @@ def _grid(q: PotentialSpec, L: float, n: int):
     """(q at node 0, interior diagonal of nodes 1..n-1, q at node n, flat run).
 
     q is averaged over each node's cell clipped to [0, L], which keeps
-    potential jumps second-order accurate.  The grid is built from the pieces
-    of q (q.pieces): the cells wholly inside a constant piece, found by
-    bisection on the cells' edges, average to its constant c and are one
+    potential jumps second-order accurate.  The interior is built from the
+    pieces of q (q.pieces): the cells wholly inside a constant piece, found
+    by bisection on the cells' edges, average to its constant c and are one
     run, whose rows are the one float (2/dx + c dx)/dx; the other cells (those
     across a break, and those of a varying piece) share their edges, and
-    q.cell_averages reads each stretch of them in one pass.  So a build costs
-    O(pieces + varying cells), and every row is q.cell_average's.  The
-    interior rows do not depend on the boundary.  Neighbouring runs of equal
-    rows merge, and the flat run (i, n - 1) is the last of them, the trailing
-    run interior[i:] of equal entries, or (0, 0) when it is one row.  The
-    cached interior is a tuple whose runs are each one float object, so a
-    cached grid costs 8 bytes a node of a run and 32 bytes (a reference and
-    its float) any other.  Its top, the largest |row|, is read off the runs.
+    q.cell_averages reads each stretch of them in one pass.  The two end
+    cells are q.cell_average's.  So a build costs O(pieces + varying cells),
+    and every row is q.cell_average's.  The interior rows do not depend on
+    the boundary.  Neighbouring runs of equal rows merge, and the flat run
+    (i, n - 1) is the last of them, the trailing run interior[i:] of equal
+    entries, or (0, 0) when it is one row.  The cached interior is a tuple
+    whose runs are each one float object, so a cached grid costs 8 bytes a
+    node of a run and 32 bytes (a reference and its float) any other.  Its
+    top, the largest |row|, is read off the runs.
     """
     dx = L / n
 
     def edge(k):  # node k's cell is [edge(k), edge(k + 1)], k = 0..n
         return min(L, (k - 0.5) * dx) if k else 0.0
 
-    edges = range(n + 2)
-    cells = []  # (q's mean, count of cells), in cell order
-    done = 0  # the cells already in cells
+    runs = []  # [row, count] over the interior cells in order, equal neighbours merged
 
-    def averaged(stop):  # cells done..stop-1, each its own cell average
+    def run(c, m):
+        v = (2.0 / dx + c * dx) / dx
+        if runs and runs[-1][0] == v:
+            runs[-1][1] += m
+        else:
+            runs.append([v, m])
+
+    def averaged(stop):  # the interior cells done..stop-1, each its own cell average
         if done < stop:
-            cells.extend((c, 1) for c in q.cell_averages(map(edge, range(done, stop + 1))))
+            for c in q.cell_averages(map(edge, range(done, stop + 1))):
+                run(c, 1)
 
+    edges, done = range(n + 1), 1
     for lo, hi, c in q.pieces(0.0, L):
-        if c is None:
-            continue
-        first = bisect_left(edges, lo, done, key=edge)
-        stop = bisect_right(edges, hi, first, key=edge) - 1
-        if first < stop:
-            averaged(first)
-            cells.append((c, stop - first))
-            done = stop
-    averaged(n + 1)
-    q0, qn = cells[0][0], cells[-1][0]
-    cells[0] = (q0, cells[0][1] - 1)
-    cells[-1] = (qn, cells[-1][1] - 1)
-    runs = []  # [row, count], neighbours with equal rows merged
-    for c, m in cells:
-        if m:
-            v = (2.0 / dx + c * dx) / dx
-            if runs and runs[-1][0] == v:
-                runs[-1][1] += m
-            else:
-                runs.append([v, m])
+        if c is not None:
+            first = bisect_left(edges, lo, done, key=edge)
+            stop = bisect_right(edges, hi, first, key=edge) - 1
+            if first < stop:
+                averaged(first)
+                run(c, stop - first)
+                done = stop
+    averaged(n)
     rows = []
     for v, m in runs:
         rows += [v] * m
     m = runs[-1][1]
-    grid = _Grid((q0, tuple(rows), qn, (n - 1 - m, n - 1) if m > 1 else (0, 0)))
+    grid = _Grid((q.cell_average(0.0, edge(1)), tuple(rows), q.cell_average(edge(n), L),
+                  (n - 1 - m, n - 1) if m > 1 else (0, 0)))
     grid.top = max(abs(v) for v, _ in runs)
     return grid
 

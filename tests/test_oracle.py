@@ -661,18 +661,20 @@ def test_grid_reads_q_only_across_breaks(monkeypatch):
     monkeypatch.setattr(PotentialSpec, "cell_average",
                         lambda self, a, b: reads.append((a, b)) or cell_average(self, a, b))
     oracle._grid.cache_clear()
-    # the well's one cell across x = 1, and none of the channel's
+    # the well's one cell across x = 1, and the two end cells
     oracle._grid(PotentialSpec.square_well(-2.0, 1.0), 40.0, 4000)
-    ((a, b),) = reads
-    assert a < 1.0 < b
+    ((a, b), end0, end1) = reads
+    assert end0 == (0.0, 0.005) and a < 1.0 < b and end1[1] == 40.0
     reads.clear()
+    # the end cells of a channel, and none between
     oracle._grid(PotentialSpec.table([0.0, 30.0], [1.0, 1.0]), 30.0, 12500)
-    assert reads == []
+    assert len(reads) == 2
+    reads.clear()
     # a linear segment on [1, 2] of a 0.01 grid: q once an edge of its 99
     # cells and the two across its ends (102 edges), and _mean's four reads in
     # each of those two, not once an edge of the grid's 1001 cells
     oracle._grid(PotentialSpec.table([0.0, 1.0, 2.0, 3.0], [-1.0, -1.0, 0.5, 0.5]), 10.0, 1000)
-    assert len(reads) == 102 + 2 * 4
+    assert len(reads) == 2 + 102 + 2 * 4
     oracle._grid.cache_clear()
 
 
