@@ -685,8 +685,8 @@ _EXPRESSIONS = ("{a}*exp(-x/{s})", "{a}*sin({s}*x)", "{a}/(1+{s}*x^2)")
 
 @st.composite
 def _potentials(draw):
-    """One of each kind: a well; a table whose segments are often constant
-    (a value repeated) and otherwise linear; an expression; zero."""
+    """A potential of a drawn kind: a well; a table whose segments are often
+    constant (a value repeated) and otherwise linear; an expression; zero."""
     kind = draw(st.sampled_from(["zero", "square_well", "sampled_table", "expression"]))
     if kind == "square_well":
         return PotentialSpec.square_well(draw(_VALUES), draw(st.floats(0.01, 8.0)))
