@@ -10,11 +10,13 @@ parsing leaves it unchanged), so repeated `main()` calls in one process
 share it.  A grid point of `eval` or `charfn` evaluates M(z) and then runs
 the request's kernel (`kernels.grid_kernel`: generated straight-line code
 for n <= 4, the Matrix path beyond) for the transformed M or for W, with the
-Matrix path's bits.  The grid reports are written by a fixed-shape emitter,
-one template per request filled with the repr of every float, each grid
-axis value formatted once per request by its position on the axis; the
-result is byte-identical to `json.dumps(sort_keys=True, indent=1)` of the
-report as nested dicts and lists, or to `csv.writer` rows for CSV.
+Matrix path's bits.  The grid reports are written by a fixed-shape emitter:
+one row template per request, filled with the repr of every float a chunk
+of points at a time (about GRID_CHUNK_VALUES numbers per `%`), each grid
+axis value formatted once per request by its position on the axis.  The
+pieces are all formatted and checked before the first is written, and they
+join to what `json.dumps(sort_keys=True, indent=1)` of the report as nested
+dicts and lists writes, or to `csv.writer` rows for CSV.
 
 The boundary operator in a problem file always refers to the base boundary
 coordinates of the model.  When a transform block is present, `eval` and
@@ -43,12 +45,14 @@ def _report_header(problem: ProblemFile) -> dict:
     return {"tool_version": __version__, "problem_sha256": problem.sha256}
 
 
-def _emit(text: str, out_path):
+def _emit(text, out_path):
+    """Write text, a str or a list of str pieces, to out_path, else to stdout."""
+    pieces = [text] if isinstance(text, str) else text
     if out_path:
         with open(out_path, "w", newline="") as f:
-            f.write(text)
+            f.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
 
 
 def _json_dump(obj) -> str:
@@ -70,40 +74,75 @@ def _non_finite(axes, results, label: str) -> RangeError:
     return RangeError(f"{label}(z) is not finite at z={z}")
 
 
-def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False) -> str:
+GRID_CHUNK_VALUES = 2048  # floats and z reprs formatted by one %
+
+
+def _chunk_points(shape) -> int:
+    """Grid points per formatted piece of a (rows, cols) = shape grid report:
+    as many as fill GRID_CHUNK_VALUES, so that a piece's size, and the cost
+    of starting one, is about the same for every shape."""
+    rows, cols = shape
+    return max(1, GRID_CHUNK_VALUES // (2 * rows * cols + 2))
+
+
+def _grid_chunks(axes, shape, results, row: str, sep: str, z_first: bool, label: str, finite: bool):
+    """The points `_chunk_points(shape)` at a time, each chunk sep.join of row
+    per point filled by one % with, per point, the z reprs of `_z_reprs` and
+    re, im of every entry: z first, or (not z_first) last.  With finite, a
+    chunk that holds an entry that is not finite is a RangeError
+    (_non_finite) before the next chunk is formatted."""
+    zs = _z_reprs(axes)
+    step = _chunk_points(shape)
+    for start in range(0, len(results), step):
+        chunk = results[start:start + step]
+        values = []
+        # chunk first: zip stops before it takes a z past the chunk
+        if z_first:
+            for data, z in zip(chunk, zs):
+                values += z
+                for v in data:
+                    values += (v.real, v.imag)
+        else:
+            for data, z in zip(chunk, zs):
+                for v in data:
+                    values += (v.real, v.imag)
+                values += z
+        text = sep.join([row] * len(chunk)) % tuple(values)
+        if finite and "n" in text:  # only nan and inf spell an 'n'
+            raise _non_finite(axes, results, label)
+        yield text
+
+
+def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False) -> list:
     """re_z, im_z, then the entries row-major as re, im; one line per point.
 
     axes holds the real and the imaginary axis values, results, per point
     row-major over them, the entries of a (rows, cols) = shape matrix
     row-major.  No field holds a comma, a quote or a newline, so a plain join
-    writes what `csv.writer` would.  With finite, an entry that is not
-    finite is a RangeError (_non_finite).
+    writes what `csv.writer` would.  The report is returned as a list of
+    pieces: the header line, then the lines of the points a chunk at a time
+    (_grid_chunks).  With finite, an entry that is not finite is a
+    RangeError (_non_finite).
     """
     rows, cols = shape
     header = ["re_z", "im_z"]
     for i in range(rows):
         for j in range(cols):
             header += [f"{label}_{i}_{j}_re", f"{label}_{i}_{j}_im"]
-    values = []
-    for z, data in zip(_z_reprs(axes), results):
-        values += z
-        for v in data:
-            values += (v.real, v.imag)
     line = ",".join(["%s", "%s"] + ["%r"] * (len(header) - 2)) + "\n"
-    body = line * len(results) % tuple(values)
-    if finite and "n" in body:  # only nan and inf spell an 'n'
-        raise _non_finite(axes, results, label)
-    return ",".join(header) + "\n" + body
+    return [",".join(header) + "\n", *_grid_chunks(axes, shape, results, line, "", True, label, finite)]
 
 
 def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str,
-                      finite: bool = False) -> str:
+                      finite: bool = False) -> list:
     """`_json_dump` of {header, "rows": [{label: [[[re, im], ..], ..], "z": [re, im]}, ..]}.
 
-    The rows share one shape, so one template filled with `%r` of each float
-    (float.__repr__, as `json` writes it) gives the same bytes; z takes the
-    axis reprs of `_z_reprs`.  With finite, an entry that is not finite is a
-    RangeError (_non_finite).
+    The rows share one shape, so one row template filled with `%r` of each
+    float (float.__repr__, as `json` writes it) gives the same bytes; z takes
+    the axis reprs of `_z_reprs`.  The report is returned as a list of
+    pieces: the keys before "rows", the rows a chunk at a time
+    (_grid_chunks), then the keys after.  With finite, an entry that is not
+    finite is a RangeError (_non_finite).
     """
     rows, cols = shape
     entry = "     [\n      %r,\n      %r\n     ]"
@@ -112,19 +151,17 @@ def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str,
         f'  {{\n   "{label}": [\n' + ",\n".join([matrix_row] * rows)
         + '\n   ],\n   "z": [\n    %s,\n    %s\n   ]\n  }'
     )
-    values = []
-    for z, data in zip(_z_reprs(axes), results):
-        for v in data:
-            values += (v.real, v.imag)
-        values += z
-    body = ",\n".join([row] * len(results)) % tuple(values)
-    if "n" in body:  # only nan and inf spell an 'n'; json writes them as below
-        if finite:
-            raise _non_finite(axes, results, label)
-        body = body.replace("nan", "NaN").replace("inf", "Infinity")
     fields = {key: json.dumps(value) for key, value in _report_header(problem).items()}
-    fields["rows"] = f"[\n{body}\n ]"
-    return "{\n" + ",\n".join(f" {json.dumps(key)}: {fields[key]}" for key in sorted(fields)) + "\n}\n"
+    keys = sorted([*fields, "rows"])
+    at = keys.index("rows")
+    pieces = ["{\n" + "".join(f" {json.dumps(key)}: {fields[key]},\n" for key in keys[:at]) + ' "rows": [\n']
+    for text in _grid_chunks(axes, shape, results, row, ",\n", False, label, finite):
+        if len(pieces) > 1:
+            pieces.append(",\n")
+        # json writes nan and inf as below; a finite report has neither
+        pieces.append(text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text)
+    pieces.append("\n ]" + "".join(f",\n {json.dumps(key)}: {fields[key]}" for key in keys[at + 1:]) + "\n}\n")
+    return pieces
 
 
 def _emit_grid(args, problem: ProblemFile, axes, col, label: str):

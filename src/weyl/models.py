@@ -562,8 +562,12 @@ def evaluate(model: WeylModel, z: complex) -> Matrix:
 def m_at_zero(model: WeylModel) -> MZeroResult:
     """Boundary value M(0) = lim_{x -> 0-} M(x), by the model's own direct
     route: a closed form, the bounded solution at z = 0 (tail-matched, seeded
-    at the threshold or Dirichlet-truncated), or the propagated M(0) itself."""
-    return model.m_at_zero()
+    at the threshold or Dirichlet-truncated), or the propagated M(0) itself.
+    An entry that is not finite is a RangeError naming the model's kind."""
+    r = model.m_at_zero()
+    if not all(map(cmath.isfinite, r.value.data)):
+        raise RangeError(f"M(0) of the {model.kind} model is not finite")
+    return r
 
 
 # -- classification report ----------------------------------------------------

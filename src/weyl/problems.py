@@ -9,11 +9,14 @@ must be finite (Python's json reads NaN and Infinity), and a JSON boolean is
 not a number.  Validation errors carry the JSON path of the offending field.
 Models and potentials are read through one table from kind to class each
 (MODEL_KINDS, POTENTIAL_KINDS), and the class's constructor checks the values.
+
+parse_problem records the SHA-256 of the file's bytes (the reports'
+problem_sha256) by CPython's built-in SHA-256 module, `_sha2` from 3.12 on and
+`_sha256` before, and by hashlib only where neither exists.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
@@ -23,6 +26,16 @@ from .errors import EvalError, SchemaError
 from .linalg import Matrix
 from .slsolve import Expression, PotentialSpec, SquareWell, Table, Zero
 from .triplets import TripletTransform, make_transform
+
+# hashlib loads OpenSSL's libcrypto, 3.5 MB of peak RSS and about 3 ms a
+# process, to hash one small file; the built-in module gives the same digest
+try:
+    from _sha2 import sha256
+except ImportError:
+    try:
+        from _sha256 import sha256
+    except ImportError:
+        from hashlib import sha256
 
 
 @dataclass(frozen=True)
@@ -248,7 +261,7 @@ def problem_from_data(data: dict, sha: str = "") -> ProblemFile:
 def parse_problem(path: str) -> ProblemFile:
     with open(path, "rb") as f:
         raw = f.read()
-    sha = hashlib.sha256(raw).hexdigest()
+    sha = sha256(raw).hexdigest()
     try:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:

@@ -212,6 +212,18 @@ def test_non_finite_grid_entry_is_an_error_line(tmp_path, capsys, model, grid, z
     assert err == [f"error: M(z) is not finite at z={z}"]
 
 
+@pytest.mark.parametrize("cmd", ["krein", "negcount"])
+def test_non_finite_m_at_zero_is_an_error_line(tmp_path, capsys, cmd):
+    # a_diag 1e300 over width 1e-300 overflows M(0): krein wrote -Infinity and NaN with exit 0
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": {"kind": "strip", "a_diag": [1e300, 2], "width": 1e-300},
+                             "boundary": [[0] * 4] * 4}))
+    out = tmp_path / "o.json"
+    assert main([cmd, "--problem", str(f), "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr() == ("", "error: M(0) of the strip model is not finite\n")
+
+
 def test_non_finite_transform_block_is_an_error_line(tmp_path, capsys):
     f = tmp_path / "p.json"
     f.write_text(json.dumps({

@@ -6,8 +6,12 @@ import csv
 import io
 import json
 import math
+import random
+import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl import charfun, cli, models, triplets, verify
 from weyl.cli import main
@@ -158,10 +162,81 @@ def test_special_floats_match_the_reference(tmp_path, label):
         for k in range(len(points))
     ]
     values = [m.data for m in mats]
-    text = cli._matrix_grid_json(prob, axes, (2, 2), values, label)
+    text = "".join(cli._matrix_grid_json(prob, axes, (2, 2), values, label))
     assert text == _reference_json(prob, points, mats, label)
     assert "NaN" in text and "-Infinity" in text and "1e+22" in text and "-0.0" in text
-    assert cli._matrix_grid_csv(axes, (2, 2), values, label) == _reference_csv(points, mats, label)
+    assert "".join(cli._matrix_grid_csv(axes, (2, 2), values, label)) == _reference_csv(points, mats, label)
+
+
+SIZES = {"1": lambda c: 1, "C-1": lambda c: c - 1, "C": lambda c: c, "C+1": lambda c: c + 1,
+         "2C+1": lambda c: 2 * c + 1}
+
+
+def _sector_problem():
+    return problem_from_data({"model": {"kind": "sector", "beta": 0.75}}, "0" * 64)
+
+
+@settings(deadline=None)
+@given(st.sampled_from([1, 2, 4]), st.sampled_from(sorted(SIZES)),
+       st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), min_size=1, max_size=7),
+       st.sampled_from(["M", "W"]))
+def test_chunk_boundaries_match_the_reference(n, size, pattern, label):
+    # grids one point short of, at and past a chunk's points, and past two
+    # chunks, filled with the pattern repeated: the pieces join to the reference
+    points_n = SIZES[size](cli._chunk_points((n, n)))
+    floats = (pattern[k % len(pattern)] for k in range(points_n * (2 * n * n + 1)))
+    res = [next(floats) for _ in range(points_n)]
+    axes = (res, [0.5])
+    mats = [Matrix(n, n, tuple(complex(next(floats), next(floats)) for _ in range(n * n))) for _ in res]
+    points = [complex(r, 0.5) for r in res]
+    values = [m.data for m in mats]
+    prob = _sector_problem()
+    assert "".join(cli._matrix_grid_json(prob, axes, (n, n), values, label)) == \
+        _reference_json(prob, points, mats, label)
+    assert "".join(cli._matrix_grid_csv(axes, (n, n), values, label)) == _reference_csv(points, mats, label)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_nan_in_the_second_chunk_is_an_error_and_no_file(tmp_path, monkeypatch, capsys, fmt):
+    # every entry of the first chunk is finite; the one nan sits 3 points into the second
+    chunk = cli._chunk_points((1, 1))
+    bad = chunk + 3
+    results = iter([(complex(k, 1.0),) for k in range(bad)] + [(complex(math.nan, 1.0),)]
+                   + [(complex(k, 1.0),) for k in range(bad + 1, chunk + 10)])
+    monkeypatch.setattr(cli.kernels, "grid_kernel", lambda n, transform, col: lambda data: next(results))
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"model": {"kind": "sector", "beta": 0.75}}))
+    out = tmp_path / f"o.{fmt}"
+    grid = f"--grid=-1:1:{chunk + 10},0.5:0.5:1"
+    assert main(["eval", "--problem", str(problem), grid, "--format", fmt, "--out", str(out)]) == 1
+    assert not out.exists()
+    z = complex(request_value("grid", grid[len("--grid="):], "--grid")[0][bad], 0.5)
+    assert capsys.readouterr() == ("", f"error: M(z) is not finite at z={z}\n")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_emitter_peak_is_at_most_twice_the_report(fmt):
+    # 400 points of a 4x4 M: the report is about 0.5 MB of JSON, 0.25 MB of CSV
+    rng = random.Random(5)
+    axes = ([-6 + 12 * k / 19 for k in range(20)], [-3 + 6 * k / 19 for k in range(20)])
+    values = [tuple(complex(rng.uniform(-5, 5), rng.uniform(-5, 5)) for _ in range(16)) for _ in range(400)]
+    prob = _sector_problem()
+
+    def emit():
+        if fmt == "json":
+            return cli._matrix_grid_json(prob, axes, (4, 4), values, "M", finite=True)
+        return cli._matrix_grid_csv(axes, (4, 4), values, "M", finite=True)
+
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        pieces = emit()
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    size = len("".join(pieces))
+    assert peak <= 2 * size, (peak, size)
 
 
 def test_catalog_weyl_functions_have_complex_entries():

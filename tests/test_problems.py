@@ -1,6 +1,10 @@
+import hashlib
 import json
 import math
 import os
+import random
+import subprocess
+import sys
 
 import pytest
 
@@ -248,6 +252,38 @@ def test_parse_problem_hash(tmp_path):
     p = problems.parse_problem(str(f))
     assert len(p.sha256) == 64
     assert p.model.kind == "corner"
+
+
+def test_problem_digest_is_hashlibs_sha256(tmp_path):
+    # the built-in module, not hashlib's OpenSSL constructor, on every CPython in use
+    assert problems.sha256.__module__ == ("_sha2" if sys.version_info >= (3, 12) else "_sha256")
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": {"kind": "strip", "a_diag": [2.0 + k / 7 for k in range(100)], "width": 3.0}}))
+    problem_file = f.read_bytes()
+    assert 1500 < len(problem_file) < 2500
+    rng = random.Random(3)
+    inputs = [b"", b"\x00", problem_file, bytes(range(256)) * 4096]
+    inputs += [rng.randbytes(rng.randrange(1, 5000)) for _ in range(20)]
+    for raw in inputs:
+        assert problems.sha256(raw).hexdigest() == hashlib.sha256(raw).hexdigest(), len(raw)
+    assert problems.parse_problem(str(f)).sha256 == hashlib.sha256(problem_file).hexdigest()
+
+
+def test_a_request_loads_no_openssl(tmp_path):
+    # hashlib's import loads OpenSSL (_hashlib); a fresh process shows what a request loads
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": {"kind": "sector", "beta": 0.75}}))
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    code = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import weyl.cli\n"
+        f"rc = weyl.cli.main(['eval', '--problem', {str(f)!r}, '--grid=-1:1:3,0.5:1:2',"
+        f" '--out', {str(tmp_path / 'o.json')!r}])\n"
+        "print(rc, '_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert (proc.stdout, proc.stderr) == ("0 False\n", "")
 
 
 def test_parse_problem_bad_json(tmp_path):
