@@ -113,7 +113,7 @@ def _grid_chunks(axes, shape, results, row: str, sep: str, z_first: bool, label:
         yield text
 
 
-def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False) -> list:
+def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False) -> list[str]:
     """re_z, im_z, then the entries row-major as re, im; one line per point.
 
     axes holds the real and the imaginary axis values, results, per point
@@ -134,7 +134,7 @@ def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False) -> 
 
 
 def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str,
-                      finite: bool = False) -> list:
+                      finite: bool = False) -> list[str]:
     """`_json_dump` of {header, "rows": [{label: [[[re, im], ..], ..], "z": [re, im]}, ..]}.
 
     The rows share one shape, so one row template filled with `%r` of each

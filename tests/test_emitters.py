@@ -168,22 +168,19 @@ def test_special_floats_match_the_reference(tmp_path, label):
     assert "".join(cli._matrix_grid_csv(axes, (2, 2), values, label)) == _reference_csv(points, mats, label)
 
 
-SIZES = {"1": lambda c: 1, "C-1": lambda c: c - 1, "C": lambda c: c, "C+1": lambda c: c + 1,
-         "2C+1": lambda c: 2 * c + 1}
-
-
 def _sector_problem():
     return problem_from_data({"model": {"kind": "sector", "beta": 0.75}}, "0" * 64)
 
 
 @settings(deadline=None)
-@given(st.sampled_from([1, 2, 4]), st.sampled_from(sorted(SIZES)),
+@given(st.sampled_from([1, 2, 4]), st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
        st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), min_size=1, max_size=7),
        st.sampled_from(["M", "W"]))
 def test_chunk_boundaries_match_the_reference(n, size, pattern, label):
-    # grids one point short of, at and past a chunk's points, and past two
-    # chunks, filled with the pattern repeated: the pieces join to the reference
-    points_n = SIZES[size](cli._chunk_points((n, n)))
+    # grids of a C + b points, C a chunk's points: 1, C - 1, C, C + 1 and 2 C + 1,
+    # filled with the pattern repeated; the pieces join to the reference
+    a, b = size
+    points_n = a * cli._chunk_points((n, n)) + b
     floats = (pattern[k % len(pattern)] for k in range(points_n * (2 * n * n + 1)))
     res = [next(floats) for _ in range(points_n)]
     axes = (res, [0.5])
