@@ -7,10 +7,11 @@ problems.request_value.  Reports are deterministic for a fixed problem file
 and seed: floats are emitted in shortest round-trip form and JSON keys are sorted.  The
 argument parser is built once per process (`build_parser` is cached;
 parsing leaves it unchanged), so repeated `main()` calls in one process
-share it.  A grid point of `eval` or `charfn` evaluates M(z) and then runs
-the request's kernel (`kernels.grid_kernel`: generated straight-line code
-for n <= 4, the Matrix path beyond) for the transformed M or for W, with the
-Matrix path's bits.  The grid reports are written by a fixed-shape emitter:
+share it.  A grid point of `eval` or `charfn` evaluates M(z), once per
+conjugate pair on a mirrored kind (_emit_grid), and then runs the request's
+kernel (`kernels.grid_kernel`: generated straight-line code for n <= 4, the
+Matrix path beyond) for the transformed M or for W, with the Matrix path's
+bits.  The grid reports are written by a fixed-shape emitter:
 one row template per request, filled with the repr of every float a chunk
 of points at a time (about GRID_CHUNK_VALUES numbers per `%`), each grid
 axis value formatted once per request by its position on the axis.  The
@@ -165,12 +166,27 @@ def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str,
 
 
 def _emit_grid(args, problem: ProblemFile, axes, col, label: str):
-    """The grid report of M (col None) or of W: one kernel call per point on M(z)."""
+    """The grid report of M (col None) or of W: one kernel call per point on M(z).
+    A mirrored model evaluates each conjugate pair of non-real points once; the
+    second takes the first's M conjugated, which has its own M's bits."""
     model = problem.model
     n = model.n if col is None else col.reduced_dim
     kernel = kernels.grid_kernel(model.n, problem.transform, col)
+    # M at each non-real z whose conjugate is still to come; never at a real z,
+    # whose 0.0 imaginary part would come back as -0.0
+    unpaired = {}
+
+    def m_at(z: complex) -> Matrix:
+        if not (model.mirrored and z.imag):
+            return models.evaluate(model, z)
+        partner = unpaired.pop(z.conjugate(), None)
+        if partner is not None:
+            return partner.conjugate()
+        m = unpaired[z] = models.evaluate(model, z)
+        return m
+
     res, ims = axes
-    results = [kernel(models.evaluate(model, complex(r, i)).data) for r in res for i in ims]
+    results = [kernel(m_at(complex(r, i)).data) for r in res for i in ims]
     if args.format == "csv":
         _emit(_matrix_grid_csv(axes, (n, n), results, label, finite=True), args.out)
     else:

@@ -1,12 +1,12 @@
 """The Weyl-function catalog: one frozen class per operator family.
 
 Each class holds its own parameters plus kind, n, ess_floor (-inf allowed;
-+inf means purely discrete) and mirrored, its z-independent constants, computed
-once at construction, and every rule of its kind: M(z) (evaluate(model, z)
-checks the domain and calls it), m_at_zero (a direct route to M(0), no limit
-x -> 0- to extrapolate), the eigenvalue counts below a real x, the oracle
-discretizations of A_B and the operator potential's Robin matrix.  A rule a
-kind lacks is None.
++inf means purely discrete) and mirrored (a grid request may answer conj z as
+M(z)*), its z-independent constants, computed once at construction, and every
+rule of its kind: M(z) (evaluate(model, z) checks the domain and calls it),
+m_at_zero (a direct route to M(0), no limit x -> 0- to extrapolate), the
+eigenvalue counts below a real x, the oracle discretizations of A_B and the
+operator potential's Robin matrix.  A rule a kind lacks is None.
 
 Below the floor N_B(x) = N_0(x) + ind_+(M(x) - B) counts the eigenvalues of
 A_B below x (Derkach & Malamud 1991), N_0 those of the reference extension
@@ -34,14 +34,13 @@ Branch conventions:
 from __future__ import annotations
 
 import cmath
-import contextlib
 import functools
 import math
 from dataclasses import dataclass, field
 
 from . import oracle
 from .errors import (AccuracyError, DomainError, EvalError, PoleError, RangeError,
-                     TransversalityError, WeylError)
+                     TransversalityError)
 from .linalg import Matrix, herm_part, inertia, lambda_min, unchecked
 from .slsolve import (
     PotentialSpec,
@@ -79,10 +78,11 @@ class WeylModel:
     kind = ""
     n = 1
     ess_floor = 0.0
-    # evaluate answers Im z < 0 as M(conj z)*: only the ODE kinds, whose propagation
-    # commutes with conjugation to the bit, so a conjugate pair is propagated once.
-    # The closed forms are cheap, sector's power is not bit-symmetric (about 1e-15
-    # off), and the diagonal kinds' zero entries would turn -0.0.
+    # a grid request (cli._emit_grid) answers the second point of a conjugate pair
+    # as M(first)*: only the ODE kinds, whose propagation commutes with conjugation
+    # to the bit, so a pair is propagated once.  The closed forms are cheap, sector's
+    # power is not bit-symmetric (about 1e-15 off), and the diagonal kinds' zero
+    # entries would turn -0.0.
     mirrored = False
     robin_matrix = oracle_operators = None
 
@@ -538,11 +538,9 @@ def _is_diagonal(b: Matrix) -> bool:
 
 
 def evaluate(model: WeylModel, z: complex) -> Matrix:
-    """M(z) for z with Im z != 0, or real z below the essential-spectrum floor.
-
-    A mirrored kind answers Im z < 0 as M(conj z)*, or where that raises
-    through M(z) itself, so that errors name z.  A z that is not finite is one
-    RangeError for every kind, before any work."""
+    """M(z) for z with Im z != 0, or real z below the essential-spectrum floor,
+    by the model's own rule at z itself, so that errors name z.  A z that is not
+    finite is one RangeError for every kind, before any work."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise RangeError(f"z={z} is not finite")
@@ -550,9 +548,6 @@ def evaluate(model: WeylModel, z: complex) -> Matrix:
         raise DomainError(
             f"z={z.real} lies on/above the essential-spectrum floor {model.ess_floor}"
         )
-    if model.mirrored and z.imag < 0.0:
-        with contextlib.suppress(WeylError):
-            return model.M(z.conjugate()).conjugate()
     return model.M(z)
 
 

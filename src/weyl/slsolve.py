@@ -25,14 +25,10 @@ Only this module seeds, truncates or thresholds the half-line solution
 than through a Riccati equation (no blow-through at solution zeros);
 boundary_ratio is the one y(0) = 0 test.
 
-Every route propagates exactly the z and seed it is given; M(conj z) = M(z)*
-is models.evaluate's to use.  Two caches (fundamental_system, and _endpoint
-under decaying_solution and the Sturm counts) keep a propagation for the
-partner of a mirrored point and for a sweep's repeated scan points.  In a
-replay of the benchmark's requests at seed 101 (scripts/replay_requests.py),
-fundamental_system answered 112 of ode_grid's 224 calls from cache and 90 of
-boundary_sweep's 478, and _endpoint 504 of 1,008 and 107 of 276; every
-ode_grid hit is the partner of a mirrored point (cache_info()).
+Every route propagates exactly the z and seed it is given, and keeps no
+z-dependent state between calls; the propagation at conj z has the
+conjugate bits of the one at z, which is what lets a grid request
+(cli._emit_grid) answer a conjugate pair with one propagation.
 
 An Expression is parsed once, when it is built; value() walks the parsed
 tree (expr.evaluate), which raises an EvalError for a failed operation, and
@@ -565,7 +561,6 @@ class _Mesh:
         return y, yp, zeros
 
 
-@lru_cache(maxsize=100_000)
 def fundamental_system(q: PotentialSpec, b: float, z: complex,
                        rtol: float = 1e-10) -> FundamentalSystem:
     """Solution basis of l[y] = z y on [0, b], b > 0, mapped through the interval triplet."""
@@ -596,7 +591,6 @@ def finite_interval_M(q: PotentialSpec, b: float, z: complex,
     return Matrix.from_rows([[-u1b / u2b, 1.0 / u2b], [1.0 / u2b, -u2pb / u2b]])
 
 
-@lru_cache(maxsize=200_000)
 def _endpoint(q: PotentialSpec, z: complex, start: float, seed: tuple, rtol: float):
     """(y(0), y'(0), zeros) from seed = (y, y') at x = start, integrated back in
     rescaled chunks over which the solution grows by at most about e^80; the
@@ -643,7 +637,7 @@ def decaying_solution(q: PotentialSpec, z: complex, L: float | None = None,
     """
     z = complex(z)
     start, seed, error = _decaying_seed(q, z, L)
-    y, yp, _ = _endpoint(q, z, start, seed, float(rtol))
+    y, yp, _ = _endpoint(q, z, start, seed, rtol)
     return y, yp, error
 
 
@@ -690,7 +684,7 @@ def threshold_solution(q: PotentialSpec, rtol: float = 1e-10):
     """
     previous, length = None, 20.0
     while True:
-        y, yp, _ = _endpoint(q, 0j, length, (1.0 + 0j, 0j), float(rtol))
+        y, yp, _ = _endpoint(q, 0j, length, (1.0 + 0j, 0j), rtol)
         m = boundary_ratio(y, yp, 0j).real
         if previous is not None and abs(m - previous) <= rtol * (1.0 + abs(m)):
             return y, yp, abs(m - previous)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from weyl import charfun, cli, models, verify
 from weyl.cli import main
 from weyl.errors import ContractError, RangeError, WeylError
-from weyl.problems import problem_from_data, request_value
+from weyl.problems import parse_problem, problem_from_data, request_value
 from weyl.triplets import transform_boundary_operator, transform_weyl
 from weyl.verify import Assertion
 
@@ -210,6 +211,56 @@ def test_non_finite_grid_entry_is_an_error_line(tmp_path, capsys, model, grid, z
     assert rc == 1 and not out.exists()
     err = capsys.readouterr().err.strip().splitlines()
     assert err == [f"error: M(z) is not finite at z={z}"]
+
+
+def _direct_grid_report(problem_path: str, axes) -> str:
+    """The eval JSON report of axes with models.evaluate at every point."""
+    problem = parse_problem(problem_path)
+    n, (res, ims) = problem.model.n, axes
+    results = [models.evaluate(problem.model, complex(r, i)).data for r in res for i in ims]
+    return "".join(cli._matrix_grid_json(problem, axes, (n, n), results, "M", finite=True))
+
+
+@pytest.mark.parametrize("model,res", [
+    ({"kind": "finite_interval", "b": 2, "potential": {"kind": "square_well", "depth": -3, "width": 1.5}},
+     [-0.0, 0.0, 1.0]),
+    ({"kind": "half_line", "h": 1.5, "potential": {"kind": "expression", "source": "-3*exp(-x*x)*cos(2*x)"}},
+     [-2.0, -1.0]),
+], ids=["finite_interval", "half_line"])
+def test_paired_grid_writes_every_points_own_bits(tmp_path, model, res):
+    # a mirrored kind pairs conj z with z, but no real point: conj of a 0.0
+    # imaginary part is -0.0; the real axis's -0.0 and 0.0 share their pairs
+    f, out = tmp_path / "p.json", tmp_path / "o.json"
+    f.write_text(json.dumps({"model": model}))
+    axes = (res, [0.0, -0.0, 0.5, -0.5, 2.0, -0.5])  # no grid text lists both zeros
+    cli._emit_grid(argparse.Namespace(format="json", out=str(out)), parse_problem(str(f)), axes, None, "M")
+    assert out.read_text() == _direct_grid_report(str(f), axes)
+
+
+def test_sector_grid_evaluates_each_conjugate_point(sector_problem, tmp_path):
+    # sector's power is not bit-symmetric, so its grids pair no points
+    grid = "-1:1:5,-0.5:0.5:2"
+    out = tmp_path / "o.json"
+    assert main(["eval", "--problem", sector_problem, f"--grid={grid}", "--out", str(out)]) == 0
+    axes = request_value("grid", grid, "--grid")
+    assert out.read_text() == _direct_grid_report(sector_problem, axes)
+    model = parse_problem(sector_problem).model
+    pairs = [(models.evaluate(model, complex(r, -0.5)), models.evaluate(model, complex(r, 0.5))) for r in axes[0]]
+    assert any(lo.data != hi.conjugate().data for lo, hi in pairs)  # what pairing would write differs
+
+
+@pytest.mark.parametrize("cmd", ["eval", "charfn"])
+def test_error_at_a_paired_grid_point_names_the_z_met_first(tmp_path, capsys, cmd):
+    # the grid twin of test_slsolve's errors at mirrored points
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": {"kind": "half_line", "potential": {"kind": "expression", "source": "exp(-x)"}},
+                             "boundary": [0.5, 0.8]}))
+    rc = main([cmd, "--problem", str(f), "--grid=1:1:1,-0.05:0.05:2", "--out", str(tmp_path / "o.json")])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: truncation at L=200.0 insufficient for z=(1-0.05j) "), err
+    assert not (tmp_path / "o.json").exists()
 
 
 @pytest.mark.parametrize("cmd", ["krein", "negcount"])

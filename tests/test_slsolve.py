@@ -1,14 +1,17 @@
 import cmath
 import dataclasses
+import gc
+import json
 import math
 import re
+import tracemalloc
 from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from weyl import models, oracle, slsolve
+from weyl import cli, models, oracle, slsolve
 from weyl.errors import AccuracyError, EvalError, PoleError, RangeError
 from weyl.slsolve import (
     PotentialSpec,
@@ -99,7 +102,7 @@ _CONJ_POTENTIALS = {
 @pytest.mark.parametrize("span", [(0.0, 2.5), (2.5, 0.0), (-1.0, 3.0), (3.0, -1.0)])
 @pytest.mark.parametrize("kind", sorted(_CONJ_POTENTIALS))
 def test_propagator_commutes_with_conjugation_to_the_bit(kind, span):
-    # models.evaluate answers conj z on the ODE kinds with the mirror of its
+    # a grid request answers conj z on the ODE kinds with the mirror of its
     # answer at z, which is exact only because this holds
     q = _CONJ_POTENTIALS[kind]
     for z in (2.0 + 1.0j, -5.0 + 0.3j, 20.0 + 3e-3j, 1e-9j):
@@ -125,7 +128,7 @@ def test_rescaled_endpoint_commutes_with_conjugation_to_the_bit(kind):
 
 def test_interval_M_conjugate_symmetry():
     # below the axis fundamental_system propagates z itself: integrate_ivp at z,
-    # the route models.evaluate's mirror skips, has its bits
+    # the route a grid request's mirror skips, has its bits
     z = 0.7 - 1.3j
     for q in _CONJ_POTENTIALS.values():
         fs = fundamental_system(q, math.pi, z)
@@ -137,7 +140,7 @@ def test_interval_M_conjugate_symmetry():
 
 
 def test_errors_at_mirrored_points_name_the_requested_z():
-    # where the answer at conj z raises, models.evaluate takes the direct route at z
+    # models.evaluate propagates the z it is asked for, so its errors name that z
     with pytest.raises(AccuracyError, match=re.escape("insufficient for z=(1-0.05j)")):
         models.evaluate(models.half_line(PotentialSpec.expression("exp(-x)")), 1 - 0.05j)
     # sqrt(1 - x) has a branch point at b = 1, which the Magnus levels do not resolve
@@ -147,13 +150,13 @@ def test_errors_at_mirrored_points_name_the_requested_z():
 
 @pytest.mark.parametrize("kind", sorted(_CONJ_POTENTIALS))
 def test_mirror_has_the_bits_of_the_direct_route(kind):
-    # models.evaluate answers conj z as M(z)*; model.M(conj z) propagates conj z
-    # itself, so the mirror saves work and changes no bit
+    # a grid request answers conj z as M(z)*; models.evaluate at conj z
+    # propagates conj z itself, so the mirror saves work and changes no bit
     q = _CONJ_POTENTIALS[kind]
     for model in (models.half_line(q), models.half_line(q, 1.5), models.finite_interval(q, math.pi)):
         for z in (2.0 + 1.0j, -5.0 + 0.3j, 0.5 + 4.0j, 0.7 + 1.3j):
-            mirrored = models.evaluate(model, z.conjugate())
-            assert _bits(*mirrored.data) == _bits(*model.M(z.conjugate()).data), (model, z)
+            mirrored = models.evaluate(model, z).conjugate()
+            assert _bits(*mirrored.data) == _bits(*models.evaluate(model, z.conjugate()).data), (model, z)
 
 
 def test_only_the_ode_kinds_are_mirrored():
@@ -180,19 +183,54 @@ def test_boundary_ratio_refuses_a_vanishing_y0_at_real_z_only():
     assert slsolve.boundary_ratio(1e-14 + 0j, 1.0 + 0j, -2.0 + 1e-3j) == 1e14
 
 
-def test_conjugate_pairs_are_propagated_once(monkeypatch):
-    # each pair of interval and half-line points integrates only at its upper
-    # point, whichever of the two comes first
+def test_conjugate_pairs_are_propagated_once(monkeypatch, tmp_path):
+    # an eval or charfn grid integrates each pair of interval and half-line
+    # points only at the one met first, lower (as in the benchmark's grids) or
+    # upper, and writes what evaluating every point on its own writes
     seen = []
     propagate = slsolve.integrate_ivp
     monkeypatch.setattr(slsolve, "integrate_ivp", lambda q, z, *rest, **kw: seen.append(z) or propagate(q, z, *rest, **kw))
-    q = PotentialSpec.table((0.0, 1.0, 2.0), (0.375, -1.625, 0.0))  # in no cache yet
+    table = {"kind": "sampled_table", "nodes": [0.0, 1.0, 2.0], "values": [0.375, -1.625, 0.0]}
+    f, out = tmp_path / "p.json", tmp_path / "o.json"
     # the interval propagates u1 and u2; the half line one chunk from x = 2
-    for model, per_z in ((models.FiniteInterval(q, 2.0), 2), (models.HalfLine(q, None), 1)):
-        seen.clear()
-        for z in (3.0 - 0.5j, 3.0 + 0.5j, -1.0 + 2.0j, -1.0 - 2.0j):
-            assert _bits(*models.evaluate(model, z).data) == _bits(*models.evaluate(model, z.conjugate()).adjoint().data)
-        assert seen == [3.0 + 0.5j] * per_z + [-1.0 + 2.0j] * per_z
+    for cls, model, boundary, per_z in (
+            (models.FiniteInterval, {"kind": "finite_interval", "b": 2.0, "potential": table},
+             [[0.3, 0.1], [0.1, [0.5, 0.8]]], 2),
+            (models.HalfLine, {"kind": "half_line", "potential": table}, [0.5, 0.8], 1)):
+        f.write_text(json.dumps({"model": model, "boundary": boundary}))
+        for grid, first in (("3:3:1,-0.5:0.5:2", 3.0 - 0.5j), ("-1:-1:1,2:-2:2", -1.0 + 2.0j)):
+            for cmd in ("eval", "charfn"):
+                argv = [cmd, "--problem", str(f), f"--grid={grid}", "--out", str(out)]
+                seen.clear()
+                assert cli.main(argv) == 0
+                assert seen == [first] * per_z, (model["kind"], grid, cmd)
+                paired = out.read_text()
+                with monkeypatch.context() as m:
+                    m.setattr(cls, "mirrored", False)
+                    assert cli.main(argv) == 0
+                assert paired == out.read_text(), (model["kind"], grid, cmd)
+                if cmd == "eval":
+                    a, b = ([complex(*v) for row in r["M"] for v in row] for r in json.loads(paired)["rows"])
+                    assert _bits(*b) == _bits(*(v.conjugate() for v in a))
+
+
+@pytest.mark.parametrize("model", [models.finite_interval(_CONJ_POTENTIALS["square_well"], 2.0),
+                                   models.half_line(_CONJ_POTENTIALS["square_well"])], ids=lambda m: m.kind)
+def test_no_per_z_state_outlives_an_evaluation(model):
+    # a process-wide cache of propagations would keep every z's solutions
+    zs = [complex(-3.0 + 0.013 * k, (-1) ** k * (0.2 + 0.01 * k)) for k in range(500)]
+    models.evaluate(model, 7.0 + 1.0j)  # what a first call sets up once comes before the baseline
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for z in zs:
+            models.evaluate(model, z)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert held <= 64 * 1024, held
 
 
 def test_fundamental_system_det_relation():
