@@ -15,9 +15,13 @@ bits.  The grid reports are written by a fixed-shape emitter:
 one row template per request, filled with the repr of every float a chunk
 of points at a time (about GRID_CHUNK_VALUES numbers per `%`), each grid
 axis value formatted once per request by its position on the axis.  The
-pieces are all formatted and checked before the first is written, and they
-join to what `json.dumps(sort_keys=True, indent=1)` of the report as nested
-dicts and lists writes, or to `csv.writer` rows for CSV.
+pieces join to what `json.dumps(sort_keys=True, indent=1)` of the report as
+nested dicts and lists writes, or to `csv.writer` rows for CSV.  They are
+streamed: each chunk's points are evaluated, formatted, checked and written
+before the next chunk's are evaluated, so a grid request holds one chunk at
+a time.  The error of a failing grid names its first failing point in grid
+order; `--out` is opened only once the first chunk is checked, and a later
+error removes the partial file when it is a regular one (_emit_pieces).
 
 The boundary operator in a problem file always refers to the base boundary
 coordinates of the model.  When a transform block is present, `eval` and
@@ -30,10 +34,13 @@ hence those answers, unchanged -- that invariance is itself verified by the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 
 from . import __version__, charfun, extensions, kernels, models, triplets
@@ -46,14 +53,38 @@ def _report_header(problem: ProblemFile) -> dict:
     return {"tool_version": __version__, "problem_sha256": problem.sha256}
 
 
-def _emit(text, out_path):
-    """Write text, a str or a list of str pieces, to out_path, else to stdout."""
-    pieces = [text] if isinstance(text, str) else text
+def _emit(text: str, out_path):
+    """Write text to out_path, else to stdout."""
     if out_path:
         with open(out_path, "w", newline="") as f:
-            f.writelines(pieces)
+            f.write(text)
     else:
+        sys.stdout.write(text)
+
+
+def _emit_pieces(pieces, out_path):
+    """Write a grid report's pieces to out_path, else to stdout, each as it is formatted.
+
+    out_path is opened only once the first two pieces, the header and the first
+    chunk, are formatted and checked, so an error in them writes nothing and
+    leaves an existing file alone.  Where a later piece raises, the partial
+    out_path is removed if it is a regular file (never a device, a FIFO or a
+    symlink, nor a symlink's target); stdout keeps what it was given."""
+    head = list(itertools.islice(pieces, 2))
+    if not out_path:
+        sys.stdout.writelines(head)
         sys.stdout.writelines(pieces)
+        return
+    f = open(out_path, "w", newline="")
+    try:
+        with f:
+            f.writelines(head)
+            f.writelines(pieces)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(out_path).st_mode):
+                os.remove(out_path)
+        raise
 
 
 def _json_dump(obj) -> str:
@@ -67,12 +98,14 @@ def _z_reprs(axes):
     return itertools.product(map(repr, res), map(repr, ims))
 
 
-def _non_finite(axes, results, label: str) -> RangeError:
-    """The RangeError naming the first grid point with an entry that is not finite."""
-    points = (complex(r, i) for r, i in itertools.product(*axes))
-    z = next(z for z, data in zip(points, results)
-             if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in data))
-    return RangeError(f"{label}(z) is not finite at z={z}")
+def _non_finite(axes, chunk, offset: int, label: str):
+    """The RangeError naming the first point of chunk, the results of the grid's
+    points from offset on, with an entry that is not finite; None if there is none."""
+    res, ims = axes
+    for k, data in enumerate(chunk, offset):
+        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in data):
+            return RangeError(f"{label}(z) is not finite at z={complex(res[k // len(ims)], ims[k % len(ims)])}")
+    return None
 
 
 GRID_CHUNK_VALUES = 2048  # floats and z reprs formatted by one %
@@ -89,13 +122,27 @@ def _chunk_points(shape) -> int:
 def _grid_chunks(axes, shape, results, row: str, sep: str, z_first: bool, label: str, finite: bool):
     """The points `_chunk_points(shape)` at a time, each chunk sep.join of row
     per point filled by one % with, per point, the z reprs of `_z_reprs` and
-    re, im of every entry: z first, or (not z_first) last.  With finite, a
-    chunk that holds an entry that is not finite is a RangeError
-    (_non_finite) before the next chunk is formatted."""
+    re, im of every entry: z first, or (not z_first) last.  results is an
+    iterator over the points' entries in grid order; a chunk is taken from it,
+    formatted and checked before the next is taken.  With finite, the first
+    point in grid order that fails is the error: an entry that is not finite
+    is a RangeError (_non_finite), and an error raised by results stands only
+    if no point before it in its chunk has one."""
     zs = _z_reprs(axes)
     step = _chunk_points(shape)
-    for start in range(0, len(results), step):
-        chunk = results[start:start + step]
+    offset = 0
+    while True:
+        chunk = []
+        try:
+            for data in itertools.islice(results, step):
+                chunk.append(data)
+        except WeylError:
+            error = finite and _non_finite(axes, chunk, offset, label)
+            if error:
+                raise error from None
+            raise
+        if not chunk:
+            return
         values = []
         # chunk first: zip stops before it takes a z past the chunk
         if z_first:
@@ -110,18 +157,19 @@ def _grid_chunks(axes, shape, results, row: str, sep: str, z_first: bool, label:
                 values += z
         text = sep.join([row] * len(chunk)) % tuple(values)
         if finite and "n" in text:  # only nan and inf spell an 'n'
-            raise _non_finite(axes, results, label)
+            raise _non_finite(axes, chunk, offset, label)
         yield text
+        offset += len(chunk)
 
 
-def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False) -> list[str]:
+def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False):
     """re_z, im_z, then the entries row-major as re, im; one line per point.
 
     axes holds the real and the imaginary axis values, results, per point
     row-major over them, the entries of a (rows, cols) = shape matrix
     row-major.  No field holds a comma, a quote or a newline, so a plain join
-    writes what `csv.writer` would.  The report is returned as a list of
-    pieces: the header line, then the lines of the points a chunk at a time
+    writes what `csv.writer` would.  The report is yielded in pieces: the
+    header line, then the lines of the points a chunk at a time
     (_grid_chunks).  With finite, an entry that is not finite is a
     RangeError (_non_finite).
     """
@@ -131,19 +179,19 @@ def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False) -> 
         for j in range(cols):
             header += [f"{label}_{i}_{j}_re", f"{label}_{i}_{j}_im"]
     line = ",".join(["%s", "%s"] + ["%r"] * (len(header) - 2)) + "\n"
-    return [",".join(header) + "\n", *_grid_chunks(axes, shape, results, line, "", True, label, finite)]
+    yield ",".join(header) + "\n"
+    yield from _grid_chunks(axes, shape, iter(results), line, "", True, label, finite)
 
 
-def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str,
-                      finite: bool = False) -> list[str]:
+def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str, finite: bool = False):
     """`_json_dump` of {header, "rows": [{label: [[[re, im], ..], ..], "z": [re, im]}, ..]}.
 
     The rows share one shape, so one row template filled with `%r` of each
     float (float.__repr__, as `json` writes it) gives the same bytes; z takes
-    the axis reprs of `_z_reprs`.  The report is returned as a list of
-    pieces: the keys before "rows", the rows a chunk at a time
-    (_grid_chunks), then the keys after.  With finite, an entry that is not
-    finite is a RangeError (_non_finite).
+    the axis reprs of `_z_reprs`.  The report is yielded in pieces: the keys
+    before "rows", the rows a chunk at a time (_grid_chunks), then the keys
+    after.  With finite, an entry that is not finite is a RangeError
+    (_non_finite).
     """
     rows, cols = shape
     entry = "     [\n      %r,\n      %r\n     ]"
@@ -155,42 +203,48 @@ def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str,
     fields = {key: json.dumps(value) for key, value in _report_header(problem).items()}
     keys = sorted([*fields, "rows"])
     at = keys.index("rows")
-    pieces = ["{\n" + "".join(f" {json.dumps(key)}: {fields[key]},\n" for key in keys[:at]) + ' "rows": [\n']
-    for text in _grid_chunks(axes, shape, results, row, ",\n", False, label, finite):
-        if len(pieces) > 1:
-            pieces.append(",\n")
+    yield "{\n" + "".join(f" {json.dumps(key)}: {fields[key]},\n" for key in keys[:at]) + ' "rows": [\n'
+    for k, text in enumerate(_grid_chunks(axes, shape, iter(results), row, ",\n", False, label, finite)):
+        if k:
+            yield ",\n"
         # json writes nan and inf as below; a finite report has neither
-        pieces.append(text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text)
-    pieces.append("\n ]" + "".join(f",\n {json.dumps(key)}: {fields[key]}" for key in keys[at + 1:]) + "\n}\n")
-    return pieces
+        yield text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+    yield "\n ]" + "".join(f",\n {json.dumps(key)}: {fields[key]}" for key in keys[at + 1:]) + "\n}\n"
 
 
 def _emit_grid(args, problem: ProblemFile, axes, col, label: str):
-    """The grid report of M (col None) or of W: one kernel call per point on M(z).
-    A mirrored model evaluates each conjugate pair of non-real points once; the
-    second takes the first's M conjugated, which has its own M's bits."""
+    """The grid report of M (col None) or of W: one kernel call per point on M(z),
+    streamed a chunk at a time (_emit_pieces).  A mirrored model evaluates each
+    conjugate pair of non-real points once; the second takes the first's M
+    conjugated, which has its own M's bits."""
     model = problem.model
     n = model.n if col is None else col.reduced_dim
     kernel = kernels.grid_kernel(model.n, problem.transform, col)
-    # M at each non-real z whose conjugate is still to come; never at a real z,
-    # whose 0.0 imaginary part would come back as -0.0
-    unpaired = {}
-
-    def m_at(z: complex) -> Matrix:
-        if not (model.mirrored and z.imag):
-            return models.evaluate(model, z)
-        partner = unpaired.pop(z.conjugate(), None)
-        if partner is not None:
-            return partner.conjugate()
-        m = unpaired[z] = models.evaluate(model, z)
-        return m
-
     res, ims = axes
-    results = [kernel(m_at(complex(r, i)).data) for r in res for i in ims]
+
+    def results():
+        # M at each non-real z whose conjugate is still to come; never at a real
+        # z, whose 0.0 imaginary part would come back as -0.0.  A pair shares its
+        # real part, so a new real part drops the Ms the last one left unpaired.
+        unpaired, last = {}, None
+        for r in res:
+            if r != last:
+                unpaired.clear()
+                last = r
+            for i in ims:
+                z = complex(r, i)
+                if not (model.mirrored and i):
+                    m = models.evaluate(model, z)
+                elif (partner := unpaired.pop(z.conjugate(), None)) is not None:
+                    m = partner.conjugate()
+                else:
+                    m = unpaired[z] = models.evaluate(model, z)
+                yield kernel(m.data)
+
     if args.format == "csv":
-        _emit(_matrix_grid_csv(axes, (n, n), results, label, finite=True), args.out)
+        _emit_pieces(_matrix_grid_csv(axes, (n, n), results(), label, finite=True), args.out)
     else:
-        _emit(_matrix_grid_json(problem, axes, (n, n), results, label, finite=True), args.out)
+        _emit_pieces(_matrix_grid_json(problem, axes, (n, n), results(), label, finite=True), args.out)
 
 
 def _boundary_or_fail(problem: ProblemFile) -> Matrix:

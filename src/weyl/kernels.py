@@ -2,18 +2,22 @@
 
 After M(z), a grid point takes the Mobius map of the problem's transform and,
 for `charfn`, W by the full route (B* - M)^-1 (B - M) or the reduced route
-I + 2i K* (B* - M)^-1 K J.  For n <= MAX_N, `grid_kernel` generates that path
-as one Python function on local complex variables, with the Matrix path's
-float operations in its order: Matrix.__matmul__'s sums from 0j (skipping the
-terms whose left factor is a constant zero, as it does; a runtime zero adds a
-signed zero, which leaves the sum's bits alone), _eliminate's first-maximum
-pivoting with its two zero tests, solve's singular-pivot test and _mobius's
-vanishing test.  So every entry has the Matrix path's bits; where that path
-raises, the kernel re-runs it on the same M for its error.  Each shape (n,
-transform or not, W route, zeros of K*) is compiled once per process, and a
-request binds its constants as the compiled factory's arguments.  Beyond
-MAX_N, or with non-finite transform blocks (0 * inf is nan, a term that
-Matrix.__matmul__ skips), the kernel is the Matrix path itself.
+I + 2i K* (B* - M)^-1 K J.  For n <= MAX_N, `grid_kernel` generates each of
+the two stages as one Python function on local complex variables and chains
+them, w_stage(mobius_stage(data)), with the Matrix path's float operations in
+its order: Matrix.__matmul__'s sums from 0j (skipping the terms whose left
+factor is a constant zero, as it does; a runtime zero adds a signed zero,
+which leaves the sum's bits alone), _eliminate's first-maximum pivoting with
+its two zero tests, solve's singular-pivot test and _mobius's vanishing test.
+So every entry has the Matrix path's bits; where that path raises, a stage
+re-runs its own part of it (transform_weyl, or char_function_from_m on the
+Mobius stage's output) on the same input for its error.  Each stage's shape
+(n for the Mobius map; n, W route and zeros of K* for W) is compiled once per
+process, so `eval` and `charfn` with one transform share its Mobius stage,
+and a request binds its constants as the compiled factory's arguments.
+Beyond MAX_N the kernel is the Matrix path itself; so is the Mobius stage
+with non-finite transform blocks (0 * inf is nan, a term that
+Matrix.__matmul__ skips).
 
 `det_kernel` does the same for a sample of the complex eigenvalue count:
 det(M(z) - B) by _eliminate's pivots and swap sign, multiplied in det's
@@ -46,19 +50,29 @@ def _matrix_path(n: int, transform, col, data: tuple) -> tuple:
 
 def grid_kernel(n: int, transform=None, col=None):
     """data of M(z) -> data of the M (col None) or W that the grid report prints at z."""
-    reference = functools.partial(_matrix_path, n, transform, col)
-    t, blocks, rank, k_zero = transform, [], None, ()
-    if n > MAX_N or t is not None and not all(map(cmath.isfinite, t.X21_star.data + t.P_star.data + t.U_star.data)):
-        return reference
+    if n > MAX_N:
+        return functools.partial(_matrix_path, n, transform, col)
+    mobius_stage = w_stage = None
+    t = transform
     if t is not None:
-        blocks += [t.X21_star.data, t.X22_star.data, t.P_star.data, t.Q_star.data, t.U_star.data]
+        mobius_stage = functools.partial(_matrix_path, n, t, None)
+        if all(map(cmath.isfinite, t.X21_star.data + t.P_star.data + t.U_star.data)):
+            blocks = t.X21_star.data + t.X22_star.data + t.P_star.data + t.Q_star.data + t.U_star.data
+            mobius_stage = _factory(n, None, ())(mobius_stage, t.X22_fro, *blocks)
     if col is not None:
-        rank, blocks = col.reduced_dim, blocks + [col.B.data, col.B_star.data]
+        blocks, k_zero = col.B.data + col.B_star.data, ()
         if not col.full_rank:
-            blocks += [col.K.data, col.K_star.data, col.J.data]
+            blocks += col.K.data + col.K_star.data + col.J.data
             k_zero = tuple(v == 0 for v in col.K_star.data)
-    args = [v for block in blocks for v in block]
-    return _factory(n, t is not None, rank, k_zero)(reference, t and t.X22_fro, *args)
+        w_stage = _factory(n, col.reduced_dim, k_zero)(functools.partial(_matrix_path, n, None, col), *blocks)
+    if mobius_stage and w_stage:
+        return lambda data: w_stage(mobius_stage(data))
+    return mobius_stage or w_stage or _same
+
+
+def _same(data: tuple) -> tuple:
+    """`eval` without a transform prints M itself."""
+    return data
 
 
 def _det_path(b: Matrix, data: tuple) -> complex:
@@ -146,13 +160,14 @@ class _Source:
 
 
 @functools.lru_cache(maxsize=64)  # a grid session meets a handful of shapes; K*'s zeros could make more
-def _factory(n: int, mobius: bool, rank, k_zero: tuple):
-    """The compiled factory of one shape: (reference, ||X22||_F, constants) -> kernel.
-    rank is None for `eval`, else the size of W: n on the full route, below n on the reduced."""
+def _factory(n: int, rank, k_zero: tuple):
+    """The compiled factory of one stage: (reference, constants) -> kernel.  rank is None
+    for the Mobius stage, whose factory also takes ||X22||_F after reference; else the
+    stage is W's, rank the size of W: n on the full route, below n on the reduced."""
     src = _Source()
     m = [f"m{i}" for i in range(n * n)]
     src.line(f"{', '.join(m)}, = data")
-    if mobius:  # triplets._mobius: (P M + Q)(X21 M + X22)^-1 U*, by one right solve
+    if rank is None:  # triplets._mobius: (P M + Q)(X21 M + X22)^-1 U*, by one right solve
         x21s, x22s, ps, qs, us = (src.block(name, n * n) for name in ("x21s", "x22s", "ps", "qs", "us"))
         ms = [src.let(f"{m[j * n + i]}.conjugate()") for i in range(n) for j in range(n)]
         x21ms = [src.let(e) for e in _matmul(ms, x21s, n, n, n)]
@@ -162,20 +177,21 @@ def _factory(n: int, mobius: bool, rank, k_zero: tuple):
         core_star = src.solve(denom, [f"{e} + {q}" for e, q in zip(_matmul(ms, ps, n, n, n), qs)], n, n)
         core = [src.let(f"{core_star[j * n + i]}.conjugate()") for i in range(n) for j in range(n)]
         m = [src.let(e) for e in _matmul(core, us, n, n, n)]
-    if rank is not None:  # charfun.char_function_from_m
-        b, b_star = src.block("b", n * n), src.block("bs", n * n)
-        a = [f"{x} - {y}" for x, y in zip(b_star, m)]
-        if rank == n:
-            m = src.solve(a, [f"{x} - {y}" for x, y in zip(b, m)], n, n)
-        else:
-            k, k_star, j = src.block("k", n * rank), src.block("ks", rank * n), src.block("j", rank * rank)
-            core = src.solve(a, k, n, rank)
-            zero = {x for x, z in zip(k_star, k_zero) if z}
-            p = [src.let(e) for e in _matmul(k_star, core, rank, n, rank, zero)]
-            # Matrix.identity(r) + (K* core J).scale(2j)
-            m = [f"{'(1+0j)' if at % (rank + 1) == 0 else '0j'} + 2j * ({e})"
-                 for at, e in enumerate(_matmul(p, j, rank, rank, rank))]
-    return src.compile(["reference", "x22_fro"], f"({', '.join(m)},)")
+        return src.compile(["reference", "x22_fro"], f"({', '.join(m)},)")
+    # charfun.char_function_from_m
+    b, b_star = src.block("b", n * n), src.block("bs", n * n)
+    a = [f"{x} - {y}" for x, y in zip(b_star, m)]
+    if rank == n:
+        m = src.solve(a, [f"{x} - {y}" for x, y in zip(b, m)], n, n)
+    else:
+        k, k_star, j = src.block("k", n * rank), src.block("ks", rank * n), src.block("j", rank * rank)
+        core = src.solve(a, k, n, rank)
+        zero = {x for x, z in zip(k_star, k_zero) if z}
+        p = [src.let(e) for e in _matmul(k_star, core, rank, n, rank, zero)]
+        # Matrix.identity(r) + (K* core J).scale(2j)
+        m = [f"{'(1+0j)' if at % (rank + 1) == 0 else '0j'} + 2j * ({e})"
+             for at, e in enumerate(_matmul(p, j, rank, rank, rank))]
+    return src.compile(["reference"], f"({', '.join(m)},)")
 
 
 @functools.cache  # one shape per n <= MAX_N

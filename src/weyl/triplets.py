@@ -172,7 +172,16 @@ def _random_hermitian(rng: random.Random, n: int) -> Matrix:
 
 
 def sample_transform(rng: random.Random, n: int) -> TripletTransform:
-    """Random valid transform: a product of shift / congruence / rotation generators."""
+    """Random valid transform: a product of shift / congruence / rotation generators,
+    drawn again from the same rng where a nearly singular congruence fails validation."""
+    while True:
+        try:
+            return _draw_transform(rng, n)
+        except TransformValidationError:
+            pass
+
+
+def _draw_transform(rng: random.Random, n: int) -> TripletTransform:
     ident = Matrix.identity(n)
     zero = Matrix.zeros(n, n)
     t = identity_transform(n)

@@ -8,6 +8,7 @@ import json
 import math
 import random
 import tracemalloc
+import weakref
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from weyl import charfun, cli, models, triplets, verify
 from weyl.cli import main
+from weyl.errors import WeylError
 from weyl.linalg import Matrix
 from weyl.problems import parse_problem, problem_from_data, request_value
 
@@ -211,6 +213,109 @@ def test_nan_in_the_second_chunk_is_an_error_and_no_file(tmp_path, monkeypatch, 
     assert capsys.readouterr() == ("", f"error: M(z) is not finite at z={z}\n")
 
 
+def _scripted_grid(monkeypatch, tmp_path, script, points):
+    """A 1x1 `eval` grid of points (a multiple of 4) whose kernel returns, per point
+    k, complex(k, 1.0), or what script[k] gives: a value, or an error to raise.
+    Returns the problem path, the --grid flag and the z of each point."""
+    results = iter(range(points))
+
+    def kernel(data):
+        k = next(results)
+        value = script.get(k, complex(k, 1.0))
+        if isinstance(value, Exception):
+            raise value
+        return (value,)
+
+    monkeypatch.setattr(cli.kernels, "grid_kernel", lambda n, transform, col: kernel)
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"model": {"kind": "sector", "beta": 0.75}}))
+    grid = f"--grid=-1:1:{points // 4},0.5:2:4"
+    res, ims = request_value("grid", grid[len("--grid="):], "--grid")
+    return str(problem), grid, [complex(r, i) for r in res for i in ims]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("later", [0, 1], ids=["same_chunk", "next_chunk"])
+def test_first_failing_point_past_the_first_chunk_is_named(tmp_path, monkeypatch, capsys, fmt, later):
+    # a nan 3 points into the second chunk, an evaluation error after it in the same
+    # chunk or the next: the nan is met first
+    chunk = cli._chunk_points((1, 1))
+    bad = chunk + 3
+    script = {bad: complex(math.nan, 1.0), (1 + later) * chunk + 5: WeylError("no M here")}
+    problem, grid, zs = _scripted_grid(monkeypatch, tmp_path, script, 3 * chunk)
+    out = tmp_path / f"o.{fmt}"
+    assert main(["eval", "--problem", problem, grid, "--format", fmt, "--out", str(out)]) == 1
+    assert capsys.readouterr() == ("", f"error: M(z) is not finite at z={zs[bad]}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_late_error_keeps_streamed_stdout_and_an_early_one_an_existing_file(tmp_path, monkeypatch, capsys, fmt):
+    chunk = cli._chunk_points((1, 1))
+    problem, grid, _ = _scripted_grid(monkeypatch, tmp_path, {chunk + 2: WeylError("no M here")}, 2 * chunk)
+    assert main(["eval", "--problem", problem, grid, "--format", fmt]) == 1
+    out, err = capsys.readouterr()
+    assert err == "error: no M here\n"
+    assert out.count("\n") > chunk  # the first chunk's lines went out before the error
+    # an error in the first chunk opens no --out: the file there stays as it was
+    existing = tmp_path / f"o.{fmt}"
+    existing.write_text("kept\n")
+    problem, grid, _ = _scripted_grid(monkeypatch, tmp_path, {3: WeylError("no M here")}, 2 * chunk)
+    assert main(["eval", "--problem", problem, grid, "--format", fmt, "--out", str(existing)]) == 1
+    assert existing.read_text() == "kept\n"
+
+
+def test_late_error_leaves_a_symlinked_out_in_place(tmp_path, monkeypatch, capsys):
+    # only a regular file is removed: the link stays, and so does its target
+    chunk = cli._chunk_points((1, 1))
+    problem, grid, _ = _scripted_grid(monkeypatch, tmp_path, {chunk + 2: WeylError("no M here")}, 2 * chunk)
+    target, link = tmp_path / "target.json", tmp_path / "link.json"
+    target.write_text("")
+    link.symlink_to(target)
+    assert main(["eval", "--problem", problem, grid, "--out", str(link)]) == 1
+    assert capsys.readouterr().err == "error: no M here\n"
+    assert link.is_symlink() and target.read_text().startswith("{")
+
+
+def test_streamed_grid_peak_is_under_1_mb(tmp_path):
+    # 10,000 points of a 4x4 strip M: about 9 MB of JSON, a chunk of 60 points at a time
+    problem, out = tmp_path / "p.json", tmp_path / "o.json"
+    problem.write_text(json.dumps({"model": {"kind": "strip", "a_diag": [2.0, 3.5], "width": 1.5}}))
+    argv = ["eval", "--problem", str(problem), "--out", str(out)]
+    assert main(argv + ["--grid=-1:1:2,0.5:1:2"]) == 0  # the parser and the kernel, built once per process
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--grid=-5:5:100,-3:3:100"]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.stat().st_size > 8_000_000
+    assert peak < 1_000_000, peak
+
+
+def test_mirrored_one_sided_axis_holds_at_most_one_row_of_unpaired_m(tmp_path, monkeypatch):
+    # no point's conjugate is on the grid, so every M is left unpaired
+    live, most = weakref.WeakSet(), []
+    evaluate = models.evaluate
+
+    def tracked(model, z):
+        m = evaluate(model, z)
+        live.add(m)
+        return m
+
+    def kernel(data):
+        most.append(len(live))
+        return data
+
+    monkeypatch.setattr(models, "evaluate", tracked)
+    monkeypatch.setattr(cli.kernels, "grid_kernel", lambda n, transform, col: kernel)
+    problem = tmp_path / "p.json"
+    problem.write_text(json.dumps({"model": {"kind": "half_line", "potential": {"kind": "zero"}}}))
+    assert problem_from_data(json.loads(problem.read_text())).model.mirrored
+    assert main(["eval", "--problem", str(problem), "--grid=-2:2:12,0.5:2:5", "--out", str(tmp_path / "o.json")]) == 0
+    assert len(most) == 60 and max(most) <= 5, most
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_emitter_peak_is_at_most_twice_the_report(fmt):
     # 400 points of a 4x4 M: the report is about 0.5 MB of JSON, 0.25 MB of CSV
@@ -228,7 +333,7 @@ def test_emitter_peak_is_at_most_twice_the_report(fmt):
     try:
         base = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
-        pieces = emit()
+        pieces = list(emit())
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()

@@ -102,12 +102,33 @@ def test_kernel_entries_have_the_matrix_paths_bits(monkeypatch, n, with_transfor
 
 
 def test_kernels_compile_once_per_shape():
+    # a transform and W compile as two stages, each once: the Mobius stage and W's
     rng = random.Random(5)
     kernels._factory.cache_clear()
     for _ in range(3):
         col = charfun.factor_colligation(_boundary(rng, 3, 2, False))
-        kernels.grid_kernel(3, triplets.sample_transform(rng, 3), col)((0.5j,) * 9)
-    assert kernels._factory.cache_info().misses == 1 and kernels._factory.cache_info().hits == 2
+        transform = triplets.sample_transform(rng, 3)
+        kernels.grid_kernel(3, transform, col)((0.5j,) * 9)
+    info = kernels._factory.cache_info()
+    assert (info.misses, info.hits) == (2, 4)
+    # `eval` with the same transform reuses the Mobius stage and compiles nothing
+    data = (0.5j,) * 9
+    assert _kernel(kernels.grid_kernel(3, transform), data) == _reference(3, transform, None, data)
+    info = kernels._factory.cache_info()
+    assert (info.misses, info.hits) == (2, 5)
+
+
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=kernels.MAX_N), st.booleans(), st.integers(min_value=0, max_value=10**6),
+       st.data())
+def test_grid_kernel_has_the_matrix_paths_bits(n, with_transform, seed, data):
+    # each grid kernel, with and without a transform, for `eval` and both W routes
+    rng = random.Random(seed)
+    transform = triplets.sample_transform(rng, n) if with_transform else None
+    label, col = data.draw(st.sampled_from(list(_routes(rng, n))))
+    kernel = kernels.grid_kernel(n, transform, col)
+    for m in _weyl_samples(rng, n, 8):
+        assert _kernel(kernel, m) == _reference(n, transform, col, m), (label, m)
 
 
 def test_beyond_max_n_the_kernel_is_the_matrix_path():

@@ -92,6 +92,13 @@ def test_composition_matches_sequential_application():
             assert (lhs - rhs).norm_fro() <= 1e-9 * max(1.0, lhs.norm_fro())
 
 
+@pytest.mark.parametrize("seed, n", [(962, 3), (4664, 3), (483, 4)])
+def test_sample_transform_is_valid_at_every_seed(seed, n):
+    # a congruence C = H + 2.5 I next to singular once failed validation at these seeds
+    t = triplets.sample_transform(random.Random(seed), n)
+    assert triplets.make_transform(t.U, t.X11, t.X12, t.X21, t.X22) == t
+
+
 def test_herglotz_preservation():
     rng = random.Random(13)
     for n in (1, 2, 3, 4):
