@@ -16,24 +16,19 @@ V = -i (W - I)(W + I)^-1 J, checked numerically by cayley_check.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
 from .errors import ContractError, DegenerateColligationError, SingularMatrixError, SpectralPointError
 from .extensions import ExtensionSpec
 from .linalg import Matrix, hermitian_eigh, imag_part, inverse, solve
 from .models import evaluate
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Colligation:
-    B: Matrix
-    K: Matrix  # n x r, r = rank of Im B
-    J: Matrix  # r x r signature (diagonal +-1)
-    # B* and K*, fixed per colligation
-    B_star: Matrix = field(init=False, repr=False, compare=False)
-    K_star: Matrix = field(init=False, repr=False, compare=False)
+class Colligation(Value):
+    # B: n x n; K: n x r, r = rank of Im B; J: r x r signature (diagonal +-1)
+    _fields = ("B", "K", "J")
 
     def __post_init__(self):
+        # B* and K*, derived once per colligation, outside ==, hash and repr
         object.__setattr__(self, "B_star", self.B.adjoint())
         object.__setattr__(self, "K_star", self.K.adjoint())
 

@@ -25,9 +25,8 @@ the tree walker evaluate spends one frame a level.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
 from .errors import EvalError, ParseError
+from .values import Value
 
 FUNCTIONS = {
     "exp": math.exp,
@@ -41,40 +40,29 @@ MAX_NESTING = 100
 MAX_DEPTH = 500
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class Num(Value):
+    _fields = ("value",)
 
 
-@dataclass(frozen=True)
-class Var:
+class Var(Value):
     pass
 
 
-@dataclass(frozen=True)
-class Unary:
-    op: str
-    arg: object
+class Unary(Value):
+    _fields = ("op", "arg")
 
 
-@dataclass(frozen=True)
-class Bin:
-    op: str
-    left: object
-    right: object
+class Bin(Value):
+    _fields = ("op", "left", "right")
 
 
-@dataclass(frozen=True)
-class Call:
-    func: str
-    arg: object
+class Call(Value):
+    _fields = ("func", "arg")
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NUMBER IDENT OP LPAREN RPAREN EOF
-    text: str
-    column: int  # 1-based
+class Token(Value):
+    # kind: NUMBER IDENT OP LPAREN RPAREN EOF; column: 1-based
+    _fields = ("kind", "text", "column")
 
 
 def tokenize(src: str):

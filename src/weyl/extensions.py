@@ -19,7 +19,6 @@ from __future__ import annotations
 import cmath
 import math
 import sys
-from dataclasses import dataclass
 
 from . import kernels
 from . import oracle as oracle_mod
@@ -35,15 +34,14 @@ from .errors import (
 )
 from .linalg import Matrix, herm_part, inertia, inverse, numeric_rank
 from .models import ZERO_EIGENVALUE, WeylModel, evaluate, m_at_zero
+from .values import Value
 
 ORACLE_ZERO_CUT = 1e-4  # oracle counts strictly below -cut: O(dx^2)-stable
 RANK_TAU = 1e-8  # the rank law counts singular values above RANK_TAU * the largest
 
 
-@dataclass(frozen=True)
-class ExtensionSpec:
-    model: WeylModel
-    B: Matrix
+class ExtensionSpec(Value):
+    _fields = ("model", "B")  # a WeylModel, an n x n Matrix
 
     def __post_init__(self):
         if self.B.rows != self.model.n or self.B.cols != self.model.n:
@@ -62,12 +60,9 @@ def extension(model: WeylModel, b) -> ExtensionSpec:
     return ExtensionSpec(model, Matrix.scalar(b))
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
-    window: tuple
-    eigenvalues: tuple  # ((location, multiplicity), ...)
-    method: str
-    oracle_delta: tuple | None
+class SpectrumReport(Value):
+    # eigenvalues: ((location, multiplicity), ...); oracle_delta: a tuple or None
+    _fields = ("window", "eigenvalues", "method", "oracle_delta")
 
 
 # -- scanning utilities -------------------------------------------------------
@@ -170,12 +165,8 @@ def _oracle_operators(spec: ExtensionSpec):
 # -- complex eigenvalue counting ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ComplexCountReport:
-    count: int
-    boundary_proximity: bool
-    samples: int
-    min_boundary_abs: float
+class ComplexCountReport(Value):
+    _fields = ("count", "boundary_proximity", "samples", "min_boundary_abs")
 
 
 def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
@@ -296,13 +287,8 @@ def krein_extension(model: WeylModel) -> ExtensionSpec:
 # -- resolvent rank law ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RankLawReport:
-    rank_weyl: int
-    rank_resolvent_parameter: int
-    rank_difference: int
-    rank_oracle: int | None
-    agree: bool
+class RankLawReport(Value):
+    _fields = ("rank_weyl", "rank_resolvent_parameter", "rank_difference", "rank_oracle", "agree")
 
 
 def resolvent_rank_law(spec1: ExtensionSpec, spec2: ExtensionSpec, z: complex,

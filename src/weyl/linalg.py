@@ -15,9 +15,8 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass
-
 from .errors import ContractError, DimensionError, RangeError, SingularMatrixError
+from .values import Value
 
 # Solve/inverse declare a pivot singular below this multiple of the largest
 # entry; root finders on det(M(z)-B) rely on a crisp singularity signal.
@@ -30,22 +29,19 @@ JACOBI_TOL, JACOBI_MAX_SWEEPS = 1e-14, 60
 BK_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
 
 
-@dataclass(frozen=True)
-class Matrix:
-    """Dense complex matrix, row-major, immutable."""
+class Matrix(Value):
+    """Dense complex matrix, row-major, immutable: Matrix(rows, cols, data)
+    with data the rows*cols complex entries."""
 
-    rows: int
-    cols: int
-    data: tuple  # complex entries, len == rows*cols
+    _fields = ("rows", "cols", "data")
 
-    def __post_init__(self):
-        if self.rows <= 0 or self.cols <= 0:
+    def __init__(self, rows: int, cols: int, data: tuple):  # sets its own fields: a hot path
+        fields = self.__dict__
+        fields["rows"], fields["cols"], fields["data"] = rows, cols, data
+        if rows <= 0 or cols <= 0:
             raise DimensionError("matrix dimensions must be positive")
-        if len(self.data) != self.rows * self.cols:
-            raise DimensionError(
-                f"{self.rows}x{self.cols} matrix needs {self.rows * self.cols} "
-                f"entries, got {len(self.data)}"
-            )
+        if len(data) != rows * cols:
+            raise DimensionError(f"{rows}x{cols} matrix needs {rows * cols} entries, got {len(data)}")
 
     # -- construction -------------------------------------------------
 
@@ -155,7 +151,7 @@ class Matrix:
 
 
 def unchecked(rows: int, cols: int, data: tuple) -> Matrix:
-    """Matrix(rows, cols, data) without __post_init__, for the results of
+    """Matrix(rows, cols, data) without its checks, for the results of
     operations that already checked their operands' shapes and for formulas
     that assemble rows*cols complex entries row-major themselves."""
     m = object.__new__(Matrix)

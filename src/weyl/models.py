@@ -36,8 +36,6 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
-
 from . import oracle
 from .errors import (AccuracyError, DomainError, EvalError, PoleError, RangeError,
                      TransversalityError)
@@ -55,6 +53,7 @@ from .slsolve import (
     threshold_solution,
 )
 from .specfun import BESSEL_RANGE, gamma, sqrt_upper, upper_power
+from .values import Value
 
 # the propagation tolerance of every M(0) route that integrates
 M0_RTOL = 1e-11
@@ -63,17 +62,16 @@ M0_RTOL = 1e-11
 ZERO_EIGENVALUE = 1e-9
 
 
-@dataclass(frozen=True)
-class MZeroResult:
-    value: Matrix  # Hermitian
-    method: str  # "closed_form" | "tail_matched" | "threshold" | "truncated" | "propagated"
-    est_error: float
+class MZeroResult(Value):
+    # value: the Hermitian M(0); method: "closed_form" | "tail_matched" |
+    # "threshold" | "truncated" | "propagated"; est_error: its error estimate
+    _fields = ("value", "method", "est_error")
 
 
-@dataclass(frozen=True)
-class WeylModel:
-    """Base of the catalog.  A subclass is a frozen dataclass of its own
-    parameters; it sets kind, and n, ess_floor and mirrored where not 1, 0, False."""
+class WeylModel(Value):
+    """Base of the catalog.  A subclass is a frozen value (values.Value) whose
+    fields are its own parameters, the keys of its problem-file kind; it sets
+    kind, and n, ess_floor and mirrored where not 1, 0, False."""
 
     kind = ""
     n = 1
@@ -123,13 +121,11 @@ def h_map(m: complex, h: float) -> complex:
     return (1.0 - h * m) / denom
 
 
-@dataclass(frozen=True)
 class HalfLine(WeylModel):
     """-y'' + q y on [0, inf) with the triplet (y(0), y'(0)); a finite h selects
     the member m_h = (1 - h m) / (m - h) of the one-parameter family."""
 
-    q: PotentialSpec
-    h: float | None = None
+    _fields, _defaults = ("q", "h"), {"h": None}  # q: PotentialSpec, h: float | None
     kind = "half_line"
     mirrored = True
 
@@ -225,12 +221,10 @@ class HalfLine(WeylModel):
         return [oracle.discretize(self.q, 40.0, 4000, self._robin(b), None)]
 
 
-@dataclass(frozen=True)
 class FiniteInterval(WeylModel):
     """-y'' + q y on [0, b] with the triplet (y(0), y(b)) / (y'(0), -y'(b))."""
 
-    q: PotentialSpec
-    b: float
+    _fields = ("q", "b")  # q: PotentialSpec, b: float
     kind = "finite_interval"
     n = 2
     ess_floor = math.inf
@@ -287,11 +281,10 @@ def _checked_diagonal(a_diag) -> tuple:
     return a
 
 
-@dataclass(frozen=True)
 class OperatorPotentialHalfline(WeylModel):
     """-y'' + A y on [0, inf) with a diagonal A >= I, one channel per entry."""
 
-    a_diag: tuple
+    _fields = ("a_diag",)
     kind = "operator_potential_halfline"
 
     def __post_init__(self):
@@ -335,12 +328,10 @@ class OperatorPotentialHalfline(WeylModel):
         return ops
 
 
-@dataclass(frozen=True)
 class Strip(WeylModel):
     """The strip of width w with a diagonal A >= I: a channel pair per entry."""
 
-    a_diag: tuple
-    width: float = math.pi
+    _fields, _defaults = ("a_diag", "width"), {"width": math.pi}
     kind = "strip"
 
     def __post_init__(self):
@@ -401,7 +392,6 @@ def _checked_beta(beta, field: str = "beta") -> float:
     return float(beta)
 
 
-@dataclass(frozen=True)
 class Corner(WeylModel):
     """The corner of opening beta: a Bessel-function quotient in sqrt z,
 
@@ -411,7 +401,7 @@ class Corner(WeylModel):
     with the entire S_nu(z) = sum_k (-z/4)^k / (k! (1+nu)_k) (DLMF 10.2.2), so the
     Gamma factors and the powers of s/2 cancel in the quotient."""
 
-    beta: float
+    _fields = ("beta",)
     kind = "corner"
 
     def __post_init__(self):
@@ -452,11 +442,10 @@ class Corner(WeylModel):
         return MZeroResult(Matrix.scalar(-1.0), "closed_form", 0.0)
 
 
-@dataclass(frozen=True)
 class MultiCorner(WeylModel):
     """Independent corners side by side: diag of the corner functions."""
 
-    betas: tuple
+    _fields = ("betas",)
     kind = "multi_corner"
 
     def __post_init__(self):
@@ -477,11 +466,10 @@ def sector_constant(beta: float) -> complex:
     return cmath.exp(-1j * beta * math.pi) * 4.0 ** (-beta) * gamma(1.0 - beta) / gamma(1.0 + beta)
 
 
-@dataclass(frozen=True)
 class Sector(WeylModel):
     """The sector model: a pure power, M(z) = -C_beta z^beta."""
 
-    beta: float
+    _fields = ("beta",)
     kind = "sector"
 
     def __post_init__(self):
@@ -498,13 +486,12 @@ class Sector(WeylModel):
         return MZeroResult(Matrix.scalar(0.0), "closed_form", 0.0)
 
 
-@dataclass(frozen=True)
 class CallableModel(WeylModel):
-    """Wrap an arbitrary z -> Matrix map; test support for the report machinery."""
+    """Wrap an arbitrary z -> Matrix map; test support for the report machinery.
+    Two wrappers with the same n and ess_floor are equal whatever their fn."""
 
-    fn: object = field(compare=False)
-    n: int
-    ess_floor: float = 0.0
+    _fields, _defaults = ("fn", "n", "ess_floor"), {"ess_floor": 0.0}
+    _compared = ("n", "ess_floor")
     kind = "_callable"
 
     def M(self, z: complex) -> Matrix:
@@ -568,12 +555,8 @@ def m_at_zero(model: WeylModel) -> MZeroResult:
 # -- classification report ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class StieltjesReport:
-    monotone: bool
-    bounded_below: bool
-    verdict: str
-    counterexample: tuple | None
+class StieltjesReport(Value):
+    _fields = ("monotone", "bounded_below", "verdict", "counterexample")
 
 
 def classify_stieltjes(model: WeylModel, x_grid) -> StieltjesReport:

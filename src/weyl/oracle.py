@@ -56,20 +56,19 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain
 
 from .errors import ContractError, DimensionError, SpectralPointError
 from .slsolve import PotentialSpec
+from .values import Value
 
 MAX_EIGENVALUES = 50  # most eigenvalues one lowest_eigenvalues call bisects
 SECANT_STEPS, PLANT_TRIES = 40, 6  # most g passes per estimate; most plants, each 4x wider
 RANK_PROBES, RANK_SEED, RANK_TAU = 6, 0, 1e-8  # resolvent_difference_rank's probes, seed, cut
 
 
-@dataclass(frozen=True)
-class DiscretizedOperator:
+class DiscretizedOperator(Value):
     """Symmetric tridiagonal reduction of -y'' + q y on [0, L].
 
     A side is None (Dirichlet: its end node is dropped) or the Robin value h
@@ -87,15 +86,9 @@ class DiscretizedOperator:
     bounds ||T||_inf; left out, each is derived here.
     """
 
-    diag: tuple
-    off: tuple
-    dx: float
-    L: float
-    left: float | None
-    right: float | None
-    flat: tuple = (0, 0)
-    off2: tuple | None = field(default=None, repr=False, compare=False)
-    norm: float | None = field(default=None, repr=False, compare=False)
+    _fields = ("diag", "off", "dx", "L", "left", "right", "flat", "off2", "norm")
+    _defaults = {"flat": (0, 0), "off2": None, "norm": None}
+    _compared = _shown = _fields[:7]  # off2 and norm are derived
 
     def __post_init__(self):
         if self.off2 is None:

@@ -6,9 +6,13 @@ flags too.
 Complex numbers are encoded as plain numbers (real) or two-element
 [re, im] arrays; matrices as row-major nested lists of those.  Every number
 must be finite (Python's json reads NaN and Infinity), and a JSON boolean is
-not a number.  Validation errors carry the JSON path of the offending field.
-Models and potentials are read through one table from kind to class each
-(MODEL_KINDS, POTENTIAL_KINDS), and the class's constructor checks the values.
+not a number, and a matrix row is not empty.  Validation errors carry the
+JSON path of the offending field.  Models and potentials are read through
+one table from kind to class each (MODEL_KINDS, POTENTIAL_KINDS): a kind's
+keys are "kind" and its class's _fields (values.Value; the radial_schrodinger
+alias takes no h), and the class's constructor checks the values.  A key the
+reader does not know, at the top level or in a model, potential or transform
+object, is refused at its path, not ignored.
 
 parse_problem records the SHA-256 of the file's bytes (the reports'
 problem_sha256) by CPython's built-in SHA-256 module, `_sha2` from 3.12 on and
@@ -19,13 +23,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, field, fields
 
 from . import models
 from .errors import EvalError, SchemaError
 from .linalg import Matrix
 from .slsolve import Expression, PotentialSpec, SquareWell, Table, Zero
 from .triplets import TripletTransform, make_transform
+from .values import Value
 
 # hashlib loads OpenSSL's libcrypto, 3.5 MB of peak RSS and about 3 ms a
 # process, to hash one small file; the built-in module gives the same digest
@@ -38,13 +42,14 @@ except ImportError:
         from hashlib import sha256
 
 
-@dataclass(frozen=True)
-class ProblemFile:
-    model: models.WeylModel
-    boundary: Matrix | None
-    transform: TripletTransform | None
-    task: dict = field(default_factory=dict)  # key -> its value typed by request_value
-    sha256: str = ""
+class ProblemFile(Value):
+    # model: a WeylModel; boundary, transform: a Matrix, a TripletTransform or
+    # None; task: key -> its value typed by request_value (a fresh {} when
+    # left out); sha256: the hex SHA-256 of the file's bytes, or ""
+    _fields = ("model", "boundary", "transform", "task", "sha256")
+
+    def __init__(self, model, boundary, transform, task: dict | None = None, sha256: str = ""):
+        super().__init__(model, boundary, transform, {} if task is None else task, sha256)
 
 
 def _finite(v, path: str) -> float:
@@ -84,6 +89,8 @@ def matrix_from_json(v, path: str) -> Matrix:
     rows = []
     width = None
     for i, r in enumerate(v):
+        if not r:
+            raise SchemaError(f"{path}[{i}]", "a row must not be empty")
         if width is None:
             width = len(r)
         elif len(r) != width:
@@ -126,8 +133,9 @@ def _potential(v, path: str) -> PotentialSpec:
     return Zero() if v is None else _from_json(POTENTIAL_KINDS, "potential", v, path)
 
 
-# Field name -> (JSON key, reader of its value).  A field with a default may
-# be left out, and so may the potential: an absent or null one is q = 0.
+# Field name -> (JSON key, reader of its value).  A kind's keys are "kind" and
+# those of its class's _fields; any other is refused.  A field with a default
+# may be left out, and so may the potential: an absent or null one is q = 0.
 _FIELDS = {
     "q": ("potential", _potential),
     "h": ("h", lambda v, path: None if v is None else _number(v, path)),
@@ -142,6 +150,15 @@ MODEL_KINDS = {
                                  models.Strip, models.Corner, models.Sector, models.MultiCorner)},
     "radial_schrodinger": models.HalfLine,  # the 3-D spherically symmetric problem, h = None
 }
+# the fields of a kind that reads fewer than its class has
+_KIND_FIELDS = {"radial_schrodinger": ("q",)}
+
+
+def _known_keys(data: dict, keys, path: str, what: str):
+    """A SchemaError at the first key of data not in keys."""
+    for key in data:
+        if key not in keys:
+            raise SchemaError(f"{path}.{key}", f"unknown {what} (allowed: {sorted(keys)})")
 
 
 def _from_json(kinds: dict, what: str, data, path: str):
@@ -153,12 +170,14 @@ def _from_json(kinds: dict, what: str, data, path: str):
     cls = kinds.get(kind) if isinstance(kind, str) else None
     if cls is None:
         raise SchemaError(f"{path}.kind", f"unknown {what} kind {kind!r}")
+    names = _KIND_FIELDS.get(kind, cls._fields)
+    _known_keys(data, ["kind", *(_FIELDS[name][0] for name in names)], path, f"{what} key for {kind}")
     args = {}
-    for f in fields(cls):
-        key, read = _FIELDS[f.name]
+    for name in names:
+        key, read = _FIELDS[name]
         if key in data or key == "potential":
-            args[f.name] = read(data.get(key), f"{path}.{key}")
-        elif f.default is MISSING:
+            args[name] = read(data.get(key), f"{path}.{key}")
+        elif name not in cls._defaults:
             _require(data, key, path)
     try:
         return cls(**args)
@@ -175,8 +194,9 @@ def model_from_json(data, path: str = "$.model") -> models.WeylModel:
 def transform_from_json(data, n: int, path: str = "$.transform") -> TripletTransform:
     if not isinstance(data, dict):
         raise SchemaError(path, "expected an object with U, X11, X12, X21, X22")
+    _known_keys(data, TripletTransform._fields, path, "transform key")
     mats = {}
-    for name in ("U", "X11", "X12", "X21", "X22"):
+    for name in TripletTransform._fields:
         mats[name] = matrix_from_json(_require(data, name, path), f"{path}.{name}")
         if mats[name].rows != n or mats[name].cols != n:
             raise SchemaError(f"{path}.{name}", f"must be {n}x{n} for this model")
@@ -239,6 +259,7 @@ def request_value(key: str, v, flag: str | None = None):
 def problem_from_data(data: dict, sha: str = "") -> ProblemFile:
     if not isinstance(data, dict):
         raise SchemaError("$", "problem file must be a JSON object")
+    _known_keys(data, ("model", "boundary", "transform", "task"), "$", "key")
     model = model_from_json(_require(data, "model", "$"), "$.model")
     boundary = None
     if data.get("boundary") is not None:

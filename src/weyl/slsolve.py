@@ -42,7 +42,6 @@ import cmath
 import math
 from array import array
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import pairwise
 
@@ -50,6 +49,7 @@ from . import expr
 from .errors import AccuracyError, EvalError, PoleError, RangeError
 from .linalg import Matrix
 from .specfun import sqrt_upper
+from .values import Value
 
 TRUNCATION_CAP = 200.0
 _TRUNC_TARGET = 1e-13
@@ -78,11 +78,12 @@ def checked_finite(value, field: str) -> float:
     return v
 
 
-@dataclass(frozen=True)
-class PotentialSpec:
-    """Base of the potentials q(x).  A subclass sets kind and defines _at (q at x),
-    _mean (its mean over a cell), _form (its break points and its values between
-    them, None where q varies) and tail; every evaluation of q goes through value."""
+class PotentialSpec(Value):
+    """Base of the potentials q(x).  A subclass is a frozen value (values.Value)
+    whose fields are its parameters, the keys of its problem-file kind; it sets
+    kind and defines _at (q at x), _mean (its mean over a cell), _form (its
+    break points and its values between them, None where q varies) and tail;
+    every evaluation of q goes through value."""
 
     kind = ""
 
@@ -127,7 +128,6 @@ class PotentialSpec:
         return out
 
 
-@dataclass(frozen=True)
 class Zero(PotentialSpec):
     """q = 0."""
 
@@ -142,12 +142,10 @@ class Zero(PotentialSpec):
         return 0.0
 
 
-@dataclass(frozen=True)
 class SquareWell(PotentialSpec):
     """q = depth on [0, width), 0 elsewhere."""
 
-    depth: float
-    width: float
+    _fields = ("depth", "width")
     kind = "square_well"
     tail = 0.0
 
@@ -168,12 +166,10 @@ class SquareWell(PotentialSpec):
         return self.depth * max(0.0, min(b, self.width) - max(a, 0.0)) / (b - a)
 
 
-@dataclass(frozen=True)
 class Table(PotentialSpec):
     """q linear between strictly increasing nodes, constant beyond the end ones."""
 
-    nodes: tuple
-    values: tuple
+    _fields = ("nodes", "values")
     kind = "sampled_table"
 
     def __post_init__(self):
@@ -242,11 +238,10 @@ class Table(PotentialSpec):
         return out
 
 
-@dataclass(frozen=True)
 class Expression(PotentialSpec):
     """q given by an expression in x (expr.parse_potential)."""
 
-    source: str
+    _fields = ("source",)
     kind = "expression"
     _form = ((0.0,), (None, None))
 
@@ -282,15 +277,13 @@ PotentialSpec.table = staticmethod(Table)
 PotentialSpec.expression = staticmethod(Expression)
 
 
-@dataclass(frozen=True)
-class FundamentalSystem:
+class FundamentalSystem(Value):
     """Boundary images of the solution basis u1 (u1(0)=1, u1'(0)=0), u2 (0,1)."""
 
-    Y0: Matrix  # trace map (y(0), y(b)) applied to the basis
-    Y1: Matrix  # trace map (y'(0), -y'(b)) applied to the basis
-    # at a real z, the zeros of u2 in (0, b): the Dirichlet eigenvalues below z
-    # (Sturm); 0 at a complex z
-    dirichlet_count: int
+    # Y0, Y1: the trace maps (y(0), y(b)) and (y'(0), -y'(b)) applied to the
+    # basis; dirichlet_count: at a real z, the zeros of u2 in (0, b), the
+    # Dirichlet eigenvalues below z (Sturm); 0 at a complex z
+    _fields = ("Y0", "Y1", "dirichlet_count")
 
 
 # A base cell of a Magnus mesh is at most _CELL_MAX wide, and its width w and

@@ -20,31 +20,20 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
-
 from .errors import DimensionError, SingularMatrixError, TransformValidationError, TransversalityError
 from .linalg import Matrix, inverse, solve
+from .values import Value
 
 VALIDATION_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TripletTransform:
-    U: Matrix
-    X11: Matrix
-    X12: Matrix
-    X21: Matrix
-    X22: Matrix
-    # fixed per transform: U*, the adjoints of P, Q = U X11, U X12 (U folded on
-    # the left only, where no unitarity is assumed), X21*, X22*, and ||X22||_F
-    U_star: Matrix = field(init=False, repr=False, compare=False)
-    P_star: Matrix = field(init=False, repr=False, compare=False)
-    Q_star: Matrix = field(init=False, repr=False, compare=False)
-    X21_star: Matrix = field(init=False, repr=False, compare=False)
-    X22_star: Matrix = field(init=False, repr=False, compare=False)
-    X22_fro: float = field(init=False, repr=False, compare=False)
+class TripletTransform(Value):
+    _fields = ("U", "X11", "X12", "X21", "X22")  # n x n Matrix each
 
     def __post_init__(self):
+        # derived once per transform, outside ==, hash and repr: U*, the
+        # adjoints of P, Q = U X11, U X12 (U folded on the left only, where no
+        # unitarity is assumed), X21*, X22*, and ||X22||_F
         object.__setattr__(self, "U_star", self.U.adjoint())
         object.__setattr__(self, "P_star", (self.U @ self.X11).adjoint())
         object.__setattr__(self, "Q_star", (self.U @ self.X12).adjoint())

@@ -13,8 +13,6 @@ from __future__ import annotations
 import cmath
 import math
 import random
-from dataclasses import dataclass, field
-
 from . import charfun, extensions, models, oracle, triplets
 from .expr import evaluate as expr_eval
 from .expr import parse_potential
@@ -22,19 +20,22 @@ from .errors import AccuracyError, ParseError, WeylError
 from .linalg import Matrix, det, herm_part, imag_part, inverse, lambda_min
 from .slsolve import PotentialSpec, fundamental_system, halfline_m
 from .specfun import cpow, sqrt_upper, upper_power
+from .values import Value
 
 
-@dataclass(frozen=True)
-class Assertion:
-    label: str
-    ok: bool
-    detail: str = ""
+class Assertion(Value):
+    _fields, _defaults = ("label", "ok", "detail"), {"detail": ""}
 
 
-@dataclass
-class SuiteResult:
-    name: str
-    assertions: list = field(default_factory=list)
+class SuiteResult(Value):
+    """A suite's name and its assertions, which run_suite assigns: unlike
+    other Values it is mutable, and so unhashable."""
+
+    _fields = ("name", "assertions")
+    __setattr__, __delattr__, __hash__ = object.__setattr__, object.__delattr__, None
+
+    def __init__(self, name: str, assertions: list | None = None):
+        super().__init__(name, [] if assertions is None else assertions)
 
     @property
     def passed(self) -> bool:

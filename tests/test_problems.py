@@ -231,6 +231,47 @@ def test_unread_task_keys_rejected(key):
     assert f"$.task.{key}" in str(exc.value)
 
 
+IDENTITY_TRANSFORM = {"U": 1, "X11": 1, "X12": 0, "X21": 0, "X22": 1}
+
+
+@pytest.mark.parametrize("data, path", [
+    # a misspelled block was read as no transform at all
+    ({"model": {"kind": "sector", "beta": 0.75}, "transfrom": IDENTITY_TRANSFORM}, "$.transfrom"),
+    ({"model": {"kind": "corner", "beta": 0.75, "h": 3}}, "$.model.h"),
+    # the alias is the half_line model with h = null: it answered the h = 1.5 member
+    ({"model": {"kind": "radial_schrodinger", "h": 1.5}}, "$.model.h"),
+    ({"model": {"kind": "half_line", "potential": {"kind": "zero", "depth": 1.0}}}, "$.model.potential.depth"),
+    ({"model": {"kind": "sector", "beta": 0.75}, "transform": {**IDENTITY_TRANSFORM, "X33": 1}}, "$.transform.X33"),
+], ids=["top-level", "corner-h", "radial-h", "potential", "transform"])
+def test_unknown_keys_are_refused_at_their_path(data, path):
+    with pytest.raises(SchemaError) as exc:
+        problems.problem_from_data(data)
+    assert exc.value.path == path
+    assert "unknown" in str(exc.value)
+
+
+def test_misspelled_transform_block_writes_no_report(tmp_path, capsys):
+    from weyl.cli import main
+    f, out = tmp_path / "p.json", tmp_path / "o.json"
+    f.write_text(json.dumps({"model": {"kind": "sector", "beta": 0.75}, "transfrom": IDENTITY_TRANSFORM}))
+    assert main(["eval", "--problem", str(f), "--grid=-1:1:3,0.5:1:2", "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: $.transfrom: unknown key")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("data, path", [
+    ({"model": {"kind": "half_line"}, "boundary": [[]]}, "$.boundary[0]"),
+    ({"model": {"kind": "finite_interval", "b": 1.0}, "boundary": [[1, 0], []]}, "$.boundary[1]"),
+    ({"model": {"kind": "sector", "beta": 0.75}, "transform": {**IDENTITY_TRANSFORM, "X12": [[]]}},
+     "$.transform.X12[0]"),
+], ids=["boundary", "boundary-second-row", "transform"])
+def test_empty_matrix_row_is_a_schema_error_at_its_path(data, path):
+    # it was the DimensionError "matrix dimensions must be positive", with no path
+    with pytest.raises(SchemaError) as exc:
+        problems.problem_from_data(data)
+    assert exc.value.path == path
+
+
 def test_boundary_dimension_mismatch():
     with pytest.raises(SchemaError):
         problems.problem_from_data(
