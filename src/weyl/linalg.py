@@ -36,8 +36,9 @@ class Matrix(Value):
     _fields = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: tuple):  # sets its own fields: a hot path
-        fields = self.__dict__
-        fields["rows"], fields["cols"], fields["data"] = rows, cols, data
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "data", data)
         if rows <= 0 or cols <= 0:
             raise DimensionError("matrix dimensions must be positive")
         if len(data) != rows * cols:
