@@ -16,6 +16,7 @@ V = -i (W - I)(W + I)^-1 J, checked numerically by cayley_check.
 from __future__ import annotations
 
 import math
+
 from .errors import ContractError, DegenerateColligationError, SingularMatrixError, SpectralPointError
 from .extensions import ExtensionSpec
 from .linalg import Matrix, hermitian_eigh, imag_part, inverse, solve

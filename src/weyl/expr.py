@@ -25,6 +25,7 @@ the tree walker evaluate spends one frame a level.
 from __future__ import annotations
 
 import math
+
 from .errors import EvalError, ParseError
 from .values import Value
 

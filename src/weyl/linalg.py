@@ -15,6 +15,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+
 from .errors import ContractError, DimensionError, RangeError, SingularMatrixError
 from .values import Value
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
+
 from . import oracle
 from .errors import (AccuracyError, DomainError, EvalError, PoleError, RangeError,
                      TransversalityError)

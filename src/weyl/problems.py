@@ -200,7 +200,7 @@ def transform_from_json(data, n: int, path: str = "$.transform") -> TripletTrans
         mats[name] = matrix_from_json(_require(data, name, path), f"{path}.{name}")
         if mats[name].rows != n or mats[name].cols != n:
             raise SchemaError(f"{path}.{name}", f"must be {n}x{n} for this model")
-    return make_transform(mats["U"], mats["X11"], mats["X12"], mats["X21"], mats["X22"])
+    return make_transform(**mats)
 
 
 # The text form of each request value; window and rect also take a JSON

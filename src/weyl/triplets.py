@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+
 from .errors import DimensionError, SingularMatrixError, TransformValidationError, TransversalityError
 from .linalg import Matrix, inverse, solve
 from .values import Value

@@ -13,6 +13,7 @@ from __future__ import annotations
 import cmath
 import math
 import random
+
 from . import charfun, extensions, models, oracle, triplets
 from .expr import evaluate as expr_eval
 from .expr import parse_potential
