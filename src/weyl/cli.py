@@ -19,8 +19,9 @@ pieces join to what `json.dumps(sort_keys=True, indent=1)` of the report as
 nested dicts and lists writes, or to `csv.writer` rows for CSV.  They are
 streamed: each chunk's points are evaluated, formatted, checked and written
 before the next chunk's are evaluated, so a grid request holds one chunk at
-a time.  The error of a failing grid names its first failing point in grid
-order; `--out` is opened only once the first chunk is checked, and a later
+a time.  Every grid entry is checked finite, and the error of a failing grid
+names its first failing point in grid order.  Every report goes through one
+writer: `--out` is opened only once the first chunk is checked, and a later
 error removes the partial file when it is a regular one (_emit_pieces).
 
 The boundary operator in a problem file always refers to the base boundary
@@ -53,23 +54,15 @@ def _report_header(problem: ProblemFile) -> dict:
     return {"tool_version": __version__, "problem_sha256": problem.sha256}
 
 
-def _emit(text: str, out_path):
-    """Write text to out_path, else to stdout."""
-    if out_path:
-        with open(out_path, "w", newline="") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _emit_pieces(pieces, out_path):
-    """Write a grid report's pieces to out_path, else to stdout, each as it is formatted.
+    """Write a report's pieces to out_path, else to stdout, each as it is formatted.
 
-    out_path is opened only once the first two pieces, the header and the first
-    chunk, are formatted and checked, so an error in them writes nothing and
-    leaves an existing file alone.  Where a later piece raises, the partial
+    out_path is opened only once the first two pieces (a grid's header and
+    first chunk) are formatted and checked, so an error in them writes nothing
+    and leaves an existing file alone.  Where a later piece raises, the partial
     out_path is removed if it is a regular file (never a device, a FIFO or a
     symlink, nor a symlink's target); stdout keeps what it was given."""
+    pieces = iter(pieces)  # the head is taken from it, then the rest: never the same items twice
     head = list(itertools.islice(pieces, 2))
     if not out_path:
         sys.stdout.writelines(head)
@@ -119,15 +112,15 @@ def _chunk_points(shape) -> int:
     return max(1, GRID_CHUNK_VALUES // (2 * rows * cols + 2))
 
 
-def _grid_chunks(axes, shape, results, row: str, sep: str, z_first: bool, label: str, finite: bool):
+def _grid_chunks(axes, shape, results, row: str, sep: str, z_first: bool, label: str):
     """The points `_chunk_points(shape)` at a time, each chunk sep.join of row
     per point filled by one % with, per point, the z reprs of `_z_reprs` and
     re, im of every entry: z first, or (not z_first) last.  results is an
     iterator over the points' entries in grid order; a chunk is taken from it,
-    formatted and checked before the next is taken.  With finite, the first
-    point in grid order that fails is the error: an entry that is not finite
-    is a RangeError (_non_finite), and an error raised by results stands only
-    if no point before it in its chunk has one."""
+    formatted and checked before the next is taken.  The first point in grid
+    order that fails is the error: an entry that is not finite is a
+    RangeError (_non_finite), and an error raised by results stands only if
+    no point before it in its chunk has one."""
     zs = _z_reprs(axes)
     step = _chunk_points(shape)
     offset = 0
@@ -137,7 +130,7 @@ def _grid_chunks(axes, shape, results, row: str, sep: str, z_first: bool, label:
             for data in itertools.islice(results, step):
                 chunk.append(data)
         except WeylError:
-            error = finite and _non_finite(axes, chunk, offset, label)
+            error = _non_finite(axes, chunk, offset, label)
             if error:
                 raise error from None
             raise
@@ -156,13 +149,13 @@ def _grid_chunks(axes, shape, results, row: str, sep: str, z_first: bool, label:
                     values += (v.real, v.imag)
                 values += z
         text = sep.join([row] * len(chunk)) % tuple(values)
-        if finite and "n" in text:  # only nan and inf spell an 'n'
+        if "n" in text:  # only nan and inf spell an 'n'
             raise _non_finite(axes, chunk, offset, label)
         yield text
         offset += len(chunk)
 
 
-def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False):
+def _matrix_grid_csv(axes, shape, results, label: str):
     """re_z, im_z, then the entries row-major as re, im; one line per point.
 
     axes holds the real and the imaginary axis values, results, per point
@@ -170,8 +163,7 @@ def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False):
     row-major.  No field holds a comma, a quote or a newline, so a plain join
     writes what `csv.writer` would.  The report is yielded in pieces: the
     header line, then the lines of the points a chunk at a time
-    (_grid_chunks).  With finite, an entry that is not finite is a
-    RangeError (_non_finite).
+    (_grid_chunks), where an entry that is not finite is a RangeError.
     """
     rows, cols = shape
     header = ["re_z", "im_z"]
@@ -180,18 +172,17 @@ def _matrix_grid_csv(axes, shape, results, label: str, finite: bool = False):
             header += [f"{label}_{i}_{j}_re", f"{label}_{i}_{j}_im"]
     line = ",".join(["%s", "%s"] + ["%r"] * (len(header) - 2)) + "\n"
     yield ",".join(header) + "\n"
-    yield from _grid_chunks(axes, shape, iter(results), line, "", True, label, finite)
+    yield from _grid_chunks(axes, shape, iter(results), line, "", True, label)
 
 
-def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str, finite: bool = False):
+def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str):
     """`_json_dump` of {header, "rows": [{label: [[[re, im], ..], ..], "z": [re, im]}, ..]}.
 
     The rows share one shape, so one row template filled with `%r` of each
     float (float.__repr__, as `json` writes it) gives the same bytes; z takes
     the axis reprs of `_z_reprs`.  The report is yielded in pieces: the keys
-    before "rows", the rows a chunk at a time (_grid_chunks), then the keys
-    after.  With finite, an entry that is not finite is a RangeError
-    (_non_finite).
+    before "rows", the rows a chunk at a time (_grid_chunks, where an entry
+    that is not finite is a RangeError), then the keys after.
     """
     rows, cols = shape
     entry = "     [\n      %r,\n      %r\n     ]"
@@ -204,11 +195,10 @@ def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str, fi
     keys = sorted([*fields, "rows"])
     at = keys.index("rows")
     yield "{\n" + "".join(f" {json.dumps(key)}: {fields[key]},\n" for key in keys[:at]) + ' "rows": [\n'
-    for k, text in enumerate(_grid_chunks(axes, shape, iter(results), row, ",\n", False, label, finite)):
+    for k, text in enumerate(_grid_chunks(axes, shape, iter(results), row, ",\n", False, label)):
         if k:
             yield ",\n"
-        # json writes nan and inf as below; a finite report has neither
-        yield text.replace("nan", "NaN").replace("inf", "Infinity") if "n" in text else text
+        yield text
     yield "\n ]" + "".join(f",\n {json.dumps(key)}: {fields[key]}" for key in keys[at + 1:]) + "\n}\n"
 
 
@@ -242,9 +232,9 @@ def _emit_grid(args, problem: ProblemFile, axes, col, label: str):
                 yield kernel(m.data)
 
     if args.format == "csv":
-        _emit_pieces(_matrix_grid_csv(axes, (n, n), results(), label, finite=True), args.out)
+        _emit_pieces(_matrix_grid_csv(axes, (n, n), results(), label), args.out)
     else:
-        _emit_pieces(_matrix_grid_json(problem, axes, (n, n), results(), label, finite=True), args.out)
+        _emit_pieces(_matrix_grid_json(problem, axes, (n, n), results(), label), args.out)
 
 
 def _boundary_or_fail(problem: ProblemFile) -> Matrix:
@@ -291,7 +281,7 @@ def cmd_spectrum(args) -> int:
             "boundary_proximity": rep.boundary_proximity,
             "contour_samples": rep.samples,
         }
-        _emit(_json_dump(payload), args.out)
+        _emit_pieces((_json_dump(payload),), args.out)
         return 0
     window = _request(args, problem, "window")
     if window is None:
@@ -306,9 +296,10 @@ def cmd_spectrum(args) -> int:
     if rep.oracle_delta is not None:
         payload["oracle_delta"] = list(rep.oracle_delta)
     if args.format == "csv":
-        _emit("location,multiplicity\n" + "".join(f"{x!r},{mult}\n" for x, mult in rep.eigenvalues), args.out)
+        rows = (f"{x!r},{mult}\n" for x, mult in rep.eigenvalues)
+        _emit_pieces(("location,multiplicity\n", *rows), args.out)
     else:
-        _emit(_json_dump(payload), args.out)
+        _emit_pieces((_json_dump(payload),), args.out)
     return 0
 
 
@@ -317,7 +308,7 @@ def cmd_negcount(args) -> int:
     spec = extensions.ExtensionSpec(problem.model, _boundary_or_fail(problem))
     kappa_m, kappa_oracle = extensions.negative_count(spec)
     payload = {**_report_header(problem), "kappa_M": kappa_m, "kappa_oracle": kappa_oracle}
-    _emit(_json_dump(payload), args.out)
+    _emit_pieces((_json_dump(payload),), args.out)
     return 0
 
 
@@ -332,7 +323,7 @@ def cmd_krein(args) -> int:
     }
     if problem.model.robin_matrix is not None:
         payload["robin_matrix"] = matrix_to_json(problem.model.robin_matrix(m0.value))
-    _emit(_json_dump(payload), args.out)
+    _emit_pieces((_json_dump(payload),), args.out)
     return 0
 
 
@@ -366,8 +357,7 @@ def cmd_verify(args) -> int:
             "seed": args.seed,
             "suites": [r.to_json() for r in results],
         }
-        with open(args.out, "w", newline="") as f:
-            f.write(_json_dump(payload))
+        _emit_pieces((_json_dump(payload),), args.out)
     return 0 if n_pass == len(results) else 2
 
 

@@ -17,7 +17,7 @@ import functools
 import math
 
 from .errors import ContractError, DimensionError, RangeError, SingularMatrixError
-from .values import Value
+from .values import Value, _set
 
 # Solve/inverse declare a pivot singular below this multiple of the largest
 # entry; root finders on det(M(z)-B) rely on a crisp singularity signal.
@@ -157,10 +157,9 @@ def unchecked(rows: int, cols: int, data: tuple) -> Matrix:
     operations that already checked their operands' shapes and for formulas
     that assemble rows*cols complex entries row-major themselves."""
     m = object.__new__(Matrix)
-    fields = m.__dict__
-    fields["rows"] = rows
-    fields["cols"] = cols
-    fields["data"] = data
+    _set(m, "rows", rows)
+    _set(m, "cols", cols)
+    _set(m, "data", data)
     return m
 
 

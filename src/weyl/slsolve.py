@@ -2,11 +2,13 @@
 
 A potential q is one frozen PotentialSpec subclass per kind: Zero,
 SquareWell, Table or Expression, each checking its own parameters and
-holding its own value, cell average, break points and tail.
+holding its own value, cell average and break points (_form), from which
+its table of pieces (_line) and its tail are derived once; an Expression
+probes its tail at large x instead.
 
 Fundamental systems on a finite interval (for the 2x2 interval Weyl matrix)
 and m-functions on the half-line.  integrate_ivp splits its span at the pieces
-of q (PotentialSpec.pieces): where q is exactly constant it steps with the
+of q (PotentialSpec._line): where q is exactly constant it steps with the
 exact transfer matrix [[cosh kh, sinh kh / k], [k sinh kh, cosh kh]],
 k^2 = q - z.  Where q varies (a table segment, an expression) it steps the
 exact exponential of the 6th-order Magnus generator on three Gauss-Legendre
@@ -81,9 +83,9 @@ def checked_finite(value, field: str) -> float:
 class PotentialSpec(Value):
     """Base of the potentials q(x).  A subclass is a frozen value (values.Value)
     whose fields are its parameters, the keys of its problem-file kind; it sets
-    kind and defines _at (q at x), _mean (its mean over a cell), _form (its
-    break points and its values between them, None where q varies) and tail;
-    every evaluation of q goes through value."""
+    kind and defines _at (q at x), _mean (its mean over a cell) and _form (its
+    break points and its values between them, None where q varies), from
+    which _line and tail derive; every evaluation of q goes through value."""
 
     kind = ""
 
@@ -104,28 +106,32 @@ class PotentialSpec(Value):
         bit for bit; a kind may read q once per shared edge."""
         return [self.cell_average(a, b) for a, b in pairwise(edges)]
 
-    def pieces(self, a: float, b: float) -> list:
-        """Split [a, b] (a < b) where q changes form.
-
-        Returns [(lo, hi, c), ...] in increasing order, with c the value of q
-        on [lo, hi] where q is exactly constant there and None where it
-        varies.  Neighbouring constant pieces with the same value are merged;
-        the linear segments of a table stay apart, so that no mesh cell of the
-        propagator straddles a kink of q, and an expression splits at 0, where
-        its meshes start.
-        """
+    @cached_property
+    def _line(self) -> tuple:
+        """The pieces of q over the whole line, ((lo, hi, c), ...) in increasing
+        order, with c the value of q on [lo, hi] where q is exactly constant
+        there and None where it varies.  Neighbouring constant pieces with the
+        same value are merged; the linear segments of a table stay apart, so
+        that no mesh cell of the propagator straddles a kink of q, and an
+        expression splits at 0, where its meshes start."""
         breaks, consts = self._form
         edges = (-math.inf, *breaks, math.inf)
         out = []
         for lo, hi, c in zip(edges, edges[1:], consts):
-            lo, hi = max(lo, a), min(hi, b)
-            if lo >= hi:
-                continue
             if out and c is not None and out[-1][2] == c:
                 out[-1] = (out[-1][0], hi, c)
             else:
                 out.append((lo, hi, c))
-        return out
+        return tuple(out)
+
+    @cached_property
+    def tail(self) -> float:
+        """q beyond its last break: _form's last constant, whose sign of zero _line may merge away."""
+        return self._form[1][-1]
+
+    def pieces(self, a: float, b: float) -> list:
+        """[a, b] (a < b) split where q changes form: the pieces of _line that meet it, clipped."""
+        return [(lo, hi, c) for p_lo, p_hi, c in self._line if (lo := max(p_lo, a)) < (hi := min(p_hi, b))]
 
 
 class Zero(PotentialSpec):
@@ -133,7 +139,6 @@ class Zero(PotentialSpec):
 
     kind = "zero"
     _form = ((), (0.0,))
-    tail = 0.0
 
     def _at(self, x: float) -> float:
         return 0.0
@@ -147,7 +152,6 @@ class SquareWell(PotentialSpec):
 
     _fields = ("depth", "width")
     kind = "square_well"
-    tail = 0.0
 
     def __post_init__(self):
         width = checked_finite(self.width, "width")
@@ -185,7 +189,6 @@ class Table(PotentialSpec):
         object.__setattr__(self, "values", values)
         segments = (lo if lo == hi else None for lo, hi in zip(values, values[1:]))
         object.__setattr__(self, "_form", (nodes, (values[0], *segments, values[-1])))
-        object.__setattr__(self, "tail", values[-1])
 
     def _at(self, x: float) -> float:
         nodes, vals = self.nodes, self.values
@@ -326,14 +329,15 @@ def integrate_ivp(q: PotentialSpec, z: complex, y0, span, rtol: float = 1e-10):
     z = complex(z)
     zeros = 0
     if a != b:
-        pieces = q.pieces(min(a, b), max(a, b))
+        lo, hi = min(a, b), max(a, b)
+        pieces = [(start, end, p) for p in q._line if (start := max(p[0], lo)) < (end := min(p[1], hi))]
         if b < a:
-            pieces = [(hi, lo, c) for lo, hi, c in reversed(pieces)]
-        for start, end, c in pieces:
-            if c is None:
-                y, yp, n = _magnus(q, z, y, yp, start, end, rtol)
+            pieces = [(end, start, p) for start, end, p in reversed(pieces)]
+        for start, end, piece in pieces:
+            if piece[2] is None:
+                y, yp, n = _magnus(q, z, y, yp, start, end, piece, rtol)
             else:
-                y, yp, n = _transfer(c, z, y, yp, start, end)
+                y, yp, n = _transfer(piece[2], z, y, yp, start, end)
             zeros += n
     return y, yp, zeros
 
@@ -374,8 +378,8 @@ def _transfer(c: float, z: complex, y: complex, yp: complex, a: float, b: float)
 
 
 def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: float,
-            rtol: float):
-    """(y(b), y'(b), zeros) from a to b inside one varying piece of q, to rtol.
+            piece: tuple, rtol: float):
+    """(y(b), y'(b), zeros) from a to b inside piece, a varying piece of q, to rtol.
 
     Sweeps the piece's mesh (from its finite end) at levels 0, 1, 2, ... from
     the same (y, y'), so all share one scaling.  The step is of order 6, so at
@@ -388,7 +392,7 @@ def _magnus(q: PotentialSpec, z: complex, y: complex, yp: complex, a: float, b: 
     raises AccuracyError.  The zeros are those of level k, moved by one where
     u_k lies across 0 from y_k: a zero at a piece end then counts once.
     """
-    lo, hi, _ = next(p for p in q.pieces(-math.inf, math.inf) if p[0] <= min(a, b) < p[1])
+    lo, hi, _ = piece
     mesh = _mesh(q, hi, lo) if lo == -math.inf else _mesh(q, lo, hi)
     d = 0.0
     for level in range(_MAX_LEVEL + 1):
@@ -611,8 +615,8 @@ def _endpoint(q: PotentialSpec, z: complex, start: float, seed: tuple, rtol: flo
 
 def tail_support(q: PotentialSpec) -> float | None:
     """Point x >= 0 beyond which q is exactly constant, or None when it never is."""
-    lo, _hi, c = q.pieces(0.0, math.inf)[-1]
-    return None if c is None else lo
+    lo, _hi, c = q._line[-1]
+    return None if c is None else max(lo, 0.0)
 
 
 def decaying_solution(q: PotentialSpec, z: complex, L: float | None = None,

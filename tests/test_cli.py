@@ -218,7 +218,7 @@ def _direct_grid_report(problem_path: str, axes) -> str:
     problem = parse_problem(problem_path)
     n, (res, ims) = problem.model.n, axes
     results = [models.evaluate(problem.model, complex(r, i)).data for r in res for i in ims]
-    return "".join(cli._matrix_grid_json(problem, axes, (n, n), results, "M", finite=True))
+    return "".join(cli._matrix_grid_json(problem, axes, (n, n), results, "M"))
 
 
 @pytest.mark.parametrize("model,res", [

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from weyl import charfun, cli, models, triplets, verify
 from weyl.cli import main
-from weyl.errors import WeylError
+from weyl.errors import RangeError, WeylError
 from weyl.linalg import Matrix
 from weyl.problems import parse_problem, problem_from_data, request_value
 
@@ -149,15 +149,19 @@ def test_charfn_cases_take_both_routes(case, full_rank):
     assert charfun.factor_colligation(b).full_rank is full_rank
 
 
-SPECIAL = (math.nan, math.inf, -math.inf, -0.0, 1e-300, 1e22)
+# finite floats whose reprs take every form: a signed zero, exponents of both
+# signs, and subnormals (5e-324 is the smallest)
+SPECIAL = (-0.0, 1e-300, 1e22, 5e-324, -2.5e-320, 0.5)
+
+
+def _sector_problem():
+    return problem_from_data({"model": {"kind": "sector", "beta": 0.75}}, "0" * 64)
 
 
 @pytest.mark.parametrize("label", ["M", "W"])
-def test_special_floats_match_the_reference(tmp_path, label):
-    problem = tmp_path / "p.json"
-    problem.write_text(json.dumps({"model": {"kind": "sector", "beta": 0.75}}))
-    prob = parse_problem(str(problem))
-    axes = ([-0.0, 1e22, math.nan], [1e-300, -math.inf, 0.5])
+def test_special_floats_match_the_reference(label):
+    prob = _sector_problem()
+    axes = ([-0.0, 1e22, 5e-324], [1e-300, -2.5e-320, 0.5])
     points = [complex(r, i) for r in axes[0] for i in axes[1]]
     mats = [
         Matrix(2, 2, tuple(complex(SPECIAL[(k + i) % 6], SPECIAL[(k + 2 * i + 1) % 6]) for i in range(4)))
@@ -166,17 +170,30 @@ def test_special_floats_match_the_reference(tmp_path, label):
     values = [m.data for m in mats]
     text = "".join(cli._matrix_grid_json(prob, axes, (2, 2), values, label))
     assert text == _reference_json(prob, points, mats, label)
-    assert "NaN" in text and "-Infinity" in text and "1e+22" in text and "-0.0" in text
+    assert "1e+22" in text and "-0.0" in text and "5e-324" in text and "-2.5e-320" in text
     assert "".join(cli._matrix_grid_csv(axes, (2, 2), values, label)) == _reference_csv(points, mats, label)
 
 
-def _sector_problem():
-    return problem_from_data({"model": {"kind": "sector", "beta": 0.75}}, "0" * 64)
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("part", ["re", "im"])
+def test_non_finite_entry_is_a_range_error(fmt, bad, part):
+    # the third of four points, (1+0.5j), has the entry that is not finite
+    axes = ([-0.0, 1.0], [0.5, 2.0])
+    values = [(complex(1.0, 2.0),)] * 4
+    values[2] = (complex(bad, 2.0) if part == "re" else complex(1.0, bad),)
+    if fmt == "json":
+        pieces = cli._matrix_grid_json(_sector_problem(), axes, (1, 1), values, "M")
+    else:
+        pieces = cli._matrix_grid_csv(axes, (1, 1), values, "M")
+    with pytest.raises(RangeError, match=r"^M\(z\) is not finite at z=\(1\+0\.5j\)$"):
+        "".join(pieces)
 
 
 @settings(deadline=None)
 @given(st.sampled_from([1, 2, 4]), st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
-       st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats()), min_size=1, max_size=7),
+       st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False)),
+                min_size=1, max_size=7),
        st.sampled_from(["M", "W"]))
 def test_chunk_boundaries_match_the_reference(n, size, pattern, label):
     # grids of a C + b points, C a chunk's points: 1, C - 1, C, C + 1 and 2 C + 1,
@@ -326,8 +343,8 @@ def test_emitter_peak_is_at_most_twice_the_report(fmt):
 
     def emit():
         if fmt == "json":
-            return cli._matrix_grid_json(prob, axes, (4, 4), values, "M", finite=True)
-        return cli._matrix_grid_csv(axes, (4, 4), values, "M", finite=True)
+            return cli._matrix_grid_json(prob, axes, (4, 4), values, "M")
+        return cli._matrix_grid_csv(axes, (4, 4), values, "M")
 
     tracemalloc.start()
     try:

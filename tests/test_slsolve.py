@@ -483,6 +483,100 @@ def test_potential_pieces():
     assert tail_support(t) == 3.0
     assert tail_support(well) == 1.0
     assert tail_support(PotentialSpec.expression("exp(-x)")) is None
+    # the tails, and where they start, of every kind, with the sign of a zero tail
+    assert _bits(Q0.tail, well.tail, t.tail) == _bits(0.0, 0.0, 0.5)
+    assert tail_support(Q0) == 0.0 and tail_support(PotentialSpec.square_well(0.0, 1.0)) == 0.0
+    below = PotentialSpec.table([-3.0, -1.0], [1.0, -0.0])  # constant from x = -1 on
+    assert tail_support(below) == 0.0 and _bits(below.tail) == _bits(-0.0)
+    mixed = PotentialSpec.table([0.0, 1.0, 2.0], [1.0, -0.0, 0.0])  # one constant piece from x = 1 on
+    assert tail_support(mixed) == 1.0 and _bits(mixed.tail) == _bits(0.0)
+    decaying = PotentialSpec.expression("2 + exp(-x)")
+    assert tail_support(decaying) is None and decaying.tail == decaying.value(1e6) == 2.0
+
+
+def _reference_pieces(q, a, b):
+    """pieces(a, b) as it was computed before the whole-line table: the
+    pieces of _form clipped to [a, b], equal neighbouring constants merged."""
+    breaks, consts = q._form
+    edges = (-math.inf, *breaks, math.inf)
+    out = []
+    for lo, hi, c in zip(edges, edges[1:], consts):
+        lo, hi = max(lo, a), min(hi, b)
+        if lo >= hi:
+            continue
+        if out and c is not None and out[-1][2] == c:
+            out[-1] = (out[-1][0], hi, c)
+        else:
+            out.append((lo, hi, c))
+    return out
+
+
+@st.composite
+def _any_potentials(draw):
+    """A potential of each kind; a table's values come from a small set, so that
+    flat segments, sloped ones and runs of equal neighbours all occur."""
+    kind = draw(st.sampled_from(["zero", "square_well", "expression", "table"]))
+    if kind == "zero":
+        return PotentialSpec.zero()
+    if kind == "square_well":
+        return PotentialSpec.square_well(draw(st.sampled_from([-2.0, 0.0, -0.0, 1.5])), draw(st.floats(0.1, 5.0)))
+    if kind == "expression":
+        return PotentialSpec.expression("exp(-x)")
+    nodes = [draw(st.floats(-5.0, 5.0))]
+    for step in draw(st.lists(st.floats(0.1, 3.0), min_size=1, max_size=7)):
+        nodes.append(nodes[-1] + step)
+    values = draw(st.lists(st.sampled_from([-1.0, 0.0, -0.0, 0.5, 2.0]), min_size=len(nodes), max_size=len(nodes)))
+    return PotentialSpec.table(nodes, values)
+
+
+_SPAN_ENDS = st.one_of(st.sampled_from([-math.inf, math.inf, 0.0]), st.floats(-12.0, 12.0))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_any_potentials(), _SPAN_ENDS, _SPAN_ENDS)
+def test_pieces_clip_the_whole_line_table(q, a, b):
+    a, b = min(a, b), max(a, b)
+    assume(a < b)
+    assert q.pieces(a, b) == _reference_pieces(q, a, b)
+    assert q.pieces(-math.inf, math.inf) == _reference_pieces(q, -math.inf, math.inf)
+
+
+def _counting_form_reads(cls):
+    """A subclass of cls that counts the reads of its _form in `reads`."""
+
+    class Counting(cls):
+        reads = 0
+
+        @property
+        def _form(self):
+            type(self).reads += 1
+            return self.__dict__["form"] if "form" in self.__dict__ else super()._form
+
+        @_form.setter
+        def _form(self, form):
+            self.__dict__["form"] = form
+
+    return Counting
+
+
+@pytest.mark.parametrize("kind", sorted(_CONJ_POTENTIALS))
+def test_the_piece_table_is_built_once_per_potential(kind):
+    # every half-line M and every span reads the pieces of q; none derives them afresh
+    base = _CONJ_POTENTIALS[kind]
+    q = _counting_form_reads(type(base))(*(getattr(base, f) for f in base._fields))
+    assert q.pieces(-1.0, 3.0) == base.pieces(-1.0, 3.0)
+
+    def calls(z):
+        assert halfline_m(q, z) == halfline_m(base, z)
+        assert integrate_ivp(q, z, (1.0, 0.0), (0.0, 2.5)) == integrate_ivp(base, z, (1.0, 0.0), (0.0, 2.5))
+        assert integrate_ivp(q, z, (0.0, 1.0), (3.0, -1.0)) == integrate_ivp(base, z, (0.0, 1.0), (3.0, -1.0))
+        assert tail_support(q) == tail_support(base)
+
+    calls(1j)
+    reads = type(q).reads
+    for z in (2.0 + 1.0j, -0.5 + 0.3j, -5.0 + 0.3j, 3.0 + 0.5j, 0.75j):
+        calls(z)
+    assert type(q).reads == reads <= 2, type(q).reads  # the table and the tail, each once
 
 
 # m_inf(z) of q = -1.5 exp(-x/0.7): the decaying solution is J_nu(t), t = 2 b sqrt(a)
