@@ -93,11 +93,12 @@ def _z_reprs(axes):
 
 def _non_finite(axes, chunk, offset: int, label: str):
     """The RangeError naming the first point of chunk, the results of the grid's
-    points from offset on, with an entry that is not finite; None if there is none."""
+    points from offset on, whose z or an entry is not finite; None if there is none."""
     res, ims = axes
     for k, data in enumerate(chunk, offset):
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in data):
-            return RangeError(f"{label}(z) is not finite at z={complex(res[k // len(ims)], ims[k % len(ims)])}")
+        z = complex(res[k // len(ims)], ims[k % len(ims)])
+        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in (z, *data)):
+            return RangeError(f"{label}(z) is not finite at z={z}")
     return None
 
 
@@ -118,7 +119,7 @@ def _grid_chunks(axes, shape, results, row: str, sep: str, z_first: bool, label:
     re, im of every entry: z first, or (not z_first) last.  results is an
     iterator over the points' entries in grid order; a chunk is taken from it,
     formatted and checked before the next is taken.  The first point in grid
-    order that fails is the error: an entry that is not finite is a
+    order that fails is the error: a z or an entry that is not finite is a
     RangeError (_non_finite), and an error raised by results stands only if
     no point before it in its chunk has one."""
     zs = _z_reprs(axes)

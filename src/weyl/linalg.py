@@ -37,9 +37,9 @@ class Matrix(Value):
     _fields = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, data: tuple):  # sets its own fields: a hot path
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "data", data)
         if rows <= 0 or cols <= 0:
             raise DimensionError("matrix dimensions must be positive")
         if len(data) != rows * cols:
@@ -72,16 +72,11 @@ class Matrix(Value):
             raise DimensionError("matrix dimensions must be positive")
         data = [0j] * (n * n)
         data[:: n + 1] = vals
-        return unchecked(n, n, tuple(data))
+        return Matrix(n, n, tuple(data))
 
     @staticmethod
     def scalar(v) -> "Matrix":
         return Matrix(1, 1, (complex(v),))
-
-    @staticmethod
-    def column(values) -> "Matrix":
-        vals = tuple(complex(v) for v in values)
-        return Matrix(len(vals), 1, vals)
 
     # -- access --------------------------------------------------------
 
@@ -99,18 +94,18 @@ class Matrix(Value):
 
     def __add__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return unchecked(self.rows, self.cols, tuple(a + b for a, b in zip(self.data, other.data)))
+        return Matrix(self.rows, self.cols, tuple(a + b for a, b in zip(self.data, other.data)))
 
     def __sub__(self, other: "Matrix") -> "Matrix":
         self._same_shape(other)
-        return unchecked(self.rows, self.cols, tuple(a - b for a, b in zip(self.data, other.data)))
+        return Matrix(self.rows, self.cols, tuple(a - b for a, b in zip(self.data, other.data)))
 
     def __neg__(self) -> "Matrix":
-        return unchecked(self.rows, self.cols, tuple(-a for a in self.data))
+        return Matrix(self.rows, self.cols, tuple(-a for a in self.data))
 
     def scale(self, s) -> "Matrix":
         s = complex(s)
-        return unchecked(self.rows, self.cols, tuple(s * a for a in self.data))
+        return Matrix(self.rows, self.cols, tuple(s * a for a in self.data))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
@@ -128,14 +123,14 @@ class Matrix(Value):
                 brow = b[t * m : (t + 1) * m]
                 for j in range(m):
                     out[base + j] += av * brow[j]
-        return unchecked(n, m, tuple(out))
+        return Matrix(n, m, tuple(out))
 
     def adjoint(self) -> "Matrix":
         data, cols = self.data, self.cols
-        return unchecked(cols, self.rows, tuple(a.conjugate() for i in range(cols) for a in data[i::cols]))
+        return Matrix(cols, self.rows, tuple(a.conjugate() for i in range(cols) for a in data[i::cols]))
 
     def conjugate(self) -> "Matrix":
-        return unchecked(self.rows, self.cols, tuple(a.conjugate() for a in self.data))
+        return Matrix(self.rows, self.cols, tuple(a.conjugate() for a in self.data))
 
     # -- norms ----------------------------------------------------------
 
@@ -150,17 +145,6 @@ class Matrix(Value):
             raise DimensionError(
                 f"shape mismatch: {self.rows}x{self.cols} vs {other.rows}x{other.cols}"
             )
-
-
-def unchecked(rows: int, cols: int, data: tuple) -> Matrix:
-    """Matrix(rows, cols, data) without its checks, for the results of
-    operations that already checked their operands' shapes and for formulas
-    that assemble rows*cols complex entries row-major themselves."""
-    m = object.__new__(Matrix)
-    _set(m, "rows", rows)
-    _set(m, "cols", cols)
-    _set(m, "data", data)
-    return m
 
 
 def herm_part(m: Matrix) -> Matrix:
@@ -245,7 +229,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
                 s -= rowk[t] * rows[t][c]
             rowk[c] = s / piv
     # complex(): A and B may hold real entries, and the result is complex as from_rows made it
-    return unchecked(n, m, tuple([complex(v) for row in rows for v in row[n:]]))
+    return Matrix(n, m, tuple([complex(v) for row in rows for v in row[n:]]))
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -40,7 +40,7 @@ import math
 from . import oracle
 from .errors import (AccuracyError, DomainError, EvalError, PoleError, RangeError,
                      TransversalityError)
-from .linalg import Matrix, herm_part, inertia, lambda_min, unchecked
+from .linalg import Matrix, herm_part, inertia, lambda_min
 from .slsolve import (
     PotentialSpec,
     boundary_ratio,
@@ -263,7 +263,7 @@ class FiniteInterval(WeylModel):
         y00, y01, y10, y11 = y00.conjugate(), y01.conjugate(), y10.conjugate(), y11.conjugate()
         g10 = 0.5 * (y01 * c00 + y11 * c10 + (y00 * c01 + y10 * c11).conjugate())
         g00, g11 = (y00 * c00 + y10 * c10).real, (y01 * c01 + y11 * c11).real
-        congruent = unchecked(2, 2, (complex(g00), g10.conjugate(), g10, complex(g11)))
+        congruent = Matrix(2, 2, (complex(g00), g10.conjugate(), g10, complex(g11)))
         return fs.dirichlet_count + inertia(congruent)[2]
 
     def oracle_operators(self, b: Matrix):
@@ -350,7 +350,7 @@ class Strip(WeylModel):
             diag, csch = _strip_pair(a, ra, shift, self.width, z)
             data[i * (n + 1)] = data[(m + i) * (n + 1)] = diag
             data[i * n + m + i] = data[(m + i) * n + i] = -ra * csch
-        return unchecked(n, n, tuple(data))
+        return Matrix(n, n, tuple(data))
 
     def m_at_zero(self) -> MZeroResult:
         # the strip entries depend on kappa^2 only, hence are analytic at 0
@@ -410,7 +410,7 @@ class Corner(WeylModel):
         self._derive(beta=beta, _denominators=_series_denominators(beta))
 
     def M(self, z: complex) -> Matrix:
-        return unchecked(1, 1, (self.scalar(z),))
+        return Matrix(1, 1, (self.scalar(z),))
 
     def scalar(self, z: complex) -> complex:
         s = sqrt_upper(z)
@@ -481,7 +481,7 @@ class Sector(WeylModel):
         self._derive(beta=beta, _coefficient=-sector_constant(beta))
 
     def M(self, z: complex) -> Matrix:
-        return unchecked(1, 1, (self._coefficient * upper_power(z, self.beta),))
+        return Matrix(1, 1, (self._coefficient * upper_power(z, self.beta),))
 
     def m_at_zero(self) -> MZeroResult:
         return MZeroResult(Matrix.scalar(0.0), "closed_form", 0.0)

@@ -14,15 +14,15 @@ A boundary side is None (Dirichlet) or a Robin value h (Neumann is 0.0).
 Work is spent only on what callers read, and nothing is computed twice.
 The interior rows of a grid depend on (q, L, n) alone and are built once per
 grid from the pieces of q: each constant piece is one run of equal rows,
-and q.cell_averages reads only the cells across a break or in a varying
-piece, so a build costs O(pieces + varying cells) (_grid); the couplings
-and their squares depend on (L, n) and on which sides are Robin and are
-built once too.  An operator is that interior plus a boundary row on each
-side that is not Dirichlet, so the Dirichlet reference and every A_B of one
-request share both, and its norm bound max |diag| + 2 max |off| comes from
-the runs and the boundary rows in O(1).  A grid's flat stretch, its
-trailing run of equal interior rows (the q = 0 tail of a half line, say),
-is its last run; its rows share one diagonal entry and one coupling.  A
+and only the cells across a break or in a varying piece are averaged, each
+by q.cell_average, so a build costs O(pieces + varying cells) (_grid); the
+couplings and their squares depend on (L, n) and on which sides are Robin
+and are built once too.  An operator is that interior plus a boundary row
+on each side that is not Dirichlet, so the Dirichlet reference and every
+A_B of one request share both, and its norm bound max |diag| + 2 max |off|
+comes from the runs and the boundary rows in O(1).  A grid's flat stretch,
+its trailing run of equal interior rows (the q = 0 tail of a half line,
+say), is its last run; its rows share one diagonal entry and one coupling.  A
 Sturm count is one pass over the rows with one early exit: when the stretch
 is the last rows of the matrix (the Dirichlet end of a half line) and mu
 lies below its band, the count stops once a pivot there exceeds the
@@ -115,11 +115,10 @@ def _grid(q: PotentialSpec, L: float, n: int):
     potential jumps second-order accurate.  The interior is built from the
     pieces of q (q.pieces): the cells wholly inside a constant piece, found
     by bisection on the cells' edges, average to its constant c and are one
-    run, whose rows are the one float (2/dx + c dx)/dx; the other cells (those
-    across a break, and those of a varying piece) share their edges, and
-    q.cell_averages reads each stretch of them in one pass.  The two end
-    cells are q.cell_average's.  So a build costs O(pieces + varying cells),
-    and every row is q.cell_average's.  The interior rows do not depend on
+    run, whose rows are the one float (2/dx + c dx)/dx; each other cell (one
+    across a break, or one of a varying piece), like the two end cells, is
+    q.cell_average's.  So a build costs O(pieces + varying cells), and every
+    row is q.cell_average's.  The interior rows do not depend on
     the boundary.  Neighbouring runs of equal rows merge, and the flat run
     (i, n - 1) is the last of them, the trailing run interior[i:] of equal
     entries, or (0, 0) when it is one row.  The cached interior is a tuple
@@ -142,9 +141,8 @@ def _grid(q: PotentialSpec, L: float, n: int):
             runs.append([v, m])
 
     def averaged(stop):  # the interior cells done..stop-1, each its own cell average
-        if done < stop:
-            for c in q.cell_averages(map(edge, range(done, stop + 1))):
-                run(c, 1)
+        for k in range(done, stop):
+            run(q.cell_average(edge(k), edge(k + 1)), 1)
 
     edges, done = range(n + 1), 1
     for lo, hi, c in q.pieces(0.0, L):

@@ -45,7 +45,6 @@ import math
 from array import array
 from bisect import bisect_left, bisect_right
 from functools import cached_property, lru_cache
-from itertools import pairwise
 
 from . import expr
 from .errors import AccuracyError, EvalError, PoleError, RangeError
@@ -100,11 +99,6 @@ class PotentialSpec(Value):
         stencil second-order accurate.
         """
         return self.value(a) if b <= a else self._mean(a, b)
-
-    def cell_averages(self, edges) -> list:
-        """[cell_average(a, b) for the cells [a, b] between successive edges],
-        bit for bit; a kind may read q once per shared edge."""
-        return [self.cell_average(a, b) for a, b in pairwise(edges)]
 
     @cached_property
     def _line(self) -> tuple:
@@ -212,33 +206,6 @@ class Table(PotentialSpec):
         for lo, hi in zip(knots, knots[1:]):
             acc += 0.5 * (self.value(lo) + self.value(hi)) * (hi - lo)
         return acc / (b - a)
-
-    def cell_averages(self, edges) -> list:
-        """_mean's trapezoid over each cell, with q read once per edge (edges
-        ascending); a cell with a node inside is _mean's own, one of zero
-        width is q at its edge, and one on a constant segment its value."""
-        value, nodes, values = self.value, self.nodes, self.values
-        edges = iter(edges)
-        a = next(edges)
-        qa = value(a)
-        out = []
-        j = bisect_right(nodes, a)  # the first node above the cell's left edge
-        for b in edges:
-            qb = value(b)
-            while j < len(nodes) and nodes[j] <= a:
-                j += 1
-            if b <= a:
-                out.append(qa)
-            elif j < len(nodes) and nodes[j] < b:
-                out.append(self._mean(a, b))
-            elif values[max(j - 1, 0)] == values[min(j, len(nodes) - 1)]:
-                out.append(values[max(j - 1, 0)])
-            else:
-                acc = 0.0
-                acc += 0.5 * (qa + qb) * (b - a)
-                out.append(acc / (b - a))
-            a, qa = b, qb
-        return out
 
 
 class Expression(PotentialSpec):

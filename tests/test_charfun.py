@@ -29,7 +29,7 @@ def test_factor_indefinite_signature():
 
 def test_factor_rank_one_imaginary():
     # Hermitian plus i times a PSD rank-1 bump
-    u = Matrix.column([1.0, 2.0])
+    u = Matrix.from_rows([[1.0], [2.0]])
     b = Matrix.from_rows([[2.0, 0.5], [0.5, -1.0]]) + (u @ u.adjoint()).scale(1j)
     col = charfun.factor_colligation(b)
     assert col.reduced_dim == 1
@@ -52,7 +52,7 @@ def test_char_function_scalar_value():
 
 def test_char_function_reduced_space():
     fi = models.finite_interval(Q0, math.pi)
-    u = Matrix.column([1.0, -1.0])
+    u = Matrix.from_rows([[1.0], [-1.0]])
     b = Matrix.from_rows([[0.5, 0.1], [0.1, -0.7]]) + (u @ u.adjoint()).scale(1j)
     spec = extensions.ExtensionSpec(fi, b)
     w = charfun.char_function(spec, 1.5j)

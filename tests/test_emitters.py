@@ -190,6 +190,19 @@ def test_non_finite_entry_is_a_range_error(fmt, bad, part):
         "".join(pieces)
 
 
+@pytest.mark.parametrize("fmt, axes, z", [("csv", ([math.nan], [0.5]), "(nan+0.5j)"),
+                                          ("json", ([0.5], [math.inf]), "(0.5+infj)")])
+def test_non_finite_axis_value_is_a_range_error(fmt, axes, z):
+    # the entry is finite: only the axis value spells the 'n' in the chunk
+    if fmt == "json":
+        pieces = cli._matrix_grid_json(_sector_problem(), axes, (1, 1), [(1j,)], "M")
+    else:
+        pieces = cli._matrix_grid_csv(axes, (1, 1), [(1j,)], "M")
+    with pytest.raises(RangeError) as raised:
+        "".join(pieces)
+    assert str(raised.value) == f"M(z) is not finite at z={z}"
+
+
 @settings(deadline=None)
 @given(st.sampled_from([1, 2, 4]), st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
        st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False)),

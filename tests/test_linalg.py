@@ -203,8 +203,8 @@ def _sign_counts(evals, zero_tol):
 
 
 def test_numeric_rank_outer_product():
-    u = Matrix.column([1, 2j, -1])
-    v = Matrix.column([3, 1, 1j])
+    u = Matrix.from_rows([[1], [2j], [-1]])
+    v = Matrix.from_rows([[3], [1], [1j]])
     assert numeric_rank(u @ v.adjoint(), 1e-8) == 1
 
 
@@ -245,7 +245,7 @@ def test_pivot_ties_take_the_first_row():
     # another tie-break moves the last bits of every result
     a = Matrix.from_rows([[1, 2, 3j], [-1, 1j, 2], [1j, 3, 1]])
     assert det(a) == -3.999999999999999 - 1.0000000000000009j
-    assert solve(a, Matrix.column([1, 2j, -1])).data == (
+    assert solve(a, Matrix.from_rows([[1], [2j], [-1]])).data == (
         7.470588235294118 - 1.1176470588235317j,
         -1.4705882352941189 - 2.8823529411764706j,
         2.2941176470588243 + 1.1764705882352935j,

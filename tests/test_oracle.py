@@ -670,11 +670,15 @@ def test_grid_reads_q_only_across_breaks(monkeypatch):
     oracle._grid(PotentialSpec.table([0.0, 30.0], [1.0, 1.0]), 30.0, 12500)
     assert len(reads) == 2
     reads.clear()
-    # a linear segment on [1, 2] of a 0.01 grid: q once an edge of its 99
-    # cells and the two across its ends (102 edges), and _mean's four reads in
-    # each of those two, not once an edge of the grid's 1001 cells
+    # a linear segment on [1, 2] of a 0.01 grid: the cell averages of its 99
+    # cells and the two across its ends, then the two end cells, and no cell
+    # of the constant pieces; q twice in each of the 101 (_mean's trapezoid
+    # over the cell) and twice more in the two with a node inside
     oracle._grid(PotentialSpec.table([0.0, 1.0, 2.0, 3.0], [-1.0, -1.0, 0.5, 0.5]), 10.0, 1000)
-    assert len(reads) == 2 + 102 + 2 * 4
+    cells = [r for r in reads if isinstance(r, tuple)]
+    assert len(cells) == 101 + 2 and all(a < 2.0 and b > 1.0 for a, b in cells[:101])
+    assert cells[101] == (0.0, 0.005) and cells[102][1] == 10.0
+    assert len(reads) - len(cells) == 2 * 101 + 2 * 2
     oracle._grid.cache_clear()
 
 

@@ -323,59 +323,6 @@ def test_cell_average_square_well():
     assert q.cell_average(1.5, 2.0) == 0.0
 
 
-_AVERAGED = {
-    "zero": Q0,
-    "square_well": PotentialSpec.square_well(-2.5, 1.0),
-    "table": PotentialSpec.table([0.0, 0.7, 1.5, 3.0], [-1.0, 0.4, 0.4, 0.25]),
-    "constant_table": PotentialSpec.table([0.0, 3.0], [0.75, 0.75]),
-    # several nodes inside most cells, or about one
-    "dense_table": PotentialSpec.table([0.0043 * i for i in range(700)],
-                                       [math.sin(0.37 * i) for i in range(700)]),
-    "sparse_table": PotentialSpec.table([0.0131 * i - 0.2 for i in range(260)],
-                                        [math.cos(0.53 * i) - 0.5 for i in range(260)]),
-    "expression": PotentialSpec.expression("-exp(-x) + 0.3*sin(3*x)"),
-}
-
-
-def _grid_edges(L, n):
-    dx = L / n
-    return [0.0] + [min(L, (i + 0.5) * dx) for i in range(n + 1)]
-
-
-@pytest.mark.parametrize("kind", sorted(_AVERAGED))
-def test_cell_averages_are_cell_average_to_the_bit(kind):
-    q = _AVERAGED[kind]
-    grid = _grid_edges(3.0, 250)
-    rough = [-0.5, -0.5, 0.0, 0.35, 0.7, 0.7, 1.1, 1.5, 2.95, 3.0, 4.2]
-    # the oracle's edges; rough ones with zero-width cells and cells past the
-    # end nodes; a zero-width end cell; edges on the dense table's nodes
-    for edges in (grid, rough, grid + [3.0], [0.0043 * i for i in range(0, 700, 7)]):
-        got = q.cell_averages(edges)
-        want = [q.cell_average(a, b) for a, b in zip(edges, edges[1:])]
-        assert [v.hex() for v in got] == [v.hex() for v in want]
-    # a table with a node on every edge
-    nodes = tuple(sorted(set(grid)))
-    on_edges = PotentialSpec.table(nodes, [math.sin(x) for x in nodes])
-    got = on_edges.cell_averages(grid)
-    assert [v.hex() for v in got] == [on_edges.cell_average(a, b).hex()
-                                      for a, b in zip(grid, grid[1:])]
-
-
-def test_table_cell_averages_read_q_once_an_edge(monkeypatch):
-    # every read goes through value, which the benchmark's tracer counts
-    reads = []
-    monkeypatch.setattr(PotentialSpec, "value",
-                        lambda self, x: reads.append(x) or self._at(x))
-    edges = _grid_edges(3.0, 250)
-    PotentialSpec.table([0.0, 3.0], [0.75, 0.75]).cell_averages(edges)
-    assert reads == edges
-    reads.clear()
-    # a cell with a node inside is _mean's: its two trapezoids read both
-    # edges again and the node twice
-    PotentialSpec.table([0.0, 1.0, 3.0], [0.75, -0.5, 0.75]).cell_averages(edges)
-    assert len(reads) == len(edges) + 4
-
-
 # -- exact transfer on the constant pieces of q ---------------------------------------
 
 

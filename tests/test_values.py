@@ -11,7 +11,7 @@ import pytest
 
 from weyl import models, oracle, problems
 from weyl.expr import Num, Var
-from weyl.linalg import Matrix, unchecked
+from weyl.linalg import Matrix
 from weyl.slsolve import PotentialSpec, SquareWell, Zero
 from weyl.triplets import TripletTransform, make_transform
 from weyl.values import FrozenInstanceError, Value
@@ -21,7 +21,7 @@ ONE, ZERO = Matrix.identity(1), Matrix.zeros(1, 1)
 
 # (value, a second value built another way from equal fields, its pinned repr)
 VALUES = [
-    (Matrix(1, 2, (1 + 0j, 2j)), unchecked(1, 2, (1 + 0j, 2j)),
+    (Matrix(1, 2, (1 + 0j, 2j)), Matrix.from_rows([[1, 2j]]),
      "Matrix(rows=1, cols=2, data=((1+0j), 2j))"),
     (models.HalfLine(WELL, 1.5), models.half_line(q=SquareWell(2.0, 1.5), h=1.5),
      "HalfLine(q=SquareWell(depth=2.0, width=1.5), h=1.5)"),
