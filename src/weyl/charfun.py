@@ -30,8 +30,7 @@ class Colligation(Value):
 
     def __post_init__(self):
         # B* and K*, derived once per colligation, outside ==, hash and repr
-        object.__setattr__(self, "B_star", self.B.adjoint())
-        object.__setattr__(self, "K_star", self.K.adjoint())
+        self._derive(B_star=self.B.adjoint(), K_star=self.K.adjoint())
 
     @property
     def reduced_dim(self) -> int:

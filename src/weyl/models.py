@@ -16,8 +16,10 @@ congruent Y0* (Y1 - B Y0), finite where poles and eigenvalues collide; an h
 family member counts through the (y(0), y'(0)) triplet.
 
 All models satisfy M(conj z) = M(z)* and the Herglotz property Im M >= 0 on the
-upper half-plane; those two facts are the acceptance anchor for every branch
-choice below.
+upper half-plane, but for the h family members with |h| < 1, which map it to
+the lower one (h_map); those two facts are the acceptance anchor for every
+branch choice below.  h = 1 and h = -1 are refused: their m_h is the constant
+-h, not a Weyl function.
 
 Branch conventions:
   * half-line / interval models go through the ODE solver, no branch needed;
@@ -85,11 +87,6 @@ class WeylModel(Value):
     mirrored = False
     robin_matrix = oracle_operators = None
 
-    def _derive(self, **values):
-        """Set attributes on the frozen instance once, at construction."""
-        for name, value in values.items():
-            object.__setattr__(self, name, value)
-
     def M(self, z: complex) -> Matrix:
         raise NotImplementedError
 
@@ -124,16 +121,19 @@ def h_map(m: complex, h: float) -> complex:
 
 class HalfLine(WeylModel):
     """-y'' + q y on [0, inf) with the triplet (y(0), y'(0)); a finite h selects
-    the member m_h = (1 - h m) / (m - h) of the one-parameter family."""
+    the member m_h = (1 - h m) / (m - h) of the one-parameter family.  That map
+    has determinant h^2 - 1, so h = 1 and h = -1, whose m_h is the constant -h
+    for every q, are refused."""
 
     _fields, _defaults = ("q", "h"), {"h": None}  # q: PotentialSpec, h: float | None
     kind = "half_line"
     mirrored = True
 
     def __post_init__(self):
-        if self.h is not None:
-            checked_finite(self.h, "h")
-        self._derive(ess_floor=self.q.tail)
+        if self.h is not None and abs(checked_finite(self.h, "h")) == 1.0:
+            raise EvalError("must not be 1 or -1: m_h is then the constant -h", field="h")
+        # + 0.0: a tail of -0.0 (q = -2*exp(-x) at large x) is the floor 0.0
+        self._derive(ess_floor=self.q.tail + 0.0)
 
     def M(self, z: complex) -> Matrix:
         m = halfline_m(self.q, z)
@@ -250,13 +250,15 @@ class FiniteInterval(WeylModel):
 
     def reference_count(self, x: float) -> int:
         """Dirichlet eigenvalues below x: the zeros of u2 in (0, b)."""
-        return fundamental_system(self.q, self.b, x).dirichlet_count
+        return fundamental_system(self.q, self.b, x)[4]
 
     def eigen_count(self, b: Matrix, x: float) -> int:
         """N_0(x) plus the inertia of Y0* (Y1 - B Y0), congruent to M - B where
         Y0 is invertible (Sylvester) and finite where it is not."""
-        fs = fundamental_system(self.q, self.b, x)
-        (y00, y01, y10, y11), (w00, w01, w10, w11), (b00, b01, b10, b11) = fs.Y0.data, fs.Y1.data, b.data
+        u1b, u1pb, u2b, u2pb, dirichlet_count = fundamental_system(self.q, self.b, x)
+        # Y0 = [[1, 0], [u1(b), u2(b)]], Y1 = [[0, 1], [-u1'(b), -u2'(b)]]
+        y00, y01, y10, y11, w00, w01, w10, w11 = 1 + 0j, 0j, u1b, u2b, 0j, 1 + 0j, -u1pb, -u2pb
+        b00, b01, b10, b11 = b.data
         # C = Y1 - B Y0, then the Hermitian part of G = Y0* C
         c00, c01 = w00 - (b00 * y00 + b01 * y10), w01 - (b00 * y01 + b01 * y11)
         c10, c11 = w10 - (b10 * y00 + b11 * y10), w11 - (b10 * y01 + b11 * y11)
@@ -264,7 +266,7 @@ class FiniteInterval(WeylModel):
         g10 = 0.5 * (y01 * c00 + y11 * c10 + (y00 * c01 + y10 * c11).conjugate())
         g00, g11 = (y00 * c00 + y10 * c10).real, (y01 * c01 + y11 * c11).real
         congruent = Matrix(2, 2, (complex(g00), g10.conjugate(), g10, complex(g11)))
-        return fs.dirichlet_count + inertia(congruent)[2]
+        return dirichlet_count + inertia(congruent)[2]
 
     def oracle_operators(self, b: Matrix):
         if not _is_diagonal(b):

@@ -92,24 +92,19 @@ class DiscretizedOperator(Value):
 
     def __post_init__(self):
         if self.off2 is None:
-            object.__setattr__(self, "off2", tuple(e * e for e in self.off))
+            self._derive(off2=tuple(e * e for e in self.off))
         if self.norm is None:
-            object.__setattr__(self, "norm", max(map(abs, self.diag))
-                               + 2.0 * max(map(abs, self.off), default=0.0))
+            self._derive(norm=max(map(abs, self.diag)) + 2.0 * max(map(abs, self.off), default=0.0))
 
     @property
     def size(self) -> int:
         return len(self.diag)
 
 
-class _Grid(tuple):
-    """_grid's (q0, rows, qn, flat); top is the largest |row|, which bounds
-    the grid's share of ||T||_inf."""
-
-
 @lru_cache(maxsize=32)
 def _grid(q: PotentialSpec, L: float, n: int):
-    """(q at node 0, interior diagonal of nodes 1..n-1, q at node n, flat run).
+    """(q at node 0, interior diagonal of nodes 1..n-1, q at node n, flat run,
+    top), top the largest |row|, which bounds the grid's share of ||T||_inf.
 
     q is averaged over each node's cell clipped to [0, L], which keeps
     potential jumps second-order accurate.  The interior is built from the
@@ -124,7 +119,7 @@ def _grid(q: PotentialSpec, L: float, n: int):
     entries, or (0, 0) when it is one row.  The cached interior is a tuple
     whose runs are each one float object, so a cached grid costs 8 bytes a
     node of a run and 32 bytes (a reference and its float) any other.  Its
-    top, the largest |row|, is read off the runs.
+    top is read off the runs.
     """
     dx = L / n
 
@@ -158,10 +153,8 @@ def _grid(q: PotentialSpec, L: float, n: int):
     for v, m in runs:
         rows += [v] * m
     m = runs[-1][1]
-    grid = _Grid((q.cell_average(0.0, edge(1)), tuple(rows), q.cell_average(edge(n), L),
-                  (n - 1 - m, n - 1) if m > 1 else (0, 0)))
-    grid.top = max(abs(v) for v, _ in runs)
-    return grid
+    return (q.cell_average(0.0, edge(1)), tuple(rows), q.cell_average(edge(n), L),
+            (n - 1 - m, n - 1) if m > 1 else (0, 0), max(abs(v) for v, _ in runs))
 
 
 @lru_cache(maxsize=32)
@@ -191,9 +184,7 @@ def discretize(q: PotentialSpec, L: float, n: int, left: float | None,
     dx = L / n
     # quadratic form: sum (y_{i+1}-y_i)^2/dx + sum w_i q_i y_i^2 + h_l y_0^2 + h_r y_n^2,
     # lumped weights w_i = dx inside and dx/2 at a retained end node
-    grid = _grid(q, L, n)
-    q0, diag, qn, (i, j) = grid
-    top = grid.top
+    q0, diag, qn, (i, j), top = _grid(q, L, n)
     off, off2 = _couplings(L, n, left is not None, right is not None)
     half = dx / 2.0
     if left is not None:

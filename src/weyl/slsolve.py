@@ -20,8 +20,8 @@ w^4 |dq| <= 3e-5, dq the change of q across it, so it is narrow where q is
 steep and wide where q is flat; a change of more than 0.05 that one half of
 the cell carries more than 3/4 of is a jump, and its cell is halved down to
 about 5e-10 (_Mesh).  At a real z the same steps count the zeros of y, which
-gives the Dirichlet eigenvalue counts (Sturm oscillation) of a
-FundamentalSystem and of halfline_oscillation.
+gives the Dirichlet eigenvalue counts (Sturm oscillation) of
+fundamental_system and of halfline_oscillation.
 Only this module seeds, truncates or thresholds the half-line solution
 (decaying_solution, threshold_solution), integrating it backward to 0 rather
 than through a Riccati equation (no blow-through at solution zeros);
@@ -151,9 +151,8 @@ class SquareWell(PotentialSpec):
         width = checked_finite(self.width, "width")
         if width <= 0:
             raise EvalError("must be positive", field="width")
-        object.__setattr__(self, "depth", checked_finite(self.depth, "depth"))
-        object.__setattr__(self, "width", width)
-        object.__setattr__(self, "_form", ((0.0, self.width), (0.0, self.depth, 0.0)))
+        depth = checked_finite(self.depth, "depth")
+        self._derive(depth=depth, width=width, _form=((0.0, width), (0.0, depth, 0.0)))
 
     def _at(self, x: float) -> float:
         return self.depth if 0.0 <= x < self.width else 0.0
@@ -179,10 +178,8 @@ class Table(PotentialSpec):
             raise EvalError("length mismatch with nodes", field="values")
         if any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise EvalError("must be strictly increasing", field="nodes")
-        object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
         segments = (lo if lo == hi else None for lo, hi in zip(values, values[1:]))
-        object.__setattr__(self, "_form", (nodes, (values[0], *segments, values[-1])))
+        self._derive(nodes=nodes, values=values, _form=(nodes, (values[0], *segments, values[-1])))
 
     def _at(self, x: float) -> float:
         nodes, vals = self.nodes, self.values
@@ -216,7 +213,7 @@ class Expression(PotentialSpec):
     _form = ((0.0,), (None, None))
 
     def __post_init__(self):
-        object.__setattr__(self, "_ast", expr.parse_potential(self.source))
+        self._derive(_ast=expr.parse_potential(self.source))
 
     def _at(self, x: float) -> float:
         v = expr.evaluate(self._ast, x)
@@ -245,15 +242,6 @@ PotentialSpec.zero = staticmethod(Zero)
 PotentialSpec.square_well = staticmethod(SquareWell)
 PotentialSpec.table = staticmethod(Table)
 PotentialSpec.expression = staticmethod(Expression)
-
-
-class FundamentalSystem(Value):
-    """Boundary images of the solution basis u1 (u1(0)=1, u1'(0)=0), u2 (0,1)."""
-
-    # Y0, Y1: the trace maps (y(0), y(b)) and (y'(0), -y'(b)) applied to the
-    # basis; dirichlet_count: at a real z, the zeros of u2 in (0, b), the
-    # Dirichlet eigenvalues below z (Sturm); 0 at a complex z
-    _fields = ("Y0", "Y1", "dirichlet_count")
 
 
 # A base cell of a Magnus mesh is at most _CELL_MAX wide, and its width w and
@@ -525,16 +513,18 @@ class _Mesh:
         return y, yp, zeros
 
 
-def fundamental_system(q: PotentialSpec, b: float, z: complex,
-                       rtol: float = 1e-10) -> FundamentalSystem:
-    """Solution basis of l[y] = z y on [0, b], b > 0, mapped through the interval triplet."""
+def fundamental_system(q: PotentialSpec, b: float, z: complex, rtol: float = 1e-10):
+    """(u1(b), u1'(b), u2(b), u2'(b), dirichlet_count) of the solution basis u1
+    (u1(0)=1, u1'(0)=0), u2 (0, 1) of l[y] = z y on [0, b], b > 0.  The
+    interval triplet (y(0), y(b)), (y'(0), -y'(b)) maps it to
+    Y0 = [[1, 0], [u1(b), u2(b)]] and Y1 = [[0, 1], [-u1'(b), -u2'(b)]].
+    dirichlet_count is, at a real z, the zeros of u2 in (0, b), the Dirichlet
+    eigenvalues below z (Sturm); 0 at a complex z."""
     z = complex(z)
     u1b, u1pb, _ = integrate_ivp(q, z, (1.0, 0.0), (0.0, b), rtol=rtol)
     u2b, u2pb, zeros = integrate_ivp(q, z, (0.0, 1.0), (0.0, b), rtol=rtol)
-    y0 = Matrix.from_rows([[1.0, 0.0], [u1b, u2b]])
-    y1 = Matrix.from_rows([[0.0, 1.0], [-u1pb, -u2pb]])
     # at a real z, u2 leaves its zero at 0 into y > 0, which counts once
-    return FundamentalSystem(y0, y1, 0 if z.imag else zeros - 1)
+    return u1b, u1pb, u2b, u2pb, 0 if z.imag else zeros - 1
 
 
 def finite_interval_M(q: PotentialSpec, b: float, z: complex,
@@ -545,12 +535,11 @@ def finite_interval_M(q: PotentialSpec, b: float, z: complex,
     this is [[-u1(b), 1], [1, -u2'(b)]] / u2(b): no inversion, and no
     cancellation in the off-diagonal entry when the solutions grow large.
     """
-    fs = fundamental_system(q, b, z, rtol=rtol)
-    u1b, u2b, u2pb = fs.Y0.at(1, 0), fs.Y0.at(1, 1), -fs.Y1.at(1, 1)
+    u1b, _, u2b, u2pb, _ = fundamental_system(q, b, z, rtol=rtol)
     # the integrator cannot resolve u2(b) = det Y0 below ~30x its tolerance
     # relative to the size of the solutions; u2(b) is about b on a short
     # interval, so below b = 1 the bound shrinks with b
-    if abs(u2b) < 30.0 * rtol * min(b, 1.0) * max(fs.Y0.norm_max(), 1.0):
+    if abs(u2b) < 30.0 * rtol * min(b, 1.0) * max(1.0, abs(u1b), abs(u2b)):
         raise PoleError(f"z={z} is a Dirichlet eigenvalue of the interval problem", location=z)
     return Matrix.from_rows([[-u1b / u2b, 1.0 / u2b], [1.0 / u2b, -u2pb / u2b]])
 

@@ -35,12 +35,9 @@ class TripletTransform(Value):
         # derived once per transform, outside ==, hash and repr: U*, the
         # adjoints of P, Q = U X11, U X12 (U folded on the left only, where no
         # unitarity is assumed), X21*, X22*, and ||X22||_F
-        object.__setattr__(self, "U_star", self.U.adjoint())
-        object.__setattr__(self, "P_star", (self.U @ self.X11).adjoint())
-        object.__setattr__(self, "Q_star", (self.U @ self.X12).adjoint())
-        object.__setattr__(self, "X21_star", self.X21.adjoint())
-        object.__setattr__(self, "X22_star", self.X22.adjoint())
-        object.__setattr__(self, "X22_fro", self.X22.norm_fro())
+        self._derive(U_star=self.U.adjoint(), P_star=(self.U @ self.X11).adjoint(),
+                     Q_star=(self.U @ self.X12).adjoint(), X21_star=self.X21.adjoint(),
+                     X22_star=self.X22.adjoint(), X22_fro=self.X22.norm_fro())
 
     @property
     def n(self) -> int:

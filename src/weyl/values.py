@@ -3,13 +3,13 @@
 A subclass names its constructor's parameters, in order, in _fields, and
 the defaults of a trailing run of them in _defaults.  Value.__init__ binds
 positional and keyword arguments to them, sets each on the instance and
-then calls __post_init__, which may check the values or replace them
-(object.__setattr__) with their normal form.  == and hash read the fields
-in _compared and repr shows those in _shown, both _fields unless the class
-sets them; two instances are equal only when their classes are the same.
-Assignment and deletion raise FrozenInstanceError, an AttributeError.
-Instances keep a __dict__, which functools.cached_property and the
-classes' own derived values are written to.
+then calls __post_init__, which may check the values and, through _derive,
+replace them with their normal form and set derived ones.  == and hash read
+the fields in _compared and repr shows those in _shown, both _fields unless
+the class sets them; two instances are equal only when their classes are
+the same.  Assignment and deletion raise FrozenInstanceError, an
+AttributeError.  Instances keep a __dict__, which functools.cached_property
+and the classes' own derived values are written to.
 
 Nothing is generated or compiled at import: the standard library's
 decorator for such classes, with the modules it loads (inspect, ast, dis,
@@ -56,6 +56,12 @@ class Value:
 
     def __post_init__(self):
         pass
+
+    def _derive(self, **values):
+        """Set fields or derived attributes on the frozen instance, once, at
+        construction (__post_init__)."""
+        for name, value in values.items():
+            _set(self, name, value)
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

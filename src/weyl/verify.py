@@ -163,7 +163,7 @@ def suite_mh_relation(rng: random.Random):
     out = []
     q0 = PotentialSpec.zero()
     grid = _closed_form_grid()
-    for h in (-2.0, -0.5, 1.0, 3.0):
+    for h in (-2.0, -0.5, 1.5, 3.0):
         worst = 0.0
         member = models.half_line(q0, h)
         for z in grid:
@@ -486,15 +486,19 @@ def suite_transform_invariance(rng: random.Random):
                                 ident.scale(-math.sin(th)), ident.scale(math.cos(th)))
     bt = triplets.transform_boundary_operator(t, Matrix.zeros(2, 2))
 
+    def traces(x):  # Y0 and Y1, the triplet's images of the solution basis
+        u1b, u1pb, u2b, u2pb, _ = fundamental_system(q0, math.pi, complex(x))
+        return Matrix.from_rows([[1.0, 0.0], [u1b, u2b]]), Matrix.from_rows([[0.0, 1.0], [-u1pb, -u2pb]])
+
     def mt_of(x):
-        fs = fundamental_system(q0, math.pi, complex(x))
-        num = fs.Y1.scale(math.cos(th)) + fs.Y0.scale(math.sin(th))
-        den = fs.Y1.scale(-math.sin(th)) + fs.Y0.scale(math.cos(th))
+        y0, y1 = traces(x)
+        num = y1.scale(math.cos(th)) + y0.scale(math.sin(th))
+        den = y1.scale(-math.sin(th)) + y0.scale(math.cos(th))
         return num @ inverse(den)
 
     def denominator_det(x):
-        fs = fundamental_system(q0, math.pi, complex(x))
-        return det(fs.Y1.scale(-math.sin(th)) + fs.Y0.scale(math.cos(th))).real
+        y0, y1 = traces(x)
+        return det(y1.scale(-math.sin(th)) + y0.scale(math.cos(th))).real
 
     new_poles = extensions.scan_sign_changes(denominator_det, 0.5, 9.5, 256)
 

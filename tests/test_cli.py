@@ -319,6 +319,41 @@ def test_malformed_model_is_an_error_line_at_its_path(tmp_path, capsys, model, p
     assert len(err) == 1 and err[0].startswith(f"error: {path}")
 
 
+@pytest.mark.parametrize("h", [1.0, -1.0])
+@pytest.mark.parametrize("argv", [["eval", "--grid=-1:1:2,0.5:1:2", "--format", "csv"], ["negcount"]])
+def test_degenerate_h_family_member_is_an_error_line_at_its_path(tmp_path, capsys, h, argv):
+    # m_h = (1 - h m) / (m - h) is the constant -h at h = +-1, whatever the potential
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": {"kind": "half_line", "h": h}, "boundary": 0.5}))
+    rc = main([argv[0], "--problem", str(f), *argv[1:]])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    err = err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: $.model.h: ")
+
+
+def test_h_family_member_next_to_one_is_accepted(tmp_path, capsys):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": {"kind": "half_line", "h": 1.0 + 1e-9}, "boundary": 0.5}))
+    assert main(["eval", "--problem", str(f), "--grid=-1:1:2,0.5:1:2", "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 5 and all(math.isfinite(float(v)) for row in rows[1:] for v in row)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["eval", "--grid=-1:1:3,0:0:1"], "error: z=0.0 lies on/above the essential-spectrum floor 0.0"),
+    (["spectrum", "--window=-1:0.5"], "error: window top 0.5 reaches the essential-spectrum floor 0.0"),
+])
+def test_half_line_floor_of_a_vanishing_tail_is_printed_as_zero(tmp_path, capsys, argv, line):
+    # -2*exp(-x) at large x is -0.0; the floor is 0.0
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps({"model": {"kind": "half_line", "potential": {"kind": "expression",
+                                                                          "source": "-2*exp(-x)"}},
+                             "boundary": 0.5}))
+    assert main([argv[0], "--problem", str(f), *argv[1:]]) == 1
+    assert capsys.readouterr().err.strip().splitlines() == [line]
+
+
 _ROBIN = {"kind": "half_line", "potential": {"kind": "zero"}}
 
 

@@ -1,11 +1,14 @@
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weyl import models, slsolve, verify
 from weyl.errors import AccuracyError, DomainError, EvalError, RangeError, TransversalityError
-from weyl.linalg import Matrix, imag_part, lambda_min
+from weyl.linalg import Matrix, herm_part, imag_part, inertia, lambda_min
 from weyl.slsolve import PotentialSpec, halfline_m
 
 Q0 = PotentialSpec.zero()
@@ -468,3 +471,21 @@ _WELL = PotentialSpec.square_well(-2.5, 1.0)
 def test_oracle_recipe_of_each_kind(model, b, want):
     got = [(op.L, op.size, op.left, op.right, round(op.L / op.dx)) for op in model.oracle_operators(b)]
     assert got == want
+
+
+_ENTRY = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False)
+_REAL = st.floats(-1e6, 1e6)
+
+
+@settings(deadline=None)
+@given(st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY, st.integers(0, 5)), _REAL, _ENTRY, _REAL)
+def test_interval_count_is_the_matrix_congruence(basis, b00, b01, b11):
+    # eigen_count's entrywise arithmetic against Y0* (Y1 - B Y0) built with
+    # Matrix operations, for any (u1(b), u1'(b), u2(b), u2'(b), dirichlet_count)
+    u1b, u1pb, u2b, u2pb, dirichlet_count = basis
+    b = Matrix.from_rows([[b00, b01], [b01.conjugate(), b11]])
+    y0 = Matrix.from_rows([[1.0, 0.0], [u1b, u2b]])
+    y1 = Matrix.from_rows([[0.0, 1.0], [-u1pb, -u2pb]])
+    want = dirichlet_count + inertia(herm_part(y0.adjoint() @ (y1 - b @ y0)))[2]
+    with mock.patch.object(models, "fundamental_system", lambda q, b, x: basis):
+        assert models.finite_interval(Q0, 1.0).eigen_count(b, 0.5) == want

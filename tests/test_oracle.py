@@ -617,7 +617,7 @@ def test_discretize_cache_hit_is_bit_identical(q):
         assert _packed(built.off2, ()) == _packed(first.off2, ())
     # the cached interior holds its flat run, the trailing run of equal
     # rows, as one float object; with no two equal rows there is no run
-    _, rows, _, (i, j) = oracle._grid(q, L, n)
+    _, rows, _, (i, j), _ = oracle._grid(q, L, n)
     if q.kind == "expression":
         assert (i, j) == (0, 0) and len(set(rows)) == len(rows)
     else:
@@ -650,7 +650,7 @@ def test_grid_is_the_node_loop_on_the_benchmark_grids(q, L, n, sides):
         assert op.norm == built.norm
     # each run of equal rows is one float object: a well's inside, its
     # break cell and its outside, or a channel's one run
-    _, rows, _, _ = oracle._grid(q, L, n)
+    _, rows, _, _, _ = oracle._grid(q, L, n)
     assert len({id(v) for v in rows}) == len(set(rows)) <= 3
 
 
@@ -714,7 +714,7 @@ def _potentials(draw):
 @given(_potentials(), st.floats(0.5, 20.0), st.integers(100, 300),
        st.sampled_from([(None, None), (-0.5, None), (0.25, 1.5)]))
 def test_grid_rows_follow_the_pieces_of_q(q, L, n, sides):
-    q0, rows, qn, (i, j) = oracle._grid(q, L, n)
+    q0, rows, qn, (i, j), _ = oracle._grid(q, L, n)
     dx = L / n
     constant = [(lo, hi, c) for lo, hi, c in q.pieces(0.0, L) if c is not None]
 

@@ -130,10 +130,10 @@ def test_interval_M_conjugate_symmetry():
     # the route a grid request's mirror skips, has its bits
     z = 0.7 - 1.3j
     for q in _CONJ_POTENTIALS.values():
-        fs = fundamental_system(q, math.pi, z)
+        u1b, u1pb, u2b, u2pb, dirichlet_count = fundamental_system(q, math.pi, z)
         (u1, u1p, _), (u2, u2p, _) = (integrate_ivp(q, z, y0, (0.0, math.pi)) for y0 in ((1.0, 0.0), (0.0, 1.0)))
-        assert _bits(fs.Y0.at(1, 0), fs.Y0.at(1, 1), -fs.Y1.at(1, 0), -fs.Y1.at(1, 1)) == _bits(u1, u2, u1p, u2p)
-        assert fs.dirichlet_count == 0
+        assert _bits(u1b, u2b, u1pb, u2pb) == _bits(u1, u2, u1p, u2p)
+        assert dirichlet_count == 0
         m = finite_interval_M(q, math.pi, z)
         assert _bits(*m.data) == _bits(-u1 / u2, 1.0 / u2, 1.0 / u2, -u2p / u2)
 
@@ -233,8 +233,8 @@ def test_no_per_z_state_outlives_an_evaluation(model):
 
 def test_fundamental_system_det_relation():
     # constant Wronskian: det Y0(z) vanishes exactly at Dirichlet eigenvalues
-    fs = fundamental_system(Q0, math.pi, 0.25)
-    d = fs.Y0.at(0, 0) * fs.Y0.at(1, 1) - fs.Y0.at(0, 1) * fs.Y0.at(1, 0)
+    u1b, _, u2b, _, _ = fundamental_system(Q0, math.pi, 0.25)
+    d = 1.0 * u2b - 0.0 * u1b  # Y0 = [[1, 0], [u1(b), u2(b)]]
     # u2(pi; z=1/4) = sin(pi/2)/(1/2) = 2
     assert abs(d - 2.0) < 1e-8
 
@@ -248,12 +248,17 @@ def test_halfline_m_closed_form():
 def test_halfline_mh_family():
     z = -0.5 + 1.2j
     mi = halfline_m(Q0, z)
-    for h in (-2.0, -0.5, 1.0, 3.0):
+    for h in (-2.0, -0.5, 1.5, 3.0):
         mh = _halfline_mh(Q0, h, z)
         assert abs(mh * (mi - h) - (1.0 - h * mi)) < 1e-10
-    # m_inf(-1) = -1 for q = 0, so h = -1 is the pole of the family
+    # m_inf(-4) = -2 for q = 0, so z = -4 is the pole of the member h = -2
     with pytest.raises(PoleError, match="pole of the h-triplet family"):
-        _halfline_mh(PotentialSpec.zero(), -1.0, -1.0)
+        _halfline_mh(PotentialSpec.zero(), -2.0, -4.0)
+    # h = +-1 has m_h = -h at every z: not a member
+    for h in (1.0, -1.0):
+        with pytest.raises(EvalError) as exc:
+            models.half_line(Q0, h)
+        assert exc.value.field == "h"
 
 
 def test_halfline_truncation_error_contract():
@@ -854,9 +859,9 @@ def test_magnus_work_on_the_ode_grid_potentials_is_pinned(monkeypatch):
 @pytest.mark.parametrize("x", [-3.0, 0.5, 2.4, 2.5, 9.0, 10.0, 3000.0])
 def test_interval_oscillation_counts_dirichlet_eigenvalues(x):
     # q = 0 on [0, 2]: Dirichlet eigenvalues (k pi/2)^2, k >= 1, and u2 = sin(w t)/w
-    fs = fundamental_system(Q0, 2.0, x)
-    assert fs.dirichlet_count == sum(1 for k in range(1, 40) if (k * math.pi / 2.0) ** 2 < x)
-    assert fundamental_system(Q0, 2.0, complex(x, 1.0)).dirichlet_count == 0
+    dirichlet_count = fundamental_system(Q0, 2.0, x)[4]
+    assert dirichlet_count == sum(1 for k in range(1, 40) if (k * math.pi / 2.0) ** 2 < x)
+    assert fundamental_system(Q0, 2.0, complex(x, 1.0))[4] == 0
 
 
 @pytest.mark.parametrize("q,b,top", [
@@ -873,7 +878,7 @@ def test_oscillation_count_on_varying_pieces_matches_the_oracle(q, b, top):
         x = -40.0 + k * (top + 40.0) / 39.0
         below, above = (oracle.eigen_count_below(op, x + s * 5e-3 * (1.0 + abs(x))) for s in (-1, 1))
         if below == above:
-            assert fundamental_system(q, b, x).dirichlet_count == below, x
+            assert fundamental_system(q, b, x)[4] == below, x
             checked += 1
     assert checked >= 25
 
@@ -903,13 +908,13 @@ def test_interval_oscillation_agrees_with_the_sign_of_u2_at_its_zeros():
     # Magnus level and the extrapolated u2(b) may lie on either side of 0
     q, b = PotentialSpec.expression("3*cos(2*x) - 1"), 2.0
     for lo, hi in ((0.0, 0.5), (8.0, 8.6)):
-        positive = fundamental_system(q, b, lo).Y0.at(1, 1).real > 0.0
+        positive = fundamental_system(q, b, lo)[2].real > 0.0
         while hi - lo > 1e-14 * hi:
             mid = 0.5 * (lo + hi)
-            if (fundamental_system(q, b, mid).Y0.at(1, 1).real > 0.0) == positive:
+            if (fundamental_system(q, b, mid)[2].real > 0.0) == positive:
                 lo = mid
             else:
                 hi = mid
         for k in range(-20, 21):
-            fs = fundamental_system(q, b, lo * (1.0 + k * 1e-11))
-            assert (fs.Y0.at(1, 1).real > 0.0) == (fs.dirichlet_count % 2 == 0), k
+            _, _, u2b, _, dirichlet_count = fundamental_system(q, b, lo * (1.0 + k * 1e-11))
+            assert (u2b.real > 0.0) == (dirichlet_count % 2 == 0), k
