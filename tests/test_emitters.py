@@ -203,6 +203,7 @@ def test_non_finite_axis_value_is_a_range_error(fmt, axes, z):
     assert str(raised.value) == f"M(z) is not finite at z={z}"
 
 
+@pytest.mark.ci_property
 @settings(deadline=None)
 @given(st.sampled_from([1, 2, 4]), st.sampled_from([(0, 1), (1, -1), (1, 0), (1, 1), (2, 1)]),
        st.lists(st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False)),

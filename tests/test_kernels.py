@@ -118,6 +118,7 @@ def test_kernels_compile_once_per_shape():
     assert (info.misses, info.hits) == (2, 5)
 
 
+@pytest.mark.ci_property
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=kernels.MAX_N), st.booleans(), st.integers(min_value=0, max_value=10**6),
        st.data())
@@ -140,6 +141,7 @@ def test_beyond_max_n_the_kernel_is_the_matrix_path():
     assert _kernel(kernel, data) == _reference(n, kernel.args[1], None, data)
 
 
+@pytest.mark.ci_property
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=kernels.MAX_N), st.integers(min_value=0, max_value=10**6),
        st.sampled_from(["random", "swap", "zero_column", "special"]))

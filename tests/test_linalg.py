@@ -145,6 +145,7 @@ def test_inertia_exact_cases(rows, want):
     assert inertia(Matrix.from_rows(rows)) == want
 
 
+@pytest.mark.ci_property
 @settings(deadline=None)
 @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=10**6),
        st.sampled_from(["dense", "zero_diagonal", "real"]), st.sampled_from([1.0, 1e-150, 1e170]))
@@ -178,6 +179,7 @@ def test_inverse_accuracy_bound():
 
 
 # 40 examples, or the loaded profile's count when larger (2000 under ci)
+@pytest.mark.ci_property
 @settings(max_examples=max(40, settings.default.max_examples), deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=0, max_value=10**6))
 def test_inertia_sylvester_invariance(n, seed):

@@ -477,6 +477,7 @@ _ENTRY = st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=F
 _REAL = st.floats(-1e6, 1e6)
 
 
+@pytest.mark.ci_property
 @settings(deadline=None)
 @given(st.tuples(_ENTRY, _ENTRY, _ENTRY, _ENTRY, st.integers(0, 5)), _REAL, _ENTRY, _REAL)
 def test_interval_count_is_the_matrix_congruence(basis, b00, b01, b11):

@@ -354,6 +354,7 @@ def _sturm_cases(draw):
 
 
 # 300 examples, or the loaded profile's count when larger (2000 under ci)
+@pytest.mark.ci_property
 @settings(max_examples=max(300, settings.default.max_examples), deadline=None)
 @given(_sturm_cases(), st.lists(st.floats(-12.0, 12.0), max_size=6))
 def test_sturm_count_is_monotone_in_mu(op, extra):
@@ -432,6 +433,7 @@ def _recording_counts(counted):
     return lambda o, mu: counted.append(mu) or count(o, mu)
 
 
+@pytest.mark.ci_property
 @settings(deadline=None)
 @given(_sturm_cases(), st.one_of(st.none(), st.floats(-12.0, 12.0)),
        st.sampled_from([1e-10, 1e-3, 0.0]), st.integers(1, 6))
@@ -710,6 +712,7 @@ def _potentials(draw):
     return PotentialSpec.zero()
 
 
+@pytest.mark.ci_property
 @settings(deadline=None)
 @given(_potentials(), st.floats(0.5, 20.0), st.integers(100, 300),
        st.sampled_from([(None, None), (-0.5, None), (0.25, 1.5)]))

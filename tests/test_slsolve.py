@@ -718,6 +718,7 @@ def _varying_potentials(draw):
     return PotentialSpec.table(nodes, [coef(-300, 300) for _ in nodes]), -0.5, nodes[-1] + 0.5
 
 
+@pytest.mark.ci_property
 @given(potential=_varying_potentials(), ends=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)),
        re=st.floats(-10.0, 10.0), im=st.floats(-5.0, 5.0))
 def test_magnus_agrees_with_rk45_on_random_potentials(potential, ends, re, im):
