@@ -10,24 +10,32 @@ unary minus):
     atom   := NUMBER | 'x' | FUNC '(' expr ')' | '(' expr ')'
     FUNC   := exp | sin | cos | sqrt | abs
 
+A NUMBER is decimal digits with at most one '.', and an optional exponent
+('e' or 'E', a sign, digits).  The parsed tree is plain data: a number is its
+float, the variable is the marker X, and every other node is a tuple (op,
+operand, ...): ('neg', a) for unary minus, (name, a) for a call of
+FUNCTIONS[name], and (op, a, b) for a binary operator op in '+-*/^'.
+
 Evaluation is over the reals and deterministic: a power whose value leaves
 the real line (negative base, fractional exponent) is an EvalError, as is a
 domain or range failure.  Parse errors carry line/column and the
 expected-token set.  Two caps keep every recursion far inside the
 interpreter's default limit of 1000 frames: parentheses, function calls and
 exponents nest at most MAX_NESTING levels, since the recursive-descent
-parser spends up to five frames a level (sums, products and leading minus
-signs are loops and do not nest), and the tree is at most MAX_DEPTH levels
-deep, counting every operator, call and parenthesis pair on a path, since
-the tree walker evaluate spends one frame a level.
+parser spends up to five frames a level (chain twice, unary, atom and group
+for parentheses and calls, one unary for an exponent; sums, products and
+leading minus signs are loops and do not nest), and the tree is at most
+MAX_DEPTH levels deep, counting every operator, call and parenthesis pair on
+a path, since the tree walker evaluate spends one frame a level.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+import re
 
 from .errors import EvalError, ParseError
-from .values import Value
 
 FUNCTIONS = {
     "exp": math.exp,
@@ -40,77 +48,36 @@ FUNCTIONS = {
 MAX_NESTING = 100
 MAX_DEPTH = 500
 
+X = "x"  # the variable's node
 
-class Num(Value):
-    _fields = ("value",)
+# every operator of the tree, by its node's op
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv,
+        "^": operator.pow, "neg": operator.neg, **FUNCTIONS}
 
-
-class Var(Value):
-    pass
-
-
-class Unary(Value):
-    _fields = ("op", "arg")
-
-
-class Bin(Value):
-    _fields = ("op", "left", "right")
+# one token after blanks: a number (\d is any Unicode decimal digit, each of
+# which float() reads), a word, an operator or parenthesis, the end of input,
+# or any other character; a word starts with a letter or '_', so one that
+# starts with another digit or numeral (\w has them all, as '²') is refused
+_TOKEN = re.compile(r"[ \t\r\n]*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)|(?P<name>\w+)"
+                    r"|(?P<op>[-+*/^()])|(?P<end>\Z)|(?P<other>.))", re.DOTALL)
 
 
-class Call(Value):
-    _fields = ("func", "arg")
-
-
-class Token(Value):
-    # kind: NUMBER IDENT OP LPAREN RPAREN EOF; column: 1-based
-    _fields = ("kind", "text", "column")
-
-
-def tokenize(src: str):
-    tokens = []
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch in " \t\r\n":
-            i += 1
-            continue
-        col = i + 1
-        if ch.isdigit() or (ch == "." and i + 1 < n and src[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < n and (src[j].isdigit() or (src[j] == "." and not seen_dot)):
-                seen_dot = seen_dot or src[j] == "."
-                j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k].isdigit():
-                    j = k
-                    while j < n and src[j].isdigit():
-                        j += 1
-            tokens.append(Token("NUMBER", src[i:j], col))
-            i = j
-        elif ch.isalpha() or ch == "_":
-            j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
-                j += 1
-            tokens.append(Token("IDENT", src[i:j], col))
-            i = j
-        elif ch in "+-*/^":
-            tokens.append(Token("OP", ch, col))
-            i += 1
-        elif ch == "(":
-            tokens.append(Token("LPAREN", ch, col))
-            i += 1
-        elif ch == ")":
-            tokens.append(Token("RPAREN", ch, col))
-            i += 1
-        else:
-            raise ParseError(f"unexpected character {ch!r}", column=col, expected={"number", "identifier", "operator"})
-    # the end-of-input position is the last column, so "2*-" fails at column 3
-    tokens.append(Token("EOF", "", max(1, n)))
-    return tokens
+def _tokens(src: str) -> list:
+    """src's tokens (kind, text, column): kind is 'num', 'name', the operator
+    or parenthesis itself, or 'end', whose column is the last one, so that
+    "2*-" fails at column 3."""
+    tokens, pos = [], 0
+    while True:
+        m = _TOKEN.match(src, pos)
+        kind, pos = m.lastgroup, m.end()
+        text, column = m[kind], m.start(kind) + 1
+        if kind == "other" or kind == "name" and not (text[0].isalpha() or text[0] == "_"):
+            raise ParseError(f"unexpected character {text[0]!r}", column=column,
+                             expected={"number", "identifier", "operator"})
+        if kind == "end":
+            tokens.append(("end", "", max(1, len(src))))
+            return tokens
+        tokens.append((text if kind == "op" else kind, text, column))
 
 
 class _Parser:
@@ -123,149 +90,118 @@ class _Parser:
     """
 
     def __init__(self, src: str):
-        self.tokens = tokenize(src)
+        self.tokens = _tokens(src)
         self.pos = 0
         self.open = 0
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.tokens[self.pos]
 
-    def advance(self) -> Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def fail(self, expected):
-        tok = self.peek()
-        what = tok.text or "end of input"
-        raise ParseError(f"unexpected {what!r}", column=tok.column, expected=expected)
+        _kind, text, column = self.peek()
+        raise ParseError(f"unexpected {text or 'end of input'!r}", column=column, expected=expected)
 
-    def capped(self, depth: int, tok: Token) -> int:
+    def capped(self, depth: int, tok: tuple) -> int:
         if depth > MAX_DEPTH:
-            raise ParseError(f"expression more than {MAX_DEPTH} levels deep",
-                             column=tok.column)
+            raise ParseError(f"expression more than {MAX_DEPTH} levels deep", column=tok[2])
         return depth
 
     def parse(self):
-        node, _depth = self.expr()
-        if self.peek().kind != "EOF":
+        node, _depth = self.chain("+-")
+        if self.peek()[0] != "end":
             self.fail({"operator", "end of input"})
         return node
 
-    def expr(self):
-        node, depth = self.term()
-        while self.peek().kind == "OP" and self.peek().text in "+-":
+    def chain(self, ops: str):
+        """expr (ops '+-': terms) or term (ops '*/': unaries), left-associative."""
+        node, depth = self.chain("*/") if ops == "+-" else self.unary()
+        while self.peek()[0] in ops:
             tok = self.advance()
-            right, rdepth = self.term()
-            node, depth = Bin(tok.text, node, right), self.capped(1 + max(depth, rdepth), tok)
-        return node, depth
-
-    def term(self):
-        node, depth = self.unary()
-        while self.peek().kind == "OP" and self.peek().text in "*/":
-            tok = self.advance()
-            right, rdepth = self.unary()
-            node, depth = Bin(tok.text, node, right), self.capped(1 + max(depth, rdepth), tok)
+            right, rdepth = self.chain("*/") if ops == "+-" else self.unary()
+            node, depth = (tok[0], node, right), self.capped(1 + max(depth, rdepth), tok)
         return node, depth
 
     def unary(self):
+        """unary, with power folded in: the signs, an atom, an exponent."""
         self.open += 1
         if self.open > MAX_NESTING:
             raise ParseError(
                 f"parentheses, calls and powers nested more than {MAX_NESTING} levels deep",
-                column=self.peek().column,
+                column=self.peek()[2],
             )
         signs = []
-        while self.peek().kind == "OP" and self.peek().text == "-":
+        while self.peek()[0] == "-":
             signs.append(self.advance())
-        node, depth = self.power()
+        node, depth = self.atom()
+        if self.peek()[0] == "^":
+            tok = self.advance()
+            exponent, edepth = self.unary()  # right-assoc, allows 2^-3
+            node, depth = ("^", node, exponent), self.capped(1 + max(depth, edepth), tok)
         for tok in reversed(signs):
-            node, depth = Unary("-", node), self.capped(1 + depth, tok)
+            node, depth = ("neg", node), self.capped(1 + depth, tok)
         self.open -= 1
         return node, depth
 
-    def power(self):
-        base, depth = self.atom()
-        if self.peek().kind == "OP" and self.peek().text == "^":
-            tok = self.advance()
-            exponent, edepth = self.unary()  # right-assoc, allows 2^-3
-            return Bin("^", base, exponent), self.capped(1 + max(depth, edepth), tok)
-        return base, depth
-
     def atom(self):
-        tok = self.peek()
-        if tok.kind == "NUMBER":
+        tok = kind, text, column = self.peek()
+        if kind == "num":
             self.advance()
-            return Num(float(tok.text)), 1
-        if tok.kind == "IDENT":
+            return float(text), 1
+        if kind == "name":
             self.advance()
-            if tok.text == "x":
-                return Var(), 1
-            if tok.text in FUNCTIONS:
-                if self.peek().kind != "LPAREN":
-                    self.fail({"("})
-                self.advance()
-                arg, depth = self.expr()
-                if self.peek().kind != "RPAREN":
-                    self.fail({")"})
-                self.advance()
-                return Call(tok.text, arg), self.capped(1 + depth, tok)
-            raise ParseError(
-                f"unknown identifier {tok.text!r}",
-                column=tok.column,
-                expected={"x"} | set(FUNCTIONS),
-            )
-        if tok.kind == "LPAREN":
-            self.advance()
-            node, depth = self.expr()
-            if self.peek().kind != "RPAREN":
-                self.fail({")"})
-            self.advance()
-            return node, self.capped(1 + depth, tok)
+            if text == X:
+                return X, 1
+            if text in FUNCTIONS:
+                arg, depth = self.group(tok)
+                return (text, arg), depth
+            raise ParseError(f"unknown identifier {text!r}", column=column,
+                             expected={X} | set(FUNCTIONS))
+        if kind == "(":
+            return self.group(tok)
         self.fail({"number", "x", "function", "("})
+
+    def group(self, tok: tuple):
+        """'(' expr ')', one level deeper than its expr; tok is the call's
+        name or the '(' itself, and names the column of a depth error."""
+        if self.peek()[0] != "(":
+            self.fail({"("})
+        self.advance()
+        node, depth = self.chain("+-")
+        if self.peek()[0] != ")":
+            self.fail({")"})
+        self.advance()
+        return node, self.capped(1 + depth, tok)
 
 
 def parse_potential(src: str):
-    """Parse an expression in the variable x; total on valid input."""
+    """The tree of an expression in the variable x; any other text is a ParseError."""
     return _Parser(src).parse()
 
 
-def _pow(a: float, b: float, x: float) -> float:
-    r = a**b
-    if isinstance(r, complex):
+def evaluate(node, x: float) -> float:
+    """node's value at x, operands left to right, one frame a level."""
+    if node.__class__ is float:
+        return node
+    if node is X:
+        return x
+    op = node[0]
+    if len(node) == 2:
+        v = evaluate(node[1], x)
+        try:
+            return _OPS[op](v)
+        except (ValueError, OverflowError) as e:
+            raise EvalError(f"{op}({v}) failed at x={x}: {e}") from e
+    a = evaluate(node[1], x)
+    b = evaluate(node[2], x)
+    try:
+        r = _OPS[op](a, b)
+    except (ZeroDivisionError, OverflowError, ValueError) as e:
+        raise EvalError(f"evaluation failed at x={x}: {e}") from e
+    if r.__class__ is complex:
         raise EvalError(f"({a})^{b} left the real line at x={x}")
     return r
-
-
-def evaluate(node, x: float) -> float:
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return x
-    if isinstance(node, Unary):
-        return -evaluate(node.arg, x)
-    if isinstance(node, Bin):
-        a = evaluate(node.left, x)
-        b = evaluate(node.right, x)
-        try:
-            if node.op == "+":
-                return a + b
-            if node.op == "-":
-                return a - b
-            if node.op == "*":
-                return a * b
-            if node.op == "/":
-                return a / b
-            if node.op == "^":
-                return _pow(a, b, x)
-        except (ZeroDivisionError, OverflowError, ValueError) as e:
-            raise EvalError(f"evaluation failed at x={x}: {e}") from e
-        raise EvalError(f"unknown operator {node.op!r}")
-    if isinstance(node, Call):
-        v = evaluate(node.arg, x)
-        try:
-            return FUNCTIONS[node.func](v)
-        except (ValueError, OverflowError) as e:
-            raise EvalError(f"{node.func}({v}) failed at x={x}: {e}") from e
-    raise EvalError(f"unknown node {node!r}")
-

@@ -155,11 +155,15 @@ def _oracle_operators(spec: ExtensionSpec):
     """Discretizations matching A_B, or None when the kind/B is unsupported.
 
     The tridiagonal oracle represents separated real Robin data only, so
-    non-Hermitian or coupling boundary operators yield None.
+    non-Hermitian or coupling boundary operators yield None, and so does a
+    grid oracle.discretize refuses (a step too small for its couplings).
     """
     if not spec.is_hermitian or spec.model.oracle_operators is None:
         return None
-    return spec.model.oracle_operators(spec.B)
+    try:
+        return spec.model.oracle_operators(spec.B)
+    except ContractError:
+        return None
 
 
 # -- complex eigenvalue counting ----------------------------------------------

@@ -241,12 +241,17 @@ class FiniteInterval(WeylModel):
     def m_at_zero(self) -> MZeroResult:
         """M(0) itself: M is analytic at 0 unless 0 is a Dirichlet eigenvalue.
         The entries of M are u1(b), 1 and u2'(b) over u2(b), so the relative
-        error M0_RTOL of the solutions grows by at most about (1 + |M|)^2."""
+        error M0_RTOL of the solutions grows by at most about (1 + |M|)^2,
+        which is inf where the square overflows (a tiny b)."""
         try:
             value = finite_interval_M(self.q, self.b, 0j, rtol=M0_RTOL)
         except PoleError as e:
             raise TransversalityError("0 is a Dirichlet eigenvalue: M(x) is unbounded as x -> 0-") from e
-        return MZeroResult(herm_part(value), "propagated", M0_RTOL * (1.0 + value.norm_max()) ** 2)
+        try:
+            growth = (1.0 + value.norm_max()) ** 2
+        except OverflowError:  # a float ** raises where * would give inf
+            growth = math.inf
+        return MZeroResult(herm_part(value), "propagated", M0_RTOL * growth)
 
     def reference_count(self, x: float) -> int:
         """Dirichlet eigenvalues below x: the zeros of u2 in (0, b)."""
@@ -548,10 +553,13 @@ def m_at_zero(model: WeylModel) -> MZeroResult:
     """Boundary value M(0) = lim_{x -> 0-} M(x), by the model's own direct
     route: a closed form, the bounded solution at z = 0 (tail-matched, seeded
     at the threshold or Dirichlet-truncated), or the propagated M(0) itself.
-    An entry that is not finite is a RangeError naming the model's kind."""
+    An entry or an error estimate that is not finite is a RangeError naming
+    the model's kind."""
     r = model.m_at_zero()
     if not all(map(cmath.isfinite, r.value.data)):
         raise RangeError(f"M(0) of the {model.kind} model is not finite")
+    if not math.isfinite(r.est_error):
+        raise RangeError(f"the error estimate of M(0) of the {model.kind} model is not finite")
     return r
 
 

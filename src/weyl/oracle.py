@@ -182,11 +182,17 @@ def discretize(q: PotentialSpec, L: float, n: int, left: float | None,
     if L <= 0:
         raise ContractError("L must be positive")
     dx = L / n
+    half = dx / 2.0
+    # the couplings are about -1/dx^2 and a Sturm count reads their squares,
+    # the largest of which are the end ones: a step whose square underflows to
+    # 0 (a division by 0 in _couplings), or whose squares overflow, is refused
+    sides = (left is not None, right is not None)
+    off, off2 = _couplings(L, n, *sides) if half * dx > 0.0 else ((), (math.inf,))
+    if not math.isfinite(max(off2[0], off2[-1])):
+        raise ContractError(f"grid step L/n = {dx!r} too small: the squared couplings overflow")
     # quadratic form: sum (y_{i+1}-y_i)^2/dx + sum w_i q_i y_i^2 + h_l y_0^2 + h_r y_n^2,
     # lumped weights w_i = dx inside and dx/2 at a retained end node
     q0, diag, qn, (i, j), top = _grid(q, L, n)
-    off, off2 = _couplings(L, n, left is not None, right is not None)
-    half = dx / 2.0
     if left is not None:
         diag = ((1.0 / dx + q0 * half + left) / half,) + diag
         top = max(top, abs(diag[0]))

@@ -287,4 +287,6 @@ def parse_problem(path: str) -> ProblemFile:
         data = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise SchemaError("$", f"not valid UTF-8 JSON: {e}") from e
+    except RecursionError as e:  # the decoder recurses once per level of nesting
+        raise SchemaError("$", "JSON nested too deeply to read") from e
     return problem_from_data(data, sha)

@@ -814,3 +814,48 @@ def test_caps_admit_every_size_in_use():
     # the largest in the workloads, verify, the tests and the README: 41 axis points
     re_axis, im_axis = request_value("grid", "-1:1:1000,0.5:1:41")
     assert (len(re_axis), len(im_axis)) == (1000, 41)
+
+
+@pytest.mark.parametrize("argv", [["eval", "--grid=-1:1:2,0.5:1:2"], ["spectrum", "--window=-5:-0.1"],
+                                  ["negcount"], ["krein"]])
+def test_deeply_nested_problem_json_is_a_schema_error(tmp_path, capsys, argv):
+    # the JSON decoder recurses once per level: 3000 levels were a RecursionError
+    f = tmp_path / "p.json"
+    f.write_text('{"model": {"kind": "half_line"}, "boundary": ' + "[" * 3000 + "1" + "]" * 3000 + "}")
+    rc = main([*argv, "--problem", str(f)])
+    out, err = capsys.readouterr()
+    assert (rc, out, err) == (1, "", "error: $: JSON nested too deeply to read\n")
+
+
+def _tiny_interval(tmp_path, b, boundary=((1, 0), (0, 1))):
+    f = tmp_path / "tiny.json"
+    f.write_text(json.dumps({"model": {"kind": "finite_interval", "b": b}, "boundary": boundary}))
+    return str(f)
+
+
+@pytest.mark.parametrize("cmd", ["negcount", "krein"])
+def test_tiny_interval_m_at_zero_with_an_overflowing_estimate_is_refused(tmp_path, capsys, cmd):
+    # (1 + |M(0)|)^2 overflowed into an OverflowError at b = 1e-200
+    rc = main([cmd, "--problem", _tiny_interval(tmp_path, 1e-200)])
+    out, err = capsys.readouterr()
+    assert (rc, out) == (1, "")
+    assert err == "error: the error estimate of M(0) of the finite_interval model is not finite\n"
+    # at b = 1e-150 the estimate is finite, and reported with the same bits as before
+    out_file = tmp_path / "k.json"
+    assert main(["krein", "--problem", _tiny_interval(tmp_path, 1e-150), "--out", str(out_file)]) == 0
+    assert json.loads(out_file.read_text())["est_error"] == 9.999999999999998e+288
+
+
+@pytest.mark.parametrize("b", [1e-200, 1e-150])
+def test_tiny_interval_grid_the_oracle_cannot_represent_gives_no_oracle_number(tmp_path, b):
+    # 1e-200: dx * dx underflowed to 0, a ZeroDivisionError; 1e-150: the
+    # squared couplings overflowed, and their Sturm counts gave oracle_delta []
+    out_file = tmp_path / "s.json"
+    assert main(["spectrum", "--problem", _tiny_interval(tmp_path, b), "--window=-5:-0.1",
+                 "--out", str(out_file)]) == 0
+    data = json.loads(out_file.read_text())
+    assert data["eigenvalues"] == [] and "oracle_delta" not in data
+    if b == 1e-150:  # past the undecided band of M(0), whose estimate is 1e289
+        problem = _tiny_interval(tmp_path, b, boundary=((-1e300, 0), (0, -1e300)))
+        assert main(["negcount", "--problem", problem, "--out", str(out_file)]) == 0
+        assert json.loads(out_file.read_text())["kappa_oracle"] is None

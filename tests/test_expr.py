@@ -6,6 +6,8 @@ import re
 import struct
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from weyl.errors import EvalError, ParseError
 from weyl.expr import evaluate, parse_potential
@@ -283,3 +285,22 @@ def test_depth_caps_admit_their_limits(src, x, expected):
     # flat chains are loops in the parser, so only the tree depth bounds them
     ast = parse_potential(src)
     assert evaluate(ast, x) == PotentialSpec.expression(src).value(x) == expected
+
+
+@pytest.mark.ci_property
+@given(st.text())
+@example("2*²")  # str.isdigit is true of both, and float() reads neither
+@example("①")
+def test_parser_is_total_on_any_text(src):
+    # every text is a tree or a ParseError, never another exception
+    try:
+        parse_potential(src)
+    except ParseError:
+        pass
+
+
+@pytest.mark.parametrize("src,column", [("2*²", 3), ("①", 1), ("x+ ₇", 4)])
+def test_a_digit_that_is_not_decimal_is_an_unexpected_character(src, column):
+    with pytest.raises(ParseError, match="unexpected character") as exc:
+        parse_potential(src)
+    assert exc.value.column == column

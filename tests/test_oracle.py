@@ -759,3 +759,12 @@ def test_constant_pieces_are_the_value_of_q(q):
         if c is not None:
             xs = (lo + rng.random() * (hi - lo) for _ in range(500))
             assert all(q.value(x) == c for x in xs if lo < x < hi)
+
+
+@pytest.mark.parametrize("L", [1e-200, 1e-150])
+@pytest.mark.parametrize("sides", [(None, None), (2.0, -1.0)])
+def test_a_step_too_small_for_the_couplings_is_a_contract_error(L, sides):
+    # at 1e-200 dx * dx underflows to 0 (once a ZeroDivisionError); at 1e-150
+    # the squared couplings overflow to inf, and no Sturm count means anything
+    with pytest.raises(ContractError, match="too small"):
+        oracle.discretize(PotentialSpec.zero(), L, 2000, *sides)

@@ -55,3 +55,10 @@ def test_numeric_checks_print_their_number():
     for label in ("Krein resolvent formula vs oracle on a test vector",
                   "mismatched Cayley pair rejected (residual >> 1e-6)"):
         assert re.fullmatch(r"(relative )?residual \d\.\d{3}e[-+]\d\d", details[label]), details[label]
+
+
+def test_no_assertion_has_an_empty_detail():
+    # a failure shows its number, or why it failed
+    empty = [(r.name, a.label) for r in verify.run_suites(list(verify.SUITES), seed=7)
+             for a in r.assertions if not a.detail]
+    assert empty == []
