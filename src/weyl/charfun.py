@@ -20,7 +20,7 @@ import math
 from .errors import ContractError, DegenerateColligationError, SingularMatrixError, SpectralPointError
 from .extensions import ExtensionSpec
 from .linalg import Matrix, hermitian_eigh, imag_part, inverse, solve
-from .models import evaluate
+from .models import evaluate_matrix
 from .values import Value
 
 
@@ -65,7 +65,7 @@ def factor_colligation(b: Matrix) -> Colligation:
 
 def char_function(spec: ExtensionSpec, z: complex) -> Matrix:
     """W(z) per the resolvent form when Im B is injective, else the reduced form."""
-    m = evaluate(spec.model, complex(z))
+    m = evaluate_matrix(spec.model, complex(z))
     return char_function_from_m(factor_colligation(spec.B), m)
 
 

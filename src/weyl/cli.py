@@ -7,12 +7,14 @@ problems.request_value.  Reports are deterministic for a fixed problem file
 and seed: floats are emitted in shortest round-trip form and JSON keys are sorted.  The
 argument parser is built once per process (`build_parser` is cached;
 parsing leaves it unchanged), so repeated `main()` calls in one process
-share it.  A grid point of `eval` or `charfn` evaluates M(z), once per
-conjugate pair on a mirrored kind (_emit_grid), and then runs the request's
+share it.  A grid point of `eval` or `charfn` evaluates the entries of M(z)
+as a plain tuple, with no Matrix per point, once per conjugate pair on a
+mirrored kind (every kind but sector: the partner takes the entries
+conjugated, structural zeros kept, _emit_grid), and then runs the request's
 kernel (`kernels.grid_kernel`: generated straight-line code for n <= 4, the
 Matrix path beyond) for the transformed M or for W, with the Matrix path's
-bits.  The grid reports are written by a fixed-shape emitter:
-one row template per request, filled with the repr of every float a chunk
+bits.  The grid reports are written by a fixed-shape emitter: one row
+template per request, filled with the repr of every float a chunk
 of points at a time (about GRID_CHUNK_VALUES numbers per `%`), each grid
 axis value formatted once per request by its position on the axis.  The
 pieces join to what `json.dumps(sort_keys=True, indent=1)` of the report as
@@ -204,10 +206,11 @@ def _matrix_grid_json(problem: ProblemFile, axes, shape, results, label: str):
 
 
 def _emit_grid(args, problem: ProblemFile, axes, col, label: str):
-    """The grid report of M (col None) or of W: one kernel call per point on M(z),
-    streamed a chunk at a time (_emit_pieces).  A mirrored model evaluates each
-    conjugate pair of non-real points once; the second takes the first's M
-    conjugated, which has its own M's bits."""
+    """The grid report of M (col None) or of W: one kernel call per point on the
+    entries of M(z), streamed a chunk at a time (_emit_pieces).  A mirrored model
+    evaluates each conjugate pair of non-real points once; the second takes the
+    first's entries mirrored (models.mirror), which have its own M's bits, or,
+    where an entry has a zero part whose sign mirroring cannot tell, its own M."""
     model = problem.model
     n = model.n if col is None else col.reduced_dim
     kernel = kernels.grid_kernel(model.n, problem.transform, col)
@@ -227,10 +230,10 @@ def _emit_grid(args, problem: ProblemFile, axes, col, label: str):
                 if not (model.mirrored and i):
                     m = models.evaluate(model, z)
                 elif (partner := unpaired.pop(z.conjugate(), None)) is not None:
-                    m = partner.conjugate()
+                    m = models.mirror(model, partner) or models.evaluate(model, z)
                 else:
                     m = unpaired[z] = models.evaluate(model, z)
-                yield kernel(m.data)
+                yield kernel(m)
 
     if args.format == "csv":
         _emit_pieces(_matrix_grid_csv(axes, (n, n), results(), label), args.out)
@@ -315,7 +318,7 @@ def cmd_negcount(args) -> int:
 
 def cmd_krein(args) -> int:
     problem = parse_problem(args.problem)
-    m0 = models.m_at_zero(problem.model)
+    m0 = extensions.krein_boundary(problem.model)
     payload = {
         **_report_header(problem),
         "B": matrix_to_json(m0.value),

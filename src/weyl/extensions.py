@@ -33,7 +33,7 @@ from .errors import (
     SpectralPointError,
 )
 from .linalg import Matrix, herm_part, inertia, inverse, numeric_rank
-from .models import ZERO_EIGENVALUE, WeylModel, evaluate, m_at_zero
+from .models import ZERO_EIGENVALUE, MZeroResult, WeylModel, evaluate, evaluate_matrix, m_at_zero
 from .values import Value
 
 ORACLE_ZERO_CUT = 1e-4  # oracle counts strictly below -cut: O(dx^2)-stable
@@ -197,7 +197,7 @@ def count_complex_eigenvalues(spec: ExtensionSpec, rect) -> ComplexCountReport:
         if samples == 20000:
             raise ArgumentPrincipleError("contour sample budget exhausted before the phase step stabilized")
         samples += 1
-        v = det_b(evaluate(model, z).data)
+        v = det_b(evaluate(model, z))
         if not cmath.isfinite(v):
             raise RangeError(f"det(M(z)-B) is not finite at contour point {z}")
         return z, v
@@ -282,10 +282,23 @@ def negative_count(spec: ExtensionSpec):
     return kappa_m, kappa_oracle
 
 
+def krein_boundary(model: WeylModel) -> MZeroResult:
+    """M(0), the boundary operator of the Krein extension, with its method and
+    error estimate.  An estimate past ZERO_EIGENVALUE and not below the largest
+    entry of M(0) leaves it no correct digit, and raises AccuracyError (an M(0)
+    of 0 within ZERO_EIGENVALUE is what negative_count takes for 0); that
+    M(0) may still decide a count far from it, so m_at_zero keeps it."""
+    m0 = m_at_zero(model)
+    size = m0.value.norm_max()
+    if m0.est_error > ZERO_EIGENVALUE and m0.est_error >= size:
+        raise AccuracyError(f"M(0) of the {model.kind} model has no correct digit: its error estimate "
+                            f"{m0.est_error!r} is not below its largest entry {size!r}", estimate=m0.est_error)
+    return m0
+
+
 def krein_extension(model: WeylModel) -> ExtensionSpec:
     """The soft extension B = M(0): dom = ker(Gamma_1 - M(0) Gamma_0), A_B >= 0."""
-    m0 = m_at_zero(model)
-    return ExtensionSpec(model, m0.value)
+    return ExtensionSpec(model, krein_boundary(model).value)
 
 
 # -- resolvent rank law ---------------------------------------------------------
@@ -305,7 +318,7 @@ def resolvent_rank_law(spec1: ExtensionSpec, spec2: ExtensionSpec, z: complex,
     if spec1.model != spec2.model:
         raise ContractError("rank law needs a shared model")
     b1, b2 = spec1.B, spec2.B
-    m = evaluate(spec1.model, complex(z))
+    m = evaluate_matrix(spec1.model, complex(z))
 
     def inv_or_error(mat: Matrix, which: str) -> Matrix:
         try:

@@ -11,13 +11,20 @@ which leaves the sum's bits alone), _eliminate's first-maximum pivoting with
 its two zero tests, solve's singular-pivot test and _mobius's vanishing test.
 So every entry has the Matrix path's bits; where that path raises, a stage
 re-runs its own part of it (transform_weyl, or char_function_from_m on the
-Mobius stage's output) on the same input for its error.  Each stage's shape
-(n for the Mobius map; n, W route and zeros of K* for W) is compiled once per
-process, so `eval` and `charfn` with one transform share its Mobius stage,
-and a request binds its constants as the compiled factory's arguments.
-Beyond MAX_N the kernel is the Matrix path itself; so is the Mobius stage
-with non-finite transform blocks (0 * inf is nan, a term that
-Matrix.__matmul__ skips).
+Mobius stage's output) on the same input for its error.
+
+The Mobius stage also leaves out the terms whose right factor is a constant
+zero of X21*, P* or U* (a diagonal X21, a block-rotation U).  With a finite
+left factor such a term is a signed zero, and a sum that starts at 0j never
+holds -0.0, so adding it changes no bit; with a non-finite M, or a non-finite
+core from an overflow, it would be nan, so there the specialised stage runs
+the unspecialised one, which keeps that nan as Matrix.__matmul__ does.  Each
+stage's shape (n and the zeros of X21*, P* and U* for the Mobius map; n, W
+route and zeros of K* for W) is compiled once per process, so `eval` and
+`charfn` with one transform share its Mobius stage, and a request binds its
+constants as the compiled factory's arguments.  Beyond MAX_N the kernel is
+the Matrix path itself; so is the Mobius stage with non-finite transform
+blocks (0 * inf is nan, a term that Matrix.__matmul__ skips).
 
 `det_kernel` does the same for a sample of the complex eigenvalue count:
 det(M(z) - B) by _eliminate's pivots and swap sign, multiplied in det's
@@ -56,9 +63,13 @@ def grid_kernel(n: int, transform=None, col=None):
     t = transform
     if t is not None:
         mobius_stage = functools.partial(_matrix_path, n, t, None)
-        if all(map(cmath.isfinite, t.X21_star.data + t.P_star.data + t.U_star.data)):
+        right = t.X21_star.data + t.P_star.data + t.U_star.data
+        if all(map(cmath.isfinite, right)):
             blocks = t.X21_star.data + t.X22_star.data + t.P_star.data + t.Q_star.data + t.U_star.data
             mobius_stage = _factory(n, None, ())(mobius_stage, t.X22_fro, *blocks)
+            zero = tuple(v == 0 for v in right)
+            if any(zero):  # the unspecialised stage is the specialised one's reference
+                mobius_stage = _factory(n, None, zero)(mobius_stage, t.X22_fro, *blocks)
     if col is not None:
         blocks, k_zero = col.B.data + col.B_star.data, ()
         if not col.full_rank:
@@ -87,8 +98,10 @@ def det_kernel(b: Matrix):
 
 
 def _matmul(a: list, b: list, n: int, k: int, m: int, zero=()) -> list:
-    """The entries of the n x k by k x m product, each summed from 0j as Matrix.__matmul__ does."""
-    return [" + ".join(["0j"] + [f"{a[i * k + t]} * {b[t * m + j]}" for t in range(k) if a[i * k + t] not in zero])
+    """The entries of the n x k by k x m product, each summed from 0j as Matrix.__matmul__ does,
+    without the terms that have a factor in zero, the names of constant zeros."""
+    return [" + ".join(["0j"] + [f"{a[i * k + t]} * {b[t * m + j]}" for t in range(k)
+                                 if a[i * k + t] not in zero and b[t * m + j] not in zero])
             for i in range(n) for j in range(m)]
 
 
@@ -153,30 +166,35 @@ class _Source:
         """The factory (params, the block constants) -> kernel(data), whose body returns `returns`."""
         body = "\n".join(self.lines + [f"        return {returns}"])
         scope = {"__builtins__": {}, "abs": abs, "max": max, "sum": sum, "sqrt": math.sqrt, "inf": math.inf,
-                 "complex": complex, "SINGULAR_PIVOT_REL": SINGULAR_PIVOT_REL}
+                 "isfinite": cmath.isfinite, "complex": complex, "SINGULAR_PIVOT_REL": SINGULAR_PIVOT_REL}
         exec(f"def factory({', '.join(params + self.params)}):\n"
              f"    def kernel(data):\n{body}\n    return kernel\n", scope)
         return scope["factory"]
 
 
-@functools.lru_cache(maxsize=64)  # a grid session meets a handful of shapes; K*'s zeros could make more
-def _factory(n: int, rank, k_zero: tuple):
+@functools.lru_cache(maxsize=64)  # a grid session meets a handful of shapes; the zeros could make more
+def _factory(n: int, rank, zero: tuple):
     """The compiled factory of one stage: (reference, constants) -> kernel.  rank is None
     for the Mobius stage, whose factory also takes ||X22||_F after reference; else the
-    stage is W's, rank the size of W: n on the full route, below n on the reduced."""
+    stage is W's, rank the size of W: n on the full route, below n on the reduced.  zero
+    flags the constant zeros the stage skips: of K* for W, of X21*, P* and U* for the
+    Mobius stage, where () is none and reference is the stage without them."""
     src = _Source()
     m = [f"m{i}" for i in range(n * n)]
     src.line(f"{', '.join(m)}, = data")
     if rank is None:  # triplets._mobius: (P M + Q)(X21 M + X22)^-1 U*, by one right solve
         x21s, x22s, ps, qs, us = (src.block(name, n * n) for name in ("x21s", "x22s", "ps", "qs", "us"))
+        zero = {x for x, z in zip(x21s + ps + us, zero) if z}
         ms = [src.let(f"{m[j * n + i]}.conjugate()") for i in range(n) for j in range(n)]
-        x21ms = [src.let(e) for e in _matmul(ms, x21s, n, n, n)]
+        x21ms = [src.let(e) for e in _matmul(ms, x21s, n, n, n, zero)]
         denom = [src.let(f"{x} + {c}") for x, c in zip(x21ms, x22s)]
         src.line(f"scale = max({_norm(x21ms)}, x22_fro, 1e-30)")
         src.line(f"if {_norm(denom)} < 1e-12 * scale: return reference(data)")
-        core_star = src.solve(denom, [f"{e} + {q}" for e, q in zip(_matmul(ms, ps, n, n, n), qs)], n, n)
+        core_star = src.solve(denom, [f"{e} + {q}" for e, q in zip(_matmul(ms, ps, n, n, n, zero), qs)], n, n)
+        if zero:  # a skipped term is a finite left factor times 0: no nan to lose
+            src.line(f"if not isfinite({' + '.join(m + core_star)}): return reference(data)")
         core = [src.let(f"{core_star[j * n + i]}.conjugate()") for i in range(n) for j in range(n)]
-        m = [src.let(e) for e in _matmul(core, us, n, n, n)]
+        m = [src.let(e) for e in _matmul(core, us, n, n, n, zero)]
         return src.compile(["reference", "x22_fro"], f"({', '.join(m)},)")
     # charfun.char_function_from_m
     b, b_star = src.block("b", n * n), src.block("bs", n * n)
@@ -186,7 +204,7 @@ def _factory(n: int, rank, k_zero: tuple):
     else:
         k, k_star, j = src.block("k", n * rank), src.block("ks", rank * n), src.block("j", rank * rank)
         core = src.solve(a, k, n, rank)
-        zero = {x for x, z in zip(k_star, k_zero) if z}
+        zero = {x for x, z in zip(k_star, zero) if z}
         p = [src.let(e) for e in _matmul(k_star, core, rank, n, rank, zero)]
         # Matrix.identity(r) + (K* core J).scale(2j)
         m = [f"{'(1+0j)' if at % (rank + 1) == 0 else '0j'} + 2j * ({e})"

@@ -3,10 +3,12 @@
 Each class holds its own parameters plus kind, n, ess_floor (-inf allowed;
 +inf means purely discrete) and mirrored (a grid request may answer conj z as
 M(z)*), its z-independent constants, computed once at construction, and every
-rule of its kind: M(z) (evaluate(model, z) checks the domain and calls it),
-m_at_zero (a direct route to M(0), no limit x -> 0- to extrapolate), the
-eigenvalue counts below a real x, the oracle discretizations of A_B and the
-operator potential's Robin matrix.  A rule a kind lacks is None.
+rule of its kind: entries(z), the n*n entries of M(z) row-major as a plain
+tuple (evaluate(model, z) checks the domain and calls it, and the base class
+wraps it as the Matrix M(z) for the algebra inside the catalog), m_at_zero (a
+direct route to M(0), no limit x -> 0- to extrapolate), the eigenvalue counts
+below a real x, the oracle discretizations of A_B and the operator
+potential's Robin matrix.  A rule a kind lacks is None.
 
 Below the floor N_B(x) = N_0(x) + ind_+(M(x) - B) counts the eigenvalues of
 A_B below x (Derkach & Malamud 1991), N_0 those of the reference extension
@@ -74,21 +76,29 @@ class MZeroResult(Value):
 class WeylModel(Value):
     """Base of the catalog.  A subclass is a frozen value (values.Value) whose
     fields are its own parameters, the keys of its problem-file kind; it sets
-    kind, and n, ess_floor and mirrored where not 1, 0, False."""
+    kind, and n, ess_floor, mirrored and structural_zeros where not 1, 0, False, 0."""
 
     kind = ""
     n = 1
     ess_floor = 0.0
     # a grid request (cli._emit_grid) answers the second point of a conjugate pair
-    # as M(first)*: only the ODE kinds, whose propagation commutes with conjugation
-    # to the bit, so a pair is propagated once.  The closed forms are cheap, sector's
-    # power is not bit-symmetric (about 1e-15 off), and the diagonal kinds' zero
-    # entries would turn -0.0.
+    # as M(first)*, its structural zeros kept (mirror): every kind whose rule commutes
+    # with conjugation to the bit but for the sign of a zero.  IEEE + - * / do, and
+    # so do cmath.sqrt and cmath.exp; sqrt_upper(conj z) = -conj(sqrt_upper(z))
+    # enters the closed forms only through -1j * sqrt_upper or abs, and the corner
+    # series has real denominators.  Sector's power is not bit-symmetric (about
+    # 1e-15 off).
     mirrored = False
+    # how many entries of M the rule writes as 0j at every z
+    structural_zeros = 0
     robin_matrix = oracle_operators = None
 
-    def M(self, z: complex) -> Matrix:
+    def entries(self, z: complex) -> tuple:
+        """The n*n entries of M(z), row-major, with no domain check."""
         raise NotImplementedError
+
+    def M(self, z: complex) -> Matrix:
+        return Matrix(self.n, self.n, self.entries(z))
 
     def m_at_zero(self) -> MZeroResult:
         raise NotImplementedError
@@ -135,9 +145,9 @@ class HalfLine(WeylModel):
         # + 0.0: a tail of -0.0 (q = -2*exp(-x) at large x) is the floor 0.0
         self._derive(ess_floor=self.q.tail + 0.0)
 
-    def M(self, z: complex) -> Matrix:
+    def entries(self, z: complex) -> tuple:
         m = halfline_m(self.q, z)
-        return Matrix.scalar(m if self.h is None else h_map(m, float(self.h)))
+        return (complex(m if self.h is None else h_map(m, float(self.h))),)
 
     def _robin(self, b: Matrix) -> float | None:
         """The r of y'(0) = r y(0) that A_b is in the (y(0), y'(0)) triplet, or
@@ -235,8 +245,8 @@ class FiniteInterval(WeylModel):
         if checked_finite(self.b, "b") <= 0:
             raise EvalError("must be positive", field="b")
 
-    def M(self, z: complex) -> Matrix:
-        return finite_interval_M(self.q, self.b, z)
+    def entries(self, z: complex) -> tuple:
+        return finite_interval_M(self.q, self.b, z).data
 
     def m_at_zero(self) -> MZeroResult:
         """M(0) itself: M is analytic at 0 unless 0 is a Dirichlet eigenvalue.
@@ -279,6 +289,14 @@ class FiniteInterval(WeylModel):
         return [oracle.discretize(self.q, self.b, 2000, b.at(0, 0).real, b.at(1, 1).real)]
 
 
+def _diagonal(values: list) -> tuple:
+    """The entries of diag(values), row-major, each off-diagonal one 0j."""
+    n = len(values)
+    data = [0j] * (n * n)
+    data[:: n + 1] = values
+    return tuple(data)
+
+
 def _checked_diagonal(a_diag) -> tuple:
     a = tuple(checked_finite(v, f"a_diag[{i}]") for i, v in enumerate(a_diag))
     if not a:
@@ -294,18 +312,18 @@ class OperatorPotentialHalfline(WeylModel):
 
     _fields = ("a_diag",)
     kind = "operator_potential_halfline"
+    mirrored = True
 
     def __post_init__(self):
         a = _checked_diagonal(self.a_diag)
-        self._derive(a_diag=a, n=len(a), ess_floor=min(a) - 1.0,
+        self._derive(a_diag=a, n=len(a), ess_floor=min(a) - 1.0, structural_zeros=len(a) * (len(a) - 1),
                      _channels=tuple((math.sqrt(v), v - 1.0) for v in a))
 
-    def M(self, z: complex) -> Matrix:
+    def entries(self, z: complex) -> tuple:
         # ra (ra - s) with s = sqrt(a-1-z), Re s >= 0 (decaying defect solution)
         # = -i sqrt_upper(z-(a-1)), written ra (1 + z) / (ra + s) (ra^2 - s^2 = 1 + z),
         # which does not cancel at a large a
-        return Matrix.diag([ra * (1.0 + z) / (ra - 1j * sqrt_upper(z - shift))
-                            for ra, shift in self._channels])
+        return _diagonal([ra * (1.0 + z) / (ra - 1j * sqrt_upper(z - shift)) for ra, shift in self._channels])
 
     def m_at_zero(self) -> MZeroResult:
         vals = [math.sqrt(a) / (math.sqrt(a) + math.sqrt(a - 1.0)) for a in self.a_diag]
@@ -341,23 +359,26 @@ class Strip(WeylModel):
 
     _fields, _defaults = ("a_diag", "width"), {"width": math.pi}
     kind = "strip"
+    mirrored = True
 
     def __post_init__(self):
         a = _checked_diagonal(self.a_diag)
         width = checked_finite(self.width, "width")
         if width <= 0:
             raise EvalError("must be positive", field="width")
+        # a row holds its channel's diag and csch entries, and 0j elsewhere
         self._derive(a_diag=a, width=width, n=2 * len(a), ess_floor=min(a) - 1.0,
+                     structural_zeros=4 * len(a) * (len(a) - 1),
                      _channels=tuple((v, math.sqrt(v), v - 1.0) for v in a))
 
-    def M(self, z: complex) -> Matrix:
+    def entries(self, z: complex) -> tuple:
         m, n = len(self.a_diag), self.n
         data = [0j] * (n * n)
         for i, (a, ra, shift) in enumerate(self._channels):
             diag, csch = _strip_pair(a, ra, shift, self.width, z)
             data[i * (n + 1)] = data[(m + i) * (n + 1)] = diag
             data[i * n + m + i] = data[(m + i) * n + i] = -ra * csch
-        return Matrix(n, n, tuple(data))
+        return tuple(data)
 
     def m_at_zero(self) -> MZeroResult:
         # the strip entries depend on kappa^2 only, hence are analytic at 0
@@ -411,13 +432,14 @@ class Corner(WeylModel):
 
     _fields = ("beta",)
     kind = "corner"
+    mirrored = True
 
     def __post_init__(self):
         beta = _checked_beta(self.beta)
         self._derive(beta=beta, _denominators=_series_denominators(beta))
 
-    def M(self, z: complex) -> Matrix:
-        return Matrix(1, 1, (self.scalar(z),))
+    def entries(self, z: complex) -> tuple:
+        return (self.scalar(z),)
 
     def scalar(self, z: complex) -> complex:
         s = sqrt_upper(z)
@@ -455,15 +477,17 @@ class MultiCorner(WeylModel):
 
     _fields = ("betas",)
     kind = "multi_corner"
+    mirrored = True
 
     def __post_init__(self):
         if not self.betas:
             raise EvalError("must not be empty", field="betas")
         corners = tuple(Corner(_checked_beta(b, f"betas[{i}]")) for i, b in enumerate(self.betas))
-        self._derive(betas=tuple(c.beta for c in corners), n=len(corners), _corners=corners)
+        self._derive(betas=tuple(c.beta for c in corners), n=len(corners),
+                     structural_zeros=len(corners) * (len(corners) - 1), _corners=corners)
 
-    def M(self, z: complex) -> Matrix:
-        return Matrix.diag([c.scalar(z) for c in self._corners])
+    def entries(self, z: complex) -> tuple:
+        return _diagonal([c.scalar(z) for c in self._corners])
 
     def m_at_zero(self) -> MZeroResult:
         return MZeroResult(Matrix.diag([-1.0] * self.n), "closed_form", 0.0)
@@ -487,8 +511,8 @@ class Sector(WeylModel):
         # law are unchanged.
         self._derive(beta=beta, _coefficient=-sector_constant(beta))
 
-    def M(self, z: complex) -> Matrix:
-        return Matrix(1, 1, (self._coefficient * upper_power(z, self.beta),))
+    def entries(self, z: complex) -> tuple:
+        return (self._coefficient * upper_power(z, self.beta),)
 
     def m_at_zero(self) -> MZeroResult:
         return MZeroResult(Matrix.scalar(0.0), "closed_form", 0.0)
@@ -502,8 +526,8 @@ class CallableModel(WeylModel):
     _compared = ("n", "ess_floor")
     kind = "_callable"
 
-    def M(self, z: complex) -> Matrix:
-        return self.fn(z)
+    def entries(self, z: complex) -> tuple:
+        return self.fn(z).data
 
 
 # The constructors under the names the problem files, verify and the tests use.
@@ -532,10 +556,11 @@ def _is_diagonal(b: Matrix) -> bool:
 # -- evaluation -------------------------------------------------------------
 
 
-def evaluate(model: WeylModel, z: complex) -> Matrix:
-    """M(z) for z with Im z != 0, or real z below the essential-spectrum floor,
-    by the model's own rule at z itself, so that errors name z.  A z that is not
-    finite is one RangeError for every kind, before any work."""
+def evaluate(model: WeylModel, z: complex) -> tuple:
+    """The entries of M(z), row-major, for z with Im z != 0, or real z below the
+    essential-spectrum floor, by the model's own rule at z itself, so that
+    errors name z.  A z that is not finite is one RangeError for every kind,
+    before any work."""
     z = complex(z)
     if not cmath.isfinite(z):
         raise RangeError(f"z={z} is not finite")
@@ -543,7 +568,24 @@ def evaluate(model: WeylModel, z: complex) -> Matrix:
         raise DomainError(
             f"z={z.real} lies on/above the essential-spectrum floor {model.ess_floor}"
         )
-    return model.M(z)
+    return model.entries(z)
+
+
+def evaluate_matrix(model: WeylModel, z: complex) -> Matrix:
+    """evaluate(model, z) as a Matrix, for the callers that do algebra on it."""
+    return Matrix(model.n, model.n, evaluate(model, z))
+
+
+def mirror(model: WeylModel, entries: tuple) -> tuple | None:
+    """The entries of M(conj z) from those of M(z) on a mirrored kind: each one
+    conjugated but the kind's structural zeros, which its rule writes as 0j at
+    every z and .conjugate() would turn into 0.0 - 0.0j.  None where any other
+    entry has a zero part: the rules commute with conjugation to the bit but for
+    the sign of a zero (x - x is 0.0 at z and at conj z alike), so that point
+    takes the rule at conj z itself."""
+    if len([v for v in entries if not (v.real and v.imag)]) != model.structural_zeros:
+        return None
+    return tuple([v.conjugate() if v else v for v in entries])
 
 
 # -- M(0) -------------------------------------------------------------------

@@ -93,7 +93,7 @@ def suite_herglotz(rng: random.Random):
     for kind, model in catalog().items():
         rel, bad = [], 0
         for _ in range(200):
-            m = models.evaluate(model, _sample_z(rng))
+            m = models.evaluate_matrix(model, _sample_z(rng))
             lam, scale = lambda_min(imag_part(m)), max(m.norm_fro(), 1e-30)
             rel.append(lam / scale)
             bad += not lam >= -1e-9 * scale  # a nan lambda_min fails too
@@ -127,8 +127,8 @@ def suite_conjugate_symmetry(rng: random.Random):
         devs = []
         for _ in range(6):
             z = _sample_z(rng)
-            a = models.evaluate(model, z.conjugate())
-            b = models.evaluate(model, z).adjoint()
+            a = models.evaluate_matrix(model, z.conjugate())
+            b = models.evaluate_matrix(model, z).adjoint()
             devs.append((a - b).norm_fro() / max(1.0, b.norm_fro()))
         yield _within(f"conjugate symmetry[{kind}]: M(conj z) = M(z)*", devs, 1e-9,
                       "worst relative deviation {:.3e}")
@@ -185,7 +185,7 @@ def suite_finite_interval_closed_form(rng: random.Random):
     model = models.finite_interval(q0, math.pi)
     pts = [complex(rng.uniform(-6, 6), rng.uniform(0.4, 6)) for _ in range(40)]
     pts += [complex(rng.uniform(-6.0, -0.3), 0.0) for _ in range(10)]
-    gaps = (models.evaluate(model, z) - _interval_closed_form(z) for z in pts)
+    gaps = (models.evaluate_matrix(model, z) - _interval_closed_form(z) for z in pts)
     yield _within("interval M matches the cot/csc closed form at 50 points",
                   (abs(d) for gap in gaps for d in gap.data), 1e-7, "worst entry deviation {:.3e}")
 
@@ -310,7 +310,7 @@ def suite_negative_count(rng: random.Random):
     hl = models.half_line(PotentialSpec.zero())
     vals = []
     for x in [-4.0 + 0.35 * k for k in range(11)]:
-        m = models.evaluate(hl, complex(x))
+        m = models.evaluate_matrix(hl, complex(x))
         vals.append(lambda_min(herm_part(Matrix.scalar(-2.0) - m)))
     mono = all(b <= a + 1e-9 for a, b in zip(vals, vals[1:]))
     yield _check("lambda_min(B - M(x)) non-increasing on (-inf, 0)", mono, f"values {vals[:3]}...")
@@ -498,7 +498,7 @@ def suite_charfun_identities(rng: random.Random):
     cayley, jc_rel = [], []
     for model, b, z in cases:
         col = charfun.factor_colligation(b)
-        mz = models.evaluate(model, z)
+        mz = models.evaluate_matrix(model, z)
         w = charfun.char_function_colligation(col, mz)
         v = charfun.v_function(col, mz)
         cayley.append(charfun.cayley_check(col, w, v))
@@ -512,8 +512,8 @@ def suite_charfun_identities(rng: random.Random):
 
     # negative control: mismatched (W, V) pairs must fail loudly
     col = charfun.factor_colligation(Matrix.scalar(1j))
-    w = charfun.char_function_colligation(col, models.evaluate(hl, 2j))
-    v = charfun.v_function(col, models.evaluate(hl, 3j))
+    w = charfun.char_function_colligation(col, models.evaluate_matrix(hl, 2j))
+    v = charfun.v_function(col, models.evaluate_matrix(hl, 3j))
     residual = charfun.cayley_check(col, w, v)
     yield _check("mismatched Cayley pair rejected (residual >> 1e-6)", residual > 1e-6,
                  f"residual {residual:.3e}")
@@ -521,7 +521,7 @@ def suite_charfun_identities(rng: random.Random):
     # resolvent form vs colligation form, the former by the route `charfn` takes
     gaps = []
     for _ in range(20):
-        mz = models.evaluate(hl, _sample_z(rng))
+        mz = models.evaluate_matrix(hl, _sample_z(rng))
         w47 = charfun.char_function_from_m(col, mz)
         w49 = charfun.char_function_colligation(col, mz)
         gaps.append(abs(w47.at(0, 0) - w49.at(0, 0)))
@@ -531,7 +531,7 @@ def suite_charfun_identities(rng: random.Random):
     cold = charfun.factor_colligation(bd)
     gaps = []
     for _ in range(12):
-        mz = models.evaluate(fi, complex(rng.uniform(-3, 3), rng.uniform(0.4, 6)))
+        mz = models.evaluate_matrix(fi, complex(rng.uniform(-3, 3), rng.uniform(0.4, 6)))
         wf = charfun.char_function_from_m(cold, mz)
         wr = charfun.char_function_colligation(cold, mz)
         gaps.append((cold.K.adjoint() @ wf - wr @ cold.K.adjoint()).norm_fro())
@@ -655,7 +655,7 @@ def suite_corner_sector_anchors(rng: random.Random):
     # Stieltjes ray: phases cancel, M(x) is real with the |x|^beta power law
     cb_mod = abs(models.sector_constant(0.75))
     xs = [-4.0 + 0.12 * k for k in range(32)]
-    vs = [models.evaluate(sec, complex(x)).at(0, 0) for x in xs]
+    vs = [models.evaluate(sec, complex(x))[0] for x in xs]
     yield _within("sector M(x) real on x<0 to 1e-10 (phase cancellation)",
                   (abs(v.imag) for v in vs), 1e-10, "worst imag {:.3e}")
     yield _within("sector M(x) = -|C_b| |x|^b on x<0 to 1e-10",
@@ -666,10 +666,10 @@ def suite_corner_sector_anchors(rng: random.Random):
                  rep.verdict == "consistent with (S-hat)", rep.verdict)
 
     z = 1.2 + 0.9j
-    m = models.evaluate(mc, z)
+    m = models.evaluate_matrix(mc, z)
     devs = (
-        abs(m.at(0, 0) - models.evaluate(models.corner(0.6), z).at(0, 0)),
-        abs(m.at(1, 1) - models.evaluate(models.corner(0.85), z).at(0, 0)),
+        abs(m.at(0, 0) - models.evaluate(models.corner(0.6), z)[0]),
+        abs(m.at(1, 1) - models.evaluate(models.corner(0.85), z)[0]),
         abs(m.at(0, 1)),
         abs(m.at(1, 0)),
     )
@@ -687,7 +687,7 @@ def suite_corner_sector_anchors(rng: random.Random):
                (150 + 1j, 92.3542942848276 + 4.615197915832667j, 1e-10),
                (-1500, -336.1703969507669, 1e-13))
     yield _within("corner M at 100+10i, 150+i, -1500 within 1e-11, 1e-10, 1e-13 of mpmath",
-                  (abs(models.evaluate(co, z).at(0, 0) - v) / (rtol * abs(v))
+                  (abs(models.evaluate(co, z)[0] - v) / (rtol * abs(v))
                    for z, v, rtol in anchors), 1.0, "worst error / tolerance {:.2e}")
 
     evs = oracle.corner_friedrichs_eigenvalues(0.75, 2)
@@ -700,7 +700,7 @@ def suite_corner_sector_anchors(rng: random.Random):
     for _ in range(5):
         z = _sample_z(rng)
         ref = _square_well_closed_form(z, -1.0, 1.2)
-        gaps.append(abs(models.evaluate(rad, z).at(0, 0) - ref) / abs(ref))
+        gaps.append(abs(models.evaluate(rad, z)[0] - ref) / abs(ref))
     yield _within("radial square well M is the matched-exponential closed form (relative 1e-12)",
                   gaps, 1e-12, "worst relative deviation {:.1e}")
 

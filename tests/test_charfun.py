@@ -58,7 +58,7 @@ def test_char_function_reduced_space():
     w = charfun.char_function(spec, 1.5j)
     assert w.rows == 1  # reduced to ran(K)
     col = charfun.factor_colligation(b)
-    v = charfun.v_function(col, models.evaluate(fi, 1.5j))
+    v = charfun.v_function(col, models.evaluate_matrix(fi, 1.5j))
     assert charfun.cayley_check(col, w, v) < 1e-10
 
 
@@ -67,8 +67,8 @@ def test_v_function_scalar_example():
     hl = models.half_line(Q0)
     col = charfun.factor_colligation(Matrix.scalar(1j))
     z = 1j
-    m = models.evaluate(hl, z).at(0, 0)
-    v = charfun.v_function(col, models.evaluate(hl, z)).at(0, 0)
+    m = models.evaluate(hl, z)[0]
+    v = charfun.v_function(col, models.evaluate_matrix(hl, z)).at(0, 0)
     assert abs(v + 1.0 / m) < 1e-10
 
 
@@ -76,8 +76,8 @@ def test_v_conjugate_symmetry():
     hl = models.half_line(Q0)
     col = charfun.factor_colligation(Matrix.scalar(0.5 + 1j))
     z = -1 + 1.2j
-    va = charfun.v_function(col, models.evaluate(hl, z.conjugate()))
-    vb = charfun.v_function(col, models.evaluate(hl, z)).adjoint()
+    va = charfun.v_function(col, models.evaluate_matrix(hl, z.conjugate()))
+    vb = charfun.v_function(col, models.evaluate_matrix(hl, z)).adjoint()
     assert (va - vb).norm_fro() < 1e-9
 
 
@@ -88,15 +88,15 @@ def test_im_v_psd_in_upper_half_plane():
     rng = random.Random(4)
     for _ in range(10):
         z = complex(rng.uniform(-3, 3), rng.uniform(0.4, 5))
-        v = charfun.v_function(col, models.evaluate(fi, z))
+        v = charfun.v_function(col, models.evaluate_matrix(fi, z))
         assert lambda_min(imag_part(v)) >= -1e-9 * max(1.0, v.norm_fro())
 
 
 def test_cayley_negative_control():
     hl = models.half_line(Q0)
     col = charfun.factor_colligation(Matrix.scalar(1j))
-    w = charfun.char_function_colligation(col, models.evaluate(hl, 2j))
-    v_bad = charfun.v_function(col, models.evaluate(hl, 3j))
+    w = charfun.char_function_colligation(col, models.evaluate_matrix(hl, 2j))
+    v_bad = charfun.v_function(col, models.evaluate_matrix(hl, 3j))
     assert charfun.cayley_check(col, w, v_bad) > 1e-6
 
 

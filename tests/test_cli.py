@@ -11,6 +11,7 @@ import pytest
 from weyl import charfun, cli, models, verify
 from weyl.cli import main
 from weyl.errors import ContractError, RangeError, WeylError
+from weyl.linalg import Matrix
 from weyl.problems import parse_problem, problem_from_data, request_value
 from weyl.triplets import transform_boundary_operator, transform_weyl
 from weyl.verify import Assertion
@@ -143,7 +144,7 @@ def test_charfn_transformed_rank_one_uses_reduced_space(tmp_path):
     col = charfun.factor_colligation(transform_boundary_operator(p.transform, p.boundary))
     for row in rows[1:]:
         z = complex(float(row[0]), float(row[1]))
-        m = transform_weyl(p.transform, models.evaluate(p.model, z))
+        m = transform_weyl(p.transform, models.evaluate_matrix(p.model, z))
         w = charfun.char_function_colligation(col, m)
         assert abs(complex(float(row[2]), float(row[3])) - w.at(0, 0)) <= 1e-12
 
@@ -217,7 +218,7 @@ def _direct_grid_report(problem_path: str, axes) -> str:
     """The eval JSON report of axes with models.evaluate at every point."""
     problem = parse_problem(problem_path)
     n, (res, ims) = problem.model.n, axes
-    results = [models.evaluate(problem.model, complex(r, i)).data for r in res for i in ims]
+    results = [models.evaluate(problem.model, complex(r, i)) for r in res for i in ims]
     return "".join(cli._matrix_grid_json(problem, axes, (n, n), results, "M"))
 
 
@@ -226,15 +227,40 @@ def _direct_grid_report(problem_path: str, axes) -> str:
      [-0.0, 0.0, 1.0]),
     ({"kind": "half_line", "h": 1.5, "potential": {"kind": "expression", "source": "-3*exp(-x*x)*cos(2*x)"}},
      [-2.0, -1.0]),
-], ids=["finite_interval", "half_line"])
+    ({"kind": "multi_corner", "betas": [0.6, 0.85]}, [-2.0, -0.5]),
+    ({"kind": "strip", "a_diag": [2, 3]}, [-0.0, 0.0, 0.5]),
+], ids=["finite_interval", "half_line", "multi_corner", "strip"])
 def test_paired_grid_writes_every_points_own_bits(tmp_path, model, res):
     # a mirrored kind pairs conj z with z, but no real point: conj of a 0.0
     # imaginary part is -0.0; the real axis's -0.0 and 0.0 share their pairs
     f, out = tmp_path / "p.json", tmp_path / "o.json"
     f.write_text(json.dumps({"model": model}))
     axes = (res, [0.0, -0.0, 0.5, -0.5, 2.0, -0.5])  # no grid text lists both zeros
-    cli._emit_grid(argparse.Namespace(format="json", out=str(out)), parse_problem(str(f)), axes, None, "M")
+    problem = parse_problem(str(f))
+    cli._emit_grid(argparse.Namespace(format="json", out=str(out)), problem, axes, None, "M")
     assert out.read_text() == _direct_grid_report(str(f), axes)
+    # the structural zeros of the diagonal and strip kinds print as 0.0 at every point
+    zeros = [k for k, v in enumerate(models.evaluate(problem.model, 0.5j)) if not v]
+    assert len(zeros) == problem.model.structural_zeros
+    for row in json.loads(out.read_text())["rows"]:
+        entries = [entry for matrix_row in row["M"] for entry in matrix_row]
+        assert all(math.copysign(1.0, part) == 1.0 for k in zeros for part in entries[k]), row["z"]
+
+
+def test_contour_count_builds_no_matrix_per_sample(sector_problem, tmp_path, monkeypatch):
+    # each sample of the winding-number walk takes M(z) as its entries straight into
+    # the det kernel; the one Matrix is the parsed boundary operator
+    built, init = [], Matrix.__init__
+
+    def counted(self, *args):
+        built.append(args[:2])
+        init(self, *args)
+
+    monkeypatch.setattr(Matrix, "__init__", counted)
+    out = tmp_path / "r.json"
+    assert main(["spectrum", "--problem", sector_problem, "--rect=-1:1:0.5:1.5", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["contour_samples"] == 67
+    assert built == [(1, 1)]
 
 
 def test_sector_grid_evaluates_each_conjugate_point(sector_problem, tmp_path):
@@ -245,7 +271,8 @@ def test_sector_grid_evaluates_each_conjugate_point(sector_problem, tmp_path):
     axes = request_value("grid", grid, "--grid")
     assert out.read_text() == _direct_grid_report(sector_problem, axes)
     model = parse_problem(sector_problem).model
-    pairs = [(models.evaluate(model, complex(r, -0.5)), models.evaluate(model, complex(r, 0.5))) for r in axes[0]]
+    pairs = [(models.evaluate_matrix(model, complex(r, -0.5)), models.evaluate_matrix(model, complex(r, 0.5)))
+             for r in axes[0]]
     assert any(lo.data != hi.conjugate().data for lo, hi in pairs)  # what pairing would write differs
 
 
@@ -840,10 +867,17 @@ def test_tiny_interval_m_at_zero_with_an_overflowing_estimate_is_refused(tmp_pat
     out, err = capsys.readouterr()
     assert (rc, out) == (1, "")
     assert err == "error: the error estimate of M(0) of the finite_interval model is not finite\n"
-    # at b = 1e-150 the estimate is finite, and reported with the same bits as before
+    # at b = 1e-150 the estimate is finite but 1e139 times M(0): krein exited 0 with it
     out_file = tmp_path / "k.json"
-    assert main(["krein", "--problem", _tiny_interval(tmp_path, 1e-150), "--out", str(out_file)]) == 0
-    assert json.loads(out_file.read_text())["est_error"] == 9.999999999999998e+288
+    assert main(["krein", "--problem", _tiny_interval(tmp_path, 1e-150), "--out", str(out_file)]) == 1
+    assert capsys.readouterr().err == (
+        "error: M(0) of the finite_interval model has no correct digit: its error estimate "
+        "9.999999999999998e+288 is not below its largest entry 1e+150 (estimated error 1.000e+289)\n")
+    assert not out_file.exists()
+    # that M(0) still decides a count far from it: the rule is krein's, not m_at_zero's
+    problem = _tiny_interval(tmp_path, 1e-150, boundary=((-1e300, 0), (0, -1e300)))
+    assert main(["negcount", "--problem", problem, "--out", str(out_file)]) == 0
+    assert json.loads(out_file.read_text())["kappa_M"] == 2
 
 
 @pytest.mark.parametrize("b", [1e-200, 1e-150])

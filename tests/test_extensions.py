@@ -433,7 +433,7 @@ def test_negative_count_routes_agree(depth, width, h):
     # m increases on (-inf, 0) with no pole there, so A_h has an eigenvalue in
     # (-0.02, 0) exactly when m(-0.02) < h < M(0): keep h clear of that band
     m0 = models.m_at_zero(hl).value.at(0, 0).real
-    m_edge = models.evaluate(hl, -0.02).at(0, 0).real
+    m_edge = models.evaluate(hl, -0.02)[0].real
     assume(not m_edge - 0.05 < h < m0 + 0.05)
     spec = extensions.extension(hl, h)
     k_m, k_o = extensions.negative_count(spec)

@@ -102,7 +102,9 @@ def test_kernel_entries_have_the_matrix_paths_bits(monkeypatch, n, with_transfor
 
 
 def test_kernels_compile_once_per_shape():
-    # a transform and W compile as two stages, each once: the Mobius stage and W's
+    # a transform and W compile as two stages, each once: the Mobius stage and W's;
+    # the zeros of X21*, P* and U* join the Mobius stage's shape, and the second
+    # transform drawn here has X21 = 0, so its stage compiles once more, specialised
     rng = random.Random(5)
     kernels._factory.cache_clear()
     for _ in range(3):
@@ -110,12 +112,12 @@ def test_kernels_compile_once_per_shape():
         transform = triplets.sample_transform(rng, 3)
         kernels.grid_kernel(3, transform, col)((0.5j,) * 9)
     info = kernels._factory.cache_info()
-    assert (info.misses, info.hits) == (2, 4)
+    assert (info.misses, info.hits) == (3, 4)
     # `eval` with the same transform reuses the Mobius stage and compiles nothing
     data = (0.5j,) * 9
     assert _kernel(kernels.grid_kernel(3, transform), data) == _reference(3, transform, None, data)
     info = kernels._factory.cache_info()
-    assert (info.misses, info.hits) == (2, 5)
+    assert (info.misses, info.hits) == (3, 5)
 
 
 @pytest.mark.ci_property
@@ -244,3 +246,55 @@ def test_cli_grid_through_a_refused_point_exits_1(tmp_path, capsys, cmd, data, g
     assert want[0] is error
     assert capsys.readouterr().err == f"error: {want[1]}\n"
     assert not (tmp_path / "o.json").exists()
+
+
+def _structured_transform(rng, n):
+    """A transform with structural zeros, as the benchmark's closed-form grids build
+    them: a Gamma_1 shift by a tridiagonal Hermitian K, a rotation by theta of the
+    trace pair (so X21 = -sin theta I), conjugated by a block-rotation U."""
+    th = rng.uniform(-0.9, 0.9)
+    k = [[complex(rng.uniform(-0.8, 0.8)) if i == j else 0j for j in range(n)] for i in range(n)]
+    u = [[complex(i == j) for j in range(n)] for i in range(n)]
+    for i in range(n - 1):
+        k[i][i + 1] = complex(rng.uniform(-0.3, 0.3), rng.uniform(-0.3, 0.3))
+        k[i + 1][i] = k[i][i + 1].conjugate()
+    for i in range(0, n - 1, 2):
+        phi = rng.uniform(-math.pi, math.pi)
+        u[i][i], u[i][i + 1], u[i + 1][i], u[i + 1][i + 1] = math.cos(phi), -math.sin(phi), math.sin(phi), math.cos(phi)
+    ident, k = Matrix.identity(n), Matrix.from_rows(k)
+    c, s = math.cos(th), math.sin(th)
+    return triplets.make_transform(Matrix.from_rows(u), ident.scale(c), k.scale(c) + ident.scale(s),
+                                   ident.scale(-s), ident.scale(c) - k.scale(s))
+
+
+@pytest.mark.ci_property
+@settings(deadline=None)
+@given(st.integers(min_value=1, max_value=kernels.MAX_N), st.sampled_from(["structured", "identity"]),
+       st.booleans(), st.integers(min_value=0, max_value=10**6))
+def test_mobius_stage_skipping_structural_zeros_has_the_matrix_paths_bits(n, kind, with_w, seed):
+    # the Mobius stage leaves out the terms whose right factor is a zero of X21*, P*
+    # or U*; on finite M, on M with nan, inf and signed zeros, and on M so large that
+    # the stage's core overflows, every entry keeps the Matrix path's bits, and the
+    # kernel runs that path only where it raises
+    rng = random.Random(seed)
+    transform = _structured_transform(rng, n) if kind == "structured" else triplets.identity_transform(n)
+    right = transform.X21_star.data + transform.P_star.data + transform.U_star.data
+    assert any(v == 0 for v in right) or n == 1
+    col = charfun.factor_colligation(_boundary(rng, n, n, False)) if with_w else None
+    calls, matrix_path = [], kernels._matrix_path
+
+    def counted(*args):
+        calls.append(args)
+        return matrix_path(*args)
+
+    samples = _weyl_samples(rng, n, 8)
+    samples += [tuple(complex(rng.uniform(-1, 1) * 1e308, rng.uniform(-1, 1) * 1e308) for _ in range(n * n))
+                for _ in range(2)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(kernels, "_matrix_path", counted)
+        kernel = kernels.grid_kernel(n, transform, col)
+        for m in samples:
+            want = _reference(n, transform, col, m)
+            assert _kernel(kernel, m) == want, (kind, m)
+            assert not calls or isinstance(want, tuple), (kind, m)
+            calls.clear()

@@ -65,8 +65,8 @@ def test_w_next_to_its_pole_is_refused():
     # W there is returned 7.7e-3 off the Bessel closed form, with no error
     model = models.half_line(PotentialSpec.expression("-2*exp(-x)"))
     eps = 1e-10
-    col = charfun.factor_colligation(Matrix.scalar(complex(models.evaluate(model, -0.5).at(0, 0).real, eps)))
-    m = models.evaluate(model, complex(-0.5, eps))
+    col = charfun.factor_colligation(Matrix.scalar(complex(models.evaluate(model, -0.5)[0].real, eps)))
+    m = models.evaluate_matrix(model, complex(-0.5, eps))
     with pytest.raises(AccuracyError):
         charfun.char_function_from_m(col, m)
 
@@ -117,7 +117,7 @@ def test_corner_at_large_z(z, want):
     # M(z) = -0F1(; 1 - beta; -z/4) / 0F1(; 1 + beta; -z/4) at beta = 0.75, at 60
     # digits, where it equals the Bessel quotient; today each z is an
     # AccuracyError (cancellation estimates 1.3e-10, 5.5e-9 and 6.4)
-    got = models.evaluate(models.Corner(0.75), z).at(0, 0)
+    got = models.evaluate(models.Corner(0.75), z)[0]
     assert abs(got - want) <= 1e-12 * abs(want), got
 
 

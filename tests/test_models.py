@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weyl import models, slsolve, verify
-from weyl.errors import AccuracyError, DomainError, EvalError, RangeError, TransversalityError
+from weyl.errors import AccuracyError, DomainError, EvalError, RangeError, TransversalityError, WeylError
 from weyl.linalg import Matrix, herm_part, imag_part, inertia, lambda_min
 from weyl.slsolve import PotentialSpec, halfline_m
+from weyl.specfun import BESSEL_RANGE
 
 Q0 = PotentialSpec.zero()
 
@@ -30,7 +31,7 @@ def test_sector_evaluate_is_herglotz_signed_constant():
 
 def test_operator_potential_at_zero():
     op = models.operator_potential_halfline([2.0])
-    v = models.evaluate(op, 0.0).at(0, 0)
+    v = models.evaluate(op, 0.0)[0]
     assert abs(v - math.sqrt(2) * (math.sqrt(2) - 1.0)) < 1e-14
 
 
@@ -51,13 +52,13 @@ def test_closed_forms_do_not_cancel_at_a_large_a(a):
     op = models.operator_potential_halfline([a])
     st = models.strip([a])
     got = [
-        (models.evaluate(op, -0.5).at(0, 0), at_half),
-        (models.evaluate(op, 0.0).at(0, 0), at_zero),
+        (models.evaluate(op, -0.5)[0], at_half),
+        (models.evaluate(op, 0.0)[0], at_zero),
         (models.m_at_zero(op).value.at(0, 0), at_zero),
-        (models.evaluate(op, 1 + 1j).at(0, 0), at_complex),
-        (models.evaluate(st, -0.5).at(0, 0), at_half),
+        (models.evaluate(op, 1 + 1j)[0], at_complex),
+        (models.evaluate(st, -0.5)[0], at_half),
         (models.m_at_zero(st).value.at(1, 1), at_zero),
-        (models.evaluate(st, 1 + 1j).at(0, 0), at_complex),
+        (models.evaluate(st, 1 + 1j)[0], at_complex),
     ]
     for v, want in got:
         assert abs(v - want) <= 1e-15 * abs(want), (v, want)
@@ -65,7 +66,7 @@ def test_closed_forms_do_not_cancel_at_a_large_a(a):
 
 def test_corner_limit_minus_one():
     co = models.corner(0.75)
-    vals = [models.evaluate(co, -(2.0**-k)).at(0, 0) for k in range(4, 14)]
+    vals = [models.evaluate(co, -(2.0**-k))[0] for k in range(4, 14)]
     assert abs(vals[-1] + 1.0) < 1e-3
     r = models.m_at_zero(co)
     assert r.method == "closed_form" and r.value.at(0, 0) == -1.0 and r.est_error == 0.0
@@ -92,7 +93,7 @@ def test_corner_refuses_where_the_series_cancels(model, z):
     (-1500, -336.1703969507669, 1e-13),
 ])
 def test_corner_answers_within_its_estimate(z, expected, rtol):
-    v = models.evaluate(models.corner(0.75), z).at(0, 0)
+    v = models.evaluate(models.corner(0.75), z)[0]
     assert abs(v - expected) <= rtol * abs(expected)
 
 
@@ -124,7 +125,7 @@ def test_corner_answers_within_its_estimate(z, expected, rtol):
     (0.9, 0.5 - 12j, -3.0449683376698377 - 26.493213942319847j),
 ])
 def test_corner_pinned_in_the_series_range(beta, z, expected):
-    v = models.evaluate(models.corner(beta), z).at(0, 0)
+    v = models.evaluate(models.corner(beta), z)[0]
     assert abs(v - expected) <= 1e-13 * abs(expected)
 
 
@@ -147,8 +148,8 @@ def test_closed_form_entries_are_complex(kind):
         points += [1.0 - 1e-12, 1.0 + 1e-12j]
     for z in points:
         m = models.evaluate(model, z)
-        assert (m.rows, m.cols) == (model.n, model.n) and len(m.data) == model.n ** 2
-        assert all(type(v) is complex for v in m.data), (kind, z)
+        assert type(m) is tuple and len(m) == model.n ** 2
+        assert all(type(v) is complex for v in m), (kind, z)
 
 
 # the exact repr of every entry: the corner series uses only + - * / (the
@@ -171,8 +172,8 @@ CORNER_REPRS = {
 @pytest.mark.parametrize("z", list(CORNER_REPRS))
 def test_corner_entries_pinned_bit_for_bit(z):
     corner, multi = CORNER_REPRS[z]
-    assert [repr(v) for v in models.evaluate(CLOSED_FORM["corner"], z).data] == corner
-    assert [repr(v) for v in models.evaluate(CLOSED_FORM["multi_corner"], z).data] == multi
+    assert [repr(v) for v in models.evaluate(CLOSED_FORM["corner"], z)] == corner
+    assert [repr(v) for v in models.evaluate(CLOSED_FORM["multi_corner"], z)] == multi
 
 
 def test_evaluate_domain_guard():
@@ -181,7 +182,7 @@ def test_evaluate_domain_guard():
     with pytest.raises(DomainError):
         models.evaluate(models.sector(0.75), 2.0)
     # finite interval admits real z off the Dirichlet set
-    m = models.evaluate(models.finite_interval(Q0, math.pi), 0.5)
+    m = models.evaluate_matrix(models.finite_interval(Q0, math.pi), 0.5)
     assert m.rows == 2
 
 
@@ -329,8 +330,8 @@ def test_strip_reduces_to_operator_potential_for_large_width():
     st = models.strip(a, width=60.0)
     op = models.operator_potential_halfline(a)
     z = -0.5 + 0.0j
-    ms = models.evaluate(st, z)
-    mo = models.evaluate(op, z)
+    ms = models.evaluate_matrix(st, z)
+    mo = models.evaluate_matrix(op, z)
     for i in range(2):
         assert abs(ms.at(i, i) - mo.at(i, i)) < 1e-10
 
@@ -338,10 +339,10 @@ def test_strip_reduces_to_operator_potential_for_large_width():
 def test_multi_corner_structure():
     mc = models.multi_corner([0.6, 0.85])
     z = 0.5 + 0.8j
-    m = models.evaluate(mc, z)
+    m = models.evaluate_matrix(mc, z)
     assert m.at(0, 1) == 0 and m.at(1, 0) == 0
-    assert m.at(0, 0) == models.evaluate(models.corner(0.6), z).at(0, 0)
-    assert m.at(1, 1) == models.evaluate(models.corner(0.85), z).at(0, 0)
+    assert m.at(0, 0) == models.evaluate(models.corner(0.6), z)[0]
+    assert m.at(1, 1) == models.evaluate(models.corner(0.85), z)[0]
     r = models.m_at_zero(mc)
     assert r.method == "closed_form" and r.value == Matrix.diag([-1.0, -1.0])
 
@@ -351,7 +352,7 @@ def test_radial_equals_halfline():
     rad = models.radial_schrodinger(q)
     hl = models.half_line(q)
     for z in (1j, -0.5 + 0.7j, 2 + 3j):
-        d = (models.evaluate(rad, z) - models.evaluate(hl, z)).norm_fro()
+        d = (models.evaluate_matrix(rad, z) - models.evaluate_matrix(hl, z)).norm_fro()
         assert d <= 1e-12
 
 
@@ -359,8 +360,8 @@ def test_half_line_with_finite_h_triplet():
     h = 3.0
     model = models.half_line(Q0, h)
     z = -1.0 + 1.5j
-    mi = models.evaluate(models.half_line(Q0), z).at(0, 0)
-    mh = models.evaluate(model, z).at(0, 0)
+    mi = models.evaluate(models.half_line(Q0), z)[0]
+    mh = models.evaluate(model, z)[0]
     assert abs(mh * (mi - h) - (1.0 - h * mi)) < 1e-10
     # |h| > 1 members stay Herglotz
     assert mh.imag > 0
@@ -450,7 +451,7 @@ def test_non_finite_z_is_one_range_error(kind, z):
 def test_strip_herglotz_near_floor():
     st = models.strip([1.0, 2.0])  # floor at 0, kappa^2 branch exercised
     for z in (0.3j, -0.5 + 0.4j, 1 + 1j):
-        m = models.evaluate(st, z)
+        m = models.evaluate_matrix(st, z)
         assert lambda_min(imag_part(m)) >= -1e-9 * m.norm_fro()
     r = models.m_at_zero(st)
     assert r.method == "closed_form"
@@ -490,3 +491,67 @@ def test_interval_count_is_the_matrix_congruence(basis, b00, b01, b11):
     want = dirichlet_count + inertia(herm_part(y0.adjoint() @ (y1 - b @ y0)))[2]
     with mock.patch.object(models, "fundamental_system", lambda q, b, x: basis):
         assert models.finite_interval(Q0, 1.0).eigen_count(b, 0.5) == want
+
+
+_A = st.one_of(st.floats(1.0, 50.0), st.floats(50.0, 1e6))  # a large a * width underflows csch to 0
+_BETA = st.floats(0.5, 1.0, exclude_min=True, exclude_max=True)
+_CLOSED_FORMS = {
+    "operator_potential_halfline": st.builds(models.operator_potential_halfline, st.lists(_A, min_size=1, max_size=3)),
+    "strip": st.builds(models.strip, st.lists(_A, min_size=1, max_size=2), st.floats(0.05, 10.0)),
+    "corner": st.builds(models.corner, _BETA),
+    "multi_corner": st.builds(models.multi_corner, st.lists(_BETA, min_size=1, max_size=3)),
+}
+_RANGE = BESSEL_RANGE ** 2  # |z| of the corner's range guard
+
+
+def _upper_z(model, region, draw):
+    """A z with Im z > 0 in one region: anywhere up to past the corner's range, near the
+    real axis, about the strip's first threshold a - 1 (its |w kappa| < 1e-5 series), or
+    along the positive axis, where the corner series cancels (AccuracyError)."""
+    if region == "plane":
+        return complex(draw(st.floats(-1.2 * _RANGE, 1.2 * _RANGE)), draw(st.floats(1e-300, 1.2 * _RANGE)))
+    if region == "axis":
+        return complex(draw(st.floats(-_RANGE, _RANGE)), draw(st.floats(1e-300, 1e-3)))
+    if region == "threshold":
+        shift = model.a_diag[0] - 1.0 if hasattr(model, "a_diag") else 0.0
+        tiny = st.floats(-1e-11, 1e-11)
+        return complex(shift + draw(tiny), draw(st.floats(1e-300, 1e-11)))
+    return complex(draw(st.floats(100.0, _RANGE)), draw(st.floats(1e-300, 10.0)))
+
+
+def _hex(entries):
+    return [(v.real.hex(), v.imag.hex()) for v in entries]
+
+
+@pytest.mark.ci_property
+@settings(deadline=None)
+@given(st.sampled_from(sorted(_CLOSED_FORMS)), st.sampled_from(["plane", "axis", "threshold", "cancelling"]),
+       st.data())
+def test_mirrored_closed_forms_are_bit_symmetric(kind, region, data):
+    # a grid answers conj z with the mirror of M(z), structural zeros kept: it must
+    # have the bits of the rule at conj z itself, or decline (None: the grid then
+    # evaluates conj z), or both points must raise the same error
+    model = data.draw(_CLOSED_FORMS[kind])
+    assert model.mirrored
+    z = _upper_z(model, region, data.draw)
+    try:
+        at_z = model.entries(z)
+    except WeylError as e:
+        with pytest.raises(type(e)):
+            model.entries(z.conjugate())
+        return
+    mirrored = models.mirror(model, at_z)
+    if mirrored is not None:
+        assert _hex(mirrored) == _hex(model.entries(z.conjugate())), (model, z)
+
+
+def test_mirror_declines_a_zero_part_it_cannot_sign():
+    # at z = 1 + 1e-300i the strip's entries cancel to an imaginary part 0.0, and
+    # to 0.0 again at conj z, where .conjugate() would write -0.0
+    model, z = models.strip([1.0], 1.0), 1 + 1e-300j
+    assert all(v.imag.hex() == "0x0.0p+0" for v in model.entries(z) + model.entries(z.conjugate()))
+    assert models.mirror(model, model.entries(z)) is None
+    # a structural zero is kept as the rule writes it, and no zero part is declined
+    model = models.multi_corner([0.6, 0.85])
+    mirrored = models.mirror(model, model.entries(0.5 + 1j))
+    assert _hex(mirrored) == _hex(model.entries(0.5 - 1j)) and mirrored[1].imag.hex() == "0x0.0p+0"

@@ -76,8 +76,8 @@ def test_tracer_counts_potential_evaluations():
     assert calls[0] >= 1 and calls[1] > calls[0]
 
 
-def _run_grid_requests(tmp_path, requests):
-    """Run each (cmd, problem) at the one grid point 0.5+1i under the tracer."""
+def _run_grid_requests(tmp_path, requests, grid="0.5:0.5:1,1:1:1"):
+    """Run each (cmd, problem) on grid, by default the one point 0.5+1i, under the tracer."""
     spans = _load_spans()
     tracer = spans["Tracer"]()
     try:
@@ -86,7 +86,7 @@ def _run_grid_requests(tmp_path, requests):
             prob = tmp_path / f"p{i}.json"
             prob.write_text(json.dumps(data))
             out = tmp_path / f"o{i}.json"
-            assert main([cmd, "--problem", str(prob), "--grid=0.5:0.5:1,1:1:1", "--out", str(out)]) == 0
+            assert main([cmd, "--problem", str(prob), f"--grid={grid}", "--out", str(out)]) == 0
     finally:
         tracer.uninstall()
     return tracer.stats()
@@ -134,6 +134,16 @@ def test_tracer_counts_the_kernel_grid_request_path(tmp_path):
     assert stats["charfun.factor_colligation"].calls == 2
     assert stats["triplets.transform_boundary_operator"].calls == 1
     assert "triplets.transform_weyl" not in stats and "charfun._char_full" not in stats
+
+
+def test_tracer_counts_one_evaluation_per_conjugate_pair(tmp_path):
+    # the grid 0.5 -+ 1i is one conjugate pair: a corner evaluates M once and mirrors
+    # it, a sector, whose power is not bit-symmetric, evaluates both points
+    for kind, calls in (("corner", 1), ("sector", 2)):
+        stats, counters = _run_grid_requests(tmp_path, [("eval", {"model": {"kind": kind, "beta": 0.75}})],
+                                             grid="0.5:0.5:1,-1:1:2")
+        assert stats["models.evaluate"].calls == calls, kind
+        assert counters[f"models.evaluate.{kind}.calls"] == calls, kind
 
 
 def test_tracer_counts_the_propagations_of_the_eigenvalue_count(tmp_path):
